@@ -32,9 +32,7 @@ from .merging import (
     MergeRecipe,
     ada_merge,
     grid_search_scale,
-    layerwise_merge,
     task_arithmetic,
-    task_vector,
     ties_merge,
     weight_average,
 )
@@ -61,10 +59,11 @@ from .surgery import (
     adapter_forward,
     corrected_forward,
     init_stack,
+    sequential_batches,
     single_block,
     stream_train_surgery,
     train_surgery,
 )
-from .tensors import ParamSet, bitwise_equal, l1_mean_distance, shape_compatible
+from .tensors import ParamSet, bitwise_equal, shape_compatible
 
 __version__ = "0.1.0"

@@ -31,10 +31,10 @@ class LossKind(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "LossKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise BiasError(f"unknown loss kind {text!r} (expected l1, mse, or cos)")
+        try:
+            return cls(text)
+        except ValueError:
+            raise BiasError(f"unknown loss kind {text!r} (expected l1, mse, or cos)") from None
 
 
 def _check_pair(z_a: np.ndarray, z_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,17 +149,16 @@ def layerwise_bias_report(
     surgery ``stack`` is supplied the merged trace is the corrected
     in-path trace, so the report shows post-surgery alignment.
     """
+    # Imported here: surgery imports this module for LossKind and the
+    # alignment loss, so a module-level import would be circular.
+    from .surgery import corrected_forward
+
     if len(experts) != len(inputs_per_task):
         raise BiasError("need exactly one input matrix per expert")
     values = np.zeros((spec.num_layers, len(experts)))
     for task, (expert, features) in enumerate(zip(experts, inputs_per_task)):
         x = np.asarray(features, dtype=np.float64).T
-        if stack is None:
-            merged_trace = forward_with_trace(merged, spec, x)
-        else:
-            from .surgery import corrected_forward
-
-            merged_trace = corrected_forward(merged, spec, stack, x, task)
+        merged_trace = corrected_forward(merged, spec, stack, x, task)
         expert_trace = forward_with_trace(expert, spec, x)
         for layer in range(spec.num_layers):
             values[layer, task] = representation_bias(

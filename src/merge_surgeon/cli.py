@@ -18,27 +18,44 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bias import BiasError, LossKind, layerwise_bias_report, pca_project
+from .bias import BiasError, BiasReport, layerwise_bias_report, pca_project
 from .checkpoint import CheckpointError, load_paramset, save_paramset
-from .config import ConfigError, RunConfig, load_config_file
+from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file
 from .datasets import DataError, TaskSuite, gen_task_suite, save_csv
-from .evaluation import EvalError, collect_heads, emit_report, evaluate, results_table
-from .merging import MergeError, MergeRecipe, grid_search_scale, merge_with_recipe
+from .evaluation import (
+    EvalError,
+    EvalResult,
+    collect_heads,
+    emit_report,
+    evaluate,
+    results_table,
+)
+from .merging import (
+    MergeError,
+    MergeRecipe,
+    grid_search_scale,
+    merge_with_recipe,
+    task_arithmetic,
+    ties_merge,
+)
 from .network import (
     ModelSpec,
     NetworkError,
     TrainConfig,
+    TrainResult,
+    forward_with_trace,
     pretrain as run_pretrain,
     train_expert,
 )
 from .surgery import (
     SurgeryError,
-    SurgeryMode,
+    SurgeryResult,
     SurgeryStack,
+    corrected_forward,
     stream_train_surgery,
     train_surgery,
 )
-from .tensors import TensorError
+from .tensors import ParamSet, TensorError
 
 _DOMAIN_ERRORS = (
     BiasError,
@@ -53,14 +70,6 @@ _DOMAIN_ERRORS = (
     FileNotFoundError,
 )
 
-_ALGO_NAMES = {
-    "avg": "weight_average",
-    "ta": "task_arithmetic",
-    "ties": "ties_merging",
-    "ada": "ada_merging",
-}
-
-
 def _wrap_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -72,17 +81,13 @@ def _wrap_errors(fn):
     return wrapper
 
 
-def _resolve_config(config_path, **overrides) -> RunConfig:
+def _setup(config_path, run_dir, **overrides):
+    """Resolved config, run directory, regenerated suite and model spec."""
     file_values = load_config_file(config_path) if config_path else {}
-    return RunConfig.from_sources(file_values, overrides)
-
-
-def _suite(cfg: RunConfig) -> TaskSuite:
-    return gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
-
-
-def _model_spec(cfg: RunConfig) -> ModelSpec:
-    return ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+    cfg = RunConfig.from_sources(file_values, overrides)
+    suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
+    spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+    return cfg, Path(run_dir), suite, spec
 
 
 def _train_config(cfg: RunConfig, iterations: int) -> TrainConfig:
@@ -94,117 +99,182 @@ def _train_config(cfg: RunConfig, iterations: int) -> TrainConfig:
     )
 
 
-def _checkpoint_dir(run_dir: Path) -> Path:
-    path = run_dir / "checkpoints"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _checkpoint(run_dir: Path, name: str) -> Path:
+    return run_dir / "checkpoints" / f"{name}.msrg"
 
 
-def _load_models(run_dir: Path, cfg: RunConfig):
-    ckpt = run_dir / "checkpoints"
-    pretrained = load_paramset(ckpt / "pretrained.msrg")
-    experts = [load_paramset(ckpt / f"expert_{t}.msrg") for t in range(cfg.tasks)]
-    return pretrained, experts
+def _save(params: ParamSet, run_dir: Path, name: str) -> None:
+    path = _checkpoint(run_dir, name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_paramset(params, path)
 
 
-def _write_suite_csvs(suite: TaskSuite, run_dir: Path) -> None:
-    suite_dir = run_dir / "suite"
-    suite_dir.mkdir(parents=True, exist_ok=True)
+def _load_experts(run_dir: Path, cfg: RunConfig) -> list[ParamSet]:
+    return [load_paramset(_checkpoint(run_dir, f"expert_{t}")) for t in range(cfg.tasks)]
+
+
+def _load_merged(run_dir: Path, cfg: RunConfig) -> tuple[ParamSet, list[ParamSet]]:
+    """The merged backbone and the experts, whose heads it is scored with."""
+    return load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
+
+
+def _load_stack(path: Path, cfg: RunConfig, spec: ModelSpec) -> SurgeryStack:
+    stack = SurgeryStack.from_paramset(load_paramset(path), spec.num_layers, cfg.surgery_psi)
+    stack.validate(spec, cfg.tasks)
+    return stack
+
+
+def _suffix(stack: SurgeryStack | None) -> str:
+    """Name suffix of the artifacts that show the surgery-corrected model."""
+    return "_surgery" if stack is not None else ""
+
+
+# Steps: each takes its inputs in memory and writes its stage's artifacts.
+# A subcommand loads the inputs and runs one step; ``pipeline`` chains
+# them all without reloading anything.
+
+
+def _gen_step(cfg: RunConfig, run_dir: Path, suite: TaskSuite) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.cfg").write_text(cfg.to_text(), encoding="utf-8")
     for t, task in enumerate(suite.tasks):
-        for split_name, split in (
-            ("train", task.train),
-            ("validation", task.validation),
-            ("test", task.test),
-        ):
-            save_csv(split, suite_dir / f"task{t}_{split_name}.csv")
-    save_csv(suite.mixture, suite_dir / "mixture.csv")
+        for split in ("train", "validation", "test"):
+            save_csv(getattr(task, split), run_dir / "suite" / f"task{t}_{split}.csv")
+    save_csv(suite.mixture, run_dir / "suite" / "mixture.csv")
 
 
-def _run_merge(cfg: RunConfig, suite: TaskSuite, spec, pretrained, experts):
-    algorithm = _ALGO_NAMES.get(cfg.merge_algo)
-    if algorithm is None:
-        raise MergeError(f"unknown algorithm {cfg.merge_algo!r}")
+def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "model_spec.cfg").write_text(spec.to_text(), encoding="utf-8")
+    result = run_pretrain(spec, suite.mixture, _train_config(cfg, cfg.pretrain_iters))
+    _save(result.params, run_dir, "pretrained")
+    return result
+
+
+def _finetune_step(cfg, run_dir, suite, spec, pretrained, task: int) -> TrainResult:
+    result = train_expert(
+        pretrained, suite.tasks[task].train, task, spec, _train_config(cfg, cfg.finetune_iters)
+    )
+    _save(result.params, run_dir, f"expert_{task}")
+    return result
+
+
+def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSet, MergeRecipe]:
+    algorithm = MERGE_ALGOS[cfg.merge_algo]
+    keep = cfg.ties_keep if algorithm == "ties_merging" else None
     scale = None
     if algorithm in ("task_arithmetic", "ties_merging"):
-        if cfg.merge_scale == "grid":
+        scale = cfg.merge_scale
+        if scale == "grid":
+            merge = task_arithmetic if keep is None else functools.partial(
+                ties_merge, keep_fraction=keep
+            )
             scale = grid_search_scale(
                 pretrained,
                 experts,
                 spec,
                 cfg.scale_grid,
                 [task.validation for task in suite.tasks],
+                merge,
             )
-        else:
-            scale = float(cfg.merge_scale)
-    recipe = MergeRecipe(
-        algorithm=algorithm,
-        scale=scale,
-        keep_fraction=cfg.ties_keep if algorithm == "ties_merging" else None,
-    )
     merged, recipe = merge_with_recipe(
-        recipe,
+        MergeRecipe(algorithm=algorithm, scale=scale, keep_fraction=keep),
         pretrained,
         experts,
         spec=spec,
         inputs_per_task=suite.test_inputs(),
         cfg=_train_config(cfg, iterations=cfg.ada_iters),
     )
+    _save(merged, run_dir, "merged")
+    (run_dir / "merge_recipe.txt").write_text(recipe.to_text(), encoding="utf-8")
     return merged, recipe
 
 
-def _surgery_stack(cfg: RunConfig, suite: TaskSuite, spec, merged, experts):
-    mode = SurgeryMode.parse(cfg.surgery_mode)
-    psi = LossKind.parse(cfg.surgery_psi)
-    train_cfg = _train_config(cfg, iterations=cfg.surgery_iters)
-    if cfg.surgery_data.startswith("stream:"):
-        fraction = float(cfg.surgery_data.split(":", 1)[1])
-        result = stream_train_surgery(
-            merged,
-            experts,
-            spec,
-            suite.test_inputs(),
-            fraction,
-            mode,
-            psi,
-            train_cfg,
-            rank=cfg.surgery_rank,
-        )
-    else:
-        if cfg.surgery_data.startswith("wild:"):
-            wild_seed = int(cfg.surgery_data.split(":", 1)[1])
-            wild = gen_task_suite(
-                wild_seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test
-            )
-            inputs = [wild.mixture.features] * cfg.tasks
-        else:
-            inputs = suite.test_inputs()
-        result = train_surgery(
-            merged, experts, spec, inputs, mode, psi, train_cfg, rank=cfg.surgery_rank
-        )
-    return result
+def _bias_report(cfg, suite, spec, merged, experts, stack=None) -> BiasReport:
+    return layerwise_bias_report(
+        merged,
+        experts,
+        spec,
+        suite.test_inputs(),
+        cfg.surgery_psi,
+        stack=stack,
+        model_id="merged" + _suffix(stack),
+    )
 
 
-def _write_projections(run_dir, spec, merged, experts, suite, stack=None, prefix="projection"):
-    """Shared-basis 2-D projection of final-layer representations, merged
-    and expert halves labeled by a source column."""
-    from .network import forward_with_trace
-    from .surgery import corrected_forward
-
+def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None) -> BiasReport:
+    """Bias report of the merged (or corrected) model, plus per-task
+    shared-basis 2-D projections of its final layer and the expert's."""
+    report = _bias_report(cfg, suite, spec, merged, experts, stack)
     for task in range(len(suite.tasks)):
         x = suite.tasks[task].test.inputs()
-        if stack is None:
-            merged_final = forward_with_trace(merged, spec, x).final
-        else:
-            merged_final = corrected_forward(merged, spec, stack, x, task).final
+        merged_final = corrected_forward(merged, spec, stack, x, task).final
         expert_final = forward_with_trace(experts[task], spec, x).final
-        combined = np.concatenate([merged_final, expert_final], axis=1)
-        coords = pca_project(combined)
+        coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
         n = merged_final.shape[1]
         lines = ["source,x,y"]
         for i in range(coords.shape[1]):
             source = "merged" if i < n else "expert"
             lines.append(f"{source},{coords[0, i]:.9g},{coords[1, i]:.9g}")
-        (run_dir / f"{prefix}_{task}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = run_dir / f"projection{_suffix(stack)}_{task}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return report
+
+
+def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
+    data = cfg.surgery_data
+    inputs = suite.test_inputs()
+    if data.wild_seed is not None:
+        wild = gen_task_suite(
+            data.wild_seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test
+        )
+        inputs = [wild.mixture.features] * cfg.tasks
+    settings = (cfg.surgery_mode, cfg.surgery_psi, _train_config(cfg, cfg.surgery_iters))
+    if data.stream_fraction is None:
+        result = train_surgery(
+            merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank
+        )
+    else:
+        result = stream_train_surgery(
+            merged, experts, spec, inputs, data.stream_fraction, *settings,
+            rank=cfg.surgery_rank,
+        )
+    _save(result.stack.to_paramset(), run_dir, "surgery")
+    info = (
+        f"mode = {result.stack.mode.label()}\n"
+        f"psi = {result.stack.psi.value}\n"
+        f"rank = {cfg.surgery_rank}\n"
+        f"data = {data}\n"
+    )
+    (run_dir / "surgery_info.txt").write_text(info, encoding="utf-8")
+    return result
+
+
+def _eval_rows(cfg, suite, spec, merged, experts, stack) -> list[EvalResult]:
+    heads = collect_heads(experts)
+    test_sets = [task.test for task in suite.tasks]
+    # "individual" row: each expert scored on its own task.
+    per_task = [
+        evaluate(expert, heads, spec, test_sets, model_id=f"expert{task}").task_accuracies[task]
+        for task, expert in enumerate(experts)
+    ]
+    rows = [EvalResult.from_accuracies("individual", per_task)]
+    merged_id = f"merged_{cfg.merge_algo}"
+    rows.append(evaluate(merged, heads, spec, test_sets, model_id=merged_id))
+    if stack is not None:
+        rows.append(
+            evaluate(
+                merged, heads, spec, test_sets, stack=stack,
+                model_id=merged_id, stack_id=stack.mode.label(),
+            )
+        )
+    return rows
+
+
+def _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports) -> list[EvalResult]:
+    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
+    emit_report(rows, reports, run_dir)
+    return rows
 
 
 def _write_manifest(run_dir: Path, cfg: RunConfig) -> Path:
@@ -235,334 +305,175 @@ _run_dir_option = click.option(
 )
 
 
-@main.command()
-@_config_option
-@_run_dir_option
+def _command(name: str):
+    """Register a subcommand that takes --config and --run-dir and ends a
+    domain error with a one-line message."""
+
+    def register(fn):
+        return main.command(name=name)(_config_option(_run_dir_option(_wrap_errors(fn))))
+
+    return register
+
+
+@_command("gen")
 @click.option("--seed", type=int, default=None)
 @click.option("--tasks", type=int, default=None)
 @click.option("--dim", type=int, default=None)
 @click.option("--classes", type=int, default=None)
 @click.option("--n-train", type=int, default=None)
 @click.option("--n-test", type=int, default=None)
-@_wrap_errors
 def gen(config, run_dir, seed, tasks, dim, classes, n_train, n_test):
     """Generate the task suite and export it as CSV files."""
-    cfg = _resolve_config(
-        config, seed=seed, tasks=tasks, dim=dim, classes=classes,
+    cfg, run_dir, suite, _ = _setup(
+        config, run_dir, seed=seed, tasks=tasks, dim=dim, classes=classes,
         n_train=n_train, n_test=n_test,
     )
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    suite = _suite(cfg)
-    _write_suite_csvs(suite, run_dir)
-    (run_dir / "config.cfg").write_text(cfg.to_text(), encoding="utf-8")
+    _gen_step(cfg, run_dir, suite)
     click.echo(f"wrote suite ({cfg.tasks} tasks) under {run_dir / 'suite'}")
 
 
-@main.command(name="pretrain")
-@_config_option
-@_run_dir_option
-@_wrap_errors
+@_command("pretrain")
 def pretrain_cmd(config, run_dir):
     """Train the shared backbone on the task-agnostic mixture."""
-    cfg = _resolve_config(config)
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    result = run_pretrain(spec, suite.mixture, _train_config(cfg, cfg.pretrain_iters))
-    ckpt = _checkpoint_dir(run_dir)
-    save_paramset(result.params, ckpt / "pretrained.msrg")
-    (run_dir / "model_spec.cfg").write_text(spec.to_text(), encoding="utf-8")
+    cfg, run_dir, suite, spec = _setup(config, run_dir)
+    result = _pretrain_step(cfg, run_dir, suite, spec)
     click.echo(
         f"pretrained backbone saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
 
 
-@main.command()
-@_config_option
-@_run_dir_option
+@_command("finetune")
 @click.option("--task", type=int, required=True, help="0-based task index.")
-@_wrap_errors
 def finetune(config, run_dir, task):
     """Fine-tune one expert from the pretrained backbone."""
-    cfg = _resolve_config(config)
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    pretrained = load_paramset(run_dir / "checkpoints" / "pretrained.msrg")
-    result = train_expert(
-        pretrained, suite.tasks[task].train, task, spec, _train_config(cfg, cfg.finetune_iters)
-    )
-    save_paramset(result.params, _checkpoint_dir(run_dir) / f"expert_{task}.msrg")
+    cfg, run_dir, suite, spec = _setup(config, run_dir)
+    if not 0 <= task < cfg.tasks:
+        raise ConfigError(f"--task {task} is out of range for {cfg.tasks} tasks")
+    pretrained = load_paramset(_checkpoint(run_dir, "pretrained"))
+    result = _finetune_step(cfg, run_dir, suite, spec, pretrained, task)
     click.echo(
         f"expert {task} saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
 
 
-@main.command()
-@_config_option
-@_run_dir_option
+@_command("merge")
 @click.option("--algo", default=None, help="avg, ta, ties, or ada.")
 @click.option("--lambda", "scale", default=None, help="Merging scale, or 'grid'.")
 @click.option("--keep", type=float, default=None, help="Ties keep fraction in (0, 1].")
 @click.option("--seed", type=int, default=None)
-@_wrap_errors
 def merge(config, run_dir, algo, scale, keep, seed):
     """Merge the expert checkpoints into one backbone."""
-    cfg = _resolve_config(
-        config, merge_algo=algo, merge_scale=scale, ties_keep=keep, seed=seed
+    cfg, run_dir, suite, spec = _setup(
+        config, run_dir, merge_algo=algo, merge_scale=scale, ties_keep=keep, seed=seed
     )
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    pretrained, experts = _load_models(run_dir, cfg)
-    merged, recipe = _run_merge(cfg, suite, spec, pretrained, experts)
-    save_paramset(merged, _checkpoint_dir(run_dir) / "merged.msrg")
-    (run_dir / "merge_recipe.txt").write_text(recipe.to_text(), encoding="utf-8")
+    pretrained = load_paramset(_checkpoint(run_dir, "pretrained"))
+    experts = _load_experts(run_dir, cfg)
+    _, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
     click.echo(f"merged with {recipe.algorithm}" + (
         f" (scale {recipe.scale:g})" if recipe.scale is not None else ""
     ))
 
 
-@main.command(name="bias")
-@_config_option
-@_run_dir_option
+@_command("bias")
 @click.option("--psi", default=None, help="l1, mse, or cos.")
 @click.option(
     "--surgery", "stack_path", type=click.Path(exists=True, dir_okay=False), default=None,
     help="Stack checkpoint; when given, the merged trace is the corrected one.",
 )
 @click.option("--tag", default=None, help="Suffix for the report file name.")
-@_wrap_errors
 def bias_cmd(config, run_dir, psi, stack_path, tag):
     """Per-layer, per-task representation bias report plus 2-D projections."""
-    cfg = _resolve_config(config, surgery_psi=psi)
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    _, experts = _load_models(run_dir, cfg)
-    merged = load_paramset(run_dir / "checkpoints" / "merged.msrg")
-    stack = None
-    if stack_path is not None:
-        stack = SurgeryStack.from_paramset(
-            load_paramset(stack_path), spec.num_layers, LossKind.parse(cfg.surgery_psi)
-        )
-        stack.validate(spec, cfg.tasks)
-    report = layerwise_bias_report(
-        merged,
-        experts,
-        spec,
-        suite.test_inputs(),
-        LossKind.parse(cfg.surgery_psi),
-        stack=stack,
-        model_id="merged" if stack is None else "merged_surgery",
-    )
+    cfg, run_dir, suite, spec = _setup(config, run_dir, surgery_psi=psi)
+    merged, experts = _load_merged(run_dir, cfg)
+    stack = None if stack_path is None else _load_stack(Path(stack_path), cfg, spec)
+    report = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
     name = "bias_report.csv" if tag is None else f"bias_report_{tag}.csv"
     (run_dir / name).write_text(report.to_csv_text(), encoding="utf-8")
-    prefix = "projection" if stack is None else "projection_surgery"
-    _write_projections(run_dir, spec, merged, experts, suite, stack=stack, prefix=prefix)
-    deep = report.layer_means()
     click.echo(
-        f"bias report written; layer-mean profile "
-        + " ".join(f"{v:.4f}" for v in deep)
+        "bias report written; layer-mean profile "
+        + " ".join(f"{v:.4f}" for v in report.layer_means())
     )
 
 
-@main.command(name="surgery")
-@_config_option
-@_run_dir_option
+@_command("surgery")
 @click.option("--mode", default=None, help="v1, v2, or block:<l>.")
 @click.option("--psi", default=None, help="l1, mse, or cos.")
 @click.option("--rank", type=int, default=None)
 @click.option("--iters", type=int, default=None)
 @click.option("--data", default=None, help="test, wild:<seed>, or stream:<fraction>.")
-@_wrap_errors
 def surgery_cmd(config, run_dir, mode, psi, rank, iters, data):
     """Train a task-private adapter stack against the expert representations."""
-    cfg = _resolve_config(
-        config, surgery_mode=mode, surgery_psi=psi, surgery_rank=rank,
+    cfg, run_dir, suite, spec = _setup(
+        config, run_dir, surgery_mode=mode, surgery_psi=psi, surgery_rank=rank,
         surgery_iters=iters, surgery_data=data,
     )
     if cfg.surgery_mode == "none":
         raise SurgeryError("surgery mode 'none' trains nothing")
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    _, experts = _load_models(run_dir, cfg)
-    merged = load_paramset(run_dir / "checkpoints" / "merged.msrg")
-    result = _surgery_stack(cfg, suite, spec, merged, experts)
-    save_paramset(result.stack.to_paramset(), _checkpoint_dir(run_dir) / "surgery.msrg")
-    info = (
-        f"mode = {result.stack.mode.label()}\n"
-        f"psi = {result.stack.psi.value}\n"
-        f"rank = {cfg.surgery_rank}\n"
-        f"data = {cfg.surgery_data}\n"
-    )
-    (run_dir / "surgery_info.txt").write_text(info, encoding="utf-8")
+    merged, experts = _load_merged(run_dir, cfg)
+    result = _surgery_step(cfg, run_dir, suite, spec, merged, experts)
     click.echo(
         f"surgery stack saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
 
 
-def _eval_rows(cfg, suite, spec, merged, experts, stack):
-    from .evaluation import EvalResult
-
-    heads = collect_heads(experts)
-    test_sets = [task.test for task in suite.tasks]
-    # "individual" row: each expert scored on its own task.
-    per_task = [
-        evaluate(expert, heads, spec, test_sets, model_id=f"expert{task}").task_accuracies[task]
-        for task, expert in enumerate(experts)
-    ]
-    rows = [EvalResult.from_accuracies("individual", per_task)]
-    merged_id = f"merged_{cfg.merge_algo}"
-    rows.append(evaluate(merged, heads, spec, test_sets, model_id=merged_id))
-    if stack is not None:
-        rows.append(
-            evaluate(
-                merged, heads, spec, test_sets, stack=stack,
-                model_id=merged_id, stack_id=stack.mode.label(),
-            )
-        )
-    return rows
-
-
-@main.command(name="eval")
-@_config_option
-@_run_dir_option
+@_command("eval")
 @click.option(
     "--surgery", "stack_path", type=click.Path(exists=True, dir_okay=False), default=None
 )
-@_wrap_errors
 def eval_cmd(config, run_dir, stack_path):
     """Accuracy of the experts, the merged model, and optionally the
     surgery-corrected merged model."""
-    cfg = _resolve_config(config)
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    _, experts = _load_models(run_dir, cfg)
-    merged = load_paramset(run_dir / "checkpoints" / "merged.msrg")
-    stack = None
-    if stack_path is not None:
-        stack = SurgeryStack.from_paramset(
-            load_paramset(stack_path), spec.num_layers, LossKind.parse(cfg.surgery_psi)
-        )
+    cfg, run_dir, suite, spec = _setup(config, run_dir)
+    merged, experts = _load_merged(run_dir, cfg)
+    stack = None if stack_path is None else _load_stack(Path(stack_path), cfg, spec)
     rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
 
 
-@main.command(name="report")
-@_config_option
-@_run_dir_option
-@_wrap_errors
+@_command("report")
 def report_cmd(config, run_dir):
     """Assemble the comparison table and bias CSVs into the run directory."""
-    cfg = _resolve_config(config)
-    run_dir = Path(run_dir)
-    suite = _suite(cfg)
-    spec = _model_spec(cfg)
-    _, experts = _load_models(run_dir, cfg)
-    merged = load_paramset(run_dir / "checkpoints" / "merged.msrg")
-    stack_file = run_dir / "checkpoints" / "surgery.msrg"
+    cfg, run_dir, suite, spec = _setup(config, run_dir)
+    merged, experts = _load_merged(run_dir, cfg)
+    reports = [_bias_report(cfg, suite, spec, merged, experts)]
     stack = None
-    if stack_file.exists():
-        stack = SurgeryStack.from_paramset(
-            load_paramset(stack_file), spec.num_layers, LossKind.parse(cfg.surgery_psi)
-        )
-    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
-    psi = LossKind.parse(cfg.surgery_psi)
-    reports = [
-        layerwise_bias_report(
-            merged, experts, spec, suite.test_inputs(), psi, model_id="merged"
-        )
-    ]
-    if stack is not None:
-        reports.append(
-            layerwise_bias_report(
-                merged, experts, spec, suite.test_inputs(), psi,
-                stack=stack, model_id="merged_surgery",
-            )
-        )
-    written = emit_report(rows, reports, run_dir)
-    for path in written:
-        click.echo(f"wrote {path}")
+    if _checkpoint(run_dir, "surgery").exists():
+        stack = _load_stack(_checkpoint(run_dir, "surgery"), cfg, spec)
+        reports.append(_bias_report(cfg, suite, spec, merged, experts, stack))
+    for row in _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports):
+        click.echo(f"{row.label}: avg {row.average:.4f}")
 
 
-@main.command(name="pipeline")
-@_config_option
-@_run_dir_option
-@_wrap_errors
+@_command("pipeline")
 def pipeline_cmd(config, run_dir):
     """Full run: gen, pretrain, finetune x T, merge, bias, surgery, eval,
     report, and a manifest of every artifact."""
-    cfg = _resolve_config(config)
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.cfg").write_text(cfg.to_text(), encoding="utf-8")
-
-    suite = _suite(cfg)
-    _write_suite_csvs(suite, run_dir)
-    spec = _model_spec(cfg)
-    (run_dir / "model_spec.cfg").write_text(spec.to_text(), encoding="utf-8")
+    cfg, run_dir, suite, spec = _setup(config, run_dir)
+    _gen_step(cfg, run_dir, suite)
     click.echo("suite generated")
 
-    ckpt = _checkpoint_dir(run_dir)
-    pretrain_result = run_pretrain(spec, suite.mixture, _train_config(cfg, cfg.pretrain_iters))
-    save_paramset(pretrain_result.params, ckpt / "pretrained.msrg")
+    pretrained = _pretrain_step(cfg, run_dir, suite, spec).params
     click.echo("backbone pretrained")
-
-    experts = []
-    for task in range(cfg.tasks):
-        result = train_expert(
-            pretrain_result.params, suite.tasks[task].train, task, spec,
-            _train_config(cfg, cfg.finetune_iters),
-        )
-        save_paramset(result.params, ckpt / f"expert_{task}.msrg")
-        experts.append(result.params)
+    experts = [
+        _finetune_step(cfg, run_dir, suite, spec, pretrained, task).params
+        for task in range(cfg.tasks)
+    ]
     click.echo(f"{cfg.tasks} experts fine-tuned")
 
-    merged, recipe = _run_merge(cfg, suite, spec, pretrain_result.params, experts)
-    save_paramset(merged, ckpt / "merged.msrg")
-    (run_dir / "merge_recipe.txt").write_text(recipe.to_text(), encoding="utf-8")
+    merged, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
     click.echo(f"merged with {recipe.algorithm}")
 
-    psi = LossKind.parse(cfg.surgery_psi)
-    bias_pre = layerwise_bias_report(
-        merged, experts, spec, suite.test_inputs(), psi, model_id="merged"
-    )
-    _write_projections(run_dir, spec, merged, experts, suite, prefix="projection")
-
+    reports = [_bias_step(cfg, run_dir, suite, spec, merged, experts)]
     stack = None
-    reports = [bias_pre]
     if cfg.surgery_mode != "none":
-        surgery_result = _surgery_stack(cfg, suite, spec, merged, experts)
-        stack = surgery_result.stack
-        save_paramset(stack.to_paramset(), ckpt / "surgery.msrg")
-        info = (
-            f"mode = {stack.mode.label()}\n"
-            f"psi = {stack.psi.value}\n"
-            f"rank = {cfg.surgery_rank}\n"
-            f"data = {cfg.surgery_data}\n"
-        )
-        (run_dir / "surgery_info.txt").write_text(info, encoding="utf-8")
-        bias_post = layerwise_bias_report(
-            merged, experts, spec, suite.test_inputs(), psi,
-            stack=stack, model_id="merged_surgery",
-        )
-        reports.append(bias_post)
-        _write_projections(
-            run_dir, spec, merged, experts, suite, stack=stack, prefix="projection_surgery"
-        )
+        stack = _surgery_step(cfg, run_dir, suite, spec, merged, experts).stack
+        reports.append(_bias_step(cfg, run_dir, suite, spec, merged, experts, stack))
         click.echo("surgery trained")
 
-    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
-    emit_report(rows, reports, run_dir)
-    for row in rows:
+    for row in _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports):
         click.echo(f"{row.label}: avg {row.average:.4f}")
-
     manifest = _write_manifest(run_dir, cfg)
     click.echo(f"manifest written to {manifest}")
 

@@ -1,7 +1,8 @@
 """Run configuration: flat key = value files, defaults, and validation.
 
 Precedence is flags over config-file values over defaults.  Unknown keys
-are rejected so a typo cannot silently fall back to a default.
+are rejected so a typo cannot silently fall back to a default.  Every
+value is parsed once, by its field type, when the config is built.
 """
 
 from __future__ import annotations
@@ -9,8 +10,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from typing import Literal, Union, get_args, get_origin, get_type_hints
+
+from .bias import LossKind
+from .surgery import ALL_LAYERS, SurgeryMode
 
 THREADS_ENV = "MERGE_SURGEON_THREADS"
+# merge_algo values and the merging rule each one selects.
+MERGE_ALGOS = {
+    "avg": "weight_average",
+    "ta": "task_arithmetic",
+    "ties": "ties_merging",
+    "ada": "ada_merging",
+}
 
 
 class ConfigError(ValueError):
@@ -40,37 +52,74 @@ def load_config_file(path) -> dict[str, str]:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def _parse_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+@dataclass(frozen=True)
+class SurgeryData:
+    """Unlabeled inputs surgery trains on: the test pools (neither field
+    set), the mixture of a fresh suite drawn from ``wild_seed``, or one
+    ordered pass over ``stream_fraction`` of each test pool."""
+
+    wild_seed: int | None = None
+    stream_fraction: float | None = None
+
+    @classmethod
+    def parse(cls, text: str) -> "SurgeryData":
+        kind, _, arg = text.partition(":")
+        if text == "test":
+            return cls()
+        if kind == "wild" and arg:
+            seed = int(arg)
+            if seed < 0:
+                raise ValueError("the wild seed must be >= 0")
+            return cls(wild_seed=seed)
+        if kind == "stream" and arg:
+            fraction = float(arg)
+            if not 0 < fraction <= 1:
+                raise ValueError("the stream fraction must lie in (0, 1]")
+            return cls(stream_fraction=fraction)
+        raise ValueError("expected test, wild:<seed>, or stream:<fraction>")
+
+    def __str__(self) -> str:
+        if self.wild_seed is not None:
+            return f"wild:{self.wild_seed}"
+        if self.stream_fraction is not None:
+            # repr keeps "stream:1.0" as written, so run digests stay stable.
+            return f"stream:{self.stream_fraction!r}"
+        return "test"
 
 
-def _parse_float(key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+def _parse(kind, text: str):
+    """The value of field type ``kind`` that ``text`` spells; ValueError
+    (or a subclass) if there is none."""
+    if get_origin(kind) is Union:  # a type, or one literal word
+        kind, word = get_args(kind)
+        if text in get_args(word):
+            return text
+    if get_origin(kind) is tuple:
+        return tuple(get_args(kind)[0](item) for item in text.split(","))
+    if kind in (int, float):
+        return kind(text)
+    return kind.parse(text)
 
 
-def _parse_int_list(key, value):
-    try:
-        return tuple(int(v) for v in str(value).split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers, got {value!r}") from None
-
-
-def _parse_float_list(key, value):
-    try:
-        return tuple(float(v) for v in str(value).split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated numbers, got {value!r}") from None
+def _text(value) -> str:
+    """Config-file spelling of a parsed value, read back by :func:`_parse`."""
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if isinstance(value, LossKind):
+        return value.value
+    if isinstance(value, SurgeryMode):
+        return value.label()
+    return str(value)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of the gen -> train -> merge -> surgery -> eval pipeline."""
+    """Every knob of the gen -> train -> merge -> surgery -> eval pipeline.
+
+    Fields may be given as config text; it is parsed by the field type.
+    """
 
     seed: int = 42
     tasks: int = 4
@@ -84,41 +133,24 @@ class RunConfig:
     pretrain_iters: int = 2000
     finetune_iters: int = 1000
     merge_algo: str = "ta"
-    merge_scale: str = "grid"
+    merge_scale: float | Literal["grid"] = "grid"
     scale_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     ties_keep: float = 0.5
     ada_iters: int = 200
-    surgery_mode: str = "v2"
+    surgery_mode: SurgeryMode | Literal["none"] = ALL_LAYERS
     surgery_rank: int = 16
     surgery_iters: int = 6000
-    surgery_psi: str = "l1"
-    surgery_data: str = "test"
-
-    _PARSERS = {
-        "seed": _parse_int,
-        "tasks": _parse_int,
-        "dim": _parse_int,
-        "classes": _parse_int,
-        "n_train": _parse_int,
-        "n_test": _parse_int,
-        "hidden_dims": _parse_int_list,
-        "train_lr": _parse_float,
-        "train_batch": _parse_int,
-        "pretrain_iters": _parse_int,
-        "finetune_iters": _parse_int,
-        "merge_algo": lambda key, value: str(value),
-        "merge_scale": lambda key, value: str(value),
-        "scale_grid": _parse_float_list,
-        "ties_keep": _parse_float,
-        "ada_iters": _parse_int,
-        "surgery_mode": lambda key, value: str(value),
-        "surgery_rank": _parse_int,
-        "surgery_iters": _parse_int,
-        "surgery_psi": lambda key, value: str(value),
-        "surgery_data": lambda key, value: str(value),
-    }
+    surgery_psi: LossKind = LossKind.L1
+    surgery_data: SurgeryData = SurgeryData()
 
     def __post_init__(self):
+        for name, kind in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if isinstance(value, str) and kind is not str:
+                try:
+                    object.__setattr__(self, name, _parse(kind, value))
+                except ValueError as exc:
+                    raise ConfigError(f"{name} = {value}: {exc}") from None
         if self.tasks < 1 or self.dim < 2 or self.classes < 2:
             raise ConfigError("need tasks >= 1, dim >= 2, classes >= 2")
         if self.n_train < 1 or self.n_test < 1:
@@ -129,53 +161,38 @@ class RunConfig:
             raise ConfigError("training settings out of range")
         if self.pretrain_iters < 1 or self.finetune_iters < 1:
             raise ConfigError("iteration counts must be >= 1")
-        if self.merge_algo not in ("avg", "ta", "ties", "ada"):
+        if self.merge_algo not in MERGE_ALGOS:
             raise ConfigError(f"unknown algorithm {self.merge_algo!r}")
-        if self.merge_scale != "grid":
-            _parse_float("merge_scale", self.merge_scale)
         if not self.scale_grid:
             raise ConfigError("scale_grid must not be empty")
         if not 0 < self.ties_keep <= 1:
             raise ConfigError("ties_keep must lie in (0, 1]")
         if self.ada_iters < 1 or self.surgery_rank < 1 or self.surgery_iters < 1:
             raise ConfigError("iteration counts and rank must be >= 1")
-        if self.surgery_mode != "none" and not (
-            self.surgery_mode in ("v1", "v2") or self.surgery_mode.startswith("block:")
-        ):
-            raise ConfigError(f"unknown surgery mode {self.surgery_mode!r}")
-        if self.surgery_psi not in ("l1", "mse", "cos"):
-            raise ConfigError(f"unknown loss kind {self.surgery_psi!r}")
-        if self.surgery_data != "test" and not (
-            self.surgery_data.startswith("wild:") or self.surgery_data.startswith("stream:")
-        ):
-            raise ConfigError(f"unknown surgery data regime {self.surgery_data!r}")
+        if self.surgery_mode != "none":
+            try:
+                self.surgery_mode.layer_indices(len(self.hidden_dims))
+            except ValueError as exc:
+                raise ConfigError(f"surgery_mode = {_text(self.surgery_mode)}: {exc}") from None
 
     @classmethod
     def from_sources(cls, file_values=None, overrides=None) -> "RunConfig":
         """Layer defaults, then file values, then flag overrides."""
+        names = {item.name for item in fields(cls)}
         merged: dict[str, object] = {}
         for source in (file_values or {}), (overrides or {}):
             for key, value in source.items():
                 if value is None:
                     continue
-                parser = cls._PARSERS.get(key)
-                if parser is None:
+                if key not in names:
                     raise ConfigError(f"unknown config key {key!r}")
-                merged[key] = parser(key, value)
+                merged[key] = value
         return cls(**merged)
 
     def to_text(self) -> str:
-        lines = []
-        for item in fields(self):
-            if item.name.startswith("_"):
-                continue
-            value = getattr(self, item.name)
-            if isinstance(value, tuple):
-                value = ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, float):
-                value = f"{value:.9g}"
-            lines.append(f"{item.name} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{item.name} = {_text(getattr(self, item.name))}\n" for item in fields(self)
+        )
 
 
 def worker_count() -> int:

@@ -10,7 +10,8 @@ import numpy as np
 
 from .bias import BiasReport
 from .config import map_over_tasks
-from .network import ModelSpec, forward_with_trace, head_logits
+from .network import ModelSpec, head_logits
+from .surgery import corrected_forward
 from .tensors import ParamSet, head_name
 
 
@@ -89,12 +90,7 @@ def evaluate(
     def task_accuracy(task: int) -> float:
         data = test_sets[task]
         x = data.inputs()
-        if stack is None:
-            trace = forward_with_trace(backbone, spec, x)
-        else:
-            from .surgery import corrected_forward
-
-            trace = corrected_forward(backbone, spec, stack, x, task)
+        trace = corrected_forward(backbone, spec, stack, x, task)
         logits = head_logits(
             heads[head_name(task, "weight")], heads[head_name(task, "bias")], trace.final
         )

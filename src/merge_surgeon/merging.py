@@ -10,11 +10,12 @@ single-expert ties).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import collect_heads, evaluate
 from .network import (
     ModelSpec,
     TrainConfig,
@@ -22,9 +23,9 @@ from .network import (
     entropy_loss_and_adjoint,
     forward_layers,
     head_name,
-    to_paramset,
+    random_batches,
 )
-from .tensors import ParamSet, shape_compatible
+from .tensors import ParamSet, is_backbone_name, shape_compatible
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 
@@ -70,9 +71,7 @@ class MergeRecipe:
 
 
 def _backbone_names(params: Mapping[str, np.ndarray]) -> tuple[str, ...]:
-    names = tuple(params.backbone().names()) if isinstance(params, ParamSet) else None
-    if names is None:
-        names = tuple(n for n in params if n.startswith("block"))
+    names = tuple(n for n in params if is_backbone_name(n))
     if not names:
         raise MergeError("parameter set has no backbone entries")
     return names
@@ -88,15 +87,6 @@ def _check_experts(reference: Mapping[str, np.ndarray], experts: Sequence[Mappin
             raise MergeError(f"expert {i} backbone is not shape-compatible")
 
 
-def task_vector(pretrained: Mapping[str, np.ndarray], expert: Mapping[str, np.ndarray]) -> ParamSet:
-    """Backbone delta expert - pretrained."""
-    _check_experts(pretrained, [expert])
-    names = _backbone_names(pretrained)
-    return to_paramset(
-        (n, expert[n].astype(np.float64) - pretrained[n].astype(np.float64)) for n in names
-    )
-
-
 def weight_average(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     """Elementwise mean of the expert backbones."""
     if not experts:
@@ -107,7 +97,7 @@ def weight_average(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     for name in names:
         stack = np.stack([np.asarray(e[name], dtype=np.float64) for e in experts])
         out[name] = stack.mean(axis=0)
-    return to_paramset(out)
+    return ParamSet(out)
 
 
 def task_arithmetic(
@@ -125,7 +115,7 @@ def task_arithmetic(
         for expert in experts:
             total += np.asarray(expert[name], dtype=np.float64) - base
         out[name] = base + scale * total
-    return to_paramset(out)
+    return ParamSet(out)
 
 
 def grid_search_scale(
@@ -134,20 +124,20 @@ def grid_search_scale(
     spec: ModelSpec,
     candidates: Sequence[float],
     val_sets,
+    merge: Callable[..., ParamSet] = task_arithmetic,
 ) -> float:
-    """Candidate scale maximizing mean per-task validation accuracy of the
-    merged model with the experts' task heads; ties go to the smaller scale.
+    """Candidate scale maximizing mean per-task validation accuracy of
+    ``merge(pretrained, experts, scale)`` with the experts' task heads;
+    ties go to the smaller scale.
     """
-    from .evaluation import collect_heads, evaluate
-
     if not candidates:
         raise MergeError("empty candidate list")
     heads = collect_heads(experts)
     best_scale = None
     best_acc = -1.0
     for scale in candidates:
-        merged = task_arithmetic(pretrained, experts, scale)
-        result = evaluate(merged, heads, spec, val_sets, model_id=f"ta[{scale}]")
+        merged = merge(pretrained, experts, scale)
+        result = evaluate(merged, heads, spec, val_sets, model_id=f"scale[{scale}]")
         if result.average > best_acc or (
             result.average == best_acc and scale < best_scale
         ):
@@ -215,7 +205,7 @@ def ties_merge(
         count = int(np.prod(shape))
         out[name] = merged_flat[offset : offset + count].reshape(shape)
         offset += count
-    return to_paramset(out)
+    return ParamSet(out)
 
 
 @dataclass(frozen=True)
@@ -225,15 +215,14 @@ class AdaMergeResult:
     entropies: tuple[float, ...]
 
 
-def _layer_taus(
-    pretrained64: Mapping[str, np.ndarray],
-    experts: Sequence[Mapping[str, np.ndarray]],
-    names: Sequence[str],
-) -> list[dict[str, np.ndarray]]:
-    return [
-        {n: np.asarray(e[n], dtype=np.float64) - pretrained64[n] for n in names}
-        for e in experts
-    ]
+def _float64_taus(
+    pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
+) -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]]]:
+    """The pretrained backbone and each expert's task vector, in float64."""
+    names = _backbone_names(pretrained)
+    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
+    taus = [{n: np.asarray(e[n], dtype=np.float64) - pre64[n] for n in names} for e in experts]
+    return pre64, taus
 
 
 def _merge_from_taus(pretrained64, taus, coefficients, spec: ModelSpec):
@@ -246,25 +235,6 @@ def _merge_from_taus(pretrained64, taus, coefficients, spec: ModelSpec):
                 value += coefficients[layer - 1, task] * tau[name]
             merged[name] = value
     return merged
-
-
-def layerwise_merge(
-    pretrained: Mapping[str, np.ndarray],
-    experts: Sequence[Mapping[str, np.ndarray]],
-    coefficients: np.ndarray,
-    spec: ModelSpec,
-) -> ParamSet:
-    """pretrained + per-layer coefficient-weighted task vectors."""
-    _check_experts(pretrained, experts)
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (spec.num_layers, len(experts)):
-        raise MergeError(
-            f"coefficients must be (layers={spec.num_layers}, tasks={len(experts)})"
-        )
-    names = _backbone_names(pretrained)
-    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
-    taus = _layer_taus(pre64, experts, names)
-    return to_paramset(_merge_from_taus(pre64, taus, coefficients, spec))
 
 
 def _entropy_objective_parts(
@@ -307,9 +277,7 @@ def ada_objective(
     """Mean (over tasks) softmax entropy of the coefficient-merged model,
     each task scored through its own head on its own unlabeled batch."""
     _check_experts(pretrained, experts)
-    names = _backbone_names(pretrained)
-    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
-    taus = _layer_taus(pre64, experts, names)
+    pre64, taus = _float64_taus(pretrained, experts)
     merged64 = _merge_from_taus(pre64, taus, np.asarray(coefficients, np.float64), spec)
     loss, _ = _entropy_objective_parts(merged64, experts, spec, batches, want_grads=False)
     return loss
@@ -339,9 +307,7 @@ def ada_coefficient_gradient(
     batches: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Analytic gradient of :func:`ada_objective` w.r.t. the coefficients."""
-    names = _backbone_names(pretrained)
-    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
-    taus = _layer_taus(pre64, experts, names)
+    pre64, taus = _float64_taus(pretrained, experts)
     _, grad = _ada_loss_and_gradient(
         pre64, taus, experts, spec, np.asarray(coefficients, np.float64), batches
     )
@@ -372,20 +338,14 @@ def ada_merge(
     if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
 
-    names = _backbone_names(pretrained)
-    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
-    taus = _layer_taus(pre64, experts, names)
+    pre64, taus = _float64_taus(pretrained, experts)
     coefficients = np.full((spec.num_layers, len(experts)), float(init_coefficient))
 
     adam = cfg.make_adam()
-    rng = np.random.default_rng([cfg.seed, 4])
     entropies = []
     state = {"coefficients": coefficients}
-    for iteration in range(1, cfg.iterations + 1):
-        batches = []
-        for pool in pools:
-            idx = rng.integers(0, pool.shape[0], size=cfg.batch_size)
-            batches.append(pool[idx].T)
+    batch_lists = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4])
+    for iteration, batches in enumerate(batch_lists, start=1):
         loss, grad = _ada_loss_and_gradient(
             pre64, taus, experts, spec, coefficients, batches
         )
@@ -394,7 +354,7 @@ def ada_merge(
         entropies.append(loss)
         adam.step(state, {"coefficients": grad})
 
-    merged = to_paramset(_merge_from_taus(pre64, taus, coefficients, spec))
+    merged = ParamSet(_merge_from_taus(pre64, taus, coefficients, spec))
     return AdaMergeResult(
         params=merged, coefficients=coefficients.copy(), entropies=tuple(entropies)
     )

@@ -75,15 +75,6 @@ class ModelSpec:
                     f"{name!r} has shape {tuple(params[name].shape)}, expected {shape}"
                 )
 
-    def validate_head(self, params: Mapping[str, np.ndarray], task) -> None:
-        w = head_name(task, "weight")
-        b = head_name(task, "bias")
-        if w not in params or b not in params:
-            raise NetworkError(f"missing head parameters for task {task!r}")
-        classes = params[w].shape[0] if params[w].ndim == 2 else -1
-        if tuple(params[w].shape) != (classes, self.feature_dim) or params[b].shape != (classes,):
-            raise NetworkError(f"head {task!r} shapes inconsistent with feature dim")
-
     def to_text(self) -> str:
         return (
             f"input_dim = {self.input_dim}\n"
@@ -138,10 +129,6 @@ class RepTrace(Sequence):
         return len(self._layers)
 
     @property
-    def batch_size(self) -> int:
-        return self._layers[0].shape[1]
-
-    @property
     def final(self) -> np.ndarray:
         return self._layers[-1]
 
@@ -155,7 +142,6 @@ class TrainConfig:
     batch_size: int = 16
     iterations: int = 1000
     seed: int = 0
-    loss: str = "cross_entropy"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -206,24 +192,39 @@ def to_float64(params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.array(value, dtype=np.float64) for name, value in params.items()}
 
 
-def to_paramset(params64: Mapping[str, np.ndarray]) -> ParamSet:
-    return ParamSet((name, value) for name, value in params64.items())
-
-
 def forward_layers(
-    backbone: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray
+    backbone: Mapping[str, np.ndarray],
+    spec: ModelSpec,
+    x: np.ndarray,
+    adapters: Mapping[int, Mapping[str, np.ndarray]] | None = None,
+    records: list | None = None,
 ) -> list[np.ndarray]:
-    """Float64 forward pass returning [Z_1 .. Z_L], each (d_l, batch)."""
+    """Float64 forward pass returning [Z_1 .. Z_L], each (d_l, batch).
+
+    ``adapters`` maps a 1-based layer to float64 ``{"down", "up"}``
+    matrices; that layer's output Z is corrected in the path to
+    ``Z - up @ relu(down @ Z)``, which the next block consumes.  A
+    ``records`` list receives ``(Z, hidden)`` per layer: the uncorrected
+    output and ``relu(down @ Z)``, or None where no adapter sits.
+    """
     z = np.asarray(x, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != spec.input_dim:
         raise NetworkError(f"input must be ({spec.input_dim}, batch), got {z.shape}")
+    adapters = adapters or {}
     layers = []
     num = spec.num_layers
     for layer in range(1, num + 1):
         w = backbone[block_name(layer, "weight")]
         b = backbone[block_name(layer, "bias")]
         pre = w @ z + b[:, None]
-        z = np.maximum(pre, 0.0) if layer < num else pre
+        z = raw = np.maximum(pre, 0.0) if layer < num else pre
+        hidden = None
+        pair = adapters.get(layer)
+        if pair is not None:
+            hidden = np.maximum(pair["down"] @ raw, 0.0)
+            z = raw - pair["up"] @ hidden
+        if records is not None:
+            records.append((raw, hidden))
         layers.append(z)
     return layers
 
@@ -378,7 +379,17 @@ def backprop_grads(
                 f"adjoint shape {adj.shape} must match final layer {layers[-1].shape}"
             )
         grads = backbone_adjoint_grads(params64, spec, x, layers, adj)
-    return to_paramset(grads)
+    return ParamSet(grads)
+
+
+def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int, seed):
+    """Seeded with-replacement batches of unlabeled inputs: per iteration,
+    one (dim, batch_size) matrix drawn from each (samples, dim) pool."""
+    rng = np.random.default_rng(seed)
+    return (
+        [pool[rng.integers(0, pool.shape[0], size=batch_size)].T for pool in pools]
+        for _ in range(iterations)
+    )
 
 
 def init_backbone(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -446,7 +457,7 @@ def pretrain(spec: ModelSpec, mixture: Dataset, cfg: TrainConfig) -> TrainResult
         for name, value in params64.items()
         if name in spec.backbone_shapes()
     }
-    return TrainResult(to_paramset(backbone), tuple(losses))
+    return TrainResult(ParamSet(backbone), tuple(losses))
 
 
 def train_expert(
@@ -477,4 +488,4 @@ def train_expert(
     losses = _run_classifier_training(
         params64, spec, task, train_data, cfg, np.random.default_rng([cfg.seed, 3, task])
     )
-    return TrainResult(to_paramset(params64), tuple(losses))
+    return TrainResult(ParamSet(params64), tuple(losses))

@@ -11,13 +11,15 @@ expert model's representations on unlabeled inputs.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
-from .network import ModelSpec, RepTrace, TrainConfig, block_name, forward_layers, to_float64
+from .network import (
+    ModelSpec, RepTrace, TrainConfig, block_name, forward_layers, random_batches, to_float64
+)
 from .tensors import ParamSet
 
 _LAST_LAYER = "last_layer"
@@ -49,10 +51,6 @@ class AdapterParams:
         up.setflags(write=False)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "up", up)
-
-    @property
-    def rank(self) -> int:
-        return self.down.shape[0]
 
     @property
     def width(self) -> int:
@@ -137,36 +135,36 @@ class SurgeryStack:
     def __post_init__(self):
         object.__setattr__(self, "adapters", dict(self.adapters))
 
-    def tasks(self) -> tuple[int, ...]:
-        return tuple(sorted({task for task, _ in self.adapters}))
-
-    def layers_for_task(self, task: int, num_layers: int) -> dict[int, AdapterParams]:
-        present = {
-            layer: adapter
-            for (t, layer), adapter in self.adapters.items()
-            if t == task
-        }
-        if not present:
-            return {}
-        required = set(self.mode.layer_indices(num_layers))
-        if set(present) != required:
-            raise SurgeryError(
-                f"task {task} covers layers {sorted(present)}, mode requires {sorted(required)}"
-            )
-        return present
-
     def validate(self, spec: ModelSpec, num_tasks: int) -> None:
+        """Every task in ``range(num_tasks)`` carries the mode's full,
+        correctly sized adapter set."""
         required = self.mode.layer_indices(spec.num_layers)
         for task in range(num_tasks):
-            layers = self.layers_for_task(task, spec.num_layers)
-            if set(layers) != set(required):
+            if tuple(sorted(self.adapters64(task, spec))) != required:
                 raise SurgeryError(f"task {task} is missing adapters for {required}")
-            for layer, adapter in layers.items():
-                if adapter.width != spec.out_dim(layer):
-                    raise SurgeryError(
-                        f"adapter ({task},{layer}) width {adapter.width} != layer "
-                        f"width {spec.out_dim(layer)}"
-                    )
+
+    def adapters64(self, task: int, spec: ModelSpec) -> dict[int, dict[str, np.ndarray]]:
+        """Task ``task``'s adapters as float64 ``{"down", "up"}`` pairs keyed
+        by layer, the form :func:`forward_layers` applies; empty for a task
+        the stack does not cover."""
+        present = {layer: a for (t, layer), a in self.adapters.items() if t == task}
+        required = self.mode.layer_indices(spec.num_layers)
+        if present and tuple(sorted(present)) != required:
+            raise SurgeryError(
+                f"task {task} covers layers {sorted(present)}, mode requires {list(required)}"
+            )
+        adapters = {}
+        for layer, adapter in present.items():
+            if adapter.width != spec.out_dim(layer):
+                raise SurgeryError(
+                    f"adapter ({task},{layer}) width {adapter.width} != layer "
+                    f"width {spec.out_dim(layer)}"
+                )
+            adapters[layer] = {
+                "down": adapter.down.astype(np.float64),
+                "up": adapter.up.astype(np.float64),
+            }
+        return adapters
 
     def to_paramset(self) -> ParamSet:
         entries = []
@@ -235,75 +233,21 @@ def init_stack(
     return SurgeryStack(mode=mode, psi=psi, adapters=adapters)
 
 
-def _corrected_layers(
-    backbone64: Mapping[str, np.ndarray],
-    spec: ModelSpec,
-    adapters64: Mapping[int, dict[str, np.ndarray]],
-    x: np.ndarray,
-):
-    """Forward pass applying in-path corrections; returns per-layer records
-    (raw post-block value, adapter hidden or None, corrected value)."""
-    z = np.asarray(x, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != spec.input_dim:
-        raise SurgeryError(f"input must be ({spec.input_dim}, batch), got {z.shape}")
-    records = []
-    num = spec.num_layers
-    for layer in range(1, num + 1):
-        w = backbone64[block_name(layer, "weight")]
-        b = backbone64[block_name(layer, "bias")]
-        pre = w @ z + b[:, None]
-        raw = np.maximum(pre, 0.0) if layer < num else pre
-        pair = adapters64.get(layer)
-        if pair is None:
-            hidden = None
-            corrected = raw
-        else:
-            hidden = np.maximum(pair["down"] @ raw, 0.0)
-            corrected = raw - pair["up"] @ hidden
-        records.append((raw, hidden, corrected))
-        z = corrected
-    return records
-
-
 def corrected_forward(
     merged: Mapping[str, np.ndarray],
     spec: ModelSpec,
-    stack: SurgeryStack,
+    stack: SurgeryStack | None,
     x: np.ndarray,
     task: int,
 ) -> RepTrace:
     """Trace of the merged model with task ``task``'s corrections applied.
 
-    With no adapters for the task this equals the plain forward trace
-    bitwise; the head should consume the final entry.
+    With no stack, or no adapters for the task, this equals the plain
+    forward trace bitwise; the head should consume the final entry.
     """
     spec.validate_backbone(merged)
-    layers = stack.layers_for_task(task, spec.num_layers)
-    adapters64 = {
-        layer: {
-            "down": adapter.down.astype(np.float64),
-            "up": adapter.up.astype(np.float64),
-        }
-        for layer, adapter in layers.items()
-    }
-    for layer, adapter in layers.items():
-        if adapter.width != spec.out_dim(layer):
-            raise SurgeryError(
-                f"adapter at layer {layer} has width {adapter.width}, "
-                f"layer is {spec.out_dim(layer)}"
-            )
-    records = _corrected_layers(to_float64(merged), spec, adapters64, x)
-    return RepTrace([corrected for _, _, corrected in records])
-
-
-class BatchSource:
-    """Iterable of per-iteration batch lists: entry t is a (input_dim, B)
-    matrix of unlabeled inputs for task t, or None when task t is done."""
-
-    num_tasks: int
-
-    def __iter__(self):
-        raise NotImplementedError
+    adapters = {} if stack is None else stack.adapters64(task, spec)
+    return RepTrace(forward_layers(to_float64(merged), spec, x, adapters))
 
 
 def _check_pools(inputs_per_task) -> list[np.ndarray]:
@@ -313,50 +257,25 @@ def _check_pools(inputs_per_task) -> list[np.ndarray]:
     return pools
 
 
-class RandomBatches(BatchSource):
-    """Seeded with-replacement batches, the default training regime."""
+def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
+    """Single ordered pass over the first ceil(fraction * N) samples per task.
 
-    def __init__(self, inputs_per_task, batch_size: int, iterations: int, seed):
-        self._pools = _check_pools(inputs_per_task)
-        if batch_size < 1 or iterations < 1:
-            raise SurgeryError("batch_size and iterations must be >= 1")
-        self._batch_size = batch_size
-        self.iterations = iterations
-        self._seed = seed
-        self.num_tasks = len(self._pools)
-
-    def __iter__(self):
-        rng = np.random.default_rng(self._seed)
-        for _ in range(self.iterations):
-            batches = []
-            for pool in self._pools:
-                idx = rng.integers(0, pool.shape[0], size=self._batch_size)
-                batches.append(pool[idx].T)
-            yield batches
-
-
-class SequentialBatches(BatchSource):
-    """Single ordered pass over the first ceil(fraction * N) samples per task."""
-
-    def __init__(self, inputs_per_task, batch_size: int, fraction: float = 1.0):
-        if not 0 < fraction <= 1:
-            raise SurgeryError("fraction must lie in (0, 1]")
-        if batch_size < 1:
-            raise SurgeryError("batch_size must be >= 1")
-        self._pools = _check_pools(inputs_per_task)
-        self._batch_size = batch_size
-        self._takes = [math.ceil(fraction * p.shape[0]) for p in self._pools]
-        self.iterations = max(math.ceil(take / batch_size) for take in self._takes)
-        self.num_tasks = len(self._pools)
-
-    def __iter__(self):
-        for i in range(self.iterations):
-            batches = []
-            for pool, take in zip(self._pools, self._takes):
-                start = i * self._batch_size
-                stop = min(start + self._batch_size, take)
-                batches.append(pool[start:stop].T if start < take else None)
-            yield batches
+    Yields, per iteration, one (input_dim, <= batch_size) matrix per task,
+    or None for a task whose samples are used up.
+    """
+    if not 0 < fraction <= 1:
+        raise SurgeryError("fraction must lie in (0, 1]")
+    if batch_size < 1:
+        raise SurgeryError("batch_size must be >= 1")
+    pools = _check_pools(inputs_per_task)
+    takes = [math.ceil(fraction * p.shape[0]) for p in pools]
+    return (
+        [
+            pool[start : min(start + batch_size, take)].T if start < take else None
+            for pool, take in zip(pools, takes)
+        ]
+        for start in range(0, max(takes), batch_size)
+    )
 
 
 @dataclass(frozen=True)
@@ -382,14 +301,15 @@ def surgery_gradients(
     ``(losses, grads)`` keyed by 1-based layer index, with grads mapping
     to ``{"down": ..., "up": ...}``.
     """
-    records = _corrected_layers(merged64, spec, task_adapters, x)
+    records = []
+    corrected = forward_layers(merged64, spec, x, task_adapters, records)
     layer_set = sorted(task_adapters)
     losses: dict[int, float] = {}
     grads: dict[int, dict[str, np.ndarray]] = {}
     if not full_backprop:
         for layer in layer_set:
-            raw, hidden, corrected = records[layer - 1]
-            loss, g = alignment_loss_and_grad(corrected, targets[layer - 1], psi)
+            raw, hidden = records[layer - 1]
+            loss, g = alignment_loss_and_grad(corrected[layer - 1], targets[layer - 1], psi)
             losses[layer] = loss
             d_omega = -g
             pair = task_adapters[layer]
@@ -399,13 +319,12 @@ def surgery_gradients(
 
     layer_adjoints: dict[int, np.ndarray] = {}
     for layer in layer_set:
-        _, _, corrected = records[layer - 1]
-        loss, g = alignment_loss_and_grad(corrected, targets[layer - 1], psi)
+        loss, g = alignment_loss_and_grad(corrected[layer - 1], targets[layer - 1], psi)
         losses[layer] = loss
         layer_adjoints[layer] = g
     carry = None  # dTotal/dZhat_l arriving from block l+1
     for layer in range(spec.num_layers, 0, -1):
-        raw, hidden, _ = records[layer - 1]
+        raw, hidden = records[layer - 1]
         a_hat = layer_adjoints.get(layer)
         if carry is not None:
             a_hat = carry if a_hat is None else a_hat + carry
@@ -441,7 +360,8 @@ def train_surgery(
 ) -> SurgeryResult:
     """Fit one adapter stack against the experts' representations.
 
-    ``data`` is a :class:`BatchSource`, or a sequence of per-task
+    ``data`` is an iterator of per-iteration batch lists, as
+    :func:`sequential_batches` returns, or a sequence of per-task
     (samples, input_dim) feature matrices that will be sampled with the
     config's batch size, iteration count, and seed.  Labels are never
     read.  By default each adapter descends the gradient of its own
@@ -450,38 +370,34 @@ def train_surgery(
     through downstream blocks as well.  Neither the merged nor the expert
     parameters are modified.
     """
-    if not isinstance(data, BatchSource):
-        data = RandomBatches(data, cfg.batch_size, cfg.iterations, [cfg.seed, 6])
+    if not isinstance(data, Iterator):
+        data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = len(experts)
-    if data.num_tasks != num_tasks:
-        raise SurgeryError(f"data source covers {data.num_tasks} tasks, experts {num_tasks}")
     spec.validate_backbone(merged)
     for expert in experts:
         spec.validate_backbone(expert)
 
     merged64 = to_float64(merged)
     experts64 = [to_float64(e) for e in experts]
-    layer_set = mode.layer_indices(spec.num_layers)
     stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
-    adapters64 = {
-        key: {
-            "down": adapter.down.astype(np.float64),
-            "up": adapter.up.astype(np.float64),
-        }
-        for key, adapter in stack0.adapters.items()
+    adapters64 = [stack0.adapters64(task, spec) for task in range(num_tasks)]
+    optimizers = {
+        (task, layer): cfg.make_adam()
+        for task, layers in enumerate(adapters64)
+        for layer in layers
     }
-    optimizers = {key: cfg.make_adam() for key in adapters64}
 
     losses = []
     for iteration, batches in enumerate(data, start=1):
+        if len(batches) != num_tasks:
+            raise SurgeryError(f"data covers {len(batches)} tasks, experts {num_tasks}")
         total = 0.0
         for task, x in enumerate(batches):
             if x is None:
                 continue
             targets = forward_layers(experts64[task], spec, x)
-            task_adapters = {layer: adapters64[(task, layer)] for layer in layer_set}
             layer_losses, grads = surgery_gradients(
-                merged64, spec, task_adapters, x, targets, psi, full_backprop
+                merged64, spec, adapters64[task], x, targets, psi, full_backprop
             )
             for layer, loss in layer_losses.items():
                 if not np.isfinite(loss):
@@ -491,12 +407,13 @@ def train_surgery(
                     )
                 total += loss
             for layer, grad in grads.items():
-                optimizers[(task, layer)].step(adapters64[(task, layer)], grad)
+                optimizers[(task, layer)].step(adapters64[task][layer], grad)
         losses.append(total)
 
     adapters = {
-        key: AdapterParams(down=pair["down"], up=pair["up"])
-        for key, pair in adapters64.items()
+        (task, layer): AdapterParams(down=pair["down"], up=pair["up"])
+        for task, layers in enumerate(adapters64)
+        for layer, pair in layers.items()
     }
     stack = SurgeryStack(mode=mode, psi=psi, adapters=adapters)
     return SurgeryResult(stack=stack, losses=tuple(losses))
@@ -516,7 +433,7 @@ def stream_train_surgery(
 ) -> SurgeryResult:
     """Online variant: one ordered pass over the first ceil(fraction * N)
     samples of each task's pool, each sample visible exactly once."""
-    source = SequentialBatches(inputs_per_task, cfg.batch_size, fraction)
+    batches = sequential_batches(inputs_per_task, cfg.batch_size, fraction)
     return train_surgery(
-        merged, experts, spec, source, mode, psi, cfg, rank=rank, full_backprop=full_backprop
+        merged, experts, spec, batches, mode, psi, cfg, rank=rank, full_backprop=full_backprop
     )

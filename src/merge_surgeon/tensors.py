@@ -101,9 +101,6 @@ class ParamSet(Mapping):
     def names(self) -> tuple[str, ...]:
         return tuple(self._entries)
 
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {n: v.shape for n, v in self._entries.items()}
-
     def backbone(self) -> "ParamSet":
         """The block* entries, in insertion order."""
         return ParamSet((n, v) for n, v in self._entries.items() if is_backbone_name(n))
@@ -124,13 +121,6 @@ class ParamSet(Mapping):
         indices = {block_index(n) for n in self._entries if is_backbone_name(n)}
         return max(indices) if indices else 0
 
-    def merged_with(self, other: Mapping[str, np.ndarray]) -> "ParamSet":
-        """New ParamSet with ``other``'s entries appended/replacing by name."""
-        combined = dict(self._entries)
-        for name, value in other.items():
-            combined[name] = value
-        return ParamSet(combined)
-
 
 def shape_compatible(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
     """True iff ``a`` and ``b`` have identical name sets with identical shapes."""
@@ -147,12 +137,3 @@ def bitwise_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> b
         a[n].shape == b[n].shape and a[n].tobytes() == b[n].tobytes() for n in a
     )
 
-
-def l1_mean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean absolute difference over all entries; accumulated in float64."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise TensorError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.abs(diff).mean())

@@ -1,9 +1,18 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
+import shutil
+
 import pytest
 from click.testing import CliRunner
 
+from merge_surgeon.checkpoint import load_paramset, save_paramset
 from merge_surgeon.cli import main
+from merge_surgeon.config import RunConfig, parse_config_text
+from merge_surgeon.datasets import gen_task_suite
+from merge_surgeon.evaluation import collect_heads, evaluate
+from merge_surgeon.merging import ties_merge
+from merge_surgeon.network import ModelSpec
+from merge_surgeon.surgery import ALL_LAYERS, init_stack
 
 TINY_CFG = """\
 seed = 7
@@ -36,6 +45,19 @@ def tiny_config(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """Config path and run directory of one finished TINY_CFG pipeline;
+    tests copy the directory before writing into it."""
+    root = tmp_path_factory.mktemp("pipeline")
+    config = root / "tiny.cfg"
+    config.write_text(TINY_CFG)
+    run_dir = root / "run"
+    result = invoke(CliRunner(), ["pipeline", "--config", str(config), "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    return config, run_dir
+
+
 def invoke(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     return result
@@ -63,6 +85,32 @@ class TestErrors:
     def test_unknown_subcommand(self, runner):
         result = runner.invoke(main, ["frobnicate"])
         assert result.exit_code != 0
+
+    def test_finetune_task_out_of_range(self, runner, pipeline_run):
+        config, run_dir = pipeline_run
+        result = invoke(
+            runner,
+            ["finetune", "--config", str(config), "--run-dir", str(run_dir), "--task", "9"],
+        )
+        assert result.exit_code != 0
+        assert "--task 9 is out of range for 2 tasks" in result.output
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_stack_missing_a_task_is_rejected(self, runner, pipeline_run, tmp_path, command):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        stack_file = run_dir / "checkpoints" / "surgery.msrg"
+        one_task = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 1, ALL_LAYERS, rank=4, seed=0)
+        save_paramset(one_task.to_paramset(), stack_file)
+        args = [command, "--config", str(config), "--run-dir", str(run_dir)]
+        if command == "eval":
+            args += ["--surgery", str(stack_file)]
+        result = invoke(runner, args)
+        assert result.exit_code != 0
+        assert result.output.strip().splitlines() == [
+            "Error: task 1 is missing adapters for (1, 2, 3)"
+        ]
 
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -129,6 +177,53 @@ class TestStepwiseFlow:
         assert invoke(runner, ["report", *base]).exit_code == 0
         assert (run_dir / "results.csv").exists()
         assert (run_dir / "bias_merged.csv").exists()
+
+    def test_subcommands_match_pipeline(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "steps"
+        base = ["--config", str(config), "--run-dir", str(run_dir)]
+        for args in (
+            ["gen"], ["pretrain"], ["finetune", "--task", "0"], ["finetune", "--task", "1"],
+            ["merge"], ["surgery"], ["report"],
+        ):
+            result = invoke(runner, [*args, *base])
+            assert result.exit_code == 0, (args, result.output)
+        checkpoints = sorted(p.name for p in (piped / "checkpoints").iterdir())
+        assert checkpoints == sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+        for name in [
+            *(f"checkpoints/{c}" for c in checkpoints),
+            "merge_recipe.txt",
+            "surgery_info.txt",
+            "results.csv",
+            "bias_merged.csv",
+            "bias_merged_surgery.csv",
+        ]:
+            assert (run_dir / name).read_bytes() == (piped / name).read_bytes(), name
+
+    def test_ties_grid_searches_ties(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        base = ["--config", str(config), "--run-dir", str(run_dir)]
+        result = invoke(runner, ["merge", *base, "--algo", "ties", "--lambda", "grid"])
+        assert result.exit_code == 0, result.output
+        recipe = parse_config_text((run_dir / "merge_recipe.txt").read_text())
+
+        cfg = RunConfig.from_sources(parse_config_text(TINY_CFG))
+        suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
+        spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+        pretrained = load_paramset(run_dir / "checkpoints" / "pretrained.msrg")
+        experts = [load_paramset(run_dir / "checkpoints" / f"expert_{t}.msrg") for t in (0, 1)]
+        heads = collect_heads(experts)
+        val_sets = [task.validation for task in suite.tasks]
+        accuracy = {
+            scale: evaluate(
+                ties_merge(pretrained, experts, scale, cfg.ties_keep), heads, spec, val_sets
+            ).average
+            for scale in cfg.scale_grid
+        }
+        best = max(cfg.scale_grid, key=lambda scale: (accuracy[scale], -scale))
+        assert float(recipe["scale"]) == best
 
     def test_merge_requires_checkpoints(self, runner, tiny_config, tmp_path):
         result = runner.invoke(

@@ -60,8 +60,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_sources({"surgery_data": "midway"})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("surgery_data", "stream:abc"),
+            ("surgery_data", "wild:x"),
+            ("surgery_data", "stream:2"),
+            ("surgery_mode", "block:x"),
+            ("surgery_mode", "block:99"),
+        ],
+    )
+    def test_bad_surgery_values_rejected_when_built(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_sources({key: value})
+
     def test_to_text_round_trips(self):
-        cfg = RunConfig.from_sources({"seed": "5", "surgery_psi": "mse"})
+        cfg = RunConfig.from_sources({
+            "seed": "5", "surgery_psi": "mse", "surgery_mode": "block:2",
+            "surgery_data": "stream:0.5", "merge_scale": "0.3",
+        })
         parsed = parse_config_text(cfg.to_text())
         again = RunConfig.from_sources(parsed)
         assert again == cfg

@@ -10,13 +10,13 @@ from merge_surgeon.surgery import (
     ALL_LAYERS,
     LAST_LAYER,
     AdapterParams,
-    SequentialBatches,
     SurgeryError,
     SurgeryMode,
     SurgeryStack,
     adapter_forward,
     corrected_forward,
     init_stack,
+    sequential_batches,
     single_block,
     stream_train_surgery,
     train_surgery,
@@ -200,11 +200,11 @@ def _layer_losses_f64(merged64, spec, task_adapters, x, targets, psi):
     """Per-layer alignment losses of the corrected float64 forward pass,
     the finite-difference target for the gradient checks."""
     from merge_surgeon.bias import alignment_loss_and_grad
-    from merge_surgeon.surgery import _corrected_layers
+    from merge_surgeon.network import forward_layers
 
-    records = _corrected_layers(merged64, spec, task_adapters, x)
+    corrected = forward_layers(merged64, spec, x, task_adapters)
     return {
-        layer: alignment_loss_and_grad(records[layer - 1][2], targets[layer - 1], psi)[0]
+        layer: alignment_loss_and_grad(corrected[layer - 1], targets[layer - 1], psi)[0]
         for layer in task_adapters
     }
 
@@ -331,7 +331,7 @@ class TestTrainSurgery:
             merged, [expert], spec, inputs, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
         )
         epoch = train_surgery(
-            merged, [expert], spec, SequentialBatches(inputs, 8, 1.0),
+            merged, [expert], spec, sequential_batches(inputs, 8, 1.0),
             ALL_LAYERS, LossKind.L1, cfg, rank=2,
         )
         assert streamed.losses == epoch.losses

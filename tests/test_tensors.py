@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from merge_surgeon.bias import BiasError, LossKind, representation_bias
 from merge_surgeon.tensors import (
     ParamSet,
     TensorError,
@@ -11,12 +12,17 @@ from merge_surgeon.tensors import (
     block_index,
     head_task,
     is_backbone_name,
-    l1_mean_distance,
     shape_compatible,
 )
 
 
+def l1_mean_distance(a, b):
+    return representation_bias(a, b, LossKind.L1)
+
+
 class TestL1MeanDistance:
+    """The mean-L1 distance of the bias module, accumulated in float64."""
+
     def test_identical_is_zero(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 7))
@@ -42,7 +48,7 @@ class TestL1MeanDistance:
             assert (d_ab == 0) == np.array_equal(a, b)
 
     def test_shape_mismatch(self):
-        with pytest.raises(TensorError):
+        with pytest.raises(BiasError):
             l1_mean_distance(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
