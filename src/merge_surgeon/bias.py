@@ -37,22 +37,26 @@ class LossKind(enum.Enum):
             raise BiasError(f"unknown loss kind {text!r} (expected l1, mse, or cos)") from None
 
 
-def _check_pair(z_a: np.ndarray, z_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(
+    z_a: np.ndarray, z_b: np.ndarray, ndims=(2,)
+) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(z_a, dtype=np.float64)
     b = np.asarray(z_b, dtype=np.float64)
     if a.shape != b.shape:
         raise BiasError(f"trace shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or a.shape[1] < 1:
+    if a.ndim not in ndims or a.shape[-1] < 1:
         raise BiasError("traces must be (dim, samples) with at least one sample")
     return a, b
 
 
 def _cosine_parts(a: np.ndarray, b: np.ndarray):
-    norm_a = np.linalg.norm(a, axis=0)
-    norm_b = np.linalg.norm(b, axis=0)
+    """Per-column cosine and norms over the dim axis (-2), kept as a
+    length-1 axis so they broadcast against ``a``."""
+    norm_a = np.linalg.norm(a, axis=-2, keepdims=True)
+    norm_b = np.linalg.norm(b, axis=-2, keepdims=True)
     if (norm_a == 0).any() or (norm_b == 0).any():
         raise BiasError("cosine distance undefined for an all-zero column")
-    cos = (a * b).sum(axis=0) / (norm_a * norm_b)
+    cos = (a * b).sum(axis=-2, keepdims=True) / (norm_a * norm_b)
     return cos, norm_a, norm_b
 
 
@@ -79,20 +83,25 @@ def alignment_loss_and_grad(
 
     For L1 and MSE the value coincides with :func:`representation_bias`;
     for NEG_COSINE the raw mean negative cosine is optimized (same
-    gradient as 1 - cosine, shifted value).
+    gradient as 1 - cosine, shifted value).  Stacked ``(T, dim, samples)``
+    inputs return a (T,) array of losses, each slice's loss and gradient
+    bitwise equal to the 2-D call on that slice.
     """
-    a, b = _check_pair(z_hat, z_ind)
-    count = a.size
+    a, b = _check_pair(z_hat, z_ind, ndims=(2, 3))
+    axes = None if a.ndim == 2 else (-2, -1)
+    count = a.shape[-2] * a.shape[-1]
     if kind is LossKind.L1:
         diff = a - b
-        return float(np.abs(diff).mean()), np.sign(diff) / count
-    if kind is LossKind.MSE:
+        loss, grad = np.abs(diff).mean(axis=axes), np.sign(diff) / count
+    elif kind is LossKind.MSE:
         diff = a - b
-        return float(np.square(diff).mean()), 2.0 * diff / count
-    cos, norm_a, norm_b = _cosine_parts(a, b)
-    samples = a.shape[1]
-    grad = -(b / (norm_a * norm_b) - a * (cos / np.square(norm_a))) / samples
-    return float(-cos.mean()), grad
+        loss, grad = np.square(diff).mean(axis=axes), 2.0 * diff / count
+    else:
+        cos, norm_a, norm_b = _cosine_parts(a, b)
+        samples = a.shape[-1]
+        grad = -(b / (norm_a * norm_b) - a * (cos / np.square(norm_a))) / samples
+        loss = -cos.mean(axis=axes)
+    return (float(loss) if axes is None else loss), grad
 
 
 @dataclass(frozen=True)

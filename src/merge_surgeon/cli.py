@@ -20,7 +20,9 @@ import numpy as np
 
 from .bias import BiasError, BiasReport, layerwise_bias_report, pca_project
 from .checkpoint import CheckpointError, load_paramset, save_paramset
-from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file
+from .config import (
+    MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks, parse_config_text
+)
 from .datasets import DataError, TaskSuite, gen_task_suite, save_csv
 from .evaluation import (
     EvalError,
@@ -29,6 +31,7 @@ from .evaluation import (
     emit_report,
     evaluate,
     results_table,
+    task_accuracy,
 )
 from .merging import (
     MergeError,
@@ -49,6 +52,7 @@ from .network import (
 )
 from .surgery import (
     SurgeryError,
+    SurgeryMode,
     SurgeryResult,
     SurgeryStack,
     corrected_forward,
@@ -118,8 +122,21 @@ def _load_merged(run_dir: Path, cfg: RunConfig) -> tuple[ParamSet, list[ParamSet
     return load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
 
 
-def _load_stack(path: Path, cfg: RunConfig, spec: ModelSpec) -> SurgeryStack:
-    stack = SurgeryStack.from_paramset(load_paramset(path), spec.num_layers, cfg.surgery_psi)
+def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> SurgeryStack:
+    """The stack at ``path``, read in the mode that the run's
+    ``surgery_info.txt`` records, or the configured one if the run has
+    trained no stack."""
+    info = run_dir / "surgery_info.txt"
+    if info.exists():
+        recorded = parse_config_text(info.read_text(encoding="utf-8"), source=str(info))
+        if "mode" not in recorded:
+            raise SurgeryError(f"{info} records no mode")
+        mode = SurgeryMode.parse(recorded["mode"])
+    elif cfg.surgery_mode != "none":
+        mode = cfg.surgery_mode
+    else:
+        raise SurgeryError("surgery mode 'none' cannot read a stack")
+    stack = SurgeryStack.from_paramset(load_paramset(path), mode, spec.num_layers, cfg.surgery_psi)
     stack.validate(spec, cfg.tasks)
     return stack
 
@@ -253,11 +270,11 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
 def _eval_rows(cfg, suite, spec, merged, experts, stack) -> list[EvalResult]:
     heads = collect_heads(experts)
     test_sets = [task.test for task in suite.tasks]
-    # "individual" row: each expert scored on its own task.
-    per_task = [
-        evaluate(expert, heads, spec, test_sets, model_id=f"expert{task}").task_accuracies[task]
-        for task, expert in enumerate(experts)
-    ]
+    # "individual" row: each expert scored on its own task only.
+    per_task = map_over_tasks(
+        lambda task: task_accuracy(experts[task], heads, spec, test_sets[task], task),
+        len(experts),
+    )
     rows = [EvalResult.from_accuracies("individual", per_task)]
     merged_id = f"merged_{cfg.merge_algo}"
     rows.append(evaluate(merged, heads, spec, test_sets, model_id=merged_id))
@@ -385,7 +402,7 @@ def bias_cmd(config, run_dir, psi, stack_path, tag):
     """Per-layer, per-task representation bias report plus 2-D projections."""
     cfg, run_dir, suite, spec = _setup(config, run_dir, surgery_psi=psi)
     merged, experts = _load_merged(run_dir, cfg)
-    stack = None if stack_path is None else _load_stack(Path(stack_path), cfg, spec)
+    stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
     report = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
     name = "bias_report.csv" if tag is None else f"bias_report_{tag}.csv"
     (run_dir / name).write_text(report.to_csv_text(), encoding="utf-8")
@@ -425,7 +442,7 @@ def eval_cmd(config, run_dir, stack_path):
     surgery-corrected merged model."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts = _load_merged(run_dir, cfg)
-    stack = None if stack_path is None else _load_stack(Path(stack_path), cfg, spec)
+    stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
     rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
@@ -440,7 +457,7 @@ def report_cmd(config, run_dir):
     reports = [_bias_report(cfg, suite, spec, merged, experts)]
     stack = None
     if _checkpoint(run_dir, "surgery").exists():
-        stack = _load_stack(_checkpoint(run_dir, "surgery"), cfg, spec)
+        stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
         reports.append(_bias_report(cfg, suite, spec, merged, experts, stack))
     for row in _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports):
         click.echo(f"{row.label}: avg {row.average:.4f}")

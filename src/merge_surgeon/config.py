@@ -151,6 +151,8 @@ class RunConfig:
                     object.__setattr__(self, name, _parse(kind, value))
                 except ValueError as exc:
                     raise ConfigError(f"{name} = {value}: {exc}") from None
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tasks < 1 or self.dim < 2 or self.classes < 2:
             raise ConfigError("need tasks >= 1, dim >= 2, classes >= 2")
         if self.n_train < 1 or self.n_test < 1:

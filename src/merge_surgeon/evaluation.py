@@ -67,6 +67,28 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     return ParamSet(entries)
 
 
+def task_accuracy(
+    backbone: Mapping[str, np.ndarray],
+    heads: Mapping[str, np.ndarray],
+    spec: ModelSpec,
+    data,
+    task: int,
+    stack=None,
+) -> float:
+    """Argmax accuracy on ``data`` through task ``task``'s head.
+
+    Ties in the argmax go to the lowest class index.  When ``stack`` is
+    given, the forward pass applies the task's in-path corrections.
+    """
+    x = data.inputs()
+    trace = corrected_forward(backbone, spec, stack, x, task)
+    logits = head_logits(
+        heads[head_name(task, "weight")], heads[head_name(task, "bias")], trace.final
+    )
+    predictions = np.argmax(logits, axis=0)
+    return float((predictions == data.labels).mean())
+
+
 def evaluate(
     backbone: Mapping[str, np.ndarray],
     heads: Mapping[str, np.ndarray],
@@ -76,28 +98,16 @@ def evaluate(
     model_id: str = "model",
     stack_id: str | None = None,
 ) -> EvalResult:
-    """Argmax accuracy per task through that task's head.
-
-    Ties in the argmax go to the lowest class index.  When ``stack`` is
-    given, the forward pass applies the task's in-path corrections.
-    """
+    """:func:`task_accuracy` of every task on its own test set."""
     if len(test_sets) < 1:
         raise EvalError("need at least one test set")
     for task in range(len(test_sets)):
         if head_name(task, "weight") not in heads or head_name(task, "bias") not in heads:
             raise EvalError(f"missing head for task {task}")
-
-    def task_accuracy(task: int) -> float:
-        data = test_sets[task]
-        x = data.inputs()
-        trace = corrected_forward(backbone, spec, stack, x, task)
-        logits = head_logits(
-            heads[head_name(task, "weight")], heads[head_name(task, "bias")], trace.final
-        )
-        predictions = np.argmax(logits, axis=0)
-        return float((predictions == data.labels).mean())
-
-    accuracies = map_over_tasks(task_accuracy, len(test_sets))
+    accuracies = map_over_tasks(
+        lambda task: task_accuracy(backbone, heads, spec, test_sets[task], task, stack),
+        len(test_sets),
+    )
     return EvalResult.from_accuracies(model_id, accuracies, stack_id=stack_id)
 
 

@@ -171,8 +171,11 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for key, grad in grads.items():
-            m = self._m.setdefault(key, np.zeros_like(params[key]))
-            v = self._v.setdefault(key, np.zeros_like(params[key]))
+            m = self._m.get(key)
+            if m is None:
+                m = self._m[key] = np.zeros_like(params[key])
+                self._v[key] = np.zeros_like(params[key])
+            v = self._v[key]
             m *= self.beta1
             m += (1 - self.beta1) * grad
             v *= self.beta2
@@ -206,17 +209,24 @@ def forward_layers(
     ``Z - up @ relu(down @ Z)``, which the next block consumes.  A
     ``records`` list receives ``(Z, hidden)`` per layer: the uncorrected
     output and ``relu(down @ Z)``, or None where no adapter sits.
+
+    A stacked input ``(T, input_dim, batch)`` runs T independent passes
+    at once, each bitwise equal to its own 2-D call: block parameters and
+    adapters either have a matching leading T axis (one model per slice)
+    or none (shared by every slice).
     """
     z = np.asarray(x, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != spec.input_dim:
-        raise NetworkError(f"input must be ({spec.input_dim}, batch), got {z.shape}")
+    if z.ndim not in (2, 3) or z.shape[-2] != spec.input_dim:
+        raise NetworkError(
+            f"input must be ([T,] {spec.input_dim}, batch), got {z.shape}"
+        )
     adapters = adapters or {}
     layers = []
     num = spec.num_layers
     for layer in range(1, num + 1):
         w = backbone[block_name(layer, "weight")]
         b = backbone[block_name(layer, "bias")]
-        pre = w @ z + b[:, None]
+        pre = w @ z + b[..., None]
         z = raw = np.maximum(pre, 0.0) if layer < num else pre
         hidden = None
         pair = adapters.get(layer)

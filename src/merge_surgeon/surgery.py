@@ -176,8 +176,15 @@ class SurgeryStack:
 
     @classmethod
     def from_paramset(
-        cls, params: Mapping[str, np.ndarray], num_layers: int, psi: LossKind = LossKind.L1
+        cls,
+        params: Mapping[str, np.ndarray],
+        mode: SurgeryMode,
+        num_layers: int,
+        psi: LossKind = LossKind.L1,
     ) -> "SurgeryStack":
+        """The stack stored in ``params``, built for ``mode`` on a
+        ``num_layers``-block model; every task it holds must cover exactly
+        the mode's layers."""
         halves: dict[tuple[int, int], dict[str, np.ndarray]] = {}
         for name, value in params.items():
             parts = name.split(".")
@@ -190,18 +197,14 @@ class SurgeryStack:
             if set(pair) != {"down", "up"}:
                 raise SurgeryError(f"incomplete adapter for (task, layer) {key}")
             adapters[key] = AdapterParams(down=pair["down"], up=pair["up"])
-        coverages = {tuple(sorted(l for t, l in adapters if t == task)) for task in {t for t, _ in adapters}}
-        if len(coverages) > 1:
-            raise SurgeryError("tasks cover different layer sets")
-        coverage = coverages.pop() if coverages else ()
-        if coverage == tuple(range(1, num_layers + 1)):
-            mode = ALL_LAYERS
-        elif coverage == (num_layers,):
-            mode = LAST_LAYER
-        elif len(coverage) == 1:
-            mode = single_block(coverage[0])
-        else:
-            raise SurgeryError(f"layer coverage {coverage} matches no mode")
+        required = mode.layer_indices(num_layers)
+        for task in sorted({t for t, _ in adapters}):
+            coverage = tuple(sorted(l for t, l in adapters if t == task))
+            if coverage != required:
+                raise SurgeryError(
+                    f"task {task} covers layers {list(coverage)}, mode {mode.label()} "
+                    f"requires {list(required)}"
+                )
         return cls(mode=mode, psi=psi, adapters=adapters)
 
 
@@ -300,50 +303,45 @@ def surgery_gradients(
     summed loss through downstream blocks and corrections too.  Returns
     ``(losses, grads)`` keyed by 1-based layer index, with grads mapping
     to ``{"down": ..., "up": ...}``.
+
+    A stacked ``x`` of shape (T, input_dim, batch), with (T, ...)
+    adapters and targets, handles T tasks at once: each layer's loss is
+    then a (T,) array, and every task's losses and gradients are bitwise
+    those of its own 2-D call.
     """
     records = []
     corrected = forward_layers(merged64, spec, x, task_adapters, records)
-    layer_set = sorted(task_adapters)
-    losses: dict[int, float] = {}
+    losses: dict[int, float | np.ndarray] = {}
+    adjoints: dict[int, np.ndarray] = {}
+    for layer in sorted(task_adapters):
+        losses[layer], adjoints[layer] = alignment_loss_and_grad(
+            corrected[layer - 1], targets[layer - 1], psi
+        )
     grads: dict[int, dict[str, np.ndarray]] = {}
-    if not full_backprop:
-        for layer in layer_set:
-            raw, hidden = records[layer - 1]
-            loss, g = alignment_loss_and_grad(corrected[layer - 1], targets[layer - 1], psi)
-            losses[layer] = loss
-            d_omega = -g
-            pair = task_adapters[layer]
-            d_hidden = (pair["up"].T @ d_omega) * (hidden > 0)
-            grads[layer] = {"down": d_hidden @ raw.T, "up": d_omega @ hidden.T}
-        return losses, grads
-
-    layer_adjoints: dict[int, np.ndarray] = {}
-    for layer in layer_set:
-        loss, g = alignment_loss_and_grad(corrected[layer - 1], targets[layer - 1], psi)
-        losses[layer] = loss
-        layer_adjoints[layer] = g
-    carry = None  # dTotal/dZhat_l arriving from block l+1
+    carry = None  # full backprop: dTotal/dZhat_l arriving from block l+1
     for layer in range(spec.num_layers, 0, -1):
-        raw, hidden = records[layer - 1]
-        a_hat = layer_adjoints.get(layer)
+        a_hat = adjoints.get(layer)
         if carry is not None:
             a_hat = carry if a_hat is None else a_hat + carry
-        if a_hat is None:
             carry = None
+        if a_hat is None:
             continue
+        raw, hidden = records[layer - 1]
+        d_raw = a_hat
         pair = task_adapters.get(layer)
-        if pair is None:
-            d_raw = a_hat
-        else:
+        if pair is not None:
             d_omega = -a_hat
-            d_hidden = (pair["up"].T @ d_omega) * (hidden > 0)
-            grads[layer] = {"down": d_hidden @ raw.T, "up": d_omega @ hidden.T}
-            d_raw = a_hat - pair["down"].T @ ((pair["up"].T @ a_hat) * (hidden > 0))
-        if layer > 1:
+            up_t = pair["up"].swapaxes(-1, -2)
+            d_hidden = (up_t @ d_omega) * (hidden > 0)
+            grads[layer] = {
+                "down": d_hidden @ raw.swapaxes(-1, -2),
+                "up": d_omega @ hidden.swapaxes(-1, -2),
+            }
+            if full_backprop:
+                d_raw = a_hat - pair["down"].swapaxes(-1, -2) @ ((up_t @ a_hat) * (hidden > 0))
+        if full_backprop and layer > 1:
             d_pre = d_raw * (raw > 0) if layer < spec.num_layers else d_raw
             carry = merged64[block_name(layer, "weight")].T @ d_pre
-        else:
-            carry = None
     return losses, grads
 
 
@@ -369,53 +367,98 @@ def train_surgery(
     (block-coordinate); ``full_backprop`` differentiates the summed loss
     through downstream blocks as well.  Neither the merged nor the expert
     parameters are modified.
+
+    The tasks are independent problems of one shape, so each iteration
+    runs them stacked on a leading task axis (one stack per batch width)
+    and takes one Adam step per task with a batch; a task whose batch is
+    None takes no step.  Every task ends bitwise where training it alone
+    on its own batches would leave it.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = len(experts)
+    if num_tasks < 1:
+        raise SurgeryError("need at least one expert")
     spec.validate_backbone(merged)
     for expert in experts:
         spec.validate_backbone(expert)
 
     merged64 = to_float64(merged)
-    experts64 = [to_float64(e) for e in experts]
-    stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
-    adapters64 = [stack0.adapters64(task, spec) for task in range(num_tasks)]
-    optimizers = {
-        (task, layer): cfg.make_adam()
-        for task, layers in enumerate(adapters64)
-        for layer in layers
+    experts64 = {
+        name: np.stack([np.asarray(e[name], dtype=np.float64) for e in experts])
+        for name in spec.backbone_shapes()
     }
+    layers = mode.layer_indices(spec.num_layers)
+    stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
+    # Row t holds every adapter of task t; the per-layer (T, ...) matrices
+    # are views into it, so one Adam step on the row updates the task.
+    params = np.empty((num_tasks, sum(2 * rank * spec.out_dim(l) for l in layers)))
+    adapters: dict[int, dict[str, np.ndarray]] = {}
+    offset = 0
+    for layer in layers:
+        width = spec.out_dim(layer)
+        adapters[layer] = {}
+        for half, shape in (("down", (rank, width)), ("up", (width, rank))):
+            view = params[:, offset : offset + rank * width].reshape(num_tasks, *shape)
+            view[...] = [getattr(stack0.adapters[(t, layer)], half) for t in range(num_tasks)]
+            adapters[layer][half] = view
+            offset += rank * width
+    rows = [{"adapters": row} for row in params]
+    optimizers = [cfg.make_adam() for _ in range(num_tasks)]
 
     losses = []
     for iteration, batches in enumerate(data, start=1):
         if len(batches) != num_tasks:
             raise SurgeryError(f"data covers {len(batches)} tasks, experts {num_tasks}")
-        total = 0.0
+        groups: dict[tuple[int, ...], list[int]] = {}
         for task, x in enumerate(batches):
-            if x is None:
-                continue
-            targets = forward_layers(experts64[task], spec, x)
+            if x is not None:
+                if np.ndim(x) != 2:
+                    raise SurgeryError(f"task {task} batch must be (input_dim, batch)")
+                groups.setdefault(np.shape(x), []).append(task)
+        task_losses: dict[int, list[float]] = {}
+        task_grads: dict[int, np.ndarray] = {}
+        for group in groups.values():
+            if len(group) == num_tasks:
+                group_experts, group_adapters = experts64, adapters
+            else:  # copies of this group's rows
+                group_experts = {n: w[group] for n, w in experts64.items()}
+                group_adapters = {
+                    l: {h: m[group] for h, m in pair.items()} for l, pair in adapters.items()
+                }
+            # (T, input_dim, batch) whose slices keep the batches' transposed layout.
+            x = np.stack([np.asarray(batches[t], dtype=np.float64).T for t in group])
+            x = x.swapaxes(1, 2)
+            targets = forward_layers(group_experts, spec, x)
             layer_losses, grads = surgery_gradients(
-                merged64, spec, adapters64[task], x, targets, psi, full_backprop
+                merged64, spec, group_adapters, x, targets, psi, full_backprop
             )
-            for layer, loss in layer_losses.items():
-                if not np.isfinite(loss):
+            flat = np.concatenate(
+                [grads[l][h].reshape(len(group), -1) for l in layers for h in ("down", "up")],
+                axis=1,
+            )
+            per_task = np.stack([layer_losses[l] for l in layers], axis=1).tolist()
+            for i, task in enumerate(group):
+                task_losses[task] = per_task[i]
+                task_grads[task] = flat[i]
+        total = 0.0
+        for task in sorted(task_losses):
+            for layer, loss in zip(layers, task_losses[task]):
+                if not math.isfinite(loss):
                     raise SurgeryError(
                         f"non-finite loss at iteration {iteration}, "
                         f"task {task}, layer {layer}"
                     )
                 total += loss
-            for layer, grad in grads.items():
-                optimizers[(task, layer)].step(adapters64[task][layer], grad)
+        for task, grad in task_grads.items():
+            optimizers[task].step(rows[task], {"adapters": grad})
         losses.append(total)
 
-    adapters = {
-        (task, layer): AdapterParams(down=pair["down"], up=pair["up"])
-        for task, layers in enumerate(adapters64)
-        for layer, pair in layers.items()
-    }
-    stack = SurgeryStack(mode=mode, psi=psi, adapters=adapters)
+    stack = SurgeryStack(mode=mode, psi=psi, adapters={
+        (task, layer): AdapterParams(down=pair["down"][task], up=pair["up"][task])
+        for task in range(num_tasks)
+        for layer, pair in adapters.items()
+    })
     return SurgeryResult(stack=stack, losses=tuple(losses))
 
 

@@ -112,6 +112,11 @@ class TestErrors:
             "Error: task 1 is missing adapters for (1, 2, 3)"
         ]
 
+    def test_negative_seed_is_one_line_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen", "--seed", "-1", "--run-dir", str(tmp_path)])
+        assert result.exit_code != 0
+        assert result.output.strip().splitlines() == ["Error: seed must be >= 0, got -1"]
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")
@@ -199,6 +204,20 @@ class TestStepwiseFlow:
             "bias_merged_surgery.csv",
         ]:
             assert (run_dir / name).read_bytes() == (piped / name).read_bytes(), name
+
+    def test_last_block_stack_reports_its_mode(self, runner, pipeline_run, tmp_path):
+        # block:3 on the 3-block model covers the same layers as v1.
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        base = ["--config", str(config), "--run-dir", str(run_dir)]
+        result = invoke(runner, ["surgery", *base, "--mode", "block:3", "--iters", "10"])
+        assert result.exit_code == 0, result.output
+        assert "mode = block:3\n" in (run_dir / "surgery_info.txt").read_text()
+        result = invoke(runner, ["report", *base])
+        assert result.exit_code == 0, result.output
+        methods = [line.split(",")[0] for line in (run_dir / "results.csv").read_text().splitlines()]
+        assert methods == ["method", "individual", "merged_ta", "merged_ta+block:3"]
 
     def test_ties_grid_searches_ties(self, runner, pipeline_run, tmp_path):
         config, piped = pipeline_run

@@ -50,6 +50,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_sources({"hidden_dims": "32,more"})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig.from_sources({"seed": "-1"})
+        assert RunConfig.from_sources({"seed": "0"}).seed == 0
+
     def test_range_validation(self):
         with pytest.raises(ConfigError):
             RunConfig.from_sources({"ties_keep": "0"})

@@ -5,7 +5,15 @@ import pytest
 
 import merge_surgeon as ms
 from merge_surgeon.bias import LossKind, representation_bias
-from merge_surgeon.network import ModelSpec, forward_with_trace, init_backbone
+from merge_surgeon.network import (
+    ModelSpec,
+    NetworkError,
+    forward_layers,
+    forward_with_trace,
+    init_backbone,
+    random_batches,
+    to_float64,
+)
 from merge_surgeon.surgery import (
     ALL_LAYERS,
     LAST_LAYER,
@@ -19,6 +27,7 @@ from merge_surgeon.surgery import (
     sequential_batches,
     single_block,
     stream_train_surgery,
+    surgery_gradients,
     train_surgery,
 )
 from merge_surgeon.tensors import ParamSet
@@ -166,18 +175,34 @@ class TestCorrectedForward:
 
 
 class TestStackPersistence:
-    def test_round_trip_and_mode_inference(self, tmp_path):
+    def test_round_trip_keeps_mode(self):
         spec = tiny_spec()
-        for mode in (LAST_LAYER, ALL_LAYERS, single_block(1)):
+        for mode in (LAST_LAYER, ALL_LAYERS, single_block(1), single_block(2)):
             stack = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8)
             params = stack.to_paramset()
-            loaded = SurgeryStack.from_paramset(params, spec.num_layers, LossKind.L1)
-            assert loaded.mode == stack.mode or (
-                mode is LAST_LAYER and loaded.mode == LAST_LAYER
-            )
+            loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers, LossKind.L1)
+            assert loaded.mode == mode
             for key, adapter in stack.adapters.items():
                 assert loaded.adapters[key].down.tobytes() == adapter.down.tobytes()
                 assert loaded.adapters[key].up.tobytes() == adapter.up.tobytes()
+
+    def test_last_block_stack_keeps_block_mode(self):
+        # block:<L> on an L-block model covers the same layers as v1; the
+        # loader must keep the mode it is given instead of guessing v1.
+        spec = tiny_spec()
+        mode = single_block(spec.num_layers)
+        params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).to_paramset()
+        loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
+        assert loaded.mode.label() == f"block:{spec.num_layers}"
+
+    def test_coverage_must_match_mode(self):
+        spec = tiny_spec()
+        params = init_stack(spec, num_tasks=2, mode=LAST_LAYER, rank=3, seed=8).to_paramset()
+        for mode in (ALL_LAYERS, single_block(1)):
+            with pytest.raises(SurgeryError, match="task 0 covers layers"):
+                SurgeryStack.from_paramset(params, mode, spec.num_layers)
+        with pytest.raises(SurgeryError):
+            SurgeryStack.from_paramset(params, single_block(3), spec.num_layers)
 
     def test_checkpoint_round_trip(self, tmp_path):
         from merge_surgeon.checkpoint import load_paramset, save_paramset
@@ -186,13 +211,13 @@ class TestStackPersistence:
         stack = init_stack(spec, num_tasks=2, mode=ALL_LAYERS, rank=2, seed=9)
         path = tmp_path / "stack.msrg"
         save_paramset(stack.to_paramset(), path)
-        loaded = SurgeryStack.from_paramset(load_paramset(path), spec.num_layers)
+        loaded = SurgeryStack.from_paramset(load_paramset(path), ALL_LAYERS, spec.num_layers)
         loaded.validate(spec, num_tasks=2)
 
     def test_incomplete_adapter_rejected(self):
         with pytest.raises(SurgeryError):
             SurgeryStack.from_paramset(
-                ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]), 2
+                ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]), ALL_LAYERS, 2
             )
 
 
@@ -372,3 +397,220 @@ class TestTrainSurgery:
                 loss, _ = alignment_loss_and_grad(corrected[layer], targets[layer], psi)
                 metric = representation_bias(corrected[layer], targets[layer], psi)
                 assert loss == pytest.approx(metric, abs=1e-6)
+
+
+def _three_task_models(seed=50):
+    """A 3-block spec, a merged backbone, three experts and float64
+    adapters with non-zero up matrices for every layer of every task.
+    Positive biases keep ReLU columns from going all-zero, where the
+    cosine loss is undefined."""
+    spec = ModelSpec(4, (6, 5, 4), (3, 3, 3))
+    rng = np.random.default_rng(seed + 9)
+
+    def backbone(model_seed):
+        params = init_backbone(spec, np.random.default_rng(model_seed))
+        for layer in range(1, spec.num_layers + 1):
+            params[f"block{layer}.bias"] = rng.uniform(0.2, 0.6, size=spec.out_dim(layer))
+        return ParamSet(params)
+
+    merged = backbone(seed)
+    experts = [backbone(seed + 1 + t) for t in range(3)]
+    adapters = [
+        {
+            layer: {
+                "down": rng.uniform(-0.5, 0.5, size=(2, spec.out_dim(layer))),
+                "up": rng.uniform(-0.3, 0.3, size=(spec.out_dim(layer), 2)),
+            }
+            for layer in ALL_LAYERS.layer_indices(spec.num_layers)
+        }
+        for _ in experts
+    ]
+    return spec, merged, experts, adapters
+
+
+def _stacked_inputs(xs):
+    """(T, dim, batch) whose slices keep the transposed layout the batch
+    generators yield."""
+    return np.stack([x.T for x in xs]).swapaxes(1, 2)
+
+
+def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
+    """Surgery training one task at a time: per task and iteration, 2-D
+    target and gradient calls and one Adam per (task, layer)."""
+    merged64 = to_float64(merged)
+    stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed, psi)
+    adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
+    optimizers = {(t, layer): cfg.make_adam() for t, a in enumerate(adapters) for layer in a}
+    losses = []
+    for row in batches:
+        total = 0.0
+        for task, x in enumerate(row):
+            if x is None:
+                continue
+            targets = forward_layers(to_float64(experts[task]), spec, x)
+            layer_losses, grads = surgery_gradients(
+                merged64, spec, adapters[task], x, targets, psi, full_backprop
+            )
+            for loss in layer_losses.values():
+                total += loss
+            for layer, grad in grads.items():
+                optimizers[(task, layer)].step(adapters[task][layer], grad)
+        losses.append(total)
+    return losses, adapters
+
+
+class TestStackedEngine:
+    """Stacked (T, ...) calls equal T separate 2-D calls, bit for bit."""
+
+    def _batches(self, spec, width=7, seed=51):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((width, spec.input_dim)).T + 0.3 for _ in range(3)]
+
+    def test_forward_layers_matches_per_task_calls(self):
+        spec, merged, experts, adapters = _three_task_models()
+        xs = self._batches(spec)
+        x = _stacked_inputs(xs)
+        merged64 = to_float64(merged)
+        experts64 = {n: np.stack([to_float64(e)[n] for e in experts]) for n in merged64}
+        stacked_adapters = {
+            layer: {h: np.stack([a[layer][h] for a in adapters]) for h in ("down", "up")}
+            for layer in adapters[0]
+        }
+        # Stacked block parameters, no adapters: the expert targets.
+        targets = forward_layers(experts64, spec, x)
+        # Shared block parameters with stacked adapters: the corrected merged model.
+        records = []
+        corrected = forward_layers(merged64, spec, x, stacked_adapters, records)
+        for t in range(3):
+            single = forward_layers(to_float64(experts[t]), spec, xs[t])
+            own_records = []
+            own = forward_layers(merged64, spec, xs[t], adapters[t], own_records)
+            for layer in range(spec.num_layers):
+                assert targets[layer][t].tobytes() == single[layer].tobytes()
+                assert corrected[layer][t].tobytes() == own[layer].tobytes()
+                for got, want in zip(records[layer], own_records[layer]):
+                    assert got[t].tobytes() == want.tobytes()
+
+    def test_forward_layers_rejects_wrong_input_dim(self):
+        spec, merged, _, _ = _three_task_models()
+        with pytest.raises(NetworkError):
+            forward_layers(to_float64(merged), spec, np.zeros((3, spec.input_dim + 1, 2)))
+
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    def test_surgery_gradients_match_per_task_calls(self, psi, full_backprop):
+        spec, merged, experts, adapters = _three_task_models()
+        # Last-layer-only adapters too, so full backprop crosses blocks
+        # without corrections.
+        for layers in ((1, 2, 3), (3,)):
+            task_adapters = [{l: a[l] for l in layers} for a in adapters]
+            xs = self._batches(spec)
+            merged64 = to_float64(merged)
+            targets = [forward_layers(to_float64(e), spec, x) for e, x in zip(experts, xs)]
+            losses, grads = surgery_gradients(
+                merged64,
+                spec,
+                {
+                    l: {h: np.stack([a[l][h] for a in task_adapters]) for h in ("down", "up")}
+                    for l in layers
+                },
+                _stacked_inputs(xs),
+                [np.stack(layer_targets) for layer_targets in zip(*targets)],
+                psi,
+                full_backprop,
+            )
+            for t in range(3):
+                own_losses, own_grads = surgery_gradients(
+                    merged64, spec, task_adapters[t], xs[t], targets[t], psi, full_backprop
+                )
+                assert list(losses) == list(own_losses) == list(layers)
+                for layer in layers:
+                    assert isinstance(own_losses[layer], float)
+                    assert losses[layer].shape == (3,)
+                    assert losses[layer][t].tobytes() == np.float64(own_losses[layer]).tobytes()
+                    for half in ("down", "up"):
+                        got = grads[layer][half][t]
+                        assert got.tobytes() == own_grads[layer][half].tobytes()
+
+    @pytest.mark.parametrize("mode", [ALL_LAYERS, LAST_LAYER])
+    def test_joint_training_equals_training_each_task_alone(self, mode):
+        # A task trained alongside others ends bitwise where it would end if
+        # the others had no data at all: tasks never mix in the stacked pass.
+        spec, merged, experts, _ = _three_task_models(seed=52)
+        cfg = ms.TrainConfig(iterations=25, batch_size=6, seed=52)
+        pools = [np.random.default_rng(53 + t).standard_normal((30, 4)) for t in range(3)]
+        batches = list(random_batches(pools, cfg.batch_size, cfg.iterations, [53]))
+        joint = train_surgery(
+            merged, experts, spec, iter(batches), mode, LossKind.MSE, cfg, rank=2
+        )
+        for t in range(3):
+            alone = train_surgery(
+                merged, experts, spec,
+                iter([[b if i == t else None for i, b in enumerate(row)] for row in batches]),
+                mode, LossKind.MSE, cfg, rank=2,
+            )
+            for layer in mode.layer_indices(spec.num_layers):
+                for half in ("down", "up"):
+                    got = getattr(joint.stack.adapters[(t, layer)], half)
+                    want = getattr(alone.stack.adapters[(t, layer)], half)
+                    assert got.tobytes() == want.tobytes(), (t, layer, half)
+            other = (t + 1) % 3
+            untouched = init_stack(spec, 3, mode, rank=2, seed=cfg.seed)
+            for layer in mode.layer_indices(spec.num_layers):
+                assert (
+                    alone.stack.adapters[(other, layer)].up.tobytes()
+                    == untouched.adapters[(other, layer)].up.tobytes()
+                )
+
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    def test_matches_per_task_reference_loop(self, psi, full_backprop):
+        # Unequal stream pools, so later iterations split into width groups
+        # and the shortest task runs out.
+        spec, merged, experts, _ = _three_task_models(seed=56)
+        cfg = ms.TrainConfig(batch_size=8, seed=56)
+        pools = [
+            np.random.default_rng(57 + t).standard_normal((n, 4)) + 0.3
+            for t, n in enumerate((21, 30, 44))
+        ]
+        for mode in (ALL_LAYERS, single_block(2)):
+            result = train_surgery(
+                merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
+                rank=2, full_backprop=full_backprop,
+            )
+            losses, adapters = _per_task_reference(
+                merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
+                rank=2, full_backprop=full_backprop,
+            )
+            assert result.losses == tuple(losses)
+            for (task, layer), adapter in result.stack.adapters.items():
+                want = AdapterParams(**adapters[task][layer])
+                assert adapter.down.tobytes() == want.down.tobytes()
+                assert adapter.up.tobytes() == want.up.tobytes()
+
+    def test_exhausted_stream_task_stops_stepping(self):
+        # Pools of 20, 37 and 50 samples in batches of 8: task 0 runs out
+        # after three iterations, the others keep training with shorter
+        # final batches in their own width groups.
+        spec, merged, experts, _ = _three_task_models(seed=54)
+        cfg = ms.TrainConfig(batch_size=8, seed=54)
+        pools = [
+            np.random.default_rng(55 + t).standard_normal((n, 4)) for t, n in enumerate((20, 37, 50))
+        ]
+        joint = stream_train_surgery(
+            merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
+        )
+        assert len(joint.losses) == 7
+        for t in range(3):
+            own = [
+                [row[0] if i == t else None for i in range(3)]
+                for row in sequential_batches([pools[t]], cfg.batch_size)
+            ]
+            alone = train_surgery(
+                merged, experts, spec, iter(own), ALL_LAYERS, LossKind.L1, cfg, rank=2
+            )
+            for layer in ALL_LAYERS.layer_indices(spec.num_layers):
+                for half in ("down", "up"):
+                    got = getattr(joint.stack.adapters[(t, layer)], half)
+                    want = getattr(alone.stack.adapters[(t, layer)], half)
+                    assert got.tobytes() == want.tobytes(), (t, layer, half)
