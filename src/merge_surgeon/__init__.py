@@ -39,14 +39,10 @@ from .merging import (
 from .network import (
     Adam,
     ModelSpec,
-    RepTrace,
     TrainConfig,
     TrainResult,
-    backprop_grads,
-    forward_with_trace,
     head_logits,
     pretrain,
-    softmax_entropy,
     train_expert,
 )
 from .surgery import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ModelSpec, forward_with_trace
+from .network import ModelSpec
 from .tensors import ParamSet
 
 
@@ -51,13 +51,20 @@ def _check_pair(
 
 def _cosine_parts(a: np.ndarray, b: np.ndarray):
     """Per-column cosine and norms over the dim axis (-2), kept as a
-    length-1 axis so they broadcast against ``a``."""
+    length-1 axis so they broadcast against ``a``, plus the mask of
+    columns that are all zero in either input.
+
+    A column that is zero in both inputs has cosine 1 and one that is
+    zero in only one has cosine 0; the masked norms read 1 there.
+    """
     norm_a = np.linalg.norm(a, axis=-2, keepdims=True)
     norm_b = np.linalg.norm(b, axis=-2, keepdims=True)
-    if (norm_a == 0).any() or (norm_b == 0).any():
-        raise BiasError("cosine distance undefined for an all-zero column")
+    dead_a, dead_b = norm_a == 0, norm_b == 0
+    norm_a = np.where(dead_a, 1.0, norm_a)
+    norm_b = np.where(dead_b, 1.0, norm_b)
     cos = (a * b).sum(axis=-2, keepdims=True) / (norm_a * norm_b)
-    return cos, norm_a, norm_b
+    cos = np.where(dead_a & dead_b, 1.0, cos)
+    return cos, norm_a, norm_b, dead_a | dead_b
 
 
 def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) -> float:
@@ -72,7 +79,7 @@ def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) ->
         return float(np.abs(diff).mean())
     if kind is LossKind.MSE:
         return float(np.square(diff).mean())
-    cos, _, _ = _cosine_parts(a, b)
+    cos = _cosine_parts(a, b)[0]
     return float((1.0 - cos).mean())
 
 
@@ -83,9 +90,10 @@ def alignment_loss_and_grad(
 
     For L1 and MSE the value coincides with :func:`representation_bias`;
     for NEG_COSINE the raw mean negative cosine is optimized (same
-    gradient as 1 - cosine, shifted value).  Stacked ``(T, dim, samples)``
-    inputs return a (T,) array of losses, each slice's loss and gradient
-    bitwise equal to the 2-D call on that slice.
+    gradient as 1 - cosine, shifted value); a column that is all zero in
+    either input takes zero gradient, as the ReLU does at 0.  Stacked
+    ``(T, dim, samples)`` inputs return a (T,) array of losses, each
+    slice's loss and gradient bitwise equal to the 2-D call on that slice.
     """
     a, b = _check_pair(z_hat, z_ind, ndims=(2, 3))
     axes = None if a.ndim == 2 else (-2, -1)
@@ -97,9 +105,10 @@ def alignment_loss_and_grad(
         diff = a - b
         loss, grad = np.square(diff).mean(axis=axes), 2.0 * diff / count
     else:
-        cos, norm_a, norm_b = _cosine_parts(a, b)
+        cos, norm_a, norm_b, dead = _cosine_parts(a, b)
         samples = a.shape[-1]
         grad = -(b / (norm_a * norm_b) - a * (cos / np.square(norm_a))) / samples
+        grad = np.where(dead, 0.0, grad)
         loss = -cos.mean(axis=axes)
     return (float(loss) if axes is None else loss), grad
 
@@ -168,7 +177,7 @@ def layerwise_bias_report(
     for task, (expert, features) in enumerate(zip(experts, inputs_per_task)):
         x = np.asarray(features, dtype=np.float64).T
         merged_trace = corrected_forward(merged, spec, stack, x, task)
-        expert_trace = forward_with_trace(expert, spec, x)
+        expert_trace = corrected_forward(expert, spec, None, x, task)
         for layer in range(spec.num_layers):
             values[layer, task] = representation_bias(
                 merged_trace[layer], expert_trace[layer], psi

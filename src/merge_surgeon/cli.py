@@ -46,7 +46,6 @@ from .network import (
     NetworkError,
     TrainConfig,
     TrainResult,
-    forward_with_trace,
     pretrain as run_pretrain,
     train_expert,
 )
@@ -225,8 +224,8 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None) -> BiasRe
     report = _bias_report(cfg, suite, spec, merged, experts, stack)
     for task in range(len(suite.tasks)):
         x = suite.tasks[task].test.inputs()
-        merged_final = corrected_forward(merged, spec, stack, x, task).final
-        expert_final = forward_with_trace(experts[task], spec, x).final
+        merged_final = corrected_forward(merged, spec, stack, x, task)[-1]
+        expert_final = corrected_forward(experts[task], spec, None, x, task)[-1]
         coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
         n = merged_final.shape[1]
         lines = ["source,x,y"]

@@ -81,9 +81,9 @@ def task_accuracy(
     given, the forward pass applies the task's in-path corrections.
     """
     x = data.inputs()
-    trace = corrected_forward(backbone, spec, stack, x, task)
+    z_final = corrected_forward(backbone, spec, stack, x, task)[-1]
     logits = head_logits(
-        heads[head_name(task, "weight")], heads[head_name(task, "bias")], trace.final
+        heads[head_name(task, "weight")], heads[head_name(task, "bias")], z_final
     )
     predictions = np.argmax(logits, axis=0)
     return float((predictions == data.labels).mean())

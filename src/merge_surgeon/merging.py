@@ -215,10 +215,12 @@ class AdaMergeResult:
     entropies: tuple[float, ...]
 
 
-def _float64_taus(
+def task_vectors(
     pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
 ) -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]]]:
-    """The pretrained backbone and each expert's task vector, in float64."""
+    """The pretrained backbone and each expert's task vector (expert minus
+    pretrained, per backbone entry), in float64: the fixed inputs of
+    :func:`ada_loss_and_gradient`."""
     names = _backbone_names(pretrained)
     pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
     taus = [{n: np.asarray(e[n], dtype=np.float64) - pre64[n] for n in names} for e in experts]
@@ -237,55 +239,33 @@ def _merge_from_taus(pretrained64, taus, coefficients, spec: ModelSpec):
     return merged
 
 
-def _entropy_objective_parts(
-    merged64,
-    experts: Sequence[Mapping[str, np.ndarray]],
-    spec: ModelSpec,
-    batches: Sequence[np.ndarray],
-    want_grads: bool,
-):
+def ada_loss_and_gradient(pre64, taus, experts, spec: ModelSpec, coefficients, batches):
+    """AdaMerging objective and its gradient for one batch per task.
+
+    ``pre64`` and ``taus`` come from :func:`task_vectors`; the model is
+    ``pre64 + sum_t coefficients[l-1, t] * taus[t]`` per layer l.  The
+    loss is the mean over tasks of the softmax entropy of that model's
+    predictions, each task scored through its own expert head on its own
+    (input_dim, batch) matrix ``batches[t]``.  Returns the loss and its
+    (layers, tasks) gradient with respect to ``coefficients``.
+    """
+    merged64 = _merge_from_taus(pre64, taus, coefficients, spec)
     num_tasks = len(experts)
-    total_entropy = 0.0
-    total_grads: dict[str, np.ndarray] | None = {} if want_grads else None
+    loss = 0.0
+    grads: dict[str, np.ndarray] = {}
     for task, x in enumerate(batches):
         x64 = np.asarray(x, dtype=np.float64)
         layers = forward_layers(merged64, spec, x64)
         head_w = np.asarray(experts[task][head_name(task, "weight")], dtype=np.float64)
         head_b = np.asarray(experts[task][head_name(task, "bias")], dtype=np.float64)
-        logits = head_w @ layers[-1] + head_b[:, None]
-        entropy, dlogits = entropy_loss_and_adjoint(logits)
-        total_entropy += entropy
-        if want_grads:
-            adjoint = head_w.T @ dlogits
-            for name, grad in backbone_adjoint_grads(
-                merged64, spec, x64, layers, adjoint
-            ).items():
-                if name in total_grads:
-                    total_grads[name] += grad / num_tasks
-                else:
-                    total_grads[name] = grad / num_tasks
-    return total_entropy / num_tasks, total_grads
-
-
-def ada_objective(
-    pretrained: Mapping[str, np.ndarray],
-    experts: Sequence[Mapping[str, np.ndarray]],
-    spec: ModelSpec,
-    coefficients: np.ndarray,
-    batches: Sequence[np.ndarray],
-) -> float:
-    """Mean (over tasks) softmax entropy of the coefficient-merged model,
-    each task scored through its own head on its own unlabeled batch."""
-    _check_experts(pretrained, experts)
-    pre64, taus = _float64_taus(pretrained, experts)
-    merged64 = _merge_from_taus(pre64, taus, np.asarray(coefficients, np.float64), spec)
-    loss, _ = _entropy_objective_parts(merged64, experts, spec, batches, want_grads=False)
-    return loss
-
-
-def _ada_loss_and_gradient(pre64, taus, experts, spec, coefficients, batches):
-    merged64 = _merge_from_taus(pre64, taus, coefficients, spec)
-    loss, grads = _entropy_objective_parts(merged64, experts, spec, batches, want_grads=True)
+        entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[:, None])
+        loss += entropy
+        adjoint = head_w.T @ dlogits
+        for name, grad in backbone_adjoint_grads(merged64, spec, x64, layers, adjoint).items():
+            if name in grads:
+                grads[name] += grad / num_tasks
+            else:
+                grads[name] = grad / num_tasks
     coeff_grad = np.zeros_like(coefficients)
     for layer in range(1, spec.num_layers + 1):
         for kind in ("weight", "bias"):
@@ -296,22 +276,7 @@ def _ada_loss_and_gradient(pre64, taus, experts, spec, coefficients, batches):
                 coeff_grad[layer - 1, task] += float(
                     (grads[name] * tau[name]).sum()
                 )
-    return loss, coeff_grad
-
-
-def ada_coefficient_gradient(
-    pretrained: Mapping[str, np.ndarray],
-    experts: Sequence[Mapping[str, np.ndarray]],
-    spec: ModelSpec,
-    coefficients: np.ndarray,
-    batches: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Analytic gradient of :func:`ada_objective` w.r.t. the coefficients."""
-    pre64, taus = _float64_taus(pretrained, experts)
-    _, grad = _ada_loss_and_gradient(
-        pre64, taus, experts, spec, np.asarray(coefficients, np.float64), batches
-    )
-    return grad
+    return loss / num_tasks, coeff_grad
 
 
 def ada_merge(
@@ -338,7 +303,7 @@ def ada_merge(
     if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
 
-    pre64, taus = _float64_taus(pretrained, experts)
+    pre64, taus = task_vectors(pretrained, experts)
     coefficients = np.full((spec.num_layers, len(experts)), float(init_coefficient))
 
     adam = cfg.make_adam()
@@ -346,9 +311,7 @@ def ada_merge(
     state = {"coefficients": coefficients}
     batch_lists = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4])
     for iteration, batches in enumerate(batch_lists, start=1):
-        loss, grad = _ada_loss_and_gradient(
-            pre64, taus, experts, spec, coefficients, batches
-        )
+        loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coefficients, batches)
         if not np.isfinite(loss):
             raise MergeError(f"non-finite entropy at iteration {iteration}")
         entropies.append(loss)

@@ -82,56 +82,6 @@ class ModelSpec:
             f"head_dims = {','.join(str(d) for d in self.head_dims)}\n"
         )
 
-    @classmethod
-    def from_text(cls, text: str) -> "ModelSpec":
-        values: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-        try:
-            return cls(
-                input_dim=int(values["input_dim"]),
-                layer_dims=tuple(int(v) for v in values["layer_dims"].split(",")),
-                head_dims=tuple(int(v) for v in values["head_dims"].split(",")),
-            )
-        except (KeyError, ValueError) as exc:
-            raise NetworkError(f"unreadable model description ({exc})") from exc
-
-
-class RepTrace(Sequence):
-    """Per-layer representations of one batch, shallow to deep.
-
-    Entry l-1 is the (d_l, batch) float32 matrix produced by block l.
-    """
-
-    __slots__ = ("_layers",)
-
-    def __init__(self, layers):
-        frozen = []
-        for z in layers:
-            arr = np.ascontiguousarray(z, dtype=np.float32)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        if not frozen:
-            raise NetworkError("trace must contain at least one layer")
-        batch = frozen[0].shape[1]
-        if any(z.ndim != 2 or z.shape[1] != batch for z in frozen):
-            raise NetworkError("all trace layers must share the batch size")
-        self._layers = tuple(frozen)
-
-    def __getitem__(self, index):
-        return self._layers[index]
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self._layers[-1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -239,14 +189,6 @@ def forward_layers(
     return layers
 
 
-def forward_with_trace(
-    params: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray
-) -> RepTrace:
-    """Run the backbone on a (input_dim, batch) matrix, capturing every layer."""
-    spec.validate_backbone(params)
-    return RepTrace(forward_layers(to_float64(params), spec, x))
-
-
 def head_logits(weight: np.ndarray, bias: np.ndarray, z_final: np.ndarray) -> np.ndarray:
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -263,13 +205,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=0, keepdims=True)
-
-
-def softmax_entropy(logits: np.ndarray) -> float:
-    """Mean Shannon entropy (nats) of per-column softmax distributions."""
-    p = softmax(logits)
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-plogp.sum(axis=0).mean())
 
 
 def entropy_loss_and_adjoint(logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -345,51 +280,6 @@ def classifier_loss_and_grads(
     adjoint = params[w_key].T @ dlogits
     grads.update(backbone_adjoint_grads(params, spec, x, layers, adjoint))
     return loss, grads
-
-
-def cross_entropy_loss(
-    params: Mapping[str, np.ndarray],
-    spec: ModelSpec,
-    head_tag,
-    x: np.ndarray,
-    labels: np.ndarray,
-) -> float:
-    """Loss-only evaluation, convenient for finite-difference checks."""
-    loss, _ = classifier_loss_and_grads(to_float64(params), spec, head_tag, x, labels)
-    return loss
-
-
-def backprop_grads(
-    params: Mapping[str, np.ndarray],
-    spec: ModelSpec,
-    x: np.ndarray,
-    labels: np.ndarray | None = None,
-    head_tag=None,
-    adjoint: np.ndarray | None = None,
-) -> ParamSet:
-    """Exact reverse-mode gradients for the fixed model family.
-
-    Labeled mode (labels + head_tag) differentiates cross-entropy through
-    the named head and returns backbone plus head gradients; adjoint mode
-    takes dLoss/dZ_L directly and returns backbone gradients only.
-    """
-    if (labels is None) == (adjoint is None):
-        raise NetworkError("pass either labels+head_tag or an adjoint, not both")
-    spec.validate_backbone(params)
-    params64 = to_float64(params)
-    if labels is not None:
-        if head_tag is None:
-            raise NetworkError("labeled mode needs the head tag")
-        _, grads = classifier_loss_and_grads(params64, spec, head_tag, x, labels)
-    else:
-        layers = forward_layers(params64, spec, x)
-        adj = np.asarray(adjoint, dtype=np.float64)
-        if adj.shape != layers[-1].shape:
-            raise NetworkError(
-                f"adjoint shape {adj.shape} must match final layer {layers[-1].shape}"
-            )
-        grads = backbone_adjoint_grads(params64, spec, x, layers, adj)
-    return ParamSet(grads)
 
 
 def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int, seed):

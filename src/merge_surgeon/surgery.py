@@ -11,6 +11,7 @@ expert model's representations on unlabeled inputs.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -18,13 +19,16 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, RepTrace, TrainConfig, block_name, forward_layers, random_batches, to_float64
+    ModelSpec, TrainConfig, block_name, forward_layers, random_batches, to_float64
 )
 from .tensors import ParamSet
 
 _LAST_LAYER = "last_layer"
 _ALL_LAYERS = "all_layers"
 _SINGLE_BLOCK = "single_block"
+# The names to_paramset writes: surgery.{task}.{layer}.{down|up}, indices
+# in plain decimal, so each (task, layer) pair has exactly one spelling.
+_ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
 
 
 class SurgeryError(ValueError):
@@ -137,7 +141,10 @@ class SurgeryStack:
 
     def validate(self, spec: ModelSpec, num_tasks: int) -> None:
         """Every task in ``range(num_tasks)`` carries the mode's full,
-        correctly sized adapter set."""
+        correctly sized adapter set, and the stack holds no other task."""
+        extra = sorted({t for t, _ in self.adapters if not 0 <= t < num_tasks})
+        if extra:
+            raise SurgeryError(f"stack holds tasks {extra} outside the run's {num_tasks} tasks")
         required = self.mode.layer_indices(spec.num_layers)
         for task in range(num_tasks):
             if tuple(sorted(self.adapters64(task, spec))) != required:
@@ -187,11 +194,13 @@ class SurgeryStack:
         the mode's layers."""
         halves: dict[tuple[int, int], dict[str, np.ndarray]] = {}
         for name, value in params.items():
-            parts = name.split(".")
-            if len(parts) != 4 or parts[0] != "surgery" or parts[3] not in ("down", "up"):
-                raise SurgeryError(f"unexpected stack entry {name!r}")
-            key = (int(parts[1]), int(parts[2]))
-            halves.setdefault(key, {})[parts[3]] = value
+            match = _ENTRY_RE.fullmatch(name)
+            if match is None:
+                raise SurgeryError(
+                    f"unexpected stack entry {name!r} (expected surgery.<task>.<layer>.down|up)"
+                )
+            task, layer, half = match.groups()
+            halves.setdefault((int(task), int(layer)), {})[half] = value
         adapters = {}
         for key, pair in halves.items():
             if set(pair) != {"down", "up"}:
@@ -242,15 +251,20 @@ def corrected_forward(
     stack: SurgeryStack | None,
     x: np.ndarray,
     task: int,
-) -> RepTrace:
-    """Trace of the merged model with task ``task``'s corrections applied.
+) -> tuple[np.ndarray, ...]:
+    """Per-layer float32 representations ``(Z_1 .. Z_L)``, each (d_l, batch),
+    of the merged model with task ``task``'s corrections applied.
 
-    With no stack, or no adapters for the task, this equals the plain
-    forward trace bitwise; the head should consume the final entry.
+    With no stack, or no adapters for the task, this is the plain forward
+    trace, so ``stack=None`` traces any backbone, an expert included; the
+    head should consume the final entry.
     """
     spec.validate_backbone(merged)
     adapters = {} if stack is None else stack.adapters64(task, spec)
-    return RepTrace(forward_layers(to_float64(merged), spec, x, adapters))
+    return tuple(
+        np.ascontiguousarray(z, dtype=np.float32)
+        for z in forward_layers(to_float64(merged), spec, x, adapters)
+    )
 
 
 def _check_pools(inputs_per_task) -> list[np.ndarray]:

@@ -13,8 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
-_BLOCK_RE = re.compile(r"^block(\d+)\.(weight|bias)$")
-_HEAD_RE = re.compile(r"^head\.([^.]+)\.(weight|bias)$")
+_BLOCK_RE = re.compile(r"^block\d+\.(weight|bias)$")
 
 
 class TensorError(ValueError):
@@ -44,24 +43,8 @@ def head_name(task, kind: str) -> str:
     return f"head.{task}.{kind}"
 
 
-def block_index(name: str) -> int | None:
-    """Layer index of a backbone parameter name, or None for non-backbone."""
-    m = _BLOCK_RE.match(name)
-    return int(m.group(1)) if m else None
-
-
-def head_task(name: str) -> str | None:
-    """Task tag of a head parameter name, or None for non-head."""
-    m = _HEAD_RE.match(name)
-    return m.group(1) if m else None
-
-
 def is_backbone_name(name: str) -> bool:
     return _BLOCK_RE.match(name) is not None
-
-
-def is_head_name(name: str) -> bool:
-    return _HEAD_RE.match(name) is not None
 
 
 class ParamSet(Mapping):
@@ -98,28 +81,9 @@ class ParamSet(Mapping):
         inner = ", ".join(f"{n}:{v.shape}" for n, v in self._entries.items())
         return f"ParamSet({inner})"
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
     def backbone(self) -> "ParamSet":
         """The block* entries, in insertion order."""
         return ParamSet((n, v) for n, v in self._entries.items() if is_backbone_name(n))
-
-    def heads(self) -> "ParamSet":
-        return ParamSet((n, v) for n, v in self._entries.items() if is_head_name(n))
-
-    def head(self, task) -> "ParamSet":
-        tag = str(task)
-        found = ParamSet(
-            (n, v) for n, v in self._entries.items() if head_task(n) == tag
-        )
-        if not found:
-            raise KeyError(f"no head entries for task {task!r}")
-        return found
-
-    def num_blocks(self) -> int:
-        indices = {block_index(n) for n in self._entries if is_backbone_name(n)}
-        return max(indices) if indices else 0
 
 
 def shape_compatible(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 import merge_surgeon as ms
 from merge_surgeon.bias import LossKind, alignment_loss_and_grad, representation_bias
 from merge_surgeon.cli import main as cli_main
-from merge_surgeon.merging import ada_coefficient_gradient, ada_objective
+from merge_surgeon.merging import ada_loss_and_gradient, task_vectors
 from merge_surgeon.network import (
     ModelSpec,
     classifier_loss_and_grads,
@@ -195,7 +195,8 @@ def test_criterion_03_gradient_checks():
         experts.append(ParamSet(entries))
     batches = [rng.standard_normal((4, 6)) for _ in range(2)]
     coeff = rng.uniform(0.1, 0.5, size=(2, 2))
-    analytic = ada_coefficient_gradient(pretrained, experts, spec, coeff, batches)
+    pre64, taus = task_vectors(pretrained, experts)
+    _, analytic = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
     numeric = np.zeros_like(coeff)
     eps = 1e-4
     for i in range(2):
@@ -204,8 +205,8 @@ def test_criterion_03_gradient_checks():
             up[i, j] += eps
             down[i, j] -= eps
             numeric[i, j] = (
-                ada_objective(pretrained, experts, spec, up, batches)
-                - ada_objective(pretrained, experts, spec, down, batches)
+                ada_loss_and_gradient(pre64, taus, experts, spec, up, batches)[0]
+                - ada_loss_and_gradient(pre64, taus, experts, spec, down, batches)[0]
             ) / (2 * eps)
     worst_ada = relative_error(analytic, numeric)
 

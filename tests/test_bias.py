@@ -59,12 +59,15 @@ class TestRepresentationBias:
         scaled = z * rng.uniform(0.5, 3.0, size=(1, 8))
         assert representation_bias(scaled, z, LossKind.NEG_COSINE) == pytest.approx(0.0, abs=1e-12)
 
-    def test_cosine_zero_column_rejected(self):
+    def test_cosine_zero_column_is_masked(self):
+        # A column that is zero in one trace has cosine 0 (bias 1); one
+        # that is zero in both has cosine 1 (bias 0).
         z = np.ones((3, 2))
-        bad = z.copy()
-        bad[:, 1] = 0.0
-        with pytest.raises(BiasError):
-            representation_bias(bad, z, LossKind.NEG_COSINE)
+        dead = z.copy()
+        dead[:, 1] = 0.0
+        assert representation_bias(dead, z, LossKind.NEG_COSINE) == pytest.approx(0.5)
+        assert representation_bias(z, dead, LossKind.NEG_COSINE) == pytest.approx(0.5)
+        assert representation_bias(dead, dead, LossKind.NEG_COSINE) == pytest.approx(0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(BiasError):
@@ -113,6 +116,33 @@ class TestAlignmentLoss:
                     - alignment_loss_and_grad(down, b, kind)[0]
                 ) / (2 * eps)
         np.testing.assert_allclose(grad, numeric, atol=1e-7)
+
+    def test_cosine_zero_columns_take_zero_gradient(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((4, 6)) + 0.2
+        b = rng.standard_normal((4, 6)) + 0.2
+        a[:, 1] = 0.0  # dead in the trained trace only
+        b[:, 3] = 0.0  # dead in the target only
+        a[:, 4] = b[:, 4] = 0.0  # dead in both
+        loss, grad = alignment_loss_and_grad(a, b, LossKind.NEG_COSINE)
+        live = [0, 2, 5]
+        live_loss, live_grad = alignment_loss_and_grad(a[:, live], b[:, live], LossKind.NEG_COSINE)
+        # Dead columns add cosine 0, 0 and 1 to a mean over all 6 columns.
+        assert loss == pytest.approx((3 * live_loss - 1.0) / 6, abs=1e-12)
+        np.testing.assert_array_equal(grad[:, [1, 3, 4]], 0.0)
+        np.testing.assert_allclose(grad[:, live], live_grad * 3 / 6, rtol=1e-12)
+
+    def test_cosine_stacked_dead_column_matches_per_slice(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((2, 4, 5))
+        b = rng.standard_normal((2, 4, 5))
+        a[0, :, 2] = 0.0
+        b[1, :, 0] = a[1, :, 0] = 0.0
+        loss, grad = alignment_loss_and_grad(a, b, LossKind.NEG_COSINE)
+        for t in range(2):
+            loss_t, grad_t = alignment_loss_and_grad(a[t], b[t], LossKind.NEG_COSINE)
+            assert loss[t] == loss_t
+            assert grad[t].tobytes() == grad_t.tobytes()
 
 
 class TestLayerwiseReport:

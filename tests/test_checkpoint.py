@@ -106,5 +106,5 @@ def test_preserves_order_and_shapes(tmp_path):
     path = tmp_path / "ordered.msrg"
     save_paramset(ps, path)
     loaded = load_paramset(path)
-    assert loaded.names() == ("block2.weight", "block1.weight", "head.0.bias")
+    assert tuple(loaded) == ("block2.weight", "block1.weight", "head.0.bias")
     assert loaded["block2.weight"].shape == (3, 4)

@@ -2,6 +2,7 @@
 
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,6 +14,7 @@ from merge_surgeon.evaluation import collect_heads, evaluate
 from merge_surgeon.merging import ties_merge
 from merge_surgeon.network import ModelSpec
 from merge_surgeon.surgery import ALL_LAYERS, init_stack
+from merge_surgeon.tensors import ParamSet
 
 TINY_CFG = """\
 seed = 7
@@ -110,6 +112,32 @@ class TestErrors:
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [
             "Error: task 1 is missing adapters for (1, 2, 3)"
+        ]
+
+    def test_malformed_stack_entry_is_one_line_error(self, runner, pipeline_run, tmp_path):
+        config, run_dir = pipeline_run
+        bad = tmp_path / "bad.msrg"
+        save_paramset(ParamSet([("surgery.x.1.down", np.zeros((4, 8)))]), bad)
+        result = invoke(
+            runner, ["eval", "--config", str(config), "--run-dir", str(run_dir), "--surgery", str(bad)]
+        )
+        assert result.exit_code != 0
+        assert result.output.strip().splitlines() == [
+            "Error: unexpected stack entry 'surgery.x.1.down' "
+            "(expected surgery.<task>.<layer>.down|up)"
+        ]
+
+    def test_stack_with_an_extra_task_is_rejected(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        stack_file = run_dir / "checkpoints" / "surgery.msrg"
+        three_tasks = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 3, ALL_LAYERS, rank=4, seed=0)
+        save_paramset(three_tasks.to_paramset(), stack_file)
+        result = invoke(runner, ["report", "--config", str(config), "--run-dir", str(run_dir)])
+        assert result.exit_code != 0
+        assert result.output.strip().splitlines() == [
+            "Error: stack holds tasks [2] outside the run's 2 tasks"
         ]
 
     def test_negative_seed_is_one_line_error(self, runner, tmp_path):

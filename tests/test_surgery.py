@@ -9,7 +9,6 @@ from merge_surgeon.network import (
     ModelSpec,
     NetworkError,
     forward_layers,
-    forward_with_trace,
     init_backbone,
     random_batches,
     to_float64,
@@ -101,7 +100,7 @@ class TestCorrectedForward:
         spec, merged, _ = tiny_models()
         stack = SurgeryStack(mode=ALL_LAYERS, psi=LossKind.L1, adapters={})
         x = np.random.default_rng(3).standard_normal((4, 7))
-        plain = forward_with_trace(merged, spec, x)
+        plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
         for a, b in zip(plain, corrected):
             assert a.tobytes() == b.tobytes()
@@ -110,7 +109,7 @@ class TestCorrectedForward:
         spec, merged, _ = tiny_models()
         stack = init_stack(spec, num_tasks=1, mode=ALL_LAYERS, rank=3, seed=5)
         x = np.random.default_rng(4).standard_normal((4, 7))
-        plain = forward_with_trace(merged, spec, x)
+        plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
         for a, b in zip(plain, corrected):
             np.testing.assert_array_equal(a, b)
@@ -126,7 +125,7 @@ class TestCorrectedForward:
         }
         stack = SurgeryStack(mode=LAST_LAYER, psi=LossKind.L1, adapters=adapters)
         x = rng.standard_normal((4, 6))
-        plain = forward_with_trace(merged, spec, x)
+        plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
         for layer in range(spec.num_layers - 1):
             assert plain[layer].tobytes() == corrected[layer].tobytes()
@@ -170,7 +169,7 @@ class TestCorrectedForward:
         stack = init_stack(spec, num_tasks=1, mode=LAST_LAYER, rank=2, seed=1)
         x = np.random.default_rng(7).standard_normal((4, 3))
         trace = corrected_forward(merged, spec, stack, x, task=5)
-        plain = forward_with_trace(merged, spec, x)
+        plain = corrected_forward(merged, spec, None, x, task=0)
         assert trace[-1].tobytes() == plain[-1].tobytes()
 
 
@@ -219,6 +218,13 @@ class TestStackPersistence:
             SurgeryStack.from_paramset(
                 ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]), ALL_LAYERS, 2
             )
+
+    def test_validate_rejects_extra_tasks(self):
+        spec = tiny_spec()
+        stack = init_stack(spec, num_tasks=3, mode=ALL_LAYERS, rank=2, seed=9)
+        stack.validate(spec, num_tasks=3)
+        with pytest.raises(SurgeryError, match=r"stack holds tasks \[2\] outside the run's 2"):
+            stack.validate(spec, num_tasks=2)
 
 
 def _layer_losses_f64(merged64, spec, task_adapters, x, targets, psi):
@@ -366,6 +372,18 @@ class TestTrainSurgery:
                 == epoch.stack.adapters[key].up.tobytes()
             )
 
+    def test_cosine_survives_dead_samples(self):
+        # Zero biases send an all-zero input to all-zero columns in every
+        # layer of both models; cos surgery trains through them.
+        spec, merged, expert = tiny_models(seed=46)
+        pool = np.random.default_rng(47).standard_normal((12, 4))
+        pool[0] = 0.0
+        cfg = ms.TrainConfig(batch_size=4, seed=46)
+        result = stream_train_surgery(
+            merged, [expert], spec, [pool], 1.0, ALL_LAYERS, LossKind.NEG_COSINE, cfg, rank=2
+        )
+        assert len(result.losses) == 3 and np.isfinite(result.losses).all()
+
     def test_stream_fraction_validation(self):
         spec, merged, expert = tiny_models(seed=42)
         cfg = ms.TrainConfig(iterations=5, seed=42)
@@ -390,7 +408,7 @@ class TestTrainSurgery:
         for psi in (LossKind.L1, LossKind.MSE):
             stack = SurgeryStack(mode=ALL_LAYERS, psi=psi, adapters=adapters)
             corrected = corrected_forward(merged, spec, stack, x, 0)
-            targets = forward_with_trace(expert, spec, x)
+            targets = corrected_forward(expert, spec, None, x, 0)
             from merge_surgeon.bias import alignment_loss_and_grad
 
             for layer in range(spec.num_layers):

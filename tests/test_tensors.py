@@ -9,8 +9,6 @@ from merge_surgeon.tensors import (
     TensorError,
     as_tensor,
     bitwise_equal,
-    block_index,
-    head_task,
     is_backbone_name,
     shape_compatible,
 )
@@ -73,7 +71,7 @@ class TestAsTensor:
 class TestParamSet:
     def test_insertion_order_preserved(self):
         ps = ParamSet([("b", [1.0]), ("a", [2.0]), ("c", [3.0])])
-        assert ps.names() == ("b", "a", "c")
+        assert tuple(ps) == ("b", "a", "c")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(TensorError):
@@ -88,18 +86,12 @@ class TestParamSet:
                 ("head.0.bias", np.ones(3)),
             ]
         )
-        assert ps.backbone().names() == ("block1.weight", "block1.bias")
-        assert ps.heads().names() == ("head.0.weight", "head.0.bias")
-        assert ps.head(0).names() == ("head.0.weight", "head.0.bias")
-        assert ps.num_blocks() == 1
-        with pytest.raises(KeyError):
-            ps.head(3)
+        assert tuple(ps.backbone()) == ("block1.weight", "block1.bias")
 
     def test_name_pattern_helpers(self):
-        assert block_index("block12.weight") == 12
-        assert block_index("head.0.weight") is None
-        assert head_task("head.3.bias") == "3"
         assert is_backbone_name("block2.bias")
+        assert is_backbone_name("block12.weight")
+        assert not is_backbone_name("head.0.weight")
         assert not is_backbone_name("block2.scale")
 
     def test_shape_compatible(self):
