@@ -44,6 +44,7 @@ from .network import (
     head_logits,
     pretrain,
     train_expert,
+    train_experts,
 )
 from .surgery import (
     ALL_LAYERS,

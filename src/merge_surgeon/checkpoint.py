@@ -14,6 +14,7 @@ contiguous; a round-trip through save/load is bitwise stable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -101,7 +102,7 @@ def load_paramset(path) -> ParamSet:
                 f"{path}: non-contiguous payload (tensor {name!r} at {offset}, "
                 f"expected {expected_offset})"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap
         nbytes = count * 4
         if offset + nbytes > len(payload):
             raise TruncatedError(f"{path}: payload truncated at tensor {name!r}")

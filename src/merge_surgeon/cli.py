@@ -47,7 +47,7 @@ from .network import (
     TrainConfig,
     TrainResult,
     pretrain as run_pretrain,
-    train_expert,
+    train_experts,
 )
 from .surgery import (
     SurgeryError,
@@ -167,12 +167,16 @@ def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
     return result
 
 
-def _finetune_step(cfg, run_dir, suite, spec, pretrained, task: int) -> TrainResult:
-    result = train_expert(
-        pretrained, suite.tasks[task].train, task, spec, _train_config(cfg, cfg.finetune_iters)
+def _finetune_step(cfg, run_dir, suite, spec, pretrained, tasks) -> list[TrainResult]:
+    """Fine-tune the experts of ``tasks`` jointly, then save them in task
+    order; a run that fails saves none."""
+    results = train_experts(
+        pretrained, [suite.tasks[t].train for t in tasks], tasks, spec,
+        _train_config(cfg, cfg.finetune_iters),
     )
-    _save(result.params, run_dir, f"expert_{task}")
-    return result
+    for task, result in zip(tasks, results):
+        _save(result.params, run_dir, f"expert_{task}")
+    return results
 
 
 def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSet, MergeRecipe]:
@@ -366,7 +370,7 @@ def finetune(config, run_dir, task):
     if not 0 <= task < cfg.tasks:
         raise ConfigError(f"--task {task} is out of range for {cfg.tasks} tasks")
     pretrained = load_paramset(_checkpoint(run_dir, "pretrained"))
-    result = _finetune_step(cfg, run_dir, suite, spec, pretrained, task)
+    (result,) = _finetune_step(cfg, run_dir, suite, spec, pretrained, [task])
     click.echo(
         f"expert {task} saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
@@ -473,8 +477,8 @@ def pipeline_cmd(config, run_dir):
     pretrained = _pretrain_step(cfg, run_dir, suite, spec).params
     click.echo("backbone pretrained")
     experts = [
-        _finetune_step(cfg, run_dir, suite, spec, pretrained, task).params
-        for task in range(cfg.tasks)
+        result.params
+        for result in _finetune_step(cfg, run_dir, suite, spec, pretrained, range(cfg.tasks))
     ]
     click.echo(f"{cfg.tasks} experts fine-tuned")
 

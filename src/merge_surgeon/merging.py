@@ -22,10 +22,10 @@ from .network import (
     backbone_adjoint_grads,
     entropy_loss_and_adjoint,
     forward_layers,
-    head_name,
     random_batches,
+    stack_batches,
 )
-from .tensors import ParamSet, is_backbone_name, shape_compatible
+from .tensors import ParamSet, head_name, is_backbone_name, shape_compatible
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 
@@ -217,26 +217,45 @@ class AdaMergeResult:
 
 def task_vectors(
     pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
-) -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]]]:
-    """The pretrained backbone and each expert's task vector (expert minus
-    pretrained, per backbone entry), in float64: the fixed inputs of
-    :func:`ada_loss_and_gradient`."""
-    names = _backbone_names(pretrained)
-    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
-    taus = [{n: np.asarray(e[n], dtype=np.float64) - pre64[n] for n in names} for e in experts]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pretrained backbone as one flat float64 (P,) vector and the
+    experts' task vectors (expert minus pretrained) as the rows of a
+    (T, P) matrix, both laid out block by block, weight before bias: the
+    fixed inputs of :func:`ada_loss_and_gradient`."""
+    names = sorted(  # block1.weight, block1.bias, block2.weight, ...
+        _backbone_names(pretrained), key=lambda n: (int(n[5 : n.index(".")]), n.endswith("bias"))
+    )
+    pre64 = _flatten_backbone(pretrained, names)
+    taus = np.stack([_flatten_backbone(e, names) - pre64 for e in experts])
     return pre64, taus
 
 
-def _merge_from_taus(pretrained64, taus, coefficients, spec: ModelSpec):
-    merged = {}
-    for layer in range(1, spec.num_layers + 1):
-        for kind in ("weight", "bias"):
-            name = f"block{layer}.{kind}"
-            value = pretrained64[name].copy()
-            for task, tau in enumerate(taus):
-                value += coefficients[layer - 1, task] * tau[name]
-            merged[name] = value
-    return merged
+def _flat_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """``(name, shape, start, stop)`` of each backbone entry of ``spec`` in
+    the flat layout of :func:`task_vectors`."""
+    layout = []
+    offset = 0
+    for name, shape in spec.backbone_shapes().items():
+        layout.append((name, shape, offset, offset + math.prod(shape)))
+        offset += math.prod(shape)
+    return layout
+
+
+def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> dict:
+    """The backbone ``pre64 + sum_t coefficients[l-1, t] * taus[t]`` on each
+    layer l's entries, accumulated in task order, as views by name."""
+    if layout[-1][3] != pre64.shape[-1]:
+        raise MergeError(f"flat backbone has {pre64.shape[-1]} entries, spec needs {layout[-1][3]}")
+    # Row l of coefficients, repeated over each entry of layer l (weight, bias).
+    per_entry = np.repeat(
+        np.repeat(np.asarray(coefficients, dtype=np.float64), 2, axis=0),
+        [stop - start for _, _, start, stop in layout],
+        axis=0,
+    )
+    merged = pre64.copy()
+    for task, tau in enumerate(taus):
+        merged += per_entry[:, task] * tau
+    return {name: merged[start:stop].reshape(shape) for name, shape, start, stop in layout}
 
 
 def ada_loss_and_gradient(pre64, taus, experts, spec: ModelSpec, coefficients, batches):
@@ -246,39 +265,58 @@ def ada_loss_and_gradient(pre64, taus, experts, spec: ModelSpec, coefficients, b
     ``pre64 + sum_t coefficients[l-1, t] * taus[t]`` per layer l.  The
     loss is the mean over tasks of the softmax entropy of that model's
     predictions, each task scored through its own expert head on its own
-    (input_dim, batch) matrix ``batches[t]``.  Returns the loss and its
-    (layers, tasks) gradient with respect to ``coefficients``.
+    (input_dim, batch) matrix ``batches[t]``.  ``batches`` is a list of
+    such matrices or one stacked (T, input_dim, batch) array; the T tasks
+    run as one stacked pass through the shared merged blocks (one pass per
+    batch and head shape), and each task's share is bitwise that of its
+    own 2-D pass.  Returns the loss and its (layers, tasks) gradient with
+    respect to ``coefficients``.
     """
-    merged64 = _merge_from_taus(pre64, taus, coefficients, spec)
     num_tasks = len(experts)
-    loss = 0.0
-    grads: dict[str, np.ndarray] = {}
+    if len(batches) != num_tasks:
+        raise MergeError(f"need one batch per expert, got {len(batches)} for {num_tasks}")
+    layout = _flat_layout(spec)
+    merged64 = _merge_flat(pre64, taus, coefficients, layout)
+    heads = [
+        [np.asarray(expert[head_name(task, kind)], dtype=np.float64) for kind in ("weight", "bias")]
+        for task, expert in enumerate(experts)
+    ]
+    groups: dict[tuple, list[int]] = {}
     for task, x in enumerate(batches):
-        x64 = np.asarray(x, dtype=np.float64)
-        layers = forward_layers(merged64, spec, x64)
-        head_w = np.asarray(experts[task][head_name(task, "weight")], dtype=np.float64)
-        head_b = np.asarray(experts[task][head_name(task, "bias")], dtype=np.float64)
-        entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[:, None])
+        groups.setdefault((np.shape(x), heads[task][0].shape), []).append(task)
+    entropies = np.empty(num_tasks)
+    task_grads = np.empty_like(taus)
+    for group in groups.values():
+        x = stack_batches([batches[t] for t in group])
+        layers = forward_layers(merged64, spec, x)
+        head_w = np.stack([heads[t][0] for t in group])
+        head_b = np.stack([heads[t][1] for t in group])
+        entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[..., None])
+        adjoint = head_w.swapaxes(-1, -2) @ dlogits
+        grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
+        entropies[group] = entropy
+        task_grads[group] = np.concatenate(
+            [grads[name].reshape(len(group), -1) for name, *_ in layout], axis=1
+        )
+    loss = 0.0
+    for entropy in entropies.tolist():  # plain float additions in task order
         loss += entropy
-        adjoint = head_w.T @ dlogits
-        for name, grad in backbone_adjoint_grads(merged64, spec, x64, layers, adjoint).items():
-            if name in grads:
-                grads[name] += grad / num_tasks
-            else:
-                grads[name] = grad / num_tasks
+    # dLoss/dTheta, accumulated in task order.
+    theta_grad = task_grads[0] / num_tasks
+    for grad in task_grads[1:]:
+        theta_grad += grad / num_tasks
+    # Merged weights are linear in the coefficients, so the coefficient
+    # gradient is <dLoss/dTheta_l, tau_l>: one sum per entry and task.
+    products = theta_grad * taus
     coeff_grad = np.zeros_like(coefficients)
-    for layer in range(1, spec.num_layers + 1):
-        for kind in ("weight", "bias"):
-            name = f"block{layer}.{kind}"
-            for task, tau in enumerate(taus):
-                # Merged weights are linear in the coefficients, so the
-                # coefficient gradient is <dLoss/dTheta_l, tau_l>.
-                coeff_grad[layer - 1, task] += float(
-                    (grads[name] * tau[name]).sum()
-                )
+    for entry, (_, _, start, stop) in enumerate(layout):
+        coeff_grad[entry // 2] += products[:, start:stop].sum(axis=1)
     return loss / num_tasks, coeff_grad
 
 
+# A diverging run ends in the MergeError of the entropy check; numpy's
+# overflow warnings on the way would only add lines before it.
+@np.errstate(over="ignore", invalid="ignore")
 def ada_merge(
     pretrained: Mapping[str, np.ndarray],
     experts: Sequence[ParamSet],
@@ -293,8 +331,9 @@ def ada_merge(
     inputs for task t.  Coefficients start at ``init_coefficient`` and are
     updated by Adam on the mean softmax entropy of the merged model's
     predictions through each task's head.  Batch draws are seeded per
-    task position, so results are reproducible for a fixed expert order;
-    the closed-form merges are additionally invariant to that order.
+    task position, so results are reproducible for a fixed expert order
+    but change when the experts are permuted; the closed-form merges are
+    invariant to that order.
     """
     _check_experts(pretrained, experts)
     if len(inputs_per_task) != len(experts):
@@ -317,7 +356,7 @@ def ada_merge(
         entropies.append(loss)
         adam.step(state, {"coefficients": grad})
 
-    merged = ParamSet(_merge_from_taus(pre64, taus, coefficients, spec))
+    merged = ParamSet(_merge_flat(pre64, taus, coefficients, _flat_layout(spec)))
     return AdaMergeResult(
         params=merged, coefficients=coefficients.copy(), entropies=tuple(entropies)
     )

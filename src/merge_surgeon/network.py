@@ -10,6 +10,7 @@ are clean) while parameter sets and traces are stored as float32.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -201,34 +202,48 @@ def head_logits(weight: np.ndarray, bias: np.ndarray, z_final: np.ndarray) -> np
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Column softmax of ([T,] classes, batch) logits."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=0, keepdims=True)
+    shifted = z - z.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
-def entropy_loss_and_adjoint(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax entropy and its gradient with respect to the logits."""
+def _batch_mean(values: np.ndarray):
+    """Mean over the batch axis: a float for one model, (T,) for a stack."""
+    mean = values.mean(axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
+
+
+def entropy_loss_and_adjoint(logits: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean softmax entropy and its gradient with respect to the logits.
+
+    Stacked (T, classes, batch) logits give one entropy per slice."""
     p = softmax(logits)
-    logp = np.log(np.where(p > 0, p, 1.0))
-    col_entropy = -(np.where(p > 0, p * logp, 0.0)).sum(axis=0)
-    batch = p.shape[1]
-    adjoint = -p * (logp + col_entropy[None, :]) / batch
-    return float(col_entropy.mean()), adjoint
+    # 0 log 0 = 0; a NaN from overflowing logits stays NaN.
+    logp = np.log(np.where(p == 0, 1.0, p))
+    col_entropy = -(np.where(p == 0, 0.0, p * logp)).sum(axis=-2)
+    batch = p.shape[-1]
+    adjoint = -p * (logp + col_entropy[..., None, :]) / batch
+    return _batch_mean(col_entropy), adjoint
 
 
 def _cross_entropy_and_adjoint(
     logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.int64)
-    batch = logits.shape[1]
-    if labels.shape != (batch,):
+    batch = logits.shape[-1]
+    if labels.shape != logits.shape[:-2] + (batch,):
         raise NetworkError("labels must be one integer per batch column")
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=0))
-    loss = float((logsumexp - shifted[labels, np.arange(batch)]).mean())
+    columns = np.arange(batch)
+    picks = (labels, columns) if labels.ndim == 1 else (
+        np.arange(labels.shape[0])[:, None], labels, columns
+    )
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=-2))
+    loss = _batch_mean(logsumexp - shifted[picks])
     adjoint = softmax(logits)
-    adjoint[labels, np.arange(batch)] -= 1.0
+    adjoint[picks] -= 1.0
     return loss, adjoint / batch
 
 
@@ -241,18 +256,20 @@ def backbone_adjoint_grads(
 ) -> dict[str, np.ndarray]:
     """Reverse pass from dLoss/dZ_L to gradients of every block parameter.
 
-    ReLU subgradient at exactly zero is taken as zero.
+    ReLU subgradient at exactly zero is taken as zero.  For a stacked
+    (T, input_dim, batch) ``x`` every gradient gains the leading T axis,
+    whether the blocks are stacked or shared, as in :func:`forward_layers`.
     """
     x = np.asarray(x, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
     g = np.asarray(adjoint, dtype=np.float64)
     for layer in range(spec.num_layers, 0, -1):
         z_prev = layers[layer - 2] if layer >= 2 else x
-        grads[block_name(layer, "weight")] = g @ z_prev.T
-        grads[block_name(layer, "bias")] = g.sum(axis=1)
+        grads[block_name(layer, "weight")] = g @ z_prev.swapaxes(-1, -2)
+        grads[block_name(layer, "bias")] = g.sum(axis=-1)
         if layer > 1:
             w = backbone[block_name(layer, "weight")]
-            g = (w.T @ g) * (z_prev > 0)
+            g = (w.swapaxes(-1, -2) @ g) * (z_prev > 0)
     return grads
 
 
@@ -262,24 +279,41 @@ def classifier_loss_and_grads(
     head_tag,
     x: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
     """Cross-entropy loss through one head plus float64 gradients for the
-    backbone and that head."""
+    backbone and that head.
+
+    With a stacked (T, input_dim, batch) ``x``, (T, batch) ``labels`` and
+    every parameter carrying a leading T axis, slice t is model t: the
+    loss is a (T,) array and each slice's loss and gradients are bitwise
+    those of its own 2-D call.
+    """
     layers = forward_layers(params, spec, x)
     z_final = layers[-1]
     w_key = head_name(head_tag, "weight")
     b_key = head_name(head_tag, "bias")
     if w_key not in params or b_key not in params:
         raise NetworkError(f"missing head parameters for task {head_tag!r}")
-    logits = params[w_key] @ z_final + params[b_key][:, None]
+    logits = params[w_key] @ z_final + params[b_key][..., None]
     loss, dlogits = _cross_entropy_and_adjoint(logits, labels)
     grads = {
-        w_key: dlogits @ z_final.T,
-        b_key: dlogits.sum(axis=1),
+        w_key: dlogits @ z_final.swapaxes(-1, -2),
+        b_key: dlogits.sum(axis=-1),
     }
-    adjoint = params[w_key].T @ dlogits
+    adjoint = params[w_key].swapaxes(-1, -2) @ dlogits
     grads.update(backbone_adjoint_grads(params, spec, x, layers, adjoint))
     return loss, grads
+
+
+def stack_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack (input_dim, batch) matrices to one float64 (T, input_dim, batch)
+    input.  Transposed (column-major) batches, as :func:`random_batches`
+    draws them, stay column-major in their slices, so every BLAS call on a
+    slice sees the operands that the batch's own 2-D call would."""
+    arrays = [np.asarray(b, dtype=np.float64) for b in batches]
+    if all(a.ndim == 2 and a.flags.f_contiguous for a in arrays):
+        return np.stack([a.T for a in arrays]).swapaxes(1, 2)
+    return np.stack(arrays)
 
 
 def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int, seed):
@@ -312,28 +346,86 @@ def init_head(
     return rng.uniform(-bound, bound, size=(classes, feature_dim)), np.zeros(classes)
 
 
-def _run_classifier_training(
-    params64: dict[str, np.ndarray],
+def flat_rows(shapes: Sequence[tuple[int, ...]], rows: int) -> tuple[np.ndarray, list]:
+    """A float64 (rows, P) buffer and, per shape, a (rows, *shape) view of
+    its next columns.  Row t holds all parameters of model t, so one Adam
+    step on the row updates every view's slice t."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.empty((rows, sum(sizes)))
+    columns = np.split(buffer, np.cumsum(sizes)[:-1], axis=1)
+    return buffer, [c.reshape(rows, *shape) for c, shape in zip(columns, shapes)]
+
+
+# The key under which a training group's heads sit, stacked on the task axis.
+_STACKED_HEAD = "stacked"
+
+
+# A diverging run ends in the NetworkError of the loss check; numpy's
+# overflow warnings on the way would only add lines before it.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_classifiers(
+    models: Sequence[dict[str, np.ndarray]],
+    head_tags: Sequence,
     spec: ModelSpec,
-    head_tag,
-    data: Dataset,
+    datasets: Sequence[Dataset],
     cfg: TrainConfig,
-    batch_rng: np.random.Generator,
-) -> list[float]:
-    adam = cfg.make_adam()
-    features = data.features.astype(np.float64)
-    labels = data.labels
-    losses = []
-    for _ in range(cfg.iterations):
-        idx = batch_rng.integers(0, len(data), size=cfg.batch_size)
-        loss, grads = classifier_loss_and_grads(
-            params64, spec, head_tag, features[idx].T, labels[idx]
-        )
-        if not np.isfinite(loss):
-            raise NetworkError(f"non-finite training loss at iteration {len(losses) + 1}")
-        losses.append(loss)
-        adam.step(params64, grads)
-    return losses
+    batch_rngs: Sequence[np.random.Generator],
+) -> tuple[list[dict[str, np.ndarray]], list[list[float]]]:
+    """Train each float64 ``models[t]`` (backbone plus head ``head_tags[t]``)
+    on ``datasets[t]`` with batches drawn from ``batch_rngs[t]``.
+
+    The models are independent, so every iteration runs those whose heads
+    have the same width as one stacked (T, input_dim, batch) pass, and
+    each model takes one Adam step on its row of a :func:`flat_rows`
+    buffer.  Every model ends bitwise where training it alone would leave
+    it.  Returns the trained parameters, under each model's own names,
+    and the loss curves.
+    """
+    features = [data.features.astype(np.float64) for data in datasets]
+    groups: dict[int, list[int]] = {}
+    for t, tag in enumerate(head_tags):
+        groups.setdefault(models[t][head_name(tag, "weight")].shape[0], []).append(t)
+    stacks, rows, trained = [], {}, {}
+    for classes, group in groups.items():
+        shapes = {
+            **spec.backbone_shapes(),
+            head_name(_STACKED_HEAD, "weight"): (classes, spec.feature_dim),
+            head_name(_STACKED_HEAD, "bias"): (classes,),
+        }
+        buffer, views = flat_rows(list(shapes.values()), len(group))
+        for i, t in enumerate(group):
+            head = (head_name(head_tags[t], "weight"), head_name(head_tags[t], "bias"))
+            names = [*spec.backbone_shapes(), *head]
+            for name, view in zip(names, views):
+                view[i] = models[t][name]
+            trained[t] = {name: view[i] for name, view in zip(names, views)}
+            rows[t] = {"params": buffer[i]}
+        stacks.append((group, dict(zip(shapes, views))))
+    optimizers = [cfg.make_adam() for _ in models]
+
+    losses: list[list[float]] = [[] for _ in models]
+    for iteration in range(1, cfg.iterations + 1):
+        step_losses: dict[int, float] = {}
+        step_grads: dict[int, np.ndarray] = {}
+        for group, params in stacks:
+            picks = [
+                batch_rngs[t].integers(0, len(datasets[t]), size=cfg.batch_size) for t in group
+            ]
+            x = stack_batches([features[t][idx].T for t, idx in zip(group, picks)])
+            labels = np.stack([datasets[t].labels[idx] for t, idx in zip(group, picks)])
+            group_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
+            flat = np.concatenate([grads[name].reshape(len(group), -1) for name in params], axis=1)
+            for i, (t, loss) in enumerate(zip(group, group_losses.tolist())):
+                step_losses[t] = loss
+                step_grads[t] = flat[i]
+        for t in range(len(models)):
+            if not math.isfinite(step_losses[t]):
+                what = "pretraining" if head_tags[t] == "pretrain" else f"task {head_tags[t]}"
+                raise NetworkError(f"non-finite training loss at iteration {iteration} ({what})")
+            losses[t].append(step_losses[t])
+        for t, grad in step_grads.items():
+            optimizers[t].step(rows[t], {"params": grad})
+    return [trained[t] for t in range(len(models))], losses
 
 
 def pretrain(spec: ModelSpec, mixture: Dataset, cfg: TrainConfig) -> TrainResult:
@@ -349,15 +441,52 @@ def pretrain(spec: ModelSpec, mixture: Dataset, cfg: TrainConfig) -> TrainResult
     head_w, head_b = init_head(mixture.num_classes, spec.feature_dim, init_rng)
     params64[head_name("pretrain", "weight")] = head_w
     params64[head_name("pretrain", "bias")] = head_b
-    losses = _run_classifier_training(
-        params64, spec, "pretrain", mixture, cfg, np.random.default_rng([cfg.seed, 1])
+    (trained,), (losses,) = _train_classifiers(
+        [params64], ["pretrain"], spec, [mixture], cfg, [np.random.default_rng([cfg.seed, 1])]
     )
-    backbone = {
-        name: value
-        for name, value in params64.items()
-        if name in spec.backbone_shapes()
-    }
+    backbone = {name: trained[name] for name in spec.backbone_shapes()}
     return TrainResult(ParamSet(backbone), tuple(losses))
+
+
+def train_experts(
+    pretrained: Mapping[str, np.ndarray],
+    train_sets: Sequence[Dataset],
+    tasks: Sequence[int],
+    spec: ModelSpec,
+    cfg: TrainConfig,
+) -> list[TrainResult]:
+    """Fine-tune the pretrained backbone plus a fresh head on each task,
+    jointly: ``train_sets[i]`` is the training data of task ``tasks[i]``.
+
+    Expert ``tasks[i]`` carries the fine-tuned backbone and that task's
+    head (``head.{task}.*``) and is bitwise the expert that
+    :func:`train_expert` trains alone.
+    """
+    spec.validate_backbone(pretrained)
+    tasks = [int(task) for task in tasks]
+    if not tasks or len(train_sets) != len(tasks) or len(set(tasks)) != len(tasks):
+        raise NetworkError("need one training set per task, and each task once")
+    for task, data in zip(tasks, train_sets):
+        if not 0 <= task < spec.num_tasks:
+            raise NetworkError(f"task index {task} out of range")
+        if data.num_classes != spec.head_dims[task] or data.dim != spec.input_dim:
+            raise NetworkError(
+                f"task {task} data has {data.num_classes} classes of dimension {data.dim}, "
+                f"spec expects {spec.head_dims[task]} of dimension {spec.input_dim}"
+            )
+    backbone = spec.backbone_shapes()
+    models = []
+    for task in tasks:
+        params64 = {name: np.array(pretrained[name], dtype=np.float64) for name in backbone}
+        head_w, head_b = init_head(
+            spec.head_dims[task], spec.feature_dim, np.random.default_rng([cfg.seed, 2, task])
+        )
+        params64[head_name(task, "weight")] = head_w
+        params64[head_name(task, "bias")] = head_b
+        models.append(params64)
+    batch_rngs = [np.random.default_rng([cfg.seed, 3, task]) for task in tasks]
+    trained, losses = _train_classifiers(models, tasks, spec, train_sets, cfg, batch_rngs)
+    return [TrainResult(ParamSet(params), tuple(curve)) for params, curve in zip(trained, losses)]
 
 
 def train_expert(
@@ -372,20 +501,4 @@ def train_expert(
     The returned parameters carry the fine-tuned backbone and that task's
     head (``head.{task}.*``).
     """
-    spec.validate_backbone(pretrained)
-    if not 0 <= task < spec.num_tasks:
-        raise NetworkError(f"task index {task} out of range")
-    if train_data.num_classes != spec.head_dims[task]:
-        raise NetworkError(
-            f"task {task} data has {train_data.num_classes} classes, "
-            f"spec expects {spec.head_dims[task]}"
-        )
-    params64 = {name: np.array(pretrained[name], dtype=np.float64) for name in spec.backbone_shapes()}
-    head_rng = np.random.default_rng([cfg.seed, 2, task])
-    head_w, head_b = init_head(spec.head_dims[task], spec.feature_dim, head_rng)
-    params64[head_name(task, "weight")] = head_w
-    params64[head_name(task, "bias")] = head_b
-    losses = _run_classifier_training(
-        params64, spec, task, train_data, cfg, np.random.default_rng([cfg.seed, 3, task])
-    )
-    return TrainResult(ParamSet(params64), tuple(losses))
+    return train_experts(pretrained, [train_data], [task], spec, cfg)[0]

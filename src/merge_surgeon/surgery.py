@@ -19,7 +19,8 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, TrainConfig, block_name, forward_layers, random_batches, to_float64
+    ModelSpec, TrainConfig, block_name, flat_rows, forward_layers, random_batches,
+    stack_batches, to_float64,
 )
 from .tensors import ParamSet
 
@@ -406,17 +407,15 @@ def train_surgery(
     stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
     # Row t holds every adapter of task t; the per-layer (T, ...) matrices
     # are views into it, so one Adam step on the row updates the task.
-    params = np.empty((num_tasks, sum(2 * rank * spec.out_dim(l) for l in layers)))
-    adapters: dict[int, dict[str, np.ndarray]] = {}
-    offset = 0
+    shapes = {}
     for layer in layers:
-        width = spec.out_dim(layer)
-        adapters[layer] = {}
-        for half, shape in (("down", (rank, width)), ("up", (width, rank))):
-            view = params[:, offset : offset + rank * width].reshape(num_tasks, *shape)
-            view[...] = [getattr(stack0.adapters[(t, layer)], half) for t in range(num_tasks)]
-            adapters[layer][half] = view
-            offset += rank * width
+        shapes[layer, "down"] = (rank, spec.out_dim(layer))
+        shapes[layer, "up"] = (spec.out_dim(layer), rank)
+    params, views = flat_rows(list(shapes.values()), num_tasks)
+    adapters: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
+    for (layer, half), view in zip(shapes, views):
+        view[...] = [getattr(stack0.adapters[(t, layer)], half) for t in range(num_tasks)]
+        adapters[layer][half] = view
     rows = [{"adapters": row} for row in params]
     optimizers = [cfg.make_adam() for _ in range(num_tasks)]
 
@@ -440,9 +439,7 @@ def train_surgery(
                 group_adapters = {
                     l: {h: m[group] for h, m in pair.items()} for l, pair in adapters.items()
                 }
-            # (T, input_dim, batch) whose slices keep the batches' transposed layout.
-            x = np.stack([np.asarray(batches[t], dtype=np.float64).T for t in group])
-            x = x.swapaxes(1, 2)
+            x = stack_batches([batches[t] for t in group])
             targets = forward_layers(group_experts, spec, x)
             layer_losses, grads = surgery_gradients(
                 merged64, spec, group_adapters, x, targets, psi, full_backprop

@@ -43,10 +43,10 @@ def ref_pretrained(ref_suite, ref_spec):
 @pytest.fixture(scope="session")
 def ref_experts(ref_suite, ref_spec, ref_pretrained):
     cfg = ms.TrainConfig(iterations=FINETUNE_ITERS, seed=SEED)
-    return [
-        ms.train_expert(ref_pretrained.params, ref_suite.tasks[t].train, t, ref_spec, cfg).params
-        for t in range(TASKS)
-    ]
+    results = ms.train_experts(
+        ref_pretrained.params, [task.train for task in ref_suite.tasks], range(TASKS), ref_spec, cfg
+    )
+    return [result.params for result in results]
 
 
 @pytest.fixture(scope="session")

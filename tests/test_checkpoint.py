@@ -1,5 +1,6 @@
 """Binary checkpoint format: round trips and corruption handling."""
 
+import json
 import struct
 
 import numpy as np
@@ -108,3 +109,15 @@ def test_preserves_order_and_shapes(tmp_path):
     loaded = load_paramset(path)
     assert tuple(loaded) == ("block2.weight", "block1.weight", "head.0.bias")
     assert loaded["block2.weight"].shape == (3, 4)
+
+
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4, 3], [2**70]])
+def test_huge_shape_is_truncation_not_overflow(tmp_path, shape):
+    # Counted in int64, 2**32 * 2**32 wrapped to 0 and 2**62 * 4 * 3 to 8,
+    # and 2**70 did not fit at all; the load must still end in a
+    # CheckpointError, not numpy's reshape or conversion error.
+    header = json.dumps({"tensors": [{"name": "x", "shape": shape, "offset": 0}]}).encode()
+    path = tmp_path / "huge.msrg"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\0" * 32)
+    with pytest.raises(TruncatedError):
+        load_paramset(path)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,48 @@ class TestErrors:
         assert result.output.strip().splitlines() == [
             "Error: stack holds tasks [2] outside the run's 2 tasks"
         ]
+
+    def test_diverging_joint_fine_tune_saves_no_expert(self, runner, tmp_path):
+        # One pretraining step at learning rate 1e35 leaves weights near
+        # 1e35, which overflow the experts' first forward through twelve
+        # blocks; the pretraining loss itself, at the initial weights, is
+        # finite.
+        config = tmp_path / "diverge.cfg"
+        config.write_text(
+            TINY_CFG.replace("hidden_dims = 8,8,6", "hidden_dims = " + ",".join(["8"] * 12))
+            .replace("pretrain_iters = 60", "pretrain_iters = 1")
+            + "train_lr = 1e35\n"
+        )
+        run_dir = tmp_path / "run"
+        with warnings.catch_warnings():  # no numpy overflow warning either
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["pipeline", "--config", str(config), "--run-dir", str(run_dir)]
+            )
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+        assert errors == ["Error: non-finite training loss at iteration 1 (task 0)"]
+        assert "Traceback" not in result.output
+        assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["pretrained.msrg"]
+
+    def test_diverging_ada_merge_is_one_line_error(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        merged = (run_dir / "checkpoints" / "merged.msrg").read_bytes()
+        diverging = tmp_path / "diverge.cfg"
+        diverging.write_text(TINY_CFG + "train_lr = 1e200\n")
+        with warnings.catch_warnings():  # no numpy overflow warning either
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["merge", "--config", str(diverging), "--run-dir", str(run_dir),
+                       "--algo", "ada"],
+            )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: non-finite entropy at iteration 2"
+        ]
+        assert (run_dir / "checkpoints" / "merged.msrg").read_bytes() == merged
 
     def test_negative_seed_is_one_line_error(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--seed", "-1", "--run-dir", str(tmp_path)])

@@ -15,7 +15,14 @@ from merge_surgeon.merging import (
     ties_merge,
     weight_average,
 )
-from merge_surgeon.network import ModelSpec, init_backbone
+from merge_surgeon.network import (
+    ModelSpec,
+    backbone_adjoint_grads,
+    entropy_loss_and_adjoint,
+    forward_layers,
+    init_backbone,
+    random_batches,
+)
 from merge_surgeon.tensors import ParamSet, bitwise_equal
 
 
@@ -223,8 +230,10 @@ def tiny_models():
     cfg = ms.TrainConfig(iterations=200, seed=21)
     pre = ms.pretrain(spec, suite.mixture, cfg)
     experts = [
-        ms.train_expert(pre.params, suite.tasks[t].train, t, spec, cfg).params
-        for t in range(2)
+        result.params
+        for result in ms.train_experts(
+            pre.params, [task.train for task in suite.tasks], range(2), spec, cfg
+        )
     ]
     return suite, spec, pre.params, experts
 
@@ -310,6 +319,135 @@ class TestAdaMerging:
         b = ms.ada_merge(pretrained, [expert], spec, inputs, cfg)
         assert bitwise_equal(a.params, b.params)
         assert a.entropies == b.entropies
+
+
+def _reference_ada_loss_and_gradient(pretrained, experts, spec, coefficients, batches):
+    """The AdaMerging objective as it ran before tasks were stacked: a
+    merge per name and task, one 2-D pass per task, and per-name sums."""
+    names = list(spec.backbone_shapes())
+    pre64 = {n: np.asarray(pretrained[n], dtype=np.float64) for n in names}
+    taus = [{n: np.asarray(e[n], dtype=np.float64) - pre64[n] for n in names} for e in experts]
+    merged64 = {}
+    for name in names:
+        value = pre64[name].copy()
+        for task, tau in enumerate(taus):
+            value += coefficients[int(name[5:name.index(".")]) - 1, task] * tau[name]
+        merged64[name] = value
+    num_tasks = len(experts)
+    loss = 0.0
+    grads = {}
+    for task, x in enumerate(batches):
+        x64 = np.asarray(x, dtype=np.float64)
+        layers = forward_layers(merged64, spec, x64)
+        head_w = np.asarray(experts[task][f"head.{task}.weight"], dtype=np.float64)
+        head_b = np.asarray(experts[task][f"head.{task}.bias"], dtype=np.float64)
+        entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[:, None])
+        loss += entropy
+        for name, grad in backbone_adjoint_grads(
+            merged64, spec, x64, layers, head_w.T @ dlogits
+        ).items():
+            grads[name] = grads[name] + grad / num_tasks if name in grads else grad / num_tasks
+    coeff_grad = np.zeros_like(coefficients)
+    for name in names:
+        for task, tau in enumerate(taus):
+            coeff_grad[int(name[5:name.index(".")]) - 1, task] += float(
+                (grads[name] * tau[name]).sum()
+            )
+    return loss / num_tasks, coeff_grad, merged64
+
+
+def _ada_instance(seed, head_dims=(2, 3, 2)):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(4, (6, 5, 3), head_dims)
+    pretrained = ParamSet(init_backbone(spec, rng))
+    experts = []
+    for t, classes in enumerate(head_dims):
+        entries = init_backbone(spec, rng)
+        entries[f"head.{t}.weight"] = rng.standard_normal((classes, 3))
+        entries[f"head.{t}.bias"] = rng.standard_normal(classes)
+        experts.append(ParamSet(entries))
+    return rng, spec, pretrained, experts
+
+
+class TestStackedAdaMerging:
+    """The stacked objective and ada_merge equal the per-task loop, bit
+    for bit."""
+
+    @pytest.mark.parametrize("column_major", [True, False])
+    def test_objective_matches_per_task_loop(self, column_major):
+        # Task 1's 3-class head runs in its own group beside tasks 0 and 2.
+        rng, spec, pretrained, experts = _ada_instance(90)
+        batches = [rng.standard_normal((7, 4)) for _ in range(3)]
+        batches = [b.T if column_major else np.ascontiguousarray(b.T) for b in batches]
+        coeff = rng.uniform(0.1, 0.5, size=(3, 3))
+        pre64, taus = task_vectors(pretrained, experts)
+        loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
+        want_loss, want_grad, _ = _reference_ada_loss_and_gradient(
+            pretrained, experts, spec, coeff, batches
+        )
+        assert isinstance(loss, float)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_stacked_batches_equal_the_list_form(self):
+        rng, spec, pretrained, experts = _ada_instance(91, head_dims=(2, 2, 2))
+        stacked = rng.standard_normal((3, 4, 6))
+        coeff = rng.uniform(0.1, 0.5, size=(3, 3))
+        pre64, taus = task_vectors(pretrained, experts)
+        got = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, stacked)
+        want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, list(stacked))
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_ada_merge_matches_per_task_loop(self):
+        rng, spec, pretrained, experts = _ada_instance(92)
+        pools = [rng.standard_normal((n, 4)) for n in (30, 45, 20)]
+        cfg = ms.TrainConfig(iterations=40, batch_size=8, seed=93)
+        result = ms.ada_merge(pretrained, experts, spec, pools, cfg)
+        coefficients = np.full((3, 3), 0.3)
+        adam = cfg.make_adam()
+        entropies = []
+        for batches in random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]):
+            loss, grad, _ = _reference_ada_loss_and_gradient(
+                pretrained, experts, spec, coefficients, batches
+            )
+            entropies.append(loss)
+            adam.step({"coefficients": coefficients}, {"coefficients": grad})
+        merged = _reference_ada_loss_and_gradient(
+            pretrained, experts, spec, coefficients, [p.T for p in pools]
+        )[2]
+        assert result.entropies == tuple(entropies)
+        assert result.coefficients.tobytes() == coefficients.tobytes()
+        assert bitwise_equal(result.params, ParamSet(merged))
+
+    def test_depends_on_expert_order(self):
+        # Batch draws are seeded by task position, so swapping two experts
+        # (with their pools) does not just swap their coefficient columns.
+        rng, spec, pretrained, experts = _ada_instance(94, head_dims=(2, 2, 2))
+        pools = [rng.standard_normal((25, 4)) for _ in range(3)]
+        cfg = ms.TrainConfig(iterations=10, seed=95)
+        base = ms.ada_merge(pretrained, experts, spec, pools, cfg)
+        order = [1, 0, 2]
+        swapped = ms.ada_merge(
+            pretrained,
+            [
+                ParamSet(
+                    (name.replace(f"head.{old}.", f"head.{new}."), value)
+                    for name, value in experts[old].items()
+                )
+                for new, old in enumerate(order)
+            ],
+            spec, [pools[t] for t in order], cfg,
+        )
+        assert not np.array_equal(swapped.coefficients[:, order], base.coefficients)
+
+    def test_divergence_is_a_merge_error(self):
+        # A first Adam step of about 1e200 overflows the merged weights.
+        rng, spec, pretrained, experts = _ada_instance(96)
+        pools = [rng.standard_normal((25, 4)) for _ in range(3)]
+        cfg = ms.TrainConfig(learning_rate=1e200, iterations=5, seed=97)
+        with pytest.raises(MergeError, match="non-finite entropy at iteration 2"):
+            ms.ada_merge(pretrained, experts, spec, pools, cfg)
 
 
 def test_grid_search_scale_pinned_on_reference_fixture(ref_scale):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import merge_surgeon as ms
+from merge_surgeon.datasets import Dataset
 from merge_surgeon.network import (
     Adam,
     ModelSpec,
@@ -18,9 +19,12 @@ from merge_surgeon.network import (
     head_logits,
     init_backbone,
     init_head,
+    stack_batches,
+    train_expert,
+    train_experts,
 )
 from merge_surgeon.surgery import corrected_forward
-from merge_surgeon.tensors import bitwise_equal, block_name, head_name
+from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name, head_name
 
 
 def small_instance(seed, spec=None, batch=6, margin=5e-3):
@@ -265,6 +269,135 @@ class TestTraining:
         params64 = {name: value.astype(np.float64) for name, value in expert.params.items()}
         loss, _ = classifier_loss_and_grads(params64, spec, 0, data.inputs(), data.labels)
         assert 0 < loss < expert.losses[0]
+
+
+def _reference_training(params64, spec, head_tag, data, cfg, batch_rng):
+    """The per-model loop training ran before models were stacked: 2-D
+    calls and one Adam update per parameter name, in place."""
+    adam = cfg.make_adam()
+    features = data.features.astype(np.float64)
+    losses = []
+    for _ in range(cfg.iterations):
+        idx = batch_rng.integers(0, len(data), size=cfg.batch_size)
+        loss, grads = classifier_loss_and_grads(
+            params64, spec, head_tag, features[idx].T, data.labels[idx]
+        )
+        losses.append(loss)
+        adam.step(params64, grads)
+    return losses
+
+
+def _reference_expert(pretrained, data, task, spec, cfg):
+    params64 = {n: np.array(pretrained[n], dtype=np.float64) for n in spec.backbone_shapes()}
+    head_w, head_b = init_head(
+        spec.head_dims[task], spec.feature_dim, np.random.default_rng([cfg.seed, 2, task])
+    )
+    params64[head_name(task, "weight")] = head_w
+    params64[head_name(task, "bias")] = head_b
+    losses = _reference_training(
+        params64, spec, task, data, cfg, np.random.default_rng([cfg.seed, 3, task])
+    )
+    return ParamSet(params64), tuple(losses)
+
+
+def _task_data(seed, sizes, classes, dim=5, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return [
+        Dataset(scale * rng.standard_normal((n, dim)), rng.integers(0, c, size=n), c)
+        for n, c in zip(sizes, classes)
+    ]
+
+
+class TestStackedTraining:
+    """Joint training of stacked models equals training each one alone,
+    bit for bit."""
+
+    def test_classifier_loss_and_grads_slices_match_2d_calls(self):
+        spec = ModelSpec(4, (5, 4, 3), (3,))
+        models = [small_instance(70 + t, spec)[1] for t in range(3)]
+        rng = np.random.default_rng(73)
+        xs = [rng.standard_normal((6, 4)).T for _ in range(3)]  # column-major, as training draws
+        labels = rng.integers(0, 3, size=(3, 6))
+        stacked = {name: np.stack([m[name] for m in models]) for name in models[0]}
+        losses, grads = classifier_loss_and_grads(stacked, spec, 0, stack_batches(xs), labels)
+        assert losses.shape == (3,)
+        for t in range(3):
+            loss, own = classifier_loss_and_grads(models[t], spec, 0, xs[t], labels[t])
+            assert isinstance(loss, float)
+            assert losses[t].tobytes() == np.float64(loss).tobytes()
+            assert list(grads) == list(own)
+            for name, grad in own.items():
+                assert grads[name][t].tobytes() == grad.tobytes(), name
+
+    def test_pretrain_matches_per_model_loop(self, tiny_setup):
+        suite, spec, cfg = tiny_setup
+        init_rng = np.random.default_rng([cfg.seed, 0])
+        params64 = init_backbone(spec, init_rng)
+        head_w, head_b = init_head(suite.mixture.num_classes, spec.feature_dim, init_rng)
+        params64[head_name("pretrain", "weight")] = head_w
+        params64[head_name("pretrain", "bias")] = head_b
+        losses = _reference_training(
+            params64, spec, "pretrain", suite.mixture, cfg, np.random.default_rng([cfg.seed, 1])
+        )
+        result = ms.pretrain(spec, suite.mixture, cfg)
+        want = ParamSet((n, params64[n]) for n in spec.backbone_shapes())
+        assert bitwise_equal(result.params, want)
+        assert result.losses == tuple(losses)
+
+    @pytest.mark.parametrize("tasks", [[1], [2, 0], [0, 1, 2]])
+    def test_joint_experts_match_per_task_loop(self, tasks):
+        # Pools of 40, 55 and 70 samples; tasks 0 and 2 have 3-class heads
+        # and stack together, task 1's 4-class head trains in its own group.
+        spec = ModelSpec(5, (8, 8, 6), (3, 4, 3))
+        data = _task_data(80, (40, 55, 70), spec.head_dims)
+        pretrained = ParamSet(init_backbone(spec, np.random.default_rng(81)))
+        cfg = TrainConfig(iterations=40, batch_size=7, seed=82)
+        results = train_experts(pretrained, [data[t] for t in tasks], tasks, spec, cfg)
+        assert len(results) == len(tasks)
+        for task, result in zip(tasks, results):
+            params, losses = _reference_expert(pretrained, data[task], task, spec, cfg)
+            assert bitwise_equal(result.params, params), task
+            assert result.losses == losses, task
+            alone = ms.train_expert(pretrained, data[task], task, spec, cfg)
+            assert bitwise_equal(alone.params, params), task
+
+    def test_rejects_mismatched_inputs(self):
+        spec = ModelSpec(5, (8, 6), (3, 4))
+        data = _task_data(83, (20, 20), (3, 4))
+        pretrained = ParamSet(init_backbone(spec, np.random.default_rng(84)))
+        cfg = TrainConfig(iterations=2, seed=0)
+        with pytest.raises(NetworkError, match="each task once"):
+            train_experts(pretrained, [data[0], data[0]], [0, 0], spec, cfg)
+        with pytest.raises(NetworkError, match="task 0 data has 4 classes"):
+            train_experts(pretrained, data[::-1], [0, 1], spec, cfg)
+        with pytest.raises(NetworkError, match="dimension 4"):
+            train_experts(pretrained, _task_data(85, (20,), (3,), dim=4), [0], spec, cfg)
+        with pytest.raises(NetworkError, match="out of range"):
+            train_experts(pretrained, data[:1], [2], spec, cfg)
+
+    def test_divergence_names_the_task(self):
+        # Positive weights near 1e34 keep every ReLU open, so eight blocks
+        # scale an input by about 1e278: task 0 stays finite, while task
+        # 1's inputs, 1e35 times larger, overflow its forward pass.
+        spec = ModelSpec(4, (8,) * 8, (3, 3))
+        rng = np.random.default_rng(86)
+        pretrained = ParamSet(
+            (name, 1e34 * rng.uniform(0.5, 1.0, size=shape))
+            for name, shape in spec.backbone_shapes().items()
+        )
+        small, large = _task_data(87, (20, 20), (3, 3), dim=4)
+        large = Dataset(1e35 * np.abs(large.features), large.labels, 3)
+        small = Dataset(np.abs(small.features), small.labels, 3)
+        cfg = TrainConfig(iterations=3, seed=0)
+        assert np.isfinite(train_expert(pretrained, small, 0, spec, cfg).losses).all()
+        with pytest.raises(NetworkError, match=r"at iteration 1 \(task 1\)"):
+            train_experts(pretrained, [small, large], [0, 1], spec, cfg)
+
+    def test_pretrain_divergence_is_named(self, tiny_setup):
+        suite, spec, _ = tiny_setup
+        cfg = TrainConfig(learning_rate=1e200, iterations=5, seed=3)
+        with pytest.raises(NetworkError, match=r"at iteration \d+ \(pretraining\)"):
+            ms.pretrain(spec, suite.mixture, cfg)
 
 
 def test_reference_experts_hit_90_percent(ref_spec, ref_experts, ref_heads, ref_test_sets):

@@ -1,7 +1,11 @@
-"""Property tests: stack and checkpoint round trips, truncated files, and
-malformed stack entry names."""
+"""Property tests: stack and checkpoint round trips, truncated files,
+huge header shapes, malformed stack entry names, and merge identities
+under expert permutation."""
 
 import itertools
+import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +13,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from merge_surgeon.bias import LossKind
-from merge_surgeon.checkpoint import CheckpointError, load_paramset, save_paramset
+from merge_surgeon.checkpoint import (
+    MAGIC, CheckpointError, TruncatedError, load_paramset, save_paramset
+)
+from merge_surgeon.merging import task_arithmetic, ties_merge, weight_average
 from merge_surgeon.network import ModelSpec
 from merge_surgeon.surgery import (
     ALL_LAYERS,
@@ -19,7 +26,7 @@ from merge_surgeon.surgery import (
     init_stack,
     single_block,
 )
-from merge_surgeon.tensors import ParamSet
+from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name
 
 # Every example writes files, so the counts stay in the tens.
 FILE_EXAMPLES = settings(max_examples=30, deadline=None)
@@ -78,6 +85,25 @@ def test_truncated_checkpoint_raises_checkpoint_error(new_path, spec_and_stack, 
         load_paramset(truncated)
 
 
+@FILE_EXAMPLES
+@given(
+    st.lists(st.integers(1, 2**80), min_size=1, max_size=4),
+    st.integers(0, 8),
+)
+@example([2**32, 2**32], 0)
+@example([2**32, 2**32], 4)
+@example([2**62, 4, 3], 8)
+def test_header_shape_larger_than_payload_raises_truncated(new_path, shape, floats):
+    # Element counts are exact Python ints, so a shape whose product wraps
+    # in int64 is still a truncated payload.
+    assume(math.prod(shape) > floats)
+    header = json.dumps({"tensors": [{"name": "x", "shape": shape, "offset": 0}]}).encode()
+    path = new_path()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\0" * (4 * floats))
+    with pytest.raises(TruncatedError):
+        load_paramset(path)
+
+
 def _canonical_index(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text == "0" or not text.startswith("0"))
 
@@ -130,3 +156,111 @@ def test_malformed_stack_entry_raises_surgery_error(name):
     entries[name] = np.zeros((2, 4))
     with pytest.raises(SurgeryError, match="unexpected stack entry"):
         SurgeryStack.from_paramset(ParamSet(entries), ALL_LAYERS, spec.num_layers)
+
+
+MERGE_EXAMPLES = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def backbone_shapes(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=4))
+    shapes = []
+    for layer in range(1, len(dims)):
+        shapes.append((block_name(layer, "weight"), (dims[layer], dims[layer - 1])))
+        shapes.append((block_name(layer, "bias"), (dims[layer],)))
+    return shapes
+
+
+def _model(draw, shapes, values):
+    entries = []
+    for name, shape in shapes:
+        size = math.prod(shape)
+        entries.append((name, np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)))
+    return ParamSet(entries)
+
+
+@st.composite
+def merge_problems(draw, values=st.floats(-10, 10, width=32)):
+    """A pretrained backbone, 1-4 experts of its shape and a permutation."""
+    shapes = draw(backbone_shapes())
+    experts = [_model(draw, shapes, values) for _ in range(draw(st.integers(1, 4)))]
+    return _model(draw, shapes, values), experts, draw(st.permutations(range(len(experts))))
+
+
+def _equal_up_to_rounding(a, b, models, scale=1.0):
+    """Merges accumulate in float64 and round once to float32.  Summing n
+    experts in another order moves an entry by float64 rounding, at most
+    a few n * eps * (1 + scale) * max |value|, which cancellation can leave
+    larger than the result, plus one float32 ulp from the final rounding."""
+    assert list(a) == list(b)
+    n = len(models) - 1
+    for name in a:
+        magnitude = np.max([np.abs(m[name].astype(np.float64)) for m in models], axis=0)
+        rounding = 4 * n * n * np.finfo(np.float64).eps * (1 + scale) * magnitude
+        ulp = np.spacing(np.maximum(np.abs(a[name]), np.abs(b[name])))
+        gap = np.abs(a[name].astype(np.float64) - b[name].astype(np.float64))
+        assert (gap <= ulp + rounding).all(), name
+
+
+@MERGE_EXAMPLES
+@given(merge_problems(), st.floats(0, 2))
+@example(  # the sum is 1e-30 in this order and 0 in the reverse one
+    (
+        ParamSet([("block1.weight", [[0.0]]), ("block1.bias", [0.0])]),
+        [ParamSet([("block1.weight", [[v]]), ("block1.bias", [0.0])]) for v in (1.0, -1.0, 1e-30)],
+        [2, 0, 1],
+    ),
+    1.0,
+)
+def test_average_and_task_arithmetic_ignore_expert_order(problem, scale):
+    pretrained, experts, order = problem
+    permuted = [experts[i] for i in order]
+    models = [pretrained, *experts]
+    _equal_up_to_rounding(weight_average(experts), weight_average(permuted), models)
+    _equal_up_to_rounding(
+        task_arithmetic(pretrained, experts, scale), task_arithmetic(pretrained, permuted, scale),
+        models, scale,
+    )
+
+
+@st.composite
+def ties_problems(draw):
+    """Values on a 1/16 grid, so every sum is exact, and each task vector
+    with distinct magnitudes, so no trim threshold is tied."""
+    shapes = draw(backbone_shapes())
+    size = sum(math.prod(shape) for _, shape in shapes)
+    pretrained = _model(draw, shapes, st.integers(-64, 64).map(lambda k: k / 16))
+    flat = np.concatenate([pretrained[name].ravel() for name, _ in shapes])
+    experts = []
+    for _ in range(draw(st.integers(1, 4))):
+        magnitudes = draw(st.lists(st.integers(1, 200), min_size=size, max_size=size, unique=True))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size))
+        values = flat + np.array(magnitudes) * np.array(signs) / 16
+        offsets = np.cumsum([0] + [math.prod(shape) for _, shape in shapes])
+        experts.append(ParamSet(
+            (name, values[start:end].reshape(shape))
+            for (name, shape), start, end in zip(shapes, offsets, offsets[1:])
+        ))
+    return pretrained, experts, draw(st.permutations(range(len(experts))))
+
+
+@MERGE_EXAMPLES
+@given(ties_problems(), st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 1.0]))
+def test_ties_ignores_expert_order(problem, scale, keep):
+    pretrained, experts, order = problem
+    merged = ties_merge(pretrained, experts, scale, keep)
+    assert bitwise_equal(merged, ties_merge(pretrained, [experts[i] for i in order], scale, keep))
+
+
+@MERGE_EXAMPLES
+@given(merge_problems(), st.integers(1, 5))
+def test_mean_of_identical_experts_and_zero_scale_are_identities(problem, copies):
+    # Equal as numbers: a -0.0 entry may come back as +0.0.
+    pretrained, experts, _ = problem
+    for merged, want in (
+        (weight_average([experts[0]] * copies), experts[0]),
+        (task_arithmetic(pretrained, experts, 0.0), pretrained),
+    ):
+        assert list(merged) == list(want)
+        for name in want:
+            assert np.array_equal(merged[name], want[name]), name
