@@ -160,12 +160,15 @@ def layerwise_bias_report(
     stack=None,
     split: str = "test",
     model_id: str = "merged",
+    final_traces: list | None = None,
 ) -> BiasReport:
     """Bias of the merged model against each expert, per layer and task.
 
     ``inputs_per_task[t]`` is an (N_t, input_dim) feature matrix.  When a
     surgery ``stack`` is supplied the merged trace is the corrected
-    in-path trace, so the report shows post-surgery alignment.
+    in-path trace, so the report shows post-surgery alignment.  A
+    ``final_traces`` list receives ``(merged, expert)`` final-layer traces
+    per task, so a caller can use them without tracing again.
     """
     # Imported here: surgery imports this module for LossKind and the
     # alignment loss, so a module-level import would be circular.
@@ -182,6 +185,8 @@ def layerwise_bias_report(
             values[layer, task] = representation_bias(
                 merged_trace[layer], expert_trace[layer], psi
             )
+        if final_traces is not None:
+            final_traces.append((merged_trace[-1], expert_trace[-1]))
     return BiasReport(values=values, psi=psi, split=split, model_id=model_id)
 
 

@@ -23,7 +23,7 @@ from .checkpoint import CheckpointError, load_paramset, save_paramset
 from .config import (
     MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks, parse_config_text
 )
-from .datasets import DataError, TaskSuite, gen_task_suite, save_csv
+from .datasets import DataError, TaskSuite, gen_task_suite, save_csv, write_csv
 from .evaluation import (
     EvalError,
     EvalResult,
@@ -54,7 +54,6 @@ from .surgery import (
     SurgeryMode,
     SurgeryResult,
     SurgeryStack,
-    corrected_forward,
     stream_train_surgery,
     train_surgery,
 )
@@ -210,7 +209,9 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     return merged, recipe
 
 
-def _bias_report(cfg, suite, spec, merged, experts, stack=None) -> BiasReport:
+def _bias_report(
+    cfg, suite, spec, merged, experts, stack=None, final_traces=None
+) -> BiasReport:
     return layerwise_bias_report(
         merged,
         experts,
@@ -219,25 +220,25 @@ def _bias_report(cfg, suite, spec, merged, experts, stack=None) -> BiasReport:
         cfg.surgery_psi,
         stack=stack,
         model_id="merged" + _suffix(stack),
+        final_traces=final_traces,
     )
 
 
 def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None) -> BiasReport:
     """Bias report of the merged (or corrected) model, plus per-task
     shared-basis 2-D projections of its final layer and the expert's."""
-    report = _bias_report(cfg, suite, spec, merged, experts, stack)
-    for task in range(len(suite.tasks)):
-        x = suite.tasks[task].test.inputs()
-        merged_final = corrected_forward(merged, spec, stack, x, task)[-1]
-        expert_final = corrected_forward(experts[task], spec, None, x, task)[-1]
+    finals = []
+    report = _bias_report(cfg, suite, spec, merged, experts, stack, finals)
+    for task, (merged_final, expert_final) in enumerate(finals):
         coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
         n = merged_final.shape[1]
-        lines = ["source,x,y"]
-        for i in range(coords.shape[1]):
-            source = "merged" if i < n else "expert"
-            lines.append(f"{source},{coords[0, i]:.9g},{coords[1, i]:.9g}")
-        path = run_dir / f"projection{_suffix(stack)}_{task}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        merged_rows, expert_rows = coords[:, :n].T, coords[:, n:].T
+        write_csv(
+            run_dir / f"projection{_suffix(stack)}_{task}.csv",
+            ["source", "x", "y"],
+            [("merged,%.9g,%.9g", (merged_rows,)), ("expert,%.9g,%.9g", (expert_rows,))],
+            line_end="\n",
+        )
     return report
 
 

@@ -7,6 +7,7 @@ value is parsed once, by its field type, when the config is built.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -151,6 +152,10 @@ class RunConfig:
                     object.__setattr__(self, name, _parse(kind, value))
                 except ValueError as exc:
                     raise ConfigError(f"{name} = {value}: {exc}") from None
+                value = getattr(self, name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"{name} = {_text(value)}: values must be finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tasks < 1 or self.dim < 2 or self.classes < 2:
@@ -159,6 +164,11 @@ class RunConfig:
             raise ConfigError("split sizes must be positive")
         if len(self.hidden_dims) < 2 or any(d < 1 for d in self.hidden_dims):
             raise ConfigError("hidden_dims needs at least two positive widths")
+        if self.hidden_dims[-1] < 2:
+            raise ConfigError(
+                f"hidden_dims = {_text(self.hidden_dims)}: the final width must be >= 2 "
+                "for the 2-D projections"
+            )
         if self.train_lr <= 0 or self.train_batch < 1:
             raise ConfigError("training settings out of range")
         if self.pretrain_iters < 1 or self.finetune_iters < 1:

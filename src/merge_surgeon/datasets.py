@@ -18,6 +18,9 @@ import numpy as np
 _SPLIT_STREAMS = {"train": 0, "validation": 1, "test": 2}
 _MEANS_STREAM = 3
 _MIXTURE_STREAM = 4
+# Rows formatted per write: a bounded string, and few enough that the
+# float64 chunk stays small.
+_CHUNK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -212,13 +215,29 @@ def load_csv(path, label_column: str, split: str = "") -> Dataset:
     )
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset as CSV; float text is exact to the float32 value."""
+def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:
+    """Write ``header`` with ``csv.writer``, then one line ``row_format %
+    row`` per row of each ``(row_format, columns)`` block in turn.
+
+    A block's columns are 1-D or 2-D arrays of one length, laid side by
+    side (a 1-D array is one column).  Rows are formatted ``_CHUNK_ROWS``
+    at a time, so the file is never held as one string.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.dim)] + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            # 9 significant digits round-trip any binary32 value exactly.
-            writer.writerow([f"{float(v):.9g}" for v in row] + [int(label)])
+        csv.writer(fh, lineterminator=line_end).writerow(header)
+        for row_format, columns in blocks:
+            line = row_format + line_end
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                rows = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+                fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
+    """Write a dataset as CSV; float text is exact to the float32 value."""
+    # 9 significant digits round-trip any binary32 value exactly; ``%d``
+    # prints the label, which the float64 row holds exactly.
+    row_format = ",".join(["%.9g"] * dataset.dim + ["%d"])
+    header = [f"f{i}" for i in range(dataset.dim)] + [label_column]
+    write_csv(path, header, [(row_format, (dataset.features, dataset.labels))])

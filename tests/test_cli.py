@@ -1,5 +1,6 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
+import hashlib
 import shutil
 import warnings
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from merge_surgeon import cli, surgery
+from merge_surgeon.bias import pca_project
 from merge_surgeon.checkpoint import load_paramset, save_paramset
 from merge_surgeon.cli import main
 from merge_surgeon.config import RunConfig, parse_config_text
@@ -188,6 +191,32 @@ class TestErrors:
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == ["Error: seed must be >= 0, got -1"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("hidden_dims", "8,1"),
+            ("merge_scale", "nan"),
+            ("scale_grid", "0.1,nan"),
+            ("scale_grid", "inf"),
+            ("train_lr", "nan"),
+        ],
+    )
+    def test_bad_config_fails_before_any_artifact(self, runner, tmp_path, key, value):
+        values = parse_config_text(TINY_CFG)
+        values[key] = value
+        if key == "scale_grid":
+            values["merge_scale"] = "grid"
+        config = tmp_path / "bad.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        run_dir = tmp_path / "run"
+        result = runner.invoke(
+            main, ["pipeline", "--config", str(config), "--run-dir", str(run_dir)]
+        )
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith(f"Error: {key} = {value}: ")
+        assert not run_dir.exists()
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")
@@ -216,6 +245,101 @@ class TestGen:
         )
         assert result.exit_code == 0
         assert (run_dir / "suite" / "task2_train.csv").exists()
+
+
+# SHA-256 of every suite CSV that ``gen`` writes for GOLDEN_CFG, recorded
+# from the per-row csv.writer export.  The 300-row splits cross a 256-row
+# boundary and the 257-row ones end one row past it.
+GOLDEN_CFG = """\
+seed = 3
+tasks = 2
+dim = 5
+classes = 3
+n_train = 300
+n_test = 257
+"""
+GOLDEN_SUITE_SHA256 = {
+    "mixture.csv": "cc98305d096ccbbdb39481c2f1fc9262fe9784d80f5ee0dafce287e1826cb784",
+    "task0_test.csv": "a3861f6c861939b454cb0d1ff7d3c0da44b48d3b1b4f779af696fb5606b85661",
+    "task0_train.csv": "43c8ddde118a08b5437c886645d04e0a6597a26d4d994f16974fcf4ce8b7d268",
+    "task0_validation.csv": "0d931a4279cab32aa2055f16f0cca694094aa5cd34408f03009503cfc819bc91",
+    "task1_test.csv": "ac9126877032eb52dd02419c04bda41298363a85ff4cc9fb4d765e382b052e85",
+    "task1_train.csv": "e09d687b19d6e898040652506858691ca42b14f0bba2fb382c2842e50a74d3ca",
+    "task1_validation.csv": "47e168a18c62020c01d5b6a653684a77a6bcbe9947837cc877b0a30f832ac2c5",
+}
+
+
+class TestGenGolden:
+    def test_suite_csv_digests(self, runner, tmp_path):
+        config = tmp_path / "golden.cfg"
+        config.write_text(GOLDEN_CFG)
+        run_dir = tmp_path / "run"
+        result = invoke(runner, ["gen", "--config", str(config), "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (run_dir / "suite").iterdir()
+        }
+        assert digests == GOLDEN_SUITE_SHA256
+
+
+def loop_projection_text(merged_final, expert_final):
+    """The per-point f-string projection export that the bias step
+    replaced: the reference its bytes must match."""
+    coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
+    n = merged_final.shape[1]
+    lines = ["source,x,y"]
+    for i in range(coords.shape[1]):
+        source = "merged" if i < n else "expert"
+        lines.append(f"{source},{coords[0, i]:.9g},{coords[1, i]:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestBiasStep:
+    @pytest.fixture()
+    def bias_inputs(self, pipeline_run):
+        """The finished run's config, model spec, merged model, experts and
+        stack, with a 300-sample test set per task so that a projection
+        file crosses the writer's chunk size."""
+        config, run_dir = pipeline_run
+        cfg, _, _, spec = cli._setup(config, run_dir)
+        suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, 300)
+        merged, experts = cli._load_merged(run_dir, cfg)
+        stack = cli._load_stack(cli._checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
+        return cfg, suite, spec, merged, experts, stack
+
+    @pytest.mark.parametrize("with_stack", [False, True])
+    def test_traces_each_test_set_once(self, bias_inputs, tmp_path, monkeypatch, with_stack):
+        cfg, suite, spec, merged, experts, stack = bias_inputs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return traced(*args, **kwargs)
+
+        traced = surgery.corrected_forward
+        monkeypatch.setattr(surgery, "corrected_forward", counted)
+        # Also counted if the CLI imports the trace call under its own name.
+        monkeypatch.setattr(cli, "corrected_forward", counted, raising=False)
+        cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack if with_stack else None)
+        assert cfg.tasks == 2
+        assert len(calls) == 2 * cfg.tasks
+
+    @pytest.mark.parametrize("with_stack", [False, True])
+    def test_projection_matches_the_point_loop(self, bias_inputs, tmp_path, with_stack):
+        cfg, suite, spec, merged, experts, stack = bias_inputs
+        stack = stack if with_stack else None
+        cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack)
+        suffix = "_surgery" if with_stack else ""
+        for task in range(cfg.tasks):
+            x = suite.tasks[task].test.inputs()
+            expected = loop_projection_text(
+                surgery.corrected_forward(merged, spec, stack, x, task)[-1],
+                surgery.corrected_forward(experts[task], spec, None, x, task)[-1],
+            )
+            written = (tmp_path / f"projection{suffix}_{task}.csv").read_bytes()
+            assert written == expected.encode("utf-8")
+            assert written.count(b"\n") == 1 + 2 * 300
 
 
 class TestStepwiseFlow:

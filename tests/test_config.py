@@ -79,6 +79,32 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_sources({key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("merge_scale", "nan"),
+            ("merge_scale", "-inf"),
+            ("scale_grid", "0.1,nan"),
+            ("scale_grid", "inf"),
+            ("scale_grid", "0.5,1e999"),
+            ("train_lr", "nan"),
+            ("train_lr", "inf"),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} = .*: values must be finite$"):
+            RunConfig.from_sources({key: value})
+
+    def test_non_finite_float_given_as_a_value_rejected(self):
+        with pytest.raises(ConfigError, match="^scale_grid = 0.1,nan: "):
+            RunConfig(scale_grid=(0.1, float("nan")))
+
+    @pytest.mark.parametrize("widths", ["8,1", "4,4,1"])
+    def test_final_width_below_two_rejected(self, widths):
+        with pytest.raises(ConfigError, match=f"^hidden_dims = {widths}: the final width"):
+            RunConfig.from_sources({"hidden_dims": widths})
+        assert RunConfig.from_sources({"hidden_dims": "8,1,2"}).hidden_dims == (8, 1, 2)
+
     def test_to_text_round_trips(self):
         cfg = RunConfig.from_sources({
             "seed": "5", "surgery_psi": "mse", "surgery_mode": "block:2",

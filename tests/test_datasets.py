@@ -1,9 +1,18 @@
-"""Synthetic suite generation and CSV ingestion."""
+"""Synthetic suite generation, CSV ingestion, and the CSV writer."""
+
+import csv
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from merge_surgeon import datasets
 from merge_surgeon.datasets import DataError, Dataset, gen_task_suite, load_csv, save_csv
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def suites_bitwise_equal(a, b):
@@ -139,3 +148,76 @@ class TestCsv:
         save_csv(ds, path)
         loaded = load_csv(path, "label")
         assert loaded.features.tobytes() == ds.features.tobytes()
+
+
+def loop_csv_bytes(dataset, path, label_column="label"):
+    """The per-row ``csv.writer`` export that ``save_csv`` replaced: the
+    reference its bytes must match."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(dataset.dim)] + [label_column])
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([f"{float(v):.9g}" for v in row] + [int(label)])
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def new_path(tmp_path_factory):
+    """A new file name on every call: on some file systems overwriting a
+    file costs far more than writing a new one."""
+    root = tmp_path_factory.mktemp("writer")
+    names = itertools.count()
+    return lambda: root / f"{next(names)}.csv"
+
+
+class TestSaveCsvBytes:
+    def assert_same_bytes(self, new_path, dataset, label_column="label"):
+        path = new_path()
+        save_csv(dataset, path, label_column)
+        assert path.read_bytes() == loop_csv_bytes(dataset, new_path(), label_column)
+
+    def test_edge_values(self, new_path):
+        # Negative zero, the smallest float32 subnormal, the float32 range
+        # ends, an exponent form and an integral value.
+        features = np.array(
+            [[-0.0, 1e-45, F32_MAX, -F32_MAX, 1e-05, 2.0],
+             [0.0, -1e-45, 1.0, -2.5, 1.17549435e-38, 123456789.0]],
+            dtype=np.float32,
+        )
+        dataset = Dataset(features, np.array([0, 11]), num_classes=12)
+        self.assert_same_bytes(new_path, dataset)
+        text = new_path()
+        save_csv(dataset, text)
+        assert text.read_text().splitlines()[1].startswith("-0,1.40129846e-45,3.40282347e+38,")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [1, datasets._CHUNK_ROWS - 1, datasets._CHUNK_ROWS, datasets._CHUNK_ROWS + 1,
+         2 * datasets._CHUNK_ROWS + 3],
+    )
+    def test_row_counts_around_the_chunk_size(self, new_path, rows):
+        rng = np.random.default_rng(rows)
+        dataset = Dataset(
+            rng.standard_normal((rows, 3)).astype(np.float32), rng.integers(0, 4, rows), 4
+        )
+        self.assert_same_bytes(new_path, dataset)
+
+    def test_label_column_that_needs_quoting(self, new_path):
+        dataset = Dataset(np.ones((2, 2), dtype=np.float32), np.array([0, 1]), num_classes=2)
+        self.assert_same_bytes(new_path, dataset, label_column="a,b")
+        path = new_path()
+        save_csv(dataset, path, label_column="a,b")
+        assert path.read_bytes().startswith(b'f0,f1,"a,b"\r\n1,1,0\r\n')
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrays(
+            np.float32,
+            st.tuples(st.integers(1, 40), st.integers(1, 6)),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        ),
+        st.integers(0, 2**31),
+    )
+    def test_matches_the_row_loop_on_random_float32(self, new_path, features, seed):
+        labels = np.random.default_rng(seed).integers(0, 3, features.shape[0])
+        self.assert_same_bytes(new_path, Dataset(features, labels, num_classes=3))

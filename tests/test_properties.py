@@ -1,6 +1,6 @@
 """Property tests: stack and checkpoint round trips, truncated files,
-huge header shapes, malformed stack entry names, and merge identities
-under expert permutation."""
+huge header shapes, malformed stack entry names, merge identities
+under expert permutation, and configs built from random field text."""
 
 import itertools
 import json
@@ -16,6 +16,7 @@ from merge_surgeon.bias import LossKind
 from merge_surgeon.checkpoint import (
     MAGIC, CheckpointError, TruncatedError, load_paramset, save_paramset
 )
+from merge_surgeon.config import ConfigError, RunConfig
 from merge_surgeon.merging import task_arithmetic, ties_merge, weight_average
 from merge_surgeon.network import ModelSpec
 from merge_surgeon.surgery import (
@@ -264,3 +265,44 @@ def test_mean_of_identical_experts_and_zero_scale_are_identities(problem, copies
         assert list(merged) == list(want)
         for name in want:
             assert np.array_equal(merged[name], want[name]), name
+
+
+CONFIG_FIELDS = [item.name for item in RunConfig.__dataclass_fields__.values()]
+# Field text that mixes valid values of every field type with the
+# non-finite and malformed spellings a config file can hold.
+FIELD_TEXT = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(
+        st.one_of(st.integers(-1, 9).map(str), st.sampled_from(["0.5", "nan", "inf", "1e999"])),
+        min_size=1, max_size=4,
+    ).map(",".join),
+    st.sampled_from([
+        "grid", "none", "v1", "v2", "block:1", "l1", "mse", "cos", "test", "wild:3",
+        "stream:0.5", "stream:nan", "ta", "ties", "-0.0", "1e39", "",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), FIELD_TEXT, max_size=3))
+@example({"hidden_dims": "8,1"})
+@example({"merge_scale": "nan"})
+@example({"scale_grid": "0.1,nan"})
+@example({"scale_grid": "inf"})
+@example({"train_lr": "nan"})
+def test_config_from_field_text_is_rejected_or_sound(values):
+    """A config built from any field text raises ConfigError, or holds
+    finite floats everywhere and a final width the projections can use."""
+    try:
+        cfg = RunConfig.from_sources(values)
+    except ConfigError:
+        return
+    floats = [cfg.train_lr, cfg.ties_keep, *cfg.scale_grid]
+    if cfg.merge_scale != "grid":
+        floats.append(cfg.merge_scale)
+    if cfg.surgery_data.stream_fraction is not None:
+        floats.append(cfg.surgery_data.stream_fraction)
+    assert all(isinstance(v, float) and math.isfinite(v) for v in floats)
+    assert cfg.hidden_dims[-1] >= 2
