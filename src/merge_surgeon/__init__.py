@@ -53,7 +53,6 @@ from .surgery import (
     SurgeryMode,
     SurgeryResult,
     SurgeryStack,
-    adapter_forward,
     corrected_forward,
     init_stack,
     sequential_batches,

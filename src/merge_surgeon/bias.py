@@ -98,18 +98,20 @@ def alignment_loss_and_grad(
     a, b = _check_pair(z_hat, z_ind, ndims=(2, 3))
     axes = None if a.ndim == 2 else (-2, -1)
     count = a.shape[-2] * a.shape[-1]
+    # Means as the sum and division that ndarray.mean performs, without
+    # its per-call wrapper: this runs once per layer and surgery step.
     if kind is LossKind.L1:
         diff = a - b
-        loss, grad = np.abs(diff).mean(axis=axes), np.sign(diff) / count
+        loss, grad = np.add.reduce(np.abs(diff), axis=axes) / count, np.sign(diff) / count
     elif kind is LossKind.MSE:
         diff = a - b
-        loss, grad = np.square(diff).mean(axis=axes), 2.0 * diff / count
+        loss, grad = np.add.reduce(np.square(diff), axis=axes) / count, 2.0 * diff / count
     else:
         cos, norm_a, norm_b, dead = _cosine_parts(a, b)
         samples = a.shape[-1]
         grad = -(b / (norm_a * norm_b) - a * (cos / np.square(norm_a))) / samples
         grad = np.where(dead, 0.0, grad)
-        loss = -cos.mean(axis=axes)
+        loss = -(np.add.reduce(cos, axis=axes) / samples)
     return (float(loss) if axes is None else loss), grad
 
 

@@ -9,6 +9,7 @@ single-expert ties).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
@@ -87,6 +88,22 @@ def _check_experts(reference: Mapping[str, np.ndarray], experts: Sequence[Mappin
             raise MergeError(f"expert {i} backbone is not shape-compatible")
 
 
+def _check_scale(scale: float) -> None:
+    if not math.isfinite(scale):
+        raise MergeError(f"scale {scale!r} is not finite")
+
+
+def _merged_paramset(merged64: Mapping[str, np.ndarray], scale: float) -> ParamSet:
+    """The float32 parameter set of a float64 merge at ``scale``; a merge
+    whose weights overflow float32 is a :class:`MergeError` naming the
+    scale, with no numpy warning on the way."""
+    with np.errstate(over="ignore"):
+        cast = {name: value.astype(np.float32) for name, value in merged64.items()}
+    if not all(np.isfinite(value).all() for value in cast.values()):
+        raise MergeError(f"scale {scale:.9g}: the merged weights overflow float32")
+    return ParamSet(cast)
+
+
 def weight_average(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     """Elementwise mean of the expert backbones."""
     if not experts:
@@ -106,6 +123,7 @@ def task_arithmetic(
     scale: float,
 ) -> ParamSet:
     """pretrained + scale * sum of task vectors, on backbone entries."""
+    _check_scale(scale)
     _check_experts(pretrained, experts)
     names = _backbone_names(pretrained)
     out = {}
@@ -114,8 +132,9 @@ def task_arithmetic(
         total = np.zeros_like(base)
         for expert in experts:
             total += np.asarray(expert[name], dtype=np.float64) - base
-        out[name] = base + scale * total
-    return ParamSet(out)
+        with np.errstate(over="ignore"):
+            out[name] = base + scale * total
+    return _merged_paramset(out, scale)
 
 
 def grid_search_scale(
@@ -128,10 +147,12 @@ def grid_search_scale(
 ) -> float:
     """Candidate scale maximizing mean per-task validation accuracy of
     ``merge(pretrained, experts, scale)`` with the experts' task heads;
-    ties go to the smaller scale.
+    ties go to the smaller scale.  Every candidate must be finite.
     """
     if not candidates:
         raise MergeError("empty candidate list")
+    for scale in candidates:
+        _check_scale(scale)
     heads = collect_heads(experts)
     best_scale = None
     best_acc = -1.0
@@ -182,6 +203,7 @@ def ties_merge(
     """
     if not 0 < keep_fraction <= 1:
         raise MergeError("keep_fraction must lie in (0, 1]")
+    _check_scale(scale)
     _check_experts(pretrained, experts)
     names = _backbone_names(pretrained)
     base = _flatten_backbone(pretrained, names)
@@ -195,9 +217,10 @@ def ties_merge(
     matches = (np.sign(trimmed) == elected) & (elected != 0)
     counts = matches.sum(axis=0)
     sums = np.where(matches, trimmed, 0.0).sum(axis=0)
-    merged_flat = base + scale * np.divide(
-        sums, counts, out=np.zeros_like(sums), where=counts > 0
-    )
+    with np.errstate(over="ignore"):
+        merged_flat = base + scale * np.divide(
+            sums, counts, out=np.zeros_like(sums), where=counts > 0
+        )
     out = {}
     offset = 0
     for name in names:
@@ -205,7 +228,7 @@ def ties_merge(
         count = int(np.prod(shape))
         out[name] = merged_flat[offset : offset + count].reshape(shape)
         offset += count
-    return ParamSet(out)
+    return _merged_paramset(out, scale)
 
 
 @dataclass(frozen=True)
@@ -230,15 +253,31 @@ def task_vectors(
     return pre64, taus
 
 
-def _flat_layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], int, int]]:
+@functools.lru_cache(maxsize=16)
+def _flat_layout(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
     """``(name, shape, start, stop)`` of each backbone entry of ``spec`` in
-    the flat layout of :func:`task_vectors`."""
+    the flat layout of :func:`task_vectors`, computed once per spec."""
     layout = []
     offset = 0
     for name, shape in spec.backbone_shapes().items():
         layout.append((name, shape, offset, offset + math.prod(shape)))
         offset += math.prod(shape)
-    return layout
+    return tuple(layout)
+
+
+def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> list[tuple]:
+    """The experts' task heads in float64, stacked per head width: a list
+    of ``(tasks, weights, biases)`` with (G, classes, d) weights and
+    (G, classes) biases, the fixed head input of
+    :func:`ada_loss_and_gradient`."""
+    groups: dict[tuple, list[int]] = {}
+    for task, expert in enumerate(experts):
+        groups.setdefault(np.shape(expert[head_name(task, "weight")]), []).append(task)
+
+    def stacked(tasks, kind):
+        return np.stack([np.asarray(experts[t][head_name(t, kind)], np.float64) for t in tasks])
+
+    return [(tasks, stacked(tasks, "weight"), stacked(tasks, "bias")) for tasks in groups.values()]
 
 
 def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> dict:
@@ -258,7 +297,9 @@ def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> di
     return {name: merged[start:stop].reshape(shape) for name, shape, start, stop in layout}
 
 
-def ada_loss_and_gradient(pre64, taus, experts, spec: ModelSpec, coefficients, batches):
+def ada_loss_and_gradient(
+    pre64, taus, experts, spec: ModelSpec, coefficients, batches, heads=None
+):
     """AdaMerging objective and its gradient for one batch per task.
 
     ``pre64`` and ``taus`` come from :func:`task_vectors`; the model is
@@ -269,35 +310,35 @@ def ada_loss_and_gradient(pre64, taus, experts, spec: ModelSpec, coefficients, b
     such matrices or one stacked (T, input_dim, batch) array; the T tasks
     run as one stacked pass through the shared merged blocks (one pass per
     batch and head shape), and each task's share is bitwise that of its
-    own 2-D pass.  Returns the loss and its (layers, tasks) gradient with
-    respect to ``coefficients``.
+    own 2-D pass.  ``heads`` is :func:`_stacked_heads` of ``experts``,
+    which a caller that steps many times computes once.  Returns the loss
+    and its (layers, tasks) gradient with respect to ``coefficients``.
     """
     num_tasks = len(experts)
     if len(batches) != num_tasks:
         raise MergeError(f"need one batch per expert, got {len(batches)} for {num_tasks}")
     layout = _flat_layout(spec)
     merged64 = _merge_flat(pre64, taus, coefficients, layout)
-    heads = [
-        [np.asarray(expert[head_name(task, kind)], dtype=np.float64) for kind in ("weight", "bias")]
-        for task, expert in enumerate(experts)
-    ]
-    groups: dict[tuple, list[int]] = {}
-    for task, x in enumerate(batches):
-        groups.setdefault((np.shape(x), heads[task][0].shape), []).append(task)
     entropies = np.empty(num_tasks)
     task_grads = np.empty_like(taus)
-    for group in groups.values():
-        x = stack_batches([batches[t] for t in group])
-        layers = forward_layers(merged64, spec, x)
-        head_w = np.stack([heads[t][0] for t in group])
-        head_b = np.stack([heads[t][1] for t in group])
-        entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[..., None])
-        adjoint = head_w.swapaxes(-1, -2) @ dlogits
-        grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
-        entropies[group] = entropy
-        task_grads[group] = np.concatenate(
-            [grads[name].reshape(len(group), -1) for name, *_ in layout], axis=1
-        )
+    for tasks, weights, biases in _stacked_heads(experts) if heads is None else heads:
+        by_shape: dict[tuple, list[int]] = {}
+        for i, task in enumerate(tasks):
+            by_shape.setdefault(np.shape(batches[task]), []).append(i)
+        for rows in by_shape.values():
+            group = [tasks[i] for i in rows]
+            head_w, head_b = (weights, biases) if len(rows) == len(tasks) else (
+                weights[rows], biases[rows]
+            )
+            x = stack_batches([batches[t] for t in group])
+            layers = forward_layers(merged64, spec, x)
+            entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[..., None])
+            adjoint = head_w.swapaxes(-1, -2) @ dlogits
+            grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
+            entropies[group] = entropy
+            task_grads[group] = np.concatenate(
+                [grads[name].reshape(len(group), -1) for name, *_ in layout], axis=1
+            )
     loss = 0.0
     for entropy in entropies.tolist():  # plain float additions in task order
         loss += entropy
@@ -345,12 +386,15 @@ def ada_merge(
     pre64, taus = task_vectors(pretrained, experts)
     coefficients = np.full((spec.num_layers, len(experts)), float(init_coefficient))
 
+    heads = _stacked_heads(experts)
     adam = cfg.make_adam()
     entropies = []
     state = {"coefficients": coefficients}
     batch_lists = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4])
     for iteration, batches in enumerate(batch_lists, start=1):
-        loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coefficients, batches)
+        loss, grad = ada_loss_and_gradient(
+            pre64, taus, experts, spec, coefficients, batches, heads
+        )
         if not np.isfinite(loss):
             raise MergeError(f"non-finite entropy at iteration {iteration}")
         entropies.append(loss)

@@ -10,6 +10,7 @@ are clean) while parameter sets and traces are stored as float32.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -60,11 +61,20 @@ class ModelSpec:
     def out_dim(self, layer: int) -> int:
         return self.layer_dims[layer - 1]
 
+    @functools.cached_property
+    def block_names(self) -> tuple[tuple[str, str], ...]:
+        """The ``(weight, bias)`` entry names of each block, in order,
+        formatted once per spec."""
+        return tuple(
+            (block_name(layer, "weight"), block_name(layer, "bias"))
+            for layer in range(1, self.num_layers + 1)
+        )
+
     def backbone_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
-        for layer in range(1, self.num_layers + 1):
-            shapes[block_name(layer, "weight")] = (self.out_dim(layer), self.in_dim(layer))
-            shapes[block_name(layer, "bias")] = (self.out_dim(layer),)
+        for layer, (weight, bias) in enumerate(self.block_names, start=1):
+            shapes[weight] = (self.out_dim(layer), self.in_dim(layer))
+            shapes[bias] = (self.out_dim(layer),)
         return shapes
 
     def validate_backbone(self, params: Mapping[str, np.ndarray]) -> None:
@@ -103,37 +113,102 @@ class TrainConfig:
         if self.batch_size < 1 or self.iterations < 1:
             raise NetworkError("batch_size and iterations must be >= 1")
 
-    def make_adam(self) -> "Adam":
-        return Adam(self.learning_rate, self.betas)
+    def make_adam(self, rows: int | None = None) -> "Adam":
+        return Adam(self.learning_rate, self.betas, rows=rows)
 
 
 class Adam:
-    """Adam with bias correction over a dict of float64 arrays, in place."""
+    """Adam with bias correction over a dict of float64 arrays, in place.
 
-    def __init__(self, learning_rate: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    By default every array is one model with one step count.  With
+    ``rows=n`` every array holds n independent models, one per leading
+    row, each with its own step count: one :meth:`step` updates them all,
+    or only the rows it names, and each row ends bitwise where stepping
+    it alone would leave it.  Moments and scratch are allocated on the
+    first step, so a step over all rows allocates nothing.
+    """
+
+    def __init__(
+        self,
+        learning_rate: float = 1e-3,
+        betas=(0.9, 0.999),
+        eps: float = 1e-8,
+        rows: int | None = None,
+    ):
         self.learning_rate = learning_rate
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.step_count: int | list[int] = 0 if rows is None else [0] * rows
+        self._state: dict[str, tuple[np.ndarray, ...]] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        self.step_count += 1
-        t = self.step_count
+    def _corrections(self, rows) -> tuple:
+        """The bias corrections ``1 - beta**t`` after one more step of
+        ``rows``: Python floats when every stepping row has the same
+        count, else (n,) arrays with one value per row."""
+        if isinstance(self.step_count, int):
+            if rows is not None:
+                raise NetworkError("stepping chosen rows needs an Adam built with rows")
+            self.step_count += 1
+            counts = [self.step_count]
+        else:
+            for row in range(len(self.step_count)) if rows is None else rows:
+                self.step_count[row] += 1
+            counts = self.step_count if rows is None else [self.step_count[r] for r in rows]
+        if min(counts) == max(counts):
+            return 1 - self.beta1 ** counts[0], 1 - self.beta2 ** counts[0]
+        return tuple(np.array([1 - beta**t for t in counts]) for beta in (self.beta1, self.beta2))
+
+    def step(
+        self,
+        params: dict[str, np.ndarray],
+        grads: Mapping[str, np.ndarray],
+        rows: Sequence[int] | None = None,
+    ) -> None:
+        """One update of every array in ``grads``; with per-row counts,
+        ``rows`` names the rows that step (default: all)."""
+        c1, c2 = self._corrections(rows)
         for key, grad in grads.items():
-            m = self._m.get(key)
-            if m is None:
-                m = self._m[key] = np.zeros_like(params[key])
-                self._v[key] = np.zeros_like(params[key])
-            v = self._v[key]
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * np.square(grad)
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            state = self._state.get(key)
+            if state is None:
+                param = params[key]
+                state = self._state[key] = (
+                    np.zeros_like(param), np.zeros_like(param),
+                    np.empty_like(param), np.empty_like(param),
+                )
+            k1, k2 = c1, c2
+            if isinstance(c1, np.ndarray):  # one correction per leading row
+                shape = (-1,) + (1,) * (grad.ndim - 1)
+                k1, k2 = c1.reshape(shape), c2.reshape(shape)
+            if rows is None:
+                self._update(params[key], grad, *state, k1, k2)
+                continue
+            m, v, _, _ = state
+            p_rows, m_rows, v_rows = params[key][rows], m[rows], v[rows]
+            scratch = (np.empty_like(p_rows), np.empty_like(p_rows))
+            self._update(p_rows, grad[rows], m_rows, v_rows, *scratch, k1, k2)
+            params[key][rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+
+    def _update(self, param, grad, m, v, s1, s2, c1, c2) -> None:
+        """``param -= lr * m_hat / (sqrt(v_hat) + eps)`` through the
+        scratch arrays ``s1``, ``s2``, with the operations and operand
+        order of the textbook expression, so the result is bitwise its."""
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(grad, grad, out=s1)
+        s1 *= 1 - self.beta2
+        v += s1
+        if isinstance(c1, float) and c1 == 1.0:  # 1 - beta1**t rounded to 1: m / 1 is m
+            np.multiply(m, self.learning_rate, out=s1)
+        else:
+            np.divide(m, c1, out=s1)
+            s1 *= self.learning_rate
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        param -= s1
 
 
 @dataclass(frozen=True)
@@ -152,6 +227,8 @@ def forward_layers(
     x: np.ndarray,
     adapters: Mapping[int, Mapping[str, np.ndarray]] | None = None,
     records: list | None = None,
+    first: int = 1,
+    last: int | None = None,
 ) -> list[np.ndarray]:
     """Float64 forward pass returning [Z_1 .. Z_L], each (d_l, batch).
 
@@ -160,24 +237,28 @@ def forward_layers(
     ``Z - up @ relu(down @ Z)``, which the next block consumes.  A
     ``records`` list receives ``(Z, hidden)`` per layer: the uncorrected
     output and ``relu(down @ Z)``, or None where no adapter sits.
+    ``first`` and ``last`` run blocks ``first..last`` only: ``x`` is then
+    the input of block ``first`` (``Z_{first-1}``) and the result is
+    ``[Z_first .. Z_last]``.
 
-    A stacked input ``(T, input_dim, batch)`` runs T independent passes
-    at once, each bitwise equal to its own 2-D call: block parameters and
-    adapters either have a matching leading T axis (one model per slice)
-    or none (shared by every slice).
+    A stacked input ``(T, d, batch)`` runs T independent passes at once,
+    each bitwise equal to its own 2-D call: block parameters and adapters
+    either have a matching leading T axis (one model per slice) or none
+    (shared by every slice).  More leading axes, such as a
+    ``(C, T, d, batch)`` chunk of C stacked batches, broadcast the same
+    way.
     """
     z = np.asarray(x, dtype=np.float64)
-    if z.ndim not in (2, 3) or z.shape[-2] != spec.input_dim:
+    if z.ndim < 2 or z.shape[-2] != spec.in_dim(first):
         raise NetworkError(
-            f"input must be ([T,] {spec.input_dim}, batch), got {z.shape}"
+            f"input must be ([T,] {spec.in_dim(first)}, batch), got {z.shape}"
         )
     adapters = adapters or {}
-    layers = []
     num = spec.num_layers
-    for layer in range(1, num + 1):
-        w = backbone[block_name(layer, "weight")]
-        b = backbone[block_name(layer, "bias")]
-        pre = w @ z + b[..., None]
+    layers = []
+    for layer in range(first, num + 1 if last is None else last + 1):
+        w_name, b_name = spec.block_names[layer - 1]
+        pre = backbone[w_name] @ z + backbone[b_name][..., None]
         z = raw = np.maximum(pre, 0.0) if layer < num else pre
         hidden = None
         pair = adapters.get(layer)
@@ -239,10 +320,14 @@ def _cross_entropy_and_adjoint(
     picks = (labels, columns) if labels.ndim == 1 else (
         np.arange(labels.shape[0])[:, None], labels, columns
     )
+    # The softmax adjoint reuses the shifted exponentials of the loss:
+    # the operations of softmax(logits), so the same bits.
+    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-2, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-2))
-    loss = _batch_mean(logsumexp - shifted[picks])
-    adjoint = softmax(logits)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=-2)
+    loss = _batch_mean(np.log(sums) - shifted[picks])
+    adjoint = exp / sums[..., None, :]
     adjoint[picks] -= 1.0
     return loss, adjoint / batch
 
@@ -264,12 +349,12 @@ def backbone_adjoint_grads(
     grads: dict[str, np.ndarray] = {}
     g = np.asarray(adjoint, dtype=np.float64)
     for layer in range(spec.num_layers, 0, -1):
+        w_name, b_name = spec.block_names[layer - 1]
         z_prev = layers[layer - 2] if layer >= 2 else x
-        grads[block_name(layer, "weight")] = g @ z_prev.swapaxes(-1, -2)
-        grads[block_name(layer, "bias")] = g.sum(axis=-1)
+        grads[w_name] = g @ z_prev.swapaxes(-1, -2)
+        grads[b_name] = g.sum(axis=-1)
         if layer > 1:
-            w = backbone[block_name(layer, "weight")]
-            g = (w.swapaxes(-1, -2) @ g) * (z_prev > 0)
+            g = (backbone[w_name].swapaxes(-1, -2) @ g) * (z_prev > 0)
     return grads
 
 
@@ -375,17 +460,17 @@ def _train_classifiers(
     on ``datasets[t]`` with batches drawn from ``batch_rngs[t]``.
 
     The models are independent, so every iteration runs those whose heads
-    have the same width as one stacked (T, input_dim, batch) pass, and
-    each model takes one Adam step on its row of a :func:`flat_rows`
-    buffer.  Every model ends bitwise where training it alone would leave
-    it.  Returns the trained parameters, under each model's own names,
-    and the loss curves.
+    have the same width as one stacked (T, input_dim, batch) pass, with
+    each model on its row of that group's :func:`flat_rows` buffer, and
+    takes one per-row :class:`Adam` step per buffer.  Every model ends
+    bitwise where training it alone would leave it.  Returns the trained
+    parameters, under each model's own names, and the loss curves.
     """
     features = [data.features.astype(np.float64) for data in datasets]
     groups: dict[int, list[int]] = {}
     for t, tag in enumerate(head_tags):
         groups.setdefault(models[t][head_name(tag, "weight")].shape[0], []).append(t)
-    stacks, rows, trained = [], {}, {}
+    stacks, trained = [], {}
     for classes, group in groups.items():
         shapes = {
             **spec.backbone_shapes(),
@@ -399,32 +484,30 @@ def _train_classifiers(
             for name, view in zip(names, views):
                 view[i] = models[t][name]
             trained[t] = {name: view[i] for name, view in zip(names, views)}
-            rows[t] = {"params": buffer[i]}
-        stacks.append((group, dict(zip(shapes, views))))
-    optimizers = [cfg.make_adam() for _ in models]
+        stacks.append((group, dict(zip(shapes, views)), buffer, cfg.make_adam(rows=len(group))))
 
     losses: list[list[float]] = [[] for _ in models]
     for iteration in range(1, cfg.iterations + 1):
         step_losses: dict[int, float] = {}
-        step_grads: dict[int, np.ndarray] = {}
-        for group, params in stacks:
+        flats = []
+        for group, params, _, _ in stacks:
             picks = [
                 batch_rngs[t].integers(0, len(datasets[t]), size=cfg.batch_size) for t in group
             ]
             x = stack_batches([features[t][idx].T for t, idx in zip(group, picks)])
             labels = np.stack([datasets[t].labels[idx] for t, idx in zip(group, picks)])
             group_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
-            flat = np.concatenate([grads[name].reshape(len(group), -1) for name in params], axis=1)
-            for i, (t, loss) in enumerate(zip(group, group_losses.tolist())):
-                step_losses[t] = loss
-                step_grads[t] = flat[i]
+            flats.append(
+                np.concatenate([grads[name].reshape(len(group), -1) for name in params], axis=1)
+            )
+            step_losses.update(zip(group, group_losses.tolist()))
         for t in range(len(models)):
             if not math.isfinite(step_losses[t]):
                 what = "pretraining" if head_tags[t] == "pretrain" else f"task {head_tags[t]}"
                 raise NetworkError(f"non-finite training loss at iteration {iteration} ({what})")
             losses[t].append(step_losses[t])
-        for t, grad in step_grads.items():
-            optimizers[t].step(rows[t], {"params": grad})
+        for (_, _, buffer, optimizer), flat in zip(stacks, flats):
+            optimizer.step({"params": buffer}, {"params": flat})
     return [trained[t] for t in range(len(models))], losses
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, TrainConfig, block_name, flat_rows, forward_layers, random_batches,
-    stack_batches, to_float64,
+    ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
+    to_float64,
 )
 from .tensors import ParamSet
 
@@ -30,6 +30,11 @@ _SINGLE_BLOCK = "single_block"
 # The names to_paramset writes: surgery.{task}.{layer}.{down|up}, indices
 # in plain decimal, so each (task, layer) pair has exactly one spelling.
 _ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
+# Columns per task in one chunk of iterations: train_surgery computes the
+# expert targets of a chunk's batches in one stacked pass.  A constant
+# budget bounds what a chunk holds: 16 batches of 16 for 4 tasks of a
+# 32-wide model take about 1.5 MB.
+_CHUNK_COLUMNS = 256
 
 
 class SurgeryError(ValueError):
@@ -60,15 +65,6 @@ class AdapterParams:
     @property
     def width(self) -> int:
         return self.down.shape[1]
-
-
-def adapter_forward(adapter: AdapterParams, z: np.ndarray) -> np.ndarray:
-    """up @ relu(down @ z) for a (width, batch) matrix."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != adapter.width:
-        raise SurgeryError(f"input must be ({adapter.width}, batch), got {z.shape}")
-    hidden = np.maximum(adapter.down.astype(np.float64) @ z, 0.0)
-    return adapter.up.astype(np.float64) @ hidden
 
 
 @dataclass(frozen=True)
@@ -307,9 +303,11 @@ def surgery_gradients(
     spec: ModelSpec,
     task_adapters: Mapping[int, dict[str, np.ndarray]],
     x: np.ndarray,
-    targets: list[np.ndarray],
+    targets: Sequence[np.ndarray],
     psi: LossKind,
     full_backprop: bool = False,
+    first: int = 1,
+    grads: dict[int, dict[str, np.ndarray]] | None = None,
 ):
     """Per-layer alignment losses and adapter gradients for one batch.
 
@@ -319,45 +317,93 @@ def surgery_gradients(
     ``(losses, grads)`` keyed by 1-based layer index, with grads mapping
     to ``{"down": ..., "up": ...}``.
 
-    A stacked ``x`` of shape (T, input_dim, batch), with (T, ...)
-    adapters and targets, handles T tasks at once: each layer's loss is
-    then a (T,) array, and every task's losses and gradients are bitwise
-    those of its own 2-D call.
+    ``x`` enters block ``first`` (the model input when ``first`` is 1), so
+    a caller that holds the merged representation below the lowest adapter
+    starts there; ``targets[l - 1]`` is the expert's ``Z_l``, read only
+    for the adapted layers.  Given
+    ``grads`` arrays, the gradients are written into them in place.
+
+    A stacked ``x`` of shape (T, d, batch), with (T, ...) adapters and
+    targets, handles T tasks at once: each layer's loss is then a (T,)
+    array, and every task's losses and gradients are bitwise those of its
+    own 2-D call.
     """
+    if min(task_adapters, default=first) < first:
+        raise SurgeryError(f"adapters below block {first} need the pass to start lower")
     records = []
-    corrected = forward_layers(merged64, spec, x, task_adapters, records)
+    corrected = forward_layers(merged64, spec, x, task_adapters, records, first=first)
     losses: dict[int, float | np.ndarray] = {}
     adjoints: dict[int, np.ndarray] = {}
     for layer in sorted(task_adapters):
         losses[layer], adjoints[layer] = alignment_loss_and_grad(
-            corrected[layer - 1], targets[layer - 1], psi
+            corrected[layer - first], targets[layer - 1], psi
         )
-    grads: dict[int, dict[str, np.ndarray]] = {}
+    grads = {} if grads is None else grads
     carry = None  # full backprop: dTotal/dZhat_l arriving from block l+1
-    for layer in range(spec.num_layers, 0, -1):
+    for layer in range(spec.num_layers, first - 1, -1):
         a_hat = adjoints.get(layer)
         if carry is not None:
             a_hat = carry if a_hat is None else a_hat + carry
             carry = None
         if a_hat is None:
             continue
-        raw, hidden = records[layer - 1]
+        raw, hidden = records[layer - first]
         d_raw = a_hat
         pair = task_adapters.get(layer)
         if pair is not None:
             d_omega = -a_hat
             up_t = pair["up"].swapaxes(-1, -2)
             d_hidden = (up_t @ d_omega) * (hidden > 0)
-            grads[layer] = {
-                "down": d_hidden @ raw.swapaxes(-1, -2),
-                "up": d_omega @ hidden.swapaxes(-1, -2),
-            }
-            if full_backprop:
+            out = grads.setdefault(layer, {})
+            out["down"] = np.matmul(d_hidden, raw.swapaxes(-1, -2), out=out.get("down"))
+            out["up"] = np.matmul(d_omega, hidden.swapaxes(-1, -2), out=out.get("up"))
+            if full_backprop and layer > first:
                 d_raw = a_hat - pair["down"].swapaxes(-1, -2) @ ((up_t @ a_hat) * (hidden > 0))
-        if full_backprop and layer > 1:
+        if full_backprop and layer > first:
             d_pre = d_raw * (raw > 0) if layer < spec.num_layers else d_raw
-            carry = merged64[block_name(layer, "weight")].T @ d_pre
+            carry = merged64[spec.block_names[layer - 1][0]].T @ d_pre
     return losses, grads
+
+
+def _checked_row(batches, num_tasks: int) -> tuple[list, tuple]:
+    """One iteration's batches as float64 matrices (None kept), and its
+    key: per task None or the batch's shape and column-major flag."""
+    if len(batches) != num_tasks:
+        raise SurgeryError(f"data covers {len(batches)} tasks, experts {num_tasks}")
+    row, key = [], []
+    for task, x in enumerate(batches):
+        if x is not None:
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2:
+                raise SurgeryError(f"task {task} batch must be (input_dim, batch)")
+        row.append(x)
+        key.append(None if x is None else (x.shape, x.flags.f_contiguous))
+    return row, tuple(key)
+
+
+def _chunks(data, num_tasks: int) -> Iterator[tuple[list[list], tuple]]:
+    """Runs of consecutive iterations whose batches share one key, at most
+    :data:`_CHUNK_COLUMNS` columns per task, read one run ahead of the
+    caller.  An invalid iteration ends the run before it and raises when
+    the caller asks for the next run."""
+    chunk: list[list] = []
+    key, limit = None, 0
+    for batches in data:
+        try:
+            row, row_key = _checked_row(batches, num_tasks)
+        except SurgeryError:
+            if chunk:
+                yield chunk, key
+            raise
+        if chunk and (row_key != key or len(chunk) == limit):
+            yield chunk, key
+            chunk = []
+        if not chunk:
+            width = max([k[0][1] for k in row_key if k is not None], default=1)
+            key, limit = row_key, max(1, _CHUNK_COLUMNS // width)
+        chunk.append(row)
+    if chunk:
+        yield chunk, key
 
 
 def train_surgery(
@@ -385,9 +431,13 @@ def train_surgery(
 
     The tasks are independent problems of one shape, so each iteration
     runs them stacked on a leading task axis (one stack per batch width)
-    and takes one Adam step per task with a batch; a task whose batch is
-    None takes no step.  Every task ends bitwise where training it alone
-    on its own batches would leave it.
+    and takes one per-row Adam step on the buffer that holds every task's
+    adapters; a task whose batch is None takes no step.  The expert
+    targets, and the merged blocks below the lowest adapter, do not depend
+    on the adapters: they run once per chunk of up to
+    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
+    Every task ends bitwise where training it alone on its own batches
+    would leave it.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
@@ -404,66 +454,85 @@ def train_surgery(
         for name in spec.backbone_shapes()
     }
     layers = mode.layer_indices(spec.num_layers)
+    first = layers[0]
     stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
-    # Row t holds every adapter of task t; the per-layer (T, ...) matrices
-    # are views into it, so one Adam step on the row updates the task.
+    # Row t of params holds every adapter of task t, and row t of
+    # grad_rows its gradients; the per-layer (T, ...) matrices are views.
     shapes = {}
     for layer in layers:
         shapes[layer, "down"] = (rank, spec.out_dim(layer))
         shapes[layer, "up"] = (spec.out_dim(layer), rank)
     params, views = flat_rows(list(shapes.values()), num_tasks)
+    grad_rows, grad_views = flat_rows(list(shapes.values()), num_tasks)
     adapters: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
-    for (layer, half), view in zip(shapes, views):
+    grads: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
+    for (layer, half), view, grad_view in zip(shapes, views, grad_views):
         view[...] = [getattr(stack0.adapters[(t, layer)], half) for t in range(num_tasks)]
         adapters[layer][half] = view
-    rows = [{"adapters": row} for row in params]
-    optimizers = [cfg.make_adam() for _ in range(num_tasks)]
+        grads[layer][half] = grad_view
+    optimizer = cfg.make_adam(rows=num_tasks)
 
-    losses = []
-    for iteration, batches in enumerate(data, start=1):
-        if len(batches) != num_tasks:
-            raise SurgeryError(f"data covers {len(batches)} tasks, experts {num_tasks}")
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for task, x in enumerate(batches):
-            if x is not None:
-                if np.ndim(x) != 2:
-                    raise SurgeryError(f"task {task} batch must be (input_dim, batch)")
-                groups.setdefault(np.shape(x), []).append(task)
-        task_losses: dict[int, list[float]] = {}
-        task_grads: dict[int, np.ndarray] = {}
+    losses: list[float] = []
+
+    def train_chunk(chunk: list[list], key: tuple) -> None:
+        # A function, so the chunk's arrays are freed before the next
+        # chunk's are computed.
+        groups: dict[tuple, list[int]] = {}
+        for task, task_key in enumerate(key):
+            if task_key is not None:
+                groups.setdefault(task_key[0], []).append(task)
+        passes = []
         for group in groups.values():
-            if len(group) == num_tasks:
-                group_experts, group_adapters = experts64, adapters
-            else:  # copies of this group's rows
-                group_experts = {n: w[group] for n, w in experts64.items()}
-                group_adapters = {
-                    l: {h: m[group] for h, m in pair.items()} for l, pair in adapters.items()
-                }
-            x = stack_batches([batches[t] for t in group])
-            targets = forward_layers(group_experts, spec, x)
-            layer_losses, grads = surgery_gradients(
-                merged64, spec, group_adapters, x, targets, psi, full_backprop
+            full = len(group) == num_tasks
+            # (C, G, d, batch): slice [i, g] laid out as its batch is.
+            x = stack_batches([row[t] for row in chunk for t in group])
+            x = x.reshape(len(chunk), len(group), *x.shape[1:])
+            targets = forward_layers(
+                experts64 if full else {n: w[group] for n, w in experts64.items()}, spec, x
             )
-            flat = np.concatenate(
-                [grads[l][h].reshape(len(group), -1) for l in layers for h in ("down", "up")],
-                axis=1,
-            )
-            per_task = np.stack([layer_losses[l] for l in layers], axis=1).tolist()
-            for i, task in enumerate(group):
-                task_losses[task] = per_task[i]
-                task_grads[task] = flat[i]
-        total = 0.0
-        for task in sorted(task_losses):
-            for layer, loss in zip(layers, task_losses[task]):
-                if not math.isfinite(loss):
-                    raise SurgeryError(
-                        f"non-finite loss at iteration {iteration}, "
-                        f"task {task}, layer {layer}"
-                    )
-                total += loss
-        for task, grad in task_grads.items():
-            optimizers[task].step(rows[task], {"adapters": grad})
-        losses.append(total)
+            targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
+            if first > 1:
+                x = forward_layers(merged64, spec, x, last=first - 1)[-1]
+            passes.append((group, full, x, targets))
+        stepped = sorted(t for group in groups.values() for t in group)
+        for i in range(len(chunk)):
+            task_losses: dict[int, list[float]] = {}
+            for group, full, x, targets in passes:
+                if full:
+                    group_adapters, out = adapters, grads
+                else:  # copies of this group's rows
+                    group_adapters = {
+                        l: {h: m[group] for h, m in pair.items()} for l, pair in adapters.items()
+                    }
+                    out = None
+                layer_losses, group_grads = surgery_gradients(
+                    merged64, spec, group_adapters, x[i],
+                    [None if z is None else z[i] for z in targets], psi, full_backprop, first, out,
+                )
+                if not full:
+                    for layer, pair in group_grads.items():
+                        for half, grad in pair.items():
+                            grads[layer][half][group] = grad
+                per_task = np.stack([layer_losses[l] for l in layers], axis=1).tolist()
+                task_losses.update(zip(group, per_task))
+            total = 0.0
+            for task in stepped:
+                for layer, loss in zip(layers, task_losses[task]):
+                    if not math.isfinite(loss):
+                        raise SurgeryError(
+                            f"non-finite loss at iteration {len(losses) + 1}, "
+                            f"task {task}, layer {layer}"
+                        )
+                    total += loss
+            if stepped:
+                optimizer.step(
+                    {"adapters": params}, {"adapters": grad_rows},
+                    None if len(stepped) == num_tasks else stepped,
+                )
+            losses.append(total)
+
+    for chunk, key in _chunks(data, num_tasks):
+        train_chunk(chunk, key)
 
     stack = SurgeryStack(mode=mode, psi=psi, adapters={
         (task, layer): AdapterParams(down=pair["down"][task], up=pair["up"][task])

@@ -80,7 +80,33 @@ class TestRepresentationBias:
             LossKind.parse("huber")
 
 
+def _former_alignment_loss(a, b, kind):
+    """The loss as ndarray.mean computed it before the step summed and
+    divided directly."""
+    from merge_surgeon.bias import _cosine_parts
+
+    axes = None if a.ndim == 2 else (-2, -1)
+    if kind is LossKind.L1:
+        loss = np.abs(a - b).mean(axis=axes)
+    elif kind is LossKind.MSE:
+        loss = np.square(a - b).mean(axis=axes)
+    else:
+        loss = -_cosine_parts(a, b)[0].mean(axis=axes)
+    return float(loss) if axes is None else loss
+
+
 class TestAlignmentLoss:
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("shape", [(6, 11), (3, 32, 16), (1, 1), (2, 5, 1)])
+    def test_loss_is_bitwise_the_mean(self, kind, shape):
+        rng = np.random.default_rng(12)
+        for scale in (1e-300, 1e-3, 1.0, 1e150):
+            a = rng.standard_normal(shape) * scale
+            b = rng.standard_normal(shape) * scale
+            got, _ = alignment_loss_and_grad(a, b, kind)
+            want = _former_alignment_loss(a, b, kind)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), scale
+
     def test_value_equals_bias_for_l1_and_mse(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 11))

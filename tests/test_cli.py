@@ -217,6 +217,28 @@ class TestErrors:
         assert line.startswith(f"Error: {key} = {value}: ")
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("algo", ["ta", "ties"])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_overflowing_merge_scale_is_one_error_line(self, runner, tmp_path, algo, grid):
+        # 1e40 is a finite scale, but the merged weights overflow float32.
+        values = parse_config_text(TINY_CFG)
+        values["merge_algo"] = algo
+        if grid:
+            values["merge_scale"], values["scale_grid"] = "grid", "0.3,1e40"
+        else:
+            values["merge_scale"] = "1e40"
+        config = tmp_path / "big.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["pipeline", "--config", str(config), "--run-dir", str(tmp_path / "run")]
+            )
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert lines[-1] == "Error: scale 1e+40: the merged weights overflow float32"
+        assert not any("Warning" in line for line in lines)
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")

@@ -1,14 +1,19 @@
 """Merging rules: identities, the ties oracle, grid search, AdaMerging."""
 
+import functools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import merge_surgeon as ms
+from merge_surgeon import network
 from merge_surgeon.merging import (
     MergeError,
     MergeRecipe,
+    _stacked_heads,
     ada_loss_and_gradient,
     task_arithmetic,
     task_vectors,
@@ -256,6 +261,62 @@ class TestGridSearch:
             ms.grid_search_scale(pretrained, experts, spec, [], [t.validation for t in suite.tasks])
 
 
+class TestScaleChecks:
+    """A non-finite scale, or a finite one whose merge overflows float32,
+    is a MergeError that names the scale, with no numpy warning first."""
+
+    MERGES = [
+        pytest.param(task_arithmetic, id="ta"),
+        pytest.param(functools.partial(ties_merge, keep_fraction=0.5), id="ties"),
+    ]
+
+    @staticmethod
+    def models():
+        # Task vectors of magnitude 1, so scale 1e39 passes float32's 3.4e38.
+        pre = backbone_paramset([("block1.weight", [[0.0, 1.0]]), ("block1.bias", [0.5])])
+        a = backbone_paramset([("block1.weight", [[1.0, 1.0]]), ("block1.bias", [0.5])])
+        b = backbone_paramset([("block1.weight", [[0.0, 2.0]]), ("block1.bias", [-0.5])])
+        return pre, [a, b]
+
+    @pytest.mark.parametrize("merge", MERGES)
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (1e39, "scale 1e+39: the merged weights overflow float32"),
+            (-1e39, "scale -1e+39: the merged weights overflow float32"),
+            (1e300, "scale 1e+300: the merged weights overflow float32"),
+            (math.nan, "scale nan is not finite"),
+            (math.inf, "scale inf is not finite"),
+            (-math.inf, "scale -inf is not finite"),
+        ],
+    )
+    def test_merge_error_names_the_scale(self, merge, scale, message):
+        pre, experts = self.models()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MergeError, match=re.escape(message)):
+                merge(pre, experts, scale)
+
+    @pytest.mark.parametrize("merge", MERGES)
+    def test_large_finite_merge_is_kept(self, merge):
+        pre, experts = self.models()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = merge(pre, experts, 1e38)
+        assert np.isfinite(merged["block1.weight"]).all()
+
+    @pytest.mark.parametrize("merge", MERGES)
+    def test_grid_search_rejects_bad_candidates(self, tiny_models, merge):
+        suite, spec, pretrained, experts = tiny_models
+        vals = [task.validation for task in suite.tasks]
+        with pytest.raises(MergeError, match="scale nan is not finite"):
+            ms.grid_search_scale(pretrained, experts, spec, [0.3, math.nan], vals, merge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MergeError, match=re.escape("scale 1e+45: the merged weights")):
+                ms.grid_search_scale(pretrained, experts, spec, [0.3, 1e45], vals, merge)
+
+
 class TestAdaMerging:
     def test_zero_task_vectors_are_a_fixed_point(self):
         rng = np.random.default_rng(22)
@@ -419,6 +480,40 @@ class TestStackedAdaMerging:
         assert result.entropies == tuple(entropies)
         assert result.coefficients.tobytes() == coefficients.tobytes()
         assert bitwise_equal(result.params, ParamSet(merged))
+
+    def test_precomputed_heads_change_nothing(self):
+        # ada_merge passes the stacked heads it computed once; the result
+        # is bitwise that of stacking them inside the call.
+        rng, spec, pretrained, experts = _ada_instance(98)
+        batches = [rng.standard_normal((6, 4)).T for _ in range(3)]
+        batches[1] = rng.standard_normal((4, 4)).T  # its own batch-width group
+        coeff = rng.uniform(0.1, 0.5, size=(3, 3))
+        pre64, taus = task_vectors(pretrained, experts)
+        want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
+        got = ada_loss_and_gradient(
+            pre64, taus, experts, spec, coeff, batches, _stacked_heads(experts)
+        )
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_block_names_are_formatted_once_per_spec(self, monkeypatch):
+        # The per-step path reads the spec's cached names: the number of
+        # formatted names does not grow with the number of steps.
+        calls = []
+
+        def counting_block_name(layer, kind):
+            calls.append((layer, kind))
+            return f"block{layer}.{kind}"
+
+        rng, spec, pretrained, experts = _ada_instance(99, head_dims=(2, 2, 2))
+        monkeypatch.setattr(network, "block_name", counting_block_name)
+        spec = ModelSpec(spec.input_dim, spec.layer_dims, spec.head_dims)  # fresh cache
+        pools = [rng.standard_normal((20, 4)) for _ in range(3)]
+        ms.ada_merge(pretrained, experts, spec, pools, ms.TrainConfig(iterations=3, seed=1))
+        after_three = len(calls)
+        ms.ada_merge(pretrained, experts, spec, pools, ms.TrainConfig(iterations=30, seed=1))
+        assert after_three == 2 * spec.num_layers
+        assert len(calls) == after_three
 
     def test_depends_on_expert_order(self):
         # Batch draws are seeded by task position, so swapping two experts

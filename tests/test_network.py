@@ -12,6 +12,8 @@ from merge_surgeon.network import (
     ModelSpec,
     NetworkError,
     TrainConfig,
+    _batch_mean,
+    _cross_entropy_and_adjoint,
     backbone_adjoint_grads,
     classifier_loss_and_grads,
     entropy_loss_and_adjoint,
@@ -19,6 +21,7 @@ from merge_surgeon.network import (
     head_logits,
     init_backbone,
     init_head,
+    softmax,
     stack_batches,
     train_expert,
     train_experts,
@@ -202,6 +205,24 @@ class TestBackprop:
         np.testing.assert_allclose(grads["block2.weight"], closed_form, atol=1e-5)
 
 
+def _textbook_adam(param, grads, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    """The allocating Adam update, one step per gradient, on a copy of
+    ``param``: the expression the optimizer has always computed."""
+    b1, b2 = betas
+    param = param.copy()
+    m = np.zeros_like(param)
+    v = np.zeros_like(param)
+    for t, grad in enumerate(grads, start=1):
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * np.square(grad)
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -216,6 +237,119 @@ class TestAdam:
         for _ in range(200):
             adam.step(params, {"w": 2 * params["w"]})
         assert abs(params["w"][0]) < 0.5
+
+    # With beta1 = 0.5, 1 - beta1**t rounds to 1.0 from step 54 on.
+    @pytest.mark.parametrize("betas", [(0.8, 0.99), (0.5, 0.99)])
+    def test_in_place_step_is_the_textbook_step(self, betas):
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal((3, 7))
+        # Gradients over many magnitudes, zeros included.
+        grads = [rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-12, 12) for _ in range(80)]
+        grads[5][1] = 0.0
+        params = {"w": start.copy()}
+        adam = Adam(learning_rate=0.01, betas=betas)
+        for grad in grads:
+            adam.step(params, {"w": grad})
+        want = _textbook_adam(start, grads, lr=0.01, betas=betas)
+        assert params["w"].tobytes() == want.tobytes()
+
+    def test_whole_buffer_step_equals_per_row_steps(self):
+        # Row 0 steps throughout, row 1 stops after 10 steps, row 2 after
+        # 3, row 3 sits out steps 4-7 and comes back: every row ends
+        # bitwise where its own textbook Adam on its own steps leaves it.
+        rng = np.random.default_rng(1)
+        rows, size, steps = 4, 11, 25
+        start = rng.standard_normal((rows, size))
+        schedule = [
+            [r for r in range(rows) if (r != 1 or s < 10) and (r != 2 or s < 3)
+             and (r != 3 or not 4 <= s < 8)]
+            for s in range(steps)
+        ]
+        buffer = start.copy()
+        adam = Adam(learning_rate=0.05, rows=rows)
+        seen: list[list[np.ndarray]] = [[] for _ in range(rows)]
+        for stepping in schedule:
+            grad = rng.standard_normal((rows, size))
+            for r in stepping:
+                seen[r].append(grad[r])
+            adam.step({"p": buffer}, {"p": grad}, None if len(stepping) == rows else stepping)
+        assert adam.step_count == [len(g) for g in seen]
+        for r in range(rows):
+            want = _textbook_adam(start[r], seen[r], lr=0.05)
+            assert buffer[r].tobytes() == want.tobytes(), r
+
+    def test_stacked_rows_broadcast_over_trailing_axes(self):
+        rng = np.random.default_rng(2)
+        start = rng.standard_normal((3, 2, 4))
+        buffer = start.copy()
+        adam = Adam(rows=3)
+        grads = [rng.standard_normal((3, 2, 4)) for _ in range(6)]
+        for i, grad in enumerate(grads):
+            adam.step({"p": buffer}, {"p": grad}, [0, 2] if i % 2 else None)
+        for r in range(3):
+            own = [g[r] for i, g in enumerate(grads) if r != 1 or i % 2 == 0]
+            assert buffer[r].tobytes() == _textbook_adam(start[r], own).tobytes()
+
+    def test_choosing_rows_needs_a_row_optimizer(self):
+        with pytest.raises(NetworkError):
+            Adam().step({"p": np.zeros((2, 3))}, {"p": np.ones((2, 3))}, [0])
+
+
+def _former_cross_entropy_and_adjoint(logits, labels):
+    """The loss and adjoint as computed before the softmax was shared:
+    the loss's own exponentials, then softmax(logits) again."""
+    labels = np.asarray(labels, dtype=np.int64)
+    batch = logits.shape[-1]
+    columns = np.arange(batch)
+    picks = (labels, columns) if labels.ndim == 1 else (
+        np.arange(labels.shape[0])[:, None], labels, columns
+    )
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=-2))
+    loss = _batch_mean(logsumexp - shifted[picks])
+    adjoint = softmax(logits)
+    adjoint[picks] -= 1.0
+    return loss, adjoint / batch
+
+
+class TestCrossEntropy:
+    # Training runs under this errstate too; a -1e308 vs 1e308 column
+    # overflows the shift to -inf.
+    @np.errstate(over="ignore", invalid="ignore")
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[0.1, -0.3, 2.0], [5.0, 5.0, 5.0]],
+            [[1e300, -1e300, 0.0], [-1e308, 1e308, 1.0]],
+            [[700.0, -700.0, 0.0], [-745.0, 0.0, 745.0]],
+            [[1e-300, -1e-300, 5e-324], [0.0, -0.0, 0.0]],
+            [[3.0, 3.0 + 1e-15, 3.0 - 1e-15], [-1e16, -1e16 + 2.0, 1e16]],
+        ],
+    )
+    def test_shared_softmax_is_bitwise_the_former_formula(self, columns):
+        rng = np.random.default_rng(3)
+        logits = np.array(columns, dtype=np.float64).T  # (3 classes, 2 columns)
+        labels = np.array([0, 2])
+        got = _cross_entropy_and_adjoint(logits, labels)
+        want = _former_cross_entropy_and_adjoint(logits, labels)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        stacked = np.stack([logits, rng.standard_normal((3, 2)) * 50.0])
+        stacked_labels = np.array([[0, 2], [1, 1]])
+        got = _cross_entropy_and_adjoint(stacked, stacked_labels)
+        want = _former_cross_entropy_and_adjoint(stacked, stacked_labels)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_random_logits_bitwise(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-3, 1.0, 1e3, 1e150):
+            logits = rng.standard_normal((4, 5, 9)) * scale
+            labels = rng.integers(0, 5, size=(4, 9))
+            got = _cross_entropy_and_adjoint(logits, labels)
+            want = _former_cross_entropy_and_adjoint(logits, labels)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestTrainConfig:

@@ -13,14 +13,15 @@ from merge_surgeon.network import (
     random_batches,
     to_float64,
 )
+from merge_surgeon import surgery
 from merge_surgeon.surgery import (
+    _CHUNK_COLUMNS,
     ALL_LAYERS,
     LAST_LAYER,
     AdapterParams,
     SurgeryError,
     SurgeryMode,
     SurgeryStack,
-    adapter_forward,
     corrected_forward,
     init_stack,
     sequential_batches,
@@ -47,34 +48,63 @@ def tiny_models(seed=0):
     return spec, merged, expert
 
 
+def _omega(adapter, z):
+    """up @ relu(down @ z) in float64: the hand-written correction."""
+    down, up = adapter.down.astype(np.float64), adapter.up.astype(np.float64)
+    return up @ np.maximum(down @ z, 0.0)
+
+
 class TestAdapterForward:
+    """The in-path correction that forward_layers applies at an adapter."""
+
     def test_zero_down_gives_zero(self):
-        adapter = AdapterParams(down=np.zeros((2, 4)), up=np.ones((4, 2)))
-        z = np.random.default_rng(0).standard_normal((4, 6))
-        assert np.all(adapter_forward(adapter, z) == 0)
+        spec = tiny_spec()
+        backbone = init_backbone(spec, np.random.default_rng(0))
+        adapter = AdapterParams(down=np.zeros((2, 5)), up=np.ones((5, 2)))
+        pair = {"down": adapter.down.astype(np.float64), "up": adapter.up.astype(np.float64)}
+        x = np.random.default_rng(0).standard_normal((4, 6))
+        plain = forward_layers(backbone, spec, x)
+        corrected = forward_layers(backbone, spec, x, {1: pair})
+        for a, b in zip(plain, corrected):
+            assert a.tobytes() == b.tobytes()
 
     def test_identity_pair_on_non_negative_input(self):
-        adapter = AdapterParams(down=np.eye(4), up=np.eye(4))
-        z = np.abs(np.random.default_rng(1).standard_normal((4, 6)))
-        np.testing.assert_allclose(adapter_forward(adapter, z), z, atol=1e-7)
+        # Block 1 ends in a ReLU, so its output is non-negative and an
+        # identity pair subtracts all of it.
+        spec = tiny_spec()
+        backbone = init_backbone(spec, np.random.default_rng(1))
+        pair = {"down": np.eye(5), "up": np.eye(5)}
+        x = np.random.default_rng(1).standard_normal((4, 6))
+        records = []
+        z1 = forward_layers(backbone, spec, x, {1: pair}, records)[0]
+        assert np.all(z1 == 0)
+        assert records[0][1].tobytes() == records[0][0].tobytes()
 
     def test_matches_hand_computation(self):
+        spec = tiny_spec()
         rng = np.random.default_rng(2)
-        down = rng.standard_normal((2, 3))
-        up = rng.standard_normal((3, 2))
-        z = rng.standard_normal((3, 2))
-        adapter = AdapterParams(down=down, up=up)
-        expected = up.astype(np.float32).astype(np.float64) @ np.maximum(
-            down.astype(np.float32).astype(np.float64) @ z, 0.0
-        )
-        np.testing.assert_allclose(adapter_forward(adapter, z), expected, atol=1e-6)
+        backbone = init_backbone(spec, rng)
+        adapter = AdapterParams(down=rng.standard_normal((2, 5)), up=rng.standard_normal((5, 2)))
+        x = rng.standard_normal((4, 3))
+        raw = np.maximum(backbone["block1.weight"] @ x + backbone["block1.bias"][:, None], 0.0)
+        expected = raw - _omega(adapter, raw)
+        pair = {"down": adapter.down.astype(np.float64), "up": adapter.up.astype(np.float64)}
+        got = forward_layers(backbone, spec, x, {1: pair})[0]
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_shape_validation(self):
-        adapter = AdapterParams(down=np.zeros((2, 4)), up=np.zeros((4, 2)))
-        with pytest.raises(SurgeryError):
-            adapter_forward(adapter, np.zeros((5, 3)))
+        spec = tiny_spec()
         with pytest.raises(SurgeryError):
             AdapterParams(down=np.zeros((2, 4)), up=np.zeros((3, 2)))
+        wrong_width = SurgeryStack(
+            mode=single_block(1), psi=LossKind.L1,
+            adapters={(0, 1): AdapterParams(down=np.zeros((2, 4)), up=np.zeros((4, 2)))},
+        )
+        with pytest.raises(SurgeryError, match="width 4 != layer width 5"):
+            wrong_width.adapters64(0, spec)
+        backbone = init_backbone(spec, np.random.default_rng(3))
+        with pytest.raises(NetworkError):
+            forward_layers(backbone, spec, np.zeros((5, 3)))
 
 
 class TestSurgeryMode:
@@ -149,9 +179,9 @@ class TestCorrectedForward:
         w2 = merged["block2.weight"].astype(np.float64)
         b2 = merged["block2.bias"].astype(np.float64)
         z1 = np.maximum(w1 @ x + b1[:, None], 0.0)
-        z1_hat = z1 - adapter_forward(adapters[(0, 1)], z1)
+        z1_hat = z1 - _omega(adapters[(0, 1)], z1)
         z2 = w2 @ z1_hat + b2[:, None]
-        z2_hat = z2 - adapter_forward(adapters[(0, 2)], z2)
+        z2_hat = z2 - _omega(adapters[(0, 2)], z2)
         np.testing.assert_allclose(trace[0], z1_hat, atol=1e-6)
         np.testing.assert_allclose(trace[1], z2_hat, atol=1e-6)
 
@@ -632,3 +662,145 @@ class TestStackedEngine:
                     got = getattr(joint.stack.adapters[(t, layer)], half)
                     want = getattr(alone.stack.adapters[(t, layer)], half)
                     assert got.tobytes() == want.tobytes(), (t, layer, half)
+
+
+def _assert_matches_reference(result, reference):
+    losses, adapters = reference
+    assert result.losses == tuple(losses)
+    for (task, layer), adapter in result.stack.adapters.items():
+        want = AdapterParams(**adapters[task][layer])
+        assert adapter.down.tobytes() == want.down.tobytes(), (task, layer)
+        assert adapter.up.tobytes() == want.up.tobytes(), (task, layer)
+
+
+MODES = [pytest.param(m, id=m.label()) for m in (LAST_LAYER, ALL_LAYERS, single_block(2))]
+PSIS = [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE]
+
+
+class TestChunkedEngine:
+    """train_surgery reads chunks of iterations ahead and computes their
+    targets (and the merged blocks below the lowest adapter) in one pass;
+    it still ends bitwise where the per-task reference loop ends."""
+
+    BATCH = 8
+    PER_CHUNK = _CHUNK_COLUMNS // BATCH
+
+    def _pools(self, seed, sizes=(30, 30, 30)):
+        return [
+            np.random.default_rng([seed, t]).standard_normal((n, 4)) + 0.3
+            for t, n in enumerate(sizes)
+        ]
+
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    @pytest.mark.parametrize("psi", PSIS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("iterations", [1, PER_CHUNK + 1])
+    def test_random_pools_match_per_task_reference(self, iterations, mode, psi, full_backprop):
+        spec, merged, experts, _ = _three_task_models(seed=60)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=iterations, seed=60)
+        pools = self._pools(61)
+        result = train_surgery(
+            merged, experts, spec, pools, mode, psi, cfg, rank=2, full_backprop=full_backprop
+        )
+        assert len(result.losses) == iterations
+        batches = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 6])
+        _assert_matches_reference(result, _per_task_reference(
+            merged, experts, spec, batches, mode, psi, cfg, 2, full_backprop
+        ))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_major_and_mixed_layout_batches(self, mode):
+        # Row-major batches throughout, except that every fifth iteration
+        # gives task 1 a column-major one: each layout change ends a chunk.
+        spec, merged, experts, _ = _three_task_models(seed=62)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=62)
+        rng = np.random.default_rng(63)
+        rows = []
+        for i in range(2 * self.PER_CHUNK + 3):
+            row = [
+                np.ascontiguousarray(rng.standard_normal((4, self.BATCH)) + 0.3) for _ in range(3)
+            ]
+            if i % 5 == 4:
+                row[1] = np.asfortranarray(row[1])
+            rows.append(row)
+        assert not rows[0][0].flags.f_contiguous
+        result = train_surgery(merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2)
+        _assert_matches_reference(result, _per_task_reference(
+            merged, experts, spec, rows, mode, LossKind.MSE, cfg, 2, False
+        ))
+
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unequal_streams_with_a_gap(self, mode, full_backprop):
+        # Streams of 21, 300 and 440 samples: task 0 runs out early, task
+        # 1 also skips iterations 5-9 and 40, and the last iterations run
+        # in width groups of their own.
+        spec, merged, experts, _ = _three_task_models(seed=64)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=64)
+        pools = self._pools(65, sizes=(21, 300, 440))
+        rows = list(sequential_batches(pools, self.BATCH))
+        for i in (*range(5, 10), 40):
+            rows[i] = [b if t != 1 else None for t, b in enumerate(rows[i])]
+        rows.insert(12, [None, None, None])
+        assert len(rows) > self.PER_CHUNK + 1
+        result = train_surgery(
+            merged, experts, spec, iter(rows), mode, LossKind.L1, cfg, rank=2,
+            full_backprop=full_backprop,
+        )
+        _assert_matches_reference(result, _per_task_reference(
+            merged, experts, spec, rows, mode, LossKind.L1, cfg, 2, full_backprop
+        ))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_targets_run_once_per_chunk(self, mode, monkeypatch):
+        # Every surgery_gradients call runs one forward; beyond those, one
+        # target pass per chunk, plus one merged pass below the lowest
+        # adapter when that is not block 1.
+        spec, merged, experts, _ = _three_task_models(seed=66)
+        iterations = 2 * self.PER_CHUNK + 1
+        cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=iterations, seed=66)
+        calls = []
+        forward = surgery.forward_layers
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[2])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(surgery, "forward_layers", counting_forward)
+        train_surgery(merged, experts, spec, self._pools(67), mode, LossKind.L1, cfg, rank=2)
+        chunks = 3
+        passes = 2 if mode.layer_indices(spec.num_layers)[0] > 1 else 1
+        assert len(calls) == iterations + chunks * passes
+        assert calls[0].shape == (self.PER_CHUNK, 3, spec.input_dim, self.BATCH)
+        # The pools' batches are column-major, and so is every chunk slice.
+        chunk = calls[0]
+        assert all(chunk[i, t].flags.f_contiguous for i in range(len(chunk)) for t in range(3))
+
+    @pytest.mark.parametrize("iteration", [3, PER_CHUNK + 5])
+    def test_divergence_names_its_first_iteration(self, iteration):
+        # A NaN sample makes task 1's loss non-finite; an invalid batch two
+        # iterations later, inside the same chunk, is never reached.
+        spec, merged, experts, _ = _three_task_models(seed=68)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=68)
+        rows = [list(row) for row in random_batches(self._pools(69), self.BATCH, 60, [1])]
+        rows[iteration - 1][1] = rows[iteration - 1][1].copy()
+        rows[iteration - 1][1][2, 3] = np.nan
+        rows[iteration + 1][0] = np.zeros((1, 4, self.BATCH))
+        for mode in (ALL_LAYERS, LAST_LAYER):
+            layer = mode.layer_indices(spec.num_layers)[0]
+            with pytest.raises(
+                SurgeryError,
+                match=f"non-finite loss at iteration {iteration}, task 1, layer {layer}$",
+            ):
+                train_surgery(merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2)
+
+    def test_invalid_batch_is_reported_when_reached(self):
+        spec, merged, experts, _ = _three_task_models(seed=70)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
+        rows = [list(row) for row in random_batches(self._pools(71), self.BATCH, 10, [1])]
+        rows[6][2] = np.zeros((1, 4, self.BATCH))
+        with pytest.raises(SurgeryError, match="task 2 batch must be"):
+            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
+        rows[6] = rows[6][:2]
+        with pytest.raises(SurgeryError, match="data covers 2 tasks, experts 3"):
+            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
