@@ -25,7 +25,7 @@ from .checkpoint import (
     save_paramset,
 )
 from .config import RunConfig, worker_count
-from .datasets import Dataset, TaskSuite, gen_task_suite, load_csv, save_csv
+from .datasets import Dataset, TaskSuite, gen_task_suite, save_csv
 from .evaluation import EvalResult, collect_heads, emit_report, evaluate
 from .merging import (
     AdaMergeResult,

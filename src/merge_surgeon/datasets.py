@@ -1,4 +1,4 @@
-"""Synthetic multi-task classification suites and CSV dataset ingestion.
+"""Synthetic multi-task classification suites and their CSV export.
 
 A suite holds T Gaussian-blob classification tasks and one pretraining
 mixture.  Class means sit on the radius-3 sphere so an MLP can separate
@@ -164,54 +164,6 @@ def gen_task_suite(
         num_classes=num_classes,
         n_train=n_train,
         n_test=n_test,
-    )
-
-
-def load_csv(path, label_column: str, split: str = "") -> Dataset:
-    """Load a dataset from CSV with numeric features and an integer label column.
-
-    Feature columns keep file order; labels are remapped densely to
-    0..C-1 in first-appearance order.
-    """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DataError(f"{path}: missing label column {label_column!r}")
-        label_pos = header.index(label_column)
-        feature_pos = [i for i in range(len(header)) if i != label_pos]
-
-        features = []
-        raw_labels = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            try:
-                features.append([float(row[i]) for i in feature_pos])
-            except ValueError as exc:
-                raise DataError(f"{path}: non-numeric feature cell at row {row_num} ({exc})") from exc
-            try:
-                raw_labels.append(int(row[label_pos]))
-            except ValueError as exc:
-                raise DataError(f"{path}: non-integer label at row {row_num} ({exc})") from exc
-
-    if not features:
-        raise DataError(f"{path}: empty dataset (header only)")
-
-    remap: dict[int, int] = {}
-    labels = []
-    for value in raw_labels:
-        if value not in remap:
-            remap[value] = len(remap)
-        labels.append(remap[value])
-    return Dataset(
-        np.asarray(features, dtype=np.float32),
-        np.asarray(labels, dtype=np.int64),
-        num_classes=len(remap),
-        split=split,
     )
 
 

@@ -125,7 +125,7 @@ class Adam:
     row, each with its own step count: one :meth:`step` updates them all,
     or only the rows it names, and each row ends bitwise where stepping
     it alone would leave it.  Moments and scratch are allocated on the
-    first step, so a step over all rows allocates nothing.
+    first step, so a step allocates nothing after it.
     """
 
     def __init__(
@@ -141,23 +141,6 @@ class Adam:
         self.step_count: int | list[int] = 0 if rows is None else [0] * rows
         self._state: dict[str, tuple[np.ndarray, ...]] = {}
 
-    def _corrections(self, rows) -> tuple:
-        """The bias corrections ``1 - beta**t`` after one more step of
-        ``rows``: Python floats when every stepping row has the same
-        count, else (n,) arrays with one value per row."""
-        if isinstance(self.step_count, int):
-            if rows is not None:
-                raise NetworkError("stepping chosen rows needs an Adam built with rows")
-            self.step_count += 1
-            counts = [self.step_count]
-        else:
-            for row in range(len(self.step_count)) if rows is None else rows:
-                self.step_count[row] += 1
-            counts = self.step_count if rows is None else [self.step_count[r] for r in rows]
-        if min(counts) == max(counts):
-            return 1 - self.beta1 ** counts[0], 1 - self.beta2 ** counts[0]
-        return tuple(np.array([1 - beta**t for t in counts]) for beta in (self.beta1, self.beta2))
-
     def step(
         self,
         params: dict[str, np.ndarray],
@@ -165,8 +148,23 @@ class Adam:
         rows: Sequence[int] | None = None,
     ) -> None:
         """One update of every array in ``grads``; with per-row counts,
-        ``rows`` names the rows that step (default: all)."""
-        c1, c2 = self._corrections(rows)
+        ``rows`` names the rows that step (default: all).
+
+        When every row steps from one count, each array updates whole;
+        otherwise each stepping row updates on its own row views, with
+        the corrections of its own count."""
+        if isinstance(self.step_count, int):
+            if rows is not None:
+                raise NetworkError("stepping chosen rows needs an Adam built with rows")
+            self.step_count += 1
+            whole = self.step_count
+        else:
+            counts = self.step_count
+            whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
+            rows = range(len(counts)) if rows is None else rows
+            for row in rows:
+                counts[row] += 1
+        arrays = []
         for key, grad in grads.items():
             state = self._state.get(key)
             if state is None:
@@ -175,18 +173,12 @@ class Adam:
                     np.zeros_like(param), np.zeros_like(param),
                     np.empty_like(param), np.empty_like(param),
                 )
-            k1, k2 = c1, c2
-            if isinstance(c1, np.ndarray):  # one correction per leading row
-                shape = (-1,) + (1,) * (grad.ndim - 1)
-                k1, k2 = c1.reshape(shape), c2.reshape(shape)
-            if rows is None:
-                self._update(params[key], grad, *state, k1, k2)
-                continue
-            m, v, _, _ = state
-            p_rows, m_rows, v_rows = params[key][rows], m[rows], v[rows]
-            scratch = (np.empty_like(p_rows), np.empty_like(p_rows))
-            self._update(p_rows, grad[rows], m_rows, v_rows, *scratch, k1, k2)
-            params[key][rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+            arrays.append((params[key], grad, *state))
+        for row in [None] if whole else rows:
+            t = whole or self.step_count[row]
+            c1, c2 = 1 - self.beta1**t, 1 - self.beta2**t
+            for per_key in arrays:
+                self._update(*(per_key if row is None else [a[row] for a in per_key]), c1, c2)
 
     def _update(self, param, grad, m, v, s1, s2, c1, c2) -> None:
         """``param -= lr * m_hat / (sqrt(v_hat) + eps)`` through the
@@ -199,7 +191,7 @@ class Adam:
         np.multiply(grad, grad, out=s1)
         s1 *= 1 - self.beta2
         v += s1
-        if isinstance(c1, float) and c1 == 1.0:  # 1 - beta1**t rounded to 1: m / 1 is m
+        if c1 == 1.0:  # 1 - beta1**t rounded to 1: m / 1 is m
             np.multiply(m, self.learning_rate, out=s1)
         else:
             np.divide(m, c1, out=s1)

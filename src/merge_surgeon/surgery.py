@@ -258,14 +258,25 @@ def corrected_forward(
     """
     spec.validate_backbone(merged)
     adapters = {} if stack is None else stack.adapters64(task, spec)
-    return tuple(
-        np.ascontiguousarray(z, dtype=np.float32)
-        for z in forward_layers(to_float64(merged), spec, x, adapters)
-    )
+    traces = []
+    with np.errstate(over="raise"):
+        for layer, z in enumerate(forward_layers(to_float64(merged), spec, x, adapters), 1):
+            try:
+                traces.append(np.ascontiguousarray(z, dtype=np.float32))
+            except FloatingPointError:
+                raise SurgeryError(
+                    f"task {task}: layer {layer} representations overflow float32"
+                ) from None
+    return tuple(traces)
 
 
 def _check_pools(inputs_per_task) -> list[np.ndarray]:
-    pools = [np.asarray(p, dtype=np.float64) for p in inputs_per_task]
+    """Each task's pool as float64; a pool object listed for several
+    tasks is converted once, and every task gets that one array."""
+    inputs = list(inputs_per_task)  # alive throughout, so each id names one pool
+    unique = {id(p): p for p in inputs}
+    converted = {key: np.asarray(p, dtype=np.float64) for key, p in unique.items()}
+    pools = [converted[id(p)] for p in inputs]
     if not pools or any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise SurgeryError("need non-empty (samples, dim) input pools per task")
     return pools
@@ -429,15 +440,16 @@ def train_surgery(
     through downstream blocks as well.  Neither the merged nor the expert
     parameters are modified.
 
-    The tasks are independent problems of one shape, so each iteration
-    runs them stacked on a leading task axis (one stack per batch width)
-    and takes one per-row Adam step on the buffer that holds every task's
-    adapters; a task whose batch is None takes no step.  The expert
-    targets, and the merged blocks below the lowest adapter, do not depend
-    on the adapters: they run once per chunk of up to
-    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
-    Every task ends bitwise where training it alone on its own batches
-    would leave it.
+    The tasks are independent problems of one shape.  Row t of one
+    buffer holds every adapter of task t, and each iteration takes one
+    per-row Adam step on it; a task whose batch is None takes no step.
+    When every task has a batch of one shape, the iteration runs them
+    stacked on a leading task axis; otherwise each task with a batch runs
+    alone on its rows of the buffers.  The expert targets, and the merged
+    blocks below the lowest adapter, do not depend on the adapters: they
+    run once per chunk of up to :data:`_CHUNK_COLUMNS` columns per task,
+    read ahead from ``data``.  Every task ends bitwise where training it
+    alone on its own batches would leave it.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
@@ -477,47 +489,37 @@ def train_surgery(
     def train_chunk(chunk: list[list], key: tuple) -> None:
         # A function, so the chunk's arrays are freed before the next
         # chunk's are computed.
-        groups: dict[tuple, list[int]] = {}
-        for task, task_key in enumerate(key):
-            if task_key is not None:
-                groups.setdefault(task_key[0], []).append(task)
+        stepped = [task for task, task_key in enumerate(key) if task_key is not None]
+        uniform = len(stepped) == num_tasks and len({k[0] for k in key}) == 1
+        # Every task in one stacked pass, or else each task with a batch in
+        # its own 2-D pass on row views of the buffers, so its gradients
+        # land in place; each slice of a stacked call is bitwise its own.
         passes = []
-        for group in groups.values():
-            full = len(group) == num_tasks
-            # (C, G, d, batch): slice [i, g] laid out as its batch is.
-            x = stack_batches([row[t] for row in chunk for t in group])
-            x = x.reshape(len(chunk), len(group), *x.shape[1:])
-            targets = forward_layers(
-                experts64 if full else {n: w[group] for n, w in experts64.items()}, spec, x
-            )
+        for pick in [slice(None)] if uniform else stepped:
+            # (C, T, d, batch) or (C, d, batch): each slice laid out as its batch is.
+            x = stack_batches([row[t] for row in chunk for t in (stepped if uniform else [pick])])
+            if uniform:
+                x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
+            targets = forward_layers({n: w[pick] for n, w in experts64.items()}, spec, x)
             targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
             if first > 1:
                 x = forward_layers(merged64, spec, x, last=first - 1)[-1]
-            passes.append((group, full, x, targets))
-        stepped = sorted(t for group in groups.values() for t in group)
+            views = [{l: {h: m[pick] for h, m in pair.items()} for l, pair in arrays.items()}
+                     for arrays in (adapters, grads)]
+            passes.append((x, targets, *views))
         for i in range(len(chunk)):
-            task_losses: dict[int, list[float]] = {}
-            for group, full, x, targets in passes:
-                if full:
-                    group_adapters, out = adapters, grads
-                else:  # copies of this group's rows
-                    group_adapters = {
-                        l: {h: m[group] for h, m in pair.items()} for l, pair in adapters.items()
-                    }
-                    out = None
-                layer_losses, group_grads = surgery_gradients(
-                    merged64, spec, group_adapters, x[i],
-                    [None if z is None else z[i] for z in targets], psi, full_backprop, first, out,
+            task_losses: list[list[float]] = []
+            for x, targets, task_adapters, task_grads in passes:
+                layer_losses, _ = surgery_gradients(
+                    merged64, spec, task_adapters, x[i],
+                    [None if z is None else z[i] for z in targets], psi, full_backprop, first,
+                    task_grads,
                 )
-                if not full:
-                    for layer, pair in group_grads.items():
-                        for half, grad in pair.items():
-                            grads[layer][half][group] = grad
-                per_task = np.stack([layer_losses[l] for l in layers], axis=1).tolist()
-                task_losses.update(zip(group, per_task))
+                per_task = np.stack([layer_losses[l] for l in layers], axis=-1)
+                task_losses += per_task.reshape(-1, len(layers)).tolist()
             total = 0.0
-            for task in stepped:
-                for layer, loss in zip(layers, task_losses[task]):
+            for task, task_loss in zip(stepped, task_losses):
+                for layer, loss in zip(layers, task_loss):
                     if not math.isfinite(loss):
                         raise SurgeryError(
                             f"non-finite loss at iteration {len(losses) + 1}, "
@@ -525,10 +527,8 @@ def train_surgery(
                         )
                     total += loss
             if stepped:
-                optimizer.step(
-                    {"adapters": params}, {"adapters": grad_rows},
-                    None if len(stepped) == num_tasks else stepped,
-                )
+                rows = None if len(stepped) == num_tasks else stepped
+                optimizer.step({"adapters": params}, {"adapters": grad_rows}, rows)
             losses.append(total)
 
     for chunk, key in _chunks(data, num_tasks):

@@ -239,6 +239,23 @@ class TestErrors:
         assert lines[-1] == "Error: scale 1e+40: the merged weights overflow float32"
         assert not any("Warning" in line for line in lines)
 
+    @pytest.mark.parametrize("scale", ["1e20", "1e36"])
+    def test_overflowing_representations_are_one_error_line(self, runner, tmp_path, scale):
+        # The merged weights fit float32, but the traces they produce do not.
+        values = parse_config_text(TINY_CFG)
+        values["merge_scale"] = scale
+        config = tmp_path / "big.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["pipeline", "--config", str(config), "--run-dir", str(tmp_path / "run")]
+            )
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+        assert errors == ["Error: task 0: layer 2 representations overflow float32"]
+        assert "Warning" not in result.output
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")

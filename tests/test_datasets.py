@@ -1,4 +1,4 @@
-"""Synthetic suite generation, CSV ingestion, and the CSV writer."""
+"""Synthetic suite generation and the CSV writer."""
 
 import csv
 import itertools
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from merge_surgeon import datasets
-from merge_surgeon.datasets import DataError, Dataset, gen_task_suite, load_csv, save_csv
+from merge_surgeon.datasets import DataError, Dataset, gen_task_suite, save_csv
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -98,47 +98,25 @@ class TestDatasetValidation:
         assert ds.inputs().shape == (2, 3)
 
 
+def parse_csv(path):
+    """The header, float32 features and integer labels of a written CSV,
+    each cell parsed on its own: ``np.float32(float(cell))``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    features = np.array([[np.float32(float(c)) for c in row[:-1]] for row in rows], np.float32)
+    return header, features, [int(row[-1]) for row in rows]
+
+
 class TestCsv:
-    def test_dense_label_remap(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,f1,label\n0.5,1.0,7\n0.1,0.2,7\n0.9,0.3,9\n")
-        ds = load_csv(path, "label")
-        assert list(ds.labels) == [0, 0, 1]
-        assert ds.num_classes == 2
-
-    def test_header_only_is_empty_dataset(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("f0,f1,label\n")
-        with pytest.raises(DataError, match="empty dataset"):
-            load_csv(path, "label")
-
-    def test_missing_label_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,f1\n1,2\n")
-        with pytest.raises(DataError, match="missing label column"):
-            load_csv(path, "label")
-
-    def test_non_numeric_cell(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\nabc,0\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            load_csv(path, "label")
-
     def test_round_trip_generated_dataset(self, tmp_path):
         suite = gen_task_suite(5, 2, 6, 3, 40, 10)
         original = suite.tasks[1].train
         path = tmp_path / "task.csv"
         save_csv(original, path)
-        loaded = load_csv(path, "label")
-        np.testing.assert_allclose(loaded.features, original.features, atol=1e-6)
-        # Loading densely remaps labels by first appearance; apply the same
-        # remap to the originals before comparing.
-        remap = {}
-        expected = []
-        for value in original.labels:
-            remap.setdefault(int(value), len(remap))
-            expected.append(remap[int(value)])
-        assert list(loaded.labels) == expected
+        header, features, labels = parse_csv(path)
+        assert header == [f"f{i}" for i in range(6)] + ["label"]
+        assert features.tobytes() == original.features.tobytes()
+        assert labels == original.labels.tolist()
 
     def test_round_trip_is_float32_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -146,8 +124,8 @@ class TestCsv:
                      np.zeros(20, dtype=int), 1)
         path = tmp_path / "exact.csv"
         save_csv(ds, path)
-        loaded = load_csv(path, "label")
-        assert loaded.features.tobytes() == ds.features.tobytes()
+        _, features, _ = parse_csv(path)
+        assert features.tobytes() == ds.features.tobytes()
 
 
 def loop_csv_bytes(dataset, path, label_column="label"):

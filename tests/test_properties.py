@@ -1,6 +1,7 @@
 """Property tests: stack and checkpoint round trips, truncated files,
 huge header shapes, malformed stack entry names, merge identities
-under expert permutation, and configs built from random field text."""
+under expert permutation, configs built from random field text, and
+per-row Adam schedules."""
 
 import itertools
 import json
@@ -18,7 +19,7 @@ from merge_surgeon.checkpoint import (
 )
 from merge_surgeon.config import ConfigError, RunConfig
 from merge_surgeon.merging import task_arithmetic, ties_merge, weight_average
-from merge_surgeon.network import ModelSpec
+from merge_surgeon.network import Adam, ModelSpec
 from merge_surgeon.surgery import (
     ALL_LAYERS,
     LAST_LAYER,
@@ -28,6 +29,7 @@ from merge_surgeon.surgery import (
     single_block,
 )
 from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name
+from test_network import _textbook_adam
 
 # Every example writes files, so the counts stay in the tens.
 FILE_EXAMPLES = settings(max_examples=30, deadline=None)
@@ -306,3 +308,52 @@ def test_config_from_field_text_is_rejected_or_sound(values):
         floats.append(cfg.surgery_data.stream_fraction)
     assert all(isinstance(v, float) and math.isfinite(v) for v in floats)
     assert cfg.hidden_dims[-1] >= 2
+
+
+@st.composite
+def adam_schedules(draw):
+    """A row count and a list of ``(rows, repeats)`` segments: ``rows`` is
+    None (every row steps) or the rows that step, possibly none."""
+    rows = draw(st.integers(1, 4))
+    stepping = st.one_of(st.none(), st.lists(st.integers(0, rows - 1), unique=True))
+    segments = draw(st.lists(st.tuples(stepping, st.integers(1, 30)), min_size=1, max_size=5))
+    return rows, segments
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    adam_schedules(),
+    st.sampled_from([(0.9, 0.999), (0.5, 0.99)]),
+    st.integers(0, 2**31),
+)
+# Row 0 runs ahead by 10 steps; with beta1 = 0.5, 1 - beta1**t rounds to
+# 1.0 from step 54 on, so in the shared steps that follow one row takes
+# that branch while the other does not.
+@example((2, [([0], 10), (None, 50)]), (0.5, 0.99), 0)
+@example((3, [(None, 5), ([1, 2], 20), ([], 3), (None, 40), ([0, 1, 2], 2)]), (0.5, 0.99), 1)
+def test_row_adam_matches_textbook_adam_per_row(schedule, betas, seed):
+    """Every row of an ``Adam(rows=n)`` ends bitwise where the textbook
+    Adam leaves it on that row's own gradients, through subsets, pauses,
+    resumes and all-row steps after the counts diverged."""
+    rows, segments = schedule
+    rng = np.random.default_rng(seed)
+    shapes = {"a": (rows, 3), "b": (rows, 2, 2)}
+    start = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+    params = {key: value.copy() for key, value in start.items()}
+    adam = Adam(learning_rate=0.05, betas=betas, rows=rows)
+    seen = {key: [[] for _ in range(rows)] for key in shapes}
+    for stepping, repeats in segments:
+        for _ in range(repeats):
+            grads = {
+                key: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)
+                for key, shape in shapes.items()
+            }
+            for key, grad in grads.items():
+                for row in range(rows) if stepping is None else stepping:
+                    seen[key][row].append(grad[row])
+            adam.step(params, grads, stepping)
+    assert adam.step_count == [len(g) for g in seen["a"]]
+    for key in shapes:
+        for row in range(rows):
+            want = _textbook_adam(start[key][row], seen[key][row], lr=0.05, betas=betas)
+            assert params[key][row].tobytes() == want.tobytes(), (key, row)

@@ -1,5 +1,7 @@
 """Adapters, corrected forward passes, and surgery training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,45 @@ class TestCorrectedForward:
         trace = corrected_forward(merged, spec, stack, x, task=5)
         plain = corrected_forward(merged, spec, None, x, task=0)
         assert trace[-1].tobytes() == plain[-1].tobytes()
+
+
+    def test_representation_overflow_names_task_and_layer(self):
+        # Weights that fit float32 but scale every block's output by 1e30:
+        # layer 1 fits float32, layer 2 (about 1e60) does not.
+        spec, merged, _ = tiny_models()
+        big = ParamSet({name: value * np.float32(1e30) for name, value in merged.items()})
+        x = np.ones((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 3: layer 2 representations overflow float32$"
+            ):
+                corrected_forward(big, spec, None, x, task=3)
+
+
+class TestCheckPools:
+    def test_one_pool_listed_per_task_is_converted_once(self, monkeypatch):
+        pool = np.arange(12, dtype=np.float32).reshape(6, 2)
+        converted = []
+        asarray = np.asarray
+
+        def counting_asarray(a, *args, **kwargs):
+            converted.append(a)
+            return asarray(a, *args, **kwargs)
+
+        monkeypatch.setattr(surgery.np, "asarray", counting_asarray)
+        first, second, third = surgery._check_pools([pool] * 3)
+        monkeypatch.undo()
+        assert len(converted) == 1
+        assert first is second is third
+        assert first.dtype == np.float64
+        assert first.tobytes() == pool.astype(np.float64).tobytes()
+
+    def test_distinct_pools_stay_distinct(self):
+        pools = [np.full((2, 3), float(t), dtype=np.float32) for t in range(3)]
+        checked = surgery._check_pools(iter(pools))
+        assert [p[0, 0] for p in checked] == [0.0, 1.0, 2.0]
+        assert len({id(p) for p in checked}) == 3
 
 
 class TestStackPersistence:
