@@ -20,9 +20,7 @@ import numpy as np
 
 from .bias import BiasError, BiasReport, layerwise_bias_report, pca_project
 from .checkpoint import CheckpointError, load_paramset, save_paramset
-from .config import (
-    MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks, parse_config_text
-)
+from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks
 from .datasets import DataError, TaskSuite, gen_task_suite, save_csv, write_csv
 from .evaluation import (
     EvalError,
@@ -126,7 +124,7 @@ def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> S
     trained no stack."""
     info = run_dir / "surgery_info.txt"
     if info.exists():
-        recorded = parse_config_text(info.read_text(encoding="utf-8"), source=str(info))
+        recorded = load_config_file(info)
         if "mode" not in recorded:
             raise SurgeryError(f"{info} records no mode")
         mode = SurgeryMode.parse(recorded["mode"])

@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .bias import LossKind
@@ -49,8 +50,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def load_config_file(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    """:func:`parse_config_text` of the UTF-8 file at ``path``."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8") from None
+    return parse_config_text(text, source=str(path))
 
 
 @dataclass(frozen=True)

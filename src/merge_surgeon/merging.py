@@ -1,8 +1,12 @@
 """The four merging rules that combine expert backbones into one model.
 
 All merges operate on backbone entries only; task heads are never merged
-and are always used per task at evaluation time.  Arithmetic runs in
-float64 and is cast to float32 at the end, which keeps the documented
+and are always used per task at evaluation time.  Every rule works on
+one flat layout of the backbone, block by block and weight before bias:
+the pretrained model and the experts become the float64 rows of one
+matrix, the rule combines those rows, and one exit casts the result to
+float32 and splits it by name.  So merged sets list their entries in
+block order, and the single rounding at the end keeps the documented
 identities exact (mean of identical models, zero-scale task arithmetic,
 single-expert ties).
 """
@@ -26,7 +30,7 @@ from .network import (
     random_batches,
     stack_batches,
 )
-from .tensors import ParamSet, head_name, is_backbone_name, shape_compatible
+from .tensors import ParamSet, head_name, is_backbone_name
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 
@@ -71,21 +75,64 @@ class MergeRecipe:
         return "\n".join(lines) + "\n"
 
 
-def _backbone_names(params: Mapping[str, np.ndarray]) -> tuple[str, ...]:
-    names = tuple(n for n in params if is_backbone_name(n))
+def _layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple:
+    """``(name, shape, start, stop)`` of each backbone entry of the
+    name-to-shape map ``shapes`` in the flat layout: block by block,
+    weight before bias."""
+    names = sorted(
+        filter(is_backbone_name, shapes), key=lambda n: (int(n[5 : n.index(".")]), n.endswith("bias"))
+    )
     if not names:
         raise MergeError("parameter set has no backbone entries")
-    return names
+    layout = []
+    stop = 0
+    for name in names:
+        start, stop = stop, stop + math.prod(shapes[name])
+        layout.append((name, tuple(shapes[name]), start, stop))
+    return tuple(layout)
 
 
-def _check_experts(reference: Mapping[str, np.ndarray], experts: Sequence[Mapping]) -> None:
+@functools.lru_cache(maxsize=16)
+def _flat_layout(spec: ModelSpec) -> tuple:
+    """The :func:`_layout` of ``spec``'s backbone, computed once per spec."""
+    return _layout(spec.backbone_shapes())
+
+
+def _flat_rows(
+    pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
+) -> tuple[tuple, np.ndarray]:
+    """The :func:`_layout` of ``pretrained``'s backbone and the float64
+    (1 + T, P) matrix whose rows are ``pretrained`` and then each expert
+    in that layout.  An expert whose backbone differs from it in names or
+    shapes is a :class:`MergeError`."""
     if not experts:
         raise MergeError("need at least one expert")
-    ref = ParamSet(reference).backbone() if not isinstance(reference, ParamSet) else reference.backbone()
-    for i, expert in enumerate(experts):
-        exp = ParamSet(expert).backbone() if not isinstance(expert, ParamSet) else expert.backbone()
-        if not shape_compatible(ref, exp):
-            raise MergeError(f"expert {i} backbone is not shape-compatible")
+    layout = _layout({name: np.shape(value) for name, value in pretrained.items()})
+    rows = np.empty((1 + len(experts), layout[-1][3]))
+    for row, params in enumerate([pretrained, *experts]):
+        if sum(map(is_backbone_name, params)) != len(layout) or any(
+            name not in params or np.shape(params[name]) != shape for name, shape, *_ in layout
+        ):
+            raise MergeError(f"expert {row - 1} backbone is not shape-compatible")
+        for name, _, start, stop in layout:
+            rows[row, start:stop] = np.ravel(params[name])
+    return layout, rows
+
+
+def _by_name(layout: tuple, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of the entries of the flat backbone ``flat``, by name."""
+    return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout}
+
+
+def _float32_params(layout: tuple, merged: np.ndarray, what: str) -> ParamSet:
+    """The float32 parameter set of the flat float64 backbone ``merged``.
+    Weights that overflow float32 are a :class:`MergeError` naming
+    ``what``, with no numpy warning on the way."""
+    with np.errstate(over="ignore"):
+        cast = merged.astype(np.float32)
+    if not np.isfinite(cast).all():
+        raise MergeError(f"{what}: the merged weights overflow float32")
+    return ParamSet(_by_name(layout, cast))
 
 
 def _check_scale(scale: float) -> None:
@@ -93,28 +140,12 @@ def _check_scale(scale: float) -> None:
         raise MergeError(f"scale {scale!r} is not finite")
 
 
-def _merged_paramset(merged64: Mapping[str, np.ndarray], scale: float) -> ParamSet:
-    """The float32 parameter set of a float64 merge at ``scale``; a merge
-    whose weights overflow float32 is a :class:`MergeError` naming the
-    scale, with no numpy warning on the way."""
-    with np.errstate(over="ignore"):
-        cast = {name: value.astype(np.float32) for name, value in merged64.items()}
-    if not all(np.isfinite(value).all() for value in cast.values()):
-        raise MergeError(f"scale {scale:.9g}: the merged weights overflow float32")
-    return ParamSet(cast)
-
-
 def weight_average(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     """Elementwise mean of the expert backbones."""
     if not experts:
         raise MergeError("need at least one expert")
-    _check_experts(experts[0], experts)
-    names = _backbone_names(experts[0])
-    out = {}
-    for name in names:
-        stack = np.stack([np.asarray(e[name], dtype=np.float64) for e in experts])
-        out[name] = stack.mean(axis=0)
-    return ParamSet(out)
+    layout, rows = _flat_rows(experts[0], experts)
+    return _float32_params(layout, rows[1:].mean(axis=0), "weight average")
 
 
 def task_arithmetic(
@@ -124,17 +155,14 @@ def task_arithmetic(
 ) -> ParamSet:
     """pretrained + scale * sum of task vectors, on backbone entries."""
     _check_scale(scale)
-    _check_experts(pretrained, experts)
-    names = _backbone_names(pretrained)
-    out = {}
-    for name in names:
-        base = np.asarray(pretrained[name], dtype=np.float64)
-        total = np.zeros_like(base)
-        for expert in experts:
-            total += np.asarray(expert[name], dtype=np.float64) - base
-        with np.errstate(over="ignore"):
-            out[name] = base + scale * total
-    return _merged_paramset(out, scale)
+    layout, rows = _flat_rows(pretrained, experts)
+    base = rows[0]
+    total = np.zeros_like(base)
+    for tau in rows[1:] - base:  # summed in task order
+        total += tau
+    with np.errstate(over="ignore"):
+        merged = base + scale * total
+    return _float32_params(layout, merged, f"scale {scale:.9g}")
 
 
 def grid_search_scale(
@@ -167,25 +195,16 @@ def grid_search_scale(
     return float(best_scale)
 
 
-def _flatten_backbone(params: Mapping[str, np.ndarray], names: Sequence[str]) -> np.ndarray:
-    return np.concatenate([np.asarray(params[n], dtype=np.float64).ravel() for n in names])
+def _trim_keep_top(vector: np.ndarray, keep_fraction: float) -> None:
+    """Zero, in place, all but the ceil(keep_fraction * n) largest-|value|
+    entries of the flat backbone ``vector``.
 
-
-def _trim_keep_top(vector: np.ndarray, keep_fraction: float) -> np.ndarray:
-    """Zero all but the ceil(keep_fraction * n) largest-|value| entries.
-
-    Threshold ties are broken by parameter order: among equal magnitudes
-    the earlier entry survives.
+    Threshold ties are broken by the flat layout: among equal magnitudes
+    the entry that comes first in it (earlier block, weight before bias)
+    survives.
     """
-    n = vector.size
-    k = math.ceil(keep_fraction * n)
-    if k >= n:
-        return vector.copy()
-    order = np.argsort(-np.abs(vector), kind="stable")
-    trimmed = np.zeros_like(vector)
-    kept = order[:k]
-    trimmed[kept] = vector[kept]
-    return trimmed
+    k = math.ceil(keep_fraction * vector.size)
+    vector[np.argsort(-np.abs(vector), kind="stable")[k:]] = 0.0
 
 
 def ties_merge(
@@ -204,31 +223,18 @@ def ties_merge(
     if not 0 < keep_fraction <= 1:
         raise MergeError("keep_fraction must lie in (0, 1]")
     _check_scale(scale)
-    _check_experts(pretrained, experts)
-    names = _backbone_names(pretrained)
-    base = _flatten_backbone(pretrained, names)
-    trimmed = np.stack(
-        [
-            _trim_keep_top(_flatten_backbone(e, names) - base, keep_fraction)
-            for e in experts
-        ]
-    )
+    layout, rows = _flat_rows(pretrained, experts)
+    base = rows[0]
+    trimmed = rows[1:] - base
+    for tau in trimmed:
+        _trim_keep_top(tau, keep_fraction)
     elected = np.sign(trimmed.sum(axis=0))
     matches = (np.sign(trimmed) == elected) & (elected != 0)
     counts = matches.sum(axis=0)
     sums = np.where(matches, trimmed, 0.0).sum(axis=0)
     with np.errstate(over="ignore"):
-        merged_flat = base + scale * np.divide(
-            sums, counts, out=np.zeros_like(sums), where=counts > 0
-        )
-    out = {}
-    offset = 0
-    for name in names:
-        shape = pretrained[name].shape
-        count = int(np.prod(shape))
-        out[name] = merged_flat[offset : offset + count].reshape(shape)
-        offset += count
-    return _merged_paramset(out, scale)
+        merged = base + scale * np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return _float32_params(layout, merged, f"scale {scale:.9g}")
 
 
 @dataclass(frozen=True)
@@ -243,26 +249,10 @@ def task_vectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pretrained backbone as one flat float64 (P,) vector and the
     experts' task vectors (expert minus pretrained) as the rows of a
-    (T, P) matrix, both laid out block by block, weight before bias: the
-    fixed inputs of :func:`ada_loss_and_gradient`."""
-    names = sorted(  # block1.weight, block1.bias, block2.weight, ...
-        _backbone_names(pretrained), key=lambda n: (int(n[5 : n.index(".")]), n.endswith("bias"))
-    )
-    pre64 = _flatten_backbone(pretrained, names)
-    taus = np.stack([_flatten_backbone(e, names) - pre64 for e in experts])
-    return pre64, taus
-
-
-@functools.lru_cache(maxsize=16)
-def _flat_layout(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """``(name, shape, start, stop)`` of each backbone entry of ``spec`` in
-    the flat layout of :func:`task_vectors`, computed once per spec."""
-    layout = []
-    offset = 0
-    for name, shape in spec.backbone_shapes().items():
-        layout.append((name, shape, offset, offset + math.prod(shape)))
-        offset += math.prod(shape)
-    return tuple(layout)
+    (T, P) matrix, both in the flat layout (block by block, weight before
+    bias): the fixed inputs of :func:`ada_loss_and_gradient`."""
+    _, rows = _flat_rows(pretrained, experts)
+    return rows[0], rows[1:] - rows[0]
 
 
 def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> list[tuple]:
@@ -280,9 +270,9 @@ def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> list[tuple]:
     return [(tasks, stacked(tasks, "weight"), stacked(tasks, "bias")) for tasks in groups.values()]
 
 
-def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> dict:
-    """The backbone ``pre64 + sum_t coefficients[l-1, t] * taus[t]`` on each
-    layer l's entries, accumulated in task order, as views by name."""
+def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> np.ndarray:
+    """The flat backbone ``pre64 + sum_t coefficients[l-1, t] * taus[t]``
+    on each layer l's entries, accumulated in task order."""
     if layout[-1][3] != pre64.shape[-1]:
         raise MergeError(f"flat backbone has {pre64.shape[-1]} entries, spec needs {layout[-1][3]}")
     # Row l of coefficients, repeated over each entry of layer l (weight, bias).
@@ -294,7 +284,7 @@ def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> di
     merged = pre64.copy()
     for task, tau in enumerate(taus):
         merged += per_entry[:, task] * tau
-    return {name: merged[start:stop].reshape(shape) for name, shape, start, stop in layout}
+    return merged
 
 
 def ada_loss_and_gradient(
@@ -318,7 +308,7 @@ def ada_loss_and_gradient(
     if len(batches) != num_tasks:
         raise MergeError(f"need one batch per expert, got {len(batches)} for {num_tasks}")
     layout = _flat_layout(spec)
-    merged64 = _merge_flat(pre64, taus, coefficients, layout)
+    merged64 = _by_name(layout, _merge_flat(pre64, taus, coefficients, layout))
     entropies = np.empty(num_tasks)
     task_grads = np.empty_like(taus)
     for tasks, weights, biases in _stacked_heads(experts) if heads is None else heads:
@@ -376,14 +366,13 @@ def ada_merge(
     but change when the experts are permuted; the closed-form merges are
     invariant to that order.
     """
-    _check_experts(pretrained, experts)
+    pre64, taus = task_vectors(pretrained, experts)
     if len(inputs_per_task) != len(experts):
         raise MergeError("need one unlabeled input pool per expert")
     pools = [np.asarray(p, dtype=np.float64) for p in inputs_per_task]
     if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
 
-    pre64, taus = task_vectors(pretrained, experts)
     coefficients = np.full((spec.num_layers, len(experts)), float(init_coefficient))
 
     heads = _stacked_heads(experts)
@@ -400,7 +389,8 @@ def ada_merge(
         entropies.append(loss)
         adam.step(state, {"coefficients": grad})
 
-    merged = ParamSet(_merge_flat(pre64, taus, coefficients, _flat_layout(spec)))
+    layout = _flat_layout(spec)
+    merged = _float32_params(layout, _merge_flat(pre64, taus, coefficients, layout), "ada_merging")
     return AdaMergeResult(
         params=merged, coefficients=coefficients.copy(), entropies=tuple(entropies)
     )

@@ -148,7 +148,7 @@ class Adam:
         rows: Sequence[int] | None = None,
     ) -> None:
         """One update of every array in ``grads``; with per-row counts,
-        ``rows`` names the rows that step (default: all).
+        ``rows`` names the distinct rows that step (default: all).
 
         When every row steps from one count, each array updates whole;
         otherwise each stepping row updates on its own row views, with
@@ -160,6 +160,10 @@ class Adam:
             whole = self.step_count
         else:
             counts = self.step_count
+            if rows is not None and (
+                len(set(rows)) != len(rows) or not all(0 <= row < len(counts) for row in rows)
+            ):
+                raise NetworkError(f"rows {list(rows)} must be distinct rows of {len(counts)}")
             whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
             rows = range(len(counts)) if rows is None else rows
             for row in rows:

@@ -256,6 +256,28 @@ class TestErrors:
         assert errors == ["Error: task 0: layer 2 representations overflow float32"]
         assert "Warning" not in result.output
 
+    def test_non_utf8_config_is_one_line_error(self, runner, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 7\ntasks = \xff\n")
+        result = runner.invoke(main, ["gen", "--config", str(bad), "--run-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"Error: {bad}: byte 17 is not UTF-8"]
+
+    def test_non_utf8_surgery_info_is_one_line_error(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        info = run_dir / "surgery_info.txt"
+        info.write_bytes(b"mode = v2\xff\n")
+        stack_file = run_dir / "checkpoints" / "surgery.msrg"
+        result = runner.invoke(
+            main,
+            ["eval", "--config", str(config), "--run-dir", str(run_dir),
+             "--surgery", str(stack_file)],
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"Error: {info}: byte 9 is not UTF-8"]
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")

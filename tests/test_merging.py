@@ -210,6 +210,26 @@ class TestTiesMerge:
             ties_merge(pretrained, [expert], 1.0, 1.5)
 
 
+class TestFlatLayout:
+    def test_insertion_order_does_not_change_the_merge(self):
+        # Every rule lays the backbone out block by block (block 10 after
+        # block 2), weight before bias, whatever order its first set lists.
+        shapes = (("block1.weight", (3, 2)), ("block1.bias", (3,)),
+                  ("block2.weight", (2, 3)), ("block2.bias", (2,)),
+                  ("block10.weight", (2, 2)), ("block10.bias", (2,)))
+        pretrained, *experts = random_backbones(np.random.default_rng(15), 4, shapes)
+        shuffled = ParamSet([list(pretrained.items())[i] for i in (5, 2, 0, 4, 3, 1)])
+        merges = [
+            lambda pre: weight_average([pre, *experts]),
+            lambda pre: task_arithmetic(pre, experts, 0.6),
+            lambda pre: ties_merge(pre, experts, 0.6, 0.5),
+        ]
+        for merge in merges:
+            merged = merge(shuffled)
+            assert list(merged) == [name for name, _ in shapes]
+            assert bitwise_equal(merged, merge(pretrained))
+
+
 class TestRecipe:
     def test_unknown_algorithm(self):
         with pytest.raises(MergeError, match="unknown algorithm"):

@@ -294,6 +294,17 @@ class TestAdam:
         with pytest.raises(NetworkError):
             Adam().step({"p": np.zeros((2, 3))}, {"p": np.ones((2, 3))}, [0])
 
+    @pytest.mark.parametrize("rows", [[0, 0], [1, 0, 1], [-1], [2], [0, 5]])
+    def test_duplicate_or_out_of_range_rows_are_rejected(self, rows):
+        # A repeated row would step twice with its last count, and -1
+        # would step the last row; neither may touch the state.
+        params = {"p": np.zeros((2, 3))}
+        adam = Adam(rows=2)
+        with pytest.raises(NetworkError, match="must be distinct rows of 2"):
+            adam.step(params, {"p": np.ones((2, 3))}, rows)
+        assert adam.step_count == [0, 0]
+        assert not params["p"].any()
+
 
 def _former_cross_entropy_and_adjoint(logits, labels):
     """The loss and adjoint as computed before the softmax was shared:

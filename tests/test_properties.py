@@ -1,6 +1,7 @@
 """Property tests: stack and checkpoint round trips, truncated files,
 huge header shapes, malformed stack entry names, merge identities
-under expert permutation, configs built from random field text, and
+under expert permutation, the flat merges against their per-name
+formulas, configs built from random field text, and
 per-row Adam schedules."""
 
 import itertools
@@ -29,6 +30,7 @@ from merge_surgeon.surgery import (
     single_block,
 )
 from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name
+from test_merging import ties_oracle
 from test_network import _textbook_adam
 
 # Every example writes files, so the counts stay in the tens.
@@ -267,6 +269,63 @@ def test_mean_of_identical_experts_and_zero_scale_are_identities(problem, copies
         assert list(merged) == list(want)
         for name in want:
             assert np.array_equal(merged[name], want[name]), name
+
+
+# Besides random floats, values whose sums cancel to a tiny remainder in
+# one order and not in another, so a float64 operation done in another
+# order shows after the rounding to float32.
+CANCELLING = st.one_of(
+    st.sampled_from([1.0, -1.0, 3.0, 1e-30, -2e-30]), st.floats(-10, 10, width=32)
+)
+
+
+@MERGE_EXAMPLES
+@given(merge_problems(CANCELLING), st.floats(-2, 2), st.sampled_from([0.25, 0.5, 1.0]))
+@example(  # a -0.0 pretrained weight that no task vector moves
+    (
+        ParamSet([("block1.weight", [[-0.0]]), ("block1.bias", [1.0])]),
+        [ParamSet([("block1.weight", [[-0.0]]), ("block1.bias", [2.0])])],
+        [0],
+    ),
+    0.5,
+    1.0,
+)
+@example(  # the sum is 1e-30 in this order and 0 in the reverse one
+    (
+        ParamSet([("block1.weight", [[0.0]]), ("block1.bias", [0.0])]),
+        [ParamSet([("block1.weight", [[v]]), ("block1.bias", [0.0])]) for v in (1.0, -1.0, 1e-30)],
+        [0, 1, 2],
+    ),
+    1.0,
+    1.0,
+)
+def test_flat_merges_equal_the_per_name_formulas(problem, scale, keep):
+    """Each rule, run on the flat backbone rows, is bitwise the rule
+    written out per name: the float64 mean, the task-order sum of task
+    vectors, and the coordinate-by-coordinate TIES oracle."""
+    pretrained, experts, _ = problem
+    names = list(pretrained)
+    as64 = [{name: m[name].astype(np.float64) for name in names} for m in (pretrained, *experts)]
+    base, *tuned = as64
+    mean = {name: np.stack([e[name] for e in tuned]).mean(axis=0) for name in names}
+    summed = {}
+    for name in names:
+        total = np.zeros_like(base[name])
+        for expert in tuned:
+            total += expert[name] - base[name]
+        summed[name] = base[name] + scale * total
+    for merged, want in (
+        (weight_average(experts), ParamSet(mean)),
+        (task_arithmetic(pretrained, experts, scale), ParamSet(summed)),
+    ):
+        assert bitwise_equal(merged, want)
+    # The oracle keeps a -0.0 pretrained entry that no task vector moves,
+    # where the merge adds scale * 0.0 to it; zeros compare unsigned.
+    merged = ties_merge(pretrained, experts, scale, keep)
+    want = ties_oracle(pretrained, experts, scale, keep)
+    assert list(merged) == list(want)
+    for name in names:
+        assert (merged[name] + 0.0).tobytes() == (want[name] + 0.0).tobytes(), name
 
 
 CONFIG_FIELDS = [item.name for item in RunConfig.__dataclass_fields__.values()]
