@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import multiprocessing
+import os
+import signal
+import threading
 from pathlib import Path
 
 import click
@@ -21,6 +25,7 @@ import numpy as np
 from .bias import BiasError, BiasReport, layerwise_bias_report, pca_project
 from .checkpoint import CheckpointError, load_paramset, save_paramset
 from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks
+from .config import worker_count
 from .datasets import DataError, TaskSuite, gen_task_suite, save_csv, write_csv
 from .evaluation import (
     EvalError,
@@ -67,7 +72,7 @@ _DOMAIN_ERRORS = (
     NetworkError,
     SurgeryError,
     TensorError,
-    FileNotFoundError,
+    OSError,
 )
 
 def _wrap_errors(fn):
@@ -278,22 +283,62 @@ def _eval_rows(cfg, suite, spec, merged, experts, stack) -> list[EvalResult]:
         len(experts),
     )
     rows = [EvalResult.from_accuracies("individual", per_task)]
-    merged_id = f"merged_{cfg.merge_algo}"
-    rows.append(evaluate(merged, heads, spec, test_sets, model_id=merged_id))
+    rows.append(_merged_row(cfg, suite, spec, merged, experts))
     if stack is not None:
-        rows.append(
-            evaluate(
-                merged, heads, spec, test_sets, stack=stack,
-                model_id=merged_id, stack_id=stack.mode.label(),
-            )
-        )
+        rows.append(_merged_row(cfg, suite, spec, merged, experts, stack))
     return rows
 
 
-def _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports) -> list[EvalResult]:
-    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
-    emit_report(rows, reports, run_dir)
-    return rows
+def _merged_row(cfg, suite, spec, merged, experts, stack=None) -> EvalResult:
+    """Accuracy row of the merged model, corrected by ``stack`` if given."""
+    return evaluate(
+        merged, collect_heads(experts), spec, [task.test for task in suite.tasks],
+        stack=stack, model_id=f"merged_{cfg.merge_algo}",
+        stack_id=None if stack is None else stack.mode.label(),
+    )
+
+
+def _merged_assessment(cfg, run_dir, suite, spec, merged, experts):
+    """The merged model's bias reports and eval rows, before surgery."""
+    report = _bias_step(cfg, run_dir, suite, spec, merged, experts)
+    return [report], _eval_rows(cfg, suite, spec, merged, experts, None)
+
+
+def _beside(stage, *args):
+    """Start ``stage(*args)`` in a forked child that dies with the caller;
+    the returned ``wait()`` gives the stage's result or raises its error.
+    With a worker cap of 1 or no ``fork``, ``wait()`` runs the stage inline
+    instead, so both modes fail at the same point."""
+    if worker_count() == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return functools.partial(stage, *args)
+
+    def side(send):
+        # Ctrl-C aborts the caller, which still waits for this stage.  The
+        # caller's sentinel closes when it dies: exit then, even mid-write.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        parent = multiprocessing.parent_process()
+        threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+        try:
+            send.send((stage(*args), None))
+        except Exception as exc:
+            send.send((None, exc))
+
+    receive, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(target=side, args=(send,))
+    child.start()
+    send.close()
+
+    def wait():
+        try:
+            result, error = receive.recv()
+        except EOFError:
+            result, error = None, ChildProcessError(f"{stage.__name__} died without an answer")
+        child.join()
+        if error is not None:
+            raise error
+        return result
+
+    return wait
 
 
 def _write_manifest(run_dir: Path, cfg: RunConfig) -> Path:
@@ -461,37 +506,47 @@ def report_cmd(config, run_dir):
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
         reports.append(_bias_report(cfg, suite, spec, merged, experts, stack))
-    for row in _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports):
+    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
+    emit_report(rows, reports, run_dir)
+    for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
 
 
 @_command("pipeline")
 def pipeline_cmd(config, run_dir):
     """Full run: gen, pretrain, finetune x T, merge, bias, surgery, eval,
-    report, and a manifest of every artifact."""
+    report, and a manifest of every artifact.  The suite export runs beside
+    the training stages, and the merged model's bias step and rows beside
+    surgery (see ``_beside``); both are waited for even if a stage fails."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
-    _gen_step(cfg, run_dir, suite)
+    exported = _beside(_gen_step, cfg, run_dir, suite)
     click.echo("suite generated")
+    try:
+        pretrained = _pretrain_step(cfg, run_dir, suite, spec).params
+        click.echo("backbone pretrained")
+        results = _finetune_step(cfg, run_dir, suite, spec, pretrained, range(cfg.tasks))
+        experts = [result.params for result in results]
+        click.echo(f"{cfg.tasks} experts fine-tuned")
 
-    pretrained = _pretrain_step(cfg, run_dir, suite, spec).params
-    click.echo("backbone pretrained")
-    experts = [
-        result.params
-        for result in _finetune_step(cfg, run_dir, suite, spec, pretrained, range(cfg.tasks))
-    ]
-    click.echo(f"{cfg.tasks} experts fine-tuned")
+        merged, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
+        click.echo(f"merged with {recipe.algorithm}")
+    finally:
+        exported()
 
-    merged, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
-    click.echo(f"merged with {recipe.algorithm}")
-
-    reports = [_bias_step(cfg, run_dir, suite, spec, merged, experts)]
+    assessed = _beside(_merged_assessment, cfg, run_dir, suite, spec, merged, experts)
     stack = None
-    if cfg.surgery_mode != "none":
-        stack = _surgery_step(cfg, run_dir, suite, spec, merged, experts).stack
+    try:
+        if cfg.surgery_mode != "none":
+            stack = _surgery_step(cfg, run_dir, suite, spec, merged, experts).stack
+    finally:
+        reports, rows = assessed()
+    if stack is not None:
+        rows.append(_merged_row(cfg, suite, spec, merged, experts, stack))
         reports.append(_bias_step(cfg, run_dir, suite, spec, merged, experts, stack))
         click.echo("surgery trained")
 
-    for row in _report_step(cfg, run_dir, suite, spec, merged, experts, stack, reports):
+    emit_report(rows, reports, run_dir)
+    for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
     manifest = _write_manifest(run_dir, cfg)
     click.echo(f"manifest written to {manifest}")

@@ -1,8 +1,15 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
 import hashlib
+import multiprocessing
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +285,23 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [f"Error: {info}: byte 9 is not UTF-8"]
 
+    def test_surgery_info_directory_is_one_line_error(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        info = run_dir / "surgery_info.txt"
+        info.unlink()
+        info.mkdir()
+        stack_file = run_dir / "checkpoints" / "surgery.msrg"
+        result = runner.invoke(
+            main,
+            ["eval", "--config", str(config), "--run-dir", str(run_dir),
+             "--surgery", str(stack_file)],
+        )
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        assert line.startswith("Error: ") and str(info) in line
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")
@@ -524,6 +548,134 @@ class TestPipeline:
         assert manifest_a == manifest_b
         assert b"config.seed = 7" in manifest_a
         assert b"file.checkpoints/merged.msrg" in manifest_a
+
+    @staticmethod
+    def run_both_modes(runner, config, tmp_path, monkeypatch, prepare=lambda run_dir: None):
+        """Exit code, stdout (run directory masked) and run directory of
+        ``pipeline`` with the side child (2 workers) and inline (1)."""
+        runs = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("MERGE_SURGEON_THREADS", threads)
+            run_dir = tmp_path / f"threads{threads}"
+            prepare(run_dir)
+            result = runner.invoke(
+                main, ["pipeline", "--config", str(config), "--run-dir", str(run_dir)]
+            )
+            runs[threads] = (
+                result.exit_code, result.output.replace(str(run_dir), "RUN"), run_dir
+            )
+            assert multiprocessing.active_children() == []
+        return runs["2"], runs["1"]
+
+    def test_side_child_matches_inline_run(self, runner, tiny_config, tmp_path, monkeypatch):
+        forked, inline = self.run_both_modes(runner, tiny_config, tmp_path, monkeypatch)
+        assert forked[0] == inline[0] == 0
+        assert forked[1] == inline[1]
+        files = {}
+        for _, _, run_dir in (forked, inline):
+            files[run_dir] = {
+                path.relative_to(run_dir): path.read_bytes()
+                for path in sorted(run_dir.rglob("*")) if path.is_file()
+            }
+        assert files[forked[2]] == files[inline[2]]
+        assert len(files[forked[2]]) > 20
+
+    def test_side_stage_failure_matches_inline(
+        self, runner, tiny_config, tmp_path, monkeypatch
+    ):
+        def block_projection(run_dir):
+            (run_dir / "projection_0.csv").mkdir(parents=True)
+
+        forked, inline = self.run_both_modes(
+            runner, tiny_config, tmp_path, monkeypatch, block_projection
+        )
+        assert forked[0] == inline[0] == 1
+        assert forked[1] == inline[1]
+        (error,) = [line for line in forked[1].splitlines() if line.startswith("Error")]
+        assert error == forked[1].splitlines()[-1] and "RUN/projection_0.csv" in error
+        assert not (forked[2] / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "blocked, side_output",
+        [("checkpoints/pretrained.msrg", "suite/mixture.csv"),
+         ("checkpoints/surgery.msrg", "projection_1.csv")],
+    )
+    def test_later_stage_failure_waits_for_the_side_stage(
+        self, runner, tiny_config, tmp_path, monkeypatch, blocked, side_output
+    ):
+        forked, inline = self.run_both_modes(
+            runner, tiny_config, tmp_path, monkeypatch,
+            lambda run_dir: (run_dir / blocked).mkdir(parents=True),
+        )
+        assert forked[0] == inline[0] == 1
+        assert forked[1] == inline[1]
+        error = forked[1].splitlines()[-1]
+        assert error.startswith("Error: ") and f"RUN/{blocked}" in error
+        for run_dir in (forked[2], inline[2]):
+            assert (run_dir / side_output).is_file()
+        listing = [sorted(p.relative_to(d) for p in d.rglob("*")) for d in (forked[2], inline[2])]
+        assert listing[0] == listing[1]
+
+    @staticmethod
+    def signal_mid_export(tmp_path, signum, to_group):
+        """Start ``pipeline`` in its own session on a config whose suite
+        export (160,400 rows of 33 values) is still running when the
+        pipeline has written ``model_spec.cfg``; send ``signum`` then, to
+        the pipeline or its whole process group, and wait for it."""
+        config = tmp_path / "export.cfg"
+        config.write_text(TINY_CFG.replace("dim = 4", "dim = 32").replace(
+            "n_train = 60\nn_test = 50", "n_train = 100\nn_test = 40000"))
+        run_dir = tmp_path / "run"
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, MERGE_SURGEON_THREADS="2", PYTHONPATH=str(src))
+        stderr = tmp_path / "stderr.txt"
+        with open(stderr, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "merge_surgeon.cli", "pipeline", "--config",
+                 str(config), "--run-dir", str(run_dir)],
+                env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True,
+            )
+        try:
+            while proc.poll() is None and not (run_dir / "model_spec.cfg").exists():
+                time.sleep(0.002)
+        finally:
+            if to_group:
+                os.killpg(proc.pid, signum)
+            else:
+                proc.send_signal(signum)
+            proc.wait()
+        return proc, run_dir, stderr.read_text()
+
+    def test_ctrl_c_aborts_after_the_side_stage(self, tmp_path):
+        proc, run_dir, stderr = self.signal_mid_export(tmp_path, signal.SIGINT, to_group=True)
+        assert proc.returncode == 1
+        assert stderr.strip() == "Aborted!"
+        assert (run_dir / "suite" / "mixture.csv").is_file()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_side_child_dies_with_the_pipeline(self, tmp_path):
+        # A child that outlived the pipeline would go on to write mixture.csv.
+        proc, run_dir, _ = self.signal_mid_export(tmp_path, signal.SIGKILL, to_group=False)
+        assert proc.returncode == -signal.SIGKILL
+
+        def session():
+            """Live (not zombie) processes whose session the pipeline led."""
+            alive = []
+            for pid in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    stat = Path(f"/proc/{pid}/stat").read_text()
+                except OSError:
+                    continue
+                state, _, _, sid = stat.rpartition(")")[2].split()[:4]
+                if int(sid) == proc.pid and state != "Z":
+                    alive.append(int(pid))
+            return alive
+
+        deadline = time.monotonic() + 2.0
+        while session() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert session() == []
+        assert not (run_dir / "suite" / "mixture.csv").exists()
 
     def test_ties_and_ada_algorithms_run(self, runner, tiny_config, tmp_path):
         for algo, extra in (("ties", ["--keep", "0.5", "--lambda", "0.3"]), ("ada", [])):
