@@ -60,6 +60,6 @@ from .surgery import (
     stream_train_surgery,
     train_surgery,
 )
-from .tensors import ParamSet, bitwise_equal, shape_compatible
+from .tensors import ParamSet, bitwise_equal
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ Layout::
     bytes 16+H..  contiguous little-endian float32 payloads in header order
 
 Offsets are relative to the start of the payload region and must be
-contiguous; a round-trip through save/load is bitwise stable.
+contiguous; a round-trip through save/load is bitwise stable.  A name is
+a non-empty string, a shape a list of JSON integers >= 1 (``[]`` for a
+0-d tensor) and an offset an integer; anything else is a HeaderError.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class NonFiniteError(CheckpointError):
 
 class HeaderError(CheckpointError):
     """Header is not valid JSON or describes an inconsistent layout."""
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON ``true`` loads as a bool, which
+    Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_paramset(params: ParamSet, path) -> None:
@@ -81,17 +89,25 @@ def load_paramset(path) -> ParamSet:
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise HeaderError(f"{path}: unreadable header ({exc})") from exc
 
+    if not isinstance(descriptors, list) or not all(isinstance(d, dict) for d in descriptors):
+        raise HeaderError(f"{path}: 'tensors' must be a list of objects")
+
     payload = raw[header_end:]
     entries = []
     expected_offset = 0
     seen = set()
     for desc in descriptors:
         try:
-            name = desc["name"]
-            shape = tuple(int(d) for d in desc["shape"])
-            offset = int(desc["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HeaderError(f"{path}: malformed tensor descriptor ({exc})") from exc
+            name, shape, offset = desc["name"], desc["shape"], desc["offset"]
+        except KeyError as exc:
+            raise HeaderError(f"{path}: tensor descriptor without {exc}") from None
+        if not isinstance(name, str) or not name:
+            raise HeaderError(f"{path}: tensor 'name' must be a non-empty string, got {name!r}")
+        if not isinstance(shape, list) or not all(map(_is_int, shape)):
+            raise HeaderError(f"{path}: tensor {name!r} 'shape' must be a list of integers")
+        if not _is_int(offset):
+            raise HeaderError(f"{path}: tensor {name!r} 'offset' must be an integer")
+        shape = tuple(shape)
         if name in seen:
             raise HeaderError(f"{path}: duplicate tensor name {name!r}")
         seen.add(name)

@@ -7,6 +7,9 @@ external tooling; commands regenerate the suite deterministically from
 the configured seed so labels stay coherent across splits.  The manifest
 written by ``pipeline`` lists the resolved configuration and a digest of
 every artifact, which is enough to re-execute the run bit-identically.
+
+A model's bias report and accuracy rows come from one trace of each test
+set: ``_assess`` scores the rows on the report's final-layer traces.
 """
 
 from __future__ import annotations
@@ -22,20 +25,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bias import BiasError, BiasReport, layerwise_bias_report, pca_project
+from .bias import BiasError, layerwise_bias_report, pca_project
 from .checkpoint import CheckpointError, load_paramset, save_paramset
-from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file, map_over_tasks
-from .config import worker_count
+from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file, worker_count
 from .datasets import DataError, TaskSuite, gen_task_suite, save_csv, write_csv
-from .evaluation import (
-    EvalError,
-    EvalResult,
-    collect_heads,
-    emit_report,
-    evaluate,
-    results_table,
-    task_accuracy,
-)
+from .evaluation import EvalError, EvalResult, accuracy, collect_heads, emit_report, results_table
 from .merging import (
     MergeError,
     MergeRecipe,
@@ -212,26 +206,36 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     return merged, recipe
 
 
-def _bias_report(
-    cfg, suite, spec, merged, experts, stack=None, final_traces=None
-) -> BiasReport:
-    return layerwise_bias_report(
-        merged,
-        experts,
-        spec,
-        suite.test_inputs(),
-        cfg.surgery_psi,
-        stack=stack,
-        model_id="merged" + _suffix(stack),
-        final_traces=final_traces,
+def _assess(cfg, suite, spec, merged, experts, stack=None):
+    """Bias report of the merged (or corrected) model, and the accuracy rows
+    ``individual`` and ``merged_<algo>[+mode]`` scored on its final-layer
+    traces; returns both and the ``(merged, expert)`` traces per task."""
+    heads = collect_heads(experts)
+    finals = []
+    report = layerwise_bias_report(
+        merged, experts, spec, suite.test_inputs(), cfg.surgery_psi, stack=stack,
+        model_id="merged" + _suffix(stack), final_traces=finals,
     )
 
+    def scores(side):  # 0: the merged model's traces, 1: the experts'
+        return [accuracy(heads, t, pair[side], task.test.labels)
+                for t, (pair, task) in enumerate(zip(finals, suite.tasks))]
 
-def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None) -> BiasReport:
-    """Bias report of the merged (or corrected) model, plus per-task
-    shared-basis 2-D projections of its final layer and the expert's."""
-    finals = []
-    report = _bias_report(cfg, suite, spec, merged, experts, stack, finals)
+    rows = [
+        EvalResult.from_accuracies("individual", scores(1)),
+        EvalResult.from_accuracies(
+            f"merged_{cfg.merge_algo}", scores(0),
+            stack_id=None if stack is None else stack.mode.label(),
+        ),
+    ]
+    return report, rows, finals
+
+
+def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None):
+    """:func:`_assess`, plus per-task shared-basis 2-D projections of the
+    merged (or corrected) final layer and the expert's; returns the report
+    and the rows."""
+    report, rows, finals = _assess(cfg, suite, spec, merged, experts, stack)
     for task, (merged_final, expert_final) in enumerate(finals):
         coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
         n = merged_final.shape[1]
@@ -242,7 +246,7 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None) -> BiasRe
             [("merged,%.9g,%.9g", (merged_rows,)), ("expert,%.9g,%.9g", (expert_rows,))],
             line_end="\n",
         )
-    return report
+    return report, rows
 
 
 def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
@@ -272,36 +276,6 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
     )
     (run_dir / "surgery_info.txt").write_text(info, encoding="utf-8")
     return result
-
-
-def _eval_rows(cfg, suite, spec, merged, experts, stack) -> list[EvalResult]:
-    heads = collect_heads(experts)
-    test_sets = [task.test for task in suite.tasks]
-    # "individual" row: each expert scored on its own task only.
-    per_task = map_over_tasks(
-        lambda task: task_accuracy(experts[task], heads, spec, test_sets[task], task),
-        len(experts),
-    )
-    rows = [EvalResult.from_accuracies("individual", per_task)]
-    rows.append(_merged_row(cfg, suite, spec, merged, experts))
-    if stack is not None:
-        rows.append(_merged_row(cfg, suite, spec, merged, experts, stack))
-    return rows
-
-
-def _merged_row(cfg, suite, spec, merged, experts, stack=None) -> EvalResult:
-    """Accuracy row of the merged model, corrected by ``stack`` if given."""
-    return evaluate(
-        merged, collect_heads(experts), spec, [task.test for task in suite.tasks],
-        stack=stack, model_id=f"merged_{cfg.merge_algo}",
-        stack_id=None if stack is None else stack.mode.label(),
-    )
-
-
-def _merged_assessment(cfg, run_dir, suite, spec, merged, experts):
-    """The merged model's bias reports and eval rows, before surgery."""
-    report = _bias_step(cfg, run_dir, suite, spec, merged, experts)
-    return [report], _eval_rows(cfg, suite, spec, merged, experts, None)
 
 
 def _beside(stage, *args):
@@ -348,7 +322,8 @@ def _write_manifest(run_dir: Path, cfg: RunConfig) -> Path:
     for path in sorted(run_dir.rglob("*")):
         if not path.is_file() or path.name == "manifest.txt":
             continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        with path.open("rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
         lines.append(f"file.{path.relative_to(run_dir).as_posix()} = {digest}")
     manifest = run_dir / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -450,7 +425,7 @@ def bias_cmd(config, run_dir, psi, stack_path, tag):
     cfg, run_dir, suite, spec = _setup(config, run_dir, surgery_psi=psi)
     merged, experts = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    report = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
+    report, _ = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
     name = "bias_report.csv" if tag is None else f"bias_report_{tag}.csv"
     (run_dir / name).write_text(report.to_csv_text(), encoding="utf-8")
     click.echo(
@@ -490,7 +465,10 @@ def eval_cmd(config, run_dir, stack_path):
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
+    _, rows, _ = _assess(cfg, suite, spec, merged, experts)
+    if stack is not None:
+        _, (_, corrected), _ = _assess(cfg, suite, spec, merged, experts, stack)
+        rows.append(corrected)
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
@@ -501,12 +479,13 @@ def report_cmd(config, run_dir):
     """Assemble the comparison table and bias CSVs into the run directory."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts = _load_merged(run_dir, cfg)
-    reports = [_bias_report(cfg, suite, spec, merged, experts)]
-    stack = None
+    report, rows, _ = _assess(cfg, suite, spec, merged, experts)
+    reports = [report]
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        reports.append(_bias_report(cfg, suite, spec, merged, experts, stack))
-    rows = _eval_rows(cfg, suite, spec, merged, experts, stack)
+        corrected, (_, row), _ = _assess(cfg, suite, spec, merged, experts, stack)
+        reports.append(corrected)
+        rows.append(row)
     emit_report(rows, reports, run_dir)
     for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
@@ -533,16 +512,18 @@ def pipeline_cmd(config, run_dir):
     finally:
         exported()
 
-    assessed = _beside(_merged_assessment, cfg, run_dir, suite, spec, merged, experts)
+    assessed = _beside(_bias_step, cfg, run_dir, suite, spec, merged, experts)
     stack = None
     try:
         if cfg.surgery_mode != "none":
             stack = _surgery_step(cfg, run_dir, suite, spec, merged, experts).stack
     finally:
-        reports, rows = assessed()
+        report, rows = assessed()
+    reports = [report]
     if stack is not None:
-        rows.append(_merged_row(cfg, suite, spec, merged, experts, stack))
-        reports.append(_bias_step(cfg, run_dir, suite, spec, merged, experts, stack))
+        corrected, (_, row) = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
+        reports.append(corrected)
+        rows.append(row)
         click.echo("surgery trained")
 
     emit_report(rows, reports, run_dir)

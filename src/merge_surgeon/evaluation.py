@@ -1,4 +1,9 @@
-"""Accuracy evaluation of merged/expert models and result-table emission."""
+"""Accuracy of merged and expert models, and result-table emission.
+
+:func:`accuracy` scores a task's head on final-layer representations the
+caller already holds, such as the traces of a bias report;
+:func:`evaluate` traces each test set itself, on the worker pool.
+"""
 
 from __future__ import annotations
 
@@ -67,26 +72,16 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
     return ParamSet(entries)
 
 
-def task_accuracy(
-    backbone: Mapping[str, np.ndarray],
-    heads: Mapping[str, np.ndarray],
-    spec: ModelSpec,
-    data,
-    task: int,
-    stack=None,
-) -> float:
-    """Argmax accuracy on ``data`` through task ``task``'s head.
+def accuracy(heads: Mapping[str, np.ndarray], task: int, z_final: np.ndarray, labels) -> float:
+    """Argmax accuracy of task ``task``'s head on the final-layer
+    representations ``z_final`` (d_L, N) of samples labelled ``labels``.
 
-    Ties in the argmax go to the lowest class index.  When ``stack`` is
-    given, the forward pass applies the task's in-path corrections.
+    Ties in the argmax go to the lowest class index.
     """
-    x = data.inputs()
-    z_final = corrected_forward(backbone, spec, stack, x, task)[-1]
     logits = head_logits(
         heads[head_name(task, "weight")], heads[head_name(task, "bias")], z_final
     )
-    predictions = np.argmax(logits, axis=0)
-    return float((predictions == data.labels).mean())
+    return float((np.argmax(logits, axis=0) == labels).mean())
 
 
 def evaluate(
@@ -98,16 +93,20 @@ def evaluate(
     model_id: str = "model",
     stack_id: str | None = None,
 ) -> EvalResult:
-    """:func:`task_accuracy` of every task on its own test set."""
+    """:func:`accuracy` of every task on its own test set, traced through
+    the backbone with the task's corrections from ``stack`` if given."""
     if len(test_sets) < 1:
         raise EvalError("need at least one test set")
     for task in range(len(test_sets)):
         if head_name(task, "weight") not in heads or head_name(task, "bias") not in heads:
             raise EvalError(f"missing head for task {task}")
-    accuracies = map_over_tasks(
-        lambda task: task_accuracy(backbone, heads, spec, test_sets[task], task, stack),
-        len(test_sets),
-    )
+
+    def score(task):
+        data = test_sets[task]
+        z_final = corrected_forward(backbone, spec, stack, data.inputs(), task)[-1]
+        return accuracy(heads, task, z_final, data.labels)
+
+    accuracies = map_over_tasks(score, len(test_sets))
     return EvalResult.from_accuracies(model_id, accuracies, stack_id=stack_id)
 
 

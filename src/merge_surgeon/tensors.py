@@ -86,13 +86,6 @@ class ParamSet(Mapping):
         return ParamSet((n, v) for n, v in self._entries.items() if is_backbone_name(n))
 
 
-def shape_compatible(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
-    """True iff ``a`` and ``b`` have identical name sets with identical shapes."""
-    if set(a) != set(b):
-        return False
-    return all(a[n].shape == b[n].shape for n in a)
-
-
 def bitwise_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
     """True iff both collections hold the same names, order, and exact bytes."""
     if list(a) != list(b):

@@ -121,3 +121,47 @@ def test_huge_shape_is_truncation_not_overflow(tmp_path, shape):
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\0" * 32)
     with pytest.raises(TruncatedError):
         load_paramset(path)
+
+
+def write_checkpoint(path, header, payload):
+    raw = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+@pytest.mark.parametrize(
+    "tensors, payload, field",
+    [
+        # Each payload is the one a lenient reader would accept with the
+        # header, so only the field check can reject the file.
+        (5, b"", "'tensors'"),
+        ([5], b"", "'tensors'"),
+        ([{"name": ["x"], "shape": [1], "offset": 0}], b"\0" * 4, "'name'"),
+        ([{"name": "", "shape": [1], "offset": 0}], b"\0" * 4, "'name'"),
+        ([{"name": "x", "shape": [1.5], "offset": 0}], b"\0" * 4, "'shape'"),
+        ([{"name": "x", "shape": "12", "offset": 0}], b"\0" * 8, "'shape'"),
+        ([{"name": "x", "shape": [True, 2], "offset": 0}], b"\0" * 8, "'shape'"),
+        ([{"name": "x", "shape": [2], "offset": 0.0}], b"\0" * 8, "'offset'"),
+        ([{"name": "x", "shape": [2]}], b"\0" * 8, "'offset'"),
+    ],
+    ids=["tensors-int", "tensors-of-int", "name-list", "name-empty", "shape-float",
+         "shape-string", "shape-bool", "offset-float", "offset-missing"],
+)
+def test_malformed_descriptor_is_a_header_error_naming_the_field(
+    tmp_path, tensors, payload, field
+):
+    path = tmp_path / "bad.msrg"
+    write_checkpoint(path, {"tensors": tensors}, payload)
+    with pytest.raises(HeaderError, match=field):
+        load_paramset(path)
+
+
+def test_zero_d_tensor_round_trips(tmp_path):
+    path = tmp_path / "scalar.msrg"
+    original = ParamSet([("s", np.float32(2.5)), ("v", [1.0, -1.0])])
+    save_paramset(original, path)
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    assert json.loads(raw[16 : 16 + size])["tensors"][0]["shape"] == []
+    loaded = load_paramset(path)
+    assert loaded["s"].shape == ()
+    assert bitwise_equal(original, loaded)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
 import hashlib
+import json
 import multiprocessing
 import os
 import shutil
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from merge_surgeon import cli, surgery
+from merge_surgeon import cli, evaluation, surgery
 from merge_surgeon.bias import pca_project
-from merge_surgeon.checkpoint import load_paramset, save_paramset
+from merge_surgeon.checkpoint import MAGIC, load_paramset, save_paramset
 from merge_surgeon.cli import main
 from merge_surgeon.config import RunConfig, parse_config_text
 from merge_surgeon.datasets import gen_task_suite
-from merge_surgeon.evaluation import collect_heads, evaluate
+from merge_surgeon.evaluation import EvalResult, collect_heads, evaluate
 from merge_surgeon.merging import ties_merge
 from merge_surgeon.network import ModelSpec
 from merge_surgeon.surgery import ALL_LAYERS, init_stack
@@ -285,6 +286,19 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [f"Error: {info}: byte 9 is not UTF-8"]
 
+    def test_malformed_checkpoint_header_is_one_line_error(self, runner, pipeline_run, tmp_path):
+        config, run_dir = pipeline_run
+        bad = tmp_path / "bad.msrg"
+        header = json.dumps({"tensors": 5}).encode()
+        bad.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header)
+        result = runner.invoke(
+            main, ["eval", "--config", str(config), "--run-dir", str(run_dir), "--surgery", str(bad)]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: {bad}: 'tensors' must be a list of objects"
+        ]
+
     def test_surgery_info_directory_is_one_line_error(self, runner, pipeline_run, tmp_path):
         config, piped = pipeline_run
         run_dir = tmp_path / "run"
@@ -409,6 +423,24 @@ class TestBiasStep:
         cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack if with_stack else None)
         assert cfg.tasks == 2
         assert len(calls) == 2 * cfg.tasks
+
+    @pytest.mark.parametrize("with_stack", [False, True])
+    def test_rows_equal_the_library_evaluation(self, bias_inputs, tmp_path, with_stack):
+        cfg, suite, spec, merged, experts, stack = bias_inputs
+        stack = stack if with_stack else None
+        _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack)
+        heads = collect_heads(experts)
+        tests = [task.test for task in suite.tasks]
+        individual = [
+            evaluate(expert, heads, spec, tests).task_accuracies[t]
+            for t, expert in enumerate(experts)
+        ]
+        merged_row = evaluate(
+            merged, heads, spec, tests, stack, model_id="merged_ta",
+            stack_id=None if stack is None else "v2",
+        )
+        assert rows == [EvalResult.from_accuracies("individual", individual), merged_row]
+        assert len(set(individual + list(merged_row.task_accuracies))) > 1
 
     @pytest.mark.parametrize("with_stack", [False, True])
     def test_projection_matches_the_point_loop(self, bias_inputs, tmp_path, with_stack):
@@ -548,6 +580,29 @@ class TestPipeline:
         assert manifest_a == manifest_b
         assert b"config.seed = 7" in manifest_a
         assert b"file.checkpoints/merged.msrg" in manifest_a
+
+    def test_traces_each_model_and_test_set_twice(
+        self, runner, tiny_config, tmp_path, monkeypatch
+    ):
+        # Once in the bias step before surgery and once after it; the
+        # accuracy rows are scored on those traces.  merge_scale = 0.3
+        # runs no scale grid, and one worker keeps every stage in process.
+        monkeypatch.setenv("MERGE_SURGEON_THREADS", "1")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return traced(*args, **kwargs)
+
+        traced = surgery.corrected_forward
+        monkeypatch.setattr(surgery, "corrected_forward", counted)
+        monkeypatch.setattr(evaluation, "corrected_forward", counted)
+        result = invoke(
+            runner, ["pipeline", "--config", str(tiny_config), "--run-dir", str(tmp_path / "run")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "merge_scale = 0.3\n" in TINY_CFG and "tasks = 2\n" in TINY_CFG
+        assert sorted(calls) == [0] * 4 + [1] * 4
 
     @staticmethod
     def run_both_modes(runner, config, tmp_path, monkeypatch, prepare=lambda run_dir: None):

@@ -10,7 +10,6 @@ from merge_surgeon.tensors import (
     as_tensor,
     bitwise_equal,
     is_backbone_name,
-    shape_compatible,
 )
 
 
@@ -93,15 +92,6 @@ class TestParamSet:
         assert is_backbone_name("block12.weight")
         assert not is_backbone_name("head.0.weight")
         assert not is_backbone_name("block2.scale")
-
-    def test_shape_compatible(self):
-        a = ParamSet([("x", np.zeros((2, 3)))])
-        b = ParamSet([("x", np.ones((2, 3)))])
-        c = ParamSet([("x", np.zeros((3, 2)))])
-        d = ParamSet([("y", np.zeros((2, 3)))])
-        assert shape_compatible(a, b)
-        assert not shape_compatible(a, c)
-        assert not shape_compatible(a, d)
 
     def test_bitwise_equal(self):
         a = ParamSet([("x", [1.5, -2.25])])
