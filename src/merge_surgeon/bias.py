@@ -117,11 +117,10 @@ def alignment_loss_and_grad(
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Per-layer, per-task bias values with the metadata to reproduce them."""
+    """Per-layer, per-task bias values of the model ``model_id``; the
+    metric that produced them is the caller's and is not stored."""
 
     values: np.ndarray  # (num_layers, num_tasks)
-    psi: LossKind
-    split: str
     model_id: str
 
     def __post_init__(self):
@@ -160,7 +159,6 @@ def layerwise_bias_report(
     inputs_per_task: Sequence[np.ndarray],
     psi: LossKind,
     stack=None,
-    split: str = "test",
     model_id: str = "merged",
     final_traces: list | None = None,
 ) -> BiasReport:
@@ -189,7 +187,7 @@ def layerwise_bias_report(
             )
         if final_traces is not None:
             final_traces.append((merged_trace[-1], expert_trace[-1]))
-    return BiasReport(values=values, psi=psi, split=split, model_id=model_id)
+    return BiasReport(values=values, model_id=model_id)
 
 
 def pca_project(reps: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ external tooling; commands regenerate the suite deterministically from
 the configured seed so labels stay coherent across splits.  The manifest
 written by ``pipeline`` lists the resolved configuration and a digest of
 every artifact, which is enough to re-execute the run bit-identically.
+A flag that sets a config value is parsed by ``RunConfig``, as a config line is.
 
 A model's bias report and accuracy rows come from one trace of each test
 set: ``_assess`` scores the rows on the report's final-layer traces.
@@ -131,7 +132,7 @@ def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> S
         mode = cfg.surgery_mode
     else:
         raise SurgeryError("surgery mode 'none' cannot read a stack")
-    stack = SurgeryStack.from_paramset(load_paramset(path), mode, spec.num_layers, cfg.surgery_psi)
+    stack = SurgeryStack.from_paramset(load_paramset(path), mode, spec.num_layers)
     stack.validate(spec, cfg.tasks)
     return stack
 
@@ -222,8 +223,8 @@ def _assess(cfg, suite, spec, merged, experts, stack=None):
                 for t, (pair, task) in enumerate(zip(finals, suite.tasks))]
 
     rows = [
-        EvalResult.from_accuracies("individual", scores(1)),
-        EvalResult.from_accuracies(
+        EvalResult("individual", scores(1)),
+        EvalResult(
             f"merged_{cfg.merge_algo}", scores(0),
             stack_id=None if stack is None else stack.mode.label(),
         ),
@@ -270,7 +271,7 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
     _save(result.stack.to_paramset(), run_dir, "surgery")
     info = (
         f"mode = {result.stack.mode.label()}\n"
-        f"psi = {result.stack.psi.value}\n"
+        f"psi = {cfg.surgery_psi.value}\n"
         f"rank = {cfg.surgery_rank}\n"
         f"data = {data}\n"
     )
@@ -299,7 +300,12 @@ def _beside(stage, *args):
 
     receive, send = multiprocessing.Pipe(duplex=False)
     child = multiprocessing.get_context("fork").Process(target=side, args=(send,))
-    child.start()
+    # Blocked across the fork, SIGINT cannot kill the child before side() ignores it.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        child.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     send.close()
 
     def wait():
@@ -355,12 +361,12 @@ def _command(name: str):
 
 
 @_command("gen")
-@click.option("--seed", type=int, default=None)
-@click.option("--tasks", type=int, default=None)
-@click.option("--dim", type=int, default=None)
-@click.option("--classes", type=int, default=None)
-@click.option("--n-train", type=int, default=None)
-@click.option("--n-test", type=int, default=None)
+@click.option("--seed", default=None)
+@click.option("--tasks", default=None)
+@click.option("--dim", default=None)
+@click.option("--classes", default=None)
+@click.option("--n-train", default=None)
+@click.option("--n-test", default=None)
 def gen(config, run_dir, seed, tasks, dim, classes, n_train, n_test):
     """Generate the task suite and export it as CSV files."""
     cfg, run_dir, suite, _ = _setup(
@@ -398,8 +404,8 @@ def finetune(config, run_dir, task):
 @_command("merge")
 @click.option("--algo", default=None, help="avg, ta, ties, or ada.")
 @click.option("--lambda", "scale", default=None, help="Merging scale, or 'grid'.")
-@click.option("--keep", type=float, default=None, help="Ties keep fraction in (0, 1].")
-@click.option("--seed", type=int, default=None)
+@click.option("--keep", default=None, help="Ties keep fraction in (0, 1].")
+@click.option("--seed", default=None)
 def merge(config, run_dir, algo, scale, keep, seed):
     """Merge the expert checkpoints into one backbone."""
     cfg, run_dir, suite, spec = _setup(
@@ -437,8 +443,8 @@ def bias_cmd(config, run_dir, psi, stack_path, tag):
 @_command("surgery")
 @click.option("--mode", default=None, help="v1, v2, or block:<l>.")
 @click.option("--psi", default=None, help="l1, mse, or cos.")
-@click.option("--rank", type=int, default=None)
-@click.option("--iters", type=int, default=None)
+@click.option("--rank", default=None)
+@click.option("--iters", default=None)
 @click.option("--data", default=None, help="test, wild:<seed>, or stream:<fraction>.")
 def surgery_cmd(config, run_dir, mode, psi, rank, iters, data):
     """Train a task-private adapter stack against the expert representations."""

@@ -34,7 +34,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = ""
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float32)
@@ -84,7 +83,6 @@ class TaskSuite:
     tasks: tuple[TaskData, ...]
     mixture: Dataset
     class_means: tuple[np.ndarray, ...]
-    seed: int
     dim: int
     num_classes: int
     n_train: int
@@ -98,11 +96,11 @@ class TaskSuite:
         return [task.test.features for task in self.tasks]
 
 
-def _sample_split(rng: np.random.Generator, means: np.ndarray, n: int, split: str) -> Dataset:
+def _sample_split(rng: np.random.Generator, means: np.ndarray, n: int) -> Dataset:
     c, d = means.shape
     labels = rng.integers(0, c, size=n)
     features = means[labels] + rng.standard_normal((n, d))
-    return Dataset(features.astype(np.float32), labels, num_classes=c, split=split)
+    return Dataset(features.astype(np.float32), labels, num_classes=c)
 
 
 def gen_task_suite(
@@ -133,7 +131,7 @@ def gen_task_suite(
         splits = {}
         for split, size in (("train", n_train), ("validation", n_test), ("test", n_test)):
             rng = np.random.default_rng([seed, t, _SPLIT_STREAMS[split]])
-            splits[split] = _sample_split(rng, means, size, split)
+            splits[split] = _sample_split(rng, means, size)
         tasks.append(TaskData(splits["train"], splits["validation"], splits["test"]))
 
     mix_parts = []
@@ -145,9 +143,7 @@ def gen_task_suite(
     first = mix_features[:, 0]
     thresholds = np.quantile(first, [(i + 1) / num_classes for i in range(num_classes - 1)])
     mix_labels = np.digitize(first, thresholds)
-    mixture = Dataset(
-        mix_features.astype(np.float32), mix_labels, num_classes=num_classes, split="train"
-    )
+    mixture = Dataset(mix_features.astype(np.float32), mix_labels, num_classes=num_classes)
 
     means_frozen = []
     for means in all_means:
@@ -159,7 +155,6 @@ def gen_task_suite(
         tasks=tuple(tasks),
         mixture=mixture,
         class_means=tuple(means_frozen),
-        seed=seed,
         dim=dim,
         num_classes=num_classes,
         n_train=n_train,

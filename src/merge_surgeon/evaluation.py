@@ -26,11 +26,10 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Per-task accuracies plus their arithmetic mean."""
+    """Per-task accuracies; their arithmetic mean is :attr:`average`."""
 
     model_id: str
     task_accuracies: tuple[float, ...]
-    average: float
     stack_id: str | None = None
 
     def __post_init__(self):
@@ -41,19 +40,10 @@ class EvalResult:
             raise EvalError("need at least one task accuracy")
         if any(not 0 <= a <= 1 for a in self.task_accuracies):
             raise EvalError("accuracies must lie in [0, 1]")
-        mean = sum(self.task_accuracies) / len(self.task_accuracies)
-        if abs(mean - self.average) > 1e-12:
-            raise EvalError("average must equal the mean of the per-task values")
 
-    @classmethod
-    def from_accuracies(cls, model_id, accuracies, stack_id=None) -> "EvalResult":
-        accuracies = tuple(float(a) for a in accuracies)
-        return cls(
-            model_id=model_id,
-            task_accuracies=accuracies,
-            average=sum(accuracies) / len(accuracies),
-            stack_id=stack_id,
-        )
+    @property
+    def average(self) -> float:
+        return sum(self.task_accuracies) / len(self.task_accuracies)
 
     @property
     def label(self) -> str:
@@ -107,7 +97,7 @@ def evaluate(
         return accuracy(heads, task, z_final, data.labels)
 
     accuracies = map_over_tasks(score, len(test_sets))
-    return EvalResult.from_accuracies(model_id, accuracies, stack_id=stack_id)
+    return EvalResult(model_id, accuracies, stack_id=stack_id)
 
 
 def results_table(results: Sequence[EvalResult]) -> str:

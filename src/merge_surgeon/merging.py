@@ -33,6 +33,8 @@ from .network import (
 from .tensors import ParamSet, head_name, is_backbone_name
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
+# AdaMerging's starting coefficients: task arithmetic at scale 0.3.
+_ADA_INIT = 0.3
 
 
 class MergeError(ValueError):
@@ -354,12 +356,11 @@ def ada_merge(
     spec: ModelSpec,
     inputs_per_task: Sequence[np.ndarray],
     cfg: TrainConfig,
-    init_coefficient: float = 0.3,
 ) -> AdaMergeResult:
     """Optimize layer-level merging coefficients by entropy minimization.
 
     ``inputs_per_task[t]`` is an (N_t, input_dim) matrix of unlabeled
-    inputs for task t.  Coefficients start at ``init_coefficient`` and are
+    inputs for task t.  Coefficients start at :data:`_ADA_INIT` and are
     updated by Adam on the mean softmax entropy of the merged model's
     predictions through each task's head.  Batch draws are seeded per
     task position, so results are reproducible for a fixed expert order
@@ -373,7 +374,7 @@ def ada_merge(
     if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
 
-    coefficients = np.full((spec.num_layers, len(experts)), float(init_coefficient))
+    coefficients = np.full((spec.num_layers, len(experts)), _ADA_INIT)
 
     heads = _stacked_heads(experts)
     adam = cfg.make_adam()

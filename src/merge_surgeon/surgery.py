@@ -123,14 +123,13 @@ def single_block(block: int) -> SurgeryMode:
 
 @dataclass(frozen=True)
 class SurgeryStack:
-    """Adapters keyed by (task, layer) plus the mode/loss they were built for.
+    """Adapters keyed by (task, layer) plus the mode they were built for.
 
     A task with no entries at all passes through uncorrected; a task with
     partial coverage of the mode's layers is an error at use time.
     """
 
     mode: SurgeryMode
-    psi: LossKind
     adapters: Mapping[tuple[int, int], AdapterParams] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -180,11 +179,7 @@ class SurgeryStack:
 
     @classmethod
     def from_paramset(
-        cls,
-        params: Mapping[str, np.ndarray],
-        mode: SurgeryMode,
-        num_layers: int,
-        psi: LossKind = LossKind.L1,
+        cls, params: Mapping[str, np.ndarray], mode: SurgeryMode, num_layers: int
     ) -> "SurgeryStack":
         """The stack stored in ``params``, built for ``mode`` on a
         ``num_layers``-block model; every task it holds must cover exactly
@@ -211,7 +206,7 @@ class SurgeryStack:
                     f"task {task} covers layers {list(coverage)}, mode {mode.label()} "
                     f"requires {list(required)}"
                 )
-        return cls(mode=mode, psi=psi, adapters=adapters)
+        return cls(mode=mode, adapters=adapters)
 
 
 def init_stack(
@@ -220,7 +215,6 @@ def init_stack(
     mode: SurgeryMode,
     rank: int,
     seed: int,
-    psi: LossKind = LossKind.L1,
 ) -> SurgeryStack:
     """Fresh stack: small uniform down-projections, zero up-projections.
 
@@ -239,7 +233,7 @@ def init_stack(
                 down=rng.uniform(-bound, bound, size=(rank, width)),
                 up=np.zeros((width, rank)),
             )
-    return SurgeryStack(mode=mode, psi=psi, adapters=adapters)
+    return SurgeryStack(mode=mode, adapters=adapters)
 
 
 def corrected_forward(
@@ -467,7 +461,7 @@ def train_surgery(
     }
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
-    stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed, psi)
+    stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed)
     # Row t of params holds every adapter of task t, and row t of
     # grad_rows its gradients; the per-layer (T, ...) matrices are views.
     shapes = {}
@@ -534,7 +528,7 @@ def train_surgery(
     for chunk, key in _chunks(data, num_tasks):
         train_chunk(chunk, key)
 
-    stack = SurgeryStack(mode=mode, psi=psi, adapters={
+    stack = SurgeryStack(mode=mode, adapters={
         (task, layer): AdapterParams(down=pair["down"][task], up=pair["up"][task])
         for task in range(num_tasks)
         for layer, pair in adapters.items()

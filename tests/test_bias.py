@@ -194,7 +194,7 @@ class TestLayerwiseReport:
 
     def test_report_validation(self):
         with pytest.raises(BiasError):
-            BiasReport(values=np.array([[-1.0]]), psi=LossKind.L1, split="test", model_id="m")
+            BiasReport(values=np.array([[-1.0]]), model_id="m")
 
     def test_reference_fixture_depth_profile_golden(
         self, ref_spec, ref_merged, ref_experts, ref_suite

@@ -316,6 +316,39 @@ class TestErrors:
         (line,) = result.output.strip().splitlines()
         assert line.startswith("Error: ") and str(info) in line
 
+    @pytest.mark.parametrize(
+        "command, flag, key",
+        [
+            ("gen", "--seed", "seed"),
+            ("gen", "--tasks", "tasks"),
+            ("gen", "--dim", "dim"),
+            ("gen", "--classes", "classes"),
+            ("gen", "--n-train", "n_train"),
+            ("gen", "--n-test", "n_test"),
+            ("merge", "--keep", "ties_keep"),
+            ("merge", "--seed", "seed"),
+            ("surgery", "--rank", "surgery_rank"),
+            ("surgery", "--iters", "surgery_iters"),
+        ],
+    )
+    def test_bad_flag_value_is_the_config_file_error(
+        self, runner, tiny_config, tmp_path, command, flag, key
+    ):
+        values = parse_config_text(TINY_CFG)
+        values[key] = "abc"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        run_dir = str(tmp_path / "run")
+        from_file = runner.invoke(main, [command, "--config", str(bad), "--run-dir", run_dir])
+        from_flag = runner.invoke(
+            main, [command, "--config", str(tiny_config), "--run-dir", run_dir, flag, "abc"]
+        )
+        for result in (from_file, from_flag):
+            assert result.exit_code == 1
+            (line,) = result.output.strip().splitlines()
+            assert line.startswith(f"Error: {key} = abc: ")
+        assert from_flag.output == from_file.output
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")
@@ -439,7 +472,7 @@ class TestBiasStep:
             merged, heads, spec, tests, stack, model_id="merged_ta",
             stack_id=None if stack is None else "v2",
         )
-        assert rows == [EvalResult.from_accuracies("individual", individual), merged_row]
+        assert rows == [EvalResult("individual", individual), merged_row]
         assert len(set(individual + list(merged_row.task_accuracies))) > 1
 
     @pytest.mark.parametrize("with_stack", [False, True])
@@ -530,6 +563,15 @@ class TestStepwiseFlow:
         assert result.exit_code == 0, result.output
         methods = [line.split(",")[0] for line in (run_dir / "results.csv").read_text().splitlines()]
         assert methods == ["method", "individual", "merged_ta", "merged_ta+block:3"]
+
+    def test_surgery_info_records_the_configured_psi(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        base = ["--config", str(config), "--run-dir", str(run_dir)]
+        result = invoke(runner, ["surgery", *base, "--psi", "mse", "--iters", "10"])
+        assert result.exit_code == 0, result.output
+        assert "psi = mse\n" in (run_dir / "surgery_info.txt").read_text()
 
     def test_ties_grid_searches_ties(self, runner, pipeline_run, tmp_path):
         config, piped = pipeline_run
@@ -706,6 +748,29 @@ class TestPipeline:
         assert proc.returncode == 1
         assert stderr.strip() == "Aborted!"
         assert (run_dir / "suite" / "mixture.csv").is_file()
+
+    def test_sigint_before_the_side_stage_starts_spares_it(self, tmp_path):
+        # The child signals itself between the fork and the stage's first
+        # line, where a SIGINT sent to the whole group can also land.
+        script = tmp_path / "side.py"
+        script.write_text(
+            "import multiprocessing.util, os, signal\n"
+            "from merge_surgeon import cli\n"
+            "close_stdin = multiprocessing.util._close_stdin\n"
+            "def interrupted():\n"
+            "    os.kill(os.getpid(), signal.SIGINT)\n"
+            "    close_stdin()\n"
+            "multiprocessing.util._close_stdin = interrupted\n"
+            "def stage():\n"
+            "    return 'answered'\n"
+            "print(cli._beside(stage)())\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, MERGE_SURGEON_THREADS="2", PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "answered\n", "")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_side_child_dies_with_the_pipeline(self, tmp_path):

@@ -12,7 +12,7 @@ from merge_surgeon.evaluation import (
     evaluate,
     results_table,
 )
-from merge_surgeon.bias import BiasReport, LossKind
+from merge_surgeon.bias import BiasReport
 from merge_surgeon.network import ModelSpec, init_backbone
 from merge_surgeon.tensors import ParamSet
 
@@ -30,7 +30,7 @@ def perfect_setup():
         ("head.0.bias", np.zeros(3)),
     ])
     features = np.array([[5.0, 1.0, 1.0], [0.0, 4.0, 1.0], [0.5, 1.0, 6.0]], dtype=np.float32)
-    data = Dataset(features, np.array([0, 1, 2]), num_classes=3, split="test")
+    data = Dataset(features, np.array([0, 1, 2]), num_classes=3)
     return backbone, heads, spec, [data]
 
 
@@ -94,19 +94,15 @@ class TestEvaluate:
 
 
 class TestEvalResult:
-    def test_average_invariant_enforced(self):
-        with pytest.raises(EvalError):
-            EvalResult(model_id="m", task_accuracies=(0.5, 0.7), average=0.9)
-
-    def test_from_accuracies(self):
-        result = EvalResult.from_accuracies("m", [0.5, 0.7], stack_id="v2")
+    def test_average_and_label(self):
+        result = EvalResult("m", [0.5, 0.7], stack_id="v2")
         assert result.average == pytest.approx(0.6)
         assert result.label == "m+v2"
 
 
 class TestReports:
     def test_single_result_table(self):
-        result = EvalResult.from_accuracies("merged", [0.25, 0.75])
+        result = EvalResult("merged", [0.25, 0.75])
         text = results_table([result])
         lines = text.strip().splitlines()
         assert lines[0] == "method,task0,task1,avg"
@@ -114,17 +110,10 @@ class TestReports:
 
     def test_emit_report_is_byte_stable(self, tmp_path):
         results = [
-            EvalResult.from_accuracies("individual", [0.9, 0.95]),
-            EvalResult.from_accuracies("merged", [0.5, 0.6], stack_id="v2"),
+            EvalResult("individual", [0.9, 0.95]),
+            EvalResult("merged", [0.5, 0.6], stack_id="v2"),
         ]
-        reports = [
-            BiasReport(
-                values=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                psi=LossKind.L1,
-                split="test",
-                model_id="merged",
-            )
-        ]
+        reports = [BiasReport(values=np.array([[0.1, 0.2], [0.3, 0.4]]), model_id="merged")]
         first = emit_report(results, reports, tmp_path / "a")
         second = emit_report(results, reports, tmp_path / "b")
         assert [p.name for p in first] == [p.name for p in second]
@@ -134,6 +123,6 @@ class TestReports:
     def test_mismatched_task_counts_rejected(self):
         with pytest.raises(EvalError):
             results_table([
-                EvalResult.from_accuracies("a", [0.5]),
-                EvalResult.from_accuracies("b", [0.5, 0.6]),
+                EvalResult("a", [0.5]),
+                EvalResult("b", [0.5, 0.6]),
             ])

@@ -1,5 +1,6 @@
 """Property tests: stack and checkpoint round trips, truncated files,
-huge header shapes, malformed stack entry names, merge identities
+huge header shapes, random headers and byte flips over stack files,
+random stack parameter sets, malformed stack entry names, merge identities
 under expert permutation, the flat merges against their per-name
 formulas, configs built from random field text, and
 per-row Adam schedules."""
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from merge_surgeon.bias import LossKind
 from merge_surgeon.checkpoint import (
     MAGIC, CheckpointError, TruncatedError, load_paramset, save_paramset
 )
@@ -48,7 +48,7 @@ def new_path(tmp_path_factory):
 
 @st.composite
 def stacks(draw):
-    """A fresh stack for a random model, task count, rank, mode and loss."""
+    """A fresh stack for a random model, task count, rank and mode."""
     layer_dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
     spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, (2,))
     mode = draw(st.sampled_from(
@@ -56,7 +56,7 @@ def stacks(draw):
     ))
     stack = init_stack(
         spec, draw(st.integers(1, 3)), mode, rank=draw(st.integers(1, 4)),
-        seed=draw(st.integers(0, 2**31)), psi=draw(st.sampled_from(list(LossKind))),
+        seed=draw(st.integers(0, 2**31)),
     )
     return spec, stack
 
@@ -67,8 +67,8 @@ def test_stack_file_round_trip_is_bitwise(new_path, spec_and_stack):
     spec, stack = spec_and_stack
     path = new_path()
     save_paramset(stack.to_paramset(), path)
-    loaded = SurgeryStack.from_paramset(load_paramset(path), stack.mode, spec.num_layers, stack.psi)
-    assert (loaded.mode, loaded.psi) == (stack.mode, stack.psi)
+    loaded = SurgeryStack.from_paramset(load_paramset(path), stack.mode, spec.num_layers)
+    assert loaded.mode == stack.mode
     assert sorted(loaded.adapters) == sorted(stack.adapters)
     for key, adapter in stack.adapters.items():
         assert loaded.adapters[key].down.tobytes() == adapter.down.tobytes()
@@ -107,6 +107,92 @@ def test_header_shape_larger_than_payload_raises_truncated(new_path, shape, floa
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\0" * (4 * floats))
     with pytest.raises(TruncatedError):
         load_paramset(path)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def headers(draw, real):
+    """A JSON header: any value, a list of loose descriptors, or the
+    ``real`` descriptors with one dropped or one field replaced."""
+    kind = draw(st.sampled_from(["any", "loose", "edited"]))
+    if kind == "any":
+        return draw(_json)
+    if kind == "loose":
+        descriptor = st.fixed_dictionaries({
+            "name": st.text(max_size=4) | _json,
+            "shape": st.lists(st.integers(0, 4), max_size=2) | _json,
+            "offset": st.integers(0, 64) | _json,
+        })
+        return {"tensors": draw(st.lists(descriptor, max_size=3) | _json)}
+    descriptors = [dict(d) for d in real]
+    index = draw(st.integers(0, len(descriptors) - 1))
+    field = draw(st.sampled_from([None, "name", "shape", "offset"]))
+    if field is None:
+        del descriptors[index]
+    else:
+        descriptors[index][field] = draw(_json | st.integers(0, 64) | st.lists(st.integers(1, 4)))
+    return {"tensors": descriptors}
+
+
+def _split(raw: bytes) -> tuple[bytes, bytes]:
+    (length,) = struct.unpack("<Q", raw[8:16])
+    return raw[16:16 + length], raw[16 + length:]
+
+
+def _damaged_stack_file(new_path, stack, data):
+    """A saved stack file with a random JSON header, or with one to three
+    random bytes flipped; returns its path and bytes."""
+    path = new_path()
+    save_paramset(stack.to_paramset(), path)
+    raw = path.read_bytes()
+    header, payload = _split(raw)
+    if data.draw(st.booleans()):
+        header = json.dumps(data.draw(headers(json.loads(header)["tensors"]))).encode()
+        raw = MAGIC + struct.pack("<Q", len(header)) + header + payload
+    else:
+        flipped = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 3))):
+            flipped[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        raw = bytes(flipped)
+    damaged = new_path()
+    damaged.write_bytes(raw)
+    return damaged, raw
+
+
+@FILE_EXAMPLES
+@given(stacks(), st.data())
+def test_damaged_checkpoint_loads_as_declared_or_raises_checkpoint_error(
+    new_path, spec_and_stack, data
+):
+    path, raw = _damaged_stack_file(new_path, spec_and_stack[1], data)
+    try:
+        loaded = load_paramset(path)
+    except CheckpointError:
+        return
+    declared = json.loads(_split(raw)[0].decode("utf-8"))["tensors"]
+    assert [(n, v.shape) for n, v in loaded.items()] == [
+        (d["name"], tuple(d["shape"])) for d in declared
+    ]
+
+
+@FILE_EXAMPLES
+@given(stacks(), st.data())
+def test_damaged_stack_file_loads_or_raises_a_domain_error(new_path, spec_and_stack, data):
+    spec, stack = spec_and_stack
+    path, _ = _damaged_stack_file(new_path, stack, data)
+    try:
+        loaded = SurgeryStack.from_paramset(load_paramset(path), stack.mode, spec.num_layers)
+        loaded.validate(spec, max(t for t, _ in stack.adapters) + 1)
+    except (CheckpointError, SurgeryError):
+        pass
 
 
 def _canonical_index(text: str) -> bool:
@@ -161,6 +247,36 @@ def test_malformed_stack_entry_raises_surgery_error(name):
     entries[name] = np.zeros((2, 4))
     with pytest.raises(SurgeryError, match="unexpected stack entry"):
         SurgeryStack.from_paramset(ParamSet(entries), ALL_LAYERS, spec.num_layers)
+
+
+_entry_names = st.builds(
+    "surgery.{}.{}.{}".format, st.integers(0, 3), st.integers(0, 5), st.sampled_from(["down", "up"])
+)
+
+
+@st.composite
+def stack_paramsets(draw):
+    """A fresh stack's entries with up to two dropped and up to two added
+    or replaced by a random name and shape, read in a random mode."""
+    spec, stack = draw(stacks())
+    entries = dict(stack.to_paramset())
+    for name in draw(st.lists(st.sampled_from(sorted(entries)), unique=True, max_size=2)):
+        del entries[name]
+    for name in draw(st.lists(_entry_names | malformed_names(), max_size=2)):
+        entries[name] = np.zeros(draw(st.lists(st.integers(1, 4), max_size=3)))
+    mode = draw(st.sampled_from([stack.mode, LAST_LAYER, ALL_LAYERS, single_block(2)]))
+    return spec, mode, ParamSet(entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stack_paramsets())
+def test_random_stack_paramset_loads_whole_or_raises_surgery_error(problem):
+    spec, mode, params = problem
+    try:
+        loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
+    except SurgeryError:
+        return
+    assert sorted(loaded.to_paramset()) == sorted(params)
 
 
 MERGE_EXAMPLES = settings(max_examples=60, deadline=None)

@@ -99,7 +99,7 @@ class TestAdapterForward:
         with pytest.raises(SurgeryError):
             AdapterParams(down=np.zeros((2, 4)), up=np.zeros((3, 2)))
         wrong_width = SurgeryStack(
-            mode=single_block(1), psi=LossKind.L1,
+            mode=single_block(1),
             adapters={(0, 1): AdapterParams(down=np.zeros((2, 4)), up=np.zeros((4, 2)))},
         )
         with pytest.raises(SurgeryError, match="width 4 != layer width 5"):
@@ -130,7 +130,7 @@ class TestSurgeryMode:
 class TestCorrectedForward:
     def test_empty_stack_equals_plain_forward_bitwise(self):
         spec, merged, _ = tiny_models()
-        stack = SurgeryStack(mode=ALL_LAYERS, psi=LossKind.L1, adapters={})
+        stack = SurgeryStack(mode=ALL_LAYERS, adapters={})
         x = np.random.default_rng(3).standard_normal((4, 7))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -155,7 +155,7 @@ class TestCorrectedForward:
                 up=rng.standard_normal((spec.feature_dim, 3)),
             )
         }
-        stack = SurgeryStack(mode=LAST_LAYER, psi=LossKind.L1, adapters=adapters)
+        stack = SurgeryStack(mode=LAST_LAYER, adapters=adapters)
         x = rng.standard_normal((4, 6))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -172,7 +172,7 @@ class TestCorrectedForward:
             adapters[(0, layer)] = AdapterParams(
                 down=rng.standard_normal((2, width)), up=rng.standard_normal((width, 2))
             )
-        stack = SurgeryStack(mode=ALL_LAYERS, psi=LossKind.L1, adapters=adapters)
+        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
         x = rng.standard_normal((3, 4))
         trace = corrected_forward(merged, spec, stack, x, task=0)
 
@@ -192,7 +192,7 @@ class TestCorrectedForward:
         adapters = {
             (0, 1): AdapterParams(down=np.zeros((2, 5)), up=np.zeros((5, 2)))
         }
-        stack = SurgeryStack(mode=ALL_LAYERS, psi=LossKind.L1, adapters=adapters)
+        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
         with pytest.raises(SurgeryError):
             corrected_forward(merged, spec, stack, np.zeros((4, 2)), task=0)
 
@@ -250,7 +250,7 @@ class TestStackPersistence:
         for mode in (LAST_LAYER, ALL_LAYERS, single_block(1), single_block(2)):
             stack = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8)
             params = stack.to_paramset()
-            loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers, LossKind.L1)
+            loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
             assert loaded.mode == mode
             for key, adapter in stack.adapters.items():
                 assert loaded.adapters[key].down.tobytes() == adapter.down.tobytes()
@@ -476,8 +476,8 @@ class TestTrainSurgery:
             key: AdapterParams(down=a.down, up=rng.uniform(-0.2, 0.2, size=a.up.shape))
             for key, a in stack.adapters.items()
         }
+        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
         for psi in (LossKind.L1, LossKind.MSE):
-            stack = SurgeryStack(mode=ALL_LAYERS, psi=psi, adapters=adapters)
             corrected = corrected_forward(merged, spec, stack, x, 0)
             targets = corrected_forward(expert, spec, None, x, 0)
             from merge_surgeon.bias import alignment_loss_and_grad
@@ -527,7 +527,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
     """Surgery training one task at a time: per task and iteration, 2-D
     target and gradient calls and one Adam per (task, layer)."""
     merged64 = to_float64(merged)
-    stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed, psi)
+    stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed)
     adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
     optimizers = {(t, layer): cfg.make_adam() for t, a in enumerate(adapters) for layer in a}
     losses = []
