@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import ModelSpec
-from .tensors import ParamSet
+from .tensors import MergeSurgeonError, ParamSet
 
 
-class BiasError(ValueError):
+class BiasError(MergeSurgeonError):
     """Shape mismatch or degenerate input in a bias computation."""
 
 

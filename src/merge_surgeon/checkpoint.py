@@ -22,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensors import ParamSet
+from .tensors import MergeSurgeonError, ParamSet
 
 MAGIC = b"MSRG0001"
 
 
-class CheckpointError(Exception):
+class CheckpointError(MergeSurgeonError):
     """Base class for checkpoint file problems."""
 
 

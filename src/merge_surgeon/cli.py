@@ -26,27 +26,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bias import BiasError, layerwise_bias_report, pca_project
-from .checkpoint import CheckpointError, load_paramset, save_paramset
+from .bias import layerwise_bias_report, pca_project
+from .checkpoint import load_paramset, save_paramset
 from .config import MERGE_ALGOS, ConfigError, RunConfig, load_config_file, worker_count
-from .datasets import DataError, TaskSuite, gen_task_suite, save_csv, write_csv
-from .evaluation import EvalError, EvalResult, accuracy, collect_heads, emit_report, results_table
-from .merging import (
-    MergeError,
-    MergeRecipe,
-    grid_search_scale,
-    merge_with_recipe,
-    task_arithmetic,
-    ties_merge,
-)
-from .network import (
-    ModelSpec,
-    NetworkError,
-    TrainConfig,
-    TrainResult,
-    pretrain as run_pretrain,
-    train_experts,
-)
+from .datasets import TaskSuite, gen_task_suite, save_csv, write_csv
+from .evaluation import EvalResult, accuracy, collect_heads, emit_report, evaluate, results_table
+from .merging import MergeRecipe, grid_search_scale, merge_with_recipe
+from .network import ModelSpec, TrainConfig, TrainResult, pretrain as run_pretrain, train_experts
 from .surgery import (
     SurgeryError,
     SurgeryMode,
@@ -55,27 +41,15 @@ from .surgery import (
     stream_train_surgery,
     train_surgery,
 )
-from .tensors import ParamSet, TensorError
+from .tensors import MergeSurgeonError, ParamSet
 
-_DOMAIN_ERRORS = (
-    BiasError,
-    CheckpointError,
-    ConfigError,
-    DataError,
-    EvalError,
-    MergeError,
-    NetworkError,
-    SurgeryError,
-    TensorError,
-    OSError,
-)
 
 def _wrap_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _DOMAIN_ERRORS as exc:
+        except (MergeSurgeonError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -183,16 +157,13 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     if algorithm in ("task_arithmetic", "ties_merging"):
         scale = cfg.merge_scale
         if scale == "grid":
-            merge = task_arithmetic if keep is None else functools.partial(
-                ties_merge, keep_fraction=keep
-            )
             scale = grid_search_scale(
                 pretrained,
                 experts,
                 spec,
                 cfg.scale_grid,
                 [task.validation for task in suite.tasks],
-                merge,
+                lambda pre, ex, s: merge_with_recipe(MergeRecipe(algorithm, s, keep), pre, ex)[0],
             )
     merged, recipe = merge_with_recipe(
         MergeRecipe(algorithm=algorithm, scale=scale, keep_fraction=keep),
@@ -473,8 +444,10 @@ def eval_cmd(config, run_dir, stack_path):
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
     _, rows, _ = _assess(cfg, suite, spec, merged, experts)
     if stack is not None:
-        _, (_, corrected), _ = _assess(cfg, suite, spec, merged, experts, stack)
-        rows.append(corrected)
+        rows.append(evaluate(
+            merged, collect_heads(experts), spec, [t.test for t in suite.tasks], stack,
+            rows[1].model_id, stack.mode.label(),
+        ))
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")

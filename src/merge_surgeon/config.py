@@ -16,6 +16,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .bias import LossKind
 from .surgery import ALL_LAYERS, SurgeryMode
+from .tensors import MergeSurgeonError
 
 THREADS_ENV = "MERGE_SURGEON_THREADS"
 # merge_algo values and the merging rule each one selects.
@@ -27,7 +28,7 @@ MERGE_ALGOS = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(MergeSurgeonError):
     """Malformed config text, unknown key, or out-of-range value."""
 
 

@@ -8,11 +8,12 @@ of the generation arguments.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tensors import MergeSurgeonError
 
 # Stream tags so adding one split never shifts another split's draws.
 _SPLIT_STREAMS = {"train": 0, "validation": 1, "test": 2}
@@ -23,7 +24,7 @@ _MIXTURE_STREAM = 4
 _CHUNK_ROWS = 256
 
 
-class DataError(ValueError):
+class DataError(MergeSurgeonError):
     """Raised for malformed datasets or unreadable CSV input."""
 
 
@@ -163,8 +164,9 @@ def gen_task_suite(
 
 
 def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:
-    """Write ``header`` with ``csv.writer``, then one line ``row_format %
-    row`` per row of each ``(row_format, columns)`` block in turn.
+    """Write ``header`` joined by commas (no name may hold a comma or a
+    quote), then one line ``row_format % row`` per row of each
+    ``(row_format, columns)`` block in turn.
 
     A block's columns are 1-D or 2-D arrays of one length, laid side by
     side (a 1-D array is one column).  Rows are formatted ``_CHUNK_ROWS``
@@ -173,7 +175,7 @@ def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator=line_end).writerow(header)
+        fh.write(",".join(header) + line_end)
         for row_format, columns in blocks:
             line = row_format + line_end
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -181,10 +183,10 @@ def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:
                 fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
+def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV; float text is exact to the float32 value."""
     # 9 significant digits round-trip any binary32 value exactly; ``%d``
     # prints the label, which the float64 row holds exactly.
     row_format = ",".join(["%.9g"] * dataset.dim + ["%d"])
-    header = [f"f{i}" for i in range(dataset.dim)] + [label_column]
+    header = [f"f{i}" for i in range(dataset.dim)] + ["label"]
     write_csv(path, header, [(row_format, (dataset.features, dataset.labels))])

@@ -17,10 +17,10 @@ from .bias import BiasReport
 from .config import map_over_tasks
 from .network import ModelSpec, head_logits
 from .surgery import corrected_forward
-from .tensors import ParamSet, head_name
+from .tensors import MergeSurgeonError, ParamSet, head_name
 
 
-class EvalError(ValueError):
+class EvalError(MergeSurgeonError):
     """Missing heads or malformed evaluation inputs."""
 
 
@@ -51,7 +51,8 @@ class EvalResult:
 
 
 def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
-    """One ParamSet holding head.{t}.* from each expert, t in expert order."""
+    """One ParamSet holding head.{t}.* from each expert, t in expert order;
+    each weight is 2-D and its bias holds one value per weight row."""
     entries = []
     for task, expert in enumerate(experts):
         for kind in ("weight", "bias"):
@@ -59,6 +60,9 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
             if name not in expert:
                 raise EvalError(f"expert {task} is missing {name!r}")
             entries.append((name, expert[name]))
+        weight, bias = (np.shape(value) for _, value in entries[-2:])
+        if len(weight) != 2 or bias != weight[:1]:
+            raise EvalError(f"expert {task} head: weight {weight} and bias {bias} do not fit")
     return ParamSet(entries)
 
 

@@ -30,14 +30,14 @@ from .network import (
     random_batches,
     stack_batches,
 )
-from .tensors import ParamSet, head_name, is_backbone_name
+from .tensors import MergeSurgeonError, ParamSet, head_name, is_backbone_name
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 # AdaMerging's starting coefficients: task arithmetic at scale 0.3.
 _ADA_INIT = 0.3
 
 
-class MergeError(ValueError):
+class MergeError(MergeSurgeonError):
     """Incompatible inputs or a diverging merge optimization."""
 
 
@@ -188,7 +188,7 @@ def grid_search_scale(
     best_acc = -1.0
     for scale in candidates:
         merged = merge(pretrained, experts, scale)
-        result = evaluate(merged, heads, spec, val_sets, model_id=f"scale[{scale}]")
+        result = evaluate(merged, heads, spec, val_sets)
         if result.average > best_acc or (
             result.average == best_acc and scale < best_scale
         ):
@@ -258,16 +258,17 @@ def task_vectors(
 
 
 def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> list[tuple]:
-    """The experts' task heads in float64, stacked per head width: a list
-    of ``(tasks, weights, biases)`` with (G, classes, d) weights and
-    (G, classes) biases, the fixed head input of
+    """The experts' task heads (:func:`collect_heads`) in float64, stacked
+    per head width: a list of ``(tasks, weights, biases)`` with (G,
+    classes, d) weights and (G, classes) biases, the fixed head input of
     :func:`ada_loss_and_gradient`."""
+    heads = collect_heads(experts)
     groups: dict[tuple, list[int]] = {}
-    for task, expert in enumerate(experts):
-        groups.setdefault(np.shape(expert[head_name(task, "weight")]), []).append(task)
+    for task in range(len(experts)):
+        groups.setdefault(heads[head_name(task, "weight")].shape, []).append(task)
 
     def stacked(tasks, kind):
-        return np.stack([np.asarray(experts[t][head_name(t, kind)], np.float64) for t in tasks])
+        return np.stack([heads[head_name(t, kind)] for t in tasks]).astype(np.float64)
 
     return [(tasks, stacked(tasks, "weight"), stacked(tasks, "bias")) for tasks in groups.values()]
 
@@ -377,6 +378,10 @@ def ada_merge(
     coefficients = np.full((spec.num_layers, len(experts)), _ADA_INIT)
 
     heads = _stacked_heads(experts)
+    for tasks, weights, _ in heads:
+        if weights.shape[-1] != spec.feature_dim:
+            raise MergeError(f"expert {tasks[0]} head takes {weights.shape[-1]} features, "
+                             f"the backbone gives {spec.feature_dim}")
     adam = cfg.make_adam()
     entropies = []
     state = {"coefficients": coefficients}

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .tensors import ParamSet, block_name, head_name
+from .tensors import MergeSurgeonError, ParamSet, block_name, head_name
 
 
-class NetworkError(ValueError):
+class NetworkError(MergeSurgeonError):
     """Shape or configuration violation in the model family."""
 
 

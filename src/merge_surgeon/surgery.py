@@ -10,6 +10,7 @@ expert model's representations on unlabeled inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
@@ -22,7 +23,7 @@ from .network import (
     ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
     to_float64,
 )
-from .tensors import ParamSet
+from .tensors import MergeSurgeonError, ParamSet
 
 _LAST_LAYER = "last_layer"
 _ALL_LAYERS = "all_layers"
@@ -37,7 +38,7 @@ _ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
 _CHUNK_COLUMNS = 256
 
 
-class SurgeryError(ValueError):
+class SurgeryError(MergeSurgeonError):
     """Invalid stack layout, data regime, or diverging surgery training."""
 
 
@@ -437,13 +438,14 @@ def train_surgery(
     The tasks are independent problems of one shape.  Row t of one
     buffer holds every adapter of task t, and each iteration takes one
     per-row Adam step on it; a task whose batch is None takes no step.
-    When every task has a batch of one shape, the iteration runs them
-    stacked on a leading task axis; otherwise each task with a batch runs
-    alone on its rows of the buffers.  The expert targets, and the merged
-    blocks below the lowest adapter, do not depend on the adapters: they
-    run once per chunk of up to :data:`_CHUNK_COLUMNS` columns per task,
-    read ahead from ``data``.  Every task ends bitwise where training it
-    alone on its own batches would leave it.
+    Each run of consecutive tasks whose batches share a shape runs as one
+    pass stacked on a leading task axis, on its row slice of the buffers,
+    so a chunk in which every task has a batch of one shape is one pass.
+    The expert targets, and the merged blocks below the lowest adapter,
+    do not depend on the adapters: they run once per chunk of up to
+    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
+    Every task ends bitwise where training it alone on its own batches
+    would leave it.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
@@ -484,16 +486,17 @@ def train_surgery(
         # A function, so the chunk's arrays are freed before the next
         # chunk's are computed.
         stepped = [task for task, task_key in enumerate(key) if task_key is not None]
-        uniform = len(stepped) == num_tasks and len({k[0] for k in key}) == 1
-        # Every task in one stacked pass, or else each task with a batch in
-        # its own 2-D pass on row views of the buffers, so its gradients
-        # land in place; each slice of a stacked call is bitwise its own.
+        # Each run of consecutive stepped tasks whose batches share a shape
+        # is one stacked pass on the row slices of the buffers: slices are
+        # views, so its gradients land in place, and each slice of a
+        # stacked call is bitwise its own.
         passes = []
-        for pick in [slice(None)] if uniform else stepped:
-            # (C, T, d, batch) or (C, d, batch): each slice laid out as its batch is.
-            x = stack_batches([row[t] for row in chunk for t in (stepped if uniform else [pick])])
-            if uniform:
-                x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
+        runs = itertools.groupby(range(num_tasks), lambda t: key[t] and key[t][0])
+        for run in [list(run) for shape, run in runs if shape is not None]:
+            pick = slice(run[0], run[-1] + 1)
+            # (C, n, d, batch): each slice laid out as its batch is.
+            x = stack_batches([row[t] for row in chunk for t in run])
+            x = x.reshape(len(chunk), len(run), *x.shape[1:])
             targets = forward_layers({n: w[pick] for n, w in experts64.items()}, spec, x)
             targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
             if first > 1:
@@ -509,8 +512,7 @@ def train_surgery(
                     [None if z is None else z[i] for z in targets], psi, full_backprop, first,
                     task_grads,
                 )
-                per_task = np.stack([layer_losses[l] for l in layers], axis=-1)
-                task_losses += per_task.reshape(-1, len(layers)).tolist()
+                task_losses += np.stack([layer_losses[l] for l in layers], axis=-1).tolist()
             total = 0.0
             for task, task_loss in zip(stepped, task_losses):
                 for layer, loss in zip(layers, task_loss):

@@ -16,7 +16,12 @@ import numpy as np
 _BLOCK_RE = re.compile(r"^block\d+\.(weight|bias)$")
 
 
-class TensorError(ValueError):
+class MergeSurgeonError(ValueError):
+    """Base class of every domain error: the CLI ends one in a one-line
+    message."""
+
+
+class TensorError(MergeSurgeonError):
     """Raised for non-finite values, bad shapes, or name violations."""
 
 

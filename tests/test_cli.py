@@ -1,5 +1,6 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -356,6 +357,128 @@ class TestErrors:
         assert result.exit_code != 0
         assert "classes" in result.output
 
+    @pytest.mark.parametrize(
+        "command", [["eval"], ["merge", "--algo", "ta", "--lambda", "grid"]], ids=["eval", "merge"]
+    )
+    @pytest.mark.parametrize("bias", [np.zeros(4), np.zeros((3, 1))], ids=["one_off", "column"])
+    def test_head_bias_that_does_not_fit_is_one_line_error(
+        self, runner, pipeline_run, tmp_path, command, bias
+    ):
+        config, run_dir = damaged_run(
+            pipeline_run, tmp_path, "expert_0", "head.0.bias", lambda _: [("head.0.bias", bias)]
+        )
+        result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: expert 0 head: weight (3, 6) and bias {bias.shape} do not fit"
+        ]
+
+    def test_ada_merge_of_an_expert_without_its_head_is_one_line_error(
+        self, runner, pipeline_run, tmp_path
+    ):
+        config, run_dir = damaged_run(
+            pipeline_run, tmp_path, "expert_0", "head.0.weight", lambda _: []
+        )
+        result = runner.invoke(
+            main, ["merge", "--algo", "ada", "--config", str(config), "--run-dir", run_dir]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: expert 0 is missing 'head.0.weight'"
+        ]
+
+    def test_ada_merge_of_a_head_of_another_width_is_one_line_error(
+        self, runner, pipeline_run, tmp_path
+    ):
+        config, run_dir = damaged_run(
+            pipeline_run, tmp_path, "expert_0", "head.0.weight",
+            lambda _: [("head.0.weight", np.zeros((3, 7)))],
+        )
+        result = runner.invoke(
+            main, ["merge", "--algo", "ada", "--config", str(config), "--run-dir", run_dir]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: expert 0 head takes 7 features, the backbone gives 6"
+        ]
+
+
+def damaged_run(pipeline_run, tmp_path, checkpoint, entry, damage):
+    """The config and a copy of the finished run in which ``checkpoint``
+    holds the entries ``damage(value)`` in place of ``entry``.  The copy
+    leaves out the CSV files, which no command reads."""
+    config, piped = pipeline_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(piped, run_dir, ignore=shutil.ignore_patterns("*.csv"))
+    path = cli._checkpoint(run_dir, checkpoint)
+    entries = []
+    for name, value in load_paramset(path).items():
+        entries += damage(value) if name == entry else [(name, value)]
+    save_paramset(ParamSet(entries), path)
+    return config, str(run_dir)
+
+
+# The commands that read each checkpoint of a TINY_CFG run; a trailing
+# --surgery takes the damaged stack file.
+_MERGES = [
+    ["merge", "--algo", "avg"],
+    ["merge", "--algo", "ta", "--lambda", "grid"],
+    ["merge", "--algo", "ties", "--lambda", "grid"],
+    ["merge", "--algo", "ada"],
+]
+_READERS = {
+    "pretrained": [*_MERGES, ["finetune", "--task", "0"]],
+    "expert_0": [*_MERGES, ["bias"], ["eval"], ["report"], ["surgery"]],
+    "merged": [["bias"], ["eval"], ["report"], ["surgery"]],
+    "surgery": [["bias", "--surgery"], ["eval", "--surgery"], ["report"]],
+}
+# The damaged entries: a backbone weight and bias, an expert's head, and
+# a stack's lowest and highest adapters.
+_ENTRIES = {
+    "pretrained": ["block1.weight", "block3.bias"],
+    "expert_0": ["block2.weight", "head.0.weight", "head.0.bias"],
+    "merged": ["block1.weight", "block3.bias"],
+    "surgery": ["surgery.0.1.down", "surgery.1.3.up"],
+}
+_DAMAGES = {
+    "drop": lambda name, value: [],
+    "rename": lambda name, value: [(name + "x", value)],
+    "transpose": lambda name, value: [(name, value.T)],
+    "grow_first_axis": lambda name, value: [
+        (name, np.ones((value.shape[0] + 1, *value.shape[1:])))
+    ],
+    "shrink_last_axis": lambda name, value: [
+        (name, np.ones((*value.shape[:-1], value.shape[-1] - 1)))
+    ],
+    "trailing_axis": lambda name, value: [(name, value[..., None])],
+    "extra": lambda name, value: [(name, value), ("extra", value)],
+}
+
+
+class TestDamagedCheckpoints:
+    @pytest.mark.parametrize("checkpoint, entry, kind, command", [
+        pytest.param(checkpoint, entry, kind, command, id="-".join([entry, kind, *command]))
+        for checkpoint, entries in _ENTRIES.items()
+        for entry in entries
+        for kind in _DAMAGES
+        if not (kind == "transpose" and entry.endswith("bias"))
+        for command in _READERS[checkpoint]
+    ])
+    def test_every_reader_succeeds_or_fails_in_one_line(
+        self, runner, pipeline_run, tmp_path, checkpoint, entry, kind, command
+    ):
+        config, run_dir = damaged_run(
+            pipeline_run, tmp_path, checkpoint, entry, functools.partial(_DAMAGES[kind], entry)
+        )
+        if command[-1] == "--surgery":
+            command = [*command, str(cli._checkpoint(Path(run_dir), checkpoint))]
+        result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
+        assert not isinstance(result.exception, Exception), result.exc_info
+        if result.exit_code != 0:
+            assert result.exit_code == 1
+            (line,) = result.output.strip().splitlines()
+            assert line.startswith("Error: ")
+
 
 class TestGen:
     def test_writes_suite_csvs(self, runner, tiny_config, tmp_path):
@@ -563,6 +686,30 @@ class TestStepwiseFlow:
         assert result.exit_code == 0, result.output
         methods = [line.split(",")[0] for line in (run_dir / "results.csv").read_text().splitlines()]
         assert methods == ["method", "individual", "merged_ta", "merged_ta+block:3"]
+
+    def test_eval_with_a_stack_traces_each_model_once(
+        self, runner, pipeline_run, tmp_path, monkeypatch
+    ):
+        # The experts, the merged model and the corrected merged model,
+        # each on every test set.
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args[2] is None, args[-1]))
+            return traced(*args, **kwargs)
+
+        traced = surgery.corrected_forward
+        monkeypatch.setattr(surgery, "corrected_forward", counted)
+        monkeypatch.setattr(evaluation, "corrected_forward", counted)
+        stack_file = str(cli._checkpoint(run_dir, "surgery"))
+        args = ["eval", "--config", str(config), "--run-dir", str(run_dir), "--surgery", stack_file]
+        result = invoke(runner, args)
+        assert result.exit_code == 0, result.output
+        assert sorted(calls) == [(False, 0), (False, 1)] + [(True, 0)] * 2 + [(True, 1)] * 2
+        assert (run_dir / "eval_results.csv").read_bytes() == (piped / "results.csv").read_bytes()
 
     def test_surgery_info_records_the_configured_psi(self, runner, pipeline_run, tmp_path):
         config, piped = pipeline_run

@@ -817,6 +817,31 @@ class TestChunkedEngine:
         chunk = calls[0]
         assert all(chunk[i, t].flags.f_contiguous for i in range(len(chunk)) for t in range(3))
 
+    def test_each_run_of_one_batch_shape_is_one_stacked_pass(self, monkeypatch):
+        # Tasks 0 and 1 take batches of 8 and task 2 batches of 5: the
+        # chunk's targets run as one pass on rows 0:2 and one on row 2:3,
+        # and each iteration runs one surgery pass per run.
+        spec, merged, experts, _ = _three_task_models(seed=70)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
+        rng = np.random.default_rng(71)
+        rows = [[rng.standard_normal((4, n)) + 0.3 for n in (8, 8, 5)] for _ in range(5)]
+        calls = []
+        forward = surgery.forward_layers
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[2].shape)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(surgery, "forward_layers", counting_forward)
+        result = train_surgery(
+            merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2
+        )
+        monkeypatch.undo()
+        assert calls == [(5, 2, 4, 8), (5, 1, 4, 5)] + [(2, 4, 8), (1, 4, 5)] * 5
+        _assert_matches_reference(result, _per_task_reference(
+            merged, experts, spec, rows, ALL_LAYERS, LossKind.L1, cfg, 2, False
+        ))
+
     @pytest.mark.parametrize("iteration", [3, PER_CHUNK + 5])
     def test_divergence_names_its_first_iteration(self, iteration):
         # A NaN sample makes task 1's loss non-finite; an invalid batch two

@@ -1,10 +1,16 @@
 """Tensor values, parameter collections, and the mean-L1 distance."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import merge_surgeon
 from merge_surgeon.bias import BiasError, LossKind, representation_bias
 from merge_surgeon.tensors import (
+    MergeSurgeonError,
     ParamSet,
     TensorError,
     as_tensor,
@@ -99,3 +105,18 @@ class TestParamSet:
         c = ParamSet([("x", [1.5, -2.251])])
         assert bitwise_equal(a, b)
         assert not bitwise_equal(a, c)
+
+
+def test_every_error_class_is_a_merge_surgeon_error():
+    # A command ends a MergeSurgeonError in one line; an error class
+    # outside it would end in a traceback.
+    errors = []
+    for info in pkgutil.iter_modules(merge_surgeon.__path__):
+        module = importlib.import_module(f"merge_surgeon.{info.name}")
+        errors += [
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and issubclass(cls, Exception)
+        ]
+    assert len(errors) == 14
+    assert all(issubclass(cls, MergeSurgeonError) for cls in errors)
+    assert issubclass(MergeSurgeonError, ValueError)
