@@ -49,7 +49,6 @@ from .network import (
 from .surgery import (
     ALL_LAYERS,
     LAST_LAYER,
-    AdapterParams,
     SurgeryMode,
     SurgeryResult,
     SurgeryStack,

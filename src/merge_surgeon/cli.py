@@ -106,7 +106,7 @@ def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> S
         mode = cfg.surgery_mode
     else:
         raise SurgeryError("surgery mode 'none' cannot read a stack")
-    stack = SurgeryStack.from_paramset(load_paramset(path), mode, spec.num_layers)
+    stack = SurgeryStack(mode, load_paramset(path))
     stack.validate(spec, cfg.tasks)
     return stack
 
@@ -182,7 +182,7 @@ def _assess(cfg, suite, spec, merged, experts, stack=None):
     """Bias report of the merged (or corrected) model, and the accuracy rows
     ``individual`` and ``merged_<algo>[+mode]`` scored on its final-layer
     traces; returns both and the ``(merged, expert)`` traces per task."""
-    heads = collect_heads(experts)
+    heads = collect_heads(experts, spec)
     finals = []
     report = layerwise_bias_report(
         merged, experts, spec, suite.test_inputs(), cfg.surgery_psi, stack=stack,
@@ -239,7 +239,7 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
             merged, experts, spec, inputs, data.stream_fraction, *settings,
             rank=cfg.surgery_rank,
         )
-    _save(result.stack.to_paramset(), run_dir, "surgery")
+    _save(result.stack.params, run_dir, "surgery")
     info = (
         f"mode = {result.stack.mode.label()}\n"
         f"psi = {cfg.surgery_psi.value}\n"
@@ -445,7 +445,7 @@ def eval_cmd(config, run_dir, stack_path):
     _, rows, _ = _assess(cfg, suite, spec, merged, experts)
     if stack is not None:
         rows.append(evaluate(
-            merged, collect_heads(experts), spec, [t.test for t in suite.tasks], stack,
+            merged, collect_heads(experts, spec), spec, [t.test for t in suite.tasks], stack,
             rows[1].model_id, stack.mode.label(),
         ))
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")

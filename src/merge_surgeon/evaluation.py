@@ -50,9 +50,12 @@ class EvalResult:
         return self.model_id if self.stack_id is None else f"{self.model_id}+{self.stack_id}"
 
 
-def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
-    """One ParamSet holding head.{t}.* from each expert, t in expert order;
-    each weight is 2-D and its bias holds one value per weight row."""
+def collect_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) -> ParamSet:
+    """One ParamSet holding head.{t}.* from each of the spec's experts, t
+    in expert order; head t is a (head_dims[t], feature_dim) weight and a
+    (head_dims[t],) bias."""
+    if len(experts) != spec.num_tasks:
+        raise EvalError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
     entries = []
     for task, expert in enumerate(experts):
         for kind in ("weight", "bias"):
@@ -61,8 +64,10 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
                 raise EvalError(f"expert {task} is missing {name!r}")
             entries.append((name, expert[name]))
         weight, bias = (np.shape(value) for _, value in entries[-2:])
-        if len(weight) != 2 or bias != weight[:1]:
-            raise EvalError(f"expert {task} head: weight {weight} and bias {bias} do not fit")
+        want = (spec.head_dims[task], spec.feature_dim)
+        if (weight, bias) != (want, want[:1]):
+            raise EvalError(f"expert {task} head: weight {weight} and bias {bias}, "
+                            f"expected {want} and {want[:1]}")
     return ParamSet(entries)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def grid_search_scale(
         raise MergeError("empty candidate list")
     for scale in candidates:
         _check_scale(scale)
-    heads = collect_heads(experts)
+    heads = collect_heads(experts, spec)
     best_scale = None
     best_acc = -1.0
     for scale in candidates:
@@ -257,12 +257,12 @@ def task_vectors(
     return rows[0], rows[1:] - rows[0]
 
 
-def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]]) -> list[tuple]:
+def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) -> list[tuple]:
     """The experts' task heads (:func:`collect_heads`) in float64, stacked
     per head width: a list of ``(tasks, weights, biases)`` with (G,
     classes, d) weights and (G, classes) biases, the fixed head input of
     :func:`ada_loss_and_gradient`."""
-    heads = collect_heads(experts)
+    heads = collect_heads(experts, spec)
     groups: dict[tuple, list[int]] = {}
     for task in range(len(experts)):
         groups.setdefault(heads[head_name(task, "weight")].shape, []).append(task)
@@ -314,7 +314,7 @@ def ada_loss_and_gradient(
     merged64 = _by_name(layout, _merge_flat(pre64, taus, coefficients, layout))
     entropies = np.empty(num_tasks)
     task_grads = np.empty_like(taus)
-    for tasks, weights, biases in _stacked_heads(experts) if heads is None else heads:
+    for tasks, weights, biases in _stacked_heads(experts, spec) if heads is None else heads:
         by_shape: dict[tuple, list[int]] = {}
         for i, task in enumerate(tasks):
             by_shape.setdefault(np.shape(batches[task]), []).append(i)
@@ -377,11 +377,7 @@ def ada_merge(
 
     coefficients = np.full((spec.num_layers, len(experts)), _ADA_INIT)
 
-    heads = _stacked_heads(experts)
-    for tasks, weights, _ in heads:
-        if weights.shape[-1] != spec.feature_dim:
-            raise MergeError(f"expert {tasks[0]} head takes {weights.shape[-1]} features, "
-                             f"the backbone gives {spec.feature_dim}")
+    heads = _stacked_heads(experts, spec)
     adam = cfg.make_adam()
     entropies = []
     state = {"coefficients": coefficients}
@@ -421,10 +417,4 @@ def merge_with_recipe(
     if spec is None or inputs_per_task is None or cfg is None:
         raise MergeError("ada_merging needs spec, unlabeled inputs, and a train config")
     result = ada_merge(pretrained, experts, spec, inputs_per_task, cfg)
-    filled = MergeRecipe(
-        algorithm=recipe.algorithm,
-        scale=recipe.scale,
-        keep_fraction=recipe.keep_fraction,
-        coefficients=result.coefficients,
-    )
-    return result.params, filled
+    return result.params, replace(recipe, coefficients=result.coefficients)

@@ -77,7 +77,11 @@ class ModelSpec:
             shapes[bias] = (self.out_dim(layer),)
         return shapes
 
-    def validate_backbone(self, params: Mapping[str, np.ndarray]) -> None:
+    def backbone64(self, params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Float64 copies of the backbone entries of ``params``, which must
+        hold each of this spec's backbone names with its shape; any other
+        entry, such as a head, is left out."""
+        copies = {}
         for name, shape in self.backbone_shapes().items():
             if name not in params:
                 raise NetworkError(f"missing backbone parameter {name!r}")
@@ -85,6 +89,8 @@ class ModelSpec:
                 raise NetworkError(
                     f"{name!r} has shape {tuple(params[name].shape)}, expected {shape}"
                 )
+            copies[name] = np.array(params[name], dtype=np.float64)
+        return copies
 
     def to_text(self) -> str:
         return (
@@ -211,10 +217,6 @@ class Adam:
 class TrainResult:
     params: ParamSet
     losses: tuple[float, ...] = field(repr=False)
-
-
-def to_float64(params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.array(value, dtype=np.float64) for name, value in params.items()}
 
 
 def forward_layers(
@@ -541,7 +543,7 @@ def train_experts(
     head (``head.{task}.*``) and is bitwise the expert that
     :func:`train_expert` trains alone.
     """
-    spec.validate_backbone(pretrained)
+    pretrained64 = spec.backbone64(pretrained)
     tasks = [int(task) for task in tasks]
     if not tasks or len(train_sets) != len(tasks) or len(set(tasks)) != len(tasks):
         raise NetworkError("need one training set per task, and each task once")
@@ -553,10 +555,9 @@ def train_experts(
                 f"task {task} data has {data.num_classes} classes of dimension {data.dim}, "
                 f"spec expects {spec.head_dims[task]} of dimension {spec.input_dim}"
             )
-    backbone = spec.backbone_shapes()
     models = []
     for task in tasks:
-        params64 = {name: np.array(pretrained[name], dtype=np.float64) for name in backbone}
+        params64 = dict(pretrained64)
         head_w, head_b = init_head(
             spec.head_dims[task], spec.feature_dim, np.random.default_rng([cfg.seed, 2, task])
         )

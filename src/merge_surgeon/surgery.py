@@ -5,7 +5,9 @@ representation is ``Z - omega(Z)``, applied in the forward path so the
 next block consumes the corrected value.  Last-layer-only stacks mirror
 the cheap variant; all-layer stacks correct every block; single-block
 stacks exist for ablation.  Training is unsupervised: targets are the
-expert model's representations on unlabeled inputs.
+expert model's representations on unlabeled inputs.  A stack is one
+``ParamSet`` of named float32 matrices plus its mode; the checkpoint
+holds that ``ParamSet`` as it is.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ import numpy as np
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
     ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
-    to_float64,
 )
 from .tensors import MergeSurgeonError, ParamSet
 
 _LAST_LAYER = "last_layer"
 _ALL_LAYERS = "all_layers"
 _SINGLE_BLOCK = "single_block"
-# The names to_paramset writes: surgery.{task}.{layer}.{down|up}, indices
+# The names of a stack's entries: surgery.{task}.{layer}.{down|up}, indices
 # in plain decimal, so each (task, layer) pair has exactly one spelling.
 _ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
 # Columns per task in one chunk of iterations: train_surgery computes the
@@ -40,32 +41,6 @@ _CHUNK_COLUMNS = 256
 
 class SurgeryError(MergeSurgeonError):
     """Invalid stack layout, data regime, or diverging surgery training."""
-
-
-@dataclass(frozen=True)
-class AdapterParams:
-    """Low-rank two-matrix module acting on one layer's representations."""
-
-    down: np.ndarray  # (rank, width)
-    up: np.ndarray    # (width, rank)
-
-    def __post_init__(self):
-        down = np.ascontiguousarray(self.down, dtype=np.float32)
-        up = np.ascontiguousarray(self.up, dtype=np.float32)
-        if down.ndim != 2 or up.ndim != 2 or down.shape[0] < 1:
-            raise SurgeryError("adapter matrices must be 2-D with rank >= 1")
-        if up.shape != (down.shape[1], down.shape[0]):
-            raise SurgeryError(
-                f"adapter shapes inconsistent: down {down.shape}, up {up.shape}"
-            )
-        down.setflags(write=False)
-        up.setflags(write=False)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "up", up)
-
-    @property
-    def width(self) -> int:
-        return self.down.shape[1]
 
 
 @dataclass(frozen=True)
@@ -122,70 +97,28 @@ def single_block(block: int) -> SurgeryMode:
     return SurgeryMode(_SINGLE_BLOCK, block)
 
 
+def _entry(task: int, layer: int, half: str) -> str:
+    return f"surgery.{task}.{layer}.{half}"
+
+
 @dataclass(frozen=True)
 class SurgeryStack:
-    """Adapters keyed by (task, layer) plus the mode they were built for.
+    """Task-private adapters and the mode they were built for.
 
-    A task with no entries at all passes through uncorrected; a task with
-    partial coverage of the mode's layers is an error at use time.
+    ``params`` holds the float32 matrices ``surgery.{task}.{layer}.down``
+    (rank, width) and ``surgery.{task}.{layer}.up`` (width, rank), the
+    entries of a stack checkpoint; the constructor checks their names,
+    pairs and shapes.  A task with no entries at all passes through
+    uncorrected; a task whose layers are not the mode's is an error at use
+    time, in :meth:`adapters64`.
     """
 
     mode: SurgeryMode
-    adapters: Mapping[tuple[int, int], AdapterParams] = field(default_factory=dict)
+    params: ParamSet
 
     def __post_init__(self):
-        object.__setattr__(self, "adapters", dict(self.adapters))
-
-    def validate(self, spec: ModelSpec, num_tasks: int) -> None:
-        """Every task in ``range(num_tasks)`` carries the mode's full,
-        correctly sized adapter set, and the stack holds no other task."""
-        extra = sorted({t for t, _ in self.adapters if not 0 <= t < num_tasks})
-        if extra:
-            raise SurgeryError(f"stack holds tasks {extra} outside the run's {num_tasks} tasks")
-        required = self.mode.layer_indices(spec.num_layers)
-        for task in range(num_tasks):
-            if tuple(sorted(self.adapters64(task, spec))) != required:
-                raise SurgeryError(f"task {task} is missing adapters for {required}")
-
-    def adapters64(self, task: int, spec: ModelSpec) -> dict[int, dict[str, np.ndarray]]:
-        """Task ``task``'s adapters as float64 ``{"down", "up"}`` pairs keyed
-        by layer, the form :func:`forward_layers` applies; empty for a task
-        the stack does not cover."""
-        present = {layer: a for (t, layer), a in self.adapters.items() if t == task}
-        required = self.mode.layer_indices(spec.num_layers)
-        if present and tuple(sorted(present)) != required:
-            raise SurgeryError(
-                f"task {task} covers layers {sorted(present)}, mode requires {list(required)}"
-            )
-        adapters = {}
-        for layer, adapter in present.items():
-            if adapter.width != spec.out_dim(layer):
-                raise SurgeryError(
-                    f"adapter ({task},{layer}) width {adapter.width} != layer "
-                    f"width {spec.out_dim(layer)}"
-                )
-            adapters[layer] = {
-                "down": adapter.down.astype(np.float64),
-                "up": adapter.up.astype(np.float64),
-            }
-        return adapters
-
-    def to_paramset(self) -> ParamSet:
-        entries = []
-        for task, layer in sorted(self.adapters):
-            adapter = self.adapters[(task, layer)]
-            entries.append((f"surgery.{task}.{layer}.down", adapter.down))
-            entries.append((f"surgery.{task}.{layer}.up", adapter.up))
-        return ParamSet(entries)
-
-    @classmethod
-    def from_paramset(
-        cls, params: Mapping[str, np.ndarray], mode: SurgeryMode, num_layers: int
-    ) -> "SurgeryStack":
-        """The stack stored in ``params``, built for ``mode`` on a
-        ``num_layers``-block model; every task it holds must cover exactly
-        the mode's layers."""
-        halves: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        params = ParamSet(self.params)
+        halves: dict[tuple[int, int], dict[str, tuple]] = {}
         for name, value in params.items():
             match = _ENTRY_RE.fullmatch(name)
             if match is None:
@@ -193,21 +126,52 @@ class SurgeryStack:
                     f"unexpected stack entry {name!r} (expected surgery.<task>.<layer>.down|up)"
                 )
             task, layer, half = match.groups()
-            halves.setdefault((int(task), int(layer)), {})[half] = value
-        adapters = {}
+            halves.setdefault((int(task), int(layer)), {})[half] = value.shape
         for key, pair in halves.items():
             if set(pair) != {"down", "up"}:
                 raise SurgeryError(f"incomplete adapter for (task, layer) {key}")
-            adapters[key] = AdapterParams(down=pair["down"], up=pair["up"])
-        required = mode.layer_indices(num_layers)
-        for task in sorted({t for t, _ in adapters}):
-            coverage = tuple(sorted(l for t, l in adapters if t == task))
-            if coverage != required:
+            if len(pair["down"]) != 2 or pair["up"] != pair["down"][::-1]:
                 raise SurgeryError(
-                    f"task {task} covers layers {list(coverage)}, mode {mode.label()} "
-                    f"requires {list(required)}"
+                    f"adapter {key} shapes inconsistent: down {pair['down']}, up {pair['up']}"
                 )
-        return cls(mode=mode, adapters=adapters)
+        object.__setattr__(self, "params", params)
+
+    def validate(self, spec: ModelSpec, num_tasks: int) -> None:
+        """Every task in ``range(num_tasks)`` carries the mode's full,
+        correctly sized adapter set, and the stack holds no other task."""
+        extra = sorted({int(name.split(".")[1]) for name in self.params} - set(range(num_tasks)))
+        if extra:
+            raise SurgeryError(f"stack holds tasks {extra} outside the run's {num_tasks} tasks")
+        required = self.mode.layer_indices(spec.num_layers)
+        for task in range(num_tasks):
+            if not self.adapters64(task, spec):
+                raise SurgeryError(f"task {task} is missing adapters for {required}")
+
+    def adapters64(self, task: int, spec: ModelSpec) -> dict[int, dict[str, np.ndarray]]:
+        """Task ``task``'s adapters as float64 ``{"down", "up"}`` pairs keyed
+        by layer, the form :func:`forward_layers` applies; empty for a task
+        the stack does not cover.  A covered task must hold exactly the
+        mode's layers, each as wide as its layer."""
+        present = sorted(
+            int(name.split(".")[2]) for name in self.params
+            if name.startswith(f"surgery.{task}.") and name.endswith(".down")
+        )
+        required = self.mode.layer_indices(spec.num_layers)
+        if present and tuple(present) != required:
+            raise SurgeryError(
+                f"task {task} covers layers {present}, mode {self.mode.label()} "
+                f"requires {list(required)}"
+            )
+        adapters = {}
+        for layer in present:
+            down, up = (self.params[_entry(task, layer, half)] for half in ("down", "up"))
+            if down.shape[1] != spec.out_dim(layer):
+                raise SurgeryError(
+                    f"adapter ({task},{layer}) width {down.shape[1]} != layer "
+                    f"width {spec.out_dim(layer)}"
+                )
+            adapters[layer] = {"down": down.astype(np.float64), "up": up.astype(np.float64)}
+        return adapters
 
 
 def init_stack(
@@ -217,24 +181,24 @@ def init_stack(
     rank: int,
     seed: int,
 ) -> SurgeryStack:
-    """Fresh stack: small uniform down-projections, zero up-projections.
+    """Fresh stack: small uniform down-projections, zero up-projections,
+    listed by task, layer, then down before up.
 
     With a zero up matrix every correction starts as the identity, so the
     corrected model begins exactly at the merged model.
     """
     if rank < 1:
         raise SurgeryError("rank must be >= 1")
-    adapters = {}
+    entries = []
     for task in range(num_tasks):
         for layer in mode.layer_indices(spec.num_layers):
             width = spec.out_dim(layer)
             rng = np.random.default_rng([seed, 5, task, layer])
             bound = 1.0 / math.sqrt(width)
-            adapters[(task, layer)] = AdapterParams(
-                down=rng.uniform(-bound, bound, size=(rank, width)),
-                up=np.zeros((width, rank)),
-            )
-    return SurgeryStack(mode=mode, adapters=adapters)
+            down = rng.uniform(-bound, bound, size=(rank, width))
+            entries += [(_entry(task, layer, "down"), down),
+                        (_entry(task, layer, "up"), np.zeros((width, rank)))]
+    return SurgeryStack(mode, ParamSet(entries))
 
 
 def corrected_forward(
@@ -249,13 +213,14 @@ def corrected_forward(
 
     With no stack, or no adapters for the task, this is the plain forward
     trace, so ``stack=None`` traces any backbone, an expert included; the
-    head should consume the final entry.
+    head should consume the final entry.  Only the backbone entries of
+    ``merged`` are copied to float64.
     """
-    spec.validate_backbone(merged)
+    merged64 = spec.backbone64(merged)
     adapters = {} if stack is None else stack.adapters64(task, spec)
     traces = []
     with np.errstate(over="raise"):
-        for layer, z in enumerate(forward_layers(to_float64(merged), spec, x, adapters), 1):
+        for layer, z in enumerate(forward_layers(merged64, spec, x, adapters), 1):
             try:
                 traces.append(np.ascontiguousarray(z, dtype=np.float32))
             except FloatingPointError:
@@ -452,15 +417,9 @@ def train_surgery(
     num_tasks = len(experts)
     if num_tasks < 1:
         raise SurgeryError("need at least one expert")
-    spec.validate_backbone(merged)
-    for expert in experts:
-        spec.validate_backbone(expert)
-
-    merged64 = to_float64(merged)
-    experts64 = {
-        name: np.stack([np.asarray(e[name], dtype=np.float64) for e in experts])
-        for name in spec.backbone_shapes()
-    }
+    merged64 = spec.backbone64(merged)
+    experts64 = [spec.backbone64(expert) for expert in experts]
+    experts64 = {name: np.stack([e[name] for e in experts64]) for name in merged64}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
     stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed)
@@ -475,7 +434,7 @@ def train_surgery(
     adapters: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
     grads: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
     for (layer, half), view, grad_view in zip(shapes, views, grad_views):
-        view[...] = [getattr(stack0.adapters[(t, layer)], half) for t in range(num_tasks)]
+        view[...] = [stack0.params[_entry(t, layer, half)] for t in range(num_tasks)]
         adapters[layer][half] = view
         grads[layer][half] = grad_view
     optimizer = cfg.make_adam(rows=num_tasks)
@@ -530,11 +489,10 @@ def train_surgery(
     for chunk, key in _chunks(data, num_tasks):
         train_chunk(chunk, key)
 
-    stack = SurgeryStack(mode=mode, adapters={
-        (task, layer): AdapterParams(down=pair["down"][task], up=pair["up"][task])
-        for task in range(num_tasks)
-        for layer, pair in adapters.items()
-    })
+    stack = SurgeryStack(mode, ParamSet(
+        (_entry(task, layer, half), adapters[layer][half][task])
+        for task in range(num_tasks) for layer in layers for half in ("down", "up")
+    ))
     return SurgeryResult(stack=stack, losses=tuple(losses))
 
 

@@ -50,8 +50,8 @@ def ref_experts(ref_suite, ref_spec, ref_pretrained):
 
 
 @pytest.fixture(scope="session")
-def ref_heads(ref_experts):
-    return ms.collect_heads(ref_experts)
+def ref_heads(ref_experts, ref_spec):
+    return ms.collect_heads(ref_experts, ref_spec)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from merge_surgeon.network import (
     classifier_loss_and_grads,
     forward_layers,
     init_backbone,
-    to_float64,
 )
 from merge_surgeon.surgery import surgery_gradients
 from merge_surgeon.tensors import ParamSet, bitwise_equal
@@ -222,8 +221,8 @@ def test_criterion_03_gradient_checks():
             "down": arng.uniform(-0.5, 0.5, size=(2, width)),
             "up": arng.uniform(-0.3, 0.3, size=(width, 2)),
         }
-    merged64 = to_float64(merged)
-    targets = forward_layers(to_float64(expert), spec2, x)
+    merged64 = spec2.backbone64(merged)
+    targets = forward_layers(spec2.backbone64(expert), spec2, x)
     losses, analytic_adapter = surgery_gradients(
         merged64, spec2, adapters, x, targets, LossKind.L1
     )

@@ -117,7 +117,7 @@ class TestErrors:
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
         one_task = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 1, ALL_LAYERS, rank=4, seed=0)
-        save_paramset(one_task.to_paramset(), stack_file)
+        save_paramset(one_task.params, stack_file)
         args = [command, "--config", str(config), "--run-dir", str(run_dir)]
         if command == "eval":
             args += ["--surgery", str(stack_file)]
@@ -146,7 +146,7 @@ class TestErrors:
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
         three_tasks = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 3, ALL_LAYERS, rank=4, seed=0)
-        save_paramset(three_tasks.to_paramset(), stack_file)
+        save_paramset(three_tasks.params, stack_file)
         result = invoke(runner, ["report", "--config", str(config), "--run-dir", str(run_dir)])
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [
@@ -370,7 +370,27 @@ class TestErrors:
         result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [
-            f"Error: expert 0 head: weight (3, 6) and bias {bias.shape} do not fit"
+            f"Error: expert 0 head: weight (3, 6) and bias {bias.shape}, expected (3, 6) and (3,)"
+        ]
+
+    def test_head_with_a_class_the_run_does_not_have_is_one_line_error(
+        self, runner, pipeline_run, tmp_path
+    ):
+        # A fourth row whose bias of 100 wins every argmax: eval would
+        # predict class 3, which no label holds, and score task 0 near 0.
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir, ignore=shutil.ignore_patterns("*.csv"))
+        path = cli._checkpoint(run_dir, "expert_0")
+        fourth = {"head.0.weight": 10 * np.ones((1, 6)), "head.0.bias": [100.0]}
+        save_paramset(ParamSet(
+            (name, np.concatenate([value, fourth[name]]) if name in fourth else value)
+            for name, value in load_paramset(path).items()
+        ), path)
+        result = runner.invoke(main, ["eval", "--config", str(config), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: expert 0 head: weight (4, 6) and bias (4,), expected (3, 6) and (3,)"
         ]
 
     def test_ada_merge_of_an_expert_without_its_head_is_one_line_error(
@@ -399,7 +419,7 @@ class TestErrors:
         )
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [
-            "Error: expert 0 head takes 7 features, the backbone gives 6"
+            "Error: expert 0 head: weight (3, 7) and bias (3,), expected (3, 6) and (3,)"
         ]
 
 
@@ -585,7 +605,7 @@ class TestBiasStep:
         cfg, suite, spec, merged, experts, stack = bias_inputs
         stack = stack if with_stack else None
         _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack)
-        heads = collect_heads(experts)
+        heads = collect_heads(experts, spec)
         tests = [task.test for task in suite.tasks]
         individual = [
             evaluate(expert, heads, spec, tests).task_accuracies[t]
@@ -734,7 +754,7 @@ class TestStepwiseFlow:
         spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
         pretrained = load_paramset(run_dir / "checkpoints" / "pretrained.msrg")
         experts = [load_paramset(run_dir / "checkpoints" / f"expert_{t}.msrg") for t in (0, 1)]
-        heads = collect_heads(experts)
+        heads = collect_heads(experts, spec)
         val_sets = [task.validation for task in suite.tasks]
         accuracy = {
             scale: evaluate(

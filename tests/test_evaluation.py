@@ -1,5 +1,7 @@
 """Accuracy evaluation and report emission."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,27 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         spec = ModelSpec(3, (3, 3), (2, 2))
         incomplete = ParamSet(init_backbone(spec, rng))
-        with pytest.raises(EvalError):
-            collect_heads([incomplete])
+        with pytest.raises(EvalError, match="^expert 0 is missing 'head.0.weight'$"):
+            collect_heads([incomplete, incomplete], spec)
+
+    def test_collect_heads_checks_heads_against_the_spec(self):
+        spec = ModelSpec(3, (3, 4), (2, 3))
+
+        def expert(task, weight, bias):
+            return {f"head.{task}.weight": np.zeros(weight), f"head.{task}.bias": np.zeros(bias)}
+
+        good = [expert(0, (2, 4), (2,)), expert(1, (3, 4), (3,))]
+        assert list(collect_heads(good, spec)) == [
+            "head.0.weight", "head.0.bias", "head.1.weight", "head.1.bias"
+        ]
+        with pytest.raises(EvalError, match=r"^got 1 experts for the spec's 2 tasks$"):
+            collect_heads(good[:1], spec)
+        # One row too many (a fourth class), one feature too many, a bias
+        # one short, and a flat weight: each names what the spec expects.
+        for weight, bias in [((4, 4), (4,)), ((3, 5), (3,)), ((3, 4), (2,)), ((12,), (3,))]:
+            message = f"expert 1 head: weight {weight} and bias {bias}, expected (3, 4) and (3,)"
+            with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+                collect_heads([good[0], expert(1, weight, bias)], spec)
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
         rng = np.random.default_rng(1)

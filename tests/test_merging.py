@@ -511,7 +511,7 @@ class TestStackedAdaMerging:
         pre64, taus = task_vectors(pretrained, experts)
         want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
         got = ada_loss_and_gradient(
-            pre64, taus, experts, spec, coeff, batches, _stacked_heads(experts)
+            pre64, taus, experts, spec, coeff, batches, _stacked_heads(experts, spec)
         )
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == want[1].tobytes()

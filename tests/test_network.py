@@ -118,16 +118,24 @@ class TestModelSpec:
         with pytest.raises(NetworkError):
             ModelSpec(4, (8, 0), (3,))
 
-    def test_backbone_validation(self):
+    def test_backbone64_checks_and_copies_the_backbone_only(self):
         spec = ModelSpec(3, (4, 2), (2,))
-        params = {name: np.zeros(shape) for name, shape in spec.backbone_shapes().items()}
-        spec.validate_backbone(params)
-        with pytest.raises(NetworkError):
-            spec.validate_backbone({k: v for k, v in params.items() if k != "block2.bias"})
+        rng = np.random.default_rng(0)
+        params = {name: rng.standard_normal(shape).astype(np.float32)
+                  for name, shape in spec.backbone_shapes().items()}
+        copies = spec.backbone64({**params, "head.0.weight": np.zeros((2, 2))})
+        assert list(copies) == list(spec.backbone_shapes())
+        for name, value in params.items():
+            assert copies[name].dtype == np.float64
+            assert copies[name].tobytes() == value.astype(np.float64).tobytes()
+            assert not np.shares_memory(copies[name], value)
+        with pytest.raises(NetworkError, match="missing backbone parameter 'block2.bias'"):
+            spec.backbone64({k: v for k, v in params.items() if k != "block2.bias"})
         bad = dict(params)
         bad["block1.weight"] = np.zeros((4, 4))
-        with pytest.raises(NetworkError):
-            spec.validate_backbone(bad)
+        message = r"'block1.weight' has shape \(4, 4\), expected \(4, 3\)"
+        with pytest.raises(NetworkError, match=message):
+            spec.backbone64(bad)
 
 
 class TestEntropy:

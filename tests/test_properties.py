@@ -3,12 +3,17 @@ huge header shapes, random headers and byte flips over stack files,
 random stack parameter sets, malformed stack entry names, merge identities
 under expert permutation, the flat merges against their per-name
 formulas, configs built from random field text, and
-per-row Adam schedules."""
+per-row Adam schedules; and that a failing property is reported as a
+test failure under the repository's warning filters."""
 
 import itertools
 import json
 import math
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,10 @@ def new_path(tmp_path_factory):
     return lambda: root / f"{next(names)}.msrg"
 
 
+def _num_tasks(stack) -> int:
+    return 1 + max(int(name.split(".")[1]) for name in stack.params)
+
+
 @st.composite
 def stacks(draw):
     """A fresh stack for a random model, task count, rank and mode."""
@@ -66,14 +75,11 @@ def stacks(draw):
 def test_stack_file_round_trip_is_bitwise(new_path, spec_and_stack):
     spec, stack = spec_and_stack
     path = new_path()
-    save_paramset(stack.to_paramset(), path)
-    loaded = SurgeryStack.from_paramset(load_paramset(path), stack.mode, spec.num_layers)
+    save_paramset(stack.params, path)
+    loaded = SurgeryStack(stack.mode, load_paramset(path))
     assert loaded.mode == stack.mode
-    assert sorted(loaded.adapters) == sorted(stack.adapters)
-    for key, adapter in stack.adapters.items():
-        assert loaded.adapters[key].down.tobytes() == adapter.down.tobytes()
-        assert loaded.adapters[key].up.tobytes() == adapter.up.tobytes()
-    loaded.validate(spec, max(t for t, _ in stack.adapters) + 1)
+    assert bitwise_equal(loaded.params, stack.params)
+    loaded.validate(spec, _num_tasks(stack))
 
 
 @FILE_EXAMPLES
@@ -81,7 +87,7 @@ def test_stack_file_round_trip_is_bitwise(new_path, spec_and_stack):
 def test_truncated_checkpoint_raises_checkpoint_error(new_path, spec_and_stack, data):
     _, stack = spec_and_stack
     path = new_path()
-    save_paramset(stack.to_paramset(), path)
+    save_paramset(stack.params, path)
     raw = path.read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
     truncated = new_path()
@@ -151,7 +157,7 @@ def _damaged_stack_file(new_path, stack, data):
     """A saved stack file with a random JSON header, or with one to three
     random bytes flipped; returns its path and bytes."""
     path = new_path()
-    save_paramset(stack.to_paramset(), path)
+    save_paramset(stack.params, path)
     raw = path.read_bytes()
     header, payload = _split(raw)
     if data.draw(st.booleans()):
@@ -189,8 +195,7 @@ def test_damaged_stack_file_loads_or_raises_a_domain_error(new_path, spec_and_st
     spec, stack = spec_and_stack
     path, _ = _damaged_stack_file(new_path, stack, data)
     try:
-        loaded = SurgeryStack.from_paramset(load_paramset(path), stack.mode, spec.num_layers)
-        loaded.validate(spec, max(t for t, _ in stack.adapters) + 1)
+        SurgeryStack(stack.mode, load_paramset(path)).validate(spec, _num_tasks(stack))
     except (CheckpointError, SurgeryError):
         pass
 
@@ -243,10 +248,10 @@ def malformed_names(draw):
 @example("surgery.0.1.down\n")
 def test_malformed_stack_entry_raises_surgery_error(name):
     spec = ModelSpec(3, (4, 2), (2,))
-    entries = dict(init_stack(spec, 1, ALL_LAYERS, rank=2, seed=0).to_paramset())
+    entries = dict(init_stack(spec, 1, ALL_LAYERS, rank=2, seed=0).params)
     entries[name] = np.zeros((2, 4))
     with pytest.raises(SurgeryError, match="unexpected stack entry"):
-        SurgeryStack.from_paramset(ParamSet(entries), ALL_LAYERS, spec.num_layers)
+        SurgeryStack(ALL_LAYERS, ParamSet(entries))
 
 
 _entry_names = st.builds(
@@ -259,7 +264,7 @@ def stack_paramsets(draw):
     """A fresh stack's entries with up to two dropped and up to two added
     or replaced by a random name and shape, read in a random mode."""
     spec, stack = draw(stacks())
-    entries = dict(stack.to_paramset())
+    entries = dict(stack.params)
     for name in draw(st.lists(st.sampled_from(sorted(entries)), unique=True, max_size=2)):
         del entries[name]
     for name in draw(st.lists(_entry_names | malformed_names(), max_size=2)):
@@ -271,12 +276,16 @@ def stack_paramsets(draw):
 @settings(max_examples=50, deadline=None)
 @given(stack_paramsets())
 def test_random_stack_paramset_loads_whole_or_raises_surgery_error(problem):
+    # The constructor checks names, pairs and shapes, and adapters64 each
+    # task's layers and widths: every task the names can hold (0-3) is read.
     spec, mode, params = problem
     try:
-        loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
+        loaded = SurgeryStack(mode, params)
+        for task in range(4):
+            loaded.adapters64(task, spec)
     except SurgeryError:
         return
-    assert sorted(loaded.to_paramset()) == sorted(params)
+    assert bitwise_equal(loaded.params, params)
 
 
 MERGE_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -532,3 +541,29 @@ def test_row_adam_matches_textbook_adam_per_row(schedule, betas, seed):
         for row in range(rows):
             want = _textbook_adam(start[key][row], seen[key][row], lr=0.05, betas=betas)
             assert params[key][row].tobytes() == want.tobytes(), (key, row)
+
+
+def test_failing_property_is_reported_as_a_failure(tmp_path):
+    # To report a failure, hypothesis imports libcst, whose import raises
+    # a DeprecationWarning; with every warning an error and no filter for
+    # it, pytest ended in INTERNALERROR (exit code 3) and never showed the
+    # falsifying example.
+    (tmp_path / "test_failing.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, max_examples=5)
+        @given(st.integers())
+        def test_fails(n):
+            assert n != n
+    """))
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "FAILED test_failing.py::test_fails" in output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output

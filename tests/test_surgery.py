@@ -13,14 +13,12 @@ from merge_surgeon.network import (
     forward_layers,
     init_backbone,
     random_batches,
-    to_float64,
 )
 from merge_surgeon import surgery
 from merge_surgeon.surgery import (
     _CHUNK_COLUMNS,
     ALL_LAYERS,
     LAST_LAYER,
-    AdapterParams,
     SurgeryError,
     SurgeryMode,
     SurgeryStack,
@@ -32,7 +30,7 @@ from merge_surgeon.surgery import (
     surgery_gradients,
     train_surgery,
 )
-from merge_surgeon.tensors import ParamSet
+from merge_surgeon.tensors import ParamSet, bitwise_equal
 
 
 def tiny_spec():
@@ -50,9 +48,22 @@ def tiny_models(seed=0):
     return spec, merged, expert
 
 
-def _omega(adapter, z):
-    """up @ relu(down @ z) in float64: the hand-written correction."""
-    down, up = adapter.down.astype(np.float64), adapter.up.astype(np.float64)
+def make_stack(mode, adapters):
+    """A stack of ``mode`` holding the ``(down, up)`` pair ``adapters[(task, layer)]``."""
+    return SurgeryStack(mode, ParamSet(
+        (f"surgery.{task}.{layer}.{half}", matrix)
+        for (task, layer), pair in adapters.items() for half, matrix in zip(("down", "up"), pair)
+    ))
+
+
+def entry(stack, task, layer, half):
+    return stack.params[f"surgery.{task}.{layer}.{half}"]
+
+
+def _omega(pair, z):
+    """up @ relu(down @ z) in float64 of the float32 ``(down, up)`` that a
+    stack holds: the hand-written correction."""
+    down, up = (np.asarray(m, dtype=np.float32).astype(np.float64) for m in pair)
     return up @ np.maximum(down @ z, 0.0)
 
 
@@ -62,8 +73,7 @@ class TestAdapterForward:
     def test_zero_down_gives_zero(self):
         spec = tiny_spec()
         backbone = init_backbone(spec, np.random.default_rng(0))
-        adapter = AdapterParams(down=np.zeros((2, 5)), up=np.ones((5, 2)))
-        pair = {"down": adapter.down.astype(np.float64), "up": adapter.up.astype(np.float64)}
+        pair = {"down": np.zeros((2, 5)), "up": np.ones((5, 2))}
         x = np.random.default_rng(0).standard_normal((4, 6))
         plain = forward_layers(backbone, spec, x)
         corrected = forward_layers(backbone, spec, x, {1: pair})
@@ -86,27 +96,55 @@ class TestAdapterForward:
         spec = tiny_spec()
         rng = np.random.default_rng(2)
         backbone = init_backbone(spec, rng)
-        adapter = AdapterParams(down=rng.standard_normal((2, 5)), up=rng.standard_normal((5, 2)))
+        down, up = (rng.standard_normal(shape).astype(np.float32) for shape in ((2, 5), (5, 2)))
         x = rng.standard_normal((4, 3))
         raw = np.maximum(backbone["block1.weight"] @ x + backbone["block1.bias"][:, None], 0.0)
-        expected = raw - _omega(adapter, raw)
-        pair = {"down": adapter.down.astype(np.float64), "up": adapter.up.astype(np.float64)}
+        expected = raw - _omega((down, up), raw)
+        pair = {"down": down.astype(np.float64), "up": up.astype(np.float64)}
         got = forward_layers(backbone, spec, x, {1: pair})[0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_shape_validation(self):
         spec = tiny_spec()
-        with pytest.raises(SurgeryError):
-            AdapterParams(down=np.zeros((2, 4)), up=np.zeros((3, 2)))
-        wrong_width = SurgeryStack(
-            mode=single_block(1),
-            adapters={(0, 1): AdapterParams(down=np.zeros((2, 4)), up=np.zeros((4, 2)))},
-        )
+        wrong_width = make_stack(single_block(1), {(0, 1): (np.zeros((2, 4)), np.zeros((4, 2)))})
         with pytest.raises(SurgeryError, match="width 4 != layer width 5"):
             wrong_width.adapters64(0, spec)
         backbone = init_backbone(spec, np.random.default_rng(3))
         with pytest.raises(NetworkError):
             forward_layers(backbone, spec, np.zeros((5, 3)))
+
+
+class TestStackConstructor:
+    """SurgeryStack(mode, params) checks every entry's name, pair and shape."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param(
+                {"surgery.0.1.down": np.zeros((2, 4)), "surgery.0.1.up": np.zeros((3, 2))},
+                r"^adapter \(0, 1\) shapes inconsistent: down \(2, 4\), up \(3, 2\)$",
+                id="up_not_transposed_down",
+            ),
+            pytest.param(
+                {"surgery.0.1.down": np.zeros(4), "surgery.0.1.up": np.zeros(4)},
+                r"^adapter \(0, 1\) shapes inconsistent: down \(4,\), up \(4,\)$",
+                id="one_dimensional_down",
+            ),
+            pytest.param(
+                {"surgery.0.1.down": np.zeros((2, 4))},
+                r"^incomplete adapter for \(task, layer\) \(0, 1\)$",
+                id="unpaired_half",
+            ),
+            pytest.param(
+                {"surgery.0.1.left": np.zeros((2, 4))},
+                r"^unexpected stack entry 'surgery.0.1.left'",
+                id="bad_name",
+            ),
+        ],
+    )
+    def test_malformed_entries_rejected(self, entries, message):
+        with pytest.raises(SurgeryError, match=message):
+            SurgeryStack(ALL_LAYERS, ParamSet(entries))
 
 
 class TestSurgeryMode:
@@ -130,7 +168,7 @@ class TestSurgeryMode:
 class TestCorrectedForward:
     def test_empty_stack_equals_plain_forward_bitwise(self):
         spec, merged, _ = tiny_models()
-        stack = SurgeryStack(mode=ALL_LAYERS, adapters={})
+        stack = SurgeryStack(ALL_LAYERS, ParamSet())
         x = np.random.default_rng(3).standard_normal((4, 7))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -150,12 +188,12 @@ class TestCorrectedForward:
         spec, merged, _ = tiny_models()
         rng = np.random.default_rng(5)
         adapters = {
-            (0, spec.num_layers): AdapterParams(
-                down=rng.standard_normal((3, spec.feature_dim)),
-                up=rng.standard_normal((spec.feature_dim, 3)),
+            (0, spec.num_layers): (
+                rng.standard_normal((3, spec.feature_dim)),
+                rng.standard_normal((spec.feature_dim, 3)),
             )
         }
-        stack = SurgeryStack(mode=LAST_LAYER, adapters=adapters)
+        stack = make_stack(LAST_LAYER, adapters)
         x = rng.standard_normal((4, 6))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -169,10 +207,10 @@ class TestCorrectedForward:
         merged = ParamSet(init_backbone(spec, rng))
         adapters = {}
         for layer, width in ((1, 3), (2, 2)):
-            adapters[(0, layer)] = AdapterParams(
-                down=rng.standard_normal((2, width)), up=rng.standard_normal((width, 2))
+            adapters[(0, layer)] = (
+                rng.standard_normal((2, width)), rng.standard_normal((width, 2))
             )
-        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
+        stack = make_stack(ALL_LAYERS, adapters)
         x = rng.standard_normal((3, 4))
         trace = corrected_forward(merged, spec, stack, x, task=0)
 
@@ -189,11 +227,9 @@ class TestCorrectedForward:
 
     def test_partial_coverage_rejected(self):
         spec, merged, _ = tiny_models()
-        adapters = {
-            (0, 1): AdapterParams(down=np.zeros((2, 5)), up=np.zeros((5, 2)))
-        }
-        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
-        with pytest.raises(SurgeryError):
+        stack = make_stack(ALL_LAYERS, {(0, 1): (np.zeros((2, 5)), np.zeros((5, 2)))})
+        message = r"^task 0 covers layers \[1\], mode v2 requires \[1, 2\]$"
+        with pytest.raises(SurgeryError, match=message):
             corrected_forward(merged, spec, stack, np.zeros((4, 2)), task=0)
 
     def test_uncovered_task_passes_through(self):
@@ -249,30 +285,29 @@ class TestStackPersistence:
         spec = tiny_spec()
         for mode in (LAST_LAYER, ALL_LAYERS, single_block(1), single_block(2)):
             stack = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8)
-            params = stack.to_paramset()
-            loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
+            loaded = SurgeryStack(mode, stack.params)
             assert loaded.mode == mode
-            for key, adapter in stack.adapters.items():
-                assert loaded.adapters[key].down.tobytes() == adapter.down.tobytes()
-                assert loaded.adapters[key].up.tobytes() == adapter.up.tobytes()
+            assert bitwise_equal(loaded.params, stack.params)
+            loaded.validate(spec, num_tasks=2)
 
     def test_last_block_stack_keeps_block_mode(self):
         # block:<L> on an L-block model covers the same layers as v1; the
         # loader must keep the mode it is given instead of guessing v1.
         spec = tiny_spec()
         mode = single_block(spec.num_layers)
-        params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).to_paramset()
-        loaded = SurgeryStack.from_paramset(params, mode, spec.num_layers)
+        params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).params
+        loaded = SurgeryStack(mode, params)
+        loaded.validate(spec, num_tasks=2)
         assert loaded.mode.label() == f"block:{spec.num_layers}"
 
     def test_coverage_must_match_mode(self):
         spec = tiny_spec()
-        params = init_stack(spec, num_tasks=2, mode=LAST_LAYER, rank=3, seed=8).to_paramset()
+        params = init_stack(spec, num_tasks=2, mode=LAST_LAYER, rank=3, seed=8).params
         for mode in (ALL_LAYERS, single_block(1)):
             with pytest.raises(SurgeryError, match="task 0 covers layers"):
-                SurgeryStack.from_paramset(params, mode, spec.num_layers)
+                SurgeryStack(mode, params).validate(spec, num_tasks=2)
         with pytest.raises(SurgeryError):
-            SurgeryStack.from_paramset(params, single_block(3), spec.num_layers)
+            SurgeryStack(single_block(3), params).validate(spec, num_tasks=2)
 
     def test_checkpoint_round_trip(self, tmp_path):
         from merge_surgeon.checkpoint import load_paramset, save_paramset
@@ -280,15 +315,14 @@ class TestStackPersistence:
         spec = tiny_spec()
         stack = init_stack(spec, num_tasks=2, mode=ALL_LAYERS, rank=2, seed=9)
         path = tmp_path / "stack.msrg"
-        save_paramset(stack.to_paramset(), path)
-        loaded = SurgeryStack.from_paramset(load_paramset(path), ALL_LAYERS, spec.num_layers)
+        save_paramset(stack.params, path)
+        loaded = SurgeryStack(ALL_LAYERS, load_paramset(path))
         loaded.validate(spec, num_tasks=2)
+        assert bitwise_equal(loaded.params, stack.params)
 
     def test_incomplete_adapter_rejected(self):
         with pytest.raises(SurgeryError):
-            SurgeryStack.from_paramset(
-                ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]), ALL_LAYERS, 2
-            )
+            SurgeryStack(ALL_LAYERS, ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]))
 
     def test_validate_rejects_extra_tasks(self):
         spec = tiny_spec()
@@ -319,9 +353,7 @@ class TestTrainSurgery:
         result = train_surgery(expert, [expert], spec, inputs, ALL_LAYERS, LossKind.L1, cfg, rank=3)
         assert result.losses[0] == 0.0
         reference = init_stack(spec, 1, ALL_LAYERS, rank=3, seed=30)
-        for key, adapter in result.stack.adapters.items():
-            assert adapter.down.tobytes() == reference.adapters[key].down.tobytes()
-            assert adapter.up.tobytes() == reference.adapters[key].up.tobytes()
+        assert bitwise_equal(result.stack.params, reference.params)
 
     def test_loss_decreases(self):
         spec, merged, expert = tiny_models(seed=32)
@@ -337,8 +369,7 @@ class TestTrainSurgery:
         a = train_surgery(merged, [expert], spec, inputs, LAST_LAYER, LossKind.L1, cfg, rank=2)
         b = train_surgery(merged, [expert], spec, inputs, LAST_LAYER, LossKind.L1, cfg, rank=2)
         assert a.losses == b.losses
-        for key in a.stack.adapters:
-            assert a.stack.adapters[key].up.tobytes() == b.stack.adapters[key].up.tobytes()
+        assert bitwise_equal(a.stack.params, b.stack.params)
 
     def test_does_not_mutate_inputs(self):
         spec, merged, expert = tiny_models(seed=36)
@@ -357,7 +388,7 @@ class TestTrainSurgery:
         # incoming representation fixed; full backprop differentiates the
         # summed loss through downstream blocks.  Both must match central
         # differences of the corresponding objective, held in float64.
-        from merge_surgeon.network import forward_layers, to_float64
+        from merge_surgeon.network import forward_layers
         from merge_surgeon.surgery import surgery_gradients
 
         spec, merged, expert = tiny_models(seed=38)
@@ -367,13 +398,13 @@ class TestTrainSurgery:
         # Non-zero up matrices so gradients flow through both halves.
         task_adapters = {
             layer: {
-                "down": init.adapters[(0, layer)].down.astype(np.float64),
-                "up": rng.uniform(-0.3, 0.3, size=init.adapters[(0, layer)].up.shape),
+                "down": entry(init, 0, layer, "down").astype(np.float64),
+                "up": rng.uniform(-0.3, 0.3, size=entry(init, 0, layer, "up").shape),
             }
             for layer in ALL_LAYERS.layer_indices(spec.num_layers)
         }
-        merged64 = to_float64(merged)
-        targets = forward_layers(to_float64(expert), spec, x)
+        merged64 = spec.backbone64(merged)
+        targets = forward_layers(spec.backbone64(expert), spec, x)
         _, analytic = surgery_gradients(
             merged64, spec, task_adapters, x, targets, psi, full_backprop
         )
@@ -437,11 +468,7 @@ class TestTrainSurgery:
             ALL_LAYERS, LossKind.L1, cfg, rank=2,
         )
         assert streamed.losses == epoch.losses
-        for key in streamed.stack.adapters:
-            assert (
-                streamed.stack.adapters[key].up.tobytes()
-                == epoch.stack.adapters[key].up.tobytes()
-            )
+        assert bitwise_equal(streamed.stack.params, epoch.stack.params)
 
     def test_cosine_survives_dead_samples(self):
         # Zero biases send an all-zero input to all-zero columns in every
@@ -472,11 +499,10 @@ class TestTrainSurgery:
         rng = np.random.default_rng(45)
         x = rng.standard_normal((4, 10))
         stack = init_stack(spec, 1, ALL_LAYERS, rank=2, seed=44)
-        adapters = {
-            key: AdapterParams(down=a.down, up=rng.uniform(-0.2, 0.2, size=a.up.shape))
-            for key, a in stack.adapters.items()
-        }
-        stack = SurgeryStack(mode=ALL_LAYERS, adapters=adapters)
+        stack = SurgeryStack(ALL_LAYERS, {
+            name: rng.uniform(-0.2, 0.2, size=value.shape) if name.endswith(".up") else value
+            for name, value in stack.params.items()
+        })
         for psi in (LossKind.L1, LossKind.MSE):
             corrected = corrected_forward(merged, spec, stack, x, 0)
             targets = corrected_forward(expert, spec, None, x, 0)
@@ -526,7 +552,7 @@ def _stacked_inputs(xs):
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
     """Surgery training one task at a time: per task and iteration, 2-D
     target and gradient calls and one Adam per (task, layer)."""
-    merged64 = to_float64(merged)
+    merged64 = spec.backbone64(merged)
     stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed)
     adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
     optimizers = {(t, layer): cfg.make_adam() for t, a in enumerate(adapters) for layer in a}
@@ -536,7 +562,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         for task, x in enumerate(row):
             if x is None:
                 continue
-            targets = forward_layers(to_float64(experts[task]), spec, x)
+            targets = forward_layers(spec.backbone64(experts[task]), spec, x)
             layer_losses, grads = surgery_gradients(
                 merged64, spec, adapters[task], x, targets, psi, full_backprop
             )
@@ -559,8 +585,8 @@ class TestStackedEngine:
         spec, merged, experts, adapters = _three_task_models()
         xs = self._batches(spec)
         x = _stacked_inputs(xs)
-        merged64 = to_float64(merged)
-        experts64 = {n: np.stack([to_float64(e)[n] for e in experts]) for n in merged64}
+        merged64 = spec.backbone64(merged)
+        experts64 = {n: np.stack([spec.backbone64(e)[n] for e in experts]) for n in merged64}
         stacked_adapters = {
             layer: {h: np.stack([a[layer][h] for a in adapters]) for h in ("down", "up")}
             for layer in adapters[0]
@@ -571,7 +597,7 @@ class TestStackedEngine:
         records = []
         corrected = forward_layers(merged64, spec, x, stacked_adapters, records)
         for t in range(3):
-            single = forward_layers(to_float64(experts[t]), spec, xs[t])
+            single = forward_layers(spec.backbone64(experts[t]), spec, xs[t])
             own_records = []
             own = forward_layers(merged64, spec, xs[t], adapters[t], own_records)
             for layer in range(spec.num_layers):
@@ -583,7 +609,7 @@ class TestStackedEngine:
     def test_forward_layers_rejects_wrong_input_dim(self):
         spec, merged, _, _ = _three_task_models()
         with pytest.raises(NetworkError):
-            forward_layers(to_float64(merged), spec, np.zeros((3, spec.input_dim + 1, 2)))
+            forward_layers(spec.backbone64(merged), spec, np.zeros((3, spec.input_dim + 1, 2)))
 
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
@@ -594,8 +620,8 @@ class TestStackedEngine:
         for layers in ((1, 2, 3), (3,)):
             task_adapters = [{l: a[l] for l in layers} for a in adapters]
             xs = self._batches(spec)
-            merged64 = to_float64(merged)
-            targets = [forward_layers(to_float64(e), spec, x) for e, x in zip(experts, xs)]
+            merged64 = spec.backbone64(merged)
+            targets = [forward_layers(spec.backbone64(e), spec, x) for e, x in zip(experts, xs)]
             losses, grads = surgery_gradients(
                 merged64,
                 spec,
@@ -640,15 +666,15 @@ class TestStackedEngine:
             )
             for layer in mode.layer_indices(spec.num_layers):
                 for half in ("down", "up"):
-                    got = getattr(joint.stack.adapters[(t, layer)], half)
-                    want = getattr(alone.stack.adapters[(t, layer)], half)
+                    got = entry(joint.stack, t, layer, half)
+                    want = entry(alone.stack, t, layer, half)
                     assert got.tobytes() == want.tobytes(), (t, layer, half)
             other = (t + 1) % 3
             untouched = init_stack(spec, 3, mode, rank=2, seed=cfg.seed)
             for layer in mode.layer_indices(spec.num_layers):
                 assert (
-                    alone.stack.adapters[(other, layer)].up.tobytes()
-                    == untouched.adapters[(other, layer)].up.tobytes()
+                    entry(alone.stack, other, layer, "up").tobytes()
+                    == entry(untouched, other, layer, "up").tobytes()
                 )
 
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
@@ -667,15 +693,10 @@ class TestStackedEngine:
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
             )
-            losses, adapters = _per_task_reference(
+            _assert_matches_reference(result, _per_task_reference(
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
-            )
-            assert result.losses == tuple(losses)
-            for (task, layer), adapter in result.stack.adapters.items():
-                want = AdapterParams(**adapters[task][layer])
-                assert adapter.down.tobytes() == want.down.tobytes()
-                assert adapter.up.tobytes() == want.up.tobytes()
+            ))
 
     def test_exhausted_stream_task_stops_stepping(self):
         # Pools of 20, 37 and 50 samples in batches of 8: task 0 runs out
@@ -700,18 +721,41 @@ class TestStackedEngine:
             )
             for layer in ALL_LAYERS.layer_indices(spec.num_layers):
                 for half in ("down", "up"):
-                    got = getattr(joint.stack.adapters[(t, layer)], half)
-                    want = getattr(alone.stack.adapters[(t, layer)], half)
+                    got = entry(joint.stack, t, layer, half)
+                    want = entry(alone.stack, t, layer, half)
                     assert got.tobytes() == want.tobytes(), (t, layer, half)
 
 
+    @pytest.mark.parametrize("mode", [ALL_LAYERS, LAST_LAYER])
+    def test_stack_lists_entries_by_task_then_layer_then_down_before_up(self, mode):
+        # The stack checkpoint stores the entries in this order, so its
+        # bytes depend on it; init_stack lists them the same way.
+        spec, merged, experts, _ = _three_task_models(seed=58)
+        cfg = ms.TrainConfig(iterations=2, batch_size=4, seed=58)
+        pools = [np.random.default_rng(59 + t).standard_normal((10, 4)) for t in range(3)]
+        result = train_surgery(merged, experts, spec, pools, mode, LossKind.L1, cfg, rank=2)
+        names = [
+            f"surgery.{task}.{layer}.{half}"
+            for task in range(3)
+            for layer in mode.layer_indices(spec.num_layers)
+            for half in ("down", "up")
+        ]
+        assert list(result.stack.params) == names
+        assert list(init_stack(spec, 3, mode, rank=2, seed=58).params) == names
+
+
 def _assert_matches_reference(result, reference):
+    """``result`` holds the reference losses and, in float32, its
+    adapters, entry by entry and in the order (task, layer, down, up)."""
     losses, adapters = reference
     assert result.losses == tuple(losses)
-    for (task, layer), adapter in result.stack.adapters.items():
-        want = AdapterParams(**adapters[task][layer])
-        assert adapter.down.tobytes() == want.down.tobytes(), (task, layer)
-        assert adapter.up.tobytes() == want.up.tobytes(), (task, layer)
+    want = ParamSet(
+        (f"surgery.{task}.{layer}.{half}", pair[half])
+        for task, task_adapters in enumerate(adapters)
+        for layer, pair in task_adapters.items()
+        for half in ("down", "up")
+    )
+    assert bitwise_equal(result.stack.params, want)
 
 
 MODES = [pytest.param(m, id=m.label()) for m in (LAST_LAYER, ALL_LAYERS, single_block(2))]
