@@ -57,6 +57,7 @@ from .surgery import (
     sequential_batches,
     single_block,
     stream_train_surgery,
+    trace_layers,
     train_surgery,
 )
 from .tensors import ParamSet, bitwise_equal

@@ -38,10 +38,10 @@ class LossKind(enum.Enum):
 
 
 def _check_pair(
-    z_a: np.ndarray, z_b: np.ndarray, ndims=(2,)
+    z_a: np.ndarray, z_b: np.ndarray, ndims=(2,), dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(z_a, dtype=np.float64)
-    b = np.asarray(z_b, dtype=np.float64)
+    a = np.asarray(z_a, dtype=dtype)
+    b = np.asarray(z_b, dtype=dtype)
     if a.shape != b.shape:
         raise BiasError(f"trace shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in ndims or a.shape[-1] < 1:
@@ -71,16 +71,17 @@ def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) ->
     """Normalized distance between two (dim, samples) representation sets.
 
     L1 and MSE average over every entry; NEG_COSINE averages (1 - cosine)
-    over samples so 0 means aligned for every kind.
+    over samples so 0 means aligned for every kind.  L1 and MSE take the
+    float64 difference of the inputs as given, with no float64 copy of
+    either, so float32 traces cost one float64 array.
     """
-    a, b = _check_pair(z_mtl, z_ind)
-    diff = a - b
-    if kind is LossKind.L1:
-        return float(np.abs(diff).mean())
-    if kind is LossKind.MSE:
-        return float(np.square(diff).mean())
-    cos = _cosine_parts(a, b)[0]
-    return float((1.0 - cos).mean())
+    a, b = _check_pair(z_mtl, z_ind, dtype=None)
+    if kind is LossKind.NEG_COSINE:
+        cos = _cosine_parts(np.asarray(a, np.float64), np.asarray(b, np.float64))[0]
+        return float((1.0 - cos).mean())
+    diff = np.subtract(a, b, dtype=np.float64)
+    (np.abs if kind is LossKind.L1 else np.square)(diff, out=diff)
+    return float(diff.mean())
 
 
 def alignment_loss_and_grad(
@@ -169,24 +170,36 @@ def layerwise_bias_report(
     in-path trace, so the report shows post-surgery alignment.  A
     ``final_traces`` list receives ``(merged, expert)`` final-layer traces
     per task, so a caller can use them without tracing again.
+
+    Each task's two traces are walked in lockstep and scored one layer at
+    a time, so the report holds one layer of each, not all of them.  An
+    error of the expert trace is raised once the merged trace is done, so
+    when both overflow the merged model's layer is the one named.
     """
     # Imported here: surgery imports this module for LossKind and the
     # alignment loss, so a module-level import would be circular.
-    from .surgery import corrected_forward
+    from .surgery import trace_layers
 
     if len(experts) != len(inputs_per_task):
         raise BiasError("need exactly one input matrix per expert")
     values = np.zeros((spec.num_layers, len(experts)))
     for task, (expert, features) in enumerate(zip(experts, inputs_per_task)):
         x = np.asarray(features, dtype=np.float64).T
-        merged_trace = corrected_forward(merged, spec, stack, x, task)
-        expert_trace = corrected_forward(expert, spec, None, x, task)
-        for layer in range(spec.num_layers):
-            values[layer, task] = representation_bias(
-                merged_trace[layer], expert_trace[layer], psi
-            )
+        expert_layers = trace_layers(expert, spec, None, x, task)
+        expert_error = None
+        for layer, merged_z in enumerate(trace_layers(merged, spec, stack, x, task)):
+            if expert_error is not None:
+                continue
+            try:
+                expert_z = next(expert_layers)
+            except MergeSurgeonError as error:
+                expert_error = error
+                continue
+            values[layer, task] = representation_bias(merged_z, expert_z, psi)
+        if expert_error is not None:
+            raise expert_error
         if final_traces is not None:
-            final_traces.append((merged_trace[-1], expert_trace[-1]))
+            final_traces.append((merged_z, expert_z))
     return BiasReport(values=values, model_id=model_id)
 
 

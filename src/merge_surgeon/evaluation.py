@@ -2,7 +2,8 @@
 
 :func:`accuracy` scores a task's head on final-layer representations the
 caller already holds, such as the traces of a bias report;
-:func:`evaluate` traces each test set itself, on the worker pool.
+:func:`evaluate` traces each test set itself, on the worker pool, one
+block at a time, and keeps only the final layer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .bias import BiasReport
 from .config import map_over_tasks
 from .network import ModelSpec, head_logits
-from .surgery import corrected_forward
+from .surgery import trace_layers
 from .tensors import MergeSurgeonError, ParamSet, head_name
 
 
@@ -93,7 +94,11 @@ def evaluate(
     stack_id: str | None = None,
 ) -> EvalResult:
     """:func:`accuracy` of every task on its own test set, traced through
-    the backbone with the task's corrections from ``stack`` if given."""
+    the backbone with the task's corrections from ``stack`` if given.
+
+    A trace holds one layer at a time; every layer is still cast to
+    float32, so an overflow in any layer raises the ``SurgeryError``
+    naming it."""
     if len(test_sets) < 1:
         raise EvalError("need at least one test set")
     for task in range(len(test_sets)):
@@ -102,7 +107,8 @@ def evaluate(
 
     def score(task):
         data = test_sets[task]
-        z_final = corrected_forward(backbone, spec, stack, data.inputs(), task)[-1]
+        for z_final in trace_layers(backbone, spec, stack, data.inputs(), task):
+            pass  # each layer is dropped as the next one arrives
         return accuracy(heads, task, z_final, data.labels)
 
     accuracies = map_over_tasks(score, len(test_sets))

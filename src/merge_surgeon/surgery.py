@@ -201,6 +201,43 @@ def init_stack(
     return SurgeryStack(mode, ParamSet(entries))
 
 
+def trace_layers(
+    merged: Mapping[str, np.ndarray],
+    spec: ModelSpec,
+    stack: SurgeryStack | None,
+    x: np.ndarray,
+    task: int,
+) -> Iterator[np.ndarray]:
+    """Yield the float32 representations ``Z_1 .. Z_L``, each (d_l, batch),
+    of the merged model with task ``task``'s corrections applied, one
+    block at a time.
+
+    Between yields the generator holds one float64 layer, the input of
+    the next block, so a caller that keeps only what it needs of each
+    layer holds one layer, not all of them.  A layer that overflows
+    float32, or float64 inside its block, raises a ``SurgeryError``
+    naming the task and layer before any later block runs.  With no
+    stack, or no adapters for the task, this is the plain forward trace,
+    so ``stack=None`` traces any backbone, an expert included.  Only the
+    backbone entries of ``merged`` are copied to float64.
+    """
+    merged64 = spec.backbone64(merged)
+    adapters = {} if stack is None else stack.adapters64(task, spec)
+    z = x
+    for layer in range(1, spec.num_layers + 1):
+        try:
+            with np.errstate(over="raise"):
+                (z,) = forward_layers(merged64, spec, z, adapters, first=layer, last=layer)
+                z32 = np.ascontiguousarray(z, dtype=np.float32)
+        except FloatingPointError:
+            raise SurgeryError(
+                f"task {task}: layer {layer} representations overflow float32"
+            ) from None
+        # Outside the errstate block: a suspended generator would leave
+        # the caller's code running under it.
+        yield z32
+
+
 def corrected_forward(
     merged: Mapping[str, np.ndarray],
     spec: ModelSpec,
@@ -208,26 +245,11 @@ def corrected_forward(
     x: np.ndarray,
     task: int,
 ) -> tuple[np.ndarray, ...]:
-    """Per-layer float32 representations ``(Z_1 .. Z_L)``, each (d_l, batch),
-    of the merged model with task ``task``'s corrections applied.
-
-    With no stack, or no adapters for the task, this is the plain forward
-    trace, so ``stack=None`` traces any backbone, an expert included; the
-    head should consume the final entry.  Only the backbone entries of
-    ``merged`` are copied to float64.
+    """Every layer of :func:`trace_layers` at once, ``(Z_1 .. Z_L)``; the
+    head should consume the final entry.  A caller that reads the layers
+    in order and drops them should iterate :func:`trace_layers` instead.
     """
-    merged64 = spec.backbone64(merged)
-    adapters = {} if stack is None else stack.adapters64(task, spec)
-    traces = []
-    with np.errstate(over="raise"):
-        for layer, z in enumerate(forward_layers(merged64, spec, x, adapters), 1):
-            try:
-                traces.append(np.ascontiguousarray(z, dtype=np.float32))
-            except FloatingPointError:
-                raise SurgeryError(
-                    f"task {task}: layer {layer} representations overflow float32"
-                ) from None
-    return tuple(traces)
+    return tuple(trace_layers(merged, spec, stack, x, task))
 
 
 def _check_pools(inputs_per_task) -> list[np.ndarray]:

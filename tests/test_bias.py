@@ -1,5 +1,8 @@
 """Bias metric, layer-wise reports, and PCA projection."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,35 @@ from merge_surgeon.bias import (
     pca_project,
     representation_bias,
 )
-from merge_surgeon.network import ModelSpec, init_backbone
+from merge_surgeon.datasets import Dataset
+from merge_surgeon.evaluation import evaluate
+from merge_surgeon.network import ModelSpec, forward_layers, init_backbone
+from merge_surgeon.surgery import SurgeryError, SurgeryMode, SurgeryStack, init_stack
 from merge_surgeon.tensors import ParamSet
+
+
+def _former_bias(a, b, kind):
+    """The bias as it was computed on float64 copies of both traces."""
+    a64, b64 = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    if kind is LossKind.L1:
+        return float(np.abs(a64 - b64).mean())
+    if kind is LossKind.MSE:
+        return float(np.square(a64 - b64).mean())
+    return representation_bias(a64, b64, kind)
+
+
+def positive_models(blocks, width=4, scales=(1e30,)):
+    """A ``blocks``-deep, ``width``-wide spec with one head, and one
+    backbone per scale whose every entry is that float32 scale: block l's
+    output grows like scale**l, so a scale of 1e30 fits float32 at layer
+    1 and overflows it at layer 2, long before float64 overflows."""
+    spec = ModelSpec(width, (width,) * blocks, (2,))
+    models = [
+        ParamSet({name: np.full(shape, scale, dtype=np.float32)
+                  for name, shape in spec.backbone_shapes().items()})
+        for scale in scales
+    ]
+    return spec, models
 
 
 class TestRepresentationBias:
@@ -72,6 +102,16 @@ class TestRepresentationBias:
     def test_shape_mismatch(self):
         with pytest.raises(BiasError):
             representation_bias(np.zeros((2, 2)), np.zeros((2, 3)), LossKind.L1)
+
+    @pytest.mark.parametrize("kind", [LossKind.L1, LossKind.MSE])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_float64_formula_and_keeps_inputs(self, kind, dtype):
+        rng = np.random.default_rng(11)
+        a = (rng.standard_normal((7, 33)) * 3).astype(dtype)
+        b = (rng.standard_normal((7, 33)) * 3).astype(dtype)
+        before = a.tobytes(), b.tobytes()
+        assert representation_bias(a, b, kind) == _former_bias(a, b, kind)
+        assert (a.tobytes(), b.tobytes()) == before
 
     def test_parse(self):
         assert LossKind.parse("l1") is LossKind.L1
@@ -192,6 +232,70 @@ class TestLayerwiseReport:
         assert csv_text.startswith("task,layer,value\n")
         assert len(csv_text.strip().splitlines()) == 1 + 6 * 4
 
+    @pytest.mark.parametrize("psi", list(LossKind))
+    @pytest.mark.parametrize("mode", [None, "v1", "v2", "block:2"])
+    def test_streamed_report_equals_the_all_layer_reference(self, mode, psi):
+        spec = ModelSpec(4, (6, 5, 3), (2, 2))
+        rng = np.random.default_rng(12)
+        merged = ParamSet(init_backbone(spec, rng))
+        experts = [ParamSet(init_backbone(spec, np.random.default_rng(13 + t))) for t in range(2)]
+        inputs = [rng.standard_normal((9, 4)), rng.standard_normal((11, 4))]
+        stack = None
+        if mode is not None:
+            zero_up = init_stack(spec, 2, SurgeryMode.parse(mode), rank=2, seed=3)
+            stack = SurgeryStack(zero_up.mode, ParamSet(
+                (name, value if name.endswith(".down") else rng.standard_normal(value.shape))
+                for name, value in zero_up.params.items()
+            ))
+        finals = []
+        report = layerwise_bias_report(
+            merged, experts, spec, inputs, psi, stack, final_traces=finals
+        )
+
+        def all_layers(params, adapters, x):
+            return [z.astype(np.float32) for z in
+                    forward_layers(spec.backbone64(params), spec, x, adapters)]
+
+        expected = np.zeros((spec.num_layers, 2))
+        for task, features in enumerate(inputs):
+            x = features.T
+            adapters = {} if stack is None else stack.adapters64(task, spec)
+            merged_trace = all_layers(merged, adapters, x)
+            expert_trace = all_layers(experts[task], {}, x)
+            for layer in range(spec.num_layers):
+                expected[layer, task] = _former_bias(merged_trace[layer], expert_trace[layer], psi)
+            assert [z.tobytes() for z in finals[task]] == [
+                merged_trace[-1].tobytes(), expert_trace[-1].tobytes()
+            ]
+        assert report.values.tobytes() == expected.tobytes()
+        assert len(finals) == 2
+
+    def test_deep_overflow_names_the_layer(self):
+        spec, (big,) = positive_models(12)
+        expert = ParamSet(init_backbone(spec, np.random.default_rng(0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 0: layer 2 representations overflow float32$"
+            ):
+                layerwise_bias_report(big, [expert], spec, [np.ones((3, 4))], LossKind.L1)
+
+    @pytest.mark.parametrize(
+        "merged_scale, expert_scale, layer",
+        [(1e20, 1e30, 2), (1e20, 1.0, 2), (1.0, 1e30, 1)],
+    )
+    def test_the_merged_models_overflow_is_named_first(
+        self, merged_scale, expert_scale, layer
+    ):
+        # Inputs of 1e10 take a 1e30 expert past float32 at layer 1 and a
+        # 1e20 merged model at layer 2; the merged trace used to run to
+        # its end before the expert's began, so its layer is the one named.
+        spec, (merged, expert) = positive_models(3, scales=(merged_scale, expert_scale))
+        with pytest.raises(
+            SurgeryError, match=rf"^task 0: layer {layer} representations overflow float32$"
+        ):
+            layerwise_bias_report(merged, [expert], spec, [np.full((3, 4), 1e10)], LossKind.L1)
+
     def test_report_validation(self):
         with pytest.raises(BiasError):
             BiasReport(values=np.array([[-1.0]]), model_id="m")
@@ -253,3 +357,53 @@ class TestPcaProject:
             pca_project(np.zeros((1, 10)))
         with pytest.raises(BiasError):
             pca_project(np.zeros((3, 1)))
+
+
+class TestTraceMemory:
+    """A trace holds one block's output at a time: the traced numpy peak
+    of a bias report and of ``evaluate`` on 4 tasks of 20,000 samples is
+    a few float64 layers of one task, where holding every layer of a
+    trace (and a float32 copy of each) took 15 and 9 of them."""
+
+    TASKS, SAMPLES, WIDTH = 4, 20_000, 32
+    LAYER_BYTES = SAMPLES * WIDTH * 8  # one float64 layer of one task
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spec = ModelSpec(self.WIDTH, (self.WIDTH,) * 6, (5,) * self.TASKS)
+        rng = np.random.default_rng(14)
+        merged = ParamSet(init_backbone(spec, rng))
+        experts = [ParamSet(init_backbone(spec, np.random.default_rng(15 + t)))
+                   for t in range(self.TASKS)]
+        features = [rng.standard_normal((self.SAMPLES, self.WIDTH)) for _ in experts]
+        heads = ParamSet(
+            (f"head.{t}.{kind}", rng.standard_normal(shape))
+            for t in range(self.TASKS)
+            for kind, shape in (("weight", (5, self.WIDTH)), ("bias", (5,)))
+        )
+        return spec, merged, experts, features, heads
+
+    def peak_layers(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / self.LAYER_BYTES
+
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE])
+    def test_bias_report_peak(self, setup, psi):
+        spec, merged, experts, features, _ = setup
+        peak = self.peak_layers(
+            lambda: layerwise_bias_report(merged, experts, spec, features, psi)
+        )
+        assert peak < 6
+
+    def test_evaluate_peak(self, setup, monkeypatch):
+        # One worker: the pool's threads would each hold a trace.
+        monkeypatch.setenv("MERGE_SURGEON_THREADS", "1")
+        spec, merged, _, features, heads = setup
+        labels = np.zeros(self.SAMPLES, dtype=np.int64)
+        test_sets = [Dataset(f.astype(np.float32), labels, 5) for f in features]
+        assert self.peak_layers(lambda: evaluate(merged, heads, spec, test_sets)) < 4

@@ -265,6 +265,41 @@ class TestErrors:
         assert errors == ["Error: task 0: layer 2 representations overflow float32"]
         assert "Warning" not in result.output
 
+    @pytest.fixture(scope="class")
+    def deep_overflow_run(self, tmp_path_factory):
+        """Config and run directory of a finished 12-block, 4-wide
+        pipeline whose ``merged.msrg`` then had every entry set to 1e30."""
+        root = tmp_path_factory.mktemp("deep")
+        config = root / "deep.cfg"
+        config.write_text(TINY_CFG.replace("hidden_dims = 8,8,6", "hidden_dims = 4" + ",4" * 11))
+        run_dir = root / "run"
+        args = ["pipeline", "--config", str(config), "--run-dir", str(run_dir)]
+        result = invoke(CliRunner(), args)
+        assert result.exit_code == 0, result.output
+        merged_file = run_dir / "checkpoints" / "merged.msrg"
+        merged = load_paramset(merged_file)
+        save_paramset(ParamSet({name: np.full(value.shape, 1e30, dtype=np.float32)
+                                for name, value in merged.items()}), merged_file)
+        return config, run_dir
+
+    @pytest.mark.parametrize("command", ["bias", "eval", "report"])
+    def test_deep_representation_overflow_is_one_error_line(
+        self, runner, deep_overflow_run, tmp_path, command
+    ):
+        # Layer 2 overflows float32; layer 11 would overflow float64.
+        config, piped = deep_overflow_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, [command, "--config", str(config), "--run-dir", str(run_dir)]
+            )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: task 0: layer 2 representations overflow float32"
+        ]
+
     def test_non_utf8_config_is_one_line_error(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"seed = 7\ntasks = \xff\n")
@@ -592,10 +627,10 @@ class TestBiasStep:
             calls.append(args)
             return traced(*args, **kwargs)
 
-        traced = surgery.corrected_forward
-        monkeypatch.setattr(surgery, "corrected_forward", counted)
+        traced = surgery.trace_layers
+        monkeypatch.setattr(surgery, "trace_layers", counted)
         # Also counted if the CLI imports the trace call under its own name.
-        monkeypatch.setattr(cli, "corrected_forward", counted, raising=False)
+        monkeypatch.setattr(cli, "trace_layers", counted, raising=False)
         cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack if with_stack else None)
         assert cfg.tasks == 2
         assert len(calls) == 2 * cfg.tasks
@@ -721,9 +756,9 @@ class TestStepwiseFlow:
             calls.append((args[2] is None, args[-1]))
             return traced(*args, **kwargs)
 
-        traced = surgery.corrected_forward
-        monkeypatch.setattr(surgery, "corrected_forward", counted)
-        monkeypatch.setattr(evaluation, "corrected_forward", counted)
+        traced = surgery.trace_layers
+        monkeypatch.setattr(surgery, "trace_layers", counted)
+        monkeypatch.setattr(evaluation, "trace_layers", counted)
         stack_file = str(cli._checkpoint(run_dir, "surgery"))
         args = ["eval", "--config", str(config), "--run-dir", str(run_dir), "--surgery", stack_file]
         result = invoke(runner, args)
@@ -803,9 +838,9 @@ class TestPipeline:
             calls.append(args[-1])
             return traced(*args, **kwargs)
 
-        traced = surgery.corrected_forward
-        monkeypatch.setattr(surgery, "corrected_forward", counted)
-        monkeypatch.setattr(evaluation, "corrected_forward", counted)
+        traced = surgery.trace_layers
+        monkeypatch.setattr(surgery, "trace_layers", counted)
+        monkeypatch.setattr(evaluation, "trace_layers", counted)
         result = invoke(
             runner, ["pipeline", "--config", str(tiny_config), "--run-dir", str(tmp_path / "run")]
         )

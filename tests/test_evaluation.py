@@ -1,6 +1,7 @@
 """Accuracy evaluation and report emission."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from merge_surgeon.evaluation import (
 )
 from merge_surgeon.bias import BiasReport
 from merge_surgeon.network import ModelSpec, init_backbone
+from merge_surgeon.surgery import SurgeryError
 from merge_surgeon.tensors import ParamSet
 
 
@@ -91,6 +93,21 @@ class TestEvaluate:
             message = f"expert 1 head: weight {weight} and bias {bias}, expected (3, 4) and (3,)"
             with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
                 collect_heads([good[0], expert(1, weight, bias)], spec)
+
+    def test_deep_overflow_names_the_layer(self):
+        # Twelve blocks of all-positive 1e30 weights: layer 2 overflows
+        # float32, and layer 11 would overflow float64 in its matmul.
+        spec = ModelSpec(4, (4,) * 12, (2,))
+        big = ParamSet({name: np.full(shape, 1e30, dtype=np.float32)
+                        for name, shape in spec.backbone_shapes().items()})
+        heads = ParamSet([("head.0.weight", np.ones((2, 4))), ("head.0.bias", np.zeros(2))])
+        test_set = Dataset(np.ones((3, 4)), np.zeros(3, dtype=np.int64), num_classes=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 0: layer 2 representations overflow float32$"
+            ):
+                evaluate(big, heads, spec, [test_set])
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
         rng = np.random.default_rng(1)

@@ -28,6 +28,7 @@ from merge_surgeon.surgery import (
     single_block,
     stream_train_surgery,
     surgery_gradients,
+    trace_layers,
     train_surgery,
 )
 from merge_surgeon.tensors import ParamSet, bitwise_equal
@@ -253,6 +254,38 @@ class TestCorrectedForward:
                 SurgeryError, match=r"^task 3: layer 2 representations overflow float32$"
             ):
                 corrected_forward(big, spec, None, x, task=3)
+
+    def test_deep_overflow_is_named_before_float64_overflows(self):
+        # Twelve blocks of all-positive 1e30 weights: layer 2 overflows
+        # float32, and layer 11 would overflow float64 in its matmul.
+        spec = ModelSpec(4, (4,) * 12, (2,))
+        big = ParamSet({name: np.full(shape, 1e30, dtype=np.float32)
+                        for name, shape in spec.backbone_shapes().items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 0: layer 2 representations overflow float32$"
+            ):
+                corrected_forward(big, spec, None, np.ones((4, 3)), task=0)
+
+    def test_a_suspended_trace_leaves_the_callers_errstate_alone(self):
+        spec, merged, _ = tiny_models()
+        before = np.geterr()
+        layers = trace_layers(merged, spec, None, np.ones((4, 3)), task=0)
+        next(layers)
+        assert np.geterr() == before
+        assert len(list(layers)) == spec.num_layers - 1
+
+    def test_float64_overflow_in_a_block_names_the_layer(self):
+        spec, merged, _ = tiny_models()
+        big = ParamSet({name: np.full(value.shape, 1e30, dtype=np.float32)
+                        for name, value in merged.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 1: layer 1 representations overflow float32$"
+            ):
+                corrected_forward(big, spec, None, np.full((4, 2), 1e300), task=1)
 
 
 class TestCheckPools:
