@@ -163,7 +163,9 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
                 spec,
                 cfg.scale_grid,
                 [task.validation for task in suite.tasks],
-                lambda pre, ex, s: merge_with_recipe(MergeRecipe(algorithm, s, keep), pre, ex)[0],
+                lambda pre, ex, sp, s: merge_with_recipe(
+                    MergeRecipe(algorithm, s, keep), pre, ex, sp
+                )[0],
             )
     merged, recipe = merge_with_recipe(
         MergeRecipe(algorithm=algorithm, scale=scale, keep_fraction=keep),

@@ -1,9 +1,10 @@
 """The four merging rules that combine expert backbones into one model.
 
 All merges operate on backbone entries only; task heads are never merged
-and are always used per task at evaluation time.  Every rule works on
-one flat layout of the backbone, block by block and weight before bias:
-the pretrained model and the experts become the float64 rows of one
+and are always used per task at evaluation time.  Every rule takes the
+run's :class:`ModelSpec` and works on one flat layout of its backbone,
+block by block and weight before bias: ``spec.backbone64`` checks and
+copies the pretrained model and each expert into the float64 rows of one
 matrix, the rule combines those rows, and one exit casts the result to
 float32 and splits it by name.  So merged sets list their entries in
 block order, and the single rounding at the end keeps the documented
@@ -23,6 +24,7 @@ import numpy as np
 from .evaluation import collect_heads, evaluate
 from .network import (
     ModelSpec,
+    NetworkError,
     TrainConfig,
     backbone_adjoint_grads,
     entropy_loss_and_adjoint,
@@ -30,7 +32,7 @@ from .network import (
     random_batches,
     stack_batches,
 )
-from .tensors import MergeSurgeonError, ParamSet, head_name, is_backbone_name
+from .tensors import MergeSurgeonError, ParamSet, head_name
 
 ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 # AdaMerging's starting coefficients: task arithmetic at scale 0.3.
@@ -77,48 +79,39 @@ class MergeRecipe:
         return "\n".join(lines) + "\n"
 
 
-def _layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple:
-    """``(name, shape, start, stop)`` of each backbone entry of the
-    name-to-shape map ``shapes`` in the flat layout: block by block,
-    weight before bias."""
-    names = sorted(
-        filter(is_backbone_name, shapes), key=lambda n: (int(n[5 : n.index(".")]), n.endswith("bias"))
-    )
-    if not names:
-        raise MergeError("parameter set has no backbone entries")
-    layout = []
-    stop = 0
-    for name in names:
-        start, stop = stop, stop + math.prod(shapes[name])
-        layout.append((name, tuple(shapes[name]), start, stop))
+@functools.lru_cache(maxsize=16)
+def _flat_layout(spec: ModelSpec) -> tuple:
+    """``(name, shape, start, stop)`` of each entry of ``spec``'s backbone
+    in the one flat layout, the order of ``spec.backbone_shapes()``: block
+    by block, weight before bias.  Computed once per spec."""
+    layout, stop = [], 0
+    for name, shape in spec.backbone_shapes().items():
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((name, shape, start, stop))
     return tuple(layout)
 
 
-@functools.lru_cache(maxsize=16)
-def _flat_layout(spec: ModelSpec) -> tuple:
-    """The :func:`_layout` of ``spec``'s backbone, computed once per spec."""
-    return _layout(spec.backbone_shapes())
-
-
 def _flat_rows(
-    pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
-) -> tuple[tuple, np.ndarray]:
-    """The :func:`_layout` of ``pretrained``'s backbone and the float64
-    (1 + T, P) matrix whose rows are ``pretrained`` and then each expert
-    in that layout.  An expert whose backbone differs from it in names or
-    shapes is a :class:`MergeError`."""
+    spec: ModelSpec, pretrained: Mapping | None, experts: Sequence[Mapping]
+) -> np.ndarray:
+    """The float64 matrix whose rows are ``pretrained`` (left out when
+    None) and then each expert, in the :func:`_flat_layout` of ``spec``,
+    each filled from ``spec.backbone64``.  A model that backbone64 rejects
+    is a :class:`MergeError` naming ``pretrained`` or ``expert <t>``."""
     if not experts:
         raise MergeError("need at least one expert")
-    layout = _layout({name: np.shape(value) for name, value in pretrained.items()})
-    rows = np.empty((1 + len(experts), layout[-1][3]))
-    for row, params in enumerate([pretrained, *experts]):
-        if sum(map(is_backbone_name, params)) != len(layout) or any(
-            name not in params or np.shape(params[name]) != shape for name, shape, *_ in layout
-        ):
-            raise MergeError(f"expert {row - 1} backbone is not shape-compatible")
+    models = [] if pretrained is None else [("pretrained", pretrained)]
+    models += [(f"expert {t}", params) for t, params in enumerate(experts)]
+    layout = _flat_layout(spec)
+    rows = np.empty((len(models), layout[-1][3]))
+    for row, (what, params) in enumerate(models):
+        try:
+            backbone = spec.backbone64(params)
+        except NetworkError as err:
+            raise MergeError(f"{what}: {err}") from None
         for name, _, start, stop in layout:
-            rows[row, start:stop] = np.ravel(params[name])
-    return layout, rows
+            rows[row, start:stop] = backbone[name].ravel()
+    return rows
 
 
 def _by_name(layout: tuple, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -126,15 +119,15 @@ def _by_name(layout: tuple, flat: np.ndarray) -> dict[str, np.ndarray]:
     return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout}
 
 
-def _float32_params(layout: tuple, merged: np.ndarray, what: str) -> ParamSet:
-    """The float32 parameter set of the flat float64 backbone ``merged``.
-    Weights that overflow float32 are a :class:`MergeError` naming
-    ``what``, with no numpy warning on the way."""
+def _float32_params(spec: ModelSpec, merged: np.ndarray, what: str) -> ParamSet:
+    """The float32 parameter set of ``spec``'s flat float64 backbone
+    ``merged``.  Weights that overflow float32 are a :class:`MergeError`
+    naming ``what``, with no numpy warning on the way."""
     with np.errstate(over="ignore"):
         cast = merged.astype(np.float32)
     if not np.isfinite(cast).all():
         raise MergeError(f"{what}: the merged weights overflow float32")
-    return ParamSet(_by_name(layout, cast))
+    return ParamSet(_by_name(_flat_layout(spec), cast))
 
 
 def _check_scale(scale: float) -> None:
@@ -142,29 +135,28 @@ def _check_scale(scale: float) -> None:
         raise MergeError(f"scale {scale!r} is not finite")
 
 
-def weight_average(experts: Sequence[Mapping[str, np.ndarray]]) -> ParamSet:
+def weight_average(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) -> ParamSet:
     """Elementwise mean of the expert backbones."""
-    if not experts:
-        raise MergeError("need at least one expert")
-    layout, rows = _flat_rows(experts[0], experts)
-    return _float32_params(layout, rows[1:].mean(axis=0), "weight average")
+    rows = _flat_rows(spec, None, experts)
+    return _float32_params(spec, rows.mean(axis=0), "weight average")
 
 
 def task_arithmetic(
     pretrained: Mapping[str, np.ndarray],
     experts: Sequence[Mapping[str, np.ndarray]],
+    spec: ModelSpec,
     scale: float,
 ) -> ParamSet:
     """pretrained + scale * sum of task vectors, on backbone entries."""
     _check_scale(scale)
-    layout, rows = _flat_rows(pretrained, experts)
+    rows = _flat_rows(spec, pretrained, experts)
     base = rows[0]
     total = np.zeros_like(base)
     for tau in rows[1:] - base:  # summed in task order
         total += tau
     with np.errstate(over="ignore"):
         merged = base + scale * total
-    return _float32_params(layout, merged, f"scale {scale:.9g}")
+    return _float32_params(spec, merged, f"scale {scale:.9g}")
 
 
 def grid_search_scale(
@@ -176,8 +168,8 @@ def grid_search_scale(
     merge: Callable[..., ParamSet] = task_arithmetic,
 ) -> float:
     """Candidate scale maximizing mean per-task validation accuracy of
-    ``merge(pretrained, experts, scale)`` with the experts' task heads;
-    ties go to the smaller scale.  Every candidate must be finite.
+    ``merge(pretrained, experts, spec, scale)`` with the experts' task
+    heads; ties go to the smaller scale.  Every candidate must be finite.
     """
     if not candidates:
         raise MergeError("empty candidate list")
@@ -187,7 +179,7 @@ def grid_search_scale(
     best_scale = None
     best_acc = -1.0
     for scale in candidates:
-        merged = merge(pretrained, experts, scale)
+        merged = merge(pretrained, experts, spec, scale)
         result = evaluate(merged, heads, spec, val_sets)
         if result.average > best_acc or (
             result.average == best_acc and scale < best_scale
@@ -212,6 +204,7 @@ def _trim_keep_top(vector: np.ndarray, keep_fraction: float) -> None:
 def ties_merge(
     pretrained: Mapping[str, np.ndarray],
     experts: Sequence[Mapping[str, np.ndarray]],
+    spec: ModelSpec,
     scale: float,
     keep_fraction: float,
 ) -> ParamSet:
@@ -225,7 +218,7 @@ def ties_merge(
     if not 0 < keep_fraction <= 1:
         raise MergeError("keep_fraction must lie in (0, 1]")
     _check_scale(scale)
-    layout, rows = _flat_rows(pretrained, experts)
+    rows = _flat_rows(spec, pretrained, experts)
     base = rows[0]
     trimmed = rows[1:] - base
     for tau in trimmed:
@@ -236,7 +229,7 @@ def ties_merge(
     sums = np.where(matches, trimmed, 0.0).sum(axis=0)
     with np.errstate(over="ignore"):
         merged = base + scale * np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return _float32_params(layout, merged, f"scale {scale:.9g}")
+    return _float32_params(spec, merged, f"scale {scale:.9g}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +240,15 @@ class AdaMergeResult:
 
 
 def task_vectors(
-    pretrained: Mapping[str, np.ndarray], experts: Sequence[Mapping[str, np.ndarray]]
+    pretrained: Mapping[str, np.ndarray],
+    experts: Sequence[Mapping[str, np.ndarray]],
+    spec: ModelSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pretrained backbone as one flat float64 (P,) vector and the
     experts' task vectors (expert minus pretrained) as the rows of a
-    (T, P) matrix, both in the flat layout (block by block, weight before
-    bias): the fixed inputs of :func:`ada_loss_and_gradient`."""
-    _, rows = _flat_rows(pretrained, experts)
+    (T, P) matrix, both in the flat layout of ``spec`` (block by block,
+    weight before bias): the fixed inputs of :func:`ada_loss_and_gradient`."""
+    rows = _flat_rows(spec, pretrained, experts)
     return rows[0], rows[1:] - rows[0]
 
 
@@ -368,7 +363,7 @@ def ada_merge(
     but change when the experts are permuted; the closed-form merges are
     invariant to that order.
     """
-    pre64, taus = task_vectors(pretrained, experts)
+    pre64, taus = task_vectors(pretrained, experts, spec)
     if len(inputs_per_task) != len(experts):
         raise MergeError("need one unlabeled input pool per expert")
     pools = [np.asarray(p, dtype=np.float64) for p in inputs_per_task]
@@ -391,30 +386,28 @@ def ada_merge(
         entropies.append(loss)
         adam.step(state, {"coefficients": grad})
 
-    layout = _flat_layout(spec)
-    merged = _float32_params(layout, _merge_flat(pre64, taus, coefficients, layout), "ada_merging")
-    return AdaMergeResult(
-        params=merged, coefficients=coefficients.copy(), entropies=tuple(entropies)
-    )
+    merged = _merge_flat(pre64, taus, coefficients, _flat_layout(spec))
+    params = _float32_params(spec, merged, "ada_merging")
+    return AdaMergeResult(params, coefficients.copy(), tuple(entropies))
 
 
 def merge_with_recipe(
     recipe: MergeRecipe,
     pretrained: Mapping[str, np.ndarray],
     experts: Sequence[ParamSet],
-    spec: ModelSpec | None = None,
+    spec: ModelSpec,
     inputs_per_task=None,
     cfg: TrainConfig | None = None,
 ) -> tuple[ParamSet, MergeRecipe]:
     """Dispatch a recipe; returns the merged backbone and the recipe with
     any output fields (ada coefficients) filled in."""
     if recipe.algorithm == "weight_average":
-        return weight_average(experts), recipe
+        return weight_average(experts, spec), recipe
     if recipe.algorithm == "task_arithmetic":
-        return task_arithmetic(pretrained, experts, recipe.scale), recipe
+        return task_arithmetic(pretrained, experts, spec, recipe.scale), recipe
     if recipe.algorithm == "ties_merging":
-        return ties_merge(pretrained, experts, recipe.scale, recipe.keep_fraction), recipe
-    if spec is None or inputs_per_task is None or cfg is None:
-        raise MergeError("ada_merging needs spec, unlabeled inputs, and a train config")
+        return ties_merge(pretrained, experts, spec, recipe.scale, recipe.keep_fraction), recipe
+    if inputs_per_task is None or cfg is None:
+        raise MergeError("ada_merging needs unlabeled inputs and a train config")
     result = ada_merge(pretrained, experts, spec, inputs_per_task, cfg)
     return result.params, replace(recipe, coefficients=result.coefficients)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .tensors import MergeSurgeonError, ParamSet, block_name, head_name
+from .tensors import MergeSurgeonError, ParamSet, block_name, head_name, is_backbone_name
 
 
 class NetworkError(MergeSurgeonError):
@@ -78,11 +78,16 @@ class ModelSpec:
         return shapes
 
     def backbone64(self, params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Float64 copies of the backbone entries of ``params``, which must
-        hold each of this spec's backbone names with its shape; any other
-        entry, such as a head, is left out."""
+        """Float64 copies of the backbone entries of ``params`` in block
+        order, the one check and copy of a backbone: ``params`` must hold
+        each of this spec's backbone names with its shape and no other
+        ``block<l>.weight|bias`` entry; any other entry is left out."""
+        shapes = self.backbone_shapes()
+        for name in params:
+            if name not in shapes and is_backbone_name(name):
+                raise NetworkError(f"unexpected backbone parameter {name!r}")
         copies = {}
-        for name, shape in self.backbone_shapes().items():
+        for name, shape in shapes.items():
             if name not in params:
                 raise NetworkError(f"missing backbone parameter {name!r}")
             if tuple(params[name].shape) != shape:
@@ -119,19 +124,20 @@ class TrainConfig:
         if self.batch_size < 1 or self.iterations < 1:
             raise NetworkError("batch_size and iterations must be >= 1")
 
-    def make_adam(self, rows: int | None = None) -> "Adam":
+    def make_adam(self, rows: int = 1) -> "Adam":
+        """An :class:`Adam` at this rate and betas, over ``rows`` models."""
         return Adam(self.learning_rate, self.betas, rows=rows)
 
 
 class Adam:
     """Adam with bias correction over a dict of float64 arrays, in place.
 
-    By default every array is one model with one step count.  With
-    ``rows=n`` every array holds n independent models, one per leading
-    row, each with its own step count: one :meth:`step` updates them all,
-    or only the rows it names, and each row ends bitwise where stepping
-    it alone would leave it.  Moments and scratch are allocated on the
-    first step, so a step allocates nothing after it.
+    Every array holds ``rows`` independent models, each with its own
+    step count; by default one, the whole array.  With ``rows=n`` each
+    array holds one model per leading row: one :meth:`step` updates them
+    all, or only the rows it names, and each row ends bitwise where
+    stepping it alone would leave it.  Moments and scratch are allocated
+    on the first step, so a step allocates nothing after it.
     """
 
     def __init__(
@@ -139,12 +145,12 @@ class Adam:
         learning_rate: float = 1e-3,
         betas=(0.9, 0.999),
         eps: float = 1e-8,
-        rows: int | None = None,
+        rows: int = 1,
     ):
         self.learning_rate = learning_rate
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.step_count: int | list[int] = 0 if rows is None else [0] * rows
+        self.step_count = [0] * rows
         self._state: dict[str, tuple[np.ndarray, ...]] = {}
 
     def step(
@@ -153,27 +159,23 @@ class Adam:
         grads: Mapping[str, np.ndarray],
         rows: Sequence[int] | None = None,
     ) -> None:
-        """One update of every array in ``grads``; with per-row counts,
-        ``rows`` names the distinct rows that step (default: all).
+        """One update of every array in ``grads``; ``rows`` names the
+        distinct rows that step (default: all), and then each array's
+        leading axis must hold the rows.
 
         When every row steps from one count, each array updates whole;
         otherwise each stepping row updates on its own row views, with
         the corrections of its own count."""
-        if isinstance(self.step_count, int):
-            if rows is not None:
-                raise NetworkError("stepping chosen rows needs an Adam built with rows")
-            self.step_count += 1
-            whole = self.step_count
-        else:
-            counts = self.step_count
-            if rows is not None and (
-                len(set(rows)) != len(rows) or not all(0 <= row < len(counts) for row in rows)
-            ):
+        counts = self.step_count
+        if rows is not None:
+            if len(set(rows)) != len(rows) or not all(0 <= row < len(counts) for row in rows):
                 raise NetworkError(f"rows {list(rows)} must be distinct rows of {len(counts)}")
-            whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
-            rows = range(len(counts)) if rows is None else rows
-            for row in rows:
-                counts[row] += 1
+            if any(np.shape(params[key])[:1] != (len(counts),) for key in grads):
+                raise NetworkError(f"stepping chosen rows needs arrays of {len(counts)} rows")
+        whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
+        rows = range(len(counts)) if rows is None else rows
+        for row in rows:
+            counts[row] += 1
         arrays = []
         for key, grad in grads.items():
             state = self._state.get(key)
@@ -185,7 +187,7 @@ class Adam:
                 )
             arrays.append((params[key], grad, *state))
         for row in [None] if whole else rows:
-            t = whole or self.step_count[row]
+            t = whole or counts[row]
             c1, c2 = 1 - self.beta1**t, 1 - self.beta2**t
             for per_key in arrays:
                 self._update(*(per_key if row is None else [a[row] for a in per_key]), c1, c2)
@@ -410,15 +412,15 @@ def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int
 
 
 def init_backbone(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform(+-1/sqrt(fan_in)) weights, zero biases, as float64."""
+    """Uniform(+-1/sqrt(fan_in)) weights, zero biases, as float64, drawn
+    block by block in the order of ``spec.backbone_shapes()``."""
     params: dict[str, np.ndarray] = {}
-    for layer in range(1, spec.num_layers + 1):
-        fan_in = spec.in_dim(layer)
-        bound = 1.0 / np.sqrt(fan_in)
-        params[block_name(layer, "weight")] = rng.uniform(
-            -bound, bound, size=(spec.out_dim(layer), fan_in)
-        )
-        params[block_name(layer, "bias")] = np.zeros(spec.out_dim(layer))
+    for name, shape in spec.backbone_shapes().items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

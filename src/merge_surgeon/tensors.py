@@ -2,8 +2,8 @@
 
 Parameter names follow a fixed contract: backbone entries are
 ``block{l}.weight`` / ``block{l}.bias`` with 1-based layer index ``l``,
-task heads are ``head.{task}.weight`` / ``head.{task}.bias``.  The merge
-and surgery code locates layers purely through these prefixes.
+task heads are ``head.{task}.weight`` / ``head.{task}.bias``.  Only
+``network.ModelSpec`` names, orders and checks the backbone entries.
 """
 
 from __future__ import annotations

@@ -71,5 +71,5 @@ def ref_scale(ref_suite, ref_spec, ref_pretrained, ref_experts):
 
 
 @pytest.fixture(scope="session")
-def ref_merged(ref_pretrained, ref_experts, ref_scale):
-    return ms.task_arithmetic(ref_pretrained.params, ref_experts, ref_scale)
+def ref_merged(ref_pretrained, ref_experts, ref_spec, ref_scale):
+    return ms.task_arithmetic(ref_pretrained.params, ref_experts, ref_spec, ref_scale)

@@ -125,15 +125,15 @@ def fixture_accuracies(ref_merged_m, ref_heads, ref_spec_m, ref_test_sets, v1_re
     return none, v1, v2
 
 
-def test_criterion_01_merging_identities(ref_pretrained, ref_experts_m):
+def test_criterion_01_merging_identities(ref_pretrained, ref_experts_m, ref_spec_m):
     expert = ref_experts_m[0]
-    averaged = ms.weight_average([expert, expert, expert])
+    averaged = ms.weight_average([expert, expert, expert], ref_spec_m)
     identity_avg = bitwise_equal(averaged, expert.backbone())
 
-    at_zero = ms.task_arithmetic(ref_pretrained.params, ref_experts_m, 0.0)
+    at_zero = ms.task_arithmetic(ref_pretrained.params, ref_experts_m, ref_spec_m, 0.0)
     identity_ta = bitwise_equal(at_zero, ref_pretrained.params.backbone())
 
-    single_ties = ms.ties_merge(ref_pretrained.params, [expert], 1.0, 1.0)
+    single_ties = ms.ties_merge(ref_pretrained.params, [expert], ref_spec_m, 1.0, 1.0)
     identity_ties = bitwise_equal(single_ties, expert.backbone())
 
     _criterion(
@@ -147,16 +147,16 @@ def test_criterion_02_ties_oracle_equivalence():
     rng = np.random.default_rng(202)
     keeps = (0.25, 0.5, 1.0)
     mismatches = 0
+    spec = ModelSpec(4, (4, 3), (2,))
+    shapes = list(spec.backbone_shapes().items())  # 35 params
     for case in range(100):
-        shapes = [("block1.weight", (4, 4)), ("block1.bias", (4,)),
-                  ("block2.weight", (3, 4)), ("block2.bias", (3,))]  # 35 params
         pretrained = ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes])
         experts = [
             ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes]) for _ in range(3)
         ]
         keep = keeps[case % len(keeps)]
         scale = float(rng.uniform(0.1, 1.0))
-        merged = ms.ties_merge(pretrained, experts, scale, keep)
+        merged = ms.ties_merge(pretrained, experts, spec, scale, keep)
         expected = ties_oracle(pretrained, experts, scale, keep)
         for name in merged:
             if merged[name].tobytes() != expected[name].tobytes():
@@ -194,7 +194,7 @@ def test_criterion_03_gradient_checks():
         experts.append(ParamSet(entries))
     batches = [rng.standard_normal((4, 6)) for _ in range(2)]
     coeff = rng.uniform(0.1, 0.5, size=(2, 2))
-    pre64, taus = task_vectors(pretrained, experts)
+    pre64, taus = task_vectors(pretrained, experts, spec)
     _, analytic = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
     numeric = np.zeros_like(coeff)
     eps = 1e-4

@@ -534,6 +534,43 @@ class TestDamagedCheckpoints:
             (line,) = result.output.strip().splitlines()
             assert line.startswith("Error: ")
 
+    @pytest.mark.parametrize("algo", ["ta", "ties", "ada"])
+    def test_merge_names_a_pretrained_model_that_lacks_an_entry(
+        self, runner, pipeline_run, tmp_path, algo
+    ):
+        config, run_dir = damaged_run(pipeline_run, tmp_path, "pretrained", "block3.bias",
+                                      lambda _: [])
+        result = runner.invoke(
+            main, ["merge", "--algo", algo, "--config", str(config), "--run-dir", run_dir]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: pretrained: missing backbone parameter 'block3.bias'"
+        ]
+
+    @pytest.mark.parametrize("checkpoint, last, command", [
+        pytest.param(checkpoint, last, command, id="-".join([checkpoint, *command]))
+        for checkpoint, last, commands in [
+            ("expert_1", "head.1.bias", _MERGES),
+            ("merged", "block3.bias", []),
+        ]
+        for command in [*commands, ["bias"], ["eval"], ["report"], ["surgery"]]
+    ])
+    def test_a_stray_block_entry_is_one_error_line(
+        self, runner, pipeline_run, tmp_path, checkpoint, last, command
+    ):
+        # A block the 3-block spec does not have, after the last entry.
+        config, run_dir = damaged_run(
+            pipeline_run, tmp_path, checkpoint, last,
+            lambda value: [(last, value), ("block7.weight", np.ones((6, 6)))],
+        )
+        result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
+        assert result.exit_code == 1
+        model = "expert 1: " if command[0] == "merge" else ""
+        assert result.output.strip().splitlines() == [
+            f"Error: {model}unexpected backbone parameter 'block7.weight'"
+        ]
+
 
 class TestGen:
     def test_writes_suite_csvs(self, runner, tiny_config, tmp_path):
@@ -793,7 +830,7 @@ class TestStepwiseFlow:
         val_sets = [task.validation for task in suite.tasks]
         accuracy = {
             scale: evaluate(
-                ties_merge(pretrained, experts, scale, cfg.ties_keep), heads, spec, val_sets
+                ties_merge(pretrained, experts, spec, scale, cfg.ties_keep), heads, spec, val_sets
             ).average
             for scale in cfg.scale_grid
         }

@@ -31,76 +31,80 @@ from merge_surgeon.network import (
 from merge_surgeon.tensors import ParamSet, bitwise_equal
 
 
-def backbone_paramset(values_by_name):
-    return ParamSet(values_by_name)
+# Two blocks: block1 (3, 2) and block2 (2, 3).
+SPEC = ModelSpec(2, (3, 2), (2,))
+# Two blocks of one unit each: a weight (1, 1) and a bias (1,) per block.
+UNIT = ModelSpec(1, (1, 1), (2,))
 
 
-def random_backbones(rng, count, shapes=(("block1.weight", (3, 2)), ("block1.bias", (3,)),
-                                         ("block2.weight", (2, 3)), ("block2.bias", (2,)))):
-    out = []
-    for _ in range(count):
-        out.append(ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes]))
-    return out
+def unit_model(weight=((0.0,),), bias=(0.0,), *extra):
+    """A ``UNIT`` backbone whose block1 holds ``weight`` and ``bias`` and
+    whose block2 is zero, followed by the ``extra`` entries."""
+    return ParamSet([("block1.weight", weight), ("block1.bias", bias),
+                     ("block2.weight", [[0.0]]), ("block2.bias", [0.0]), *extra])
+
+
+def random_backbones(rng, count, spec=SPEC):
+    shapes = spec.backbone_shapes().items()
+    return [ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes]) for _ in range(count)]
 
 
 class TestWeightAverage:
     def test_identical_models_bitwise(self):
         rng = np.random.default_rng(5)
         model = random_backbones(rng, 1)[0]
-        merged = weight_average([model, model, model])
+        merged = weight_average([model, model, model], SPEC)
         assert bitwise_equal(merged, model.backbone())
 
     def test_singleton_mean(self):
-        a = backbone_paramset([("block1.weight", [[2.0]]), ("block1.bias", [0.0])])
-        b = backbone_paramset([("block1.weight", [[4.0]]), ("block1.bias", [0.0])])
-        merged = weight_average([a, b])
+        a = unit_model([[2.0]], [0.0])
+        b = unit_model([[4.0]], [0.0])
+        merged = weight_average([a, b], UNIT)
         assert merged["block1.weight"][0, 0] == 3.0
 
     def test_three_values(self):
-        models = [
-            backbone_paramset([("block1.bias", [v])]) for v in (1.0, 2.0, 6.0)
-        ]
-        assert weight_average(models)["block1.bias"][0] == 3.0
+        models = [unit_model(bias=[v]) for v in (1.0, 2.0, 6.0)]
+        assert weight_average(models, UNIT)["block1.bias"][0] == 3.0
 
     def test_heads_excluded(self):
-        model = ParamSet([("block1.bias", [1.0]), ("head.0.weight", [[5.0]]), ("head.0.bias", [1.0])])
-        merged = weight_average([model])
+        model = unit_model([[0.0]], [1.0], ("head.0.weight", [[5.0]]), ("head.0.bias", [1.0]))
+        merged = weight_average([model], UNIT)
         assert "head.0.weight" not in merged
 
     def test_incompatible_rejected(self):
-        a = backbone_paramset([("block1.bias", [1.0])])
-        b = backbone_paramset([("block1.bias", [1.0, 2.0])])
+        a = unit_model(bias=[1.0])
+        b = unit_model(bias=[1.0, 2.0])
         with pytest.raises(MergeError):
-            weight_average([a, b])
+            weight_average([a, b], UNIT)
         with pytest.raises(MergeError):
-            weight_average([])
+            weight_average([], UNIT)
 
 
 class TestTaskArithmetic:
     def test_zero_scale_returns_pretrained_bitwise(self):
         rng = np.random.default_rng(6)
         pretrained, a, b = random_backbones(rng, 3)
-        merged = task_arithmetic(pretrained, [a, b], 0.0)
+        merged = task_arithmetic(pretrained, [a, b], SPEC, 0.0)
         assert bitwise_equal(merged, pretrained.backbone())
 
     def test_single_expert_unit_scale(self):
         rng = np.random.default_rng(7)
         pretrained, expert = random_backbones(rng, 2)
-        merged = task_arithmetic(pretrained, [expert], 1.0)
+        merged = task_arithmetic(pretrained, [expert], SPEC, 1.0)
         assert bitwise_equal(merged, expert.backbone())
 
     def test_symmetric_cancellation(self):
-        pretrained = backbone_paramset([("block1.bias", [0.0])])
-        plus = backbone_paramset([("block1.bias", [1.0])])
-        minus = backbone_paramset([("block1.bias", [-1.0])])
-        merged = task_arithmetic(pretrained, [plus, minus], 0.4)
+        pretrained = unit_model(bias=[0.0])
+        plus = unit_model(bias=[1.0])
+        minus = unit_model(bias=[-1.0])
+        merged = task_arithmetic(pretrained, [plus, minus], UNIT, 0.4)
         assert merged["block1.bias"][0] == 0.0
 
     def test_expert_order_invariant(self):
         rng = np.random.default_rng(8)
         pretrained, a, b, c = random_backbones(rng, 4)
-        forward = task_arithmetic(pretrained, [a, b, c], 0.7)
-        shuffled = task_arithmetic(pretrained, [c, a, b], 0.7)
+        forward = task_arithmetic(pretrained, [a, b, c], SPEC, 0.7)
+        shuffled = task_arithmetic(pretrained, [c, a, b], SPEC, 0.7)
         assert bitwise_equal(forward, shuffled)
 
     def test_weight_average_equivalence_from_zero_base(self):
@@ -109,8 +113,8 @@ class TestTaskArithmetic:
         rng = np.random.default_rng(9)
         experts = random_backbones(rng, 4)
         zero = ParamSet([(n, np.zeros_like(v)) for n, v in experts[0].items()])
-        via_ta = task_arithmetic(zero, experts, 1.0 / 4)
-        via_avg = weight_average(experts)
+        via_ta = task_arithmetic(zero, experts, SPEC, 1.0 / 4)
+        via_avg = weight_average(experts, SPEC)
         for name in via_avg:
             np.testing.assert_allclose(via_ta[name], via_avg[name], atol=1e-7)
 
@@ -155,41 +159,41 @@ class TestTiesMerge:
     def test_single_expert_keep_all(self):
         rng = np.random.default_rng(10)
         pretrained, expert = random_backbones(rng, 2)
-        merged = ties_merge(pretrained, [expert], 1.0, 1.0)
+        merged = ties_merge(pretrained, [expert], SPEC, 1.0, 1.0)
         assert bitwise_equal(merged, expert.backbone())
 
     def test_hand_worked_sign_election(self):
         # Post-trim column (+0.9, -0.2, 0): elected sign +, disjoint mean 0.9.
-        pretrained = backbone_paramset([("block1.bias", [1.0])])
+        pretrained = unit_model(bias=[1.0])
         experts = [
-            backbone_paramset([("block1.bias", [1.9])]),   # tau +0.9
-            backbone_paramset([("block1.bias", [0.8])]),   # tau -0.2
-            backbone_paramset([("block1.bias", [1.0])]),   # tau 0
+            unit_model(bias=[1.9]),   # tau +0.9
+            unit_model(bias=[0.8]),   # tau -0.2
+            unit_model(bias=[1.0]),   # tau 0
         ]
-        merged = ties_merge(pretrained, experts, 0.5, 1.0)
+        merged = ties_merge(pretrained, experts, UNIT, 0.5, 1.0)
         assert merged["block1.bias"][0] == pytest.approx(1.0 + 0.5 * 0.9, abs=1e-7)
 
     def test_identical_task_vectors_no_conflict(self):
         rng = np.random.default_rng(11)
         pretrained, expert = random_backbones(rng, 2)
-        merged = ties_merge(pretrained, [expert, expert, expert], 0.7, 1.0)
-        expected = task_arithmetic(pretrained, [expert], 0.7)
+        merged = ties_merge(pretrained, [expert, expert, expert], SPEC, 0.7, 1.0)
+        expected = task_arithmetic(pretrained, [expert], SPEC, 0.7)
         for name in merged:
             np.testing.assert_allclose(merged[name], expected[name], atol=1e-7)
 
     @pytest.mark.parametrize("keep", [0.25, 0.5, 1.0])
     def test_matches_brute_force_oracle(self, keep):
         rng = np.random.default_rng(12)
+        spec = ModelSpec(4, (4, 3), (2,))
+        shapes = list(spec.backbone_shapes().items())
         for case in range(34):
-            shapes = [("block1.weight", (4, 4)), ("block1.bias", (4,)),
-                      ("block2.weight", (3, 4)), ("block2.bias", (3,))]
             pretrained = ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes])
             experts = [
                 ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes])
                 for _ in range(3)
             ]
             scale = float(rng.uniform(0.1, 1.0))
-            merged = ties_merge(pretrained, experts, scale, keep)
+            merged = ties_merge(pretrained, experts, spec, scale, keep)
             expected = ties_oracle(pretrained, experts, scale, keep)
             for name in merged:
                 assert merged[name].tobytes() == expected[name].tobytes(), (case, name)
@@ -197,37 +201,71 @@ class TestTiesMerge:
     def test_expert_order_invariant_without_threshold_ties(self):
         rng = np.random.default_rng(13)
         pretrained, a, b, c = random_backbones(rng, 4)
-        forward = ties_merge(pretrained, [a, b, c], 0.5, 0.5)
-        shuffled = ties_merge(pretrained, [b, c, a], 0.5, 0.5)
+        forward = ties_merge(pretrained, [a, b, c], SPEC, 0.5, 0.5)
+        shuffled = ties_merge(pretrained, [b, c, a], SPEC, 0.5, 0.5)
         assert bitwise_equal(forward, shuffled)
 
     def test_keep_fraction_range(self):
         rng = np.random.default_rng(14)
         pretrained, expert = random_backbones(rng, 2)
         with pytest.raises(MergeError):
-            ties_merge(pretrained, [expert], 1.0, 0.0)
+            ties_merge(pretrained, [expert], SPEC, 1.0, 0.0)
         with pytest.raises(MergeError):
-            ties_merge(pretrained, [expert], 1.0, 1.5)
+            ties_merge(pretrained, [expert], SPEC, 1.0, 1.5)
 
 
 class TestFlatLayout:
     def test_insertion_order_does_not_change_the_merge(self):
-        # Every rule lays the backbone out block by block (block 10 after
-        # block 2), weight before bias, whatever order its first set lists.
-        shapes = (("block1.weight", (3, 2)), ("block1.bias", (3,)),
-                  ("block2.weight", (2, 3)), ("block2.bias", (2,)),
-                  ("block10.weight", (2, 2)), ("block10.bias", (2,)))
-        pretrained, *experts = random_backbones(np.random.default_rng(15), 4, shapes)
-        shuffled = ParamSet([list(pretrained.items())[i] for i in (5, 2, 0, 4, 3, 1)])
+        # Every rule lays the backbone out in the spec's order, block by
+        # block (block 10 after block 2), weight before bias, whatever
+        # order its first set lists.
+        spec = ModelSpec(2, (3, 2, 2, 2, 2, 2, 2, 2, 2, 2), (2,))
+        rng = np.random.default_rng(15)
+        pretrained, *experts = random_backbones(rng, 4, spec)
+        shuffled = ParamSet([list(pretrained.items())[i] for i in rng.permutation(20)])
+        assert list(shuffled) != list(pretrained)
         merges = [
-            lambda pre: weight_average([pre, *experts]),
-            lambda pre: task_arithmetic(pre, experts, 0.6),
-            lambda pre: ties_merge(pre, experts, 0.6, 0.5),
+            lambda pre: weight_average([pre, *experts], spec),
+            lambda pre: task_arithmetic(pre, experts, spec, 0.6),
+            lambda pre: ties_merge(pre, experts, spec, 0.6, 0.5),
         ]
         for merge in merges:
             merged = merge(shuffled)
-            assert list(merged) == [name for name, _ in shapes]
+            assert list(merged) == list(spec.backbone_shapes())
             assert bitwise_equal(merged, merge(pretrained))
+
+
+class TestBackboneChecks:
+    """Every merge reads each model through ``spec.backbone64``: a model
+    that it rejects is a MergeError naming that model, with its reason."""
+
+    @staticmethod
+    def without_block2_bias(params):
+        return ParamSet((name, value) for name, value in params.items() if name != "block2.bias")
+
+    @pytest.mark.parametrize("merge", [
+        pytest.param(lambda pre, experts: task_arithmetic(pre, experts, SPEC, 0.4), id="ta"),
+        pytest.param(lambda pre, experts: ties_merge(pre, experts, SPEC, 0.4, 0.5), id="ties"),
+        pytest.param(lambda pre, experts: task_vectors(pre, experts, SPEC), id="task_vectors"),
+    ])
+    def test_a_pretrained_model_that_lacks_an_entry_is_named(self, merge):
+        pretrained, *experts = random_backbones(np.random.default_rng(16), 3)
+        with pytest.raises(MergeError) as raised:
+            merge(self.without_block2_bias(pretrained), experts)
+        assert str(raised.value) == "pretrained: missing backbone parameter 'block2.bias'"
+
+    def test_weight_average_names_the_expert_that_lacks_an_entry(self):
+        bad, good = random_backbones(np.random.default_rng(17), 2)
+        with pytest.raises(MergeError) as raised:
+            weight_average([self.without_block2_bias(bad), good], SPEC)
+        assert str(raised.value) == "expert 0: missing backbone parameter 'block2.bias'"
+
+    def test_a_stray_block_entry_is_named(self):
+        pretrained, *experts = random_backbones(np.random.default_rng(18), 3)
+        experts[1] = ParamSet([*experts[1].items(), ("block7.weight", np.ones((2, 2)))])
+        with pytest.raises(MergeError) as raised:
+            task_arithmetic(pretrained, experts, SPEC, 0.4)
+        assert str(raised.value) == "expert 1: unexpected backbone parameter 'block7.weight'"
 
 
 class TestRecipe:
@@ -289,13 +327,19 @@ class TestScaleChecks:
         pytest.param(task_arithmetic, id="ta"),
         pytest.param(functools.partial(ties_merge, keep_fraction=0.5), id="ties"),
     ]
+    SPEC = ModelSpec(2, (1, 1), (2,))
 
     @staticmethod
     def models():
-        # Task vectors of magnitude 1, so scale 1e39 passes float32's 3.4e38.
-        pre = backbone_paramset([("block1.weight", [[0.0, 1.0]]), ("block1.bias", [0.5])])
-        a = backbone_paramset([("block1.weight", [[1.0, 1.0]]), ("block1.bias", [0.5])])
-        b = backbone_paramset([("block1.weight", [[0.0, 2.0]]), ("block1.bias", [-0.5])])
+        # Task vectors of magnitude 1 in block1 (block2 stays 0), so scale
+        # 1e39 passes float32's 3.4e38.
+        def model(weight, bias):
+            return ParamSet([("block1.weight", weight), ("block1.bias", bias),
+                             ("block2.weight", [[0.0]]), ("block2.bias", [0.0])])
+
+        pre = model([[0.0, 1.0]], [0.5])
+        a = model([[1.0, 1.0]], [0.5])
+        b = model([[0.0, 2.0]], [-0.5])
         return pre, [a, b]
 
     @pytest.mark.parametrize("merge", MERGES)
@@ -315,14 +359,14 @@ class TestScaleChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MergeError, match=re.escape(message)):
-                merge(pre, experts, scale)
+                merge(pre, experts, self.SPEC, scale)
 
     @pytest.mark.parametrize("merge", MERGES)
     def test_large_finite_merge_is_kept(self, merge):
         pre, experts = self.models()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            merged = merge(pre, experts, 1e38)
+            merged = merge(pre, experts, self.SPEC, 1e38)
         assert np.isfinite(merged["block1.weight"]).all()
 
     @pytest.mark.parametrize("merge", MERGES)
@@ -368,7 +412,7 @@ class TestAdaMerging:
             experts.append(ParamSet(entries))
         batches = [rng.standard_normal((4, 7)) for _ in range(2)]
         coeff = rng.uniform(0.1, 0.5, size=(2, 2))
-        pre64, taus = task_vectors(pretrained, experts)
+        pre64, taus = task_vectors(pretrained, experts, spec)
 
         def loss_at(c):
             return ada_loss_and_gradient(pre64, taus, experts, spec, c, batches)[0]
@@ -461,7 +505,7 @@ class TestStackedAdaMerging:
         batches = [rng.standard_normal((7, 4)) for _ in range(3)]
         batches = [b.T if column_major else np.ascontiguousarray(b.T) for b in batches]
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
-        pre64, taus = task_vectors(pretrained, experts)
+        pre64, taus = task_vectors(pretrained, experts, spec)
         loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
         want_loss, want_grad, _ = _reference_ada_loss_and_gradient(
             pretrained, experts, spec, coeff, batches
@@ -474,7 +518,7 @@ class TestStackedAdaMerging:
         rng, spec, pretrained, experts = _ada_instance(91, head_dims=(2, 2, 2))
         stacked = rng.standard_normal((3, 4, 6))
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
-        pre64, taus = task_vectors(pretrained, experts)
+        pre64, taus = task_vectors(pretrained, experts, spec)
         got = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, stacked)
         want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, list(stacked))
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
@@ -508,7 +552,7 @@ class TestStackedAdaMerging:
         batches = [rng.standard_normal((6, 4)).T for _ in range(3)]
         batches[1] = rng.standard_normal((4, 4)).T  # its own batch-width group
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
-        pre64, taus = task_vectors(pretrained, experts)
+        pre64, taus = task_vectors(pretrained, experts, spec)
         want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
         got = ada_loss_and_gradient(
             pre64, taus, experts, spec, coeff, batches, _stacked_heads(experts, spec)
@@ -573,9 +617,9 @@ def test_every_merge_is_shape_compatible_with_pretrained(ref_pretrained, ref_exp
     backbone = ref_pretrained.params.backbone()
     cfg = ms.TrainConfig(iterations=5, seed=0)
     merges = [
-        weight_average(ref_experts),
-        task_arithmetic(ref_pretrained.params, ref_experts, 0.4),
-        ties_merge(ref_pretrained.params, ref_experts, 0.4, 0.5),
+        weight_average(ref_experts, ref_spec),
+        task_arithmetic(ref_pretrained.params, ref_experts, ref_spec, 0.4),
+        ties_merge(ref_pretrained.params, ref_experts, ref_spec, 0.4, 0.5),
         ms.ada_merge(
             ref_pretrained.params, ref_experts, ref_spec, ref_suite.test_inputs(), cfg
         ).params,

@@ -137,6 +137,14 @@ class TestModelSpec:
         with pytest.raises(NetworkError, match=message):
             spec.backbone64(bad)
 
+    @pytest.mark.parametrize("stray", ["block7.weight", "block3.bias", "block0.weight"])
+    def test_backbone64_rejects_a_block_the_spec_does_not_have(self, stray):
+        spec = ModelSpec(3, (4, 2), (2,))
+        params = {name: np.zeros(shape, dtype=np.float32)
+                  for name, shape in spec.backbone_shapes().items()}
+        with pytest.raises(NetworkError, match=f"unexpected backbone parameter '{stray}'"):
+            spec.backbone64({**params, stray: np.zeros((2, 2), dtype=np.float32)})
+
 
 class TestEntropy:
     def test_uniform_logits(self):

@@ -34,7 +34,7 @@ from merge_surgeon.surgery import (
     init_stack,
     single_block,
 )
-from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name
+from merge_surgeon.tensors import ParamSet, bitwise_equal
 from test_merging import ties_oracle
 from test_network import _textbook_adam
 
@@ -292,18 +292,15 @@ MERGE_EXAMPLES = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def backbone_shapes(draw):
+def model_specs(draw):
+    """A spec of 2-3 blocks, each 1-4 wide."""
     dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=4))
-    shapes = []
-    for layer in range(1, len(dims)):
-        shapes.append((block_name(layer, "weight"), (dims[layer], dims[layer - 1])))
-        shapes.append((block_name(layer, "bias"), (dims[layer],)))
-    return shapes
+    return ModelSpec(dims[0], tuple(dims[1:]), (2,))
 
 
-def _model(draw, shapes, values):
+def _model(draw, spec, values):
     entries = []
-    for name, shape in shapes:
+    for name, shape in spec.backbone_shapes().items():
         size = math.prod(shape)
         entries.append((name, np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)))
     return ParamSet(entries)
@@ -311,10 +308,22 @@ def _model(draw, shapes, values):
 
 @st.composite
 def merge_problems(draw, values=st.floats(-10, 10, width=32)):
-    """A pretrained backbone, 1-4 experts of its shape and a permutation."""
-    shapes = draw(backbone_shapes())
-    experts = [_model(draw, shapes, values) for _ in range(draw(st.integers(1, 4)))]
-    return _model(draw, shapes, values), experts, draw(st.permutations(range(len(experts))))
+    """A spec, a pretrained backbone, 1-4 experts of its shape and a
+    permutation."""
+    spec = draw(model_specs())
+    experts = [_model(draw, spec, values) for _ in range(draw(st.integers(1, 4)))]
+    return spec, _model(draw, spec, values), experts, draw(st.permutations(range(len(experts))))
+
+
+# Two blocks of one unit each, for the hand-written examples.
+UNIT = ModelSpec(1, (1, 1), (2,))
+
+
+def _unit_model(weight, bias):
+    """A ``UNIT`` backbone whose block1 holds ``weight`` and ``bias`` and
+    whose block2 is zero."""
+    return ParamSet([("block1.weight", [[weight]]), ("block1.bias", [bias]),
+                     ("block2.weight", [[0.0]]), ("block2.bias", [0.0])])
 
 
 def _equal_up_to_rounding(a, b, models, scale=1.0):
@@ -335,20 +344,17 @@ def _equal_up_to_rounding(a, b, models, scale=1.0):
 @MERGE_EXAMPLES
 @given(merge_problems(), st.floats(0, 2))
 @example(  # the sum is 1e-30 in this order and 0 in the reverse one
-    (
-        ParamSet([("block1.weight", [[0.0]]), ("block1.bias", [0.0])]),
-        [ParamSet([("block1.weight", [[v]]), ("block1.bias", [0.0])]) for v in (1.0, -1.0, 1e-30)],
-        [2, 0, 1],
-    ),
+    (UNIT, _unit_model(0.0, 0.0), [_unit_model(v, 0.0) for v in (1.0, -1.0, 1e-30)], [2, 0, 1]),
     1.0,
 )
 def test_average_and_task_arithmetic_ignore_expert_order(problem, scale):
-    pretrained, experts, order = problem
+    spec, pretrained, experts, order = problem
     permuted = [experts[i] for i in order]
     models = [pretrained, *experts]
-    _equal_up_to_rounding(weight_average(experts), weight_average(permuted), models)
+    _equal_up_to_rounding(weight_average(experts, spec), weight_average(permuted, spec), models)
     _equal_up_to_rounding(
-        task_arithmetic(pretrained, experts, scale), task_arithmetic(pretrained, permuted, scale),
+        task_arithmetic(pretrained, experts, spec, scale),
+        task_arithmetic(pretrained, permuted, spec, scale),
         models, scale,
     )
 
@@ -357,9 +363,10 @@ def test_average_and_task_arithmetic_ignore_expert_order(problem, scale):
 def ties_problems(draw):
     """Values on a 1/16 grid, so every sum is exact, and each task vector
     with distinct magnitudes, so no trim threshold is tied."""
-    shapes = draw(backbone_shapes())
+    spec = draw(model_specs())
+    shapes = list(spec.backbone_shapes().items())
     size = sum(math.prod(shape) for _, shape in shapes)
-    pretrained = _model(draw, shapes, st.integers(-64, 64).map(lambda k: k / 16))
+    pretrained = _model(draw, spec, st.integers(-64, 64).map(lambda k: k / 16))
     flat = np.concatenate([pretrained[name].ravel() for name, _ in shapes])
     experts = []
     for _ in range(draw(st.integers(1, 4))):
@@ -371,25 +378,26 @@ def ties_problems(draw):
             (name, values[start:end].reshape(shape))
             for (name, shape), start, end in zip(shapes, offsets, offsets[1:])
         ))
-    return pretrained, experts, draw(st.permutations(range(len(experts))))
+    return spec, pretrained, experts, draw(st.permutations(range(len(experts))))
 
 
 @MERGE_EXAMPLES
 @given(ties_problems(), st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.1, 0.5, 1.0]))
 def test_ties_ignores_expert_order(problem, scale, keep):
-    pretrained, experts, order = problem
-    merged = ties_merge(pretrained, experts, scale, keep)
-    assert bitwise_equal(merged, ties_merge(pretrained, [experts[i] for i in order], scale, keep))
+    spec, pretrained, experts, order = problem
+    merged = ties_merge(pretrained, experts, spec, scale, keep)
+    permuted = [experts[i] for i in order]
+    assert bitwise_equal(merged, ties_merge(pretrained, permuted, spec, scale, keep))
 
 
 @MERGE_EXAMPLES
 @given(merge_problems(), st.integers(1, 5))
 def test_mean_of_identical_experts_and_zero_scale_are_identities(problem, copies):
     # Equal as numbers: a -0.0 entry may come back as +0.0.
-    pretrained, experts, _ = problem
+    spec, pretrained, experts, _ = problem
     for merged, want in (
-        (weight_average([experts[0]] * copies), experts[0]),
-        (task_arithmetic(pretrained, experts, 0.0), pretrained),
+        (weight_average([experts[0]] * copies, spec), experts[0]),
+        (task_arithmetic(pretrained, experts, spec, 0.0), pretrained),
     ):
         assert list(merged) == list(want)
         for name in want:
@@ -407,20 +415,12 @@ CANCELLING = st.one_of(
 @MERGE_EXAMPLES
 @given(merge_problems(CANCELLING), st.floats(-2, 2), st.sampled_from([0.25, 0.5, 1.0]))
 @example(  # a -0.0 pretrained weight that no task vector moves
-    (
-        ParamSet([("block1.weight", [[-0.0]]), ("block1.bias", [1.0])]),
-        [ParamSet([("block1.weight", [[-0.0]]), ("block1.bias", [2.0])])],
-        [0],
-    ),
+    (UNIT, _unit_model(-0.0, 1.0), [_unit_model(-0.0, 2.0)], [0]),
     0.5,
     1.0,
 )
 @example(  # the sum is 1e-30 in this order and 0 in the reverse one
-    (
-        ParamSet([("block1.weight", [[0.0]]), ("block1.bias", [0.0])]),
-        [ParamSet([("block1.weight", [[v]]), ("block1.bias", [0.0])]) for v in (1.0, -1.0, 1e-30)],
-        [0, 1, 2],
-    ),
+    (UNIT, _unit_model(0.0, 0.0), [_unit_model(v, 0.0) for v in (1.0, -1.0, 1e-30)], [0, 1, 2]),
     1.0,
     1.0,
 )
@@ -428,7 +428,7 @@ def test_flat_merges_equal_the_per_name_formulas(problem, scale, keep):
     """Each rule, run on the flat backbone rows, is bitwise the rule
     written out per name: the float64 mean, the task-order sum of task
     vectors, and the coordinate-by-coordinate TIES oracle."""
-    pretrained, experts, _ = problem
+    spec, pretrained, experts, _ = problem
     names = list(pretrained)
     as64 = [{name: m[name].astype(np.float64) for name in names} for m in (pretrained, *experts)]
     base, *tuned = as64
@@ -440,13 +440,13 @@ def test_flat_merges_equal_the_per_name_formulas(problem, scale, keep):
             total += expert[name] - base[name]
         summed[name] = base[name] + scale * total
     for merged, want in (
-        (weight_average(experts), ParamSet(mean)),
-        (task_arithmetic(pretrained, experts, scale), ParamSet(summed)),
+        (weight_average(experts, spec), ParamSet(mean)),
+        (task_arithmetic(pretrained, experts, spec, scale), ParamSet(summed)),
     ):
         assert bitwise_equal(merged, want)
     # The oracle keeps a -0.0 pretrained entry that no task vector moves,
     # where the merge adds scale * 0.0 to it; zeros compare unsigned.
-    merged = ties_merge(pretrained, experts, scale, keep)
+    merged = ties_merge(pretrained, experts, spec, scale, keep)
     want = ties_oracle(pretrained, experts, scale, keep)
     assert list(merged) == list(want)
     for name in names:
