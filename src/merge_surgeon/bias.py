@@ -9,12 +9,12 @@ for perfectly aligned representations.
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ModelSpec
+from .network import ModelSpec, NetworkError
 from .tensors import MergeSurgeonError, ParamSet
 
 
@@ -174,7 +174,8 @@ def layerwise_bias_report(
     Each task's two traces are walked in lockstep and scored one layer at
     a time, so the report holds one layer of each, not all of them.  An
     error of the expert trace is raised once the merged trace is done, so
-    when both overflow the merged model's layer is the one named.
+    when both overflow the merged model's layer is the one named.  A
+    rejected backbone is named ``merged`` or ``expert <t>``.
     """
     # Imported here: surgery imports this module for LossKind and the
     # alignment loss, so a module-level import would be circular.
@@ -185,9 +186,10 @@ def layerwise_bias_report(
     values = np.zeros((spec.num_layers, len(experts)))
     for task, (expert, features) in enumerate(zip(experts, inputs_per_task)):
         x = np.asarray(features, dtype=np.float64).T
-        expert_layers = trace_layers(expert, spec, None, x, task)
+        merged_layers = _named("merged", trace_layers(merged, spec, stack, x, task))
+        expert_layers = _named(f"expert {task}", trace_layers(expert, spec, None, x, task))
         expert_error = None
-        for layer, merged_z in enumerate(trace_layers(merged, spec, stack, x, task)):
+        for layer, merged_z in enumerate(merged_layers):
             if expert_error is not None:
                 continue
             try:
@@ -201,6 +203,14 @@ def layerwise_bias_report(
         if final_traces is not None:
             final_traces.append((merged_z, expert_z))
     return BiasReport(values=values, model_id=model_id)
+
+
+def _named(what: str, layers: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The layers of a trace, with a backbone rejection naming ``what``."""
+    try:
+        yield from layers
+    except NetworkError as err:
+        raise BiasError(f"{what}: {err}") from None
 
 
 def pca_project(reps: np.ndarray) -> np.ndarray:

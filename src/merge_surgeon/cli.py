@@ -43,6 +43,9 @@ from .surgery import (
 )
 from .tensors import MergeSurgeonError, ParamSet
 
+# The row name of a model merged by each rule: merged_<word>, MERGE_ALGOS inverted.
+_MERGED_IDS = {rule: f"merged_{word}" for word, rule in MERGE_ALGOS.items()}
+
 
 def _wrap_errors(fn):
     @functools.wraps(fn)
@@ -87,9 +90,15 @@ def _load_experts(run_dir: Path, cfg: RunConfig) -> list[ParamSet]:
     return [load_paramset(_checkpoint(run_dir, f"expert_{t}")) for t in range(cfg.tasks)]
 
 
-def _load_merged(run_dir: Path, cfg: RunConfig) -> tuple[ParamSet, list[ParamSet]]:
-    """The merged backbone and the experts, whose heads it is scored with."""
-    return load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
+def _load_merged(run_dir: Path, cfg: RunConfig) -> tuple[ParamSet, list[ParamSet], str]:
+    """The merged backbone, the experts whose heads it is scored with, and
+    its row name, from the rule that the run's ``merge_recipe.txt`` records."""
+    merged, experts = load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
+    recipe = run_dir / "merge_recipe.txt"
+    model_id = _MERGED_IDS.get(load_config_file(recipe).get("algorithm"))
+    if model_id is None:
+        raise ConfigError(f"{recipe} records no algorithm = {'|'.join(_MERGED_IDS)}")
+    return merged, experts, model_id
 
 
 def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> SurgeryStack:
@@ -180,10 +189,11 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     return merged, recipe
 
 
-def _assess(cfg, suite, spec, merged, experts, stack=None):
+def _assess(cfg, suite, spec, merged, experts, model_id, stack=None):
     """Bias report of the merged (or corrected) model, and the accuracy rows
-    ``individual`` and ``merged_<algo>[+mode]`` scored on its final-layer
-    traces; returns both and the ``(merged, expert)`` traces per task."""
+    ``individual`` and ``model_id[+mode]`` scored on its final-layer
+    traces; returns both and the ``(merged, expert)`` traces per task.
+    ``model_id`` names the rule that made ``merged`` (``_MERGED_IDS``)."""
     heads = collect_heads(experts, spec)
     finals = []
     report = layerwise_bias_report(
@@ -198,18 +208,17 @@ def _assess(cfg, suite, spec, merged, experts, stack=None):
     rows = [
         EvalResult("individual", scores(1)),
         EvalResult(
-            f"merged_{cfg.merge_algo}", scores(0),
-            stack_id=None if stack is None else stack.mode.label(),
+            model_id, scores(0), stack_id=None if stack is None else stack.mode.label
         ),
     ]
     return report, rows, finals
 
 
-def _bias_step(cfg, run_dir, suite, spec, merged, experts, stack=None):
+def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None):
     """:func:`_assess`, plus per-task shared-basis 2-D projections of the
     merged (or corrected) final layer and the expert's; returns the report
     and the rows."""
-    report, rows, finals = _assess(cfg, suite, spec, merged, experts, stack)
+    report, rows, finals = _assess(cfg, suite, spec, merged, experts, model_id, stack)
     for task, (merged_final, expert_final) in enumerate(finals):
         coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
         n = merged_final.shape[1]
@@ -243,7 +252,7 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
         )
     _save(result.stack.params, run_dir, "surgery")
     info = (
-        f"mode = {result.stack.mode.label()}\n"
+        f"mode = {result.stack.mode.label}\n"
         f"psi = {cfg.surgery_psi.value}\n"
         f"rank = {cfg.surgery_rank}\n"
         f"data = {data}\n"
@@ -402,9 +411,9 @@ def merge(config, run_dir, algo, scale, keep, seed):
 def bias_cmd(config, run_dir, psi, stack_path, tag):
     """Per-layer, per-task representation bias report plus 2-D projections."""
     cfg, run_dir, suite, spec = _setup(config, run_dir, surgery_psi=psi)
-    merged, experts = _load_merged(run_dir, cfg)
+    merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    report, _ = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
+    report, _ = _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack)
     name = "bias_report.csv" if tag is None else f"bias_report_{tag}.csv"
     (run_dir / name).write_text(report.to_csv_text(), encoding="utf-8")
     click.echo(
@@ -427,7 +436,7 @@ def surgery_cmd(config, run_dir, mode, psi, rank, iters, data):
     )
     if cfg.surgery_mode == "none":
         raise SurgeryError("surgery mode 'none' trains nothing")
-    merged, experts = _load_merged(run_dir, cfg)
+    merged, experts = load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
     result = _surgery_step(cfg, run_dir, suite, spec, merged, experts)
     click.echo(
         f"surgery stack saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
@@ -442,13 +451,13 @@ def eval_cmd(config, run_dir, stack_path):
     """Accuracy of the experts, the merged model, and optionally the
     surgery-corrected merged model."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
-    merged, experts = _load_merged(run_dir, cfg)
+    merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    _, rows, _ = _assess(cfg, suite, spec, merged, experts)
+    _, rows, _ = _assess(cfg, suite, spec, merged, experts, model_id)
     if stack is not None:
         rows.append(evaluate(
             merged, collect_heads(experts, spec), spec, [t.test for t in suite.tasks], stack,
-            rows[1].model_id, stack.mode.label(),
+            model_id, stack.mode.label,
         ))
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
@@ -459,12 +468,12 @@ def eval_cmd(config, run_dir, stack_path):
 def report_cmd(config, run_dir):
     """Assemble the comparison table and bias CSVs into the run directory."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
-    merged, experts = _load_merged(run_dir, cfg)
-    report, rows, _ = _assess(cfg, suite, spec, merged, experts)
+    merged, experts, model_id = _load_merged(run_dir, cfg)
+    report, rows, _ = _assess(cfg, suite, spec, merged, experts, model_id)
     reports = [report]
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        corrected, (_, row), _ = _assess(cfg, suite, spec, merged, experts, stack)
+        corrected, (_, row), _ = _assess(cfg, suite, spec, merged, experts, model_id, stack)
         reports.append(corrected)
         rows.append(row)
     emit_report(rows, reports, run_dir)
@@ -493,7 +502,8 @@ def pipeline_cmd(config, run_dir):
     finally:
         exported()
 
-    assessed = _beside(_bias_step, cfg, run_dir, suite, spec, merged, experts)
+    inputs = (cfg, run_dir, suite, spec, merged, experts, _MERGED_IDS[recipe.algorithm])
+    assessed = _beside(_bias_step, *inputs)
     stack = None
     try:
         if cfg.surgery_mode != "none":
@@ -502,7 +512,7 @@ def pipeline_cmd(config, run_dir):
         report, rows = assessed()
     reports = [report]
     if stack is not None:
-        corrected, (_, row) = _bias_step(cfg, run_dir, suite, spec, merged, experts, stack)
+        corrected, (_, row) = _bias_step(*inputs, stack)
         reports.append(corrected)
         rows.append(row)
         click.echo("surgery trained")

@@ -117,7 +117,7 @@ def _text(value) -> str:
     if isinstance(value, LossKind):
         return value.value
     if isinstance(value, SurgeryMode):
-        return value.label()
+        return value.label
     return str(value)
 
 

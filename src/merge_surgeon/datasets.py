@@ -89,10 +89,6 @@ class TaskSuite:
     n_train: int
     n_test: int
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
     def test_inputs(self) -> list[np.ndarray]:
         return [task.test.features for task in self.tasks]
 

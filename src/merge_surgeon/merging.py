@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import MERGE_ALGOS
 from .evaluation import collect_heads, evaluate
 from .network import (
     ModelSpec,
@@ -34,7 +35,6 @@ from .network import (
 )
 from .tensors import MergeSurgeonError, ParamSet, head_name
 
-ALGORITHMS = ("weight_average", "task_arithmetic", "ties_merging", "ada_merging")
 # AdaMerging's starting coefficients: task arithmetic at scale 0.3.
 _ADA_INIT = 0.3
 
@@ -45,7 +45,8 @@ class MergeError(MergeSurgeonError):
 
 @dataclass(frozen=True)
 class MergeRecipe:
-    """Algorithm selector plus the knobs that algorithm needs.
+    """Merging rule, one of the values of ``config.MERGE_ALGOS``, plus the
+    knobs that rule needs.
 
     ``coefficients`` is an output field: ada_merging fills it with the
     optimized (layers, tasks) matrix.
@@ -57,7 +58,7 @@ class MergeRecipe:
     coefficients: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in MERGE_ALGOS.values():
             raise MergeError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm in ("task_arithmetic", "ties_merging") and self.scale is None:
             raise MergeError(f"{self.algorithm} requires a scale")
@@ -176,17 +177,11 @@ def grid_search_scale(
     for scale in candidates:
         _check_scale(scale)
     heads = collect_heads(experts, spec)
-    best_scale = None
-    best_acc = -1.0
-    for scale in candidates:
-        merged = merge(pretrained, experts, spec, scale)
-        result = evaluate(merged, heads, spec, val_sets)
-        if result.average > best_acc or (
-            result.average == best_acc and scale < best_scale
-        ):
-            best_acc = result.average
-            best_scale = scale
-    return float(best_scale)
+
+    def accuracy(scale):
+        return evaluate(merge(pretrained, experts, spec, scale), heads, spec, val_sets).average
+
+    return float(max(candidates, key=lambda scale: (accuracy(scale), -scale)))
 
 
 def _trim_keep_top(vector: np.ndarray, keep_fraction: float) -> None:

@@ -22,16 +22,16 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
+    ModelSpec, NetworkError, TrainConfig, flat_rows, forward_layers, random_batches,
+    stack_batches,
 )
 from .tensors import MergeSurgeonError, ParamSet
 
-_LAST_LAYER = "last_layer"
-_ALL_LAYERS = "all_layers"
-_SINGLE_BLOCK = "single_block"
 # The names of a stack's entries: surgery.{task}.{layer}.{down|up}, indices
 # in plain decimal, so each (task, layer) pair has exactly one spelling.
 _ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
+# The labels of the surgery modes, a block in the same plain decimal.
+_MODE_RE = re.compile(r"v1|v2|block:[1-9][0-9]*")
 # Columns per task in one chunk of iterations: train_surgery computes the
 # expert targets of a chunk's batches in one stacked pass.  A constant
 # budget bounds what a chunk holds: 16 batches of 16 for 4 tasks of a
@@ -45,56 +45,38 @@ class SurgeryError(MergeSurgeonError):
 
 @dataclass(frozen=True)
 class SurgeryMode:
-    """Which layers of the backbone receive adapters."""
+    """Which layers of the backbone receive adapters, held as its label:
+    ``v1`` the last, ``v2`` all, ``block:<l>`` block l alone, l in plain
+    decimal from 1 as in stack entry names.  Other spellings are errors."""
 
-    kind: str
-    block: int | None = None
+    label: str
 
     def __post_init__(self):
-        if self.kind not in (_LAST_LAYER, _ALL_LAYERS, _SINGLE_BLOCK):
-            raise SurgeryError(f"unknown surgery mode {self.kind!r}")
-        if self.kind == _SINGLE_BLOCK:
-            if self.block is None or self.block < 1:
-                raise SurgeryError("single-block mode needs a 1-based block index")
-        elif self.block is not None:
-            raise SurgeryError(f"{self.kind} mode takes no block index")
-
-    def layer_indices(self, num_layers: int) -> tuple[int, ...]:
-        if self.kind == _ALL_LAYERS:
-            return tuple(range(1, num_layers + 1))
-        if self.kind == _LAST_LAYER:
-            return (num_layers,)
-        if self.block > num_layers:
-            raise SurgeryError(f"block {self.block} exceeds {num_layers} layers")
-        return (self.block,)
-
-    def label(self) -> str:
-        if self.kind == _LAST_LAYER:
-            return "v1"
-        if self.kind == _ALL_LAYERS:
-            return "v2"
-        return f"block:{self.block}"
+        if _MODE_RE.fullmatch(self.label) is None:
+            raise SurgeryError(f"unknown surgery mode {self.label!r} (expected v1, v2, "
+                               "or block:<l> with l in plain decimal from 1)")
 
     @classmethod
     def parse(cls, text: str) -> "SurgeryMode":
-        if text == "v1":
-            return LAST_LAYER
-        if text == "v2":
-            return ALL_LAYERS
-        if text.startswith("block:"):
-            try:
-                return cls(_SINGLE_BLOCK, int(text.split(":", 1)[1]))
-            except ValueError as exc:
-                raise SurgeryError(f"bad block index in {text!r}") from exc
-        raise SurgeryError(f"unknown surgery mode {text!r} (expected v1, v2, block:<l>)")
+        return cls(text)
+
+    def layer_indices(self, num_layers: int) -> tuple[int, ...]:
+        if self.label == "v2":
+            return tuple(range(1, num_layers + 1))
+        if self.label == "v1":
+            return (num_layers,)
+        block = int(self.label.removeprefix("block:"))
+        if block > num_layers:
+            raise SurgeryError(f"block {block} exceeds {num_layers} layers")
+        return (block,)
 
 
-LAST_LAYER = SurgeryMode(_LAST_LAYER)
-ALL_LAYERS = SurgeryMode(_ALL_LAYERS)
+LAST_LAYER = SurgeryMode("v1")
+ALL_LAYERS = SurgeryMode("v2")
 
 
 def single_block(block: int) -> SurgeryMode:
-    return SurgeryMode(_SINGLE_BLOCK, block)
+    return SurgeryMode(f"block:{block}")
 
 
 def _entry(task: int, layer: int, half: str) -> str:
@@ -159,7 +141,7 @@ class SurgeryStack:
         required = self.mode.layer_indices(spec.num_layers)
         if present and tuple(present) != required:
             raise SurgeryError(
-                f"task {task} covers layers {present}, mode {self.mode.label()} "
+                f"task {task} covers layers {present}, mode {self.mode.label} "
                 f"requires {list(required)}"
             )
         adapters = {}
@@ -432,15 +414,21 @@ def train_surgery(
     do not depend on the adapters: they run once per chunk of up to
     :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
     Every task ends bitwise where training it alone on its own batches
-    would leave it.
+    would leave it.  A rejected backbone is named ``merged`` or ``expert <t>``.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = len(experts)
     if num_tasks < 1:
         raise SurgeryError("need at least one expert")
-    merged64 = spec.backbone64(merged)
-    experts64 = [spec.backbone64(expert) for expert in experts]
+    models = [("merged", merged)] + [(f"expert {t}", e) for t, e in enumerate(experts)]
+    copies = []
+    for what, params in models:
+        try:
+            copies.append(spec.backbone64(params))
+        except NetworkError as err:
+            raise SurgeryError(f"{what}: {err}") from None
+    merged64, *experts64 = copies
     experts64 = {name: np.stack([e[name] for e in experts64]) for name in merged64}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]

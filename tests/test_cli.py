@@ -385,6 +385,43 @@ class TestErrors:
             assert line.startswith(f"Error: {key} = abc: ")
         assert from_flag.output == from_file.output
 
+    @pytest.mark.parametrize("spelling", ["block:03", "block:0_3", "block: 3"])
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_a_mode_spelled_other_than_its_label_is_one_error_line(
+        self, runner, tiny_config, tmp_path, spelling, source
+    ):
+        config = tiny_config
+        flags = ["--mode", spelling]
+        if source == "file":
+            config = tmp_path / "mode.cfg"
+            config.write_text(TINY_CFG.replace("surgery_mode = v2", f"surgery_mode = {spelling}"))
+            flags = []
+        run_dir = tmp_path / "run"
+        result = runner.invoke(
+            main, ["surgery", "--config", str(config), "--run-dir", str(run_dir), *flags]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: surgery_mode = {spelling}: unknown surgery mode {spelling!r} "
+            "(expected v1, v2, or block:<l> with l in plain decimal from 1)"
+        ]
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("recipe", ["", "scale = 0.3\n", "algorithm = ta\n", "algorithm =\n"])
+    def test_a_recipe_that_names_no_rule_is_one_error_line(
+        self, runner, pipeline_run, tmp_path, recipe
+    ):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        (run_dir / "merge_recipe.txt").write_text(recipe)
+        result = runner.invoke(main, ["eval", "--config", str(config), "--run-dir", str(run_dir)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: {run_dir / 'merge_recipe.txt'} records no algorithm = "
+            "weight_average|task_arithmetic|ties_merging|ada_merging"
+        ]
+
     def test_bad_config_value(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("classes = one\n")
@@ -566,9 +603,24 @@ class TestDamagedCheckpoints:
         )
         result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
         assert result.exit_code == 1
-        model = "expert 1: " if command[0] == "merge" else ""
+        model = "merged" if checkpoint == "merged" else "expert 1"
         assert result.output.strip().splitlines() == [
-            f"Error: {model}unexpected backbone parameter 'block7.weight'"
+            f"Error: {model}: unexpected backbone parameter 'block7.weight'"
+        ]
+
+    @pytest.mark.parametrize("checkpoint, model, command", [
+        ("merged", "merged", ["bias"]),
+        ("expert_0", "expert 0", ["surgery"]),
+    ])
+    def test_a_dropped_block_entry_names_the_model(
+        self, runner, pipeline_run, tmp_path, checkpoint, model, command
+    ):
+        config, run_dir = damaged_run(pipeline_run, tmp_path, checkpoint, "block3.bias",
+                                      lambda _: [])
+        result = runner.invoke(main, [*command, "--config", str(config), "--run-dir", run_dir])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            f"Error: {model}: missing backbone parameter 'block3.bias'"
         ]
 
 
@@ -651,13 +703,13 @@ class TestBiasStep:
         config, run_dir = pipeline_run
         cfg, _, _, spec = cli._setup(config, run_dir)
         suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, 300)
-        merged, experts = cli._load_merged(run_dir, cfg)
+        merged, experts, model_id = cli._load_merged(run_dir, cfg)
         stack = cli._load_stack(cli._checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        return cfg, suite, spec, merged, experts, stack
+        return cfg, suite, spec, merged, experts, model_id, stack
 
     @pytest.mark.parametrize("with_stack", [False, True])
     def test_traces_each_test_set_once(self, bias_inputs, tmp_path, monkeypatch, with_stack):
-        cfg, suite, spec, merged, experts, stack = bias_inputs
+        cfg, suite, spec, merged, experts, model_id, stack = bias_inputs
         calls = []
 
         def counted(*args, **kwargs):
@@ -668,15 +720,17 @@ class TestBiasStep:
         monkeypatch.setattr(surgery, "trace_layers", counted)
         # Also counted if the CLI imports the trace call under its own name.
         monkeypatch.setattr(cli, "trace_layers", counted, raising=False)
-        cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack if with_stack else None)
+        cli._bias_step(
+            cfg, tmp_path, suite, spec, merged, experts, model_id, stack if with_stack else None
+        )
         assert cfg.tasks == 2
         assert len(calls) == 2 * cfg.tasks
 
     @pytest.mark.parametrize("with_stack", [False, True])
     def test_rows_equal_the_library_evaluation(self, bias_inputs, tmp_path, with_stack):
-        cfg, suite, spec, merged, experts, stack = bias_inputs
+        cfg, suite, spec, merged, experts, model_id, stack = bias_inputs
         stack = stack if with_stack else None
-        _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack)
+        _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
         heads = collect_heads(experts, spec)
         tests = [task.test for task in suite.tasks]
         individual = [
@@ -692,9 +746,9 @@ class TestBiasStep:
 
     @pytest.mark.parametrize("with_stack", [False, True])
     def test_projection_matches_the_point_loop(self, bias_inputs, tmp_path, with_stack):
-        cfg, suite, spec, merged, experts, stack = bias_inputs
+        cfg, suite, spec, merged, experts, model_id, stack = bias_inputs
         stack = stack if with_stack else None
-        cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, stack)
+        cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
         suffix = "_surgery" if with_stack else ""
         for task in range(cfg.tasks):
             x = suite.tasks[task].test.inputs()
@@ -778,6 +832,24 @@ class TestStepwiseFlow:
         assert result.exit_code == 0, result.output
         methods = [line.split(",")[0] for line in (run_dir / "results.csv").read_text().splitlines()]
         assert methods == ["method", "individual", "merged_ta", "merged_ta+block:3"]
+
+    def test_rows_are_named_by_the_recorded_merge(self, runner, pipeline_run, tmp_path):
+        # The config says ta; the run's last merge was ties.
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        base = ["--config", str(config), "--run-dir", str(run_dir)]
+        result = invoke(runner, ["merge", *base, "--algo", "ties"])
+        assert result.output == "merged with ties_merging (scale 0.3)\n"
+        stack_file = str(cli._checkpoint(run_dir, "surgery"))
+        names = ["individual", "merged_ties", "merged_ties+v2"]
+        for command, table in [(["eval", "--surgery", stack_file], "eval_results.csv"),
+                               (["report"], "results.csv")]:
+            result = invoke(runner, [*command, *base])
+            assert result.exit_code == 0, result.output
+            assert [line.split(":")[0] for line in result.output.splitlines()] == names
+            rows = (run_dir / table).read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == names
 
     def test_eval_with_a_stack_traces_each_model_once(
         self, runner, pipeline_run, tmp_path, monkeypatch

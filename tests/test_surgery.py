@@ -1,5 +1,6 @@
 """Adapters, corrected forward passes, and surgery training."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -155,11 +156,25 @@ class TestSurgeryMode:
         assert single_block(2).layer_indices(4) == (2,)
 
     def test_parse_labels(self):
-        assert SurgeryMode.parse("v1") is LAST_LAYER
-        assert SurgeryMode.parse("v2") is ALL_LAYERS
+        assert SurgeryMode.parse("v1") == LAST_LAYER
+        assert SurgeryMode.parse("v2") == ALL_LAYERS
         assert SurgeryMode.parse("block:3") == single_block(3)
         with pytest.raises(SurgeryError):
             SurgeryMode.parse("v3")
+
+    @pytest.mark.parametrize("text", [
+        "block:03", "block:0_3", "block: 3", "block:\u0663", "block:+3", "block:0", "block:",
+        "v2 ", "V2", "all_layers",
+    ])
+    def test_only_a_plain_label_parses(self, text):
+        with pytest.raises(SurgeryError, match=r"expected v1, v2, or block:<l> with l in plain"):
+            SurgeryMode.parse(text)
+
+    def test_a_mode_is_its_label(self):
+        assert [f.name for f in dataclasses.fields(SurgeryMode)] == ["label"]
+        for label in ("v1", "v2", "block:1", "block:12"):
+            assert SurgeryMode(label).label == label
+        assert single_block(12) == SurgeryMode.parse("block:12")
 
     def test_block_out_of_range(self):
         with pytest.raises(SurgeryError):
@@ -331,7 +346,7 @@ class TestStackPersistence:
         params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).params
         loaded = SurgeryStack(mode, params)
         loaded.validate(spec, num_tasks=2)
-        assert loaded.mode.label() == f"block:{spec.num_layers}"
+        assert loaded.mode.label == f"block:{spec.num_layers}"
 
     def test_coverage_must_match_mode(self):
         spec = tiny_spec()
@@ -791,7 +806,7 @@ def _assert_matches_reference(result, reference):
     assert bitwise_equal(result.stack.params, want)
 
 
-MODES = [pytest.param(m, id=m.label()) for m in (LAST_LAYER, ALL_LAYERS, single_block(2))]
+MODES = [pytest.param(m, id=m.label) for m in (LAST_LAYER, ALL_LAYERS, single_block(2))]
 PSIS = [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE]
 
 
