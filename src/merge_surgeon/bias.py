@@ -9,12 +9,12 @@ for perfectly aligned representations.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ModelSpec, NetworkError
+from .network import ModelSpec
 from .tensors import MergeSurgeonError, ParamSet
 
 
@@ -171,11 +171,12 @@ def layerwise_bias_report(
     ``final_traces`` list receives ``(merged, expert)`` final-layer traces
     per task, so a caller can use them without tracing again.
 
+    Before any trace, ``spec.backbone64`` checks and copies ``merged``
+    and every expert once, under the names ``merged`` and ``expert <t>``.
     Each task's two traces are walked in lockstep and scored one layer at
     a time, so the report holds one layer of each, not all of them.  An
     error of the expert trace is raised once the merged trace is done, so
-    when both overflow the merged model's layer is the one named.  A
-    rejected backbone is named ``merged`` or ``expert <t>``.
+    when both overflow the merged model's layer is the one named.
     """
     # Imported here: surgery imports this module for LossKind and the
     # alignment loss, so a module-level import would be circular.
@@ -183,11 +184,13 @@ def layerwise_bias_report(
 
     if len(experts) != len(inputs_per_task):
         raise BiasError("need exactly one input matrix per expert")
+    merged64 = spec.backbone64(merged, "merged")
+    experts64 = [spec.backbone64(expert, f"expert {t}") for t, expert in enumerate(experts)]
     values = np.zeros((spec.num_layers, len(experts)))
-    for task, (expert, features) in enumerate(zip(experts, inputs_per_task)):
+    for task, (expert64, features) in enumerate(zip(experts64, inputs_per_task)):
         x = np.asarray(features, dtype=np.float64).T
-        merged_layers = _named("merged", trace_layers(merged, spec, stack, x, task))
-        expert_layers = _named(f"expert {task}", trace_layers(expert, spec, None, x, task))
+        merged_layers = trace_layers(merged64, spec, stack, x, task)
+        expert_layers = trace_layers(expert64, spec, None, x, task)
         expert_error = None
         for layer, merged_z in enumerate(merged_layers):
             if expert_error is not None:
@@ -203,14 +206,6 @@ def layerwise_bias_report(
         if final_traces is not None:
             final_traces.append((merged_z, expert_z))
     return BiasReport(values=values, model_id=model_id)
-
-
-def _named(what: str, layers: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The layers of a trace, with a backbone rejection naming ``what``."""
-    try:
-        yield from layers
-    except NetworkError as err:
-        raise BiasError(f"{what}: {err}") from None
 
 
 def pca_project(reps: np.ndarray) -> np.ndarray:

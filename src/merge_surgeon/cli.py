@@ -110,7 +110,10 @@ def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> S
         recorded = load_config_file(info)
         if "mode" not in recorded:
             raise SurgeryError(f"{info} records no mode")
-        mode = SurgeryMode.parse(recorded["mode"])
+        try:
+            mode = SurgeryMode.parse(recorded["mode"])
+        except SurgeryError as err:
+            raise SurgeryError(f"{info}: {err}") from None
     elif cfg.surgery_mode != "none":
         mode = cfg.surgery_mode
     else:

@@ -25,7 +25,6 @@ from .config import MERGE_ALGOS
 from .evaluation import collect_heads, evaluate
 from .network import (
     ModelSpec,
-    NetworkError,
     TrainConfig,
     backbone_adjoint_grads,
     entropy_loss_and_adjoint,
@@ -97,8 +96,8 @@ def _flat_rows(
 ) -> np.ndarray:
     """The float64 matrix whose rows are ``pretrained`` (left out when
     None) and then each expert, in the :func:`_flat_layout` of ``spec``,
-    each filled from ``spec.backbone64``.  A model that backbone64 rejects
-    is a :class:`MergeError` naming ``pretrained`` or ``expert <t>``."""
+    each filled from ``spec.backbone64`` under the name ``pretrained`` or
+    ``expert <t>``, which its rejection carries."""
     if not experts:
         raise MergeError("need at least one expert")
     models = [] if pretrained is None else [("pretrained", pretrained)]
@@ -106,10 +105,7 @@ def _flat_rows(
     layout = _flat_layout(spec)
     rows = np.empty((len(models), layout[-1][3]))
     for row, (what, params) in enumerate(models):
-        try:
-            backbone = spec.backbone64(params)
-        except NetworkError as err:
-            raise MergeError(f"{what}: {err}") from None
+        backbone = spec.backbone64(params, what)
         for name, _, start, stop in layout:
             rows[row, start:stop] = backbone[name].ravel()
     return rows

@@ -77,22 +77,24 @@ class ModelSpec:
             shapes[bias] = (self.out_dim(layer),)
         return shapes
 
-    def backbone64(self, params: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Float64 copies of the backbone entries of ``params`` in block
-        order, the one check and copy of a backbone: ``params`` must hold
-        each of this spec's backbone names with its shape and no other
-        ``block<l>.weight|bias`` entry; any other entry is left out."""
+    def backbone64(self, params: Mapping[str, np.ndarray], what: str) -> dict[str, np.ndarray]:
+        """Float64 copies of the backbone entries of the model ``what`` in
+        block order, the one check, copy and naming of a backbone:
+        ``params`` must hold each of this spec's backbone names with its
+        shape and no other ``block<l>.weight|bias`` entry; any other entry
+        is left out.  A rejection is a ``NetworkError`` that reads
+        ``"<what>: <reason>"``, so it names the model it rejects."""
         shapes = self.backbone_shapes()
         for name in params:
             if name not in shapes and is_backbone_name(name):
-                raise NetworkError(f"unexpected backbone parameter {name!r}")
+                raise NetworkError(f"{what}: unexpected backbone parameter {name!r}")
         copies = {}
         for name, shape in shapes.items():
             if name not in params:
-                raise NetworkError(f"missing backbone parameter {name!r}")
+                raise NetworkError(f"{what}: missing backbone parameter {name!r}")
             if tuple(params[name].shape) != shape:
                 raise NetworkError(
-                    f"{name!r} has shape {tuple(params[name].shape)}, expected {shape}"
+                    f"{what}: {name!r} has shape {tuple(params[name].shape)}, expected {shape}"
                 )
             copies[name] = np.array(params[name], dtype=np.float64)
         return copies
@@ -545,7 +547,7 @@ def train_experts(
     head (``head.{task}.*``) and is bitwise the expert that
     :func:`train_expert` trains alone.
     """
-    pretrained64 = spec.backbone64(pretrained)
+    pretrained64 = spec.backbone64(pretrained, "pretrained")
     tasks = [int(task) for task in tasks]
     if not tasks or len(train_sets) != len(tasks) or len(set(tasks)) != len(tasks):
         raise NetworkError("need one training set per task, and each task once")

@@ -22,8 +22,7 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, NetworkError, TrainConfig, flat_rows, forward_layers, random_batches,
-    stack_batches,
+    ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
 )
 from .tensors import MergeSurgeonError, ParamSet
 
@@ -184,15 +183,15 @@ def init_stack(
 
 
 def trace_layers(
-    merged: Mapping[str, np.ndarray],
+    backbone64: Mapping[str, np.ndarray],
     spec: ModelSpec,
     stack: SurgeryStack | None,
     x: np.ndarray,
     task: int,
 ) -> Iterator[np.ndarray]:
     """Yield the float32 representations ``Z_1 .. Z_L``, each (d_l, batch),
-    of the merged model with task ``task``'s corrections applied, one
-    block at a time.
+    of the float64 backbone ``backbone64`` (``spec.backbone64`` of a
+    model) with task ``task``'s corrections applied, one block at a time.
 
     Between yields the generator holds one float64 layer, the input of
     the next block, so a caller that keeps only what it needs of each
@@ -200,16 +199,16 @@ def trace_layers(
     float32, or float64 inside its block, raises a ``SurgeryError``
     naming the task and layer before any later block runs.  With no
     stack, or no adapters for the task, this is the plain forward trace,
-    so ``stack=None`` traces any backbone, an expert included.  Only the
-    backbone entries of ``merged`` are copied to float64.
+    so ``stack=None`` traces any backbone, an expert included.  Nothing
+    of the backbone is copied: the caller checks and copies it once for
+    every trace.
     """
-    merged64 = spec.backbone64(merged)
     adapters = {} if stack is None else stack.adapters64(task, spec)
     z = x
     for layer in range(1, spec.num_layers + 1):
         try:
             with np.errstate(over="raise"):
-                (z,) = forward_layers(merged64, spec, z, adapters, first=layer, last=layer)
+                (z,) = forward_layers(backbone64, spec, z, adapters, first=layer, last=layer)
                 z32 = np.ascontiguousarray(z, dtype=np.float32)
         except FloatingPointError:
             raise SurgeryError(
@@ -227,11 +226,13 @@ def corrected_forward(
     x: np.ndarray,
     task: int,
 ) -> tuple[np.ndarray, ...]:
-    """Every layer of :func:`trace_layers` at once, ``(Z_1 .. Z_L)``; the
-    head should consume the final entry.  A caller that reads the layers
-    in order and drops them should iterate :func:`trace_layers` instead.
+    """Every layer of :func:`trace_layers` at once, ``(Z_1 .. Z_L)``, of
+    the model ``merged`` as it is stored: ``spec.backbone64`` checks and
+    copies it first, under the name ``merged``.  The head should consume
+    the final entry.  A caller that reads the layers in order and drops
+    them should iterate :func:`trace_layers` instead.
     """
-    return tuple(trace_layers(merged, spec, stack, x, task))
+    return tuple(trace_layers(spec.backbone64(merged, "merged"), spec, stack, x, task))
 
 
 def _check_pools(inputs_per_task) -> list[np.ndarray]:
@@ -414,21 +415,16 @@ def train_surgery(
     do not depend on the adapters: they run once per chunk of up to
     :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
     Every task ends bitwise where training it alone on its own batches
-    would leave it.  A rejected backbone is named ``merged`` or ``expert <t>``.
+    would leave it.  ``spec.backbone64`` checks and copies each backbone
+    once, under the name ``merged`` or ``expert <t>``.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = len(experts)
     if num_tasks < 1:
         raise SurgeryError("need at least one expert")
-    models = [("merged", merged)] + [(f"expert {t}", e) for t, e in enumerate(experts)]
-    copies = []
-    for what, params in models:
-        try:
-            copies.append(spec.backbone64(params))
-        except NetworkError as err:
-            raise SurgeryError(f"{what}: {err}") from None
-    merged64, *experts64 = copies
+    merged64 = spec.backbone64(merged, "merged")
+    experts64 = [spec.backbone64(e, f"expert {t}") for t, e in enumerate(experts)]
     experts64 = {name: np.stack([e[name] for e in experts64]) for name in merged64}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]

@@ -86,10 +86,6 @@ class ParamSet(Mapping):
         inner = ", ".join(f"{n}:{v.shape}" for n, v in self._entries.items())
         return f"ParamSet({inner})"
 
-    def backbone(self) -> "ParamSet":
-        """The block* entries, in insertion order."""
-        return ParamSet((n, v) for n, v in self._entries.items() if is_backbone_name(n))
-
 
 def bitwise_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
     """True iff both collections hold the same names, order, and exact bytes."""

@@ -8,6 +8,7 @@ test_acceptance.py since only the acceptance criteria need them.
 import pytest
 
 import merge_surgeon as ms
+from merge_surgeon.tensors import ParamSet, is_backbone_name
 
 SEED = 42
 TASKS = 4
@@ -22,6 +23,12 @@ SURGERY_ITERS = 6000
 ADA_ITERS = 200
 RANK = 16
 SCALE_GRID = tuple(round(0.1 * i, 1) for i in range(11))
+
+
+def backbone_of(params):
+    """The ``block*`` entries of ``params``, in its order: the expected
+    side of the merge identities."""
+    return ParamSet((name, value) for name, value in params.items() if is_backbone_name(name))
 
 
 @pytest.fixture(scope="session")

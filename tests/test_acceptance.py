@@ -25,7 +25,7 @@ from merge_surgeon.network import (
 from merge_surgeon.surgery import surgery_gradients
 from merge_surgeon.tensors import ParamSet, bitwise_equal
 
-from conftest import ADA_ITERS, RANK, SURGERY_ITERS, SEED, TASKS
+from conftest import ADA_ITERS, RANK, SURGERY_ITERS, SEED, TASKS, backbone_of
 from test_merging import ties_oracle
 from test_network import relative_error, small_instance
 
@@ -128,13 +128,13 @@ def fixture_accuracies(ref_merged_m, ref_heads, ref_spec_m, ref_test_sets, v1_re
 def test_criterion_01_merging_identities(ref_pretrained, ref_experts_m, ref_spec_m):
     expert = ref_experts_m[0]
     averaged = ms.weight_average([expert, expert, expert], ref_spec_m)
-    identity_avg = bitwise_equal(averaged, expert.backbone())
+    identity_avg = bitwise_equal(averaged, backbone_of(expert))
 
     at_zero = ms.task_arithmetic(ref_pretrained.params, ref_experts_m, ref_spec_m, 0.0)
-    identity_ta = bitwise_equal(at_zero, ref_pretrained.params.backbone())
+    identity_ta = bitwise_equal(at_zero, backbone_of(ref_pretrained.params))
 
     single_ties = ms.ties_merge(ref_pretrained.params, [expert], ref_spec_m, 1.0, 1.0)
-    identity_ties = bitwise_equal(single_ties, expert.backbone())
+    identity_ties = bitwise_equal(single_ties, backbone_of(expert))
 
     _criterion(
         1, "merging identities",
@@ -221,8 +221,8 @@ def test_criterion_03_gradient_checks():
             "down": arng.uniform(-0.5, 0.5, size=(2, width)),
             "up": arng.uniform(-0.3, 0.3, size=(width, 2)),
         }
-    merged64 = spec2.backbone64(merged)
-    targets = forward_layers(spec2.backbone64(expert), spec2, x)
+    merged64 = spec2.backbone64(merged, "merged")
+    targets = forward_layers(spec2.backbone64(expert, "expert"), spec2, x)
     losses, analytic_adapter = surgery_gradients(
         merged64, spec2, adapters, x, targets, LossKind.L1
     )

@@ -254,7 +254,7 @@ class TestLayerwiseReport:
 
         def all_layers(params, adapters, x):
             return [z.astype(np.float32) for z in
-                    forward_layers(spec.backbone64(params), spec, x, adapters)]
+                    forward_layers(spec.backbone64(params, "model"), spec, x, adapters)]
 
         expected = np.zeros((spec.num_layers, 2))
         for task, features in enumerate(inputs):

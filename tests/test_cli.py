@@ -352,6 +352,40 @@ class TestErrors:
         (line,) = result.output.strip().splitlines()
         assert line.startswith("Error: ") and str(info) in line
 
+    @pytest.mark.parametrize("recorded, reason", [
+        pytest.param("mode = block:03\n", ": unknown surgery mode 'block:03' (expected v1, v2, "
+                     "or block:<l> with l in plain decimal from 1)", id="unknown_mode"),
+        pytest.param("psi = l1\n", " records no mode", id="no_mode"),
+    ])
+    def test_a_bad_recorded_mode_names_surgery_info(
+        self, runner, pipeline_run, tmp_path, recorded, reason
+    ):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        info = run_dir / "surgery_info.txt"
+        info.write_text(recorded)
+        stack_file = run_dir / "checkpoints" / "surgery.msrg"
+        result = runner.invoke(
+            main,
+            ["eval", "--config", str(config), "--run-dir", str(run_dir),
+             "--surgery", str(stack_file)],
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"Error: {info}{reason}"]
+
+    def test_surgery_in_mode_none_is_one_error_line(self, runner, pipeline_run, tmp_path):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        before = (run_dir / "checkpoints" / "surgery.msrg").read_bytes()
+        result = runner.invoke(
+            main, ["surgery", "--config", str(config), "--run-dir", str(run_dir), "--mode", "none"]
+        )
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == ["Error: surgery mode 'none' trains nothing"]
+        assert (run_dir / "checkpoints" / "surgery.msrg").read_bytes() == before
+
     @pytest.mark.parametrize(
         "command, flag, key",
         [
@@ -611,6 +645,7 @@ class TestDamagedCheckpoints:
     @pytest.mark.parametrize("checkpoint, model, command", [
         ("merged", "merged", ["bias"]),
         ("expert_0", "expert 0", ["surgery"]),
+        ("pretrained", "pretrained", ["finetune", "--task", "0"]),
     ])
     def test_a_dropped_block_entry_names_the_model(
         self, runner, pipeline_run, tmp_path, checkpoint, model, command
@@ -832,6 +867,27 @@ class TestStepwiseFlow:
         assert result.exit_code == 0, result.output
         methods = [line.split(",")[0] for line in (run_dir / "results.csv").read_text().splitlines()]
         assert methods == ["method", "individual", "merged_ta", "merged_ta+block:3"]
+
+    def test_a_stack_without_surgery_info_is_read_in_the_configured_mode(
+        self, runner, pipeline_run, tmp_path
+    ):
+        # TINY_CFG configures v2, the mode the run's stack was trained in.
+        config, piped = pipeline_run
+        outputs = []
+        for name, keep_info in (("with_info", True), ("without_info", False)):
+            run_dir = tmp_path / name
+            shutil.copytree(piped, run_dir)
+            if not keep_info:
+                (run_dir / "surgery_info.txt").unlink()
+            stack_file = str(cli._checkpoint(run_dir, "surgery"))
+            args = ["bias", "--config", str(config), "--run-dir", str(run_dir),
+                    "--surgery", stack_file, "--tag", "corrected"]
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, (run_dir / "bias_report_corrected.csv").read_bytes(),
+                            (run_dir / "projection_surgery_0.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == (piped / "bias_merged_surgery.csv").read_bytes()
 
     def test_rows_are_named_by_the_recorded_merge(self, runner, pipeline_run, tmp_path):
         # The config says ta; the run's last merge was ties.

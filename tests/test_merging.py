@@ -22,6 +22,7 @@ from merge_surgeon.merging import (
 )
 from merge_surgeon.network import (
     ModelSpec,
+    NetworkError,
     backbone_adjoint_grads,
     entropy_loss_and_adjoint,
     forward_layers,
@@ -29,6 +30,8 @@ from merge_surgeon.network import (
     random_batches,
 )
 from merge_surgeon.tensors import ParamSet, bitwise_equal
+
+from conftest import backbone_of
 
 
 # Two blocks: block1 (3, 2) and block2 (2, 3).
@@ -54,7 +57,7 @@ class TestWeightAverage:
         rng = np.random.default_rng(5)
         model = random_backbones(rng, 1)[0]
         merged = weight_average([model, model, model], SPEC)
-        assert bitwise_equal(merged, model.backbone())
+        assert bitwise_equal(merged, backbone_of(model))
 
     def test_singleton_mean(self):
         a = unit_model([[2.0]], [0.0])
@@ -74,7 +77,7 @@ class TestWeightAverage:
     def test_incompatible_rejected(self):
         a = unit_model(bias=[1.0])
         b = unit_model(bias=[1.0, 2.0])
-        with pytest.raises(MergeError):
+        with pytest.raises(NetworkError):
             weight_average([a, b], UNIT)
         with pytest.raises(MergeError):
             weight_average([], UNIT)
@@ -85,13 +88,13 @@ class TestTaskArithmetic:
         rng = np.random.default_rng(6)
         pretrained, a, b = random_backbones(rng, 3)
         merged = task_arithmetic(pretrained, [a, b], SPEC, 0.0)
-        assert bitwise_equal(merged, pretrained.backbone())
+        assert bitwise_equal(merged, backbone_of(pretrained))
 
     def test_single_expert_unit_scale(self):
         rng = np.random.default_rng(7)
         pretrained, expert = random_backbones(rng, 2)
         merged = task_arithmetic(pretrained, [expert], SPEC, 1.0)
-        assert bitwise_equal(merged, expert.backbone())
+        assert bitwise_equal(merged, backbone_of(expert))
 
     def test_symmetric_cancellation(self):
         pretrained = unit_model(bias=[0.0])
@@ -160,7 +163,7 @@ class TestTiesMerge:
         rng = np.random.default_rng(10)
         pretrained, expert = random_backbones(rng, 2)
         merged = ties_merge(pretrained, [expert], SPEC, 1.0, 1.0)
-        assert bitwise_equal(merged, expert.backbone())
+        assert bitwise_equal(merged, backbone_of(expert))
 
     def test_hand_worked_sign_election(self):
         # Post-trim column (+0.9, -0.2, 0): elected sign +, disjoint mean 0.9.
@@ -237,7 +240,7 @@ class TestFlatLayout:
 
 class TestBackboneChecks:
     """Every merge reads each model through ``spec.backbone64``: a model
-    that it rejects is a MergeError naming that model, with its reason."""
+    that it rejects is a NetworkError naming that model, with its reason."""
 
     @staticmethod
     def without_block2_bias(params):
@@ -250,20 +253,20 @@ class TestBackboneChecks:
     ])
     def test_a_pretrained_model_that_lacks_an_entry_is_named(self, merge):
         pretrained, *experts = random_backbones(np.random.default_rng(16), 3)
-        with pytest.raises(MergeError) as raised:
+        with pytest.raises(NetworkError) as raised:
             merge(self.without_block2_bias(pretrained), experts)
         assert str(raised.value) == "pretrained: missing backbone parameter 'block2.bias'"
 
     def test_weight_average_names_the_expert_that_lacks_an_entry(self):
         bad, good = random_backbones(np.random.default_rng(17), 2)
-        with pytest.raises(MergeError) as raised:
+        with pytest.raises(NetworkError) as raised:
             weight_average([self.without_block2_bias(bad), good], SPEC)
         assert str(raised.value) == "expert 0: missing backbone parameter 'block2.bias'"
 
     def test_a_stray_block_entry_is_named(self):
         pretrained, *experts = random_backbones(np.random.default_rng(18), 3)
         experts[1] = ParamSet([*experts[1].items(), ("block7.weight", np.ones((2, 2)))])
-        with pytest.raises(MergeError) as raised:
+        with pytest.raises(NetworkError) as raised:
             task_arithmetic(pretrained, experts, SPEC, 0.4)
         assert str(raised.value) == "expert 1: unexpected backbone parameter 'block7.weight'"
 
@@ -398,7 +401,7 @@ class TestAdaMerging:
         cfg = ms.TrainConfig(iterations=20, seed=22)
         result = ms.ada_merge(pretrained, experts, spec, inputs, cfg)
         np.testing.assert_array_equal(result.coefficients, np.full((2, 2), 0.3))
-        assert bitwise_equal(result.params, pretrained.backbone())
+        assert bitwise_equal(result.params, backbone_of(pretrained))
 
     def test_coefficient_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -614,7 +617,7 @@ def test_grid_search_scale_pinned_on_reference_fixture(ref_scale):
 
 
 def test_every_merge_is_shape_compatible_with_pretrained(ref_pretrained, ref_experts, ref_suite, ref_spec):
-    backbone = ref_pretrained.params.backbone()
+    backbone = backbone_of(ref_pretrained.params)
     cfg = ms.TrainConfig(iterations=5, seed=0)
     merges = [
         weight_average(ref_experts, ref_spec),

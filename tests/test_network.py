@@ -123,27 +123,30 @@ class TestModelSpec:
         rng = np.random.default_rng(0)
         params = {name: rng.standard_normal(shape).astype(np.float32)
                   for name, shape in spec.backbone_shapes().items()}
-        copies = spec.backbone64({**params, "head.0.weight": np.zeros((2, 2))})
+        copies = spec.backbone64({**params, "head.0.weight": np.zeros((2, 2))}, "expert 0")
         assert list(copies) == list(spec.backbone_shapes())
         for name, value in params.items():
             assert copies[name].dtype == np.float64
             assert copies[name].tobytes() == value.astype(np.float64).tobytes()
             assert not np.shares_memory(copies[name], value)
-        with pytest.raises(NetworkError, match="missing backbone parameter 'block2.bias'"):
-            spec.backbone64({k: v for k, v in params.items() if k != "block2.bias"})
+        message = "^merged: missing backbone parameter 'block2.bias'$"
+        with pytest.raises(NetworkError, match=message):
+            spec.backbone64({k: v for k, v in params.items() if k != "block2.bias"}, "merged")
         bad = dict(params)
         bad["block1.weight"] = np.zeros((4, 4))
-        message = r"'block1.weight' has shape \(4, 4\), expected \(4, 3\)"
+        message = r"^expert 1: 'block1.weight' has shape \(4, 4\), expected \(4, 3\)$"
         with pytest.raises(NetworkError, match=message):
-            spec.backbone64(bad)
+            spec.backbone64(bad, "expert 1")
 
     @pytest.mark.parametrize("stray", ["block7.weight", "block3.bias", "block0.weight"])
     def test_backbone64_rejects_a_block_the_spec_does_not_have(self, stray):
         spec = ModelSpec(3, (4, 2), (2,))
         params = {name: np.zeros(shape, dtype=np.float32)
                   for name, shape in spec.backbone_shapes().items()}
-        with pytest.raises(NetworkError, match=f"unexpected backbone parameter '{stray}'"):
-            spec.backbone64({**params, stray: np.zeros((2, 2), dtype=np.float32)})
+        with pytest.raises(
+            NetworkError, match=f"^pretrained: unexpected backbone parameter '{stray}'$"
+        ):
+            spec.backbone64({**params, stray: np.zeros((2, 2), dtype=np.float32)}, "pretrained")
 
 
 class TestEntropy:

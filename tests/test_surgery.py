@@ -286,7 +286,8 @@ class TestCorrectedForward:
     def test_a_suspended_trace_leaves_the_callers_errstate_alone(self):
         spec, merged, _ = tiny_models()
         before = np.geterr()
-        layers = trace_layers(merged, spec, None, np.ones((4, 3)), task=0)
+        merged64 = spec.backbone64(merged, "merged")
+        layers = trace_layers(merged64, spec, None, np.ones((4, 3)), task=0)
         next(layers)
         assert np.geterr() == before
         assert len(list(layers)) == spec.num_layers - 1
@@ -451,8 +452,8 @@ class TestTrainSurgery:
             }
             for layer in ALL_LAYERS.layer_indices(spec.num_layers)
         }
-        merged64 = spec.backbone64(merged)
-        targets = forward_layers(spec.backbone64(expert), spec, x)
+        merged64 = spec.backbone64(merged, "merged")
+        targets = forward_layers(spec.backbone64(expert, "expert"), spec, x)
         _, analytic = surgery_gradients(
             merged64, spec, task_adapters, x, targets, psi, full_backprop
         )
@@ -600,7 +601,7 @@ def _stacked_inputs(xs):
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
     """Surgery training one task at a time: per task and iteration, 2-D
     target and gradient calls and one Adam per (task, layer)."""
-    merged64 = spec.backbone64(merged)
+    merged64 = spec.backbone64(merged, "merged")
     stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed)
     adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
     optimizers = {(t, layer): cfg.make_adam() for t, a in enumerate(adapters) for layer in a}
@@ -610,7 +611,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         for task, x in enumerate(row):
             if x is None:
                 continue
-            targets = forward_layers(spec.backbone64(experts[task]), spec, x)
+            targets = forward_layers(spec.backbone64(experts[task], "expert"), spec, x)
             layer_losses, grads = surgery_gradients(
                 merged64, spec, adapters[task], x, targets, psi, full_backprop
             )
@@ -633,8 +634,9 @@ class TestStackedEngine:
         spec, merged, experts, adapters = _three_task_models()
         xs = self._batches(spec)
         x = _stacked_inputs(xs)
-        merged64 = spec.backbone64(merged)
-        experts64 = {n: np.stack([spec.backbone64(e)[n] for e in experts]) for n in merged64}
+        merged64 = spec.backbone64(merged, "merged")
+        experts64 = [spec.backbone64(e, "expert") for e in experts]
+        experts64 = {n: np.stack([e[n] for e in experts64]) for n in merged64}
         stacked_adapters = {
             layer: {h: np.stack([a[layer][h] for a in adapters]) for h in ("down", "up")}
             for layer in adapters[0]
@@ -645,7 +647,7 @@ class TestStackedEngine:
         records = []
         corrected = forward_layers(merged64, spec, x, stacked_adapters, records)
         for t in range(3):
-            single = forward_layers(spec.backbone64(experts[t]), spec, xs[t])
+            single = forward_layers(spec.backbone64(experts[t], "expert"), spec, xs[t])
             own_records = []
             own = forward_layers(merged64, spec, xs[t], adapters[t], own_records)
             for layer in range(spec.num_layers):
@@ -657,7 +659,8 @@ class TestStackedEngine:
     def test_forward_layers_rejects_wrong_input_dim(self):
         spec, merged, _, _ = _three_task_models()
         with pytest.raises(NetworkError):
-            forward_layers(spec.backbone64(merged), spec, np.zeros((3, spec.input_dim + 1, 2)))
+            x = np.zeros((3, spec.input_dim + 1, 2))
+            forward_layers(spec.backbone64(merged, "merged"), spec, x)
 
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
@@ -668,8 +671,9 @@ class TestStackedEngine:
         for layers in ((1, 2, 3), (3,)):
             task_adapters = [{l: a[l] for l in layers} for a in adapters]
             xs = self._batches(spec)
-            merged64 = spec.backbone64(merged)
-            targets = [forward_layers(spec.backbone64(e), spec, x) for e, x in zip(experts, xs)]
+            merged64 = spec.backbone64(merged, "merged")
+            targets = [forward_layers(spec.backbone64(e, "expert"), spec, x)
+                       for e, x in zip(experts, xs)]
             losses, grads = surgery_gradients(
                 merged64,
                 spec,

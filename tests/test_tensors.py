@@ -82,17 +82,6 @@ class TestParamSet:
         with pytest.raises(TensorError):
             ParamSet([("x", [1.0]), ("x", [2.0])])
 
-    def test_backbone_head_split(self):
-        ps = ParamSet(
-            [
-                ("block1.weight", np.ones((2, 2))),
-                ("block1.bias", np.ones(2)),
-                ("head.0.weight", np.ones((3, 2))),
-                ("head.0.bias", np.ones(3)),
-            ]
-        )
-        assert tuple(ps.backbone()) == ("block1.weight", "block1.bias")
-
     def test_name_pattern_helpers(self):
         assert is_backbone_name("block2.bias")
         assert is_backbone_name("block12.weight")
