@@ -15,15 +15,7 @@ from .bias import (
     pca_project,
     representation_bias,
 )
-from .checkpoint import (
-    BadMagicError,
-    CheckpointError,
-    HeaderError,
-    NonFiniteError,
-    TruncatedError,
-    load_paramset,
-    save_paramset,
-)
+from .checkpoint import CheckpointError, load_paramset, save_paramset
 from .config import RunConfig, worker_count
 from .datasets import Dataset, TaskSuite, gen_task_suite, save_csv
 from .evaluation import EvalResult, collect_heads, emit_report, evaluate
@@ -48,18 +40,16 @@ from .network import (
 )
 from .surgery import (
     ALL_LAYERS,
-    LAST_LAYER,
     SurgeryMode,
     SurgeryResult,
     SurgeryStack,
     corrected_forward,
     init_stack,
     sequential_batches,
-    single_block,
     stream_train_surgery,
     trace_layers,
     train_surgery,
 )
-from .tensors import ParamSet, bitwise_equal
+from .tensors import ParamSet
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ Layout::
 Offsets are relative to the start of the payload region and must be
 contiguous; a round-trip through save/load is bitwise stable.  A name is
 a non-empty string, a shape a list of JSON integers >= 1 (``[]`` for a
-0-d tensor) and an offset an integer; anything else is a HeaderError.
+0-d tensor) and an offset an integer; anything else is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -28,23 +28,7 @@ MAGIC = b"MSRG0001"
 
 
 class CheckpointError(MergeSurgeonError):
-    """Base class for checkpoint file problems."""
-
-
-class BadMagicError(CheckpointError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedError(CheckpointError):
-    """File ends before the declared header or payload is complete."""
-
-
-class NonFiniteError(CheckpointError):
-    """Payload contains NaN or Inf values."""
-
-
-class HeaderError(CheckpointError):
-    """Header is not valid JSON or describes an inconsistent layout."""
+    """A checkpoint file that cannot be read; the message names the fault."""
 
 
 def _is_int(value) -> bool:
@@ -74,23 +58,23 @@ def save_paramset(params: ParamSet, path) -> None:
 def load_paramset(path) -> ParamSet:
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC):
-        raise TruncatedError(f"{path}: file shorter than magic")
+        raise CheckpointError(f"{path}: file shorter than magic")
     if raw[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:len(MAGIC)]!r}")
+        raise CheckpointError(f"{path}: bad magic {raw[:len(MAGIC)]!r}")
     if len(raw) < 16:
-        raise TruncatedError(f"{path}: missing header length")
+        raise CheckpointError(f"{path}: missing header length")
     (header_len,) = struct.unpack("<Q", raw[8:16])
     header_end = 16 + header_len
     if len(raw) < header_end:
-        raise TruncatedError(f"{path}: header truncated")
+        raise CheckpointError(f"{path}: header truncated")
     try:
         header = json.loads(raw[16:header_end].decode("utf-8"))
         descriptors = header["tensors"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise HeaderError(f"{path}: unreadable header ({exc})") from exc
+        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
 
     if not isinstance(descriptors, list) or not all(isinstance(d, dict) for d in descriptors):
-        raise HeaderError(f"{path}: 'tensors' must be a list of objects")
+        raise CheckpointError(f"{path}: 'tensors' must be a list of objects")
 
     payload = raw[header_end:]
     entries = []
@@ -100,35 +84,37 @@ def load_paramset(path) -> ParamSet:
         try:
             name, shape, offset = desc["name"], desc["shape"], desc["offset"]
         except KeyError as exc:
-            raise HeaderError(f"{path}: tensor descriptor without {exc}") from None
+            raise CheckpointError(f"{path}: tensor descriptor without {exc}") from None
         if not isinstance(name, str) or not name:
-            raise HeaderError(f"{path}: tensor 'name' must be a non-empty string, got {name!r}")
+            raise CheckpointError(
+                f"{path}: tensor 'name' must be a non-empty string, got {name!r}"
+            )
         if not isinstance(shape, list) or not all(map(_is_int, shape)):
-            raise HeaderError(f"{path}: tensor {name!r} 'shape' must be a list of integers")
+            raise CheckpointError(f"{path}: tensor {name!r} 'shape' must be a list of integers")
         if not _is_int(offset):
-            raise HeaderError(f"{path}: tensor {name!r} 'offset' must be an integer")
+            raise CheckpointError(f"{path}: tensor {name!r} 'offset' must be an integer")
         shape = tuple(shape)
         if name in seen:
-            raise HeaderError(f"{path}: duplicate tensor name {name!r}")
+            raise CheckpointError(f"{path}: duplicate tensor name {name!r}")
         seen.add(name)
         if any(d < 1 for d in shape):
-            raise HeaderError(f"{path}: non-positive dimension in shape {shape}")
+            raise CheckpointError(f"{path}: non-positive dimension in shape {shape}")
         if offset != expected_offset:
-            raise HeaderError(
+            raise CheckpointError(
                 f"{path}: non-contiguous payload (tensor {name!r} at {offset}, "
                 f"expected {expected_offset})"
             )
         count = math.prod(shape)  # Python ints: a huge shape cannot wrap
         nbytes = count * 4
         if offset + nbytes > len(payload):
-            raise TruncatedError(f"{path}: payload truncated at tensor {name!r}")
+            raise CheckpointError(f"{path}: payload truncated at tensor {name!r}")
         data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(data).all():
-            raise NonFiniteError(f"{path}: non-finite values in tensor {name!r}")
+            raise CheckpointError(f"{path}: non-finite values in tensor {name!r}")
         entries.append((name, data.reshape(shape)))
         expected_offset = offset + nbytes
     if expected_offset != len(payload):
-        raise HeaderError(
+        raise CheckpointError(
             f"{path}: {len(payload) - expected_offset} trailing payload bytes"
         )
     return ParamSet(entries)

@@ -366,7 +366,6 @@ def ada_merge(
     heads = _stacked_heads(experts, spec)
     adam = cfg.make_adam()
     entropies = []
-    state = {"coefficients": coefficients}
     batch_lists = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4])
     for iteration, batches in enumerate(batch_lists, start=1):
         loss, grad = ada_loss_and_gradient(
@@ -375,7 +374,7 @@ def ada_merge(
         if not np.isfinite(loss):
             raise MergeError(f"non-finite entropy at iteration {iteration}")
         entropies.append(loss)
-        adam.step(state, {"coefficients": grad})
+        adam.step(coefficients, grad)
 
     merged = _merge_flat(pre64, taus, coefficients, _flat_layout(spec))
     params = _float32_params(spec, merged, "ada_merging")

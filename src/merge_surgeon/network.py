@@ -132,14 +132,14 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with bias correction over a dict of float64 arrays, in place.
+    """Adam with bias correction over one float64 array, in place.
 
-    Every array holds ``rows`` independent models, each with its own
-    step count; by default one, the whole array.  With ``rows=n`` each
-    array holds one model per leading row: one :meth:`step` updates them
-    all, or only the rows it names, and each row ends bitwise where
-    stepping it alone would leave it.  Moments and scratch are allocated
-    on the first step, so a step allocates nothing after it.
+    The array holds ``rows`` independent models, each with its own step
+    count; by default one, the whole array.  With ``rows=n`` it holds one
+    model per leading row: one :meth:`step` updates them all, or only the
+    rows it names, and each row ends bitwise where stepping it alone would
+    leave it.  Moments and scratch are allocated on the first step, so a
+    step allocates nothing after it.
     """
 
     def __init__(
@@ -153,46 +153,36 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = [0] * rows
-        self._state: dict[str, tuple[np.ndarray, ...]] = {}
+        self._state: tuple[np.ndarray, ...] = ()
 
-    def step(
-        self,
-        params: dict[str, np.ndarray],
-        grads: Mapping[str, np.ndarray],
-        rows: Sequence[int] | None = None,
-    ) -> None:
-        """One update of every array in ``grads``; ``rows`` names the
-        distinct rows that step (default: all), and then each array's
-        leading axis must hold the rows.
+    def step(self, param: np.ndarray, grad: np.ndarray, rows: Sequence[int] | None = None) -> None:
+        """One update of ``param`` by ``grad``; ``rows`` names the distinct
+        rows that step (default: all), and then the array's leading axis
+        must hold the rows.
 
-        When every row steps from one count, each array updates whole;
-        otherwise each stepping row updates on its own row views, with
-        the corrections of its own count."""
+        When every row steps from one count, the array updates whole;
+        otherwise each stepping row updates on its own row view, with the
+        corrections of its own count."""
         counts = self.step_count
         if rows is not None:
             if len(set(rows)) != len(rows) or not all(0 <= row < len(counts) for row in rows):
                 raise NetworkError(f"rows {list(rows)} must be distinct rows of {len(counts)}")
-            if any(np.shape(params[key])[:1] != (len(counts),) for key in grads):
-                raise NetworkError(f"stepping chosen rows needs arrays of {len(counts)} rows")
+            if param.shape[:1] != (len(counts),):
+                raise NetworkError(f"stepping chosen rows needs an array of {len(counts)} rows")
         whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
         rows = range(len(counts)) if rows is None else rows
         for row in rows:
             counts[row] += 1
-        arrays = []
-        for key, grad in grads.items():
-            state = self._state.get(key)
-            if state is None:
-                param = params[key]
-                state = self._state[key] = (
-                    np.zeros_like(param), np.zeros_like(param),
-                    np.empty_like(param), np.empty_like(param),
-                )
-            arrays.append((params[key], grad, *state))
+        if not self._state:
+            self._state = (
+                np.zeros_like(param), np.zeros_like(param),
+                np.empty_like(param), np.empty_like(param),
+            )
+        arrays = (param, grad, *self._state)
         for row in [None] if whole else rows:
             t = whole or counts[row]
             c1, c2 = 1 - self.beta1**t, 1 - self.beta2**t
-            for per_key in arrays:
-                self._update(*(per_key if row is None else [a[row] for a in per_key]), c1, c2)
+            self._update(*(arrays if row is None else [a[row] for a in arrays]), c1, c2)
 
     def _update(self, param, grad, m, v, s1, s2, c1, c2) -> None:
         """``param -= lr * m_hat / (sqrt(v_hat) + eps)`` through the
@@ -205,11 +195,8 @@ class Adam:
         np.multiply(grad, grad, out=s1)
         s1 *= 1 - self.beta2
         v += s1
-        if c1 == 1.0:  # 1 - beta1**t rounded to 1: m / 1 is m
-            np.multiply(m, self.learning_rate, out=s1)
-        else:
-            np.divide(m, c1, out=s1)
-            s1 *= self.learning_rate
+        np.divide(m, c1, out=s1)
+        s1 *= self.learning_rate
         np.divide(v, c2, out=s2)
         np.sqrt(s2, out=s2)
         s2 += self.eps
@@ -509,7 +496,7 @@ def _train_classifiers(
                 raise NetworkError(f"non-finite training loss at iteration {iteration} ({what})")
             losses[t].append(step_losses[t])
         for (_, _, buffer, optimizer), flat in zip(stacks, flats):
-            optimizer.step({"params": buffer}, {"params": flat})
+            optimizer.step(buffer, flat)
     return [trained[t] for t in range(len(models))], losses
 
 

@@ -70,12 +70,7 @@ class SurgeryMode:
         return (block,)
 
 
-LAST_LAYER = SurgeryMode("v1")
 ALL_LAYERS = SurgeryMode("v2")
-
-
-def single_block(block: int) -> SurgeryMode:
-    return SurgeryMode(f"block:{block}")
 
 
 def _entry(task: int, layer: int, half: str) -> str:
@@ -489,7 +484,7 @@ def train_surgery(
                     total += loss
             if stepped:
                 rows = None if len(stepped) == num_tasks else stepped
-                optimizer.step({"adapters": params}, {"adapters": grad_rows}, rows)
+                optimizer.step(params, grad_rows, rows)
             losses.append(total)
 
     for chunk, key in _chunks(data, num_tasks):

@@ -85,13 +85,3 @@ class ParamSet(Mapping):
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{v.shape}" for n, v in self._entries.items())
         return f"ParamSet({inner})"
-
-
-def bitwise_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
-    """True iff both collections hold the same names, order, and exact bytes."""
-    if list(a) != list(b):
-        return False
-    return all(
-        a[n].shape == b[n].shape and a[n].tobytes() == b[n].tobytes() for n in a
-    )
-

@@ -31,6 +31,15 @@ def backbone_of(params):
     return ParamSet((name, value) for name, value in params.items() if is_backbone_name(name))
 
 
+def bitwise_equal(a, b):
+    """True iff both collections hold the same names, order, and exact bytes."""
+    if list(a) != list(b):
+        return False
+    return all(
+        a[n].shape == b[n].shape and a[n].tobytes() == b[n].tobytes() for n in a
+    )
+
+
 @pytest.fixture(scope="session")
 def ref_suite():
     return ms.gen_task_suite(SEED, TASKS, DIM, CLASSES, N_TRAIN, N_TEST)

@@ -23,9 +23,9 @@ from merge_surgeon.network import (
     init_backbone,
 )
 from merge_surgeon.surgery import surgery_gradients
-from merge_surgeon.tensors import ParamSet, bitwise_equal
+from merge_surgeon.tensors import ParamSet
 
-from conftest import ADA_ITERS, RANK, SURGERY_ITERS, SEED, TASKS, backbone_of
+from conftest import ADA_ITERS, RANK, SURGERY_ITERS, SEED, TASKS, backbone_of, bitwise_equal
 from test_merging import ties_oracle
 from test_network import relative_error, small_instance
 
@@ -83,7 +83,7 @@ def ref_inputs_m(ref_suite):
 def v1_result(ref_merged_m, ref_experts_m, ref_spec_m, ref_inputs_m, surgery_cfg):
     return ms.train_surgery(
         ref_merged_m, ref_experts_m, ref_spec_m, ref_inputs_m,
-        ms.LAST_LAYER, LossKind.L1, surgery_cfg, rank=RANK,
+        ms.SurgeryMode("v1"), LossKind.L1, surgery_cfg, rank=RANK,
     )
 
 
@@ -325,7 +325,7 @@ def test_criterion_08_capacity_trend(
 ):
     rank2 = ms.train_surgery(
         ref_merged_m, ref_experts_m, ref_spec_m, ref_inputs_m,
-        ms.LAST_LAYER, LossKind.L1, surgery_cfg, rank=2,
+        ms.SurgeryMode("v1"), LossKind.L1, surgery_cfg, rank=2,
     )
     bias_rank2 = ms.layerwise_bias_report(
         ref_merged_m, ref_experts_m, ref_spec_m, ref_inputs_m,

@@ -85,7 +85,7 @@ ENTRY_POINTS = {
     ),
     "stream_train_surgery": (
         lambda m: ms.stream_train_surgery(m["merged"], _experts(m), SPEC, POOLS, 0.5,
-                                          ms.LAST_LAYER, LossKind.L1, CFG, rank=2),
+                                          ms.SurgeryMode("v1"), LossKind.L1, CFG, rank=2),
         [("merged", "merged"), ("expert 1", "expert 1")],
     ),
     "evaluate": (

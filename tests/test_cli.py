@@ -25,9 +25,11 @@ from merge_surgeon.config import RunConfig, parse_config_text
 from merge_surgeon.datasets import gen_task_suite
 from merge_surgeon.evaluation import EvalResult, collect_heads, evaluate
 from merge_surgeon.merging import ties_merge
-from merge_surgeon.network import ModelSpec
-from merge_surgeon.surgery import ALL_LAYERS, init_stack
+from merge_surgeon.network import ModelSpec, TrainConfig
+from merge_surgeon.surgery import ALL_LAYERS, init_stack, stream_train_surgery, train_surgery
 from merge_surgeon.tensors import ParamSet
+
+from conftest import bitwise_equal
 
 TINY_CFG = """\
 seed = 7
@@ -970,6 +972,80 @@ class TestStepwiseFlow:
             main, ["merge", "--config", str(tiny_config), "--run-dir", str(tmp_path / "none")]
         )
         assert result.exit_code != 0
+
+
+class TestSurgeryData:
+    """``surgery --data`` trains on the pools it names, as the library
+    does, and a stack is read only in a mode that has one."""
+
+    @staticmethod
+    def library_stack(run_dir, data):
+        cfg = RunConfig.from_sources(parse_config_text(TINY_CFG))
+        spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+        train_cfg = TrainConfig(
+            learning_rate=cfg.train_lr, batch_size=cfg.train_batch,
+            iterations=cfg.surgery_iters, seed=cfg.seed,
+        )
+        settings = (cfg.surgery_mode, cfg.surgery_psi, train_cfg)
+        merged = load_paramset(cli._checkpoint(run_dir, "merged"))
+        experts = [load_paramset(cli._checkpoint(run_dir, f"expert_{t}")) for t in range(cfg.tasks)]
+        shape = (cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
+        kind, _, arg = data.partition(":")
+        if kind == "wild":
+            inputs = [gen_task_suite(int(arg), *shape).mixture.features] * cfg.tasks
+            result = train_surgery(merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank)
+        else:
+            suite = gen_task_suite(cfg.seed, *shape)
+            result = stream_train_surgery(
+                merged, experts, spec, suite.test_inputs(), float(arg), *settings,
+                rank=cfg.surgery_rank,
+            )
+        return result.stack.params
+
+    @pytest.mark.parametrize("data", ["wild:3", "stream:0.5"])
+    def test_stack_is_the_library_stack(self, runner, pipeline_run, tmp_path, data):
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        result = invoke(
+            runner, ["surgery", "--config", str(config), "--run-dir", str(run_dir), "--data", data]
+        )
+        assert result.exit_code == 0, result.output
+        assert f"data = {data}\n" in (run_dir / "surgery_info.txt").read_text()
+        stack = load_paramset(cli._checkpoint(run_dir, "surgery"))
+        assert bitwise_equal(stack, self.library_stack(run_dir, data))
+        assert not bitwise_equal(stack, load_paramset(cli._checkpoint(piped, "surgery")))
+
+    def test_a_stream_reads_no_iteration_count(self, runner, pipeline_run, tmp_path):
+        # ceil(0.5 * n_test) = 25 samples per task in batches of 16: two
+        # iterations, whatever surgery_iters says.
+        config, piped = pipeline_run
+        stacks = []
+        for iters in ("40", "3"):
+            run_dir = tmp_path / iters
+            shutil.copytree(piped, run_dir)
+            args = ["surgery", "--config", str(config), "--run-dir", str(run_dir),
+                    "--data", "stream:0.5", "--iters", iters]
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+            stacks.append(cli._checkpoint(run_dir, "surgery").read_bytes())
+        assert stacks[0] == stacks[1]
+
+    def test_mode_none_cannot_read_a_stack(self, runner, pipeline_run, tmp_path):
+        # With no surgery_info.txt the configured mode would read the stack.
+        _, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        (run_dir / "surgery_info.txt").unlink()
+        config = tmp_path / "none.cfg"
+        config.write_text(TINY_CFG.replace("surgery_mode = v2", "surgery_mode = none"))
+        stack_file = str(cli._checkpoint(run_dir, "surgery"))
+        args = ["bias", "--config", str(config), "--run-dir", str(run_dir), "--surgery", stack_file]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "Error: surgery mode 'none' cannot read a stack"
+        ]
 
 
 class TestPipeline:

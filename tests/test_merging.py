@@ -29,9 +29,9 @@ from merge_surgeon.network import (
     init_backbone,
     random_batches,
 )
-from merge_surgeon.tensors import ParamSet, bitwise_equal
+from merge_surgeon.tensors import ParamSet
 
-from conftest import backbone_of
+from conftest import backbone_of, bitwise_equal
 
 
 # Two blocks: block1 (3, 2) and block2 (2, 3).
@@ -540,7 +540,7 @@ class TestStackedAdaMerging:
                 pretrained, experts, spec, coefficients, batches
             )
             entropies.append(loss)
-            adam.step({"coefficients": coefficients}, {"coefficients": grad})
+            adam.step(coefficients, grad)
         merged = _reference_ada_loss_and_gradient(
             pretrained, experts, spec, coefficients, [p.T for p in pools]
         )[2]

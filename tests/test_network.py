@@ -27,7 +27,9 @@ from merge_surgeon.network import (
     train_experts,
 )
 from merge_surgeon.surgery import corrected_forward
-from merge_surgeon.tensors import ParamSet, bitwise_equal, block_name, head_name
+from merge_surgeon.tensors import ParamSet, block_name, head_name
+
+from conftest import bitwise_equal
 
 
 def small_instance(seed, spec=None, batch=6, margin=5e-3):
@@ -244,18 +246,18 @@ def _textbook_adam(param, grads, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        before = params["w"].copy()
+        param = np.array([1.0, -2.0, 3.0])
+        before = param.copy()
         adam = Adam()
-        adam.step(params, {"w": np.zeros(3)})
-        np.testing.assert_array_equal(params["w"], before)
+        adam.step(param, np.zeros(3))
+        np.testing.assert_array_equal(param, before)
 
     def test_descends_a_quadratic(self):
-        params = {"w": np.array([5.0])}
+        param = np.array([5.0])
         adam = Adam(learning_rate=0.1)
         for _ in range(200):
-            adam.step(params, {"w": 2 * params["w"]})
-        assert abs(params["w"][0]) < 0.5
+            adam.step(param, 2 * param)
+        assert abs(param[0]) < 0.5
 
     # With beta1 = 0.5, 1 - beta1**t rounds to 1.0 from step 54 on.
     @pytest.mark.parametrize("betas", [(0.8, 0.99), (0.5, 0.99)])
@@ -265,12 +267,12 @@ class TestAdam:
         # Gradients over many magnitudes, zeros included.
         grads = [rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-12, 12) for _ in range(80)]
         grads[5][1] = 0.0
-        params = {"w": start.copy()}
+        param = start.copy()
         adam = Adam(learning_rate=0.01, betas=betas)
         for grad in grads:
-            adam.step(params, {"w": grad})
+            adam.step(param, grad)
         want = _textbook_adam(start, grads, lr=0.01, betas=betas)
-        assert params["w"].tobytes() == want.tobytes()
+        assert param.tobytes() == want.tobytes()
 
     def test_whole_buffer_step_equals_per_row_steps(self):
         # Row 0 steps throughout, row 1 stops after 10 steps, row 2 after
@@ -291,7 +293,7 @@ class TestAdam:
             grad = rng.standard_normal((rows, size))
             for r in stepping:
                 seen[r].append(grad[r])
-            adam.step({"p": buffer}, {"p": grad}, None if len(stepping) == rows else stepping)
+            adam.step(buffer, grad, None if len(stepping) == rows else stepping)
         assert adam.step_count == [len(g) for g in seen]
         for r in range(rows):
             want = _textbook_adam(start[r], seen[r], lr=0.05)
@@ -304,25 +306,25 @@ class TestAdam:
         adam = Adam(rows=3)
         grads = [rng.standard_normal((3, 2, 4)) for _ in range(6)]
         for i, grad in enumerate(grads):
-            adam.step({"p": buffer}, {"p": grad}, [0, 2] if i % 2 else None)
+            adam.step(buffer, grad, [0, 2] if i % 2 else None)
         for r in range(3):
             own = [g[r] for i, g in enumerate(grads) if r != 1 or i % 2 == 0]
             assert buffer[r].tobytes() == _textbook_adam(start[r], own).tobytes()
 
     def test_choosing_rows_needs_a_row_optimizer(self):
         with pytest.raises(NetworkError):
-            Adam().step({"p": np.zeros((2, 3))}, {"p": np.ones((2, 3))}, [0])
+            Adam().step(np.zeros((2, 3)), np.ones((2, 3)), [0])
 
     @pytest.mark.parametrize("rows", [[0, 0], [1, 0, 1], [-1], [2], [0, 5]])
     def test_duplicate_or_out_of_range_rows_are_rejected(self, rows):
         # A repeated row would step twice with its last count, and -1
         # would step the last row; neither may touch the state.
-        params = {"p": np.zeros((2, 3))}
+        param = np.zeros((2, 3))
         adam = Adam(rows=2)
         with pytest.raises(NetworkError, match="must be distinct rows of 2"):
-            adam.step(params, {"p": np.ones((2, 3))}, rows)
+            adam.step(param, np.ones((2, 3)), rows)
         assert adam.step_count == [0, 0]
-        assert not params["p"].any()
+        assert not param.any()
 
 
 def _former_cross_entropy_and_adjoint(logits, labels):
@@ -437,8 +439,8 @@ class TestTraining:
 
 def _reference_training(params64, spec, head_tag, data, cfg, batch_rng):
     """The per-model loop training ran before models were stacked: 2-D
-    calls and one Adam update per parameter name, in place."""
-    adam = cfg.make_adam()
+    calls and one Adam per parameter, updated in place."""
+    adams = {name: cfg.make_adam() for name in params64}
     features = data.features.astype(np.float64)
     losses = []
     for _ in range(cfg.iterations):
@@ -447,7 +449,8 @@ def _reference_training(params64, spec, head_tag, data, cfg, batch_rng):
             params64, spec, head_tag, features[idx].T, data.labels[idx]
         )
         losses.append(loss)
-        adam.step(params64, grads)
+        for name, grad in grads.items():
+            adams[name].step(params64[name], grad)
     return losses
 
 

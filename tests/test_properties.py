@@ -21,20 +21,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from merge_surgeon.checkpoint import (
-    MAGIC, CheckpointError, TruncatedError, load_paramset, save_paramset
+    MAGIC, CheckpointError, load_paramset, save_paramset
 )
 from merge_surgeon.config import ConfigError, RunConfig
 from merge_surgeon.merging import task_arithmetic, ties_merge, weight_average
 from merge_surgeon.network import Adam, ModelSpec
 from merge_surgeon.surgery import (
     ALL_LAYERS,
-    LAST_LAYER,
     SurgeryError,
+    SurgeryMode,
     SurgeryStack,
     init_stack,
-    single_block,
 )
-from merge_surgeon.tensors import ParamSet, bitwise_equal
+from merge_surgeon.tensors import ParamSet
+
+from conftest import bitwise_equal
 from test_merging import ties_oracle
 from test_network import _textbook_adam
 
@@ -60,9 +61,9 @@ def stacks(draw):
     """A fresh stack for a random model, task count, rank and mode."""
     layer_dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
     spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, (2,))
-    mode = draw(st.sampled_from(
-        [LAST_LAYER, ALL_LAYERS] + [single_block(l) for l in range(1, len(layer_dims) + 1)]
-    ))
+    mode = SurgeryMode(draw(st.sampled_from(
+        ["v1", "v2"] + [f"block:{l}" for l in range(1, len(layer_dims) + 1)]
+    )))
     stack = init_stack(
         spec, draw(st.integers(1, 3)), mode, rank=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**31)),
@@ -111,7 +112,7 @@ def test_header_shape_larger_than_payload_raises_truncated(new_path, shape, floa
     header = json.dumps({"tensors": [{"name": "x", "shape": shape, "offset": 0}]}).encode()
     path = new_path()
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + b"\0" * (4 * floats))
-    with pytest.raises(TruncatedError):
+    with pytest.raises(CheckpointError, match="payload truncated at tensor 'x'"):
         load_paramset(path)
 
 
@@ -269,7 +270,7 @@ def stack_paramsets(draw):
         del entries[name]
     for name in draw(st.lists(_entry_names | malformed_names(), max_size=2)):
         entries[name] = np.zeros(draw(st.lists(st.integers(1, 4), max_size=3)))
-    mode = draw(st.sampled_from([stack.mode, LAST_LAYER, ALL_LAYERS, single_block(2)]))
+    mode = draw(st.sampled_from([stack.mode, *map(SurgeryMode, ("v1", "v2", "block:2"))]))
     return spec, mode, ParamSet(entries)
 
 
@@ -511,8 +512,8 @@ def adam_schedules(draw):
     st.integers(0, 2**31),
 )
 # Row 0 runs ahead by 10 steps; with beta1 = 0.5, 1 - beta1**t rounds to
-# 1.0 from step 54 on, so in the shared steps that follow one row takes
-# that branch while the other does not.
+# 1.0 from step 54 on, so in the shared steps that follow one row's
+# correction has rounded to 1.0 while the other's has not.
 @example((2, [([0], 10), (None, 50)]), (0.5, 0.99), 0)
 @example((3, [(None, 5), ([1, 2], 20), ([], 3), (None, 40), ([0, 1, 2], 2)]), (0.5, 0.99), 1)
 def test_row_adam_matches_textbook_adam_per_row(schedule, betas, seed):
@@ -524,7 +525,7 @@ def test_row_adam_matches_textbook_adam_per_row(schedule, betas, seed):
     shapes = {"a": (rows, 3), "b": (rows, 2, 2)}
     start = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
     params = {key: value.copy() for key, value in start.items()}
-    adam = Adam(learning_rate=0.05, betas=betas, rows=rows)
+    adams = {key: Adam(learning_rate=0.05, betas=betas, rows=rows) for key in shapes}
     seen = {key: [[] for _ in range(rows)] for key in shapes}
     for stepping, repeats in segments:
         for _ in range(repeats):
@@ -535,9 +536,9 @@ def test_row_adam_matches_textbook_adam_per_row(schedule, betas, seed):
             for key, grad in grads.items():
                 for row in range(rows) if stepping is None else stepping:
                     seen[key][row].append(grad[row])
-            adam.step(params, grads, stepping)
-    assert adam.step_count == [len(g) for g in seen["a"]]
+                adams[key].step(params[key], grad, stepping)
     for key in shapes:
+        assert adams[key].step_count == [len(g) for g in seen[key]]
         for row in range(rows):
             want = _textbook_adam(start[key][row], seen[key][row], lr=0.05, betas=betas)
             assert params[key][row].tobytes() == want.tobytes(), (key, row)

@@ -19,20 +19,20 @@ from merge_surgeon import surgery
 from merge_surgeon.surgery import (
     _CHUNK_COLUMNS,
     ALL_LAYERS,
-    LAST_LAYER,
     SurgeryError,
     SurgeryMode,
     SurgeryStack,
     corrected_forward,
     init_stack,
     sequential_batches,
-    single_block,
     stream_train_surgery,
     surgery_gradients,
     trace_layers,
     train_surgery,
 )
-from merge_surgeon.tensors import ParamSet, bitwise_equal
+from merge_surgeon.tensors import ParamSet
+
+from conftest import bitwise_equal
 
 
 def tiny_spec():
@@ -108,7 +108,8 @@ class TestAdapterForward:
 
     def test_shape_validation(self):
         spec = tiny_spec()
-        wrong_width = make_stack(single_block(1), {(0, 1): (np.zeros((2, 4)), np.zeros((4, 2)))})
+        adapters = {(0, 1): (np.zeros((2, 4)), np.zeros((4, 2)))}
+        wrong_width = make_stack(SurgeryMode("block:1"), adapters)
         with pytest.raises(SurgeryError, match="width 4 != layer width 5"):
             wrong_width.adapters64(0, spec)
         backbone = init_backbone(spec, np.random.default_rng(3))
@@ -151,14 +152,14 @@ class TestStackConstructor:
 
 class TestSurgeryMode:
     def test_layer_indices(self):
-        assert LAST_LAYER.layer_indices(4) == (4,)
+        assert SurgeryMode("v1").layer_indices(4) == (4,)
         assert ALL_LAYERS.layer_indices(3) == (1, 2, 3)
-        assert single_block(2).layer_indices(4) == (2,)
+        assert SurgeryMode("block:2").layer_indices(4) == (2,)
 
     def test_parse_labels(self):
-        assert SurgeryMode.parse("v1") == LAST_LAYER
+        assert SurgeryMode.parse("v1") == SurgeryMode("v1")
         assert SurgeryMode.parse("v2") == ALL_LAYERS
-        assert SurgeryMode.parse("block:3") == single_block(3)
+        assert SurgeryMode.parse("block:3") == SurgeryMode("block:3")
         with pytest.raises(SurgeryError):
             SurgeryMode.parse("v3")
 
@@ -174,11 +175,11 @@ class TestSurgeryMode:
         assert [f.name for f in dataclasses.fields(SurgeryMode)] == ["label"]
         for label in ("v1", "v2", "block:1", "block:12"):
             assert SurgeryMode(label).label == label
-        assert single_block(12) == SurgeryMode.parse("block:12")
+        assert SurgeryMode("block:12") == SurgeryMode.parse("block:12")
 
     def test_block_out_of_range(self):
         with pytest.raises(SurgeryError):
-            single_block(5).layer_indices(3)
+            SurgeryMode("block:5").layer_indices(3)
 
 
 class TestCorrectedForward:
@@ -209,7 +210,7 @@ class TestCorrectedForward:
                 rng.standard_normal((spec.feature_dim, 3)),
             )
         }
-        stack = make_stack(LAST_LAYER, adapters)
+        stack = make_stack(SurgeryMode("v1"), adapters)
         x = rng.standard_normal((4, 6))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -250,7 +251,7 @@ class TestCorrectedForward:
 
     def test_uncovered_task_passes_through(self):
         spec, merged, _ = tiny_models()
-        stack = init_stack(spec, num_tasks=1, mode=LAST_LAYER, rank=2, seed=1)
+        stack = init_stack(spec, num_tasks=1, mode=SurgeryMode("v1"), rank=2, seed=1)
         x = np.random.default_rng(7).standard_normal((4, 3))
         trace = corrected_forward(merged, spec, stack, x, task=5)
         plain = corrected_forward(merged, spec, None, x, task=0)
@@ -332,7 +333,7 @@ class TestCheckPools:
 class TestStackPersistence:
     def test_round_trip_keeps_mode(self):
         spec = tiny_spec()
-        for mode in (LAST_LAYER, ALL_LAYERS, single_block(1), single_block(2)):
+        for mode in map(SurgeryMode, ("v1", "v2", "block:1", "block:2")):
             stack = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8)
             loaded = SurgeryStack(mode, stack.params)
             assert loaded.mode == mode
@@ -343,7 +344,7 @@ class TestStackPersistence:
         # block:<L> on an L-block model covers the same layers as v1; the
         # loader must keep the mode it is given instead of guessing v1.
         spec = tiny_spec()
-        mode = single_block(spec.num_layers)
+        mode = SurgeryMode(f"block:{spec.num_layers}")
         params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).params
         loaded = SurgeryStack(mode, params)
         loaded.validate(spec, num_tasks=2)
@@ -351,12 +352,12 @@ class TestStackPersistence:
 
     def test_coverage_must_match_mode(self):
         spec = tiny_spec()
-        params = init_stack(spec, num_tasks=2, mode=LAST_LAYER, rank=3, seed=8).params
-        for mode in (ALL_LAYERS, single_block(1)):
+        params = init_stack(spec, num_tasks=2, mode=SurgeryMode("v1"), rank=3, seed=8).params
+        for mode in (ALL_LAYERS, SurgeryMode("block:1")):
             with pytest.raises(SurgeryError, match="task 0 covers layers"):
                 SurgeryStack(mode, params).validate(spec, num_tasks=2)
         with pytest.raises(SurgeryError):
-            SurgeryStack(single_block(3), params).validate(spec, num_tasks=2)
+            SurgeryStack(SurgeryMode("block:3"), params).validate(spec, num_tasks=2)
 
     def test_checkpoint_round_trip(self, tmp_path):
         from merge_surgeon.checkpoint import load_paramset, save_paramset
@@ -415,8 +416,9 @@ class TestTrainSurgery:
         spec, merged, expert = tiny_models(seed=34)
         cfg = ms.TrainConfig(iterations=30, seed=34)
         inputs = [np.random.default_rng(35).standard_normal((25, 4))]
-        a = train_surgery(merged, [expert], spec, inputs, LAST_LAYER, LossKind.L1, cfg, rank=2)
-        b = train_surgery(merged, [expert], spec, inputs, LAST_LAYER, LossKind.L1, cfg, rank=2)
+        mode = SurgeryMode("v1")
+        a = train_surgery(merged, [expert], spec, inputs, mode, LossKind.L1, cfg, rank=2)
+        b = train_surgery(merged, [expert], spec, inputs, mode, LossKind.L1, cfg, rank=2)
         assert a.losses == b.losses
         assert bitwise_equal(a.stack.params, b.stack.params)
 
@@ -600,11 +602,14 @@ def _stacked_inputs(xs):
 
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
     """Surgery training one task at a time: per task and iteration, 2-D
-    target and gradient calls and one Adam per (task, layer)."""
+    target and gradient calls and one Adam per (task, layer, matrix)."""
     merged64 = spec.backbone64(merged, "merged")
     stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed)
     adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
-    optimizers = {(t, layer): cfg.make_adam() for t, a in enumerate(adapters) for layer in a}
+    optimizers = {
+        (t, layer, half): cfg.make_adam()
+        for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
+    }
     losses = []
     for row in batches:
         total = 0.0
@@ -617,8 +622,9 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
             )
             for loss in layer_losses.values():
                 total += loss
-            for layer, grad in grads.items():
-                optimizers[(task, layer)].step(adapters[task][layer], grad)
+            for layer, pair in grads.items():
+                for half, grad in pair.items():
+                    optimizers[(task, layer, half)].step(adapters[task][layer][half], grad)
         losses.append(total)
     return losses, adapters
 
@@ -699,7 +705,7 @@ class TestStackedEngine:
                         got = grads[layer][half][t]
                         assert got.tobytes() == own_grads[layer][half].tobytes()
 
-    @pytest.mark.parametrize("mode", [ALL_LAYERS, LAST_LAYER])
+    @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_joint_training_equals_training_each_task_alone(self, mode):
         # A task trained alongside others ends bitwise where it would end if
         # the others had no data at all: tasks never mix in the stacked pass.
@@ -740,7 +746,7 @@ class TestStackedEngine:
             np.random.default_rng(57 + t).standard_normal((n, 4)) + 0.3
             for t, n in enumerate((21, 30, 44))
         ]
-        for mode in (ALL_LAYERS, single_block(2)):
+        for mode in (ALL_LAYERS, SurgeryMode("block:2")):
             result = train_surgery(
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
@@ -778,7 +784,7 @@ class TestStackedEngine:
                     assert got.tobytes() == want.tobytes(), (t, layer, half)
 
 
-    @pytest.mark.parametrize("mode", [ALL_LAYERS, LAST_LAYER])
+    @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_stack_lists_entries_by_task_then_layer_then_down_before_up(self, mode):
         # The stack checkpoint stores the entries in this order, so its
         # bytes depend on it; init_stack lists them the same way.
@@ -810,7 +816,7 @@ def _assert_matches_reference(result, reference):
     assert bitwise_equal(result.stack.params, want)
 
 
-MODES = [pytest.param(m, id=m.label) for m in (LAST_LAYER, ALL_LAYERS, single_block(2))]
+MODES = [pytest.param(SurgeryMode(label), id=label) for label in ("v1", "v2", "block:2")]
 PSIS = [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE]
 
 
@@ -948,7 +954,7 @@ class TestChunkedEngine:
         rows[iteration - 1][1] = rows[iteration - 1][1].copy()
         rows[iteration - 1][1][2, 3] = np.nan
         rows[iteration + 1][0] = np.zeros((1, 4, self.BATCH))
-        for mode in (ALL_LAYERS, LAST_LAYER):
+        for mode in (ALL_LAYERS, SurgeryMode("v1")):
             layer = mode.layer_indices(spec.num_layers)[0]
             with pytest.raises(
                 SurgeryError,
