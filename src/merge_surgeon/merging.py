@@ -286,38 +286,34 @@ def ada_loss_and_gradient(
     loss is the mean over tasks of the softmax entropy of that model's
     predictions, each task scored through its own expert head on its own
     (input_dim, batch) matrix ``batches[t]``.  ``batches`` is a list of
-    such matrices or one stacked (T, input_dim, batch) array; the T tasks
-    run as one stacked pass through the shared merged blocks (one pass per
-    batch and head shape), and each task's share is bitwise that of its
-    own 2-D pass.  ``heads`` is :func:`_stacked_heads` of ``experts``,
-    which a caller that steps many times computes once.  Returns the loss
-    and its (layers, tasks) gradient with respect to ``coefficients``.
+    such matrices, all of one shape, or one stacked (T, input_dim, batch)
+    array; the T tasks run as one stacked pass through the shared merged
+    blocks (one pass per head shape), and each task's share is bitwise
+    that of its own 2-D pass.  ``heads`` is :func:`_stacked_heads` of
+    ``experts``, which a caller that steps many times computes once.
+    Returns the loss and its (layers, tasks) gradient with respect to
+    ``coefficients``.
     """
     num_tasks = len(experts)
     if len(batches) != num_tasks:
         raise MergeError(f"need one batch per expert, got {len(batches)} for {num_tasks}")
+    shapes = [np.shape(b) for b in batches]
+    if len(set(shapes)) > 1:
+        raise MergeError(f"need batches of one shape, got {shapes}")
     layout = _flat_layout(spec)
     merged64 = _by_name(layout, _merge_flat(pre64, taus, coefficients, layout))
     entropies = np.empty(num_tasks)
     task_grads = np.empty_like(taus)
     for tasks, weights, biases in _stacked_heads(experts, spec) if heads is None else heads:
-        by_shape: dict[tuple, list[int]] = {}
-        for i, task in enumerate(tasks):
-            by_shape.setdefault(np.shape(batches[task]), []).append(i)
-        for rows in by_shape.values():
-            group = [tasks[i] for i in rows]
-            head_w, head_b = (weights, biases) if len(rows) == len(tasks) else (
-                weights[rows], biases[rows]
-            )
-            x = stack_batches([batches[t] for t in group])
-            layers = forward_layers(merged64, spec, x)
-            entropy, dlogits = entropy_loss_and_adjoint(head_w @ layers[-1] + head_b[..., None])
-            adjoint = head_w.swapaxes(-1, -2) @ dlogits
-            grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
-            entropies[group] = entropy
-            task_grads[group] = np.concatenate(
-                [grads[name].reshape(len(group), -1) for name, *_ in layout], axis=1
-            )
+        x = stack_batches([batches[t] for t in tasks])
+        layers = forward_layers(merged64, spec, x)
+        entropy, dlogits = entropy_loss_and_adjoint(weights @ layers[-1] + biases[..., None])
+        adjoint = weights.swapaxes(-1, -2) @ dlogits
+        grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
+        entropies[tasks] = entropy
+        task_grads[tasks] = np.concatenate(
+            [grads[name].reshape(len(tasks), -1) for name, *_ in layout], axis=1
+        )
     loss = 0.0
     for entropy in entropies.tolist():  # plain float additions in task order
         loss += entropy

@@ -126,68 +126,43 @@ class TrainConfig:
         if self.batch_size < 1 or self.iterations < 1:
             raise NetworkError("batch_size and iterations must be >= 1")
 
-    def make_adam(self, rows: int = 1) -> "Adam":
-        """An :class:`Adam` at this rate and betas, over ``rows`` models."""
-        return Adam(self.learning_rate, self.betas, rows=rows)
+    def make_adam(self) -> "Adam":
+        """An :class:`Adam` at this rate and betas."""
+        return Adam(self.learning_rate, self.betas)
+
+
+# Adam's epsilon, added to the corrected second moment's square root.
+_ADAM_EPS = 1e-8
 
 
 class Adam:
     """Adam with bias correction over one float64 array, in place.
 
-    The array holds ``rows`` independent models, each with its own step
-    count; by default one, the whole array.  With ``rows=n`` it holds one
-    model per leading row: one :meth:`step` updates them all, or only the
-    rows it names, and each row ends bitwise where stepping it alone would
-    leave it.  Moments and scratch are allocated on the first step, so a
-    step allocates nothing after it.
+    Every step updates the whole array from one step count.  The update
+    is elementwise, so an array that holds one independent model per
+    leading row steps each row bitwise as its own optimizer would.
+    Moments and scratch are allocated on the first step, so a step
+    allocates nothing after it.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        rows: int = 1,
-    ):
+    def __init__(self, learning_rate: float = 1e-3, betas=(0.9, 0.999)):
         self.learning_rate = learning_rate
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.step_count = [0] * rows
+        self.step_count = 0
         self._state: tuple[np.ndarray, ...] = ()
 
-    def step(self, param: np.ndarray, grad: np.ndarray, rows: Sequence[int] | None = None) -> None:
-        """One update of ``param`` by ``grad``; ``rows`` names the distinct
-        rows that step (default: all), and then the array's leading axis
-        must hold the rows.
-
-        When every row steps from one count, the array updates whole;
-        otherwise each stepping row updates on its own row view, with the
-        corrections of its own count."""
-        counts = self.step_count
-        if rows is not None:
-            if len(set(rows)) != len(rows) or not all(0 <= row < len(counts) for row in rows):
-                raise NetworkError(f"rows {list(rows)} must be distinct rows of {len(counts)}")
-            if param.shape[:1] != (len(counts),):
-                raise NetworkError(f"stepping chosen rows needs an array of {len(counts)} rows")
-        whole = counts[0] + 1 if rows is None and min(counts) == max(counts) else None
-        rows = range(len(counts)) if rows is None else rows
-        for row in rows:
-            counts[row] += 1
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """``param -= lr * m_hat / (sqrt(v_hat) + eps)`` by ``grad``,
+        through scratch arrays, with the operations and operand order of
+        the textbook expression, so the result is bitwise its."""
+        self.step_count += 1
+        t = self.step_count
         if not self._state:
             self._state = (
                 np.zeros_like(param), np.zeros_like(param),
                 np.empty_like(param), np.empty_like(param),
             )
-        arrays = (param, grad, *self._state)
-        for row in [None] if whole else rows:
-            t = whole or counts[row]
-            c1, c2 = 1 - self.beta1**t, 1 - self.beta2**t
-            self._update(*(arrays if row is None else [a[row] for a in arrays]), c1, c2)
-
-    def _update(self, param, grad, m, v, s1, s2, c1, c2) -> None:
-        """``param -= lr * m_hat / (sqrt(v_hat) + eps)`` through the
-        scratch arrays ``s1``, ``s2``, with the operations and operand
-        order of the textbook expression, so the result is bitwise its."""
+        m, v, s1, s2 = self._state
         m *= self.beta1
         np.multiply(grad, 1 - self.beta1, out=s1)
         m += s1
@@ -195,11 +170,11 @@ class Adam:
         np.multiply(grad, grad, out=s1)
         s1 *= 1 - self.beta2
         v += s1
-        np.divide(m, c1, out=s1)
+        np.divide(m, 1 - self.beta1**t, out=s1)
         s1 *= self.learning_rate
-        np.divide(v, c2, out=s2)
+        np.divide(v, 1 - self.beta2**t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += _ADAM_EPS
         s1 /= s2
         param -= s1
 
@@ -451,7 +426,7 @@ def _train_classifiers(
     The models are independent, so every iteration runs those whose heads
     have the same width as one stacked (T, input_dim, batch) pass, with
     each model on its row of that group's :func:`flat_rows` buffer, and
-    takes one per-row :class:`Adam` step per buffer.  Every model ends
+    takes one :class:`Adam` step per buffer.  Every model ends
     bitwise where training it alone would leave it.  Returns the trained
     parameters, under each model's own names, and the loss curves.
     """
@@ -473,7 +448,7 @@ def _train_classifiers(
             for name, view in zip(names, views):
                 view[i] = models[t][name]
             trained[t] = {name: view[i] for name, view in zip(names, views)}
-        stacks.append((group, dict(zip(shapes, views)), buffer, cfg.make_adam(rows=len(group))))
+        stacks.append((group, dict(zip(shapes, views)), buffer, cfg.make_adam()))
 
     losses: list[list[float]] = [[] for _ in models]
     for iteration in range(1, cfg.iterations + 1):

@@ -12,7 +12,6 @@ holds that ``ParamSet`` as it is.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections.abc import Iterator, Mapping, Sequence
@@ -243,23 +242,24 @@ def _check_pools(inputs_per_task) -> list[np.ndarray]:
 
 
 def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
-    """Single ordered pass over the first ceil(fraction * N) samples per task.
+    """Single ordered pass over the first ceil(fraction * N) samples of
+    each task's pool, all pools of one size N.
 
     Yields, per iteration, one (input_dim, <= batch_size) matrix per task,
-    or None for a task whose samples are used up.
+    all of one width.
     """
     if not 0 < fraction <= 1:
         raise SurgeryError("fraction must lie in (0, 1]")
     if batch_size < 1:
         raise SurgeryError("batch_size must be >= 1")
     pools = _check_pools(inputs_per_task)
-    takes = [math.ceil(fraction * p.shape[0]) for p in pools]
+    sizes = [p.shape[0] for p in pools]
+    if len(set(sizes)) > 1:
+        raise SurgeryError(f"a stream needs pools of one size, got sizes {sizes}")
+    take = math.ceil(fraction * sizes[0])
     return (
-        [
-            pool[start : min(start + batch_size, take)].T if start < take else None
-            for pool, take in zip(pools, takes)
-        ]
-        for start in range(0, max(takes), batch_size)
+        [pool[start : min(start + batch_size, take)].T for pool in pools]
+        for start in range(0, take, batch_size)
     )
 
 
@@ -336,45 +336,56 @@ def surgery_gradients(
     return losses, grads
 
 
-def _checked_row(batches, num_tasks: int) -> tuple[list, tuple]:
-    """One iteration's batches as float64 matrices (None kept), and its
-    key: per task None or the batch's shape and column-major flag."""
+def _checked_row(batches, num_tasks: int, iteration: int) -> tuple[list, tuple]:
+    """Iteration ``iteration``'s batches as non-empty float64 matrices of
+    one shape, one per task, and its key: that shape and each batch's
+    column-major flag."""
     if len(batches) != num_tasks:
-        raise SurgeryError(f"data covers {len(batches)} tasks, experts {num_tasks}")
-    row, key = [], []
+        raise SurgeryError(
+            f"iteration {iteration}: data covers {len(batches)} tasks, experts {num_tasks}"
+        )
+    row = []
     for task, x in enumerate(batches):
-        if x is not None:
-            x = np.asarray(x, dtype=np.float64)
-            if x.ndim != 2:
-                raise SurgeryError(f"task {task} batch must be (input_dim, batch)")
+        if x is None:
+            raise SurgeryError(f"iteration {iteration}: task {task} has no batch")
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise SurgeryError(
+                f"iteration {iteration}: task {task} batch must be (input_dim, batch)"
+            )
+        if x.shape[1] == 0:
+            raise SurgeryError(f"iteration {iteration}: task {task} batch is empty")
+        if row and x.shape != row[0].shape:
+            raise SurgeryError(
+                f"iteration {iteration}: task {task} batch has shape {x.shape}, "
+                f"task 0's {row[0].shape}"
+            )
         row.append(x)
-        key.append(None if x is None else (x.shape, x.flags.f_contiguous))
-    return row, tuple(key)
+    return row, (row[0].shape, *(x.flags.f_contiguous for x in row))
 
 
-def _chunks(data, num_tasks: int) -> Iterator[tuple[list[list], tuple]]:
+def _chunks(data, num_tasks: int) -> Iterator[list[list]]:
     """Runs of consecutive iterations whose batches share one key, at most
     :data:`_CHUNK_COLUMNS` columns per task, read one run ahead of the
-    caller.  An invalid iteration ends the run before it and raises when
-    the caller asks for the next run."""
+    caller; iterations count from 1.  An invalid iteration ends the run
+    before it and raises when the caller asks for the next run."""
     chunk: list[list] = []
     key, limit = None, 0
-    for batches in data:
+    for iteration, batches in enumerate(data, start=1):
         try:
-            row, row_key = _checked_row(batches, num_tasks)
+            row, row_key = _checked_row(batches, num_tasks, iteration)
         except SurgeryError:
             if chunk:
-                yield chunk, key
+                yield chunk
             raise
         if chunk and (row_key != key or len(chunk) == limit):
-            yield chunk, key
+            yield chunk
             chunk = []
         if not chunk:
-            width = max([k[0][1] for k in row_key if k is not None], default=1)
-            key, limit = row_key, max(1, _CHUNK_COLUMNS // width)
+            key, limit = row_key, max(1, _CHUNK_COLUMNS // row_key[0][1])
         chunk.append(row)
     if chunk:
-        yield chunk, key
+        yield chunk
 
 
 def train_surgery(
@@ -400,12 +411,10 @@ def train_surgery(
     through downstream blocks as well.  Neither the merged nor the expert
     parameters are modified.
 
-    The tasks are independent problems of one shape.  Row t of one
-    buffer holds every adapter of task t, and each iteration takes one
-    per-row Adam step on it; a task whose batch is None takes no step.
-    Each run of consecutive tasks whose batches share a shape runs as one
-    pass stacked on a leading task axis, on its row slice of the buffers,
-    so a chunk in which every task has a batch of one shape is one pass.
+    The tasks are independent problems of one shape: every iteration
+    gives every task a batch, all of one shape.  Row t of one buffer
+    holds every adapter of task t, and each iteration runs one pass
+    stacked on a leading task axis and takes one Adam step on the buffer.
     The expert targets, and the merged blocks below the lowest adapter,
     do not depend on the adapters: they run once per chunk of up to
     :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
@@ -438,43 +447,28 @@ def train_surgery(
         view[...] = [stack0.params[_entry(t, layer, half)] for t in range(num_tasks)]
         adapters[layer][half] = view
         grads[layer][half] = grad_view
-    optimizer = cfg.make_adam(rows=num_tasks)
+    optimizer = cfg.make_adam()
 
     losses: list[float] = []
 
-    def train_chunk(chunk: list[list], key: tuple) -> None:
+    def train_chunk(chunk: list[list]) -> None:
         # A function, so the chunk's arrays are freed before the next
-        # chunk's are computed.
-        stepped = [task for task, task_key in enumerate(key) if task_key is not None]
-        # Each run of consecutive stepped tasks whose batches share a shape
-        # is one stacked pass on the row slices of the buffers: slices are
-        # views, so its gradients land in place, and each slice of a
-        # stacked call is bitwise its own.
-        passes = []
-        runs = itertools.groupby(range(num_tasks), lambda t: key[t] and key[t][0])
-        for run in [list(run) for shape, run in runs if shape is not None]:
-            pick = slice(run[0], run[-1] + 1)
-            # (C, n, d, batch): each slice laid out as its batch is.
-            x = stack_batches([row[t] for row in chunk for t in run])
-            x = x.reshape(len(chunk), len(run), *x.shape[1:])
-            targets = forward_layers({n: w[pick] for n, w in experts64.items()}, spec, x)
-            targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
-            if first > 1:
-                x = forward_layers(merged64, spec, x, last=first - 1)[-1]
-            views = [{l: {h: m[pick] for h, m in pair.items()} for l, pair in arrays.items()}
-                     for arrays in (adapters, grads)]
-            passes.append((x, targets, *views))
+        # chunk's are computed.  (C, T, d, batch): each slice laid out as
+        # its batch is.
+        x = stack_batches([batch for row in chunk for batch in row])
+        x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
+        targets = forward_layers(experts64, spec, x)
+        targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
+        if first > 1:
+            x = forward_layers(merged64, spec, x, last=first - 1)[-1]
         for i in range(len(chunk)):
-            task_losses: list[list[float]] = []
-            for x, targets, task_adapters, task_grads in passes:
-                layer_losses, _ = surgery_gradients(
-                    merged64, spec, task_adapters, x[i],
-                    [None if z is None else z[i] for z in targets], psi, full_backprop, first,
-                    task_grads,
-                )
-                task_losses += np.stack([layer_losses[l] for l in layers], axis=-1).tolist()
+            layer_losses, _ = surgery_gradients(
+                merged64, spec, adapters, x[i], [None if z is None else z[i] for z in targets],
+                psi, full_backprop, first, grads,
+            )
+            task_losses = np.stack([layer_losses[l] for l in layers], axis=-1).tolist()
             total = 0.0
-            for task, task_loss in zip(stepped, task_losses):
+            for task, task_loss in enumerate(task_losses):
                 for layer, loss in zip(layers, task_loss):
                     if not math.isfinite(loss):
                         raise SurgeryError(
@@ -482,13 +476,11 @@ def train_surgery(
                             f"task {task}, layer {layer}"
                         )
                     total += loss
-            if stepped:
-                rows = None if len(stepped) == num_tasks else stepped
-                optimizer.step(params, grad_rows, rows)
+            optimizer.step(params, grad_rows)
             losses.append(total)
 
-    for chunk, key in _chunks(data, num_tasks):
-        train_chunk(chunk, key)
+    for chunk in _chunks(data, num_tasks):
+        train_chunk(chunk)
 
     stack = SurgeryStack(mode, ParamSet(
         (_entry(task, layer, half), adapters[layer][half][task])

@@ -553,7 +553,6 @@ class TestStackedAdaMerging:
         # is bitwise that of stacking them inside the call.
         rng, spec, pretrained, experts = _ada_instance(98)
         batches = [rng.standard_normal((6, 4)).T for _ in range(3)]
-        batches[1] = rng.standard_normal((4, 4)).T  # its own batch-width group
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
         pre64, taus = task_vectors(pretrained, experts, spec)
         want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
@@ -562,6 +561,17 @@ class TestStackedAdaMerging:
         )
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("widths", [(6, 4, 6), (4, 6, 6), (6, 6, 4)])
+    def test_batches_of_more_than_one_shape_are_rejected(self, widths):
+        rng, spec, pretrained, experts = _ada_instance(97)
+        batches = [rng.standard_normal((n, 4)).T for n in widths]
+        coeff = rng.uniform(0.1, 0.5, size=(3, 3))
+        pre64, taus = task_vectors(pretrained, experts, spec)
+        shapes = [(4, n) for n in widths]
+        message = re.escape(f"need batches of one shape, got {shapes}") + "$"
+        with pytest.raises(MergeError, match=message):
+            ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
 
     def test_block_names_are_formatted_once_per_spec(self, monkeypatch):
         # The per-step path reads the spec's cached names: the number of

@@ -275,56 +275,33 @@ class TestAdam:
         assert param.tobytes() == want.tobytes()
 
     def test_whole_buffer_step_equals_per_row_steps(self):
-        # Row 0 steps throughout, row 1 stops after 10 steps, row 2 after
-        # 3, row 3 sits out steps 4-7 and comes back: every row ends
-        # bitwise where its own textbook Adam on its own steps leaves it.
+        # Every row steps on every step, as each trainer's buffer does:
+        # each row ends bitwise where its own textbook Adam on its own
+        # gradients leaves it.
         rng = np.random.default_rng(1)
         rows, size, steps = 4, 11, 25
         start = rng.standard_normal((rows, size))
-        schedule = [
-            [r for r in range(rows) if (r != 1 or s < 10) and (r != 2 or s < 3)
-             and (r != 3 or not 4 <= s < 8)]
-            for s in range(steps)
-        ]
+        grads = [rng.standard_normal((rows, size)) for _ in range(steps)]
         buffer = start.copy()
-        adam = Adam(learning_rate=0.05, rows=rows)
-        seen: list[list[np.ndarray]] = [[] for _ in range(rows)]
-        for stepping in schedule:
-            grad = rng.standard_normal((rows, size))
-            for r in stepping:
-                seen[r].append(grad[r])
-            adam.step(buffer, grad, None if len(stepping) == rows else stepping)
-        assert adam.step_count == [len(g) for g in seen]
+        adam = Adam(learning_rate=0.05)
+        for grad in grads:
+            adam.step(buffer, grad)
+        assert adam.step_count == steps
         for r in range(rows):
-            want = _textbook_adam(start[r], seen[r], lr=0.05)
+            want = _textbook_adam(start[r], [g[r] for g in grads], lr=0.05)
             assert buffer[r].tobytes() == want.tobytes(), r
 
     def test_stacked_rows_broadcast_over_trailing_axes(self):
         rng = np.random.default_rng(2)
         start = rng.standard_normal((3, 2, 4))
         buffer = start.copy()
-        adam = Adam(rows=3)
+        adam = Adam()
         grads = [rng.standard_normal((3, 2, 4)) for _ in range(6)]
-        for i, grad in enumerate(grads):
-            adam.step(buffer, grad, [0, 2] if i % 2 else None)
+        for grad in grads:
+            adam.step(buffer, grad)
         for r in range(3):
-            own = [g[r] for i, g in enumerate(grads) if r != 1 or i % 2 == 0]
+            own = [g[r] for g in grads]
             assert buffer[r].tobytes() == _textbook_adam(start[r], own).tobytes()
-
-    def test_choosing_rows_needs_a_row_optimizer(self):
-        with pytest.raises(NetworkError):
-            Adam().step(np.zeros((2, 3)), np.ones((2, 3)), [0])
-
-    @pytest.mark.parametrize("rows", [[0, 0], [1, 0, 1], [-1], [2], [0, 5]])
-    def test_duplicate_or_out_of_range_rows_are_rejected(self, rows):
-        # A repeated row would step twice with its last count, and -1
-        # would step the last row; neither may touch the state.
-        param = np.zeros((2, 3))
-        adam = Adam(rows=2)
-        with pytest.raises(NetworkError, match="must be distinct rows of 2"):
-            adam.step(param, np.ones((2, 3)), rows)
-        assert adam.step_count == [0, 0]
-        assert not param.any()
 
 
 def _former_cross_entropy_and_adjoint(logits, labels):

@@ -1,6 +1,7 @@
 """Adapters, corrected forward passes, and surgery training."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -614,8 +615,6 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
     for row in batches:
         total = 0.0
         for task, x in enumerate(row):
-            if x is None:
-                continue
             targets = forward_layers(spec.backbone64(experts[task], "expert"), spec, x)
             layer_losses, grads = surgery_gradients(
                 merged64, spec, adapters[task], x, targets, psi, full_backprop
@@ -707,82 +706,65 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_joint_training_equals_training_each_task_alone(self, mode):
-        # A task trained alongside others ends bitwise where it would end if
-        # the others had no data at all: tasks never mix in the stacked pass.
+        # Tasks never mix in the stacked pass: giving task u other batches
+        # changes the loss curve and leaves every other task's adapters
+        # bitwise where they were.
         spec, merged, experts, _ = _three_task_models(seed=52)
         cfg = ms.TrainConfig(iterations=25, batch_size=6, seed=52)
         pools = [np.random.default_rng(53 + t).standard_normal((30, 4)) for t in range(3)]
         batches = list(random_batches(pools, cfg.batch_size, cfg.iterations, [53]))
+        others = list(random_batches(pools, cfg.batch_size, cfg.iterations, [54]))
         joint = train_surgery(
             merged, experts, spec, iter(batches), mode, LossKind.MSE, cfg, rank=2
         )
-        for t in range(3):
-            alone = train_surgery(
-                merged, experts, spec,
-                iter([[b if i == t else None for i, b in enumerate(row)] for row in batches]),
-                mode, LossKind.MSE, cfg, rank=2,
+        for u in range(3):
+            rows = [[o[t] if t == u else b[t] for t in range(3)] for b, o in zip(batches, others)]
+            changed = train_surgery(
+                merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2
             )
-            for layer in mode.layer_indices(spec.num_layers):
-                for half in ("down", "up"):
-                    got = entry(joint.stack, t, layer, half)
-                    want = entry(alone.stack, t, layer, half)
-                    assert got.tobytes() == want.tobytes(), (t, layer, half)
-            other = (t + 1) % 3
-            untouched = init_stack(spec, 3, mode, rank=2, seed=cfg.seed)
-            for layer in mode.layer_indices(spec.num_layers):
-                assert (
-                    entry(alone.stack, other, layer, "up").tobytes()
-                    == entry(untouched, other, layer, "up").tobytes()
-                )
+            assert changed.losses != joint.losses
+            for t in set(range(3)) - {u}:
+                for layer in mode.layer_indices(spec.num_layers):
+                    for half in ("down", "up"):
+                        got = entry(changed.stack, t, layer, half)
+                        want = entry(joint.stack, t, layer, half)
+                        assert got.tobytes() == want.tobytes(), (u, t, layer, half)
 
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
     def test_matches_per_task_reference_loop(self, psi, full_backprop):
-        # Unequal stream pools, so later iterations split into width groups
-        # and the shortest task runs out.
+        # Stream pools of 30 samples in batches of 8: the short last batch
+        # of 6 starts a chunk of its own.
         spec, merged, experts, _ = _three_task_models(seed=56)
         cfg = ms.TrainConfig(batch_size=8, seed=56)
-        pools = [
-            np.random.default_rng(57 + t).standard_normal((n, 4)) + 0.3
-            for t, n in enumerate((21, 30, 44))
-        ]
+        pools = [np.random.default_rng(57 + t).standard_normal((30, 4)) + 0.3 for t in range(3)]
         for mode in (ALL_LAYERS, SurgeryMode("block:2")):
             result = train_surgery(
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
             )
+            assert len(result.losses) == 4
             _assert_matches_reference(result, _per_task_reference(
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
             ))
 
-    def test_exhausted_stream_task_stops_stepping(self):
-        # Pools of 20, 37 and 50 samples in batches of 8: task 0 runs out
-        # after three iterations, the others keep training with shorter
-        # final batches in their own width groups.
+    @pytest.mark.parametrize("sizes", [(20, 37, 50), (30, 30, 29), (16, 8, 16)])
+    def test_a_stream_needs_pools_of_one_size(self, sizes):
+        # Pools of different sizes would run out at different iterations;
+        # random draws from them are still batches of one size.
         spec, merged, experts, _ = _three_task_models(seed=54)
-        cfg = ms.TrainConfig(batch_size=8, seed=54)
-        pools = [
-            np.random.default_rng(55 + t).standard_normal((n, 4)) for t, n in enumerate((20, 37, 50))
-        ]
-        joint = stream_train_surgery(
-            merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
-        )
-        assert len(joint.losses) == 7
-        for t in range(3):
-            own = [
-                [row[0] if i == t else None for i in range(3)]
-                for row in sequential_batches([pools[t]], cfg.batch_size)
-            ]
-            alone = train_surgery(
-                merged, experts, spec, iter(own), ALL_LAYERS, LossKind.L1, cfg, rank=2
+        cfg = ms.TrainConfig(batch_size=8, iterations=2, seed=54)
+        pools = [np.random.default_rng(55).standard_normal((n, 4)) for n in sizes]
+        message = re.escape(f"a stream needs pools of one size, got sizes {list(sizes)}") + "$"
+        with pytest.raises(SurgeryError, match=message):
+            sequential_batches(pools, cfg.batch_size)
+        with pytest.raises(SurgeryError, match=message):
+            stream_train_surgery(
+                merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
             )
-            for layer in ALL_LAYERS.layer_indices(spec.num_layers):
-                for half in ("down", "up"):
-                    got = entry(joint.stack, t, layer, half)
-                    want = entry(alone.stack, t, layer, half)
-                    assert got.tobytes() == want.tobytes(), (t, layer, half)
-
+        sampled = train_surgery(merged, experts, spec, pools, ALL_LAYERS, LossKind.L1, cfg, rank=2)
+        assert len(sampled.losses) == 2
 
     @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_stack_lists_entries_by_task_then_layer_then_down_before_up(self, mode):
@@ -872,27 +854,36 @@ class TestChunkedEngine:
             merged, experts, spec, rows, mode, LossKind.MSE, cfg, 2, False
         ))
 
-    @pytest.mark.parametrize("full_backprop", [False, True])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_unequal_streams_with_a_gap(self, mode, full_backprop):
-        # Streams of 21, 300 and 440 samples: task 0 runs out early, task
-        # 1 also skips iterations 5-9 and 40, and the last iterations run
-        # in width groups of their own.
+    @pytest.mark.parametrize(
+        ("iteration", "task"), [(1, 0), (5, 1), (PER_CHUNK, 2), (PER_CHUNK + 1, 1)]
+    )
+    def test_a_missing_batch_is_rejected_at_its_iteration(self, iteration, task):
+        # Every task steps on every iteration, so a None batch is an error;
+        # iterations count on across the chunk boundary.
         spec, merged, experts, _ = _three_task_models(seed=64)
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=64)
-        pools = self._pools(65, sizes=(21, 300, 440))
-        rows = list(sequential_batches(pools, self.BATCH))
-        for i in (*range(5, 10), 40):
-            rows[i] = [b if t != 1 else None for t, b in enumerate(rows[i])]
-        rows.insert(12, [None, None, None])
-        assert len(rows) > self.PER_CHUNK + 1
-        result = train_surgery(
-            merged, experts, spec, iter(rows), mode, LossKind.L1, cfg, rank=2,
-            full_backprop=full_backprop,
-        )
-        _assert_matches_reference(result, _per_task_reference(
-            merged, experts, spec, rows, mode, LossKind.L1, cfg, 2, full_backprop
-        ))
+        rows = [
+            list(row)
+            for row in random_batches(self._pools(65), self.BATCH, self.PER_CHUNK + 2, [1])
+        ]
+        rows[iteration - 1][task] = None
+        message = rf"^iteration {iteration}: task {task} has no batch$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
+
+    @pytest.mark.parametrize(
+        ("iteration", "task", "widths"), [(1, 0, (0, 0, 0)), (3, 1, (8, 0, 8))]
+    )
+    def test_an_empty_batch_is_rejected_at_its_iteration(self, iteration, task, widths):
+        # A batch of no columns has no loss to align and no chunk width.
+        spec, merged, experts, _ = _three_task_models(seed=66)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=66)
+        rng = np.random.default_rng(67)
+        rows = [[rng.standard_normal((4, 8)) + 0.3 for _ in range(3)] for _ in range(5)]
+        rows[iteration - 1] = [rng.standard_normal((4, n)) for n in widths]
+        message = rf"^iteration {iteration}: task {task} batch is empty$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_targets_run_once_per_chunk(self, mode, monkeypatch):
@@ -919,30 +910,31 @@ class TestChunkedEngine:
         chunk = calls[0]
         assert all(chunk[i, t].flags.f_contiguous for i in range(len(chunk)) for t in range(3))
 
-    def test_each_run_of_one_batch_shape_is_one_stacked_pass(self, monkeypatch):
-        # Tasks 0 and 1 take batches of 8 and task 2 batches of 5: the
-        # chunk's targets run as one pass on rows 0:2 and one on row 2:3,
-        # and each iteration runs one surgery pass per run.
+    @pytest.mark.parametrize(
+        ("iteration", "widths", "message"),
+        [
+            (3, (8, 8, 5), "iteration 3: task 2 batch has shape (4, 5), task 0's (4, 8)"),
+            (1, (8, 9, 8), "iteration 1: task 1 batch has shape (4, 9), task 0's (4, 8)"),
+            (2, (5, 8, 8), "iteration 2: task 1 batch has shape (4, 8), task 0's (4, 5)"),
+            (
+                PER_CHUNK + 1, (8, 5, 5),
+                f"iteration {PER_CHUNK + 1}: task 1 batch has shape (4, 5), task 0's (4, 8)",
+            ),
+        ],
+    )
+    def test_batches_of_more_than_one_shape_are_rejected(self, iteration, widths, message):
+        # At one iteration the tasks take batches of different widths: a
+        # stacked step needs one batch shape, and the first task that
+        # differs from task 0 is named.
         spec, merged, experts, _ = _three_task_models(seed=70)
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
         rng = np.random.default_rng(71)
-        rows = [[rng.standard_normal((4, n)) + 0.3 for n in (8, 8, 5)] for _ in range(5)]
-        calls = []
-        forward = surgery.forward_layers
-
-        def counting_forward(*args, **kwargs):
-            calls.append(args[2].shape)
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(surgery, "forward_layers", counting_forward)
-        result = train_surgery(
-            merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2
-        )
-        monkeypatch.undo()
-        assert calls == [(5, 2, 4, 8), (5, 1, 4, 5)] + [(2, 4, 8), (1, 4, 5)] * 5
-        _assert_matches_reference(result, _per_task_reference(
-            merged, experts, spec, rows, ALL_LAYERS, LossKind.L1, cfg, 2, False
-        ))
+        rows = [
+            [rng.standard_normal((4, 8)) + 0.3 for _ in range(3)] for _ in range(self.PER_CHUNK + 2)
+        ]
+        rows[iteration - 1] = [rng.standard_normal((4, n)) + 0.3 for n in widths]
+        with pytest.raises(SurgeryError, match=re.escape(message) + "$"):
+            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
 
     @pytest.mark.parametrize("iteration", [3, PER_CHUNK + 5])
     def test_divergence_names_its_first_iteration(self, iteration):
@@ -967,8 +959,8 @@ class TestChunkedEngine:
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
         rows = [list(row) for row in random_batches(self._pools(71), self.BATCH, 10, [1])]
         rows[6][2] = np.zeros((1, 4, self.BATCH))
-        with pytest.raises(SurgeryError, match="task 2 batch must be"):
+        with pytest.raises(SurgeryError, match="iteration 7: task 2 batch must be"):
             train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
         rows[6] = rows[6][:2]
-        with pytest.raises(SurgeryError, match="data covers 2 tasks, experts 3"):
+        with pytest.raises(SurgeryError, match="iteration 7: data covers 2 tasks, experts 3"):
             train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
