@@ -63,7 +63,7 @@ def _setup(config_path, run_dir, **overrides):
     file_values = load_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, overrides)
     suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
-    spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+    spec = ModelSpec(cfg.dim, cfg.hidden_dims, cfg.classes, cfg.tasks)
     return cfg, Path(run_dir), suite, spec
 
 

@@ -84,10 +84,6 @@ class TaskSuite:
     tasks: tuple[TaskData, ...]
     mixture: Dataset
     class_means: tuple[np.ndarray, ...]
-    dim: int
-    num_classes: int
-    n_train: int
-    n_test: int
 
     def test_inputs(self) -> list[np.ndarray]:
         return [task.test.features for task in self.tasks]
@@ -148,15 +144,7 @@ def gen_task_suite(
         arr.setflags(write=False)
         means_frozen.append(arr)
 
-    return TaskSuite(
-        tasks=tuple(tasks),
-        mixture=mixture,
-        class_means=tuple(means_frozen),
-        dim=dim,
-        num_classes=num_classes,
-        n_train=n_train,
-        n_test=n_test,
-    )
+    return TaskSuite(tasks=tuple(tasks), mixture=mixture, class_means=tuple(means_frozen))
 
 
 def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:

@@ -53,10 +53,11 @@ class EvalResult:
 
 def collect_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) -> ParamSet:
     """One ParamSet holding head.{t}.* from each of the spec's experts, t
-    in expert order; head t is a (head_dims[t], feature_dim) weight and a
-    (head_dims[t],) bias."""
+    in expert order; every head is a (num_classes, feature_dim) weight and
+    a (num_classes,) bias."""
     if len(experts) != spec.num_tasks:
         raise EvalError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
+    want = (spec.num_classes, spec.feature_dim)
     entries = []
     for task, expert in enumerate(experts):
         for kind in ("weight", "bias"):
@@ -65,7 +66,6 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) 
                 raise EvalError(f"expert {task} is missing {name!r}")
             entries.append((name, expert[name]))
         weight, bias = (np.shape(value) for _, value in entries[-2:])
-        want = (spec.head_dims[task], spec.feature_dim)
         if (weight, bias) != (want, want[:1]):
             raise EvalError(f"expert {task} head: weight {weight} and bias {bias}, "
                             f"expected {want} and {want[:1]}")

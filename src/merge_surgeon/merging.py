@@ -243,20 +243,17 @@ def task_vectors(
     return rows[0], rows[1:] - rows[0]
 
 
-def _stacked_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) -> list[tuple]:
+def _stacked_heads(
+    experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec
+) -> tuple[np.ndarray, np.ndarray]:
     """The experts' task heads (:func:`collect_heads`) in float64, stacked
-    per head width: a list of ``(tasks, weights, biases)`` with (G,
-    classes, d) weights and (G, classes) biases, the fixed head input of
-    :func:`ada_loss_and_gradient`."""
+    on the task axis: (T, classes, d) weights and (T, classes) biases, the
+    fixed head input of :func:`ada_loss_and_gradient`."""
     heads = collect_heads(experts, spec)
-    groups: dict[tuple, list[int]] = {}
-    for task in range(len(experts)):
-        groups.setdefault(heads[head_name(task, "weight")].shape, []).append(task)
-
-    def stacked(tasks, kind):
-        return np.stack([heads[head_name(t, kind)] for t in tasks]).astype(np.float64)
-
-    return [(tasks, stacked(tasks, "weight"), stacked(tasks, "bias")) for tasks in groups.values()]
+    return tuple(
+        np.stack([heads[head_name(t, kind)] for t in range(len(experts))]).astype(np.float64)
+        for kind in ("weight", "bias")
+    )
 
 
 def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> np.ndarray:
@@ -288,8 +285,8 @@ def ada_loss_and_gradient(
     (input_dim, batch) matrix ``batches[t]``.  ``batches`` is a list of
     such matrices, all of one shape, or one stacked (T, input_dim, batch)
     array; the T tasks run as one stacked pass through the shared merged
-    blocks (one pass per head shape), and each task's share is bitwise
-    that of its own 2-D pass.  ``heads`` is :func:`_stacked_heads` of
+    blocks and their stacked heads, and each task's share is bitwise that
+    of its own 2-D pass.  ``heads`` is :func:`_stacked_heads` of
     ``experts``, which a caller that steps many times computes once.
     Returns the loss and its (layers, tasks) gradient with respect to
     ``coefficients``.
@@ -302,18 +299,13 @@ def ada_loss_and_gradient(
         raise MergeError(f"need batches of one shape, got {shapes}")
     layout = _flat_layout(spec)
     merged64 = _by_name(layout, _merge_flat(pre64, taus, coefficients, layout))
-    entropies = np.empty(num_tasks)
-    task_grads = np.empty_like(taus)
-    for tasks, weights, biases in _stacked_heads(experts, spec) if heads is None else heads:
-        x = stack_batches([batches[t] for t in tasks])
-        layers = forward_layers(merged64, spec, x)
-        entropy, dlogits = entropy_loss_and_adjoint(weights @ layers[-1] + biases[..., None])
-        adjoint = weights.swapaxes(-1, -2) @ dlogits
-        grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
-        entropies[tasks] = entropy
-        task_grads[tasks] = np.concatenate(
-            [grads[name].reshape(len(tasks), -1) for name, *_ in layout], axis=1
-        )
+    weights, biases = _stacked_heads(experts, spec) if heads is None else heads
+    x = stack_batches(batches)
+    layers = forward_layers(merged64, spec, x)
+    entropies, dlogits = entropy_loss_and_adjoint(weights @ layers[-1] + biases[..., None])
+    adjoint = weights.swapaxes(-1, -2) @ dlogits
+    grads = backbone_adjoint_grads(merged64, spec, x, layers, adjoint)
+    task_grads = np.concatenate([grads[name].reshape(num_tasks, -1) for name, *_ in layout], axis=1)
     loss = 0.0
     for entropy in entropies.tolist():  # plain float additions in task order
         loss += entropy

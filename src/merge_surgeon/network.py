@@ -3,7 +3,7 @@ gradients, Adam, and the pretrain / expert fine-tune loops.
 
 Block l (1-based) maps d_{l-1} -> d_l through an affine layer followed by
 ReLU, except the final block which stays affine.  Task heads are linear
-maps d_L -> C_t and are never merged; they travel with expert parameter
+maps d_L -> C and are never merged; they travel with expert parameter
 sets.  All math runs in float64 internally (so finite-difference checks
 are clean) while parameter sets and traces are stored as float32.
 """
@@ -27,20 +27,24 @@ class NetworkError(MergeSurgeonError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: input width, per-block widths, head widths."""
+    """Architecture description: input width, per-block widths, and the
+    ``num_tasks`` task heads, each with ``num_classes`` rows, so every
+    head has one shape."""
 
     input_dim: int
     layer_dims: tuple[int, ...]
-    head_dims: tuple[int, ...]
+    num_classes: int
+    num_tasks: int
 
     def __post_init__(self):
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        object.__setattr__(self, "head_dims", tuple(int(d) for d in self.head_dims))
+        for name in ("input_dim", "num_classes", "num_tasks"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.input_dim < 1:
             raise NetworkError("input_dim must be positive")
         if len(self.layer_dims) < 2:
             raise NetworkError("need at least two blocks")
-        if any(d < 1 for d in self.layer_dims) or any(d < 1 for d in self.head_dims):
+        if any(d < 1 for d in (*self.layer_dims, self.num_classes, self.num_tasks)):
             raise NetworkError("all dimensions must be positive")
 
     @property
@@ -50,10 +54,6 @@ class ModelSpec:
     @property
     def feature_dim(self) -> int:
         return self.layer_dims[-1]
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.head_dims)
 
     def in_dim(self, layer: int) -> int:
         return self.input_dim if layer == 1 else self.layer_dims[layer - 2]
@@ -100,10 +100,11 @@ class ModelSpec:
         return copies
 
     def to_text(self) -> str:
+        # One head width per task: model_spec.cfg, which every manifest hashes, keeps this line.
         return (
             f"input_dim = {self.input_dim}\n"
             f"layer_dims = {','.join(str(d) for d in self.layer_dims)}\n"
-            f"head_dims = {','.join(str(d) for d in self.head_dims)}\n"
+            f"head_dims = {','.join([str(self.num_classes)] * self.num_tasks)}\n"
         )
 
 
@@ -112,7 +113,6 @@ class TrainConfig:
     """Optimizer and loop settings shared by every training procedure."""
 
     learning_rate: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     batch_size: int = 16
     iterations: int = 1000
     seed: int = 0
@@ -120,15 +120,12 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise NetworkError("learning_rate must be positive")
-        b1, b2 = self.betas
-        if not (0 < b1 < 1 and 0 < b2 < 1):
-            raise NetworkError("betas must lie strictly between 0 and 1")
         if self.batch_size < 1 or self.iterations < 1:
             raise NetworkError("batch_size and iterations must be >= 1")
 
     def make_adam(self) -> "Adam":
-        """An :class:`Adam` at this rate and betas."""
-        return Adam(self.learning_rate, self.betas)
+        """An :class:`Adam` at this rate."""
+        return Adam(self.learning_rate)
 
 
 # Adam's epsilon, added to the corrected second moment's square root.
@@ -405,7 +402,7 @@ def flat_rows(shapes: Sequence[tuple[int, ...]], rows: int) -> tuple[np.ndarray,
     return buffer, [c.reshape(rows, *shape) for c, shape in zip(columns, shapes)]
 
 
-# The key under which a training group's heads sit, stacked on the task axis.
+# The key under which the trained models' heads sit, stacked on the task axis.
 _STACKED_HEAD = "stacked"
 
 
@@ -420,59 +417,51 @@ def _train_classifiers(
     cfg: TrainConfig,
     batch_rngs: Sequence[np.random.Generator],
 ) -> tuple[list[dict[str, np.ndarray]], list[list[float]]]:
-    """Train each float64 ``models[t]`` (backbone plus head ``head_tags[t]``)
-    on ``datasets[t]`` with batches drawn from ``batch_rngs[t]``.
+    """Train each float64 ``models[t]`` (backbone plus head ``head_tags[t]``,
+    every head of one width) on ``datasets[t]`` with batches drawn from
+    ``batch_rngs[t]``.
 
-    The models are independent, so every iteration runs those whose heads
-    have the same width as one stacked (T, input_dim, batch) pass, with
-    each model on its row of that group's :func:`flat_rows` buffer, and
-    takes one :class:`Adam` step per buffer.  Every model ends
-    bitwise where training it alone would leave it.  Returns the trained
-    parameters, under each model's own names, and the loss curves.
+    The models are independent, so every iteration runs them all as one
+    stacked (T, input_dim, batch) pass, with model t on row t of one
+    :func:`flat_rows` buffer, and takes one :class:`Adam` step on that
+    buffer.  Every model ends bitwise where training it alone would leave
+    it.  Returns the trained parameters, under each model's own names, and
+    the loss curves.
     """
     features = [data.features.astype(np.float64) for data in datasets]
-    groups: dict[int, list[int]] = {}
-    for t, tag in enumerate(head_tags):
-        groups.setdefault(models[t][head_name(tag, "weight")].shape[0], []).append(t)
-    stacks, trained = [], {}
-    for classes, group in groups.items():
-        shapes = {
-            **spec.backbone_shapes(),
-            head_name(_STACKED_HEAD, "weight"): (classes, spec.feature_dim),
-            head_name(_STACKED_HEAD, "bias"): (classes,),
-        }
-        buffer, views = flat_rows(list(shapes.values()), len(group))
-        for i, t in enumerate(group):
-            head = (head_name(head_tags[t], "weight"), head_name(head_tags[t], "bias"))
-            names = [*spec.backbone_shapes(), *head]
-            for name, view in zip(names, views):
-                view[i] = models[t][name]
-            trained[t] = {name: view[i] for name, view in zip(names, views)}
-        stacks.append((group, dict(zip(shapes, views)), buffer, cfg.make_adam()))
+    classes = models[0][head_name(head_tags[0], "weight")].shape[0]
+    shapes = {
+        **spec.backbone_shapes(),
+        head_name(_STACKED_HEAD, "weight"): (classes, spec.feature_dim),
+        head_name(_STACKED_HEAD, "bias"): (classes,),
+    }
+    buffer, views = flat_rows(list(shapes.values()), len(models))
+    trained = []
+    for t, (model, tag) in enumerate(zip(models, head_tags)):
+        names = [*spec.backbone_shapes(), head_name(tag, "weight"), head_name(tag, "bias")]
+        for name, view in zip(names, views):
+            view[t] = model[name]
+        trained.append({name: view[t] for name, view in zip(names, views)})
+    params = dict(zip(shapes, views))
+    optimizer = cfg.make_adam()
 
     losses: list[list[float]] = [[] for _ in models]
     for iteration in range(1, cfg.iterations + 1):
-        step_losses: dict[int, float] = {}
-        flats = []
-        for group, params, _, _ in stacks:
-            picks = [
-                batch_rngs[t].integers(0, len(datasets[t]), size=cfg.batch_size) for t in group
-            ]
-            x = stack_batches([features[t][idx].T for t, idx in zip(group, picks)])
-            labels = np.stack([datasets[t].labels[idx] for t, idx in zip(group, picks)])
-            group_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
-            flats.append(
-                np.concatenate([grads[name].reshape(len(group), -1) for name in params], axis=1)
-            )
-            step_losses.update(zip(group, group_losses.tolist()))
-        for t in range(len(models)):
-            if not math.isfinite(step_losses[t]):
+        picks = [
+            rng.integers(0, len(data), size=cfg.batch_size)
+            for rng, data in zip(batch_rngs, datasets)
+        ]
+        x = stack_batches([f[idx].T for f, idx in zip(features, picks)])
+        labels = np.stack([data.labels[idx] for data, idx in zip(datasets, picks)])
+        step_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
+        for t, loss in enumerate(step_losses.tolist()):
+            if not math.isfinite(loss):
                 what = "pretraining" if head_tags[t] == "pretrain" else f"task {head_tags[t]}"
                 raise NetworkError(f"non-finite training loss at iteration {iteration} ({what})")
-            losses[t].append(step_losses[t])
-        for (_, _, buffer, optimizer), flat in zip(stacks, flats):
-            optimizer.step(buffer, flat)
-    return [trained[t] for t in range(len(models))], losses
+            losses[t].append(loss)
+        flat = np.concatenate([grads[name].reshape(len(models), -1) for name in params], axis=1)
+        optimizer.step(buffer, flat)
+    return trained, losses
 
 
 def pretrain(spec: ModelSpec, mixture: Dataset, cfg: TrainConfig) -> TrainResult:
@@ -516,16 +505,16 @@ def train_experts(
     for task, data in zip(tasks, train_sets):
         if not 0 <= task < spec.num_tasks:
             raise NetworkError(f"task index {task} out of range")
-        if data.num_classes != spec.head_dims[task] or data.dim != spec.input_dim:
+        if data.num_classes != spec.num_classes or data.dim != spec.input_dim:
             raise NetworkError(
                 f"task {task} data has {data.num_classes} classes of dimension {data.dim}, "
-                f"spec expects {spec.head_dims[task]} of dimension {spec.input_dim}"
+                f"spec expects {spec.num_classes} of dimension {spec.input_dim}"
             )
     models = []
     for task in tasks:
         params64 = dict(pretrained64)
         head_w, head_b = init_head(
-            spec.head_dims[task], spec.feature_dim, np.random.default_rng([cfg.seed, 2, task])
+            spec.num_classes, spec.feature_dim, np.random.default_rng([cfg.seed, 2, task])
         )
         params64[head_name(task, "weight")] = head_w
         params64[head_name(task, "bias")] = head_b

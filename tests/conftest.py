@@ -47,7 +47,7 @@ def ref_suite():
 
 @pytest.fixture(scope="session")
 def ref_spec():
-    return ms.ModelSpec(DIM, HIDDEN, (CLASSES,) * TASKS)
+    return ms.ModelSpec(DIM, HIDDEN, CLASSES, TASKS)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,10 @@ from merge_surgeon.network import (
 from merge_surgeon.surgery import surgery_gradients
 from merge_surgeon.tensors import ParamSet
 
-from conftest import ADA_ITERS, RANK, SURGERY_ITERS, SEED, TASKS, backbone_of, bitwise_equal
+from conftest import (
+    ADA_ITERS, CLASSES, DIM, N_TEST, N_TRAIN, RANK, SURGERY_ITERS, SEED, TASKS, backbone_of,
+    bitwise_equal,
+)
 from test_merging import ties_oracle
 from test_network import relative_error, small_instance
 
@@ -147,7 +150,7 @@ def test_criterion_02_ties_oracle_equivalence():
     rng = np.random.default_rng(202)
     keeps = (0.25, 0.5, 1.0)
     mismatches = 0
-    spec = ModelSpec(4, (4, 3), (2,))
+    spec = ModelSpec(4, (4, 3), 2, 1)
     shapes = list(spec.backbone_shapes().items())  # 35 params
     for case in range(100):
         pretrained = ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes])
@@ -184,7 +187,7 @@ def test_criterion_03_gradient_checks():
 
     # AdaMerging coefficient gradients.
     rng = np.random.default_rng(303)
-    spec = ModelSpec(4, (5, 3), (2, 2))
+    spec = ModelSpec(4, (5, 3), 2, 2)
     pretrained = ParamSet(init_backbone(spec, rng))
     experts = []
     for t in range(2):
@@ -210,7 +213,7 @@ def test_criterion_03_gradient_checks():
     worst_ada = relative_error(analytic, numeric)
 
     # Adapter gradients (block-coordinate, the training default).
-    spec2 = ModelSpec(4, (5, 4), (3,))
+    spec2 = ModelSpec(4, (5, 4), 3, 1)
     merged = ParamSet(init_backbone(spec2, np.random.default_rng(304)))
     expert = ParamSet(init_backbone(spec2, np.random.default_rng(305)))
     x = np.random.default_rng(306).standard_normal((4, 6)) + 0.25
@@ -382,13 +385,10 @@ def test_criterion_10_online_streaming(
 
 def test_criterion_11_wild_data(
     ref_merged_m, ref_experts_m, ref_spec_m, ref_heads, ref_test_sets,
-    surgery_cfg, fixture_accuracies, ref_suite,
+    surgery_cfg, fixture_accuracies,
 ):
     none, _, v2 = fixture_accuracies
-    wild_suite = ms.gen_task_suite(
-        WILD_SEED, TASKS, ref_suite.dim, ref_suite.num_classes,
-        ref_suite.n_train, ref_suite.n_test,
-    )
+    wild_suite = ms.gen_task_suite(WILD_SEED, TASKS, DIM, CLASSES, N_TRAIN, N_TEST)
     pool = wild_suite.mixture.features
     result = ms.train_surgery(
         ref_merged_m, ref_experts_m, ref_spec_m, [pool] * TASKS,

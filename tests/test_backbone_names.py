@@ -20,7 +20,7 @@ from merge_surgeon.network import NetworkError, init_backbone, init_head
 from merge_surgeon.tensors import ParamSet, head_name
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "merge_surgeon"
-SPEC = ms.ModelSpec(4, (5, 3, 3), (2, 2))
+SPEC = ms.ModelSpec(4, (5, 3, 3), 2, 2)
 CFG = ms.TrainConfig(iterations=3, batch_size=4, seed=0)
 
 
@@ -33,7 +33,7 @@ def _models() -> dict[str, ParamSet]:
         params = init_backbone(SPEC, rng)
         if name.startswith("expert"):
             task = int(name.split()[1])
-            weight, bias = init_head(SPEC.head_dims[task], SPEC.feature_dim, rng)
+            weight, bias = init_head(SPEC.num_classes, SPEC.feature_dim, rng)
             params[head_name(task, "weight")], params[head_name(task, "bias")] = weight, bias
         models[name] = ParamSet(params)
     return models

@@ -37,7 +37,7 @@ def positive_models(blocks, width=4, scales=(1e30,)):
     backbone per scale whose every entry is that float32 scale: block l's
     output grows like scale**l, so a scale of 1e30 fits float32 at layer
     1 and overflows it at layer 2, long before float64 overflows."""
-    spec = ModelSpec(width, (width,) * blocks, (2,))
+    spec = ModelSpec(width, (width,) * blocks, 2, 1)
     models = [
         ParamSet({name: np.full(shape, scale, dtype=np.float32)
                   for name, shape in spec.backbone_shapes().items()})
@@ -214,7 +214,7 @@ class TestAlignmentLoss:
 class TestLayerwiseReport:
     def test_merged_equal_expert_gives_zero_column(self):
         rng = np.random.default_rng(8)
-        spec = ModelSpec(4, (5, 3), (2, 2))
+        spec = ModelSpec(4, (5, 3), 2, 2)
         expert0 = ParamSet(init_backbone(spec, rng))
         expert1 = ParamSet(init_backbone(spec, np.random.default_rng(9)))
         inputs = [rng.standard_normal((12, 4)) for _ in range(2)]
@@ -235,7 +235,7 @@ class TestLayerwiseReport:
     @pytest.mark.parametrize("psi", list(LossKind))
     @pytest.mark.parametrize("mode", [None, "v1", "v2", "block:2"])
     def test_streamed_report_equals_the_all_layer_reference(self, mode, psi):
-        spec = ModelSpec(4, (6, 5, 3), (2, 2))
+        spec = ModelSpec(4, (6, 5, 3), 2, 2)
         rng = np.random.default_rng(12)
         merged = ParamSet(init_backbone(spec, rng))
         experts = [ParamSet(init_backbone(spec, np.random.default_rng(13 + t))) for t in range(2)]
@@ -370,7 +370,7 @@ class TestTraceMemory:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        spec = ModelSpec(self.WIDTH, (self.WIDTH,) * 6, (5,) * self.TASKS)
+        spec = ModelSpec(self.WIDTH, (self.WIDTH,) * 6, 5, self.TASKS)
         rng = np.random.default_rng(14)
         merged = ParamSet(init_backbone(spec, rng))
         experts = [ParamSet(init_backbone(spec, np.random.default_rng(15 + t)))

@@ -118,7 +118,7 @@ class TestErrors:
         run_dir = tmp_path / "run"
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
-        one_task = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 1, ALL_LAYERS, rank=4, seed=0)
+        one_task = init_stack(ModelSpec(4, (8, 8, 6), 3, 1), 1, ALL_LAYERS, rank=4, seed=0)
         save_paramset(one_task.params, stack_file)
         args = [command, "--config", str(config), "--run-dir", str(run_dir)]
         if command == "eval":
@@ -147,7 +147,7 @@ class TestErrors:
         run_dir = tmp_path / "run"
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
-        three_tasks = init_stack(ModelSpec(4, (8, 8, 6), (3,)), 3, ALL_LAYERS, rank=4, seed=0)
+        three_tasks = init_stack(ModelSpec(4, (8, 8, 6), 3, 1), 3, ALL_LAYERS, rank=4, seed=0)
         save_paramset(three_tasks.params, stack_file)
         result = invoke(runner, ["report", "--config", str(config), "--run-dir", str(run_dir)])
         assert result.exit_code != 0
@@ -953,7 +953,7 @@ class TestStepwiseFlow:
 
         cfg = RunConfig.from_sources(parse_config_text(TINY_CFG))
         suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
-        spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+        spec = ModelSpec(cfg.dim, cfg.hidden_dims, cfg.classes, cfg.tasks)
         pretrained = load_paramset(run_dir / "checkpoints" / "pretrained.msrg")
         experts = [load_paramset(run_dir / "checkpoints" / f"expert_{t}.msrg") for t in (0, 1)]
         heads = collect_heads(experts, spec)
@@ -981,7 +981,7 @@ class TestSurgeryData:
     @staticmethod
     def library_stack(run_dir, data):
         cfg = RunConfig.from_sources(parse_config_text(TINY_CFG))
-        spec = ModelSpec(cfg.dim, cfg.hidden_dims, (cfg.classes,) * cfg.tasks)
+        spec = ModelSpec(cfg.dim, cfg.hidden_dims, cfg.classes, cfg.tasks)
         train_cfg = TrainConfig(
             learning_rate=cfg.train_lr, batch_size=cfg.train_batch,
             iterations=cfg.surgery_iters, seed=cfg.seed,

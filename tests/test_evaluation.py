@@ -24,7 +24,7 @@ from merge_surgeon.tensors import ParamSet
 def perfect_setup():
     """Two-block 'network' whose final features are the inputs themselves,
     plus a head that reads the label off the leading coordinates."""
-    spec = ModelSpec(3, (3, 3), (3,))
+    spec = ModelSpec(3, (3, 3), 3, 1)
     params = {name: np.zeros(shape) for name, shape in spec.backbone_shapes().items()}
     params["block1.weight"] = np.eye(3)
     params["block2.weight"] = np.eye(3)
@@ -70,18 +70,18 @@ class TestEvaluate:
 
     def test_collect_heads_requires_every_expert_head(self):
         rng = np.random.default_rng(0)
-        spec = ModelSpec(3, (3, 3), (2, 2))
+        spec = ModelSpec(3, (3, 3), 2, 2)
         incomplete = ParamSet(init_backbone(spec, rng))
         with pytest.raises(EvalError, match="^expert 0 is missing 'head.0.weight'$"):
             collect_heads([incomplete, incomplete], spec)
 
     def test_collect_heads_checks_heads_against_the_spec(self):
-        spec = ModelSpec(3, (3, 4), (2, 3))
+        spec = ModelSpec(3, (3, 4), 3, 2)
 
         def expert(task, weight, bias):
             return {f"head.{task}.weight": np.zeros(weight), f"head.{task}.bias": np.zeros(bias)}
 
-        good = [expert(0, (2, 4), (2,)), expert(1, (3, 4), (3,))]
+        good = [expert(0, (3, 4), (3,)), expert(1, (3, 4), (3,))]
         assert list(collect_heads(good, spec)) == [
             "head.0.weight", "head.0.bias", "head.1.weight", "head.1.bias"
         ]
@@ -93,11 +93,15 @@ class TestEvaluate:
             message = f"expert 1 head: weight {weight} and bias {bias}, expected (3, 4) and (3,)"
             with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
                 collect_heads([good[0], expert(1, weight, bias)], spec)
+        # Every head has the spec's one class count, task 0's too.
+        message = "expert 0 head: weight (2, 4) and bias (2,), expected (3, 4) and (3,)"
+        with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+            collect_heads([expert(0, (2, 4), (2,)), good[1]], spec)
 
     def test_deep_overflow_names_the_layer(self):
         # Twelve blocks of all-positive 1e30 weights: layer 2 overflows
         # float32, and layer 11 would overflow float64 in its matmul.
-        spec = ModelSpec(4, (4,) * 12, (2,))
+        spec = ModelSpec(4, (4,) * 12, 2, 1)
         big = ParamSet({name: np.full(shape, 1e30, dtype=np.float32)
                         for name, shape in spec.backbone_shapes().items()})
         heads = ParamSet([("head.0.weight", np.ones((2, 4))), ("head.0.bias", np.zeros(2))])
@@ -111,7 +115,7 @@ class TestEvaluate:
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
         rng = np.random.default_rng(1)
-        spec = ModelSpec(3, (4, 3), (2, 2))
+        spec = ModelSpec(3, (4, 3), 2, 2)
         backbone = ParamSet(init_backbone(spec, rng))
         heads = ParamSet([
             ("head.0.weight", rng.standard_normal((2, 3))),

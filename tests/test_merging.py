@@ -35,9 +35,9 @@ from conftest import backbone_of, bitwise_equal
 
 
 # Two blocks: block1 (3, 2) and block2 (2, 3).
-SPEC = ModelSpec(2, (3, 2), (2,))
+SPEC = ModelSpec(2, (3, 2), 2, 1)
 # Two blocks of one unit each: a weight (1, 1) and a bias (1,) per block.
-UNIT = ModelSpec(1, (1, 1), (2,))
+UNIT = ModelSpec(1, (1, 1), 2, 1)
 
 
 def unit_model(weight=((0.0,),), bias=(0.0,), *extra):
@@ -187,7 +187,7 @@ class TestTiesMerge:
     @pytest.mark.parametrize("keep", [0.25, 0.5, 1.0])
     def test_matches_brute_force_oracle(self, keep):
         rng = np.random.default_rng(12)
-        spec = ModelSpec(4, (4, 3), (2,))
+        spec = ModelSpec(4, (4, 3), 2, 1)
         shapes = list(spec.backbone_shapes().items())
         for case in range(34):
             pretrained = ParamSet([(n, rng.uniform(-1, 1, size=s)) for n, s in shapes])
@@ -222,7 +222,7 @@ class TestFlatLayout:
         # Every rule lays the backbone out in the spec's order, block by
         # block (block 10 after block 2), weight before bias, whatever
         # order its first set lists.
-        spec = ModelSpec(2, (3, 2, 2, 2, 2, 2, 2, 2, 2, 2), (2,))
+        spec = ModelSpec(2, (3, 2, 2, 2, 2, 2, 2, 2, 2, 2), 2, 1)
         rng = np.random.default_rng(15)
         pretrained, *experts = random_backbones(rng, 4, spec)
         shuffled = ParamSet([list(pretrained.items())[i] for i in rng.permutation(20)])
@@ -292,7 +292,7 @@ class TestRecipe:
 @pytest.fixture(scope="module")
 def tiny_models():
     suite = ms.gen_task_suite(21, 2, 5, 3, 150, 80)
-    spec = ModelSpec(5, (8, 8, 6), (3, 3))
+    spec = ModelSpec(5, (8, 8, 6), 3, 2)
     cfg = ms.TrainConfig(iterations=200, seed=21)
     pre = ms.pretrain(spec, suite.mixture, cfg)
     experts = [
@@ -330,7 +330,7 @@ class TestScaleChecks:
         pytest.param(task_arithmetic, id="ta"),
         pytest.param(functools.partial(ties_merge, keep_fraction=0.5), id="ties"),
     ]
-    SPEC = ModelSpec(2, (1, 1), (2,))
+    SPEC = ModelSpec(2, (1, 1), 2, 1)
 
     @staticmethod
     def models():
@@ -387,7 +387,7 @@ class TestScaleChecks:
 class TestAdaMerging:
     def test_zero_task_vectors_are_a_fixed_point(self):
         rng = np.random.default_rng(22)
-        spec = ModelSpec(4, (5, 3), (2, 2))
+        spec = ModelSpec(4, (5, 3), 2, 2)
         backbone = init_backbone(spec, rng)
         expert_entries = dict(backbone)
         pretrained = ParamSet(backbone)
@@ -405,7 +405,7 @@ class TestAdaMerging:
 
     def test_coefficient_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
-        spec = ModelSpec(4, (5, 3), (2, 2))
+        spec = ModelSpec(4, (5, 3), 2, 2)
         pretrained = ParamSet(init_backbone(spec, rng))
         experts = []
         for t in range(2):
@@ -435,7 +435,7 @@ class TestAdaMerging:
 
     def test_deterministic(self):
         rng = np.random.default_rng(24)
-        spec = ModelSpec(4, (5, 3), (2,))
+        spec = ModelSpec(4, (5, 3), 2, 1)
         pretrained = ParamSet(init_backbone(spec, rng))
         entries = init_backbone(spec, np.random.default_rng(25))
         entries["head.0.weight"] = rng.standard_normal((2, 3))
@@ -484,12 +484,12 @@ def _reference_ada_loss_and_gradient(pretrained, experts, spec, coefficients, ba
     return loss / num_tasks, coeff_grad, merged64
 
 
-def _ada_instance(seed, head_dims=(2, 3, 2)):
+def _ada_instance(seed, classes=3):
     rng = np.random.default_rng(seed)
-    spec = ModelSpec(4, (6, 5, 3), head_dims)
+    spec = ModelSpec(4, (6, 5, 3), classes, 3)
     pretrained = ParamSet(init_backbone(spec, rng))
     experts = []
-    for t, classes in enumerate(head_dims):
+    for t in range(spec.num_tasks):
         entries = init_backbone(spec, rng)
         entries[f"head.{t}.weight"] = rng.standard_normal((classes, 3))
         entries[f"head.{t}.bias"] = rng.standard_normal(classes)
@@ -503,7 +503,7 @@ class TestStackedAdaMerging:
 
     @pytest.mark.parametrize("column_major", [True, False])
     def test_objective_matches_per_task_loop(self, column_major):
-        # Task 1's 3-class head runs in its own group beside tasks 0 and 2.
+        # Every head has 3 classes, so the tasks run in one stacked pass.
         rng, spec, pretrained, experts = _ada_instance(90)
         batches = [rng.standard_normal((7, 4)) for _ in range(3)]
         batches = [b.T if column_major else np.ascontiguousarray(b.T) for b in batches]
@@ -518,7 +518,7 @@ class TestStackedAdaMerging:
         assert grad.tobytes() == want_grad.tobytes()
 
     def test_stacked_batches_equal_the_list_form(self):
-        rng, spec, pretrained, experts = _ada_instance(91, head_dims=(2, 2, 2))
+        rng, spec, pretrained, experts = _ada_instance(91, classes=2)
         stacked = rng.standard_normal((3, 4, 6))
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
         pre64, taus = task_vectors(pretrained, experts, spec)
@@ -582,9 +582,10 @@ class TestStackedAdaMerging:
             calls.append((layer, kind))
             return f"block{layer}.{kind}"
 
-        rng, spec, pretrained, experts = _ada_instance(99, head_dims=(2, 2, 2))
+        rng, spec, pretrained, experts = _ada_instance(99, classes=2)
         monkeypatch.setattr(network, "block_name", counting_block_name)
-        spec = ModelSpec(spec.input_dim, spec.layer_dims, spec.head_dims)  # fresh cache
+        # A fresh spec, so a fresh name cache.
+        spec = ModelSpec(spec.input_dim, spec.layer_dims, spec.num_classes, spec.num_tasks)
         pools = [rng.standard_normal((20, 4)) for _ in range(3)]
         ms.ada_merge(pretrained, experts, spec, pools, ms.TrainConfig(iterations=3, seed=1))
         after_three = len(calls)
@@ -595,7 +596,7 @@ class TestStackedAdaMerging:
     def test_depends_on_expert_order(self):
         # Batch draws are seeded by task position, so swapping two experts
         # (with their pools) does not just swap their coefficient columns.
-        rng, spec, pretrained, experts = _ada_instance(94, head_dims=(2, 2, 2))
+        rng, spec, pretrained, experts = _ada_instance(94, classes=2)
         pools = [rng.standard_normal((25, 4)) for _ in range(3)]
         cfg = ms.TrainConfig(iterations=10, seed=95)
         base = ms.ada_merge(pretrained, experts, spec, pools, cfg)

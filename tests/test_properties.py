@@ -60,7 +60,7 @@ def _num_tasks(stack) -> int:
 def stacks(draw):
     """A fresh stack for a random model, task count, rank and mode."""
     layer_dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, (2,))
+    spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, 2, 1)
     mode = SurgeryMode(draw(st.sampled_from(
         ["v1", "v2"] + [f"block:{l}" for l in range(1, len(layer_dims) + 1)]
     )))
@@ -248,7 +248,7 @@ def malformed_names(draw):
 @example("surgery.1_0.1.down")
 @example("surgery.0.1.down\n")
 def test_malformed_stack_entry_raises_surgery_error(name):
-    spec = ModelSpec(3, (4, 2), (2,))
+    spec = ModelSpec(3, (4, 2), 2, 1)
     entries = dict(init_stack(spec, 1, ALL_LAYERS, rank=2, seed=0).params)
     entries[name] = np.zeros((2, 4))
     with pytest.raises(SurgeryError, match="unexpected stack entry"):
@@ -296,7 +296,7 @@ MERGE_EXAMPLES = settings(max_examples=60, deadline=None)
 def model_specs(draw):
     """A spec of 2-3 blocks, each 1-4 wide."""
     dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=4))
-    return ModelSpec(dims[0], tuple(dims[1:]), (2,))
+    return ModelSpec(dims[0], tuple(dims[1:]), 2, 1)
 
 
 def _model(draw, spec, values):
@@ -317,7 +317,7 @@ def merge_problems(draw, values=st.floats(-10, 10, width=32)):
 
 
 # Two blocks of one unit each, for the hand-written examples.
-UNIT = ModelSpec(1, (1, 1), (2,))
+UNIT = ModelSpec(1, (1, 1), 2, 1)
 
 
 def _unit_model(weight, bias):

@@ -37,7 +37,7 @@ from conftest import bitwise_equal
 
 
 def tiny_spec():
-    return ModelSpec(4, (5, 4), (3,))
+    return ModelSpec(4, (5, 4), 3, 1)
 
 
 def tiny_models(seed=0):
@@ -220,7 +220,7 @@ class TestCorrectedForward:
         assert plain[-1].tobytes() != corrected[-1].tobytes()
 
     def test_all_layers_matches_hand_composition(self):
-        spec = ModelSpec(3, (3, 2), (2,))
+        spec = ModelSpec(3, (3, 2), 2, 1)
         rng = np.random.default_rng(6)
         merged = ParamSet(init_backbone(spec, rng))
         adapters = {}
@@ -275,7 +275,7 @@ class TestCorrectedForward:
     def test_deep_overflow_is_named_before_float64_overflows(self):
         # Twelve blocks of all-positive 1e30 weights: layer 2 overflows
         # float32, and layer 11 would overflow float64 in its matmul.
-        spec = ModelSpec(4, (4,) * 12, (2,))
+        spec = ModelSpec(4, (4,) * 12, 2, 1)
         big = ParamSet({name: np.full(shape, 1e30, dtype=np.float32)
                         for name, shape in spec.backbone_shapes().items()})
         with warnings.catch_warnings():
@@ -571,7 +571,7 @@ def _three_task_models(seed=50):
     adapters with non-zero up matrices for every layer of every task.
     Positive biases keep ReLU columns from going all-zero, where the
     cosine loss is undefined."""
-    spec = ModelSpec(4, (6, 5, 4), (3, 3, 3))
+    spec = ModelSpec(4, (6, 5, 4), 3, 3)
     rng = np.random.default_rng(seed + 9)
 
     def backbone(model_seed):
