@@ -191,18 +191,14 @@ def layerwise_bias_report(
         x = np.asarray(features, dtype=np.float64).T
         merged_layers = trace_layers(merged64, spec, stack, x, task)
         expert_layers = trace_layers(expert64, spec, None, x, task)
-        expert_error = None
         for layer, merged_z in enumerate(merged_layers):
-            if expert_error is not None:
-                continue
             try:
                 expert_z = next(expert_layers)
-            except MergeSurgeonError as error:
-                expert_error = error
-                continue
+            except MergeSurgeonError:
+                for _ in merged_layers:
+                    pass
+                raise
             values[layer, task] = representation_bias(merged_z, expert_z, psi)
-        if expert_error is not None:
-            raise expert_error
         if final_traces is not None:
             final_traces.append((merged_z, expert_z))
     return BiasReport(values=values, model_id=model_id)

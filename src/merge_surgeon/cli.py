@@ -102,9 +102,9 @@ def _load_merged(run_dir: Path, cfg: RunConfig) -> tuple[ParamSet, list[ParamSet
 
 
 def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> SurgeryStack:
-    """The stack at ``path``, read in the mode that the run's
-    ``surgery_info.txt`` records, or the configured one if the run has
-    trained no stack."""
+    """The stack at ``path`` for every task of ``spec``, read in the mode
+    that the run's ``surgery_info.txt`` records, or the configured one if
+    the run has trained no stack."""
     info = run_dir / "surgery_info.txt"
     if info.exists():
         recorded = load_config_file(info)
@@ -118,9 +118,7 @@ def _load_stack(path: Path, run_dir: Path, cfg: RunConfig, spec: ModelSpec) -> S
         mode = cfg.surgery_mode
     else:
         raise SurgeryError("surgery mode 'none' cannot read a stack")
-    stack = SurgeryStack(mode, load_paramset(path))
-    stack.validate(spec, cfg.tasks)
-    return stack
+    return SurgeryStack(mode, load_paramset(path), spec)
 
 
 def _suffix(stack: SurgeryStack | None) -> str:

@@ -25,6 +25,17 @@ class NetworkError(MergeSurgeonError):
     """Shape or configuration violation in the model family."""
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int if ``int()`` keeps it whole, as for ``4.0`` or
+    ``np.int64(4)``; ``4.7``, ``'4'``, ``None``, nan or inf are rejected."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise NetworkError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description: input width, per-block widths, and the
@@ -37,9 +48,11 @@ class ModelSpec:
     num_tasks: int
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        object.__setattr__(self, "layer_dims", tuple(
+            _whole(f"layer_dims[{i}]", d) for i, d in enumerate(self.layer_dims)
+        ))
         for name in ("input_dim", "num_classes", "num_tasks"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.input_dim < 1:
             raise NetworkError("input_dim must be positive")
         if len(self.layer_dims) < 2:

@@ -6,8 +6,8 @@ next block consumes the corrected value.  Last-layer-only stacks mirror
 the cheap variant; all-layer stacks correct every block; single-block
 stacks exist for ablation.  Training is unsupervised: targets are the
 expert model's representations on unlabeled inputs.  A stack is one
-``ParamSet`` of named float32 matrices plus its mode; the checkpoint
-holds that ``ParamSet`` as it is.
+``ParamSet`` of named float32 matrices plus its mode and the spec whose
+every task it corrects; the checkpoint holds that ``ParamSet`` as it is.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from .network import (
 )
 from .tensors import MergeSurgeonError, ParamSet
 
-# The names of a stack's entries: surgery.{task}.{layer}.{down|up}, indices
-# in plain decimal, so each (task, layer) pair has exactly one spelling.
-_ENTRY_RE = re.compile(r"surgery\.(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)\.(down|up)")
-# The labels of the surgery modes, a block in the same plain decimal.
+# The labels of the surgery modes, a block in plain decimal.
 _MODE_RE = re.compile(r"v1|v2|block:[1-9][0-9]*")
 # Columns per task in one chunk of iterations: train_surgery computes the
 # expert targets of a chunk's batches in one stacked pass.  A constant
@@ -78,86 +75,61 @@ def _entry(task: int, layer: int, half: str) -> str:
 
 @dataclass(frozen=True)
 class SurgeryStack:
-    """Task-private adapters and the mode they were built for.
+    """Task-private adapters for every task of ``spec`` in the layers of ``mode``.
 
-    ``params`` holds the float32 matrices ``surgery.{task}.{layer}.down``
-    (rank, width) and ``surgery.{task}.{layer}.up`` (width, rank), the
-    entries of a stack checkpoint; the constructor checks their names,
-    pairs and shapes.  A task with no entries at all passes through
-    uncorrected; a task whose layers are not the mode's is an error at use
-    time, in :meth:`adapters64`.
+    ``params``, the entries of a stack checkpoint, holds the float32
+    matrices ``surgery.{task}.{layer}.down`` (rank, width) and ``.up``
+    (width, rank) for each task and layer, and nothing else.  The
+    constructor is the one check of a stack, so no task of a stack runs
+    uncorrected.
     """
 
     mode: SurgeryMode
     params: ParamSet
+    spec: ModelSpec
 
     def __post_init__(self):
         params = ParamSet(self.params)
-        halves: dict[tuple[int, int], dict[str, tuple]] = {}
-        for name, value in params.items():
-            match = _ENTRY_RE.fullmatch(name)
-            if match is None:
+        layers = self.mode.layer_indices(self.spec.num_layers)
+        tasks = range(self.spec.num_tasks)
+        expected = {_entry(t, l, h) for t in tasks for l in layers for h in ("down", "up")}
+        for name in params:
+            if name not in expected:
                 raise SurgeryError(
-                    f"unexpected stack entry {name!r} (expected surgery.<task>.<layer>.down|up)"
+                    f"unexpected stack entry {name!r} (expected surgery.<task>.<layer>.down|up "
+                    f"with task < {len(tasks)} and layer in {list(layers)})"
                 )
-            task, layer, half = match.groups()
-            halves.setdefault((int(task), int(layer)), {})[half] = value.shape
-        for key, pair in halves.items():
-            if set(pair) != {"down", "up"}:
-                raise SurgeryError(f"incomplete adapter for (task, layer) {key}")
-            if len(pair["down"]) != 2 or pair["up"] != pair["down"][::-1]:
-                raise SurgeryError(
-                    f"adapter {key} shapes inconsistent: down {pair['down']}, up {pair['up']}"
-                )
+        for task in tasks:
+            for layer in layers:
+                names = [_entry(task, layer, half) for half in ("down", "up")]
+                for name in names:
+                    if name not in params:
+                        raise SurgeryError(f"task {task}, layer {layer}: missing entry {name!r}")
+                down, up = (params[name].shape for name in names)
+                width = self.spec.out_dim(layer)
+                if len(down) != 2 or down[1] != width or up != down[::-1]:
+                    raise SurgeryError(
+                        f"task {task}, layer {layer}: down {down} and up {up}, expected "
+                        f"(rank, {width}) and ({width}, rank)"
+                    )
         object.__setattr__(self, "params", params)
 
-    def validate(self, spec: ModelSpec, num_tasks: int) -> None:
-        """Every task in ``range(num_tasks)`` carries the mode's full,
-        correctly sized adapter set, and the stack holds no other task."""
-        extra = sorted({int(name.split(".")[1]) for name in self.params} - set(range(num_tasks)))
-        if extra:
-            raise SurgeryError(f"stack holds tasks {extra} outside the run's {num_tasks} tasks")
-        required = self.mode.layer_indices(spec.num_layers)
-        for task in range(num_tasks):
-            if not self.adapters64(task, spec):
-                raise SurgeryError(f"task {task} is missing adapters for {required}")
-
-    def adapters64(self, task: int, spec: ModelSpec) -> dict[int, dict[str, np.ndarray]]:
+    def adapters64(self, task: int) -> dict[int, dict[str, np.ndarray]]:
         """Task ``task``'s adapters as float64 ``{"down", "up"}`` pairs keyed
-        by layer, the form :func:`forward_layers` applies; empty for a task
-        the stack does not cover.  A covered task must hold exactly the
-        mode's layers, each as wide as its layer."""
-        present = sorted(
-            int(name.split(".")[2]) for name in self.params
-            if name.startswith(f"surgery.{task}.") and name.endswith(".down")
-        )
-        required = self.mode.layer_indices(spec.num_layers)
-        if present and tuple(present) != required:
-            raise SurgeryError(
-                f"task {task} covers layers {present}, mode {self.mode.label} "
-                f"requires {list(required)}"
-            )
-        adapters = {}
-        for layer in present:
-            down, up = (self.params[_entry(task, layer, half)] for half in ("down", "up"))
-            if down.shape[1] != spec.out_dim(layer):
-                raise SurgeryError(
-                    f"adapter ({task},{layer}) width {down.shape[1]} != layer "
-                    f"width {spec.out_dim(layer)}"
-                )
-            adapters[layer] = {"down": down.astype(np.float64), "up": up.astype(np.float64)}
-        return adapters
+        by layer, the form :func:`forward_layers` applies."""
+        if task not in range(self.spec.num_tasks):
+            raise SurgeryError(f"task {task} is outside the stack's {self.spec.num_tasks} tasks")
+        return {
+            layer: {half: self.params[_entry(task, layer, half)].astype(np.float64)
+                    for half in ("down", "up")}
+            for layer in self.mode.layer_indices(self.spec.num_layers)
+        }
 
 
-def init_stack(
-    spec: ModelSpec,
-    num_tasks: int,
-    mode: SurgeryMode,
-    rank: int,
-    seed: int,
-) -> SurgeryStack:
-    """Fresh stack: small uniform down-projections, zero up-projections,
-    listed by task, layer, then down before up.
+def init_stack(spec: ModelSpec, mode: SurgeryMode, rank: int, seed: int) -> SurgeryStack:
+    """Fresh stack for every task of ``spec``: small uniform
+    down-projections, zero up-projections, listed by task, layer, then
+    down before up.
 
     With a zero up matrix every correction starts as the identity, so the
     corrected model begins exactly at the merged model.
@@ -165,7 +137,7 @@ def init_stack(
     if rank < 1:
         raise SurgeryError("rank must be >= 1")
     entries = []
-    for task in range(num_tasks):
+    for task in range(spec.num_tasks):
         for layer in mode.layer_indices(spec.num_layers):
             width = spec.out_dim(layer)
             rng = np.random.default_rng([seed, 5, task, layer])
@@ -173,7 +145,7 @@ def init_stack(
             down = rng.uniform(-bound, bound, size=(rank, width))
             entries += [(_entry(task, layer, "down"), down),
                         (_entry(task, layer, "up"), np.zeros((width, rank)))]
-    return SurgeryStack(mode, ParamSet(entries))
+    return SurgeryStack(mode, ParamSet(entries), spec)
 
 
 def trace_layers(
@@ -192,12 +164,14 @@ def trace_layers(
     layer holds one layer, not all of them.  A layer that overflows
     float32, or float64 inside its block, raises a ``SurgeryError``
     naming the task and layer before any later block runs.  With no
-    stack, or no adapters for the task, this is the plain forward trace,
-    so ``stack=None`` traces any backbone, an expert included.  Nothing
-    of the backbone is copied: the caller checks and copies it once for
-    every trace.
+    stack this is the plain forward trace, so ``stack=None`` traces any
+    backbone, an expert included; a stack made for another spec is a
+    ``SurgeryError``.  Nothing of the backbone is copied: the caller
+    checks and copies it once for every trace.
     """
-    adapters = {} if stack is None else stack.adapters64(task, spec)
+    if stack is not None and stack.spec != spec:
+        raise SurgeryError(f"a stack made for {stack.spec} cannot correct {spec}")
+    adapters = {} if stack is None else stack.adapters64(task)
     z = x
     for layer in range(1, spec.num_layers + 1):
         try:
@@ -409,7 +383,8 @@ def train_surgery(
     layer's loss with the incoming representation held fixed
     (block-coordinate); ``full_backprop`` differentiates the summed loss
     through downstream blocks as well.  Neither the merged nor the expert
-    parameters are modified.
+    parameters are modified.  ``experts`` holds one expert per task of
+    ``spec``, and the stack corrects every one of them.
 
     The tasks are independent problems of one shape: every iteration
     gives every task a batch, all of one shape.  Row t of one buffer
@@ -424,15 +399,15 @@ def train_surgery(
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
-    num_tasks = len(experts)
-    if num_tasks < 1:
-        raise SurgeryError("need at least one expert")
+    num_tasks = spec.num_tasks
+    if len(experts) != num_tasks:
+        raise SurgeryError(f"got {len(experts)} experts for the spec's {num_tasks} tasks")
     merged64 = spec.backbone64(merged, "merged")
     experts64 = [spec.backbone64(e, f"expert {t}") for t, e in enumerate(experts)]
     experts64 = {name: np.stack([e[name] for e in experts64]) for name in merged64}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
-    stack0 = init_stack(spec, num_tasks, mode, rank, cfg.seed)
+    stack0 = init_stack(spec, mode, rank, cfg.seed)
     # Row t of params holds every adapter of task t, and row t of
     # grad_rows its gradients; the per-layer (T, ...) matrices are views.
     shapes = {}
@@ -485,7 +460,7 @@ def train_surgery(
     stack = SurgeryStack(mode, ParamSet(
         (_entry(task, layer, half), adapters[layer][half][task])
         for task in range(num_tasks) for layer in layers for half in ("down", "up")
-    ))
+    ), spec)
     return SurgeryResult(stack=stack, losses=tuple(losses))
 
 

@@ -1,5 +1,6 @@
 """Bias metric, layer-wise reports, and PCA projection."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,8 +18,10 @@ from merge_surgeon.bias import (
 )
 from merge_surgeon.datasets import Dataset
 from merge_surgeon.evaluation import evaluate
-from merge_surgeon.network import ModelSpec, forward_layers, init_backbone
-from merge_surgeon.surgery import SurgeryError, SurgeryMode, SurgeryStack, init_stack
+from merge_surgeon.network import ModelSpec, TrainConfig, forward_layers, init_backbone
+from merge_surgeon.surgery import (
+    ALL_LAYERS, SurgeryError, SurgeryMode, SurgeryStack, init_stack, train_surgery,
+)
 from merge_surgeon.tensors import ParamSet
 
 
@@ -242,11 +245,11 @@ class TestLayerwiseReport:
         inputs = [rng.standard_normal((9, 4)), rng.standard_normal((11, 4))]
         stack = None
         if mode is not None:
-            zero_up = init_stack(spec, 2, SurgeryMode.parse(mode), rank=2, seed=3)
+            zero_up = init_stack(spec, SurgeryMode.parse(mode), rank=2, seed=3)
             stack = SurgeryStack(zero_up.mode, ParamSet(
                 (name, value if name.endswith(".down") else rng.standard_normal(value.shape))
                 for name, value in zero_up.params.items()
-            ))
+            ), spec)
         finals = []
         report = layerwise_bias_report(
             merged, experts, spec, inputs, psi, stack, final_traces=finals
@@ -259,7 +262,7 @@ class TestLayerwiseReport:
         expected = np.zeros((spec.num_layers, 2))
         for task, features in enumerate(inputs):
             x = features.T
-            adapters = {} if stack is None else stack.adapters64(task, spec)
+            adapters = {} if stack is None else stack.adapters64(task)
             merged_trace = all_layers(merged, adapters, x)
             expert_trace = all_layers(experts[task], {}, x)
             for layer in range(spec.num_layers):
@@ -269,6 +272,25 @@ class TestLayerwiseReport:
             ]
         assert report.values.tobytes() == expected.tobytes()
         assert len(finals) == 2
+
+    def test_a_one_task_stack_cannot_correct_two_tasks(self):
+        # train_surgery on one expert makes a stack for task 0 alone, so
+        # the report has no corrections to score task 1 with.
+        spec = ModelSpec(4, (6, 5, 3), 2, 1)
+        rng = np.random.default_rng(14)
+        merged = ParamSet(init_backbone(spec, rng))
+        experts = [ParamSet(init_backbone(spec, np.random.default_rng(15 + t))) for t in range(2)]
+        inputs = [rng.standard_normal((9, 4)), rng.standard_normal((9, 4))]
+        cfg = TrainConfig(iterations=3, seed=14)
+        stack = train_surgery(
+            merged, experts[:1], spec, inputs[:1], ALL_LAYERS, LossKind.L1, cfg
+        ).stack
+        with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
+            layerwise_bias_report(merged, experts, spec, inputs, LossKind.L1, stack)
+        two_tasks = dataclasses.replace(spec, num_tasks=2)
+        with pytest.raises(SurgeryError, match=r"^a stack made for ModelSpec\(.*num_tasks=1\) "
+                           r"cannot correct ModelSpec\(.*num_tasks=2\)$"):
+            layerwise_bias_report(merged, experts, two_tasks, inputs, LossKind.L1, stack)
 
     def test_deep_overflow_names_the_layer(self):
         spec, (big,) = positive_models(12)

@@ -118,7 +118,7 @@ class TestErrors:
         run_dir = tmp_path / "run"
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
-        one_task = init_stack(ModelSpec(4, (8, 8, 6), 3, 1), 1, ALL_LAYERS, rank=4, seed=0)
+        one_task = init_stack(ModelSpec(4, (8, 8, 6), 3, 1), ALL_LAYERS, rank=4, seed=0)
         save_paramset(one_task.params, stack_file)
         args = [command, "--config", str(config), "--run-dir", str(run_dir)]
         if command == "eval":
@@ -126,7 +126,7 @@ class TestErrors:
         result = invoke(runner, args)
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [
-            "Error: task 1 is missing adapters for (1, 2, 3)"
+            "Error: task 1, layer 1: missing entry 'surgery.1.1.down'"
         ]
 
     def test_malformed_stack_entry_is_one_line_error(self, runner, pipeline_run, tmp_path):
@@ -139,7 +139,7 @@ class TestErrors:
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [
             "Error: unexpected stack entry 'surgery.x.1.down' "
-            "(expected surgery.<task>.<layer>.down|up)"
+            "(expected surgery.<task>.<layer>.down|up with task < 2 and layer in [1, 2, 3])"
         ]
 
     def test_stack_with_an_extra_task_is_rejected(self, runner, pipeline_run, tmp_path):
@@ -147,12 +147,13 @@ class TestErrors:
         run_dir = tmp_path / "run"
         shutil.copytree(piped, run_dir)
         stack_file = run_dir / "checkpoints" / "surgery.msrg"
-        three_tasks = init_stack(ModelSpec(4, (8, 8, 6), 3, 1), 3, ALL_LAYERS, rank=4, seed=0)
+        three_tasks = init_stack(ModelSpec(4, (8, 8, 6), 3, 3), ALL_LAYERS, rank=4, seed=0)
         save_paramset(three_tasks.params, stack_file)
         result = invoke(runner, ["report", "--config", str(config), "--run-dir", str(run_dir)])
         assert result.exit_code != 0
         assert result.output.strip().splitlines() == [
-            "Error: stack holds tasks [2] outside the run's 2 tasks"
+            "Error: unexpected stack entry 'surgery.2.1.down' "
+            "(expected surgery.<task>.<layer>.down|up with task < 2 and layer in [1, 2, 3])"
         ]
 
     def test_diverging_joint_fine_tune_saves_no_expert(self, runner, tmp_path):

@@ -130,6 +130,23 @@ class TestModelSpec:
         assert [type(d) for d in dims] == [int] * 5
         assert spec.to_text() == "input_dim = 4\nlayer_dims = 5,4\nhead_dims = 3,3\n"
 
+    @pytest.mark.parametrize("args, message", [
+        ((4.7, (5, 4), 3, 1), "input_dim must be a whole number, got 4.7"),
+        ((4, (5.9, 4), 3, 1), r"layer_dims\[0\] must be a whole number, got 5.9"),
+        ((4, (5, 4), 3.5, 1), "num_classes must be a whole number, got 3.5"),
+        ((4, (5, 4), 3, 1.2), "num_tasks must be a whole number, got 1.2"),
+        (("abc", (5, 4), 3, 1), "input_dim must be a whole number, got 'abc'"),
+        ((4, (5, 4), 3, "2"), "num_tasks must be a whole number, got '2'"),
+        ((4, (5, 4), None, 1), "num_classes must be a whole number, got None"),
+        ((4, (5, float("nan")), 3, 1), r"layer_dims\[1\] must be a whole number, got nan"),
+        ((4, (5, 4), 3, float("inf")), "num_tasks must be a whole number, got inf"),
+    ])
+    def test_a_dim_that_int_would_change_is_rejected(self, args, message):
+        # int() alone would truncate 4.7 to 4 and end 'abc', None, nan and
+        # inf in a raw ValueError, TypeError or OverflowError.
+        with pytest.raises(NetworkError, match=f"^{message}$"):
+            ModelSpec(*args)
+
     def test_to_text_is_the_reference_model_spec_cfg(self):
         # Every run writes this as model_spec.cfg, which its manifest hashes:
         # one head width per task.

@@ -52,22 +52,15 @@ def new_path(tmp_path_factory):
     return lambda: root / f"{next(names)}.msrg"
 
 
-def _num_tasks(stack) -> int:
-    return 1 + max(int(name.split(".")[1]) for name in stack.params)
-
-
 @st.composite
 def stacks(draw):
     """A fresh stack for a random model, task count, rank and mode."""
     layer_dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, 2, 1)
+    spec = ModelSpec(draw(st.integers(1, 5)), layer_dims, 2, draw(st.integers(1, 3)))
     mode = SurgeryMode(draw(st.sampled_from(
         ["v1", "v2"] + [f"block:{l}" for l in range(1, len(layer_dims) + 1)]
     )))
-    stack = init_stack(
-        spec, draw(st.integers(1, 3)), mode, rank=draw(st.integers(1, 4)),
-        seed=draw(st.integers(0, 2**31)),
-    )
+    stack = init_stack(spec, mode, rank=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**31)))
     return spec, stack
 
 
@@ -77,10 +70,9 @@ def test_stack_file_round_trip_is_bitwise(new_path, spec_and_stack):
     spec, stack = spec_and_stack
     path = new_path()
     save_paramset(stack.params, path)
-    loaded = SurgeryStack(stack.mode, load_paramset(path))
+    loaded = SurgeryStack(stack.mode, load_paramset(path), spec)
     assert loaded.mode == stack.mode
     assert bitwise_equal(loaded.params, stack.params)
-    loaded.validate(spec, _num_tasks(stack))
 
 
 @FILE_EXAMPLES
@@ -196,7 +188,7 @@ def test_damaged_stack_file_loads_or_raises_a_domain_error(new_path, spec_and_st
     spec, stack = spec_and_stack
     path, _ = _damaged_stack_file(new_path, stack, data)
     try:
-        SurgeryStack(stack.mode, load_paramset(path)).validate(spec, _num_tasks(stack))
+        SurgeryStack(stack.mode, load_paramset(path), spec)
     except (CheckpointError, SurgeryError):
         pass
 
@@ -249,10 +241,10 @@ def malformed_names(draw):
 @example("surgery.0.1.down\n")
 def test_malformed_stack_entry_raises_surgery_error(name):
     spec = ModelSpec(3, (4, 2), 2, 1)
-    entries = dict(init_stack(spec, 1, ALL_LAYERS, rank=2, seed=0).params)
+    entries = dict(init_stack(spec, ALL_LAYERS, rank=2, seed=0).params)
     entries[name] = np.zeros((2, 4))
     with pytest.raises(SurgeryError, match="unexpected stack entry"):
-        SurgeryStack(ALL_LAYERS, ParamSet(entries))
+        SurgeryStack(ALL_LAYERS, ParamSet(entries), spec)
 
 
 _entry_names = st.builds(
@@ -277,16 +269,16 @@ def stack_paramsets(draw):
 @settings(max_examples=50, deadline=None)
 @given(stack_paramsets())
 def test_random_stack_paramset_loads_whole_or_raises_surgery_error(problem):
-    # The constructor checks names, pairs and shapes, and adapters64 each
-    # task's layers and widths: every task the names can hold (0-3) is read.
+    # The constructor is the one check: a stack it accepts gives every
+    # task of the spec the mode's adapters.
     spec, mode, params = problem
     try:
-        loaded = SurgeryStack(mode, params)
-        for task in range(4):
-            loaded.adapters64(task, spec)
+        loaded = SurgeryStack(mode, params, spec)
     except SurgeryError:
         return
     assert bitwise_equal(loaded.params, params)
+    for task in range(spec.num_tasks):
+        assert list(loaded.adapters64(task)) == list(mode.layer_indices(spec.num_layers))
 
 
 MERGE_EXAMPLES = settings(max_examples=60, deadline=None)

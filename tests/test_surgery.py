@@ -51,12 +51,13 @@ def tiny_models(seed=0):
     return spec, merged, expert
 
 
-def make_stack(mode, adapters):
-    """A stack of ``mode`` holding the ``(down, up)`` pair ``adapters[(task, layer)]``."""
+def make_stack(mode, adapters, spec):
+    """A stack of ``mode`` for ``spec`` holding the ``(down, up)`` pair
+    ``adapters[(task, layer)]``."""
     return SurgeryStack(mode, ParamSet(
         (f"surgery.{task}.{layer}.{half}", matrix)
         for (task, layer), pair in adapters.items() for half, matrix in zip(("down", "up"), pair)
-    ))
+    ), spec)
 
 
 def entry(stack, task, layer, half):
@@ -110,45 +111,88 @@ class TestAdapterForward:
     def test_shape_validation(self):
         spec = tiny_spec()
         adapters = {(0, 1): (np.zeros((2, 4)), np.zeros((4, 2)))}
-        wrong_width = make_stack(SurgeryMode("block:1"), adapters)
-        with pytest.raises(SurgeryError, match="width 4 != layer width 5"):
-            wrong_width.adapters64(0, spec)
+        message = (r"^task 0, layer 1: down \(2, 4\) and up \(4, 2\), "
+                   r"expected \(rank, 5\) and \(5, rank\)$")
+        with pytest.raises(SurgeryError, match=message):
+            make_stack(SurgeryMode("block:1"), adapters, spec)
         backbone = init_backbone(spec, np.random.default_rng(3))
         with pytest.raises(NetworkError):
             forward_layers(backbone, spec, np.zeros((5, 3)))
 
 
 class TestStackConstructor:
-    """SurgeryStack(mode, params) checks every entry's name, pair and shape."""
+    """SurgeryStack(mode, params, spec) checks every entry against every
+    task and layer of the spec, and nothing else checks a stack."""
 
     @pytest.mark.parametrize(
-        "entries, message",
+        "changes, message",
         [
             pytest.param(
-                {"surgery.0.1.down": np.zeros((2, 4)), "surgery.0.1.up": np.zeros((3, 2))},
-                r"^adapter \(0, 1\) shapes inconsistent: down \(2, 4\), up \(3, 2\)$",
+                {"surgery.0.1.up": np.zeros((3, 2))},
+                r"^task 0, layer 1: down \(2, 5\) and up \(3, 2\), "
+                r"expected \(rank, 5\) and \(5, rank\)$",
                 id="up_not_transposed_down",
             ),
             pytest.param(
-                {"surgery.0.1.down": np.zeros(4), "surgery.0.1.up": np.zeros(4)},
-                r"^adapter \(0, 1\) shapes inconsistent: down \(4,\), up \(4,\)$",
+                {"surgery.0.1.down": np.zeros(5), "surgery.0.1.up": np.zeros(5)},
+                r"^task 0, layer 1: down \(5,\) and up \(5,\), "
+                r"expected \(rank, 5\) and \(5, rank\)$",
                 id="one_dimensional_down",
             ),
             pytest.param(
-                {"surgery.0.1.down": np.zeros((2, 4))},
-                r"^incomplete adapter for \(task, layer\) \(0, 1\)$",
+                {"surgery.0.2.down": np.zeros((2, 5)), "surgery.0.2.up": np.zeros((5, 2))},
+                r"^task 0, layer 2: down \(2, 5\) and up \(5, 2\), "
+                r"expected \(rank, 4\) and \(4, rank\)$",
+                id="wider_than_its_layer",
+            ),
+            pytest.param(
+                {"surgery.0.1.up": None},
+                r"^task 0, layer 1: missing entry 'surgery.0.1.up'$",
                 id="unpaired_half",
             ),
             pytest.param(
-                {"surgery.0.1.left": np.zeros((2, 4))},
-                r"^unexpected stack entry 'surgery.0.1.left'",
+                {"surgery.0.1.left": np.zeros((2, 5))},
+                r"^unexpected stack entry 'surgery.0.1.left' \(expected "
+                r"surgery.<task>.<layer>.down\|up with task < 1 and layer in \[1, 2\]\)$",
                 id="bad_name",
+            ),
+            pytest.param(
+                {"surgery.1.1.down": np.zeros((2, 5)), "surgery.1.1.up": np.zeros((5, 2))},
+                r"^unexpected stack entry 'surgery.1.1.down'",
+                id="task_the_spec_does_not_have",
+            ),
+            pytest.param(
+                {"surgery.0.3.down": np.zeros((2, 4)), "surgery.0.3.up": np.zeros((4, 2))},
+                r"^unexpected stack entry 'surgery.0.3.down'",
+                id="layer_the_spec_does_not_have",
+            ),
+            pytest.param(
+                {"surgery.00.1.down": np.zeros((2, 5))},
+                r"^unexpected stack entry 'surgery.00.1.down'",
+                id="index_not_in_plain_decimal",
             ),
         ],
     )
-    def test_malformed_entries_rejected(self, entries, message):
+    def test_malformed_entries_rejected(self, changes, message):
+        spec = tiny_spec()
+        entries = dict(init_stack(spec, ALL_LAYERS, rank=2, seed=0).params)
+        for name, value in changes.items():
+            if value is None:
+                del entries[name]
+            else:
+                entries[name] = value
         with pytest.raises(SurgeryError, match=message):
-            SurgeryStack(ALL_LAYERS, ParamSet(entries))
+            SurgeryStack(ALL_LAYERS, ParamSet(entries), spec)
+
+    def test_a_stack_covers_every_task_of_its_spec(self):
+        spec = dataclasses.replace(tiny_spec(), num_tasks=3)
+        stack = init_stack(spec, SurgeryMode("v1"), rank=2, seed=0)
+        assert stack.spec == spec
+        assert [list(stack.adapters64(t)) for t in range(3)] == [[2]] * 3
+        for task in (3, -1):
+            message = rf"^task {task} is outside the stack's 3 tasks$"
+            with pytest.raises(SurgeryError, match=message):
+                stack.adapters64(task)
 
 
 class TestSurgeryMode:
@@ -184,18 +228,9 @@ class TestSurgeryMode:
 
 
 class TestCorrectedForward:
-    def test_empty_stack_equals_plain_forward_bitwise(self):
-        spec, merged, _ = tiny_models()
-        stack = SurgeryStack(ALL_LAYERS, ParamSet())
-        x = np.random.default_rng(3).standard_normal((4, 7))
-        plain = corrected_forward(merged, spec, None, x, task=0)
-        corrected = corrected_forward(merged, spec, stack, x, task=0)
-        for a, b in zip(plain, corrected):
-            assert a.tobytes() == b.tobytes()
-
     def test_zero_up_matrices_equal_plain_forward(self):
         spec, merged, _ = tiny_models()
-        stack = init_stack(spec, num_tasks=1, mode=ALL_LAYERS, rank=3, seed=5)
+        stack = init_stack(spec, mode=ALL_LAYERS, rank=3, seed=5)
         x = np.random.default_rng(4).standard_normal((4, 7))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -211,7 +246,7 @@ class TestCorrectedForward:
                 rng.standard_normal((spec.feature_dim, 3)),
             )
         }
-        stack = make_stack(SurgeryMode("v1"), adapters)
+        stack = make_stack(SurgeryMode("v1"), adapters, spec)
         x = rng.standard_normal((4, 6))
         plain = corrected_forward(merged, spec, None, x, task=0)
         corrected = corrected_forward(merged, spec, stack, x, task=0)
@@ -228,7 +263,7 @@ class TestCorrectedForward:
             adapters[(0, layer)] = (
                 rng.standard_normal((2, width)), rng.standard_normal((width, 2))
             )
-        stack = make_stack(ALL_LAYERS, adapters)
+        stack = make_stack(ALL_LAYERS, adapters, spec)
         x = rng.standard_normal((3, 4))
         trace = corrected_forward(merged, spec, stack, x, task=0)
 
@@ -244,19 +279,42 @@ class TestCorrectedForward:
         np.testing.assert_allclose(trace[1], z2_hat, atol=1e-6)
 
     def test_partial_coverage_rejected(self):
-        spec, merged, _ = tiny_models()
-        stack = make_stack(ALL_LAYERS, {(0, 1): (np.zeros((2, 5)), np.zeros((5, 2)))})
-        message = r"^task 0 covers layers \[1\], mode v2 requires \[1, 2\]$"
+        # A stack that covers some of the mode's layers is never made.
+        spec = tiny_spec()
+        adapters = {(0, 1): (np.zeros((2, 5)), np.zeros((5, 2)))}
+        message = r"^task 0, layer 2: missing entry 'surgery.0.2.down'$"
         with pytest.raises(SurgeryError, match=message):
-            corrected_forward(merged, spec, stack, np.zeros((4, 2)), task=0)
+            make_stack(ALL_LAYERS, adapters, spec)
 
-    def test_uncovered_task_passes_through(self):
+    def test_a_task_outside_the_stack_is_rejected(self):
+        # A task the stack holds no adapters for never traces uncorrected.
         spec, merged, _ = tiny_models()
-        stack = init_stack(spec, num_tasks=1, mode=SurgeryMode("v1"), rank=2, seed=1)
-        x = np.random.default_rng(7).standard_normal((4, 3))
-        trace = corrected_forward(merged, spec, stack, x, task=5)
-        plain = corrected_forward(merged, spec, None, x, task=0)
-        assert trace[-1].tobytes() == plain[-1].tobytes()
+        stack = init_stack(spec, mode=SurgeryMode("v1"), rank=2, seed=1)
+        with pytest.raises(SurgeryError, match=r"^task 5 is outside the stack's 1 tasks$"):
+            corrected_forward(merged, spec, stack, np.zeros((4, 3)), task=5)
+
+    def test_a_one_task_runs_stack_does_not_trace_task_1(self):
+        # train_surgery on one expert makes a stack for task 0 alone, so
+        # task 1 has no corrections to trace with.
+        spec, merged, expert = tiny_models(seed=8)
+        cfg = ms.TrainConfig(iterations=3, seed=8)
+        inputs = [np.random.default_rng(9).standard_normal((10, 4))]
+        stack = train_surgery(merged, [expert], spec, inputs, ALL_LAYERS, LossKind.L1, cfg).stack
+        x = np.ones((4, 3))
+        with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
+            corrected_forward(merged, spec, stack, x, task=1)
+        with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
+            next(trace_layers(spec.backbone64(merged, "merged"), spec, stack, x, task=1))
+
+    def test_a_stack_made_for_another_spec_is_rejected(self):
+        spec, merged, _ = tiny_models()
+        stack = init_stack(spec, mode=ALL_LAYERS, rank=2, seed=1)
+        two_tasks = dataclasses.replace(spec, num_tasks=2)
+        merged64 = two_tasks.backbone64(merged, "merged")
+        message = re.escape(f"a stack made for {spec} cannot correct {two_tasks}") + "$"
+        with pytest.raises(SurgeryError, match=message):
+            next(trace_layers(merged64, two_tasks, stack, np.ones((4, 3)), task=0))
+        assert len(list(trace_layers(merged64, spec, stack, np.ones((4, 3)), task=0))) == 2
 
 
     def test_representation_overflow_names_task_and_layer(self):
@@ -333,54 +391,58 @@ class TestCheckPools:
 
 class TestStackPersistence:
     def test_round_trip_keeps_mode(self):
-        spec = tiny_spec()
+        spec = dataclasses.replace(tiny_spec(), num_tasks=2)
         for mode in map(SurgeryMode, ("v1", "v2", "block:1", "block:2")):
-            stack = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8)
-            loaded = SurgeryStack(mode, stack.params)
+            stack = init_stack(spec, mode=mode, rank=3, seed=8)
+            loaded = SurgeryStack(mode, stack.params, spec)
             assert loaded.mode == mode
             assert bitwise_equal(loaded.params, stack.params)
-            loaded.validate(spec, num_tasks=2)
 
     def test_last_block_stack_keeps_block_mode(self):
         # block:<L> on an L-block model covers the same layers as v1; the
         # loader must keep the mode it is given instead of guessing v1.
-        spec = tiny_spec()
+        spec = dataclasses.replace(tiny_spec(), num_tasks=2)
         mode = SurgeryMode(f"block:{spec.num_layers}")
-        params = init_stack(spec, num_tasks=2, mode=mode, rank=3, seed=8).params
-        loaded = SurgeryStack(mode, params)
-        loaded.validate(spec, num_tasks=2)
+        params = init_stack(spec, mode=mode, rank=3, seed=8).params
+        loaded = SurgeryStack(mode, params, spec)
         assert loaded.mode.label == f"block:{spec.num_layers}"
 
     def test_coverage_must_match_mode(self):
-        spec = tiny_spec()
-        params = init_stack(spec, num_tasks=2, mode=SurgeryMode("v1"), rank=3, seed=8).params
-        for mode in (ALL_LAYERS, SurgeryMode("block:1")):
-            with pytest.raises(SurgeryError, match="task 0 covers layers"):
-                SurgeryStack(mode, params).validate(spec, num_tasks=2)
-        with pytest.raises(SurgeryError):
-            SurgeryStack(SurgeryMode("block:3"), params).validate(spec, num_tasks=2)
+        spec = dataclasses.replace(tiny_spec(), num_tasks=2)
+        params = init_stack(spec, mode=SurgeryMode("v1"), rank=3, seed=8).params
+        message = r"^task 0, layer 1: missing entry 'surgery.0.1.down'$"
+        with pytest.raises(SurgeryError, match=message):
+            SurgeryStack(ALL_LAYERS, params, spec)
+        with pytest.raises(SurgeryError, match=r"^unexpected stack entry 'surgery.0.2.down' "
+                           r"\(expected surgery.<task>.<layer>.down\|up with task < 2 and "
+                           r"layer in \[1\]\)$"):
+            SurgeryStack(SurgeryMode("block:1"), params, spec)
+        with pytest.raises(SurgeryError, match=r"^block 3 exceeds 2 layers$"):
+            SurgeryStack(SurgeryMode("block:3"), params, spec)
 
     def test_checkpoint_round_trip(self, tmp_path):
         from merge_surgeon.checkpoint import load_paramset, save_paramset
 
-        spec = tiny_spec()
-        stack = init_stack(spec, num_tasks=2, mode=ALL_LAYERS, rank=2, seed=9)
+        spec = dataclasses.replace(tiny_spec(), num_tasks=2)
+        stack = init_stack(spec, mode=ALL_LAYERS, rank=2, seed=9)
         path = tmp_path / "stack.msrg"
         save_paramset(stack.params, path)
-        loaded = SurgeryStack(ALL_LAYERS, load_paramset(path))
-        loaded.validate(spec, num_tasks=2)
+        loaded = SurgeryStack(ALL_LAYERS, load_paramset(path), spec)
         assert bitwise_equal(loaded.params, stack.params)
 
     def test_incomplete_adapter_rejected(self):
-        with pytest.raises(SurgeryError):
-            SurgeryStack(ALL_LAYERS, ParamSet([("surgery.0.1.down", np.zeros((2, 4)))]))
+        params = ParamSet([("surgery.0.1.down", np.zeros((2, 5)))])
+        message = r"^task 0, layer 1: missing entry 'surgery.0.1.up'$"
+        with pytest.raises(SurgeryError, match=message):
+            SurgeryStack(ALL_LAYERS, params, tiny_spec())
 
-    def test_validate_rejects_extra_tasks(self):
-        spec = tiny_spec()
-        stack = init_stack(spec, num_tasks=3, mode=ALL_LAYERS, rank=2, seed=9)
-        stack.validate(spec, num_tasks=3)
-        with pytest.raises(SurgeryError, match=r"stack holds tasks \[2\] outside the run's 2"):
-            stack.validate(spec, num_tasks=2)
+    def test_a_task_the_spec_does_not_have_is_rejected(self):
+        spec = dataclasses.replace(tiny_spec(), num_tasks=3)
+        params = init_stack(spec, mode=ALL_LAYERS, rank=2, seed=9).params
+        SurgeryStack(ALL_LAYERS, params, spec)
+        with pytest.raises(SurgeryError, match=r"^unexpected stack entry 'surgery.2.1.down' "
+                           r"\(expected surgery.<task>.<layer>.down\|up with task < 2 "):
+            SurgeryStack(ALL_LAYERS, params, dataclasses.replace(spec, num_tasks=2))
 
 
 def _layer_losses_f64(merged64, spec, task_adapters, x, targets, psi):
@@ -403,7 +465,7 @@ class TestTrainSurgery:
         inputs = [np.random.default_rng(31).standard_normal((20, 4))]
         result = train_surgery(expert, [expert], spec, inputs, ALL_LAYERS, LossKind.L1, cfg, rank=3)
         assert result.losses[0] == 0.0
-        reference = init_stack(spec, 1, ALL_LAYERS, rank=3, seed=30)
+        reference = init_stack(spec, ALL_LAYERS, rank=3, seed=30)
         assert bitwise_equal(result.stack.params, reference.params)
 
     def test_loss_decreases(self):
@@ -433,6 +495,16 @@ class TestTrainSurgery:
         assert {n: v.tobytes() for n, v in merged.items()} == merged_before
         assert {n: v.tobytes() for n, v in expert.items()} == expert_before
 
+    @pytest.mark.parametrize("num_experts", [0, 1, 3])
+    def test_needs_one_expert_per_task_of_the_spec(self, num_experts):
+        spec, merged, expert = tiny_models(seed=36)
+        spec = dataclasses.replace(spec, num_tasks=2)
+        cfg = ms.TrainConfig(iterations=2, seed=36)
+        message = rf"^got {num_experts} experts for the spec's 2 tasks$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, [expert] * num_experts, spec, iter([]), ALL_LAYERS,
+                          LossKind.L1, cfg)
+
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
     def test_adapter_gradients_match_finite_differences(self, psi, full_backprop):
@@ -446,7 +518,7 @@ class TestTrainSurgery:
         spec, merged, expert = tiny_models(seed=38)
         rng = np.random.default_rng(39)
         x = rng.standard_normal((4, 6)) + 0.3
-        init = init_stack(spec, 1, ALL_LAYERS, rank=2, seed=38)
+        init = init_stack(spec, ALL_LAYERS, rank=2, seed=38)
         # Non-zero up matrices so gradients flow through both halves.
         task_adapters = {
             layer: {
@@ -550,11 +622,11 @@ class TestTrainSurgery:
         spec, merged, expert = tiny_models(seed=44)
         rng = np.random.default_rng(45)
         x = rng.standard_normal((4, 10))
-        stack = init_stack(spec, 1, ALL_LAYERS, rank=2, seed=44)
+        stack = init_stack(spec, ALL_LAYERS, rank=2, seed=44)
         stack = SurgeryStack(ALL_LAYERS, {
             name: rng.uniform(-0.2, 0.2, size=value.shape) if name.endswith(".up") else value
             for name, value in stack.params.items()
-        })
+        }, spec)
         for psi in (LossKind.L1, LossKind.MSE):
             corrected = corrected_forward(merged, spec, stack, x, 0)
             targets = corrected_forward(expert, spec, None, x, 0)
@@ -605,8 +677,8 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
     """Surgery training one task at a time: per task and iteration, 2-D
     target and gradient calls and one Adam per (task, layer, matrix)."""
     merged64 = spec.backbone64(merged, "merged")
-    stack0 = init_stack(spec, len(experts), mode, rank, cfg.seed)
-    adapters = [stack0.adapters64(task, spec) for task in range(len(experts))]
+    stack0 = init_stack(spec, mode, rank, cfg.seed)
+    adapters = [stack0.adapters64(task) for task in range(len(experts))]
     optimizers = {
         (t, layer, half): cfg.make_adam()
         for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
@@ -781,7 +853,7 @@ class TestStackedEngine:
             for half in ("down", "up")
         ]
         assert list(result.stack.params) == names
-        assert list(init_stack(spec, 3, mode, rank=2, seed=58).params) == names
+        assert list(init_stack(spec, mode, rank=2, seed=58).params) == names
 
 
 def _assert_matches_reference(result, reference):
