@@ -182,6 +182,8 @@ def layerwise_bias_report(
     # alignment loss, so a module-level import would be circular.
     from .surgery import trace_layers
 
+    if len(experts) != spec.num_tasks:
+        raise BiasError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
     if len(experts) != len(inputs_per_task):
         raise BiasError("need exactly one input matrix per expert")
     merged64 = spec.backbone64(merged, "merged")

@@ -15,6 +15,7 @@ set: ``_assess`` scores the rows on the report's final-layer traces.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import multiprocessing
@@ -319,9 +320,30 @@ def _write_manifest(run_dir: Path, cfg: RunConfig) -> Path:
     return manifest
 
 
+# glibc's mallopt parameter for the number of malloc arenas (malloc.h).
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena():
+    """Cap glibc's malloc arenas at one, so the eval pool's threads
+    allocate from the main heap instead of each keeping an arena of its
+    own, which held tens of MB after the scale grid.  Where ``libc.so.6``
+    or its ``mallopt`` is missing, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 @click.group()
 def main():
     """Merge expert models, measure representation bias, repair it."""
+    # Before any command starts a thread or forks; the library leaves the
+    # allocator alone.
+    _one_malloc_arena()
 
 
 _config_option = click.option(

@@ -48,8 +48,14 @@ class ModelSpec:
     num_tasks: int
 
     def __post_init__(self):
+        try:
+            dims = tuple(self.layer_dims)
+        except TypeError:
+            raise NetworkError(
+                f"layer_dims must be a sequence of widths, got {self.layer_dims!r}"
+            ) from None
         object.__setattr__(self, "layer_dims", tuple(
-            _whole(f"layer_dims[{i}]", d) for i, d in enumerate(self.layer_dims)
+            _whole(f"layer_dims[{i}]", d) for i, d in enumerate(dims)
         ))
         for name in ("input_dim", "num_classes", "num_tasks"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
@@ -220,7 +226,14 @@ def forward_layers(
     either have a matching leading T axis (one model per slice) or none
     (shared by every slice).  More leading axes, such as a
     ``(C, T, d, batch)`` chunk of C stacked batches, broadcast the same
-    way.
+    way.  A block's weight and bias are stacked together or shared
+    together.
+
+    Each layer's output, and each adapter's hidden and corrected arrays,
+    is allocated once and then rectified or corrected in place, with the
+    operations of ``relu(W @ z + b)`` and ``Z - up @ relu(down @ Z)``, so
+    every bit is theirs; ``x``, the backbone and the adapters are never
+    written.
     """
     z = np.asarray(x, dtype=np.float64)
     if z.ndim < 2 or z.shape[-2] != spec.in_dim(first):
@@ -232,13 +245,18 @@ def forward_layers(
     layers = []
     for layer in range(first, num + 1 if last is None else last + 1):
         w_name, b_name = spec.block_names[layer - 1]
-        pre = backbone[w_name] @ z + backbone[b_name][..., None]
-        z = raw = np.maximum(pre, 0.0) if layer < num else pre
+        pre = backbone[w_name] @ z
+        pre += backbone[b_name][..., None]
+        if layer < num:
+            np.maximum(pre, 0.0, out=pre)
+        z = raw = pre
         hidden = None
         pair = adapters.get(layer)
         if pair is not None:
-            hidden = np.maximum(pair["down"] @ raw, 0.0)
-            z = raw - pair["up"] @ hidden
+            hidden = pair["down"] @ raw
+            np.maximum(hidden, 0.0, out=hidden)
+            z = pair["up"] @ hidden
+            np.subtract(raw, z, out=z)
         if records is not None:
             records.append((raw, hidden))
         layers.append(z)

@@ -285,12 +285,23 @@ class TestLayerwiseReport:
         stack = train_surgery(
             merged, experts[:1], spec, inputs[:1], ALL_LAYERS, LossKind.L1, cfg
         ).stack
-        with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
+        # Two experts on the one-task spec are rejected before any trace.
+        with pytest.raises(BiasError, match=r"^got 2 experts for the spec's 1 tasks$"):
             layerwise_bias_report(merged, experts, spec, inputs, LossKind.L1, stack)
         two_tasks = dataclasses.replace(spec, num_tasks=2)
         with pytest.raises(SurgeryError, match=r"^a stack made for ModelSpec\(.*num_tasks=1\) "
                            r"cannot correct ModelSpec\(.*num_tasks=2\)$"):
             layerwise_bias_report(merged, experts, two_tasks, inputs, LossKind.L1, stack)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_an_expert_count_other_than_the_specs_is_rejected(self, count):
+        # Three experts on a one-task spec used to give a (2, 3) report.
+        spec = ModelSpec(4, (5, 4), 3, 1)
+        merged = ParamSet(init_backbone(spec, np.random.default_rng(9)))
+        experts = [ParamSet(init_backbone(spec, np.random.default_rng(t))) for t in range(count)]
+        inputs = [np.ones((6, 4))] * count
+        with pytest.raises(BiasError, match=rf"^got {count} experts for the spec's 1 tasks$"):
+            layerwise_bias_report(merged, experts, spec, inputs, LossKind.L1)
 
     def test_deep_overflow_names_the_layer(self):
         spec, (big,) = positive_models(12)

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -1252,3 +1253,53 @@ class TestPipeline:
             result = invoke(runner, ["merge", *base, "--algo", algo, *extra])
             assert result.exit_code == 0, result.output
             assert (run_dir / "checkpoints" / "merged.msrg").exists()
+
+
+class TestMallocArenas:
+    def test_main_asks_for_one_arena_once(self, runner, tiny_config, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        result = invoke(runner, ["gen", "--config", str(tiny_config), "--run-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        # M_ARENA_MAX is -8 in glibc's malloc.h.
+        assert calls == [(-8, 1)]
+        assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+    @pytest.mark.parametrize("missing", ["libc", "mallopt"])
+    def test_without_mallopt_the_pipeline_runs_unchanged(
+        self, runner, pipeline_run, tiny_config, tmp_path, monkeypatch, missing
+    ):
+        def cdll(name):
+            if missing == "libc":
+                raise OSError(f"{name}: cannot open shared object file")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        run_dir = tmp_path / "run"
+        result = invoke(
+            runner, ["pipeline", "--config", str(tiny_config), "--run-dir", str(run_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        manifest = (run_dir / "manifest.txt").read_bytes()
+        assert manifest == (pipeline_run[1] / "manifest.txt").read_bytes()
+
+    def test_the_library_keeps_the_allocator(self):
+        # Only the command line caps the arenas: importing the package
+        # runs no mallopt.
+        code = (
+            "import ctypes\n"
+            "class NoMallopt(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        assert name != 'mallopt', 'import looked up mallopt'\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = NoMallopt\n"
+            "import merge_surgeon, merge_surgeon.cli\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

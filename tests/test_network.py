@@ -147,6 +147,14 @@ class TestModelSpec:
         with pytest.raises(NetworkError, match=f"^{message}$"):
             ModelSpec(*args)
 
+    @pytest.mark.parametrize("layer_dims", [None, 5])
+    def test_layer_dims_that_are_not_a_sequence_are_rejected(self, layer_dims):
+        # Iterating them used to end in a raw TypeError.
+        with pytest.raises(
+            NetworkError, match=f"^layer_dims must be a sequence of widths, got {layer_dims}$"
+        ):
+            ModelSpec(4, layer_dims, 3, 1)
+
     def test_to_text_is_the_reference_model_spec_cfg(self):
         # Every run writes this as model_spec.cfg, which its manifest hashes:
         # one head width per task.

@@ -2,9 +2,10 @@
 huge header shapes, random headers and byte flips over stack files,
 random stack parameter sets, malformed stack entry names, merge identities
 under expert permutation, the flat merges against their per-name
-formulas, configs built from random field text, and
-per-row Adam schedules; and that a failing property is reported as a
-test failure under the repository's warning filters."""
+formulas, configs built from random field text,
+per-row Adam schedules, and the forward pass against its out-of-place
+expression; and that a failing property is reported as a test failure
+under the repository's warning filters."""
 
 import itertools
 import json
@@ -25,7 +26,7 @@ from merge_surgeon.checkpoint import (
 )
 from merge_surgeon.config import ConfigError, RunConfig
 from merge_surgeon.merging import task_arithmetic, ties_merge, weight_average
-from merge_surgeon.network import Adam, ModelSpec
+from merge_surgeon.network import Adam, ModelSpec, forward_layers
 from merge_surgeon.surgery import (
     ALL_LAYERS,
     SurgeryError,
@@ -517,6 +518,88 @@ def test_row_adam_matches_textbook_adam_per_row(rows, steps, betas, seed):
             own = [grad[row] for grad in grads[key]]
             want = _textbook_adam(start[key][row], own, lr=0.05, betas=betas)
             assert params[key][row].tobytes() == want.tobytes(), (key, row)
+
+
+def _out_of_place_forward(backbone, spec, x, adapters, records, first, last):
+    """``forward_layers`` as one expression per array: every layer, hidden
+    and corrected output a temporary of its own."""
+    z = np.asarray(x, dtype=np.float64)
+    layers = []
+    for layer in range(first, last + 1):
+        w_name, b_name = spec.block_names[layer - 1]
+        pre = backbone[w_name] @ z + backbone[b_name][..., None]
+        z = raw = np.maximum(pre, 0.0) if layer < spec.num_layers else pre
+        hidden = None
+        pair = adapters.get(layer)
+        if pair is not None:
+            hidden = np.maximum(pair["down"] @ raw, 0.0)
+            z = raw - pair["up"] @ hidden
+        records.append((raw, hidden))
+        layers.append(z)
+    return layers
+
+
+@st.composite
+def forward_problems(draw):
+    """A random model, a 2-D, (T, d, B) or (C, T, d, B) input, blocks and
+    adapters each shared or stacked on T, and a block range whose end
+    may be left open (None)."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5))
+    spec = ModelSpec(dims[0], tuple(dims[1:]), 2, 1)
+    tasks, chunks, batch = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (tasks,), (chunks, tasks)]))
+    first = draw(st.integers(1, spec.num_layers))
+    last = draw(st.none() | st.integers(first, spec.num_layers))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+
+    def stacked(shape):
+        # Rounded to halves, so exact zeros reach the ReLUs.
+        full = ((tasks,) if draw(st.booleans()) else ()) + shape
+        return np.round(rng.standard_normal(full) * 2) / 2
+
+    backbone = {}
+    for layer, (w_name, b_name) in enumerate(spec.block_names, start=1):
+        backbone[w_name] = stacked((spec.out_dim(layer), spec.in_dim(layer)))
+        backbone[b_name] = rng.standard_normal(backbone[w_name].shape[:-1])
+    adapters = {}
+    for layer in draw(st.sets(st.integers(first, last or spec.num_layers))):
+        rank = draw(st.integers(1, 3))
+        adapters[layer] = {
+            "down": stacked((rank, spec.out_dim(layer))),
+            "up": stacked((spec.out_dim(layer), rank)),
+        }
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    x = rng.standard_normal((*lead, spec.in_dim(first), batch)).astype(dtype)
+    return spec, backbone, adapters, x, first, last
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_problems(), st.booleans())
+def test_forward_is_bitwise_the_out_of_place_expression(problem, with_records):
+    """Every output and record of ``forward_layers`` is bitwise the
+    out-of-place expression's, and ``x``, the backbone and the adapters
+    are left as they were."""
+    spec, backbone, adapters, x, first, last = problem
+    inputs = [x, *backbone.values(), *(a for pair in adapters.values() for a in pair.values())]
+    before = [a.copy() for a in inputs]
+    records = [] if with_records else None
+    layers = forward_layers(backbone, spec, x, adapters, records, first, last)
+    last = last or spec.num_layers
+    want_records = []
+    want = _out_of_place_forward(backbone, spec, x, adapters, want_records, first, last)
+    assert len(layers) == len(want) == last - first + 1
+    assert all(_same(z, w) for z, w in zip(layers, want))
+    if with_records:
+        assert len(records) == len(want_records)
+        for (raw, hidden), (want_raw, want_hidden) in zip(records, want_records):
+            assert _same(raw, want_raw)
+            assert (hidden is None) == (want_hidden is None)
+            assert hidden is None or _same(hidden, want_hidden)
+    assert all(_same(a, b) for a, b in zip(inputs, before))
 
 
 def test_failing_property_is_reported_as_a_failure(tmp_path):
