@@ -37,11 +37,9 @@ class LossKind(enum.Enum):
             raise BiasError(f"unknown loss kind {text!r} (expected l1, mse, or cos)") from None
 
 
-def _check_pair(
-    z_a: np.ndarray, z_b: np.ndarray, ndims=(2,), dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(z_a, dtype=dtype)
-    b = np.asarray(z_b, dtype=dtype)
+def _check_pair(z_a: np.ndarray, z_b: np.ndarray, ndims=(2,)) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(z_a)
+    b = np.asarray(z_b)
     if a.shape != b.shape:
         raise BiasError(f"trace shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in ndims or a.shape[-1] < 1:
@@ -75,7 +73,7 @@ def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) ->
     float64 difference of the inputs as given, with no float64 copy of
     either, so float32 traces cost one float64 array.
     """
-    a, b = _check_pair(z_mtl, z_ind, dtype=None)
+    a, b = _check_pair(z_mtl, z_ind)
     if kind is LossKind.NEG_COSINE:
         cos = _cosine_parts(np.asarray(a, np.float64), np.asarray(b, np.float64))[0]
         return float((1.0 - cos).mean())
@@ -87,7 +85,8 @@ def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) ->
 def alignment_loss_and_grad(
     z_hat: np.ndarray, z_ind: np.ndarray, kind: LossKind
 ) -> tuple[float, np.ndarray]:
-    """Training objective for surgery plus its gradient w.r.t. ``z_hat``.
+    """Training objective for surgery plus its gradient w.r.t. ``z_hat``,
+    computed in the inputs' dtype (float32 in surgery training).
 
     For L1 and MSE the value coincides with :func:`representation_bias`;
     for NEG_COSINE the raw mean negative cosine is optimized (same

@@ -4,8 +4,11 @@ gradients, Adam, and the pretrain / expert fine-tune loops.
 Block l (1-based) maps d_{l-1} -> d_l through an affine layer followed by
 ReLU, except the final block which stays affine.  Task heads are linear
 maps d_L -> C and are never merged; they travel with expert parameter
-sets.  All math runs in float64 internally (so finite-difference checks
-are clean) while parameter sets and traces are stored as float32.
+sets.  Parameter sets and traces are stored as float32.  The kernels
+(:func:`forward_layers`, :class:`Adam`) compute in the dtype of the arrays
+they are given: pretraining, fine-tuning, the merges and every trace run
+in float64 (so finite-difference checks are clean), and surgery training
+runs in float32.
 """
 
 from __future__ import annotations
@@ -96,9 +99,12 @@ class ModelSpec:
             shapes[bias] = (self.out_dim(layer),)
         return shapes
 
-    def backbone64(self, params: Mapping[str, np.ndarray], what: str) -> dict[str, np.ndarray]:
-        """Float64 copies of the backbone entries of the model ``what`` in
-        block order, the one check, copy and naming of a backbone:
+    def backbone64(
+        self, params: Mapping[str, np.ndarray], what: str, dtype=np.float64
+    ) -> dict[str, np.ndarray]:
+        """Copies of the backbone entries of the model ``what`` in block
+        order, float64 unless ``dtype`` says otherwise (surgery training
+        takes float32), the one check, copy and naming of a backbone:
         ``params`` must hold each of this spec's backbone names with its
         shape and no other ``block<l>.weight|bias`` entry; any other entry
         is left out.  A rejection is a ``NetworkError`` that reads
@@ -115,7 +121,7 @@ class ModelSpec:
                 raise NetworkError(
                     f"{what}: {name!r} has shape {tuple(params[name].shape)}, expected {shape}"
                 )
-            copies[name] = np.array(params[name], dtype=np.float64)
+            copies[name] = np.array(params[name], dtype=dtype)
         return copies
 
     def to_text(self) -> str:
@@ -152,13 +158,13 @@ _ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction over one float64 array, in place.
+    """Adam with bias correction over one array, in place, in its dtype.
 
     Every step updates the whole array from one step count.  The update
     is elementwise, so an array that holds one independent model per
     leading row steps each row bitwise as its own optimizer would.
-    Moments and scratch are allocated on the first step, so a step
-    allocates nothing after it.
+    Moments and scratch are allocated on the first step, in the array's
+    dtype, so a step allocates nothing after it.
     """
 
     def __init__(self, learning_rate: float = 1e-3, betas=(0.9, 0.999)):
@@ -210,10 +216,11 @@ def forward_layers(
     first: int = 1,
     last: int | None = None,
 ) -> list[np.ndarray]:
-    """Float64 forward pass returning [Z_1 .. Z_L], each (d_l, batch).
+    """Forward pass returning [Z_1 .. Z_L], each (d_l, batch), in the
+    dtype of the backbone: ``x`` is cast to it, and adapters share it.
 
-    ``adapters`` maps a 1-based layer to float64 ``{"down", "up"}``
-    matrices; that layer's output Z is corrected in the path to
+    ``adapters`` maps a 1-based layer to ``{"down", "up"}`` matrices;
+    that layer's output Z is corrected in the path to
     ``Z - up @ relu(down @ Z)``, which the next block consumes.  A
     ``records`` list receives ``(Z, hidden)`` per layer: the uncorrected
     output and ``relu(down @ Z)``, or None where no adapter sits.
@@ -235,7 +242,7 @@ def forward_layers(
     every bit is theirs; ``x``, the backbone and the adapters are never
     written.
     """
-    z = np.asarray(x, dtype=np.float64)
+    z = np.asarray(x, dtype=backbone[spec.block_names[first - 1][0]].dtype)
     if z.ndim < 2 or z.shape[-2] != spec.in_dim(first):
         raise NetworkError(
             f"input must be ([T,] {spec.in_dim(first)}, batch), got {z.shape}"
@@ -383,11 +390,12 @@ def classifier_loss_and_grads(
 
 
 def stack_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack (input_dim, batch) matrices to one float64 (T, input_dim, batch)
-    input.  Transposed (column-major) batches, as :func:`random_batches`
-    draws them, stay column-major in their slices, so every BLAS call on a
-    slice sees the operands that the batch's own 2-D call would."""
-    arrays = [np.asarray(b, dtype=np.float64) for b in batches]
+    """Stack (input_dim, batch) matrices to one (T, input_dim, batch) input
+    in their dtype.  Transposed (column-major) batches, as
+    :func:`random_batches` draws them, stay column-major in their slices,
+    so every BLAS call on a slice sees the operands that the batch's own
+    2-D call would."""
+    arrays = [np.asarray(b) for b in batches]
     if all(a.ndim == 2 and a.flags.f_contiguous for a in arrays):
         return np.stack([a.T for a in arrays]).swapaxes(1, 2)
     return np.stack(arrays)
@@ -423,12 +431,13 @@ def init_head(
     return rng.uniform(-bound, bound, size=(classes, feature_dim)), np.zeros(classes)
 
 
-def flat_rows(shapes: Sequence[tuple[int, ...]], rows: int) -> tuple[np.ndarray, list]:
-    """A float64 (rows, P) buffer and, per shape, a (rows, *shape) view of
+def flat_rows(shapes: Sequence[tuple[int, ...]], rows: int, dtype) -> tuple[np.ndarray, list]:
+    """A (rows, P) buffer of ``dtype`` (float64 for the classifiers,
+    float32 for surgery adapters) and, per shape, a (rows, *shape) view of
     its next columns.  Row t holds all parameters of model t, so one Adam
     step on the row updates every view's slice t."""
     sizes = [math.prod(shape) for shape in shapes]
-    buffer = np.empty((rows, sum(sizes)))
+    buffer = np.empty((rows, sum(sizes)), dtype=dtype)
     columns = np.split(buffer, np.cumsum(sizes)[:-1], axis=1)
     return buffer, [c.reshape(rows, *shape) for c, shape in zip(columns, shapes)]
 
@@ -466,7 +475,7 @@ def _train_classifiers(
         head_name(_STACKED_HEAD, "weight"): (classes, spec.feature_dim),
         head_name(_STACKED_HEAD, "bias"): (classes,),
     }
-    buffer, views = flat_rows(list(shapes.values()), len(models))
+    buffer, views = flat_rows(list(shapes.values()), len(models), np.float64)
     trained = []
     for t, (model, tag) in enumerate(zip(models, head_tags)):
         names = [*spec.backbone_shapes(), head_name(tag, "weight"), head_name(tag, "bias")]

@@ -5,9 +5,11 @@ representation is ``Z - omega(Z)``, applied in the forward path so the
 next block consumes the corrected value.  Last-layer-only stacks mirror
 the cheap variant; all-layer stacks correct every block; single-block
 stacks exist for ablation.  Training is unsupervised: targets are the
-expert model's representations on unlabeled inputs.  A stack is one
-``ParamSet`` of named float32 matrices plus its mode and the spec whose
-every task it corrects; the checkpoint holds that ``ParamSet`` as it is.
+expert model's representations on unlabeled inputs.  It runs in
+float32, while traces run in float64 and round each layer to float32.
+A stack is one ``ParamSet`` of named float32 matrices plus its mode and
+the spec whose every task it corrects; the checkpoint holds that
+``ParamSet`` as it is.
 """
 
 from __future__ import annotations
@@ -179,12 +181,36 @@ def trace_layers(
                 (z,) = forward_layers(backbone64, spec, z, adapters, first=layer, last=layer)
                 z32 = np.ascontiguousarray(z, dtype=np.float32)
         except FloatingPointError:
-            raise SurgeryError(
-                f"task {task}: layer {layer} representations overflow float32"
-            ) from None
+            raise _overflow_error(task, layer) from None
         # Outside the errstate block: a suspended generator would leave
         # the caller's code running under it.
         yield z32
+
+
+def _overflow_error(task: int, layer: int) -> SurgeryError:
+    return SurgeryError(f"task {task}: layer {layer} representations overflow float32")
+
+
+def _check_overflow(x: np.ndarray, layers: Sequence[np.ndarray], first: int = 1) -> None:
+    """Raise the overflow error of the lowest task, at its lowest layer,
+    in which a sample enters a block finite and leaves it not.
+
+    ``x`` is a stacked ``(..., T, d, batch)`` input of block ``first`` and
+    ``layers`` the blocks' outputs from there on.  A forward pass keeps
+    its samples (columns) apart, so a sample that is not finite where it
+    enters, such as a NaN in the data, overflows nowhere."""
+    if all(np.isfinite(z).all() for z in layers):
+        return
+    finite = np.isfinite(x).all(axis=-2)  # (..., T, batch): each sample
+    hits = []
+    for layer, z in enumerate(layers, first):
+        now = np.isfinite(z).all(axis=-2)
+        lost = finite & ~now
+        tasks = lost.any(axis=-1).reshape(-1, lost.shape[-2]).any(axis=0)
+        hits += [(int(task), layer) for task in np.flatnonzero(tasks)]
+        finite = now
+    if hits:
+        raise _overflow_error(*min(hits))
 
 
 def corrected_forward(
@@ -203,12 +229,16 @@ def corrected_forward(
     return tuple(trace_layers(spec.backbone64(merged, "merged"), spec, stack, x, task))
 
 
+# A value beyond float32 becomes inf, and its loss the non-finite loss
+# that train_surgery names; numpy's warning would only add a line.
+@np.errstate(over="ignore")
 def _check_pools(inputs_per_task) -> list[np.ndarray]:
-    """Each task's pool as float64; a pool object listed for several
-    tasks is converted once, and every task gets that one array."""
+    """Each task's pool as float32, surgery training's dtype, with no
+    copy of a float32 pool; a pool object listed for several tasks is
+    converted once, and every task gets that one array."""
     inputs = list(inputs_per_task)  # alive throughout, so each id names one pool
     unique = {id(p): p for p in inputs}
-    converted = {key: np.asarray(p, dtype=np.float64) for key, p in unique.items()}
+    converted = {key: np.asarray(p, dtype=np.float32) for key, p in unique.items()}
     pools = [converted[id(p)] for p in inputs]
     if not pools or any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise SurgeryError("need non-empty (samples, dim) input pools per task")
@@ -244,7 +274,7 @@ class SurgeryResult:
 
 
 def surgery_gradients(
-    merged64: Mapping[str, np.ndarray],
+    merged: Mapping[str, np.ndarray],
     spec: ModelSpec,
     task_adapters: Mapping[int, dict[str, np.ndarray]],
     x: np.ndarray,
@@ -254,7 +284,10 @@ def surgery_gradients(
     first: int = 1,
     grads: dict[int, dict[str, np.ndarray]] | None = None,
 ):
-    """Per-layer alignment losses and adapter gradients for one batch.
+    """Per-layer alignment losses and adapter gradients for one batch,
+    computed in the dtype of the merged backbone ``merged`` (a
+    ``spec.backbone64`` copy) and of the adapters and targets, which
+    share it.
 
     Block-coordinate mode differentiates each layer's loss with its
     incoming representation held fixed; full backprop differentiates the
@@ -276,7 +309,7 @@ def surgery_gradients(
     if min(task_adapters, default=first) < first:
         raise SurgeryError(f"adapters below block {first} need the pass to start lower")
     records = []
-    corrected = forward_layers(merged64, spec, x, task_adapters, records, first=first)
+    corrected = forward_layers(merged, spec, x, task_adapters, records, first=first)
     losses: dict[int, float | np.ndarray] = {}
     adjoints: dict[int, np.ndarray] = {}
     for layer in sorted(task_adapters):
@@ -306,12 +339,12 @@ def surgery_gradients(
                 d_raw = a_hat - pair["down"].swapaxes(-1, -2) @ ((up_t @ a_hat) * (hidden > 0))
         if full_backprop and layer > first:
             d_pre = d_raw * (raw > 0) if layer < spec.num_layers else d_raw
-            carry = merged64[spec.block_names[layer - 1][0]].T @ d_pre
+            carry = merged[spec.block_names[layer - 1][0]].T @ d_pre
     return losses, grads
 
 
 def _checked_row(batches, num_tasks: int, iteration: int) -> tuple[list, tuple]:
-    """Iteration ``iteration``'s batches as non-empty float64 matrices of
+    """Iteration ``iteration``'s batches as non-empty float32 matrices of
     one shape, one per task, and its key: that shape and each batch's
     column-major flag."""
     if len(batches) != num_tasks:
@@ -322,7 +355,7 @@ def _checked_row(batches, num_tasks: int, iteration: int) -> tuple[list, tuple]:
     for task, x in enumerate(batches):
         if x is None:
             raise SurgeryError(f"iteration {iteration}: task {task} has no batch")
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise SurgeryError(
                 f"iteration {iteration}: task {task} batch must be (input_dim, batch)"
@@ -386,25 +419,34 @@ def train_surgery(
     parameters are modified.  ``experts`` holds one expert per task of
     ``spec``, and the stack corrects every one of them.
 
-    The tasks are independent problems of one shape: every iteration
-    gives every task a batch, all of one shape.  Row t of one buffer
-    holds every adapter of task t, and each iteration runs one pass
-    stacked on a leading task axis and takes one Adam step on the buffer.
-    The expert targets, and the merged blocks below the lowest adapter,
-    do not depend on the adapters: they run once per chunk of up to
-    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
+    Training runs in float32: ``spec.backbone64`` checks each backbone
+    and copies it once to float32, under the name ``merged`` or ``expert
+    <t>``, the batches are float32, and so are the adapter buffers and
+    Adam's moments.  The tasks are independent problems of one shape:
+    every iteration gives every task a batch, all of one shape.  Row t of
+    one buffer holds every adapter of task t, and each iteration runs one
+    pass stacked on a leading task axis and takes one Adam step on the
+    buffer.  The expert targets, and the merged blocks below the lowest
+    adapter, do not depend on the adapters: they run once per chunk of up
+    to :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
     Every task ends bitwise where training it alone on its own batches
-    would leave it.  ``spec.backbone64`` checks and copies each backbone
-    once, under the name ``merged`` or ``expert <t>``.
+    would leave it.
+
+    A representation that overflows float32 ends training in the
+    ``SurgeryError`` of :func:`trace_layers`, which names the task and
+    layer, with no numpy warning: the targets and the merged blocks
+    below the lowest adapter are checked once per chunk, and the
+    corrected layers when a loss is not finite.  Any other non-finite
+    loss names its iteration, task and layer.
     """
     if not isinstance(data, Iterator):
         data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = spec.num_tasks
     if len(experts) != num_tasks:
         raise SurgeryError(f"got {len(experts)} experts for the spec's {num_tasks} tasks")
-    merged64 = spec.backbone64(merged, "merged")
-    experts64 = [spec.backbone64(e, f"expert {t}") for t, e in enumerate(experts)]
-    experts64 = {name: np.stack([e[name] for e in experts64]) for name in merged64}
+    merged32 = spec.backbone64(merged, "merged", np.float32)
+    experts32 = [spec.backbone64(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
+    experts32 = {name: np.stack([e[name] for e in experts32]) for name in merged32}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
     stack0 = init_stack(spec, mode, rank, cfg.seed)
@@ -414,8 +456,8 @@ def train_surgery(
     for layer in layers:
         shapes[layer, "down"] = (rank, spec.out_dim(layer))
         shapes[layer, "up"] = (spec.out_dim(layer), rank)
-    params, views = flat_rows(list(shapes.values()), num_tasks)
-    grad_rows, grad_views = flat_rows(list(shapes.values()), num_tasks)
+    params, views = flat_rows(list(shapes.values()), num_tasks, np.float32)
+    grad_rows, grad_views = flat_rows(list(shapes.values()), num_tasks, np.float32)
     adapters: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
     grads: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
     for (layer, half), view, grad_view in zip(shapes, views, grad_views):
@@ -432,13 +474,16 @@ def train_surgery(
         # its batch is.
         x = stack_batches([batch for row in chunk for batch in row])
         x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
-        targets = forward_layers(experts64, spec, x)
+        targets = forward_layers(experts32, spec, x)
+        _check_overflow(x, targets)
         targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
         if first > 1:
-            x = forward_layers(merged64, spec, x, last=first - 1)[-1]
+            below = forward_layers(merged32, spec, x, last=first - 1)
+            _check_overflow(x, below)
+            x = below[-1]
         for i in range(len(chunk)):
             layer_losses, _ = surgery_gradients(
-                merged64, spec, adapters, x[i], [None if z is None else z[i] for z in targets],
+                merged32, spec, adapters, x[i], [None if z is None else z[i] for z in targets],
                 psi, full_backprop, first, grads,
             )
             task_losses = np.stack([layer_losses[l] for l in layers], axis=-1).tolist()
@@ -446,6 +491,8 @@ def train_surgery(
             for task, task_loss in enumerate(task_losses):
                 for layer, loss in zip(layers, task_loss):
                     if not math.isfinite(loss):
+                        corrected = forward_layers(merged32, spec, x[i], adapters, first=first)
+                        _check_overflow(x[i], corrected, first)
                         raise SurgeryError(
                             f"non-finite loss at iteration {len(losses) + 1}, "
                             f"task {task}, layer {layer}"
@@ -454,8 +501,11 @@ def train_surgery(
             optimizer.step(params, grad_rows)
             losses.append(total)
 
-    for chunk in _chunks(data, num_tasks):
-        train_chunk(chunk)
+    # An overflow ends in the SurgeryError of its check; numpy's warnings
+    # on the way would only add lines before it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for chunk in _chunks(data, num_tasks):
+            train_chunk(chunk)
 
     stack = SurgeryStack(mode, ParamSet(
         (_entry(task, layer, half), adapters[layer][half][task])

@@ -305,17 +305,24 @@ class TestAdam:
 
     # With beta1 = 0.5, 1 - beta1**t rounds to 1.0 from step 54 on.
     @pytest.mark.parametrize("betas", [(0.8, 0.99), (0.5, 0.99)])
-    def test_in_place_step_is_the_textbook_step(self, betas):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_step_is_the_textbook_step(self, betas, dtype):
+        # Surgery steps float32 adapters: the moments and every operation
+        # follow the array's dtype.
         rng = np.random.default_rng(0)
-        start = rng.standard_normal((3, 7))
+        start = rng.standard_normal((3, 7)).astype(dtype)
         # Gradients over many magnitudes, zeros included.
-        grads = [rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-12, 12) for _ in range(80)]
+        grads = [
+            (rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-12, 12)).astype(dtype)
+            for _ in range(80)
+        ]
         grads[5][1] = 0.0
         param = start.copy()
         adam = Adam(learning_rate=0.01, betas=betas)
         for grad in grads:
             adam.step(param, grad)
         want = _textbook_adam(start, grads, lr=0.01, betas=betas)
+        assert param.dtype == want.dtype == dtype
         assert param.tobytes() == want.tobytes()
 
     def test_whole_buffer_step_equals_per_row_steps(self):

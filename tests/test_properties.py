@@ -522,8 +522,8 @@ def test_row_adam_matches_textbook_adam_per_row(rows, steps, betas, seed):
 
 def _out_of_place_forward(backbone, spec, x, adapters, records, first, last):
     """``forward_layers`` as one expression per array: every layer, hidden
-    and corrected output a temporary of its own."""
-    z = np.asarray(x, dtype=np.float64)
+    and corrected output a temporary of its own, in the backbone's dtype."""
+    z = np.asarray(x, dtype=backbone[spec.block_names[first - 1][0]].dtype)
     layers = []
     for layer in range(first, last + 1):
         w_name, b_name = spec.block_names[layer - 1]
@@ -541,9 +541,9 @@ def _out_of_place_forward(backbone, spec, x, adapters, records, first, last):
 
 @st.composite
 def forward_problems(draw):
-    """A random model, a 2-D, (T, d, B) or (C, T, d, B) input, blocks and
-    adapters each shared or stacked on T, and a block range whose end
-    may be left open (None)."""
+    """A random float64 or float32 model, a 2-D, (T, d, B) or (C, T, d, B)
+    input of either dtype, blocks and adapters each shared or stacked on
+    T, and a block range whose end may be left open (None)."""
     dims = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5))
     spec = ModelSpec(dims[0], tuple(dims[1:]), 2, 1)
     tasks, chunks, batch = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
@@ -551,16 +551,17 @@ def forward_problems(draw):
     first = draw(st.integers(1, spec.num_layers))
     last = draw(st.none() | st.integers(first, spec.num_layers))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    model_dtype = draw(st.sampled_from([np.float64, np.float32]))
 
     def stacked(shape):
         # Rounded to halves, so exact zeros reach the ReLUs.
         full = ((tasks,) if draw(st.booleans()) else ()) + shape
-        return np.round(rng.standard_normal(full) * 2) / 2
+        return (np.round(rng.standard_normal(full) * 2) / 2).astype(model_dtype)
 
     backbone = {}
     for layer, (w_name, b_name) in enumerate(spec.block_names, start=1):
         backbone[w_name] = stacked((spec.out_dim(layer), spec.in_dim(layer)))
-        backbone[b_name] = rng.standard_normal(backbone[w_name].shape[:-1])
+        backbone[b_name] = rng.standard_normal(backbone[w_name].shape[:-1]).astype(model_dtype)
     adapters = {}
     for layer in draw(st.sets(st.integers(first, last or spec.num_layers))):
         rank = draw(st.integers(1, 3))
@@ -588,6 +589,7 @@ def test_forward_is_bitwise_the_out_of_place_expression(problem, with_records):
     before = [a.copy() for a in inputs]
     records = [] if with_records else None
     layers = forward_layers(backbone, spec, x, adapters, records, first, last)
+    assert all(z.dtype == backbone["block1.weight"].dtype for z in layers)
     last = last or spec.num_layers
     want_records = []
     want = _out_of_place_forward(backbone, spec, x, adapters, want_records, first, last)

@@ -34,6 +34,7 @@ from merge_surgeon.surgery import (
 from merge_surgeon.tensors import ParamSet
 
 from conftest import bitwise_equal
+from test_bias import positive_models
 
 
 def tiny_spec():
@@ -379,8 +380,8 @@ class TestCheckPools:
         monkeypatch.undo()
         assert len(converted) == 1
         assert first is second is third
-        assert first.dtype == np.float64
-        assert first.tobytes() == pool.astype(np.float64).tobytes()
+        assert first.dtype == np.float32
+        assert first.tobytes() == pool.tobytes()
 
     def test_distinct_pools_stay_distinct(self):
         pools = [np.full((2, 3), float(t), dtype=np.float32) for t in range(3)]
@@ -557,6 +558,41 @@ class TestTrainSurgery:
                 scale = np.maximum(np.maximum(np.abs(got), np.abs(numeric)), 1e-6)
                 assert (np.abs(got - numeric) / scale).max() < 1e-3, (layer, field, psi)
 
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    def test_float32_gradients_match_the_float64_ones(self, psi, full_backprop):
+        # train_surgery runs the one gradient kernel in float32; on the
+        # problem whose float64 gradients the finite-difference check
+        # verifies, the float32 ones agree to float32 precision.
+        spec, merged, expert = tiny_models(seed=38)
+        rng = np.random.default_rng(39)
+        x = rng.standard_normal((4, 6)) + 0.3
+        init = init_stack(spec, ALL_LAYERS, rank=2, seed=38)
+        task_adapters = {
+            layer: {
+                "down": entry(init, 0, layer, "down").astype(np.float64),
+                "up": rng.uniform(-0.3, 0.3, size=entry(init, 0, layer, "up").shape),
+            }
+            for layer in ALL_LAYERS.layer_indices(spec.num_layers)
+        }
+
+        def run(dtype):
+            targets = forward_layers(spec.backbone64(expert, "expert", dtype), spec, x)
+            adapters = {layer: {half: matrix.astype(dtype) for half, matrix in pair.items()}
+                        for layer, pair in task_adapters.items()}
+            return surgery_gradients(
+                spec.backbone64(merged, "merged", dtype), spec, adapters, x, targets, psi,
+                full_backprop,
+            )
+
+        losses32, grads32 = run(np.float32)
+        losses64, grads64 = run(np.float64)
+        for layer in task_adapters:
+            assert losses32[layer] == pytest.approx(losses64[layer], rel=1e-4)
+            for half in ("down", "up"):
+                assert grads32[layer][half].dtype == np.float32
+                np.testing.assert_allclose(grads32[layer][half], grads64[layer][half], rtol=1e-4)
+
     def test_full_backprop_variant_also_descends(self, capsys):
         # Block-coordinate is the default update rule; the full-backprop
         # flag descends the same objective through downstream blocks.
@@ -674,11 +710,16 @@ def _stacked_inputs(xs):
 
 
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
-    """Surgery training one task at a time: per task and iteration, 2-D
-    target and gradient calls and one Adam per (task, layer, matrix)."""
-    merged64 = spec.backbone64(merged, "merged")
+    """Surgery training one task at a time, in float32 as train_surgery
+    trains: per task and iteration, 2-D target and gradient calls and one
+    Adam per (task, layer, matrix)."""
+    merged32 = spec.backbone64(merged, "merged", np.float32)
     stack0 = init_stack(spec, mode, rank, cfg.seed)
-    adapters = [stack0.adapters64(task) for task in range(len(experts))]
+    adapters = [
+        {layer: {half: a.astype(np.float32) for half, a in pair.items()}
+         for layer, pair in stack0.adapters64(task).items()}
+        for task in range(len(experts))
+    ]
     optimizers = {
         (t, layer, half): cfg.make_adam()
         for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
@@ -687,9 +728,11 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
     for row in batches:
         total = 0.0
         for task, x in enumerate(row):
-            targets = forward_layers(spec.backbone64(experts[task], "expert"), spec, x)
+            x = np.asarray(x, dtype=np.float32)
+            expert32 = spec.backbone64(experts[task], "expert", np.float32)
+            targets = forward_layers(expert32, spec, x)
             layer_losses, grads = surgery_gradients(
-                merged64, spec, adapters[task], x, targets, psi, full_backprop
+                merged32, spec, adapters[task], x, targets, psi, full_backprop
             )
             for loss in layer_losses.values():
                 total += loss
@@ -1036,3 +1079,62 @@ class TestChunkedEngine:
         rows[6] = rows[6][:2]
         with pytest.raises(SurgeryError, match="iteration 7: data covers 2 tasks, experts 3"):
             train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
+
+
+class TestFloat32Overflow:
+    """Surgery trains in float32, so representations that float64 holds
+    can overflow it; that ends training in one error naming the task and
+    layer, as a trace does, with no numpy warning."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE])
+    @pytest.mark.parametrize(
+        "merged_scale, expert_scale, layer",
+        [(1e20, 1e20, 2), (1e20, 1.0, 2), (1.0, 1e30, 1)],
+    )
+    def test_overflow_names_task_and_layer(self, mode, psi, merged_scale, expert_scale, layer):
+        # Inputs of 1e10 take a 1e20 model past float32 at layer 2 and a
+        # 1e30 one at layer 1; float64 holds both, and a float64 engine
+        # trained on to losses near 1e72.
+        spec, (merged, expert) = positive_models(3, scales=(merged_scale, expert_scale))
+        cfg = ms.TrainConfig(batch_size=2, iterations=3, seed=0)
+        pools = [np.full((4, 4), 1e10)]
+        message = rf"^task 0: layer {layer} representations overflow float32$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurgeryError, match=message):
+                train_surgery(merged, [expert], spec, pools, mode, psi, cfg, rank=2)
+            with pytest.raises(SurgeryError, match=message):
+                stream_train_surgery(merged, [expert], spec, pools, 1.0, mode, psi, cfg, rank=2)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_inputs_beyond_float32_end_in_one_error(self, stream):
+        # A float64 pool is cast to float32 once; a sample beyond its
+        # range is not finite on input, so its loss, not an overflow, is
+        # named.
+        spec, merged, expert = tiny_models(seed=72)
+        pool = np.random.default_rng(73).standard_normal((4, 4))
+        pool[1, 2] = 1e39
+        cfg = ms.TrainConfig(batch_size=4, iterations=2, seed=72)
+        message = r"^non-finite loss at iteration 1, task 0, layer 1$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurgeryError, match=message):
+                if stream:
+                    stream_train_surgery(merged, [expert], spec, [pool], 1.0, ALL_LAYERS,
+                                         LossKind.L1, cfg, rank=2)
+                else:
+                    train_surgery(merged, [expert], spec, [pool], ALL_LAYERS, LossKind.L1, cfg,
+                                  rank=2)
+
+    def test_the_overflowing_task_is_named(self):
+        spec, (small, big) = positive_models(3, scales=(1.0, 1e30))
+        spec = dataclasses.replace(spec, num_tasks=3)
+        cfg = ms.TrainConfig(batch_size=2, iterations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 1: layer 1 representations overflow float32$"
+            ):
+                train_surgery(small, [small, big, big], spec, [np.full((4, 4), 1e10)] * 3,
+                              ALL_LAYERS, LossKind.L1, cfg, rank=2)
