@@ -37,13 +37,18 @@ class LossKind(enum.Enum):
             raise BiasError(f"unknown loss kind {text!r} (expected l1, mse, or cos)") from None
 
 
+# The trace shapes of each rank: a pair, T tasks' pairs, or L layers' stacks of them.
+_TRACE_SHAPES = {2: "(dim, samples)", 3: "(T, dim, samples)", 4: "(L, T, dim, samples)"}
+
+
 def _check_pair(z_a: np.ndarray, z_b: np.ndarray, ndims=(2,)) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(z_a)
     b = np.asarray(z_b)
     if a.shape != b.shape:
         raise BiasError(f"trace shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in ndims or a.shape[-1] < 1:
-        raise BiasError("traces must be (dim, samples) with at least one sample")
+        shapes = " or ".join(_TRACE_SHAPES[n] for n in ndims)
+        raise BiasError(f"traces must be {shapes} with at least one sample, got {a.shape}")
     return a, b
 
 
@@ -92,10 +97,12 @@ def alignment_loss_and_grad(
     for NEG_COSINE the raw mean negative cosine is optimized (same
     gradient as 1 - cosine, shifted value); a column that is all zero in
     either input takes zero gradient, as the ReLU does at 0.  Stacked
-    ``(T, dim, samples)`` inputs return a (T,) array of losses, each
-    slice's loss and gradient bitwise equal to the 2-D call on that slice.
+    ``(T, dim, samples)`` inputs return a (T,) array of losses, and
+    ``(L, T, dim, samples)`` stacks of L layers of one width an (L, T)
+    array; each slice's loss and gradient is bitwise the 2-D call's on
+    that slice.
     """
-    a, b = _check_pair(z_hat, z_ind, ndims=(2, 3))
+    a, b = _check_pair(z_hat, z_ind, ndims=(2, 3, 4))
     axes = None if a.ndim == 2 else (-2, -1)
     count = a.shape[-2] * a.shape[-1]
     # Means as the sum and division that ndarray.mean performs, without

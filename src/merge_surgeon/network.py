@@ -215,6 +215,7 @@ def forward_layers(
     records: list | None = None,
     first: int = 1,
     last: int | None = None,
+    out: Mapping[int, Sequence[np.ndarray]] | None = None,
 ) -> list[np.ndarray]:
     """Forward pass returning [Z_1 .. Z_L], each (d_l, batch), in the
     dtype of the backbone: ``x`` is cast to it, and adapters share it.
@@ -240,7 +241,9 @@ def forward_layers(
     is allocated once and then rectified or corrected in place, with the
     operations of ``relu(W @ z + b)`` and ``Z - up @ relu(down @ Z)``, so
     every bit is theirs; ``x``, the backbone and the adapters are never
-    written.
+    written.  ``out`` maps a layer to the ``(Z, hidden, corrected)``
+    arrays it writes instead of allocating them (the last two where an
+    adapter sits), such as slices of a buffer that stacks several layers.
     """
     z = np.asarray(x, dtype=backbone[spec.block_names[first - 1][0]].dtype)
     if z.ndim < 2 or z.shape[-2] != spec.in_dim(first):
@@ -248,11 +251,13 @@ def forward_layers(
             f"input must be ([T,] {spec.in_dim(first)}, batch), got {z.shape}"
         )
     adapters = adapters or {}
+    out = out or {}
     num = spec.num_layers
     layers = []
     for layer in range(first, num + 1 if last is None else last + 1):
         w_name, b_name = spec.block_names[layer - 1]
-        pre = backbone[w_name] @ z
+        raw_out, hidden_out, z_out = out.get(layer, (None, None, None))
+        pre = np.matmul(backbone[w_name], z, out=raw_out)
         pre += backbone[b_name][..., None]
         if layer < num:
             np.maximum(pre, 0.0, out=pre)
@@ -260,9 +265,9 @@ def forward_layers(
         hidden = None
         pair = adapters.get(layer)
         if pair is not None:
-            hidden = pair["down"] @ raw
+            hidden = np.matmul(pair["down"], raw, out=hidden_out)
             np.maximum(hidden, 0.0, out=hidden)
-            z = pair["up"] @ hidden
+            z = np.matmul(pair["up"], hidden, out=z_out)
             np.subtract(raw, z, out=z)
         if records is not None:
             records.append((raw, hidden))
@@ -401,14 +406,27 @@ def stack_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrays)
 
 
+# Iterations whose batches random_batches draws in one call.
+_DRAW_BLOCK = 64
+
+
 def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int, seed):
     """Seeded with-replacement batches of unlabeled inputs: per iteration,
-    one (dim, batch_size) matrix drawn from each (samples, dim) pool."""
+    one (dim, batch_size) matrix drawn from each (samples, dim) pool.
+
+    The indices of up to :data:`_DRAW_BLOCK` iterations are one
+    ``(iterations, pools, batch_size)`` draw, which the generator makes in
+    C order, so each index has the bits of one draw per iteration and
+    pool; each pool then gathers the block's rows at once, and a batch is
+    the transposed view of its rows."""
     rng = np.random.default_rng(seed)
-    return (
-        [pool[rng.integers(0, pool.shape[0], size=batch_size)].T for pool in pools]
-        for _ in range(iterations)
-    )
+    sizes = np.array([pool.shape[0] for pool in pools])
+    for start in range(0, iterations, _DRAW_BLOCK):
+        count = min(_DRAW_BLOCK, iterations - start)
+        picks = rng.integers(0, sizes[None, :, None], size=(count, len(pools), batch_size))
+        blocks = [pool[picks[:, t]] for t, pool in enumerate(pools)]
+        for i in range(count):
+            yield [block[i].T for block in blocks]
 
 
 def init_backbone(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:

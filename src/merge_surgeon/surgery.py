@@ -276,13 +276,13 @@ class SurgeryResult:
 def surgery_gradients(
     merged: Mapping[str, np.ndarray],
     spec: ModelSpec,
-    task_adapters: Mapping[int, dict[str, np.ndarray]],
+    task_adapters: Mapping[int | tuple[int, ...], dict[str, np.ndarray]],
     x: np.ndarray,
     targets: Sequence[np.ndarray],
     psi: LossKind,
     full_backprop: bool = False,
     first: int = 1,
-    grads: dict[int, dict[str, np.ndarray]] | None = None,
+    grads: dict | None = None,
 ):
     """Per-layer alignment losses and adapter gradients for one batch,
     computed in the dtype of the merged backbone ``merged`` (a
@@ -291,55 +291,97 @@ def surgery_gradients(
 
     Block-coordinate mode differentiates each layer's loss with its
     incoming representation held fixed; full backprop differentiates the
-    summed loss through downstream blocks and corrections too.  Returns
-    ``(losses, grads)`` keyed by 1-based layer index, with grads mapping
-    to ``{"down": ..., "up": ...}``.
+    summed loss through downstream blocks and corrections too.
+
+    ``task_adapters`` maps a 1-based layer to its ``{"down", "up"}``
+    matrices, or a group of layers of one width, a tuple ``(l, ...)``, to
+    their matrices stacked on a leading layer axis in that order.  A group
+    runs its alignment loss as one call on the ``(L', ..., d, batch)``
+    stack of its corrected layers, and its adapter gradients as one
+    stacked matmul apiece; a layer keyed alone is a group of one without
+    the layer axis.  Full backprop then carries its adjoint down from
+    block to block, one layer at a time.  Returns ``(losses, grads)``
+    keyed as ``task_adapters``, with grads mapping to ``{"down": ...,
+    "up": ...}`` of the adapters' shapes.  Given ``grads`` arrays, the
+    gradients are written into them in place.
 
     ``x`` enters block ``first`` (the model input when ``first`` is 1), so
     a caller that holds the merged representation below the lowest adapter
-    starts there; ``targets[l - 1]`` is the expert's ``Z_l``, read only
-    for the adapted layers.  Given
-    ``grads`` arrays, the gradients are written into them in place.
+    starts there.  The target of a layer l is ``targets[l - 1]``, the
+    expert's ``Z_l``, and that of a group is ``targets[l - 1]`` for its
+    first layer l, the ``(L', ...)`` stack of its layers' ``Z``; no other
+    entry is read.
 
     A stacked ``x`` of shape (T, d, batch), with (T, ...) adapters and
-    targets, handles T tasks at once: each layer's loss is then a (T,)
-    array, and every task's losses and gradients are bitwise those of its
-    own 2-D call.
+    targets after any layer axis, handles T tasks at once: each loss then
+    gains a T axis, and every task's losses and gradients are bitwise
+    those of its own 2-D call, layer by layer.
     """
-    if min(task_adapters, default=first) < first:
+    x = np.asarray(x, dtype=merged[spec.block_names[first - 1][0]].dtype)
+    # Per key: its layers, its matrices stacked on a layer axis (a lone
+    # layer gains one of length 1), and one buffer apiece for its raw,
+    # hidden and corrected layers, which the forward pass writes; the
+    # buffers take x's leading axes, or the adapters' where x has fewer.
+    groups = {}
+    adapters, out, position = {}, {}, {}
+    for key, pair in task_adapters.items():
+        lone = not isinstance(key, tuple)
+        members = (key,) if lone else key
+        if lone:
+            pair = {half: matrix[None] for half, matrix in pair.items()}
+        down, up = pair["down"], pair["up"]
+        lead = (len(members), *max(x.shape[:-2], down.shape[1:-2], key=len))
+        rank, width = down.shape[-2:]
+        shape = (*lead, width, *x.shape[-1:])
+        raw, corrected = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
+        hidden = np.empty((*lead, rank, *x.shape[-1:]), x.dtype)
+        for j, layer in enumerate(members):
+            adapters[layer] = {"down": down[j], "up": up[j]}
+            out[layer] = raw[j], hidden[j], corrected[j]
+            position[layer] = key, j
+        groups[key] = lone, members, pair, (raw, hidden, corrected)
+    if min(position, default=first) < first:
         raise SurgeryError(f"adapters below block {first} need the pass to start lower")
     records = []
-    corrected = forward_layers(merged, spec, x, task_adapters, records, first=first)
-    losses: dict[int, float | np.ndarray] = {}
-    adjoints: dict[int, np.ndarray] = {}
-    for layer in sorted(task_adapters):
-        losses[layer], adjoints[layer] = alignment_loss_and_grad(
-            corrected[layer - first], targets[layer - 1], psi
+    forward_layers(merged, spec, x, adapters, records, first=first, out=out)
+    losses: dict = {}
+    adjoints = {}
+    for key, (lone, members, _, buffers) in groups.items():
+        target = np.asarray(targets[members[0] - 1])
+        loss, adjoints[key] = alignment_loss_and_grad(
+            buffers[2], target[None] if lone else target, psi
         )
-    grads = {} if grads is None else grads
-    carry = None  # full backprop: dTotal/dZhat_l arriving from block l+1
-    for layer in range(spec.num_layers, first - 1, -1):
-        a_hat = adjoints.get(layer)
-        if carry is not None:
-            a_hat = carry if a_hat is None else a_hat + carry
-            carry = None
-        if a_hat is None:
-            continue
-        raw, hidden = records[layer - first]
-        d_raw = a_hat
-        pair = task_adapters.get(layer)
-        if pair is not None:
-            d_omega = -a_hat
-            up_t = pair["up"].swapaxes(-1, -2)
-            d_hidden = (up_t @ d_omega) * (hidden > 0)
-            out = grads.setdefault(layer, {})
-            out["down"] = np.matmul(d_hidden, raw.swapaxes(-1, -2), out=out.get("down"))
-            out["up"] = np.matmul(d_omega, hidden.swapaxes(-1, -2), out=out.get("up"))
-            if full_backprop and layer > first:
+        losses[key] = (float(loss[0]) if loss.ndim == 1 else loss[0]) if lone else loss
+    if full_backprop:
+        carry = None  # dTotal/dZhat_l arriving from block l+1
+        for layer in range(spec.num_layers, first - 1, -1):
+            key, j = position.get(layer, (None, 0))
+            a_hat = None if key is None else adjoints[key][j]
+            if carry is not None:
+                a_hat = carry if a_hat is None else np.add(a_hat, carry, out=a_hat)
+                carry = None
+            if a_hat is None or layer == first:
+                continue
+            raw, hidden = records[layer - first]
+            d_raw = a_hat
+            if key is not None:
+                pair = adapters[layer]
+                up_t = pair["up"].swapaxes(-1, -2)
                 d_raw = a_hat - pair["down"].swapaxes(-1, -2) @ ((up_t @ a_hat) * (hidden > 0))
-        if full_backprop and layer > first:
             d_pre = d_raw * (raw > 0) if layer < spec.num_layers else d_raw
             carry = merged[spec.block_names[layer - 1][0]].T @ d_pre
+    grads = {} if grads is None else grads
+    for key, (lone, _, pair, (raw, hidden, _)) in groups.items():
+        d_omega = -adjoints[key]
+        d_hidden = (pair["up"].swapaxes(-1, -2) @ d_omega) * (hidden > 0)
+        given = grads.setdefault(key, {})
+        for half, left, right in (("down", d_hidden, raw), ("up", d_omega, hidden)):
+            dest = given.get(half)
+            if dest is not None and lone:
+                dest = dest[None]
+            product = np.matmul(left, right.swapaxes(-1, -2), out=dest)
+            if half not in given:
+                given[half] = product[0] if lone else product
     return losses, grads
 
 
@@ -426,11 +468,17 @@ def train_surgery(
     every iteration gives every task a batch, all of one shape.  Row t of
     one buffer holds every adapter of task t, and each iteration runs one
     pass stacked on a leading task axis and takes one Adam step on the
-    buffer.  The expert targets, and the merged blocks below the lowest
-    adapter, do not depend on the adapters: they run once per chunk of up
-    to :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``.
-    Every task ends bitwise where training it alone on its own batches
-    would leave it.
+    buffer.  The adapted layers are grouped by width, and each group's
+    adapters are one region of the buffer, so every iteration's
+    :func:`surgery_gradients` call runs one loss call per group and,
+    under the layer-wise objective, one gradient matmul apiece.  The
+    expert targets, and the merged blocks below the lowest adapter, do
+    not depend on the adapters: they run once per chunk of up to
+    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``,
+    and write each group's targets into one buffer.  Every task ends
+    bitwise where training it alone on its own batches, layer by layer,
+    would leave it, and each iteration's loss adds the task-major,
+    layer-ordered losses as Python floats.
 
     A representation that overflows float32 ends training in the
     ``SurgeryError`` of :func:`trace_layers`, which names the task and
@@ -450,20 +498,37 @@ def train_surgery(
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
     stack0 = init_stack(spec, mode, rank, cfg.seed)
-    # Row t of params holds every adapter of task t, and row t of
-    # grad_rows its gradients; the per-layer (T, ...) matrices are views.
-    shapes = {}
+    # The adapted layers grouped by width, each group in layer order.
+    by_width: dict[int, list[int]] = {}
     for layer in layers:
-        shapes[layer, "down"] = (rank, spec.out_dim(layer))
-        shapes[layer, "up"] = (spec.out_dim(layer), rank)
-    params, views = flat_rows(list(shapes.values()), num_tasks, np.float32)
-    grad_rows, grad_views = flat_rows(list(shapes.values()), num_tasks, np.float32)
-    adapters: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
-    grads: dict[int, dict[str, np.ndarray]] = {layer: {} for layer in layers}
-    for (layer, half), view, grad_view in zip(shapes, views, grad_views):
-        view[...] = [stack0.params[_entry(t, layer, half)] for t in range(num_tasks)]
-        adapters[layer][half] = view
-        grads[layer][half] = grad_view
+        by_width.setdefault(spec.out_dim(layer), []).append(layer)
+    groups = [tuple(members) for members in by_width.values()]
+    # Row t of params holds every adapter of task t, and row t of
+    # grad_rows its gradients.  Each group's downs are one (T, L', rank,
+    # d) view and its ups one (T, L', d, rank) view; surgery_gradients
+    # takes them layer-major, and each layer's (T, ...) matrices are
+    # views of them.
+    shapes = []
+    for members in groups:
+        width = spec.out_dim(members[0])
+        shapes += [(len(members), rank, width), (len(members), width, rank)]
+    params, views = flat_rows(shapes, num_tasks, np.float32)
+    grad_rows, grad_views = flat_rows(shapes, num_tasks, np.float32)
+    grouped: dict[tuple[int, ...], dict[str, np.ndarray]] = {}
+    grads: dict[tuple[int, ...], dict[str, np.ndarray]] = {}
+    adapters: dict[int, dict[str, np.ndarray]] = {}
+    for members, down, up, grad_down, grad_up in zip(
+        groups, views[::2], views[1::2], grad_views[::2], grad_views[1::2]
+    ):
+        grouped[members] = {"down": down.swapaxes(0, 1), "up": up.swapaxes(0, 1)}
+        grads[members] = {"down": grad_down.swapaxes(0, 1), "up": grad_up.swapaxes(0, 1)}
+        for j, layer in enumerate(members):
+            adapters[layer] = {"down": down[:, j], "up": up[:, j]}
+            for half, view in adapters[layer].items():
+                view[...] = [stack0.params[_entry(t, layer, half)] for t in range(num_tasks)]
+    # Where each layer's losses sit: its group's row and its place in it.
+    places = [(g, members.index(layer)) for layer in layers
+              for g, members in enumerate(groups) if layer in members]
     optimizer = cfg.make_adam()
 
     losses: list[float] = []
@@ -474,22 +539,31 @@ def train_surgery(
         # its batch is.
         x = stack_batches([batch for row in chunk for batch in row])
         x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
-        targets = forward_layers(experts32, spec, x)
-        _check_overflow(x, targets)
-        targets = [z if layer in layers else None for layer, z in enumerate(targets, 1)]
+        # Each group's targets, written by the pass into one (L', C, T,
+        # d, batch) buffer, sit at its first layer; a contiguous layer
+        # of it keeps the pass as fast as one it allocates.
+        targets = [None] * spec.num_layers
+        out = {}
+        for members in groups:
+            buffer = np.empty((len(members), *x.shape[:-2], spec.out_dim(members[0]),
+                               x.shape[-1]), np.float32)
+            targets[members[0] - 1] = buffer
+            out.update((layer, (buffer[j], None, None)) for j, layer in enumerate(members))
+        _check_overflow(x, forward_layers(experts32, spec, x, out=out))
         if first > 1:
             below = forward_layers(merged32, spec, x, last=first - 1)
             _check_overflow(x, below)
             x = below[-1]
         for i in range(len(chunk)):
-            layer_losses, _ = surgery_gradients(
-                merged32, spec, adapters, x[i], [None if z is None else z[i] for z in targets],
+            group_losses, _ = surgery_gradients(
+                merged32, spec, grouped, x[i], [None if z is None else z[:, i] for z in targets],
                 psi, full_backprop, first, grads,
             )
-            task_losses = np.stack([layer_losses[l] for l in layers], axis=-1).tolist()
+            rows = [group_losses[members].tolist() for members in groups]
             total = 0.0
-            for task, task_loss in enumerate(task_losses):
-                for layer, loss in zip(layers, task_loss):
+            for task in range(num_tasks):
+                for layer, (g, j) in zip(layers, places):
+                    loss = rows[g][j][task]
                     if not math.isfinite(loss):
                         corrected = forward_layers(merged32, spec, x[i], adapters, first=first)
                         _check_overflow(x[i], corrected, first)

@@ -1,6 +1,7 @@
 """Bias metric, layer-wise reports, and PCA projection."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -140,7 +141,9 @@ def _former_alignment_loss(a, b, kind):
 
 class TestAlignmentLoss:
     @pytest.mark.parametrize("kind", list(LossKind))
-    @pytest.mark.parametrize("shape", [(6, 11), (3, 32, 16), (1, 1), (2, 5, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(6, 11), (3, 32, 16), (1, 1), (2, 5, 1), (5, 4, 32, 16), (1, 2, 3, 1)]
+    )
     def test_loss_is_bitwise_the_mean(self, kind, shape):
         rng = np.random.default_rng(12)
         for scale in (1e-300, 1e-3, 1.0, 1e150):
@@ -149,6 +152,42 @@ class TestAlignmentLoss:
             got, _ = alignment_loss_and_grad(a, b, kind)
             want = _former_alignment_loss(a, b, kind)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), scale
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_layer_stack_is_bitwise_its_slices(self, kind, dtype):
+        # (L, T, dim, samples): L layers of one width, T tasks each.
+        rng = np.random.default_rng(13)
+        a = (rng.standard_normal((5, 4, 32, 16)) + 0.2).astype(dtype)
+        b = (rng.standard_normal((5, 4, 32, 16)) + 0.2).astype(dtype)
+        a[1, 2, :, 3] = 0.0  # a dead column, masked for the cosine
+        losses, grads = alignment_loss_and_grad(a, b, kind)
+        assert losses.shape == (5, 4) and losses.dtype == grads.dtype == dtype
+        for layer in range(5):
+            for task in range(4):
+                loss, grad = alignment_loss_and_grad(a[layer, task], b[layer, task], kind)
+                assert losses[layer, task].tobytes() == np.array(loss, dtype).tobytes()
+                assert grads[layer, task].tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((3,), "(dim, samples) or (T, dim, samples) or (L, T, dim, samples)"),
+            ((2, 2, 3, 4, 5), "(dim, samples) or (T, dim, samples) or (L, T, dim, samples)"),
+            ((2, 3, 0), "(dim, samples) or (T, dim, samples) or (L, T, dim, samples)"),
+        ],
+    )
+    def test_a_trace_of_another_rank_is_rejected(self, shape, message):
+        z = np.zeros(shape)
+        full = f"traces must be {message} with at least one sample, got {shape}"
+        with pytest.raises(BiasError, match=re.escape(full) + "$"):
+            alignment_loss_and_grad(z, z, LossKind.L1)
+
+    def test_the_bias_takes_one_pair(self):
+        z = np.zeros((3, 4, 5))
+        message = "traces must be (dim, samples) with at least one sample, got (3, 4, 5)"
+        with pytest.raises(BiasError, match=re.escape(message) + "$"):
+            representation_bias(z, z, LossKind.L1)
 
     def test_value_equals_bias_for_l1_and_mse(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import pytest
 import merge_surgeon as ms
 from merge_surgeon.datasets import Dataset
 from merge_surgeon.network import (
+    _DRAW_BLOCK,
     Adam,
     ModelSpec,
     NetworkError,
@@ -21,6 +22,7 @@ from merge_surgeon.network import (
     head_logits,
     init_backbone,
     init_head,
+    random_batches,
     softmax,
     stack_batches,
     train_expert,
@@ -499,6 +501,35 @@ def _task_data(seed, sizes, classes, dim=5, scale=1.0):
         Dataset(scale * rng.standard_normal((n, dim)), rng.integers(0, c, size=n), c)
         for n, c in zip(sizes, classes)
     ]
+
+
+def _per_iteration_batches(pools, batch_size, iterations, seed):
+    """Batches drawn as one ``integers`` call per iteration and pool: the
+    draws that random_batches makes a block at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(iterations):
+        yield [pool[rng.integers(0, pool.shape[0], size=batch_size)].T for pool in pools]
+
+
+class TestRandomBatches:
+    @pytest.mark.parametrize("sizes", [(2000, 1500, 37), (1, 5, 2**20)])
+    @pytest.mark.parametrize("batch_size", [16, 7, 1])
+    @pytest.mark.parametrize(
+        "iterations", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 5]
+    )
+    def test_block_draws_are_the_per_iteration_draws(self, sizes, batch_size, iterations):
+        # Row i of a pool holds i, so a batch shows the indices it drew.
+        pools = [np.repeat(np.arange(n, dtype=np.float32)[:, None], 2, axis=1) for n in sizes]
+        got = list(random_batches(pools, batch_size, iterations, [9, 6]))
+        want = list(_per_iteration_batches(pools, batch_size, iterations, [9, 6]))
+        assert len(got) == len(want) == iterations
+        for row, want_row in zip(got, want):
+            assert len(row) == len(sizes)
+            for batch, want_batch in zip(row, want_row):
+                assert batch.shape == want_batch.shape == (2, batch_size)
+                assert batch.dtype == want_batch.dtype
+                assert batch.flags.f_contiguous and want_batch.flags.f_contiguous
+                assert batch.tobytes() == want_batch.tobytes()
 
 
 class TestStackedTraining:

@@ -674,12 +674,23 @@ class TestTrainSurgery:
                 assert loss == pytest.approx(metric, abs=1e-6)
 
 
-def _three_task_models(seed=50):
-    """A 3-block spec, a merged backbone, three experts and float64
-    adapters with non-zero up matrices for every layer of every task.
-    Positive biases keep ReLU columns from going all-zero, where the
-    cosine loss is undefined."""
-    spec = ModelSpec(4, (6, 5, 4), 3, 3)
+# Widths 5, 4, 5, 5, 3: under v2 the width-5 group holds layers 1, 3 and
+# 4, which are not all adjacent, and layers 2 and 5 are groups of one.
+GROUPED_DIMS = (5, 4, 5, 5, 3)
+WIDTHS = [pytest.param(dims, id="widths-" + "-".join(map(str, dims)))
+          for dims in ((6, 5, 4), GROUPED_DIMS)]
+
+
+def _members(key):
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _three_task_models(seed=50, layer_dims=(6, 5, 4)):
+    """A three-task spec with blocks ``layer_dims`` wide, a merged
+    backbone, three experts and float64 adapters with non-zero up
+    matrices for every layer of every task.  Positive biases keep ReLU
+    columns from going all-zero, where the cosine loss is undefined."""
+    spec = ModelSpec(4, layer_dims, 3, 3)
     rng = np.random.default_rng(seed + 9)
 
     def backbone(model_seed):
@@ -819,6 +830,51 @@ class TestStackedEngine:
                         got = grads[layer][half][t]
                         assert got.tobytes() == own_grads[layer][half].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    def test_group_calls_match_per_task_layer_calls(self, full_backprop, psi, dtype):
+        spec, merged, experts, adapters = _three_task_models(seed=74, layer_dims=GROUPED_DIMS)
+        rng = np.random.default_rng(75)
+        xs = [(rng.standard_normal((7, spec.input_dim)) + 0.3).astype(dtype).T for _ in range(3)]
+        merged_d = spec.backbone64(merged, "merged", dtype)
+        targets = [forward_layers(spec.backbone64(e, "expert", dtype), spec, x)
+                   for e, x in zip(experts, xs)]
+        adapters = [{layer: {half: m.astype(dtype) for half, m in pair.items()}
+                     for layer, pair in a.items()} for a in adapters]
+        # The v2 groups; a group beside lone layers keyed alone; a group
+        # above an unadapted block, which full backprop crosses.
+        for keys in ([(1, 3, 4), (2,), (5,)], [(3, 4), 5, 1], [(1, 4)]):
+            stacked, stacked_targets = {}, [None] * spec.num_layers
+            for key in keys:
+                members = _members(key)
+                pair = {half: np.stack([np.stack([a[layer][half] for a in adapters])
+                                        for layer in members]) for half in ("down", "up")}
+                target = np.stack([np.stack([z[layer - 1] for z in targets]) for layer in members])
+                if not isinstance(key, tuple):
+                    pair, target = {half: m[0] for half, m in pair.items()}, target[0]
+                stacked[key] = pair
+                stacked_targets[members[0] - 1] = target
+            losses, grads = surgery_gradients(
+                merged_d, spec, stacked, _stacked_inputs(xs), stacked_targets, psi, full_backprop
+            )
+            assert list(losses) == list(grads) == keys
+            layers = sorted(layer for key in keys for layer in _members(key))
+            for t in range(3):
+                own_losses, own_grads = surgery_gradients(
+                    merged_d, spec, {layer: adapters[t][layer] for layer in layers}, xs[t],
+                    targets[t], psi, full_backprop,
+                )
+                for key in keys:
+                    for j, layer in enumerate(_members(key)):
+                        pick = (j, t) if isinstance(key, tuple) else (t,)
+                        want = np.array(own_losses[layer], dtype)
+                        assert losses[key][pick].tobytes() == want.tobytes(), (keys, layer)
+                        for half in ("down", "up"):
+                            got = grads[key][half][pick]
+                            assert got.dtype == dtype
+                            assert got.tobytes() == own_grads[layer][half].tobytes(), (keys, layer)
+
     @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_joint_training_equals_training_each_task_alone(self, mode):
         # Tasks never mix in the stacked pass: giving task u other batches
@@ -845,15 +901,16 @@ class TestStackedEngine:
                         want = entry(joint.stack, t, layer, half)
                         assert got.tobytes() == want.tobytes(), (u, t, layer, half)
 
+    @pytest.mark.parametrize("layer_dims", WIDTHS)
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
-    def test_matches_per_task_reference_loop(self, psi, full_backprop):
+    def test_matches_per_task_reference_loop(self, psi, full_backprop, layer_dims):
         # Stream pools of 30 samples in batches of 8: the short last batch
         # of 6 starts a chunk of its own.
-        spec, merged, experts, _ = _three_task_models(seed=56)
+        spec, merged, experts, _ = _three_task_models(seed=56, layer_dims=layer_dims)
         cfg = ms.TrainConfig(batch_size=8, seed=56)
         pools = [np.random.default_rng(57 + t).standard_normal((30, 4)) + 0.3 for t in range(3)]
-        for mode in (ALL_LAYERS, SurgeryMode("block:2")):
+        for mode in map(SurgeryMode, ("v2", "v1", "block:2")):
             result = train_surgery(
                 merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
                 rank=2, full_backprop=full_backprop,
@@ -931,12 +988,15 @@ class TestChunkedEngine:
             for t, n in enumerate(sizes)
         ]
 
+    @pytest.mark.parametrize("layer_dims", WIDTHS)
     @pytest.mark.parametrize("full_backprop", [False, True])
     @pytest.mark.parametrize("psi", PSIS)
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("iterations", [1, PER_CHUNK + 1])
-    def test_random_pools_match_per_task_reference(self, iterations, mode, psi, full_backprop):
-        spec, merged, experts, _ = _three_task_models(seed=60)
+    def test_random_pools_match_per_task_reference(
+        self, iterations, mode, psi, full_backprop, layer_dims
+    ):
+        spec, merged, experts, _ = _three_task_models(seed=60, layer_dims=layer_dims)
         cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=iterations, seed=60)
         pools = self._pools(61)
         result = train_surgery(
@@ -1068,6 +1128,26 @@ class TestChunkedEngine:
                 match=f"non-finite loss at iteration {iteration}, task 1, layer {layer}$",
             ):
                 train_surgery(merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2)
+
+    @pytest.mark.parametrize("iteration", [2, PER_CHUNK + 3])
+    def test_a_non_finite_loss_inside_a_group_names_its_layer(self, iteration):
+        # Block 3 of the merged model scales by 1e12, so one sample of task
+        # 1 scaled by 1e12 stays finite through every block while its
+        # squared error at layer 3, the middle layer of the width-5 group
+        # (1, 3, 4), overflows float32; layers 1 and 2 stay finite.
+        spec, merged, experts, _ = _three_task_models(seed=80, layer_dims=GROUPED_DIMS)
+        merged = ParamSet({**merged, "block3.weight": merged["block3.weight"] * 1e12})
+        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=80)
+        pools = [np.random.default_rng([81, t]).standard_normal((30, 4)) + 0.3 for t in range(3)]
+        rows = [list(row) for row in random_batches(pools, self.BATCH, 60, [1])]
+        rows[iteration - 1][1] = rows[iteration - 1][1].copy()
+        rows[iteration - 1][1][:, 5] *= 1e12
+        message = rf"^non-finite loss at iteration {iteration}, task 1, layer 3$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurgeryError, match=message):
+                train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.MSE, cfg,
+                              rank=2)
 
     def test_invalid_batch_is_reported_when_reached(self):
         spec, merged, experts, _ = _three_task_models(seed=70)
