@@ -30,7 +30,6 @@ from .network import (
     entropy_loss_and_adjoint,
     forward_layers,
     random_batches,
-    stack_batches,
 )
 from .tensors import MergeSurgeonError, ParamSet, head_name
 
@@ -274,7 +273,7 @@ def _merge_flat(pre64: np.ndarray, taus: np.ndarray, coefficients, layout) -> np
 
 
 def ada_loss_and_gradient(
-    pre64, taus, experts, spec: ModelSpec, coefficients, batches, heads=None
+    pre64, taus, experts, spec: ModelSpec, coefficients, x, heads=None
 ):
     """AdaMerging objective and its gradient for one batch per task.
 
@@ -282,25 +281,25 @@ def ada_loss_and_gradient(
     ``pre64 + sum_t coefficients[l-1, t] * taus[t]`` per layer l.  The
     loss is the mean over tasks of the softmax entropy of that model's
     predictions, each task scored through its own expert head on its own
-    (input_dim, batch) matrix ``batches[t]``.  ``batches`` is a list of
-    such matrices, all of one shape, or one stacked (T, input_dim, batch)
-    array; the T tasks run as one stacked pass through the shared merged
-    blocks and their stacked heads, and each task's share is bitwise that
-    of its own 2-D pass.  ``heads`` is :func:`_stacked_heads` of
-    ``experts``, which a caller that steps many times computes once.
-    Returns the loss and its (layers, tasks) gradient with respect to
-    ``coefficients``.
+    batch ``x[t]`` of the (T, input_dim, batch) array ``x``, one slice of
+    a :func:`random_batches` chunk in :func:`ada_merge`; any other shape
+    is a :class:`MergeError`.  The T tasks run as one stacked pass
+    through the shared merged blocks and their stacked heads, and each
+    task's share is bitwise that of its own 2-D pass on its slice.
+    ``heads`` is :func:`_stacked_heads` of ``experts``, which a caller
+    that steps many times computes once.  Returns the loss and its
+    (layers, tasks) gradient with respect to ``coefficients``.
     """
     num_tasks = len(experts)
-    if len(batches) != num_tasks:
-        raise MergeError(f"need one batch per expert, got {len(batches)} for {num_tasks}")
-    shapes = [np.shape(b) for b in batches]
-    if len(set(shapes)) > 1:
-        raise MergeError(f"need batches of one shape, got {shapes}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[:2] != (num_tasks, spec.input_dim) or x.shape[2] < 1:
+        raise MergeError(
+            f"need a ({num_tasks}, {spec.input_dim}, batch) input of one non-empty batch "
+            f"per expert, got shape {x.shape}"
+        )
     layout = _flat_layout(spec)
     merged64 = _by_name(layout, _merge_flat(pre64, taus, coefficients, layout))
     weights, biases = _stacked_heads(experts, spec) if heads is None else heads
-    x = stack_batches(batches)
     layers = forward_layers(merged64, spec, x)
     entropies, dlogits = entropy_loss_and_adjoint(weights @ layers[-1] + biases[..., None])
     adjoint = weights.swapaxes(-1, -2) @ dlogits
@@ -348,21 +347,22 @@ def ada_merge(
     pools = [np.asarray(p, dtype=np.float64) for p in inputs_per_task]
     if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
+    widths = [p.shape[1] for p in pools]
+    if len(set(widths)) > 1:
+        raise MergeError(f"unlabeled pools need one width, got widths {widths}")
 
     coefficients = np.full((spec.num_layers, len(experts)), _ADA_INIT)
 
     heads = _stacked_heads(experts, spec)
     adam = cfg.make_adam()
     entropies = []
-    batch_lists = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4])
-    for iteration, batches in enumerate(batch_lists, start=1):
-        loss, grad = ada_loss_and_gradient(
-            pre64, taus, experts, spec, coefficients, batches, heads
-        )
-        if not np.isfinite(loss):
-            raise MergeError(f"non-finite entropy at iteration {iteration}")
-        entropies.append(loss)
-        adam.step(coefficients, grad)
+    for chunk in random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]):
+        for x in chunk:
+            loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coefficients, x, heads)
+            if not np.isfinite(loss):
+                raise MergeError(f"non-finite entropy at iteration {len(entropies) + 1}")
+            entropies.append(loss)
+            adam.step(coefficients, grad)
 
     merged = _merge_flat(pre64, taus, coefficients, _flat_layout(spec))
     params = _float32_params(spec, merged, "ada_merging")

@@ -394,39 +394,33 @@ def classifier_loss_and_grads(
     return loss, grads
 
 
-def stack_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack (input_dim, batch) matrices to one (T, input_dim, batch) input
-    in their dtype.  Transposed (column-major) batches, as
-    :func:`random_batches` draws them, stay column-major in their slices,
-    so every BLAS call on a slice sees the operands that the batch's own
-    2-D call would."""
-    arrays = [np.asarray(b) for b in batches]
-    if all(a.ndim == 2 and a.flags.f_contiguous for a in arrays):
-        return np.stack([a.T for a in arrays]).swapaxes(1, 2)
-    return np.stack(arrays)
-
-
-# Iterations whose batches random_batches draws in one call.
-_DRAW_BLOCK = 64
+# Columns per pool in one chunk of iterations, the form in which batches
+# move: random_batches and surgery's sequential_batches yield at most this
+# many per task, and train_surgery computes a chunk's expert targets in
+# one stacked pass.  16 batches of 16 for 4 tasks of a 32-wide model take
+# about 1.5 MB.
+_CHUNK_COLUMNS = 256
 
 
 def random_batches(pools: Sequence[np.ndarray], batch_size: int, iterations: int, seed):
-    """Seeded with-replacement batches of unlabeled inputs: per iteration,
-    one (dim, batch_size) matrix drawn from each (samples, dim) pool.
+    """Seeded with-replacement batches of unlabeled inputs, one per
+    iteration from each (samples, dim) pool, as (C, T, dim, batch_size)
+    chunks of up to ``_CHUNK_COLUMNS // batch_size`` iterations:
+    ``chunk[i, t]`` is iteration i's batch from pool t, column-major.
 
-    The indices of up to :data:`_DRAW_BLOCK` iterations are one
-    ``(iterations, pools, batch_size)`` draw, which the generator makes in
-    C order, so each index has the bits of one draw per iteration and
-    pool; each pool then gathers the block's rows at once, and a batch is
-    the transposed view of its rows."""
+    A chunk's indices are one ``(C, T, batch_size)`` draw, which the
+    generator makes in C order, so each index has the bits of one draw per
+    iteration and pool; each pool gathers the chunk's rows at once, and
+    the chunk is those rows stacked once, viewed with the last two axes
+    swapped."""
     rng = np.random.default_rng(seed)
     sizes = np.array([pool.shape[0] for pool in pools])
-    for start in range(0, iterations, _DRAW_BLOCK):
-        count = min(_DRAW_BLOCK, iterations - start)
+    per_chunk = max(1, _CHUNK_COLUMNS // batch_size)
+    for start in range(0, iterations, per_chunk):
+        count = min(per_chunk, iterations - start)
         picks = rng.integers(0, sizes[None, :, None], size=(count, len(pools), batch_size))
-        blocks = [pool[picks[:, t]] for t, pool in enumerate(pools)]
-        for i in range(count):
-            yield [block[i].T for block in blocks]
+        rows = np.stack([pool[picks[:, t]] for t, pool in enumerate(pools)], axis=1)
+        yield rows.swapaxes(-1, -2)
 
 
 def init_backbone(spec: ModelSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -509,7 +503,8 @@ def _train_classifiers(
             rng.integers(0, len(data), size=cfg.batch_size)
             for rng, data in zip(batch_rngs, datasets)
         ]
-        x = stack_batches([f[idx].T for f, idx in zip(features, picks)])
+        # (T, input_dim, batch), each batch column-major.
+        x = np.stack([f[idx] for f, idx in zip(features, picks)]).swapaxes(-1, -2)
         labels = np.stack([data.labels[idx] for data, idx in zip(datasets, picks)])
         step_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
         for t, loss in enumerate(step_losses.tolist()):

@@ -23,17 +23,12 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches, stack_batches,
+    _CHUNK_COLUMNS, ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches,
 )
 from .tensors import MergeSurgeonError, ParamSet
 
 # The labels of the surgery modes, a block in plain decimal.
 _MODE_RE = re.compile(r"v1|v2|block:[1-9][0-9]*")
-# Columns per task in one chunk of iterations: train_surgery computes the
-# expert targets of a chunk's batches in one stacked pass.  A constant
-# budget bounds what a chunk holds: 16 batches of 16 for 4 tasks of a
-# 32-wide model take about 1.5 MB.
-_CHUNK_COLUMNS = 256
 
 
 class SurgeryError(MergeSurgeonError):
@@ -235,13 +230,17 @@ def corrected_forward(
 def _check_pools(inputs_per_task) -> list[np.ndarray]:
     """Each task's pool as float32, surgery training's dtype, with no
     copy of a float32 pool; a pool object listed for several tasks is
-    converted once, and every task gets that one array."""
+    converted once, and every task gets that one array.  The pools must
+    be non-empty and of one width, as batches stacked from them are."""
     inputs = list(inputs_per_task)  # alive throughout, so each id names one pool
     unique = {id(p): p for p in inputs}
     converted = {key: np.asarray(p, dtype=np.float32) for key, p in unique.items()}
     pools = [converted[id(p)] for p in inputs]
     if not pools or any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
         raise SurgeryError("need non-empty (samples, dim) input pools per task")
+    widths = [p.shape[1] for p in pools]
+    if len(set(widths)) > 1:
+        raise SurgeryError(f"input pools need one width, got widths {widths}")
     return pools
 
 
@@ -249,8 +248,11 @@ def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
     """Single ordered pass over the first ceil(fraction * N) samples of
     each task's pool, all pools of one size N.
 
-    Yields, per iteration, one (input_dim, <= batch_size) matrix per task,
-    all of one width.
+    Yields (C, T, input_dim, batch_size) chunks of whole batches, at most
+    ``_CHUNK_COLUMNS`` columns per task, laid out as
+    :func:`random_batches` lays them out: ``chunk[i, t]`` is task t's
+    batch i of the chunk, column-major.  A shorter last batch is a
+    (1, T, input_dim, rest) chunk of its own.
     """
     if not 0 < fraction <= 1:
         raise SurgeryError("fraction must lie in (0, 1]")
@@ -261,9 +263,15 @@ def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
     if len(set(sizes)) > 1:
         raise SurgeryError(f"a stream needs pools of one size, got sizes {sizes}")
     take = math.ceil(fraction * sizes[0])
+    whole = take - take % batch_size
+    step = max(1, _CHUNK_COLUMNS // batch_size) * batch_size
+    spans = [(start, min(start + step, whole), batch_size) for start in range(0, whole, step)]
+    if whole < take:
+        spans.append((whole, take, take - whole))
     return (
-        [pool[start : min(start + batch_size, take)].T for pool in pools]
-        for start in range(0, take, batch_size)
+        np.stack([pool[start:stop].reshape(-1, width, pool.shape[1]) for pool in pools], axis=1)
+        .swapaxes(-1, -2)
+        for start, stop, width in spans
     )
 
 
@@ -385,58 +393,6 @@ def surgery_gradients(
     return losses, grads
 
 
-def _checked_row(batches, num_tasks: int, iteration: int) -> tuple[list, tuple]:
-    """Iteration ``iteration``'s batches as non-empty float32 matrices of
-    one shape, one per task, and its key: that shape and each batch's
-    column-major flag."""
-    if len(batches) != num_tasks:
-        raise SurgeryError(
-            f"iteration {iteration}: data covers {len(batches)} tasks, experts {num_tasks}"
-        )
-    row = []
-    for task, x in enumerate(batches):
-        if x is None:
-            raise SurgeryError(f"iteration {iteration}: task {task} has no batch")
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2:
-            raise SurgeryError(
-                f"iteration {iteration}: task {task} batch must be (input_dim, batch)"
-            )
-        if x.shape[1] == 0:
-            raise SurgeryError(f"iteration {iteration}: task {task} batch is empty")
-        if row and x.shape != row[0].shape:
-            raise SurgeryError(
-                f"iteration {iteration}: task {task} batch has shape {x.shape}, "
-                f"task 0's {row[0].shape}"
-            )
-        row.append(x)
-    return row, (row[0].shape, *(x.flags.f_contiguous for x in row))
-
-
-def _chunks(data, num_tasks: int) -> Iterator[list[list]]:
-    """Runs of consecutive iterations whose batches share one key, at most
-    :data:`_CHUNK_COLUMNS` columns per task, read one run ahead of the
-    caller; iterations count from 1.  An invalid iteration ends the run
-    before it and raises when the caller asks for the next run."""
-    chunk: list[list] = []
-    key, limit = None, 0
-    for iteration, batches in enumerate(data, start=1):
-        try:
-            row, row_key = _checked_row(batches, num_tasks, iteration)
-        except SurgeryError:
-            if chunk:
-                yield chunk
-            raise
-        if chunk and (row_key != key or len(chunk) == limit):
-            yield chunk
-            chunk = []
-        if not chunk:
-            key, limit = row_key, max(1, _CHUNK_COLUMNS // row_key[0][1])
-        chunk.append(row)
-    if chunk:
-        yield chunk
-
-
 def train_surgery(
     merged: Mapping[str, np.ndarray],
     experts: Sequence[Mapping[str, np.ndarray]],
@@ -450,10 +406,15 @@ def train_surgery(
 ) -> SurgeryResult:
     """Fit one adapter stack against the experts' representations.
 
-    ``data`` is an iterator of per-iteration batch lists, as
-    :func:`sequential_batches` returns, or a sequence of per-task
-    (samples, input_dim) feature matrices that will be sampled with the
-    config's batch size, iteration count, and seed.  Labels are never
+    ``data`` is an iterator of (C, T, input_dim, batch) chunks of C
+    iterations, ``chunk[i, t]`` iteration i's batch for task t, as
+    :func:`sequential_batches` yields them, or a sequence of per-task
+    (samples, input_dim) feature matrices of one width, which
+    :func:`random_batches` samples with the config's batch size,
+    iteration count, and seed.  Each chunk is checked where it enters,
+    after the chunks before it have trained: one that is not 4-D, not
+    ``(T, input_dim)`` in the middle, or empty along an axis is a
+    ``SurgeryError`` naming its first iteration.  Labels are never
     read.  By default each adapter descends the gradient of its own
     layer's loss with the incoming representation held fixed
     (block-coordinate); ``full_backprop`` differentiates the summed loss
@@ -465,7 +426,7 @@ def train_surgery(
     and copies it once to float32, under the name ``merged`` or ``expert
     <t>``, the batches are float32, and so are the adapter buffers and
     Adam's moments.  The tasks are independent problems of one shape:
-    every iteration gives every task a batch, all of one shape.  Row t of
+    every iteration gives every task a batch of one shape.  Row t of
     one buffer holds every adapter of task t, and each iteration runs one
     pass stacked on a leading task axis and takes one Adam step on the
     buffer.  The adapted layers are grouped by width, and each group's
@@ -473,8 +434,7 @@ def train_surgery(
     :func:`surgery_gradients` call runs one loss call per group and,
     under the layer-wise objective, one gradient matmul apiece.  The
     expert targets, and the merged blocks below the lowest adapter, do
-    not depend on the adapters: they run once per chunk of up to
-    :data:`_CHUNK_COLUMNS` columns per task, read ahead from ``data``,
+    not depend on the adapters: they run once per chunk of ``data``,
     and write each group's targets into one buffer.  Every task ends
     bitwise where training it alone on its own batches, layer by layer,
     would leave it, and each iteration's loss adds the task-major,
@@ -533,15 +493,12 @@ def train_surgery(
 
     losses: list[float] = []
 
-    def train_chunk(chunk: list[list]) -> None:
-        # A function, so the chunk's arrays are freed before the next
-        # chunk's are computed.  (C, T, d, batch): each slice laid out as
-        # its batch is.
-        x = stack_batches([batch for row in chunk for batch in row])
-        x = x.reshape(len(chunk), num_tasks, *x.shape[1:])
-        # Each group's targets, written by the pass into one (L', C, T,
-        # d, batch) buffer, sit at its first layer; a contiguous layer
-        # of it keeps the pass as fast as one it allocates.
+    def train_chunk(x: np.ndarray) -> None:
+        # A function, so the (C, T, d, batch) chunk's arrays are freed
+        # before the next chunk's are computed.  Each group's targets,
+        # written by the pass into one (L', C, T, d, batch) buffer, sit at
+        # its first layer; a contiguous layer of it keeps the pass as fast
+        # as one it allocates.
         targets = [None] * spec.num_layers
         out = {}
         for members in groups:
@@ -554,7 +511,7 @@ def train_surgery(
             below = forward_layers(merged32, spec, x, last=first - 1)
             _check_overflow(x, below)
             x = below[-1]
-        for i in range(len(chunk)):
+        for i in range(len(x)):
             group_losses, _ = surgery_gradients(
                 merged32, spec, grouped, x[i], [None if z is None else z[:, i] for z in targets],
                 psi, full_backprop, first, grads,
@@ -578,8 +535,14 @@ def train_surgery(
     # An overflow ends in the SurgeryError of its check; numpy's warnings
     # on the way would only add lines before it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for chunk in _chunks(data, num_tasks):
-            train_chunk(chunk)
+        for chunk in data:
+            x = np.asarray(chunk, dtype=np.float32)
+            if x.ndim != 4 or x.shape[1:3] != (num_tasks, spec.input_dim) or 0 in x.shape:
+                raise SurgeryError(
+                    f"iteration {len(losses) + 1}: a chunk must be (iterations, {num_tasks}, "
+                    f"{spec.input_dim}, batch) with no empty axis, got {x.shape}"
+                )
+            train_chunk(x)
 
     stack = SurgeryStack(mode, ParamSet(
         (_entry(task, layer, half), adapters[layer][half][task])

@@ -505,27 +505,18 @@ class TestStackedAdaMerging:
     def test_objective_matches_per_task_loop(self, column_major):
         # Every head has 3 classes, so the tasks run in one stacked pass.
         rng, spec, pretrained, experts = _ada_instance(90)
-        batches = [rng.standard_normal((7, 4)) for _ in range(3)]
-        batches = [b.T if column_major else np.ascontiguousarray(b.T) for b in batches]
+        x = rng.standard_normal((3, 7, 4)).swapaxes(-1, -2)
+        x = x if column_major else np.ascontiguousarray(x)
+        assert all(batch.flags.f_contiguous == column_major for batch in x)
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
         pre64, taus = task_vectors(pretrained, experts, spec)
-        loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
+        loss, grad = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, x)
         want_loss, want_grad, _ = _reference_ada_loss_and_gradient(
-            pretrained, experts, spec, coeff, batches
+            pretrained, experts, spec, coeff, list(x)
         )
         assert isinstance(loss, float)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
-
-    def test_stacked_batches_equal_the_list_form(self):
-        rng, spec, pretrained, experts = _ada_instance(91, classes=2)
-        stacked = rng.standard_normal((3, 4, 6))
-        coeff = rng.uniform(0.1, 0.5, size=(3, 3))
-        pre64, taus = task_vectors(pretrained, experts, spec)
-        got = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, stacked)
-        want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, list(stacked))
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
 
     def test_ada_merge_matches_per_task_loop(self):
         rng, spec, pretrained, experts = _ada_instance(92)
@@ -535,12 +526,15 @@ class TestStackedAdaMerging:
         coefficients = np.full((3, 3), 0.3)
         adam = cfg.make_adam()
         entropies = []
-        for batches in random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]):
-            loss, grad, _ = _reference_ada_loss_and_gradient(
-                pretrained, experts, spec, coefficients, batches
-            )
-            entropies.append(loss)
-            adam.step(coefficients, grad)
+        chunks = list(random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]))
+        assert [chunk.shape for chunk in chunks] == [(32, 3, 4, 8), (8, 3, 4, 8)]
+        for chunk in chunks:
+            for x in chunk:
+                loss, grad, _ = _reference_ada_loss_and_gradient(
+                    pretrained, experts, spec, coefficients, list(x)
+                )
+                entropies.append(loss)
+                adam.step(coefficients, grad)
         merged = _reference_ada_loss_and_gradient(
             pretrained, experts, spec, coefficients, [p.T for p in pools]
         )[2]
@@ -552,26 +546,36 @@ class TestStackedAdaMerging:
         # ada_merge passes the stacked heads it computed once; the result
         # is bitwise that of stacking them inside the call.
         rng, spec, pretrained, experts = _ada_instance(98)
-        batches = [rng.standard_normal((6, 4)).T for _ in range(3)]
+        x = rng.standard_normal((3, 6, 4)).swapaxes(-1, -2)
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
         pre64, taus = task_vectors(pretrained, experts, spec)
-        want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
+        want = ada_loss_and_gradient(pre64, taus, experts, spec, coeff, x)
         got = ada_loss_and_gradient(
-            pre64, taus, experts, spec, coeff, batches, _stacked_heads(experts, spec)
+            pre64, taus, experts, spec, coeff, x, _stacked_heads(experts, spec)
         )
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
-    @pytest.mark.parametrize("widths", [(6, 4, 6), (4, 6, 6), (6, 6, 4)])
-    def test_batches_of_more_than_one_shape_are_rejected(self, widths):
+    @pytest.mark.parametrize(
+        "shape", [(2, 4, 6), (4, 4, 6), (3, 5, 6), (3, 4, 0), (4, 6), (1, 3, 4, 6)]
+    )
+    def test_a_wrongly_shaped_input_is_rejected(self, shape):
+        # One non-empty (input_dim, batch) batch per expert, stacked.
         rng, spec, pretrained, experts = _ada_instance(97)
-        batches = [rng.standard_normal((n, 4)).T for n in widths]
         coeff = rng.uniform(0.1, 0.5, size=(3, 3))
         pre64, taus = task_vectors(pretrained, experts, spec)
-        shapes = [(4, n) for n in widths]
-        message = re.escape(f"need batches of one shape, got {shapes}") + "$"
+        message = re.escape(f"need a (3, 4, batch) input of one non-empty batch per expert, "
+                            f"got shape {shape}") + "$"
         with pytest.raises(MergeError, match=message):
-            ada_loss_and_gradient(pre64, taus, experts, spec, coeff, batches)
+            ada_loss_and_gradient(pre64, taus, experts, spec, coeff, np.ones(shape))
+
+    def test_pools_of_more_than_one_width_are_rejected(self):
+        # Every step stacks one batch per pool, so the pools share a width.
+        rng, spec, pretrained, experts = _ada_instance(97)
+        pools = [rng.standard_normal((20, n)) for n in (4, 5, 4)]
+        message = re.escape("unlabeled pools need one width, got widths [4, 5, 4]") + "$"
+        with pytest.raises(MergeError, match=message):
+            ms.ada_merge(pretrained, experts, spec, pools, ms.TrainConfig(iterations=3, seed=1))
 
     def test_block_names_are_formatted_once_per_spec(self, monkeypatch):
         # The per-step path reads the spec's cached names: the number of

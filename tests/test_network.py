@@ -8,7 +8,7 @@ import pytest
 import merge_surgeon as ms
 from merge_surgeon.datasets import Dataset
 from merge_surgeon.network import (
-    _DRAW_BLOCK,
+    _CHUNK_COLUMNS,
     Adam,
     ModelSpec,
     NetworkError,
@@ -24,7 +24,6 @@ from merge_surgeon.network import (
     init_head,
     random_batches,
     softmax,
-    stack_batches,
     train_expert,
     train_experts,
 )
@@ -505,7 +504,7 @@ def _task_data(seed, sizes, classes, dim=5, scale=1.0):
 
 def _per_iteration_batches(pools, batch_size, iterations, seed):
     """Batches drawn as one ``integers`` call per iteration and pool: the
-    draws that random_batches makes a block at a time."""
+    draws that random_batches makes a chunk at a time."""
     rng = np.random.default_rng(seed)
     for _ in range(iterations):
         yield [pool[rng.integers(0, pool.shape[0], size=batch_size)].T for pool in pools]
@@ -515,18 +514,22 @@ class TestRandomBatches:
     @pytest.mark.parametrize("sizes", [(2000, 1500, 37), (1, 5, 2**20)])
     @pytest.mark.parametrize("batch_size", [16, 7, 1])
     @pytest.mark.parametrize(
-        "iterations", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 5]
+        ("chunks", "extra"), [(0, 1), (1, -1), (1, 0), (2, 5)],
+        ids=["one", "per_chunk-1", "per_chunk", "2*per_chunk+5"],
     )
-    def test_block_draws_are_the_per_iteration_draws(self, sizes, batch_size, iterations):
+    def test_block_draws_are_the_per_iteration_draws(self, sizes, batch_size, chunks, extra):
         # Row i of a pool holds i, so a batch shows the indices it drew.
+        per_chunk = _CHUNK_COLUMNS // batch_size
+        iterations = chunks * per_chunk + extra
         pools = [np.repeat(np.arange(n, dtype=np.float32)[:, None], 2, axis=1) for n in sizes]
         got = list(random_batches(pools, batch_size, iterations, [9, 6]))
         want = list(_per_iteration_batches(pools, batch_size, iterations, [9, 6]))
-        assert len(got) == len(want) == iterations
-        for row, want_row in zip(got, want):
-            assert len(row) == len(sizes)
+        assert [len(chunk) for chunk in got[:-1]] == [per_chunk] * (len(got) - 1)
+        assert sum(len(chunk) for chunk in got) == len(want) == iterations
+        rows = [chunk[i] for chunk in got for i in range(len(chunk))]
+        for row, want_row in zip(rows, want):
+            assert row.shape == (len(sizes), 2, batch_size)
             for batch, want_batch in zip(row, want_row):
-                assert batch.shape == want_batch.shape == (2, batch_size)
                 assert batch.dtype == want_batch.dtype
                 assert batch.flags.f_contiguous and want_batch.flags.f_contiguous
                 assert batch.tobytes() == want_batch.tobytes()
@@ -540,10 +543,12 @@ class TestStackedTraining:
         spec = ModelSpec(4, (5, 4, 3), 3, 1)
         models = [small_instance(70 + t, spec)[1] for t in range(3)]
         rng = np.random.default_rng(73)
-        xs = [rng.standard_normal((6, 4)).T for _ in range(3)]  # column-major, as training draws
+        # Column-major slices, as training draws them.
+        x = rng.standard_normal((3, 6, 4)).swapaxes(-1, -2)
+        xs = list(x)
         labels = rng.integers(0, 3, size=(3, 6))
         stacked = {name: np.stack([m[name] for m in models]) for name in models[0]}
-        losses, grads = classifier_loss_and_grads(stacked, spec, 0, stack_batches(xs), labels)
+        losses, grads = classifier_loss_and_grads(stacked, spec, 0, x, labels)
         assert losses.shape == (3,)
         for t in range(3):
             loss, own = classifier_loss_and_grads(models[t], spec, 0, xs[t], labels[t])

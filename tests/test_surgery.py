@@ -10,6 +10,7 @@ import pytest
 import merge_surgeon as ms
 from merge_surgeon.bias import LossKind, representation_bias
 from merge_surgeon.network import (
+    _CHUNK_COLUMNS,
     ModelSpec,
     NetworkError,
     forward_layers,
@@ -18,7 +19,6 @@ from merge_surgeon.network import (
 )
 from merge_surgeon import surgery
 from merge_surgeon.surgery import (
-    _CHUNK_COLUMNS,
     ALL_LAYERS,
     SurgeryError,
     SurgeryMode,
@@ -721,9 +721,10 @@ def _stacked_inputs(xs):
 
 
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
-    """Surgery training one task at a time, in float32 as train_surgery
-    trains: per task and iteration, 2-D target and gradient calls and one
-    Adam per (task, layer, matrix)."""
+    """Surgery training one task at a time on the (C, T, d, batch) chunks
+    ``batches``, in float32 as train_surgery trains: per task and
+    iteration, 2-D target and gradient calls on its slice and one Adam per
+    (task, layer, matrix)."""
     merged32 = spec.backbone64(merged, "merged", np.float32)
     stack0 = init_stack(spec, mode, rank, cfg.seed)
     adapters = [
@@ -736,7 +737,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
     }
     losses = []
-    for row in batches:
+    for row in (row for chunk in batches for row in chunk):
         total = 0.0
         for task, x in enumerate(row):
             x = np.asarray(x, dtype=np.float32)
@@ -883,15 +884,16 @@ class TestStackedEngine:
         spec, merged, experts, _ = _three_task_models(seed=52)
         cfg = ms.TrainConfig(iterations=25, batch_size=6, seed=52)
         pools = [np.random.default_rng(53 + t).standard_normal((30, 4)) for t in range(3)]
-        batches = list(random_batches(pools, cfg.batch_size, cfg.iterations, [53]))
-        others = list(random_batches(pools, cfg.batch_size, cfg.iterations, [54]))
+        (chunk,) = random_batches(pools, cfg.batch_size, cfg.iterations, [53])
+        (other,) = random_batches(pools, cfg.batch_size, cfg.iterations, [54])
         joint = train_surgery(
-            merged, experts, spec, iter(batches), mode, LossKind.MSE, cfg, rank=2
+            merged, experts, spec, iter([chunk]), mode, LossKind.MSE, cfg, rank=2
         )
         for u in range(3):
-            rows = [[o[t] if t == u else b[t] for t in range(3)] for b, o in zip(batches, others)]
+            changed_chunk = chunk.copy(order="K")
+            changed_chunk[:, u] = other[:, u]
             changed = train_surgery(
-                merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2
+                merged, experts, spec, iter([changed_chunk]), mode, LossKind.MSE, cfg, rank=2
             )
             assert changed.losses != joint.losses
             for t in set(range(3)) - {u}:
@@ -1009,62 +1011,28 @@ class TestChunkedEngine:
         ))
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_row_major_and_mixed_layout_batches(self, mode):
-        # Row-major batches throughout, except that every fifth iteration
-        # gives task 1 a column-major one: each layout change ends a chunk.
+    def test_row_major_chunks_match_per_task_reference(self, mode):
+        # Chunks laid out row-major train as the reference trains on
+        # their row-major slices; a chunk ends where its iterator says.
         spec, merged, experts, _ = _three_task_models(seed=62)
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=62)
         rng = np.random.default_rng(63)
-        rows = []
-        for i in range(2 * self.PER_CHUNK + 3):
-            row = [
-                np.ascontiguousarray(rng.standard_normal((4, self.BATCH)) + 0.3) for _ in range(3)
-            ]
-            if i % 5 == 4:
-                row[1] = np.asfortranarray(row[1])
-            rows.append(row)
-        assert not rows[0][0].flags.f_contiguous
-        result = train_surgery(merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2)
+        chunks = [rng.standard_normal((n, 3, 4, self.BATCH)) + 0.3 for n in (5, 1, 3)]
+        assert not chunks[0][0, 0].flags.f_contiguous
+        result = train_surgery(merged, experts, spec, iter(chunks), mode, LossKind.MSE, cfg,
+                               rank=2)
         _assert_matches_reference(result, _per_task_reference(
-            merged, experts, spec, rows, mode, LossKind.MSE, cfg, 2, False
+            merged, experts, spec, chunks, mode, LossKind.MSE, cfg, 2, False
         ))
 
-    @pytest.mark.parametrize(
-        ("iteration", "task"), [(1, 0), (5, 1), (PER_CHUNK, 2), (PER_CHUNK + 1, 1)]
-    )
-    def test_a_missing_batch_is_rejected_at_its_iteration(self, iteration, task):
-        # Every task steps on every iteration, so a None batch is an error;
-        # iterations count on across the chunk boundary.
-        spec, merged, experts, _ = _three_task_models(seed=64)
-        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=64)
-        rows = [
-            list(row)
-            for row in random_batches(self._pools(65), self.BATCH, self.PER_CHUNK + 2, [1])
-        ]
-        rows[iteration - 1][task] = None
-        message = rf"^iteration {iteration}: task {task} has no batch$"
-        with pytest.raises(SurgeryError, match=message):
-            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
-
-    @pytest.mark.parametrize(
-        ("iteration", "task", "widths"), [(1, 0, (0, 0, 0)), (3, 1, (8, 0, 8))]
-    )
-    def test_an_empty_batch_is_rejected_at_its_iteration(self, iteration, task, widths):
-        # A batch of no columns has no loss to align and no chunk width.
-        spec, merged, experts, _ = _three_task_models(seed=66)
-        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=66)
-        rng = np.random.default_rng(67)
-        rows = [[rng.standard_normal((4, 8)) + 0.3 for _ in range(3)] for _ in range(5)]
-        rows[iteration - 1] = [rng.standard_normal((4, n)) for n in widths]
-        message = rf"^iteration {iteration}: task {task} batch is empty$"
-        with pytest.raises(SurgeryError, match=message):
-            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
-
     @pytest.mark.parametrize("mode", MODES)
-    def test_targets_run_once_per_chunk(self, mode, monkeypatch):
-        # Every surgery_gradients call runs one forward; beyond those, one
-        # target pass per chunk, plus one merged pass below the lowest
-        # adapter when that is not block 1.
+    @pytest.mark.parametrize("stream", [False, True], ids=["random", "stream"])
+    def test_targets_run_once_per_chunk(self, mode, stream, monkeypatch):
+        # Every surgery_gradients call runs one forward on a (T, d, batch)
+        # slice; beyond those, one target pass per (C, T, d, batch) chunk,
+        # plus one merged pass below the lowest adapter when that is not
+        # block 1.  A stream's short last batch is a chunk of its own, and
+        # so one more target pass.
         spec, merged, experts, _ = _three_task_models(seed=66)
         iterations = 2 * self.PER_CHUNK + 1
         cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=iterations, seed=66)
@@ -1076,58 +1044,46 @@ class TestChunkedEngine:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(surgery, "forward_layers", counting_forward)
-        train_surgery(merged, experts, spec, self._pools(67), mode, LossKind.L1, cfg, rank=2)
-        chunks = 3
+        if stream:
+            pools = self._pools(67, sizes=[2 * _CHUNK_COLUMNS + 5] * 3)
+            result = stream_train_surgery(
+                merged, experts, spec, pools, 1.0, mode, LossKind.L1, cfg, rank=2
+            )
+        else:
+            result = train_surgery(
+                merged, experts, spec, self._pools(67), mode, LossKind.L1, cfg, rank=2
+            )
+        assert len(result.losses) == iterations
         passes = 2 if mode.layer_indices(spec.num_layers)[0] > 1 else 1
-        assert len(calls) == iterations + chunks * passes
-        assert calls[0].shape == (self.PER_CHUNK, 3, spec.input_dim, self.BATCH)
-        # The pools' batches are column-major, and so is every chunk slice.
-        chunk = calls[0]
-        assert all(chunk[i, t].flags.f_contiguous for i in range(len(chunk)) for t in range(3))
-
-    @pytest.mark.parametrize(
-        ("iteration", "widths", "message"),
-        [
-            (3, (8, 8, 5), "iteration 3: task 2 batch has shape (4, 5), task 0's (4, 8)"),
-            (1, (8, 9, 8), "iteration 1: task 1 batch has shape (4, 9), task 0's (4, 8)"),
-            (2, (5, 8, 8), "iteration 2: task 1 batch has shape (4, 8), task 0's (4, 5)"),
-            (
-                PER_CHUNK + 1, (8, 5, 5),
-                f"iteration {PER_CHUNK + 1}: task 1 batch has shape (4, 5), task 0's (4, 8)",
-            ),
-        ],
-    )
-    def test_batches_of_more_than_one_shape_are_rejected(self, iteration, widths, message):
-        # At one iteration the tasks take batches of different widths: a
-        # stacked step needs one batch shape, and the first task that
-        # differs from task 0 is named.
-        spec, merged, experts, _ = _three_task_models(seed=70)
-        cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
-        rng = np.random.default_rng(71)
-        rows = [
-            [rng.standard_normal((4, 8)) + 0.3 for _ in range(3)] for _ in range(self.PER_CHUNK + 2)
+        assert len(calls) == iterations + 3 * passes
+        chunk_calls = [x for x in calls if x.ndim == 4]
+        last = 5 if stream else self.BATCH
+        assert [x.shape for x in chunk_calls[::passes]] == [
+            (self.PER_CHUNK, 3, spec.input_dim, self.BATCH),
+            (self.PER_CHUNK, 3, spec.input_dim, self.BATCH),
+            (1, 3, spec.input_dim, last),
         ]
-        rows[iteration - 1] = [rng.standard_normal((4, n)) + 0.3 for n in widths]
-        with pytest.raises(SurgeryError, match=re.escape(message) + "$"):
-            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
+        # The pools' batches are column-major, and so is every chunk slice.
+        chunk = chunk_calls[0]
+        assert all(chunk[i, t].flags.f_contiguous for i in range(len(chunk)) for t in range(3))
 
     @pytest.mark.parametrize("iteration", [3, PER_CHUNK + 5])
     def test_divergence_names_its_first_iteration(self, iteration):
-        # A NaN sample makes task 1's loss non-finite; an invalid batch two
-        # iterations later, inside the same chunk, is never reached.
+        # A NaN sample makes task 1's loss non-finite; an invalid chunk
+        # right after the NaN's chunk is never reached.
         spec, merged, experts, _ = _three_task_models(seed=68)
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=68)
-        rows = [list(row) for row in random_batches(self._pools(69), self.BATCH, 60, [1])]
-        rows[iteration - 1][1] = rows[iteration - 1][1].copy()
-        rows[iteration - 1][1][2, 3] = np.nan
-        rows[iteration + 1][0] = np.zeros((1, 4, self.BATCH))
+        chunks = list(random_batches(self._pools(69), self.BATCH, 60, [1]))
+        c, i = divmod(iteration - 1, self.PER_CHUNK)
+        chunks[c][i, 1, 2, 3] = np.nan
+        chunks.insert(c + 1, np.zeros((1, 3, 5, self.BATCH)))
         for mode in (ALL_LAYERS, SurgeryMode("v1")):
             layer = mode.layer_indices(spec.num_layers)[0]
             with pytest.raises(
                 SurgeryError,
                 match=f"non-finite loss at iteration {iteration}, task 1, layer {layer}$",
             ):
-                train_surgery(merged, experts, spec, iter(rows), mode, LossKind.MSE, cfg, rank=2)
+                train_surgery(merged, experts, spec, iter(chunks), mode, LossKind.MSE, cfg, rank=2)
 
     @pytest.mark.parametrize("iteration", [2, PER_CHUNK + 3])
     def test_a_non_finite_loss_inside_a_group_names_its_layer(self, iteration):
@@ -1139,26 +1095,81 @@ class TestChunkedEngine:
         merged = ParamSet({**merged, "block3.weight": merged["block3.weight"] * 1e12})
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=80)
         pools = [np.random.default_rng([81, t]).standard_normal((30, 4)) + 0.3 for t in range(3)]
-        rows = [list(row) for row in random_batches(pools, self.BATCH, 60, [1])]
-        rows[iteration - 1][1] = rows[iteration - 1][1].copy()
-        rows[iteration - 1][1][:, 5] *= 1e12
+        chunks = list(random_batches(pools, self.BATCH, 60, [1]))
+        c, i = divmod(iteration - 1, self.PER_CHUNK)
+        chunks[c][i, 1, :, 5] *= 1e12
         message = rf"^non-finite loss at iteration {iteration}, task 1, layer 3$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SurgeryError, match=message):
-                train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.MSE, cfg,
+                train_surgery(merged, experts, spec, iter(chunks), ALL_LAYERS, LossKind.MSE, cfg,
                               rank=2)
 
-    def test_invalid_batch_is_reported_when_reached(self):
+    @pytest.mark.parametrize("good", [0, 2])
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 4, 8), (1, 2, 3, 4, 8), (2, 2, 4, 8), (2, 4, 4, 8), (2, 3, 5, 8), (0, 3, 4, 8),
+         (2, 3, 4, 0)],
+        ids=["rank-3", "rank-5", "two-tasks", "four-tasks", "input-dim-5", "no-iterations",
+             "no-columns"],
+    )
+    def test_a_bad_chunk_is_rejected_at_its_first_iteration(self, shape, good, monkeypatch):
+        # Each chunk is checked where it enters, so the good chunks before
+        # a bad one (7 and 3 iterations) train first.
         spec, merged, experts, _ = _three_task_models(seed=70)
         cfg = ms.TrainConfig(batch_size=self.BATCH, seed=70)
-        rows = [list(row) for row in random_batches(self._pools(71), self.BATCH, 10, [1])]
-        rows[6][2] = np.zeros((1, 4, self.BATCH))
-        with pytest.raises(SurgeryError, match="iteration 7: task 2 batch must be"):
-            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
-        rows[6] = rows[6][:2]
-        with pytest.raises(SurgeryError, match="iteration 7: data covers 2 tasks, experts 3"):
-            train_surgery(merged, experts, spec, iter(rows), ALL_LAYERS, LossKind.L1, cfg, rank=2)
+        steps = []
+        gradients = surgery.surgery_gradients
+
+        def counting_gradients(*args, **kwargs):
+            steps.append(args[3].shape)
+            return gradients(*args, **kwargs)
+
+        monkeypatch.setattr(surgery, "surgery_gradients", counting_gradients)
+        chunks = [c for n in (7, 3)[:good] for c in random_batches(self._pools(71), 8, n, [n])]
+        done = sum(len(c) for c in chunks)
+        message = re.escape(
+            f"iteration {done + 1}: a chunk must be (iterations, 3, 4, batch) with no empty "
+            f"axis, got {shape}"
+        ) + "$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, experts, spec, iter([*chunks, np.ones(shape)]), ALL_LAYERS,
+                          LossKind.L1, cfg, rank=2)
+        assert steps == [(3, 4, self.BATCH)] * done
+
+    def test_pools_of_more_than_one_width_are_rejected(self):
+        # Batches stacked from pools need the pools to share a width.
+        spec, merged, experts, _ = _three_task_models(seed=72)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=2, seed=72)
+        pools = self._pools(73, sizes=(20, 20, 20))
+        pools[1] = np.hstack([pools[1], pools[1][:, :1]])
+        message = re.escape("input pools need one width, got widths [4, 5, 4]") + "$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, experts, spec, pools, ALL_LAYERS, LossKind.L1, cfg, rank=2)
+        with pytest.raises(SurgeryError, match=message):
+            stream_train_surgery(
+                merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
+            )
+
+    @pytest.mark.parametrize(
+        ("samples", "shapes"), [(30, [(3, 8), (1, 6)]), (32, [(4, 8)]), (8, [(1, 8)]),
+                                (5, [(1, 5)]), (2 * _CHUNK_COLUMNS, [(PER_CHUNK, 8)] * 2)],
+    )
+    def test_a_stream_yields_chunks_of_whole_batches(self, samples, shapes):
+        # Whole batches fill chunks of at most PER_CHUNK; a short last
+        # batch is a chunk of its own.  chunk[i, t] is task t's batch i,
+        # column-major, with the pool's bits.
+        pools = self._pools(74, sizes=(samples,) * 3)
+        chunks = list(sequential_batches(pools, self.BATCH))
+        assert [c.shape for c in chunks] == [(n, 3, 4, width) for n, width in shapes]
+        rows = [chunk[i] for chunk in chunks for i in range(len(chunk))]
+        starts = range(0, samples, self.BATCH)
+        for row, start in zip(rows, starts, strict=True):
+            for t, batch in enumerate(row):
+                want = pools[t][start : start + self.BATCH].T.astype(np.float32)
+                assert batch.dtype == np.float32
+                assert batch.flags.f_contiguous
+                assert batch.tobytes() == want.tobytes()
 
 
 class TestFloat32Overflow:
