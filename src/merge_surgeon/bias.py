@@ -177,8 +177,8 @@ def layerwise_bias_report(
     ``final_traces`` list receives ``(merged, expert)`` final-layer traces
     per task, so a caller can use them without tracing again.
 
-    Before any trace, ``spec.backbone64`` checks and copies ``merged``
-    and every expert once, under the names ``merged`` and ``expert <t>``.
+    Before any trace, ``spec.backbone`` checks and copies ``merged``
+    and every expert once to float32, as ``merged`` and ``expert <t>``.
     Each task's two traces are walked in lockstep and scored one layer at
     a time, so the report holds one layer of each, not all of them.  An
     error of the expert trace is raised once the merged trace is done, so
@@ -192,13 +192,13 @@ def layerwise_bias_report(
         raise BiasError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
     if len(experts) != len(inputs_per_task):
         raise BiasError("need exactly one input matrix per expert")
-    merged64 = spec.backbone64(merged, "merged")
-    experts64 = [spec.backbone64(expert, f"expert {t}") for t, expert in enumerate(experts)]
+    merged32 = spec.backbone(merged, "merged", np.float32)
+    experts32 = [spec.backbone(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
     values = np.zeros((spec.num_layers, len(experts)))
-    for task, (expert64, features) in enumerate(zip(experts64, inputs_per_task)):
-        x = np.asarray(features, dtype=np.float64).T
-        merged_layers = trace_layers(merged64, spec, stack, x, task)
-        expert_layers = trace_layers(expert64, spec, None, x, task)
+    for task, (expert32, features) in enumerate(zip(experts32, inputs_per_task)):
+        x = np.asarray(features).T
+        merged_layers = trace_layers(merged32, spec, stack, x, task)
+        expert_layers = trace_layers(expert32, spec, None, x, task)
         for layer, merged_z in enumerate(merged_layers):
             try:
                 expert_z = next(expert_layers)
@@ -214,23 +214,22 @@ def layerwise_bias_report(
 
 def pca_project(reps: np.ndarray) -> np.ndarray:
     """Project (dim, samples) representations onto their top-2 principal
-    directions.
-
-    Columns are centered first; the sign of each direction is fixed by
-    making its largest-magnitude loading positive, so output is
-    deterministic.
+    directions, the top eigenvectors of the Gram matrix of the data
+    centered by rows in one float64 copy, so equal float32 and float64
+    inputs project alike.  The sign of each direction makes its
+    largest-magnitude loading positive, so output is deterministic.
     """
-    data = np.asarray(reps, dtype=np.float64)
+    data = np.array(reps, dtype=np.float64, order="C")
     if data.ndim != 2 or data.shape[0] < 2:
         raise BiasError("need a (dim >= 2, samples) matrix")
     if data.shape[1] < 2:
         raise BiasError("need at least two samples")
-    centered = data - data.mean(axis=1, keepdims=True)
-    # SVD of the centered data: left singular vectors = principal directions.
-    u, _, _ = np.linalg.svd(centered, full_matrices=False)
-    components = u[:, :2].T
+    data -= data.mean(axis=1, keepdims=True)
+    # eigh lists eigenvalues in ascending order: the top two come last.
+    _, vectors = np.linalg.eigh(data @ data.T)
+    components = vectors[:, :-3:-1].T
     for i in range(2):
         lead = np.argmax(np.abs(components[i]))
         if components[i, lead] < 0:
             components[i] = -components[i]
-    return components @ centered
+    return components @ data

@@ -96,20 +96,20 @@ def evaluate(
     """:func:`accuracy` of every task on its own test set, traced through
     the backbone with the task's corrections from ``stack`` if given.
 
-    ``spec.backbone64`` checks and copies the backbone once, under the
-    name ``model_id``, and every task's trace reads that copy.  A trace
-    holds one layer at a time; every layer is still cast to float32, so
-    an overflow in any layer raises the ``SurgeryError`` naming it."""
+    ``spec.backbone`` checks and copies the backbone once to float32,
+    under the name ``model_id``, and every task's trace reads that copy.
+    A trace holds one layer at a time, and an overflow in any layer
+    raises the ``SurgeryError`` naming it."""
     if len(test_sets) < 1:
         raise EvalError("need at least one test set")
     for task in range(len(test_sets)):
         if head_name(task, "weight") not in heads or head_name(task, "bias") not in heads:
             raise EvalError(f"missing head for task {task}")
-    backbone64 = spec.backbone64(backbone, model_id)
+    backbone32 = spec.backbone(backbone, model_id, np.float32)
 
     def score(task):
         data = test_sets[task]
-        for z_final in trace_layers(backbone64, spec, stack, data.inputs(), task):
+        for z_final in trace_layers(backbone32, spec, stack, data.inputs(), task):
             pass  # each layer is dropped as the next one arrives
         return accuracy(heads, task, z_final, data.labels)
 

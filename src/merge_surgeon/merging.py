@@ -3,7 +3,7 @@
 All merges operate on backbone entries only; task heads are never merged
 and are always used per task at evaluation time.  Every rule takes the
 run's :class:`ModelSpec` and works on one flat layout of its backbone,
-block by block and weight before bias: ``spec.backbone64`` checks and
+block by block and weight before bias: ``spec.backbone`` checks and
 copies the pretrained model and each expert into the float64 rows of one
 matrix, the rule combines those rows, and one exit casts the result to
 float32 and splits it by name.  So merged sets list their entries in
@@ -95,7 +95,7 @@ def _flat_rows(
 ) -> np.ndarray:
     """The float64 matrix whose rows are ``pretrained`` (left out when
     None) and then each expert, in the :func:`_flat_layout` of ``spec``,
-    each filled from ``spec.backbone64`` under the name ``pretrained`` or
+    each filled from ``spec.backbone`` under the name ``pretrained`` or
     ``expert <t>``, which its rejection carries."""
     if not experts:
         raise MergeError("need at least one expert")
@@ -104,7 +104,7 @@ def _flat_rows(
     layout = _flat_layout(spec)
     rows = np.empty((len(models), layout[-1][3]))
     for row, (what, params) in enumerate(models):
-        backbone = spec.backbone64(params, what)
+        backbone = spec.backbone(params, what, np.float64)
         for name, _, start, stop in layout:
             rows[row, start:stop] = backbone[name].ravel()
     return rows

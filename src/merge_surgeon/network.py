@@ -6,9 +6,9 @@ ReLU, except the final block which stays affine.  Task heads are linear
 maps d_L -> C and are never merged; they travel with expert parameter
 sets.  Parameter sets and traces are stored as float32.  The kernels
 (:func:`forward_layers`, :class:`Adam`) compute in the dtype of the arrays
-they are given: pretraining, fine-tuning, the merges and every trace run
+they are given: pretraining, fine-tuning, the merges and AdaMerging run
 in float64 (so finite-difference checks are clean), and surgery training
-runs in float32.
+and every trace run in float32.
 """
 
 from __future__ import annotations
@@ -99,12 +99,11 @@ class ModelSpec:
             shapes[bias] = (self.out_dim(layer),)
         return shapes
 
-    def backbone64(
-        self, params: Mapping[str, np.ndarray], what: str, dtype=np.float64
+    def backbone(
+        self, params: Mapping[str, np.ndarray], what: str, dtype
     ) -> dict[str, np.ndarray]:
-        """Copies of the backbone entries of the model ``what`` in block
-        order, float64 unless ``dtype`` says otherwise (surgery training
-        takes float32), the one check, copy and naming of a backbone:
+        """Copies in ``dtype`` of the backbone entries of the model ``what``
+        in block order, the one check, copy and naming of a backbone:
         ``params`` must hold each of this spec's backbone names with its
         shape and no other ``block<l>.weight|bias`` entry; any other entry
         is left out.  A rejection is a ``NetworkError`` that reads
@@ -551,7 +550,7 @@ def train_experts(
     head (``head.{task}.*``) and is bitwise the expert that
     :func:`train_expert` trains alone.
     """
-    pretrained64 = spec.backbone64(pretrained, "pretrained")
+    pretrained64 = spec.backbone(pretrained, "pretrained", np.float64)
     tasks = [int(task) for task in tasks]
     if not tasks or len(train_sets) != len(tasks) or len(set(tasks)) != len(tasks):
         raise NetworkError("need one training set per task, and each task once")

@@ -5,8 +5,8 @@ representation is ``Z - omega(Z)``, applied in the forward path so the
 next block consumes the corrected value.  Last-layer-only stacks mirror
 the cheap variant; all-layer stacks correct every block; single-block
 stacks exist for ablation.  Training is unsupervised: targets are the
-expert model's representations on unlabeled inputs.  It runs in
-float32, while traces run in float64 and round each layer to float32.
+expert model's representations on unlabeled inputs.  Training and
+every trace run in float32.
 A stack is one ``ParamSet`` of named float32 matrices plus its mode and
 the spec whose every task it corrects; the checkpoint holds that
 ``ParamSet`` as it is.
@@ -111,14 +111,13 @@ class SurgeryStack:
                     )
         object.__setattr__(self, "params", params)
 
-    def adapters64(self, task: int) -> dict[int, dict[str, np.ndarray]]:
-        """Task ``task``'s adapters as float64 ``{"down", "up"}`` pairs keyed
-        by layer, the form :func:`forward_layers` applies."""
+    def adapters(self, task: int) -> dict[int, dict[str, np.ndarray]]:
+        """Task ``task``'s stored float32 ``{"down", "up"}`` pairs, uncopied,
+        keyed by layer, the form :func:`forward_layers` applies."""
         if task not in range(self.spec.num_tasks):
             raise SurgeryError(f"task {task} is outside the stack's {self.spec.num_tasks} tasks")
         return {
-            layer: {half: self.params[_entry(task, layer, half)].astype(np.float64)
-                    for half in ("down", "up")}
+            layer: {half: self.params[_entry(task, layer, half)] for half in ("down", "up")}
             for layer in self.mode.layer_indices(self.spec.num_layers)
         }
 
@@ -146,40 +145,42 @@ def init_stack(spec: ModelSpec, mode: SurgeryMode, rank: int, seed: int) -> Surg
 
 
 def trace_layers(
-    backbone64: Mapping[str, np.ndarray],
+    backbone: Mapping[str, np.ndarray],
     spec: ModelSpec,
     stack: SurgeryStack | None,
     x: np.ndarray,
     task: int,
 ) -> Iterator[np.ndarray]:
-    """Yield the float32 representations ``Z_1 .. Z_L``, each (d_l, batch),
-    of the float64 backbone ``backbone64`` (``spec.backbone64`` of a
-    model) with task ``task``'s corrections applied, one block at a time.
+    """Yield the representations ``Z_1 .. Z_L``, each (d_l, batch), of
+    the ``spec.backbone`` copy ``backbone`` (float32 at every entry point)
+    with task ``task``'s corrections applied, one block at a time.
 
-    Between yields the generator holds one float64 layer, the input of
-    the next block, so a caller that keeps only what it needs of each
-    layer holds one layer, not all of them.  A layer that overflows
-    float32, or float64 inside its block, raises a ``SurgeryError``
-    naming the task and layer before any later block runs.  With no
-    stack this is the plain forward trace, so ``stack=None`` traces any
-    backbone, an expert included; a stack made for another spec is a
-    ``SurgeryError``.  Nothing of the backbone is copied: the caller
-    checks and copies it once for every trace.
+    Between yields the generator holds one layer, which the next block
+    reads and the caller must not write, so a caller that keeps only what
+    it needs of each layer holds one layer, not all of them.  A sample
+    that enters a block finite and leaves it not is an overflow, a
+    ``SurgeryError`` naming the task and layer before any later block
+    runs.  With no stack this is the plain forward trace, so
+    ``stack=None`` traces any backbone, an expert included; a stack made
+    for another spec is a ``SurgeryError``.  Nothing of the backbone or
+    the stack's adapters is copied.
     """
     if stack is not None and stack.spec != spec:
         raise SurgeryError(f"a stack made for {stack.spec} cannot correct {spec}")
-    adapters = {} if stack is None else stack.adapters64(task)
+    adapters = {} if stack is None else stack.adapters(task)
     z = x
     for layer in range(1, spec.num_layers + 1):
-        try:
-            with np.errstate(over="raise"):
-                (z,) = forward_layers(backbone64, spec, z, adapters, first=layer, last=layer)
-                z32 = np.ascontiguousarray(z, dtype=np.float32)
-        except FloatingPointError:
-            raise _overflow_error(task, layer) from None
+        # Checked by value, as numpy misses an overflow in an OpenBLAS thread.
+        with np.errstate(over="ignore", invalid="ignore"):
+            (out,) = forward_layers(backbone, spec, z, adapters, first=layer, last=layer)
+        if not np.isfinite(out).all() and (
+            np.isfinite(z).all(axis=-2) & ~np.isfinite(out).all(axis=-2)
+        ).any():
+            raise _overflow_error(task, layer)
+        z = out
         # Outside the errstate block: a suspended generator would leave
         # the caller's code running under it.
-        yield z32
+        yield z
 
 
 def _overflow_error(task: int, layer: int) -> SurgeryError:
@@ -216,22 +217,23 @@ def corrected_forward(
     task: int,
 ) -> tuple[np.ndarray, ...]:
     """Every layer of :func:`trace_layers` at once, ``(Z_1 .. Z_L)``, of
-    the model ``merged`` as it is stored: ``spec.backbone64`` checks and
-    copies it first, under the name ``merged``.  The head should consume
-    the final entry.  A caller that reads the layers in order and drops
-    them should iterate :func:`trace_layers` instead.
+    the model ``merged`` as it is stored: ``spec.backbone`` checks and
+    copies it to float32 first, under the name ``merged``.  The head
+    should consume the final entry.  A caller that reads the layers in
+    order and drops them should iterate :func:`trace_layers` instead.
     """
-    return tuple(trace_layers(spec.backbone64(merged, "merged"), spec, stack, x, task))
+    return tuple(trace_layers(spec.backbone(merged, "merged", np.float32), spec, stack, x, task))
 
 
 # A value beyond float32 becomes inf, and its loss the non-finite loss
 # that train_surgery names; numpy's warning would only add a line.
 @np.errstate(over="ignore")
-def _check_pools(inputs_per_task) -> list[np.ndarray]:
+def _check_pools(inputs_per_task, spec: ModelSpec | None = None) -> list[np.ndarray]:
     """Each task's pool as float32, surgery training's dtype, with no
     copy of a float32 pool; a pool object listed for several tasks is
     converted once, and every task gets that one array.  The pools must
-    be non-empty and of one width, as batches stacked from them are."""
+    be non-empty and of one width, as batches stacked from them are, and
+    given a ``spec``, one per task of it, of its input width."""
     inputs = list(inputs_per_task)  # alive throughout, so each id names one pool
     unique = {id(p): p for p in inputs}
     converted = {key: np.asarray(p, dtype=np.float32) for key, p in unique.items()}
@@ -241,6 +243,12 @@ def _check_pools(inputs_per_task) -> list[np.ndarray]:
     widths = [p.shape[1] for p in pools]
     if len(set(widths)) > 1:
         raise SurgeryError(f"input pools need one width, got widths {widths}")
+    if spec is not None and len(pools) != spec.num_tasks:
+        raise SurgeryError(f"got {len(pools)} input pools for the spec's {spec.num_tasks} tasks")
+    if spec is not None and widths[0] != spec.input_dim:
+        raise SurgeryError(
+            f"input pools have width {widths[0]}, the spec's input_dim is {spec.input_dim}"
+        )
     return pools
 
 
@@ -294,7 +302,7 @@ def surgery_gradients(
 ):
     """Per-layer alignment losses and adapter gradients for one batch,
     computed in the dtype of the merged backbone ``merged`` (a
-    ``spec.backbone64`` copy) and of the adapters and targets, which
+    ``spec.backbone`` copy) and of the adapters and targets, which
     share it.
 
     Block-coordinate mode differentiates each layer's loss with its
@@ -409,8 +417,8 @@ def train_surgery(
     ``data`` is an iterator of (C, T, input_dim, batch) chunks of C
     iterations, ``chunk[i, t]`` iteration i's batch for task t, as
     :func:`sequential_batches` yields them, or a sequence of per-task
-    (samples, input_dim) feature matrices of one width, which
-    :func:`random_batches` samples with the config's batch size,
+    (samples, input_dim) feature matrices, one per task of ``spec``,
+    which :func:`random_batches` samples with the config's batch size,
     iteration count, and seed.  Each chunk is checked where it enters,
     after the chunks before it have trained: one that is not 4-D, not
     ``(T, input_dim)`` in the middle, or empty along an axis is a
@@ -422,7 +430,7 @@ def train_surgery(
     parameters are modified.  ``experts`` holds one expert per task of
     ``spec``, and the stack corrects every one of them.
 
-    Training runs in float32: ``spec.backbone64`` checks each backbone
+    Training runs in float32: ``spec.backbone`` checks each backbone
     and copies it once to float32, under the name ``merged`` or ``expert
     <t>``, the batches are float32, and so are the adapter buffers and
     Adam's moments.  The tasks are independent problems of one shape:
@@ -448,12 +456,13 @@ def train_surgery(
     loss names its iteration, task and layer.
     """
     if not isinstance(data, Iterator):
-        data = random_batches(_check_pools(data), cfg.batch_size, cfg.iterations, [cfg.seed, 6])
+        pools = _check_pools(data, spec)
+        data = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = spec.num_tasks
     if len(experts) != num_tasks:
         raise SurgeryError(f"got {len(experts)} experts for the spec's {num_tasks} tasks")
-    merged32 = spec.backbone64(merged, "merged", np.float32)
-    experts32 = [spec.backbone64(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
+    merged32 = spec.backbone(merged, "merged", np.float32)
+    experts32 = [spec.backbone(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
     experts32 = {name: np.stack([e[name] for e in experts32]) for name in merged32}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
@@ -565,7 +574,7 @@ def stream_train_surgery(
 ) -> SurgeryResult:
     """Online variant: one ordered pass over the first ceil(fraction * N)
     samples of each task's pool, each sample visible exactly once."""
-    batches = sequential_batches(inputs_per_task, cfg.batch_size, fraction)
+    batches = sequential_batches(_check_pools(inputs_per_task, spec), cfg.batch_size, fraction)
     return train_surgery(
         merged, experts, spec, batches, mode, psi, cfg, rank=rank, full_backprop=full_backprop
     )

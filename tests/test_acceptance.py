@@ -224,8 +224,8 @@ def test_criterion_03_gradient_checks():
             "down": arng.uniform(-0.5, 0.5, size=(2, width)),
             "up": arng.uniform(-0.3, 0.3, size=(width, 2)),
         }
-    merged64 = spec2.backbone64(merged, "merged")
-    targets = forward_layers(spec2.backbone64(expert, "expert"), spec2, x)
+    merged64 = spec2.backbone(merged, "merged", np.float64)
+    targets = forward_layers(spec2.backbone(expert, "expert", np.float64), spec2, x)
     losses, analytic_adapter = surgery_gradients(
         merged64, spec2, adapters, x, targets, LossKind.L1
     )

@@ -1,6 +1,6 @@
 """A rejected backbone is named where it is checked.
 
-``ModelSpec.backbone64(params, what)`` is the one check of a model's
+``ModelSpec.backbone(params, what, dtype)`` is the one check of a model's
 backbone, and its ``NetworkError`` reads ``"<what>: <reason>"``.  Every
 entry point that receives raw models passes each one's name, so the same
 damage reads the same way whichever entry point meets it, and no code
@@ -132,7 +132,7 @@ def network_error_handlers(source: str) -> list[int]:
 
 
 def test_no_code_in_the_package_catches_a_network_error():
-    # A backbone rejection is named by ModelSpec.backbone64 itself; a
+    # A backbone rejection is named by ModelSpec.backbone itself; a
     # handler that re-raises it under a name would be a second naming.
     spellings = (
         "try:\n    f()\nexcept NetworkError:\n    pass\n"

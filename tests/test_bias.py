@@ -21,7 +21,8 @@ from merge_surgeon.datasets import Dataset
 from merge_surgeon.evaluation import evaluate
 from merge_surgeon.network import ModelSpec, TrainConfig, forward_layers, init_backbone
 from merge_surgeon.surgery import (
-    ALL_LAYERS, SurgeryError, SurgeryMode, SurgeryStack, init_stack, train_surgery,
+    ALL_LAYERS, SurgeryError, SurgeryMode, SurgeryStack, corrected_forward, init_stack,
+    train_surgery,
 )
 from merge_surgeon.tensors import ParamSet
 
@@ -295,13 +296,12 @@ class TestLayerwiseReport:
         )
 
         def all_layers(params, adapters, x):
-            return [z.astype(np.float32) for z in
-                    forward_layers(spec.backbone64(params, "model"), spec, x, adapters)]
+            return forward_layers(spec.backbone(params, "model", np.float32), spec, x, adapters)
 
         expected = np.zeros((spec.num_layers, 2))
         for task, features in enumerate(inputs):
             x = features.T
-            adapters = {} if stack is None else stack.adapters64(task)
+            adapters = {} if stack is None else stack.adapters(task)
             merged_trace = all_layers(merged, adapters, x)
             expert_trace = all_layers(experts[task], {}, x)
             for layer in range(spec.num_layers):
@@ -368,6 +368,37 @@ class TestLayerwiseReport:
         ):
             layerwise_bias_report(merged, [expert], spec, [np.full((3, 4), 1e10)], LossKind.L1)
 
+    def test_an_overflow_an_adapter_would_bring_back_ends_every_trace(self):
+        # Inputs of 1e9 take block 1's 1e30 weights to 4e39, past float32;
+        # in float64 the block:1 adapter took 0.999 of that back, and
+        # block 2's 1e-30 weights ended near 1e7.  Traces run in float32,
+        # so block 1 overflows in all three entry points.
+        spec = ModelSpec(4, (4, 4), 2, 1)
+        merged = ParamSet({
+            "block1.weight": np.full((4, 4), 1e30), "block1.bias": np.zeros(4),
+            "block2.weight": np.full((4, 4), 1e-30), "block2.bias": np.zeros(4),
+        })
+        stack = SurgeryStack(SurgeryMode.parse("block:1"), ParamSet({
+            "surgery.0.1.down": np.eye(4), "surgery.0.1.up": 0.999 * np.eye(4),
+        }), spec)
+        features = np.full((3, 4), 1e9)
+        float64 = forward_layers(
+            spec.backbone(merged, "merged", np.float64), spec, features.T, stack.adapters(0)
+        )
+        assert all(np.isfinite(z).all() for z in float64)
+        expert = ParamSet(init_backbone(spec, np.random.default_rng(0)))
+        heads = ParamSet([("head.0.weight", np.ones((2, 4))), ("head.0.bias", np.zeros(2))])
+        test_set = Dataset(features, np.zeros(3, dtype=np.int64), num_classes=2)
+        message = r"^task 0: layer 1 representations overflow float32$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurgeryError, match=message):
+                evaluate(merged, heads, spec, [test_set], stack)
+            with pytest.raises(SurgeryError, match=message):
+                layerwise_bias_report(merged, [expert], spec, [features], LossKind.L1, stack)
+            with pytest.raises(SurgeryError, match=message):
+                corrected_forward(merged, spec, stack, features.T, task=0)
+
     def test_report_validation(self):
         with pytest.raises(BiasError):
             BiasReport(values=np.array([[-1.0]]), model_id="m")
@@ -430,12 +461,34 @@ class TestPcaProject:
         with pytest.raises(BiasError):
             pca_project(np.zeros((3, 1)))
 
+    def test_matches_the_thin_svd_projection(self):
+        # Singular values 40, 20, then at most 2: well-separated top two
+        # directions, which the Gram matrix and the thin SVD agree on.
+        rng = np.random.default_rng(16)
+        left, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        right, _ = np.linalg.qr(rng.standard_normal((600, 8)))
+        data = left @ np.diag([40.0, 20.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.1]) @ right.T
+        data += rng.standard_normal((8, 1))
+        centered = data - data.mean(axis=1, keepdims=True)
+        u, _, _ = np.linalg.svd(centered, full_matrices=False)
+        components = u[:, :2].T
+        for row in components:
+            row *= np.sign(row[np.argmax(np.abs(row))])
+        np.testing.assert_allclose(pca_project(data), components @ centered, rtol=0, atol=1e-8)
+
+    def test_float32_and_float64_inputs_project_alike(self):
+        data = np.random.default_rng(17).standard_normal((16, 600)).astype(np.float32)
+        expected = pca_project(data).tobytes()
+        assert pca_project(data.astype(np.float64)).tobytes() == expected
+        assert pca_project(np.asfortranarray(data, dtype=np.float64)).tobytes() == expected
+
 
 class TestTraceMemory:
-    """A trace holds one block's output at a time: the traced numpy peak
-    of a bias report and of ``evaluate`` on 4 tasks of 20,000 samples is
-    a few float64 layers of one task, where holding every layer of a
-    trace (and a float32 copy of each) took 15 and 9 of them."""
+    """A trace holds one float32 block's output at a time: the traced
+    numpy peak of a bias report and of ``evaluate`` on 4 tasks of 20,000
+    samples is about two float64 layers of one task, where float64
+    traces took about 4 and 2.5 of them, and holding every layer of a
+    trace (and a float32 copy of each) took 15 and 9."""
 
     TASKS, SAMPLES, WIDTH = 4, 20_000, 32
     LAYER_BYTES = SAMPLES * WIDTH * 8  # one float64 layer of one task
@@ -470,7 +523,7 @@ class TestTraceMemory:
         peak = self.peak_layers(
             lambda: layerwise_bias_report(merged, experts, spec, features, psi)
         )
-        assert peak < 6
+        assert peak < 3
 
     def test_evaluate_peak(self, setup, monkeypatch):
         # One worker: the pool's threads would each hold a trace.
@@ -478,4 +531,4 @@ class TestTraceMemory:
         spec, merged, _, features, heads = setup
         labels = np.zeros(self.SAMPLES, dtype=np.int64)
         test_sets = [Dataset(f.astype(np.float32), labels, 5) for f in features]
-        assert self.peak_layers(lambda: evaluate(merged, heads, spec, test_sets)) < 4
+        assert self.peak_layers(lambda: evaluate(merged, heads, spec, test_sets)) < 2.2

@@ -239,7 +239,7 @@ class TestFlatLayout:
 
 
 class TestBackboneChecks:
-    """Every merge reads each model through ``spec.backbone64``: a model
+    """Every merge reads each model through ``spec.backbone``: a model
     that it rejects is a NetworkError naming that model, with its reason."""
 
     @staticmethod

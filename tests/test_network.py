@@ -165,35 +165,44 @@ class TestModelSpec:
             "head_dims = 5,5,5,5\n"
         )
 
-    def test_backbone64_checks_and_copies_the_backbone_only(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backbone_checks_and_copies_the_backbone_only(self, dtype):
         spec = ModelSpec(3, (4, 2), 2, 1)
         rng = np.random.default_rng(0)
         params = {name: rng.standard_normal(shape).astype(np.float32)
                   for name, shape in spec.backbone_shapes().items()}
-        copies = spec.backbone64({**params, "head.0.weight": np.zeros((2, 2))}, "expert 0")
+        copies = spec.backbone({**params, "head.0.weight": np.zeros((2, 2))}, "expert 0", dtype)
         assert list(copies) == list(spec.backbone_shapes())
         for name, value in params.items():
-            assert copies[name].dtype == np.float64
-            assert copies[name].tobytes() == value.astype(np.float64).tobytes()
+            assert copies[name].dtype == dtype
+            assert copies[name].tobytes() == value.astype(dtype).tobytes()
             assert not np.shares_memory(copies[name], value)
         message = "^merged: missing backbone parameter 'block2.bias'$"
         with pytest.raises(NetworkError, match=message):
-            spec.backbone64({k: v for k, v in params.items() if k != "block2.bias"}, "merged")
+            spec.backbone({k: v for k, v in params.items() if k != "block2.bias"}, "merged",
+                          dtype)
         bad = dict(params)
         bad["block1.weight"] = np.zeros((4, 4))
         message = r"^expert 1: 'block1.weight' has shape \(4, 4\), expected \(4, 3\)$"
         with pytest.raises(NetworkError, match=message):
-            spec.backbone64(bad, "expert 1")
+            spec.backbone(bad, "expert 1", dtype)
+
+    def test_backbone_names_its_dtype_at_every_call(self):
+        spec = ModelSpec(3, (4, 2), 2, 1)
+        with pytest.raises(TypeError, match="dtype"):
+            spec.backbone({}, "merged")
 
     @pytest.mark.parametrize("stray", ["block7.weight", "block3.bias", "block0.weight"])
-    def test_backbone64_rejects_a_block_the_spec_does_not_have(self, stray):
+    def test_backbone_rejects_a_block_the_spec_does_not_have(self, stray):
         spec = ModelSpec(3, (4, 2), 2, 1)
         params = {name: np.zeros(shape, dtype=np.float32)
                   for name, shape in spec.backbone_shapes().items()}
         with pytest.raises(
             NetworkError, match=f"^pretrained: unexpected backbone parameter '{stray}'$"
         ):
-            spec.backbone64({**params, stray: np.zeros((2, 2), dtype=np.float32)}, "pretrained")
+            spec.backbone(
+                {**params, stray: np.zeros((2, 2), dtype=np.float32)}, "pretrained", np.float64
+            )
 
 
 class TestEntropy:

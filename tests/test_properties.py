@@ -279,7 +279,7 @@ def test_random_stack_paramset_loads_whole_or_raises_surgery_error(problem):
         return
     assert bitwise_equal(loaded.params, params)
     for task in range(spec.num_tasks):
-        assert list(loaded.adapters64(task)) == list(mode.layer_indices(spec.num_layers))
+        assert list(loaded.adapters(task)) == list(mode.layer_indices(spec.num_layers))
 
 
 MERGE_EXAMPLES = settings(max_examples=60, deadline=None)

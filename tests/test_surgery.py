@@ -189,11 +189,11 @@ class TestStackConstructor:
         spec = dataclasses.replace(tiny_spec(), num_tasks=3)
         stack = init_stack(spec, SurgeryMode("v1"), rank=2, seed=0)
         assert stack.spec == spec
-        assert [list(stack.adapters64(t)) for t in range(3)] == [[2]] * 3
+        assert [list(stack.adapters(t)) for t in range(3)] == [[2]] * 3
         for task in (3, -1):
             message = rf"^task {task} is outside the stack's 3 tasks$"
             with pytest.raises(SurgeryError, match=message):
-                stack.adapters64(task)
+                stack.adapters(task)
 
 
 class TestSurgeryMode:
@@ -305,13 +305,13 @@ class TestCorrectedForward:
         with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
             corrected_forward(merged, spec, stack, x, task=1)
         with pytest.raises(SurgeryError, match=r"^task 1 is outside the stack's 1 tasks$"):
-            next(trace_layers(spec.backbone64(merged, "merged"), spec, stack, x, task=1))
+            next(trace_layers(spec.backbone(merged, "merged", np.float64), spec, stack, x, task=1))
 
     def test_a_stack_made_for_another_spec_is_rejected(self):
         spec, merged, _ = tiny_models()
         stack = init_stack(spec, mode=ALL_LAYERS, rank=2, seed=1)
         two_tasks = dataclasses.replace(spec, num_tasks=2)
-        merged64 = two_tasks.backbone64(merged, "merged")
+        merged64 = two_tasks.backbone(merged, "merged", np.float64)
         message = re.escape(f"a stack made for {spec} cannot correct {two_tasks}") + "$"
         with pytest.raises(SurgeryError, match=message):
             next(trace_layers(merged64, two_tasks, stack, np.ones((4, 3)), task=0))
@@ -347,11 +347,25 @@ class TestCorrectedForward:
     def test_a_suspended_trace_leaves_the_callers_errstate_alone(self):
         spec, merged, _ = tiny_models()
         before = np.geterr()
-        merged64 = spec.backbone64(merged, "merged")
+        merged64 = spec.backbone(merged, "merged", np.float64)
         layers = trace_layers(merged64, spec, None, np.ones((4, 3)), task=0)
         next(layers)
         assert np.geterr() == before
         assert len(list(layers)) == spec.num_layers - 1
+
+    def test_an_overflow_in_any_column_of_a_wide_batch_is_named(self):
+        # Checked by value: a matmul that OpenBLAS splits over threads
+        # loses the overflow flag of every thread but the caller's.
+        spec = ModelSpec(32, (32, 32), 2, 1)
+        ones = ParamSet({name: np.ones(shape) for name, shape in spec.backbone_shapes().items()})
+        x = np.random.default_rng(0).standard_normal((32, 20_000)).astype(np.float32)
+        x[:, -1] = 1e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SurgeryError, match=r"^task 0: layer 1 representations overflow float32$"
+            ):
+                corrected_forward(ones, spec, None, x, task=0)
 
     def test_float64_overflow_in_a_block_names_the_layer(self):
         spec, merged, _ = tiny_models()
@@ -528,8 +542,8 @@ class TestTrainSurgery:
             }
             for layer in ALL_LAYERS.layer_indices(spec.num_layers)
         }
-        merged64 = spec.backbone64(merged, "merged")
-        targets = forward_layers(spec.backbone64(expert, "expert"), spec, x)
+        merged64 = spec.backbone(merged, "merged", np.float64)
+        targets = forward_layers(spec.backbone(expert, "expert", np.float64), spec, x)
         _, analytic = surgery_gradients(
             merged64, spec, task_adapters, x, targets, psi, full_backprop
         )
@@ -577,11 +591,11 @@ class TestTrainSurgery:
         }
 
         def run(dtype):
-            targets = forward_layers(spec.backbone64(expert, "expert", dtype), spec, x)
+            targets = forward_layers(spec.backbone(expert, "expert", dtype), spec, x)
             adapters = {layer: {half: matrix.astype(dtype) for half, matrix in pair.items()}
                         for layer, pair in task_adapters.items()}
             return surgery_gradients(
-                spec.backbone64(merged, "merged", dtype), spec, adapters, x, targets, psi,
+                spec.backbone(merged, "merged", dtype), spec, adapters, x, targets, psi,
                 full_backprop,
             )
 
@@ -725,11 +739,11 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
     ``batches``, in float32 as train_surgery trains: per task and
     iteration, 2-D target and gradient calls on its slice and one Adam per
     (task, layer, matrix)."""
-    merged32 = spec.backbone64(merged, "merged", np.float32)
+    merged32 = spec.backbone(merged, "merged", np.float32)
     stack0 = init_stack(spec, mode, rank, cfg.seed)
     adapters = [
         {layer: {half: a.astype(np.float32) for half, a in pair.items()}
-         for layer, pair in stack0.adapters64(task).items()}
+         for layer, pair in stack0.adapters(task).items()}
         for task in range(len(experts))
     ]
     optimizers = {
@@ -741,7 +755,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         total = 0.0
         for task, x in enumerate(row):
             x = np.asarray(x, dtype=np.float32)
-            expert32 = spec.backbone64(experts[task], "expert", np.float32)
+            expert32 = spec.backbone(experts[task], "expert", np.float32)
             targets = forward_layers(expert32, spec, x)
             layer_losses, grads = surgery_gradients(
                 merged32, spec, adapters[task], x, targets, psi, full_backprop
@@ -766,8 +780,8 @@ class TestStackedEngine:
         spec, merged, experts, adapters = _three_task_models()
         xs = self._batches(spec)
         x = _stacked_inputs(xs)
-        merged64 = spec.backbone64(merged, "merged")
-        experts64 = [spec.backbone64(e, "expert") for e in experts]
+        merged64 = spec.backbone(merged, "merged", np.float64)
+        experts64 = [spec.backbone(e, "expert", np.float64) for e in experts]
         experts64 = {n: np.stack([e[n] for e in experts64]) for n in merged64}
         stacked_adapters = {
             layer: {h: np.stack([a[layer][h] for a in adapters]) for h in ("down", "up")}
@@ -779,7 +793,7 @@ class TestStackedEngine:
         records = []
         corrected = forward_layers(merged64, spec, x, stacked_adapters, records)
         for t in range(3):
-            single = forward_layers(spec.backbone64(experts[t], "expert"), spec, xs[t])
+            single = forward_layers(spec.backbone(experts[t], "expert", np.float64), spec, xs[t])
             own_records = []
             own = forward_layers(merged64, spec, xs[t], adapters[t], own_records)
             for layer in range(spec.num_layers):
@@ -792,7 +806,7 @@ class TestStackedEngine:
         spec, merged, _, _ = _three_task_models()
         with pytest.raises(NetworkError):
             x = np.zeros((3, spec.input_dim + 1, 2))
-            forward_layers(spec.backbone64(merged, "merged"), spec, x)
+            forward_layers(spec.backbone(merged, "merged", np.float64), spec, x)
 
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
     @pytest.mark.parametrize("full_backprop", [False, True])
@@ -803,8 +817,8 @@ class TestStackedEngine:
         for layers in ((1, 2, 3), (3,)):
             task_adapters = [{l: a[l] for l in layers} for a in adapters]
             xs = self._batches(spec)
-            merged64 = spec.backbone64(merged, "merged")
-            targets = [forward_layers(spec.backbone64(e, "expert"), spec, x)
+            merged64 = spec.backbone(merged, "merged", np.float64)
+            targets = [forward_layers(spec.backbone(e, "expert", np.float64), spec, x)
                        for e, x in zip(experts, xs)]
             losses, grads = surgery_gradients(
                 merged64,
@@ -838,8 +852,8 @@ class TestStackedEngine:
         spec, merged, experts, adapters = _three_task_models(seed=74, layer_dims=GROUPED_DIMS)
         rng = np.random.default_rng(75)
         xs = [(rng.standard_normal((7, spec.input_dim)) + 0.3).astype(dtype).T for _ in range(3)]
-        merged_d = spec.backbone64(merged, "merged", dtype)
-        targets = [forward_layers(spec.backbone64(e, "expert", dtype), spec, x)
+        merged_d = spec.backbone(merged, "merged", dtype)
+        targets = [forward_layers(spec.backbone(e, "expert", dtype), spec, x)
                    for e, x in zip(experts, xs)]
         adapters = [{layer: {half: m.astype(dtype) for half, m in pair.items()}
                      for layer, pair in a.items()} for a in adapters]
@@ -1150,6 +1164,27 @@ class TestChunkedEngine:
             stream_train_surgery(
                 merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
             )
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["random", "stream"])
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [(lambda pools: pools[:2], "got 2 input pools for the spec's 3 tasks"),
+         (lambda pools: [np.hstack([p, p[:, :1]]) for p in pools],
+          "input pools have width 5, the spec's input_dim is 4")],
+        ids=["two-pools", "width-5"],
+    )
+    def test_pools_that_do_not_match_the_spec_are_named(self, change, message, stream):
+        # Rejected before any batch is drawn, not as a bad chunk.
+        spec, merged, experts, _ = _three_task_models(seed=75)
+        cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=2, seed=75)
+        pools = change(self._pools(76, sizes=(20, 20, 20)))
+        with pytest.raises(SurgeryError, match=re.escape(message) + "$"):
+            if stream:
+                stream_train_surgery(
+                    merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
+                )
+            else:
+                train_surgery(merged, experts, spec, pools, ALL_LAYERS, LossKind.L1, cfg, rank=2)
 
     @pytest.mark.parametrize(
         ("samples", "shapes"), [(30, [(3, 8), (1, 6)]), (32, [(4, 8)]), (8, [(1, 8)]),
