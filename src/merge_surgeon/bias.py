@@ -171,11 +171,11 @@ def layerwise_bias_report(
 ) -> BiasReport:
     """Bias of the merged model against each expert, per layer and task.
 
-    ``inputs_per_task[t]`` is an (N_t, input_dim) feature matrix.  When a
-    surgery ``stack`` is supplied the merged trace is the corrected
-    in-path trace, so the report shows post-surgery alignment.  A
-    ``final_traces`` list receives ``(merged, expert)`` final-layer traces
-    per task, so a caller can use them without tracing again.
+    ``inputs_per_task[t]`` is an (N_t, input_dim) feature matrix, checked
+    by ``spec.pools`` as ``inputs`` and not copied.  With a surgery
+    ``stack`` the merged trace is the corrected in-path one, showing
+    post-surgery alignment.  A ``final_traces`` list receives each task's
+    ``(merged, expert)`` final-layer traces, so no caller traces again.
 
     Before any trace, ``spec.backbone`` checks and copies ``merged``
     and every expert once to float32, as ``merged`` and ``expert <t>``.
@@ -190,13 +190,12 @@ def layerwise_bias_report(
 
     if len(experts) != spec.num_tasks:
         raise BiasError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
-    if len(experts) != len(inputs_per_task):
-        raise BiasError("need exactly one input matrix per expert")
+    inputs_per_task = spec.pools(inputs_per_task, "inputs", None)
     merged32 = spec.backbone(merged, "merged", np.float32)
     experts32 = [spec.backbone(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
     values = np.zeros((spec.num_layers, len(experts)))
     for task, (expert32, features) in enumerate(zip(experts32, inputs_per_task)):
-        x = np.asarray(features).T
+        x = features.T
         merged_layers = trace_layers(merged32, spec, stack, x, task)
         expert_layers = trace_layers(expert32, spec, None, x, task)
         for layer, merged_z in enumerate(merged_layers):

@@ -24,6 +24,7 @@ import numpy as np
 from .config import MERGE_ALGOS
 from .evaluation import collect_heads, evaluate
 from .network import (
+    Adam,
     ModelSpec,
     TrainConfig,
     backbone_adjoint_grads,
@@ -333,28 +334,21 @@ def ada_merge(
 ) -> AdaMergeResult:
     """Optimize layer-level merging coefficients by entropy minimization.
 
-    ``inputs_per_task[t]`` is an (N_t, input_dim) matrix of unlabeled
-    inputs for task t.  Coefficients start at :data:`_ADA_INIT` and are
-    updated by Adam on the mean softmax entropy of the merged model's
-    predictions through each task's head.  Batch draws are seeded per
-    task position, so results are reproducible for a fixed expert order
-    but change when the experts are permuted; the closed-form merges are
-    invariant to that order.
+    ``inputs_per_task[t]`` is task t's (N_t, input_dim) pool of unlabeled
+    inputs, which ``spec.pools`` checks as ``unlabeled pools``.  Each
+    coefficient starts at :data:`_ADA_INIT`; Adam updates them on the mean
+    softmax entropy of the merged model's predictions through each task's
+    head.  Batch draws are seeded per task position, so results repeat
+    for a fixed expert order but change when the experts are permuted;
+    the closed-form merges are invariant to that order.
     """
     pre64, taus = task_vectors(pretrained, experts, spec)
-    if len(inputs_per_task) != len(experts):
-        raise MergeError("need one unlabeled input pool per expert")
-    pools = [np.asarray(p, dtype=np.float64) for p in inputs_per_task]
-    if any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
-        raise MergeError("unlabeled pools must be non-empty (samples, dim) matrices")
-    widths = [p.shape[1] for p in pools]
-    if len(set(widths)) > 1:
-        raise MergeError(f"unlabeled pools need one width, got widths {widths}")
+    pools = spec.pools(inputs_per_task, "unlabeled pools", np.float64)
 
     coefficients = np.full((spec.num_layers, len(experts)), _ADA_INIT)
 
     heads = _stacked_heads(experts, spec)
-    adam = cfg.make_adam()
+    adam = Adam(cfg.learning_rate)
     entropies = []
     for chunk in random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]):
         for x in chunk:

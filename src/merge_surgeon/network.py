@@ -43,7 +43,9 @@ def _whole(name: str, value) -> int:
 class ModelSpec:
     """Architecture description: input width, per-block widths, and the
     ``num_tasks`` task heads, each with ``num_classes`` rows, so every
-    head has one shape."""
+    head has one shape.  It is the one check of what a run is fed: of a
+    backbone (:meth:`backbone`) and of a set of input pools
+    (:meth:`pools`)."""
 
     input_dim: int
     layer_dims: tuple[int, ...]
@@ -123,6 +125,27 @@ class ModelSpec:
             copies[name] = np.array(params[name], dtype=dtype)
         return copies
 
+    # A value past dtype's range becomes inf, for the caller's checks to name.
+    @np.errstate(over="ignore")
+    def pools(self, inputs, what: str, dtype) -> list[np.ndarray]:
+        """The one check of an input pool: one ``(samples >= 1, input_dim)``
+        matrix per task, each in ``dtype`` (``None`` keeps its own), a pool
+        object listed for several tasks converted once, to one array.  A
+        rejection is a ``NetworkError`` that reads ``"<what>: <reason>"``."""
+        inputs = list(inputs)  # alive throughout, so each id names one pool
+        if len(inputs) != self.num_tasks:
+            raise NetworkError(f"{what}: got {len(inputs)} pools for the spec's "
+                               f"{self.num_tasks} tasks")
+        unique = {id(p): p for p in inputs}
+        converted = {key: np.asarray(p, dtype=dtype) for key, p in unique.items()}
+        pools = [converted[id(p)] for p in inputs]
+        for t, pool in enumerate(pools):
+            if pool.shape[1:] != (self.input_dim,) or pool.shape[0] < 1:
+                raise NetworkError(
+                    f"{what}: pool {t} is {pool.shape}, expected (samples >= 1, {self.input_dim})"
+                )
+        return pools
+
     def to_text(self) -> str:
         # One head width per task: model_spec.cfg, which every manifest hashes, keeps this line.
         return (
@@ -146,10 +169,6 @@ class TrainConfig:
             raise NetworkError("learning_rate must be positive")
         if self.batch_size < 1 or self.iterations < 1:
             raise NetworkError("batch_size and iterations must be >= 1")
-
-    def make_adam(self) -> "Adam":
-        """An :class:`Adam` at this rate."""
-        return Adam(self.learning_rate)
 
 
 # Adam's epsilon, added to the corrected second moment's square root.
@@ -494,7 +513,7 @@ def _train_classifiers(
             view[t] = model[name]
         trained.append({name: view[t] for name, view in zip(names, views)})
     params = dict(zip(shapes, views))
-    optimizer = cfg.make_adam()
+    optimizer = Adam(cfg.learning_rate)
 
     losses: list[list[float]] = [[] for _ in models]
     for iteration in range(1, cfg.iterations + 1):

@@ -5,8 +5,8 @@ representation is ``Z - omega(Z)``, applied in the forward path so the
 next block consumes the corrected value.  Last-layer-only stacks mirror
 the cheap variant; all-layer stacks correct every block; single-block
 stacks exist for ablation.  Training is unsupervised: targets are the
-expert model's representations on unlabeled inputs.  Training and
-every trace run in float32.
+expert model's representations on unlabeled input pools, which
+``ModelSpec.pools`` checks.  Training and every trace run in float32.
 A stack is one ``ParamSet`` of named float32 matrices plus its mode and
 the spec whose every task it corrects; the checkpoint holds that
 ``ParamSet`` as it is.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
 from .network import (
-    _CHUNK_COLUMNS, ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches,
+    _CHUNK_COLUMNS, Adam, ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches,
 )
 from .tensors import MergeSurgeonError, ParamSet
 
@@ -225,36 +225,9 @@ def corrected_forward(
     return tuple(trace_layers(spec.backbone(merged, "merged", np.float32), spec, stack, x, task))
 
 
-# A value beyond float32 becomes inf, and its loss the non-finite loss
-# that train_surgery names; numpy's warning would only add a line.
-@np.errstate(over="ignore")
-def _check_pools(inputs_per_task, spec: ModelSpec | None = None) -> list[np.ndarray]:
-    """Each task's pool as float32, surgery training's dtype, with no
-    copy of a float32 pool; a pool object listed for several tasks is
-    converted once, and every task gets that one array.  The pools must
-    be non-empty and of one width, as batches stacked from them are, and
-    given a ``spec``, one per task of it, of its input width."""
-    inputs = list(inputs_per_task)  # alive throughout, so each id names one pool
-    unique = {id(p): p for p in inputs}
-    converted = {key: np.asarray(p, dtype=np.float32) for key, p in unique.items()}
-    pools = [converted[id(p)] for p in inputs]
-    if not pools or any(p.ndim != 2 or p.shape[0] < 1 for p in pools):
-        raise SurgeryError("need non-empty (samples, dim) input pools per task")
-    widths = [p.shape[1] for p in pools]
-    if len(set(widths)) > 1:
-        raise SurgeryError(f"input pools need one width, got widths {widths}")
-    if spec is not None and len(pools) != spec.num_tasks:
-        raise SurgeryError(f"got {len(pools)} input pools for the spec's {spec.num_tasks} tasks")
-    if spec is not None and widths[0] != spec.input_dim:
-        raise SurgeryError(
-            f"input pools have width {widths[0]}, the spec's input_dim is {spec.input_dim}"
-        )
-    return pools
-
-
-def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
+def sequential_batches(inputs_per_task, spec: ModelSpec, batch_size: int, fraction: float = 1.0):
     """Single ordered pass over the first ceil(fraction * N) samples of
-    each task's pool, all pools of one size N.
+    each task's pool, all pools of one size N, checked by ``spec.pools``.
 
     Yields (C, T, input_dim, batch_size) chunks of whole batches, at most
     ``_CHUNK_COLUMNS`` columns per task, laid out as
@@ -266,7 +239,7 @@ def sequential_batches(inputs_per_task, batch_size: int, fraction: float = 1.0):
         raise SurgeryError("fraction must lie in (0, 1]")
     if batch_size < 1:
         raise SurgeryError("batch_size must be >= 1")
-    pools = _check_pools(inputs_per_task)
+    pools = spec.pools(inputs_per_task, "input pools", np.float32)
     sizes = [p.shape[0] for p in pools]
     if len(set(sizes)) > 1:
         raise SurgeryError(f"a stream needs pools of one size, got sizes {sizes}")
@@ -417,7 +390,7 @@ def train_surgery(
     ``data`` is an iterator of (C, T, input_dim, batch) chunks of C
     iterations, ``chunk[i, t]`` iteration i's batch for task t, as
     :func:`sequential_batches` yields them, or a sequence of per-task
-    (samples, input_dim) feature matrices, one per task of ``spec``,
+    (samples, input_dim) pools, checked by ``spec.pools`` as ``input pools``,
     which :func:`random_batches` samples with the config's batch size,
     iteration count, and seed.  Each chunk is checked where it enters,
     after the chunks before it have trained: one that is not 4-D, not
@@ -456,7 +429,7 @@ def train_surgery(
     loss names its iteration, task and layer.
     """
     if not isinstance(data, Iterator):
-        pools = _check_pools(data, spec)
+        pools = spec.pools(data, "input pools", np.float32)
         data = random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 6])
     num_tasks = spec.num_tasks
     if len(experts) != num_tasks:
@@ -498,7 +471,7 @@ def train_surgery(
     # Where each layer's losses sit: its group's row and its place in it.
     places = [(g, members.index(layer)) for layer in layers
               for g, members in enumerate(groups) if layer in members]
-    optimizer = cfg.make_adam()
+    optimizer = Adam(cfg.learning_rate)
 
     losses: list[float] = []
 
@@ -572,9 +545,9 @@ def stream_train_surgery(
     rank: int = 16,
     full_backprop: bool = False,
 ) -> SurgeryResult:
-    """Online variant: one ordered pass over the first ceil(fraction * N)
-    samples of each task's pool, each sample visible exactly once."""
-    batches = sequential_batches(_check_pools(inputs_per_task, spec), cfg.batch_size, fraction)
+    """Online variant: the one ordered pass of :func:`sequential_batches`,
+    which checks the pools, each sample visible exactly once."""
+    batches = sequential_batches(inputs_per_task, spec, cfg.batch_size, fraction)
     return train_surgery(
         merged, experts, spec, batches, mode, psi, cfg, rank=rank, full_backprop=full_backprop
     )

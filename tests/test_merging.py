@@ -524,7 +524,7 @@ class TestStackedAdaMerging:
         cfg = ms.TrainConfig(iterations=40, batch_size=8, seed=93)
         result = ms.ada_merge(pretrained, experts, spec, pools, cfg)
         coefficients = np.full((3, 3), 0.3)
-        adam = cfg.make_adam()
+        adam = network.Adam(cfg.learning_rate)
         entropies = []
         chunks = list(random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 4]))
         assert [chunk.shape for chunk in chunks] == [(32, 3, 4, 8), (8, 3, 4, 8)]
@@ -573,8 +573,8 @@ class TestStackedAdaMerging:
         # Every step stacks one batch per pool, so the pools share a width.
         rng, spec, pretrained, experts = _ada_instance(97)
         pools = [rng.standard_normal((20, n)) for n in (4, 5, 4)]
-        message = re.escape("unlabeled pools need one width, got widths [4, 5, 4]") + "$"
-        with pytest.raises(MergeError, match=message):
+        message = re.escape("unlabeled pools: pool 1 is (20, 5), expected (samples >= 1, 4)") + "$"
+        with pytest.raises(NetworkError, match=message):
             ms.ada_merge(pretrained, experts, spec, pools, ms.TrainConfig(iterations=3, seed=1))
 
     def test_block_names_are_formatted_once_per_spec(self, monkeypatch):

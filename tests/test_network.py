@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import merge_surgeon as ms
+from merge_surgeon import network
 from merge_surgeon.datasets import Dataset
 from merge_surgeon.network import (
     _CHUNK_COLUMNS,
@@ -203,6 +204,44 @@ class TestModelSpec:
             spec.backbone(
                 {**params, stray: np.zeros((2, 2), dtype=np.float32)}, "pretrained", np.float64
             )
+
+    def test_one_pool_listed_per_task_is_converted_once(self, monkeypatch):
+        spec = ModelSpec(2, (4, 2), 2, 3)
+        pool = np.arange(12, dtype=np.float64).reshape(6, 2)
+        converted = []
+        asarray = np.asarray
+
+        def counting_asarray(a, *args, **kwargs):
+            converted.append(a)
+            return asarray(a, *args, **kwargs)
+
+        monkeypatch.setattr(network.np, "asarray", counting_asarray)
+        first, second, third = spec.pools([pool] * 3, "input pools", np.float32)
+        monkeypatch.undo()
+        assert len(converted) == 1
+        assert first is second is third
+        assert first.dtype == np.float32
+        assert first.tobytes() == pool.astype(np.float32).tobytes()
+
+    def test_distinct_pools_stay_distinct(self):
+        spec = ModelSpec(3, (4, 2), 2, 3)
+        pools = [np.full((2, 3), float(t), dtype=np.float32) for t in range(3)]
+        checked = spec.pools(iter(pools), "input pools", np.float32)
+        assert [p[0, 0] for p in checked] == [0.0, 1.0, 2.0]
+        assert len({id(p) for p in checked}) == 3
+
+    def test_pools_in_their_dtype_are_not_copied(self):
+        spec = ModelSpec(3, (4, 2), 2, 2)
+        pools = [np.ones((2, 3), dtype=np.float32), np.ones((5, 3))]
+        assert all(got is pool for got, pool in zip(spec.pools(pools, "inputs", None), pools))
+        checked = spec.pools(pools, "input pools", np.float32)
+        assert checked[0] is pools[0]
+        assert checked[1].dtype == np.float32
+
+    def test_pools_name_every_parameter_at_every_call(self):
+        spec = ModelSpec(3, (4, 2), 2, 1)
+        with pytest.raises(TypeError, match="dtype"):
+            spec.pools([np.ones((2, 3))], "inputs")
 
 
 class TestEntropy:
@@ -476,7 +515,7 @@ class TestTraining:
 def _reference_training(params64, spec, head_tag, data, cfg, batch_rng):
     """The per-model loop training ran before models were stacked: 2-D
     calls and one Adam per parameter, updated in place."""
-    adams = {name: cfg.make_adam() for name in params64}
+    adams = {name: Adam(cfg.learning_rate) for name in params64}
     features = data.features.astype(np.float64)
     losses = []
     for _ in range(cfg.iterations):

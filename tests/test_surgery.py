@@ -11,6 +11,7 @@ import merge_surgeon as ms
 from merge_surgeon.bias import LossKind, representation_bias
 from merge_surgeon.network import (
     _CHUNK_COLUMNS,
+    Adam,
     ModelSpec,
     NetworkError,
     forward_layers,
@@ -379,31 +380,6 @@ class TestCorrectedForward:
                 corrected_forward(big, spec, None, np.full((4, 2), 1e300), task=1)
 
 
-class TestCheckPools:
-    def test_one_pool_listed_per_task_is_converted_once(self, monkeypatch):
-        pool = np.arange(12, dtype=np.float32).reshape(6, 2)
-        converted = []
-        asarray = np.asarray
-
-        def counting_asarray(a, *args, **kwargs):
-            converted.append(a)
-            return asarray(a, *args, **kwargs)
-
-        monkeypatch.setattr(surgery.np, "asarray", counting_asarray)
-        first, second, third = surgery._check_pools([pool] * 3)
-        monkeypatch.undo()
-        assert len(converted) == 1
-        assert first is second is third
-        assert first.dtype == np.float32
-        assert first.tobytes() == pool.tobytes()
-
-    def test_distinct_pools_stay_distinct(self):
-        pools = [np.full((2, 3), float(t), dtype=np.float32) for t in range(3)]
-        checked = surgery._check_pools(iter(pools))
-        assert [p[0, 0] for p in checked] == [0.0, 1.0, 2.0]
-        assert len({id(p) for p in checked}) == 3
-
-
 class TestStackPersistence:
     def test_round_trip_keeps_mode(self):
         spec = dataclasses.replace(tiny_spec(), num_tasks=2)
@@ -638,7 +614,7 @@ class TestTrainSurgery:
             merged, [expert], spec, inputs, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
         )
         epoch = train_surgery(
-            merged, [expert], spec, sequential_batches(inputs, 8, 1.0),
+            merged, [expert], spec, sequential_batches(inputs, spec, 8, 1.0),
             ALL_LAYERS, LossKind.L1, cfg, rank=2,
         )
         assert streamed.losses == epoch.losses
@@ -747,7 +723,7 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         for task in range(len(experts))
     ]
     optimizers = {
-        (t, layer, half): cfg.make_adam()
+        (t, layer, half): Adam(cfg.learning_rate)
         for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
     }
     losses = []
@@ -928,13 +904,13 @@ class TestStackedEngine:
         pools = [np.random.default_rng(57 + t).standard_normal((30, 4)) + 0.3 for t in range(3)]
         for mode in map(SurgeryMode, ("v2", "v1", "block:2")):
             result = train_surgery(
-                merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
-                rank=2, full_backprop=full_backprop,
+                merged, experts, spec, sequential_batches(pools, spec, cfg.batch_size), mode, psi,
+                cfg, rank=2, full_backprop=full_backprop,
             )
             assert len(result.losses) == 4
             _assert_matches_reference(result, _per_task_reference(
-                merged, experts, spec, sequential_batches(pools, cfg.batch_size), mode, psi, cfg,
-                rank=2, full_backprop=full_backprop,
+                merged, experts, spec, sequential_batches(pools, spec, cfg.batch_size), mode, psi,
+                cfg, rank=2, full_backprop=full_backprop,
             ))
 
     @pytest.mark.parametrize("sizes", [(20, 37, 50), (30, 30, 29), (16, 8, 16)])
@@ -946,7 +922,7 @@ class TestStackedEngine:
         pools = [np.random.default_rng(55).standard_normal((n, 4)) for n in sizes]
         message = re.escape(f"a stream needs pools of one size, got sizes {list(sizes)}") + "$"
         with pytest.raises(SurgeryError, match=message):
-            sequential_batches(pools, cfg.batch_size)
+            sequential_batches(pools, spec, cfg.batch_size)
         with pytest.raises(SurgeryError, match=message):
             stream_train_surgery(
                 merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
@@ -1157,10 +1133,10 @@ class TestChunkedEngine:
         cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=2, seed=72)
         pools = self._pools(73, sizes=(20, 20, 20))
         pools[1] = np.hstack([pools[1], pools[1][:, :1]])
-        message = re.escape("input pools need one width, got widths [4, 5, 4]") + "$"
-        with pytest.raises(SurgeryError, match=message):
+        message = re.escape("input pools: pool 1 is (20, 5), expected (samples >= 1, 4)") + "$"
+        with pytest.raises(NetworkError, match=message):
             train_surgery(merged, experts, spec, pools, ALL_LAYERS, LossKind.L1, cfg, rank=2)
-        with pytest.raises(SurgeryError, match=message):
+        with pytest.raises(NetworkError, match=message):
             stream_train_surgery(
                 merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
             )
@@ -1168,9 +1144,9 @@ class TestChunkedEngine:
     @pytest.mark.parametrize("stream", [False, True], ids=["random", "stream"])
     @pytest.mark.parametrize(
         ("change", "message"),
-        [(lambda pools: pools[:2], "got 2 input pools for the spec's 3 tasks"),
+        [(lambda pools: pools[:2], "input pools: got 2 pools for the spec's 3 tasks"),
          (lambda pools: [np.hstack([p, p[:, :1]]) for p in pools],
-          "input pools have width 5, the spec's input_dim is 4")],
+          "input pools: pool 0 is (20, 5), expected (samples >= 1, 4)")],
         ids=["two-pools", "width-5"],
     )
     def test_pools_that_do_not_match_the_spec_are_named(self, change, message, stream):
@@ -1178,7 +1154,7 @@ class TestChunkedEngine:
         spec, merged, experts, _ = _three_task_models(seed=75)
         cfg = ms.TrainConfig(batch_size=self.BATCH, iterations=2, seed=75)
         pools = change(self._pools(76, sizes=(20, 20, 20)))
-        with pytest.raises(SurgeryError, match=re.escape(message) + "$"):
+        with pytest.raises(NetworkError, match=re.escape(message) + "$"):
             if stream:
                 stream_train_surgery(
                     merged, experts, spec, pools, 1.0, ALL_LAYERS, LossKind.L1, cfg, rank=2
@@ -1195,7 +1171,7 @@ class TestChunkedEngine:
         # batch is a chunk of its own.  chunk[i, t] is task t's batch i,
         # column-major, with the pool's bits.
         pools = self._pools(74, sizes=(samples,) * 3)
-        chunks = list(sequential_batches(pools, self.BATCH))
+        chunks = list(sequential_batches(pools, ModelSpec(4, (5, 4), 3, 3), self.BATCH))
         assert [c.shape for c in chunks] == [(n, 3, 4, width) for n, width in shapes]
         rows = [chunk[i] for chunk in chunks for i in range(len(chunk))]
         starts = range(0, samples, self.BATCH)
