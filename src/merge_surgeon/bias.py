@@ -78,13 +78,18 @@ def representation_bias(z_mtl: np.ndarray, z_ind: np.ndarray, kind: LossKind) ->
     float64 difference of the inputs as given, with no float64 copy of
     either, so float32 traces cost one float64 array.
     """
-    a, b = _check_pair(z_mtl, z_ind)
+    total, count = _distance_sum(*_check_pair(z_mtl, z_ind), kind)
+    return total / count
+
+
+def _distance_sum(a: np.ndarray, b: np.ndarray, kind: LossKind) -> tuple[float, int]:
+    """The float64 sum of what :func:`representation_bias` averages, and its count."""
     if kind is LossKind.NEG_COSINE:
         cos = _cosine_parts(np.asarray(a, np.float64), np.asarray(b, np.float64))[0]
-        return float((1.0 - cos).mean())
+        return float((1.0 - cos).sum()), cos.size
     diff = np.subtract(a, b, dtype=np.float64)
     (np.abs if kind is LossKind.L1 else np.square)(diff, out=diff)
-    return float(diff.mean())
+    return float(diff.sum()), diff.size
 
 
 def alignment_loss_and_grad(
@@ -167,26 +172,28 @@ def layerwise_bias_report(
     psi: LossKind,
     stack=None,
     model_id: str = "merged",
-    final_traces: list | None = None,
+    final_traces=None,
 ) -> BiasReport:
     """Bias of the merged model against each expert, per layer and task.
 
     ``inputs_per_task[t]`` is an (N_t, input_dim) feature matrix, checked
     by ``spec.pools`` as ``inputs`` and not copied.  With a surgery
     ``stack`` the merged trace is the corrected in-path one, showing
-    post-surgery alignment.  A ``final_traces`` list receives each task's
-    ``(merged, expert)`` final-layer traces, so no caller traces again.
+    post-surgery alignment.  A ``final_traces(task, merged_blocks,
+    expert_blocks)`` hook receives each task's final-layer column blocks,
+    so no caller traces again; they are dropped once it returns.
 
     Before any trace, ``spec.backbone`` checks and copies ``merged``
     and every expert once to float32, as ``merged`` and ``expert <t>``.
-    Each task's two traces are walked in lockstep and scored one layer at
-    a time, so the report holds one layer of each, not all of them.  An
-    error of the expert trace is raised once the merged trace is done, so
-    when both overflow the merged model's layer is the one named.
+    Each task is walked in :func:`_walk_blocks`, its two traces in lockstep
+    and scored one layer at a time, so the report holds one layer of one
+    block of each; a layer's float64 distance sums are added across blocks
+    and divided once.  An error of the expert trace is raised once the
+    merged trace is done, so the merged model's overflow is named first.
     """
     # Imported here: surgery imports this module for LossKind and the
     # alignment loss, so a module-level import would be circular.
-    from .surgery import trace_layers
+    from .surgery import _walk_blocks, trace_layers
 
     if len(experts) != spec.num_tasks:
         raise BiasError(f"got {len(experts)} experts for the spec's {spec.num_tasks} tasks")
@@ -196,39 +203,57 @@ def layerwise_bias_report(
     values = np.zeros((spec.num_layers, len(experts)))
     for task, (expert32, features) in enumerate(zip(experts32, inputs_per_task)):
         x = features.T
-        merged_layers = trace_layers(merged32, spec, stack, x, task)
-        expert_layers = trace_layers(expert32, spec, None, x, task)
-        for layer, merged_z in enumerate(merged_layers):
-            try:
-                expert_z = next(expert_layers)
-            except MergeSurgeonError:
-                for _ in merged_layers:
-                    pass
-                raise
-            values[layer, task] = representation_bias(merged_z, expert_z, psi)
-        if final_traces is not None:
-            final_traces.append((merged_z, expert_z))
+        sums = np.zeros((spec.num_layers, 2))  # per layer: distance sum, count
+
+        def walk(columns):
+            merged_layers = trace_layers(merged32, spec, stack, x[:, columns], task)
+            expert_layers = trace_layers(expert32, spec, None, x[:, columns], task)
+            for layer, merged_z in enumerate(merged_layers):
+                try:
+                    expert_z = next(expert_layers)
+                except MergeSurgeonError:
+                    for _ in merged_layers:
+                        pass
+                    raise
+                sums[layer] += _distance_sum(merged_z, expert_z, psi)
+            return merged_z, expert_z
+
+        if final_traces is None:
+            for _ in _walk_blocks(walk, x.shape[1]):
+                pass
+        else:
+            final_traces(task, *zip(*_walk_blocks(walk, x.shape[1])))
+        values[:, task] = sums[:, 0] / sums[:, 1]
     return BiasReport(values=values, model_id=model_id)
 
 
-def pca_project(reps: np.ndarray) -> np.ndarray:
-    """Project (dim, samples) representations onto their top-2 principal
-    directions, the top eigenvectors of the Gram matrix of the data
-    centered by rows in one float64 copy, so equal float32 and float64
-    inputs project alike.  The sign of each direction makes its
+def pca_project(reps) -> np.ndarray:
+    """Project (dim, samples) representations, one matrix or a sequence of
+    (dim, n_i) column blocks of one, onto their top-2 principal directions,
+    the top eigenvectors of the Gram matrix of the data centered by rows.
+    Each pass reads a float64 copy of one block at a time, so equal float32
+    and float64 inputs project alike.  The sign of each direction makes its
     largest-magnitude loading positive, so output is deterministic.
     """
-    data = np.array(reps, dtype=np.float64, order="C")
-    if data.ndim != 2 or data.shape[0] < 2:
+    blocks = [reps] if isinstance(reps, np.ndarray) else list(reps)
+    heights = {np.shape(b)[0] if np.ndim(b) == 2 else 0 for b in blocks}
+    if len(heights) != 1 or min(heights) < 2:
         raise BiasError("need a (dim >= 2, samples) matrix")
-    if data.shape[1] < 2:
+    samples = sum(np.shape(b)[1] for b in blocks)
+    if samples < 2:
         raise BiasError("need at least two samples")
-    data -= data.mean(axis=1, keepdims=True)
+    copies = (np.array(b, dtype=np.float64, order="C") for b in blocks)
+    mean = sum(data.sum(axis=1, keepdims=True) for data in copies) / samples
+
+    def centered(block):
+        return np.subtract(block, mean, dtype=np.float64, order="C")
+
+    gram = sum(data @ data.T for data in map(centered, blocks))
     # eigh lists eigenvalues in ascending order: the top two come last.
-    _, vectors = np.linalg.eigh(data @ data.T)
+    _, vectors = np.linalg.eigh(gram)
     components = vectors[:, :-3:-1].T
     for i in range(2):
         lead = np.argmax(np.abs(components[i]))
         if components[i, lead] < 0:
             components[i] = -components[i]
-    return components @ data
+    return np.concatenate([components @ centered(block) for block in blocks], axis=1)

@@ -10,7 +10,8 @@ every artifact, which is enough to re-execute the run bit-identically.
 A flag that sets a config value is parsed by ``RunConfig``, as a config line is.
 
 A model's bias report and accuracy rows come from one trace of each test
-set: ``_assess`` scores the rows on the report's final-layer traces.
+set: ``_bias_step`` scores the rows, and projects, each task's final-layer
+traces before the next task is traced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import threading
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .bias import layerwise_bias_report, pca_project
 from .checkpoint import load_paramset, save_paramset
@@ -191,47 +191,35 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     return merged, recipe
 
 
-def _assess(cfg, suite, spec, merged, experts, model_id, stack=None):
+def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None):
     """Bias report of the merged (or corrected) model, and the accuracy rows
-    ``individual`` and ``model_id[+mode]`` scored on its final-layer
-    traces; returns both and the ``(merged, expert)`` traces per task.
-    ``model_id`` names the rule that made ``merged`` (``_MERGED_IDS``)."""
+    ``individual`` and ``model_id[+mode]`` scored on its final-layer traces,
+    task by task.  Given a ``run_dir``, each task's shared-basis 2-D
+    projections of the two final layers are written there before the next
+    task is traced.  ``model_id`` names the rule that made ``merged``."""
     heads = collect_heads(experts, spec)
-    finals = []
+    scores = ([], [])  # the experts' accuracies, then the merged model's
+
+    def finals(task, merged_blocks, expert_blocks):
+        for side, blocks in zip(scores, (expert_blocks, merged_blocks)):
+            side.append(accuracy(heads, task, blocks, suite.tasks[task].test.labels))
+        if run_dir is not None:
+            coords = pca_project([*merged_blocks, *expert_blocks])
+            n = sum(block.shape[1] for block in merged_blocks)
+            write_csv(
+                run_dir / f"projection{_suffix(stack)}_{task}.csv",
+                ["source", "x", "y"],
+                [("merged,%.9g,%.9g", (coords[:, :n].T,)),
+                 ("expert,%.9g,%.9g", (coords[:, n:].T,))],
+                line_end="\n",
+            )
+
     report = layerwise_bias_report(
         merged, experts, spec, suite.test_inputs(), cfg.surgery_psi, stack=stack,
         model_id="merged" + _suffix(stack), final_traces=finals,
     )
-
-    def scores(side):  # 0: the merged model's traces, 1: the experts'
-        return [accuracy(heads, t, pair[side], task.test.labels)
-                for t, (pair, task) in enumerate(zip(finals, suite.tasks))]
-
-    rows = [
-        EvalResult("individual", scores(1)),
-        EvalResult(
-            model_id, scores(0), stack_id=None if stack is None else stack.mode.label
-        ),
-    ]
-    return report, rows, finals
-
-
-def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None):
-    """:func:`_assess`, plus per-task shared-basis 2-D projections of the
-    merged (or corrected) final layer and the expert's; returns the report
-    and the rows."""
-    report, rows, finals = _assess(cfg, suite, spec, merged, experts, model_id, stack)
-    for task, (merged_final, expert_final) in enumerate(finals):
-        coords = pca_project(np.concatenate([merged_final, expert_final], axis=1))
-        n = merged_final.shape[1]
-        merged_rows, expert_rows = coords[:, :n].T, coords[:, n:].T
-        write_csv(
-            run_dir / f"projection{_suffix(stack)}_{task}.csv",
-            ["source", "x", "y"],
-            [("merged,%.9g,%.9g", (merged_rows,)), ("expert,%.9g,%.9g", (expert_rows,))],
-            line_end="\n",
-        )
-    return report, rows
+    stack_id = None if stack is None else stack.mode.label
+    return report, [EvalResult("individual", scores[0]), EvalResult(model_id, scores[1], stack_id)]
 
 
 def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
@@ -476,7 +464,7 @@ def eval_cmd(config, run_dir, stack_path):
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    _, rows, _ = _assess(cfg, suite, spec, merged, experts, model_id)
+    _, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id)
     if stack is not None:
         rows.append(evaluate(
             merged, collect_heads(experts, spec), spec, [t.test for t in suite.tasks], stack,
@@ -492,11 +480,11 @@ def report_cmd(config, run_dir):
     """Assemble the comparison table and bias CSVs into the run directory."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts, model_id = _load_merged(run_dir, cfg)
-    report, rows, _ = _assess(cfg, suite, spec, merged, experts, model_id)
+    report, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id)
     reports = [report]
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        corrected, (_, row), _ = _assess(cfg, suite, spec, merged, experts, model_id, stack)
+        corrected, (_, row) = _bias_step(cfg, None, suite, spec, merged, experts, model_id, stack)
         reports.append(corrected)
         rows.append(row)
     emit_report(rows, reports, run_dir)

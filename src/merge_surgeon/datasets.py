@@ -22,6 +22,10 @@ _MIXTURE_STREAM = 4
 # Rows formatted per write: a bounded string, and few enough that the
 # float64 chunk stays small.
 _CHUNK_ROWS = 256
+# Samples per block of a pass over a sample set.  OpenBLAS picks its kernel
+# by shape, so only some widths keep a whole-width trace's bits; this one
+# did on every layer shape of the benchmark workloads.
+_BLOCK_SAMPLES = 4096
 
 
 class DataError(MergeSurgeonError):
@@ -89,11 +93,24 @@ class TaskSuite:
         return [task.test.features for task in self.tasks]
 
 
-def _sample_split(rng: np.random.Generator, means: np.ndarray, n: int) -> Dataset:
-    c, d = means.shape
-    labels = rng.integers(0, c, size=n)
-    features = means[labels] + rng.standard_normal((n, d))
-    return Dataset(features.astype(np.float32), labels, num_classes=c)
+def _sample_blocks(samples: int) -> list[slice]:
+    """The blocks of at most ``_BLOCK_SAMPLES`` of ``samples`` samples, in order."""
+    return [slice(start, min(start + _BLOCK_SAMPLES, samples))
+            for start in range(0, samples, _BLOCK_SAMPLES)]
+
+
+def _draw(rng, means: np.ndarray, n: int, first=None) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` labels from ``rng``, then float32 features ``means[labels]``
+    plus unit normals drawn in :func:`_sample_blocks` of rows, and their
+    float64 first column into ``first`` if given."""
+    labels = rng.integers(0, means.shape[0], size=n)
+    features = np.empty((n, means.shape[1]), np.float32)
+    for rows in _sample_blocks(n):
+        block = means[labels[rows]] + rng.standard_normal((rows.stop - rows.start, means.shape[1]))
+        features[rows] = block
+        if first is not None:
+            first[rows] = block[:, 0]
+    return features, labels
 
 
 def gen_task_suite(
@@ -107,44 +124,34 @@ def gen_task_suite(
     the equal-count union of fresh training-distribution draws from every
     task, relabeled by a shared ``num_classes``-quantile binning of the
     first feature coordinate, so it carries generic structure but no task
-    labels.
+    labels.  Each split is drawn in blocks of rows, bitwise one whole draw,
+    into float32; the mixture's first column is kept in float64 for the bins.
     """
     if num_tasks < 1 or dim < 2 or num_classes < 2:
         raise DataError("need num_tasks >= 1, dim >= 2, num_classes >= 2")
     if n_train < 1 or n_test < 1:
         raise DataError("split sizes must be positive")
 
-    all_means = []
-    tasks = []
+    mix_features = np.empty((num_tasks * n_train, dim), np.float32)
+    first = np.empty(num_tasks * n_train)
+    all_means, tasks = [], []
     for t in range(num_tasks):
-        means_rng = np.random.default_rng([seed, t, _MEANS_STREAM])
-        raw = means_rng.standard_normal((num_classes, dim))
+        raw = np.random.default_rng([seed, t, _MEANS_STREAM]).standard_normal((num_classes, dim))
         means = 3.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        means.setflags(write=False)
         all_means.append(means)
-        splits = {}
-        for split, size in (("train", n_train), ("validation", n_test), ("test", n_test)):
-            rng = np.random.default_rng([seed, t, _SPLIT_STREAMS[split]])
-            splits[split] = _sample_split(rng, means, size)
-        tasks.append(TaskData(splits["train"], splits["validation"], splits["test"]))
-
-    mix_parts = []
-    for t in range(num_tasks):
+        tasks.append(TaskData(*(
+            Dataset(*_draw(np.random.default_rng([seed, t, _SPLIT_STREAMS[split]]), means, size),
+                    num_classes=num_classes)
+            for split, size in (("train", n_train), ("validation", n_test), ("test", n_test))
+        )))
+        rows = slice(t * n_train, (t + 1) * n_train)
         rng = np.random.default_rng([seed, t, _MIXTURE_STREAM])
-        labels = rng.integers(0, num_classes, size=n_train)
-        mix_parts.append(all_means[t][labels] + rng.standard_normal((n_train, dim)))
-    mix_features = np.concatenate(mix_parts, axis=0)
-    first = mix_features[:, 0]
+        mix_features[rows] = _draw(rng, means, n_train, first[rows])[0]
     thresholds = np.quantile(first, [(i + 1) / num_classes for i in range(num_classes - 1)])
     mix_labels = np.digitize(first, thresholds)
-    mixture = Dataset(mix_features.astype(np.float32), mix_labels, num_classes=num_classes)
-
-    means_frozen = []
-    for means in all_means:
-        arr = means.astype(np.float64)
-        arr.setflags(write=False)
-        means_frozen.append(arr)
-
-    return TaskSuite(tasks=tuple(tasks), mixture=mixture, class_means=tuple(means_frozen))
+    mixture = Dataset(mix_features, mix_labels, num_classes=num_classes)
+    return TaskSuite(tasks=tuple(tasks), mixture=mixture, class_means=tuple(all_means))
 
 
 def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:

@@ -3,7 +3,7 @@
 :func:`accuracy` scores a task's head on final-layer representations the
 caller already holds, such as the traces of a bias report;
 :func:`evaluate` traces each test set itself, on the worker pool, one
-block at a time, and keeps only the final layer.
+block of samples and one layer at a time, and keeps only the final layer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .bias import BiasReport
 from .config import map_over_tasks
 from .network import ModelSpec, head_logits
-from .surgery import trace_layers
+from .surgery import _walk_blocks, trace_layers
 from .tensors import MergeSurgeonError, ParamSet, head_name
 
 
@@ -72,16 +72,20 @@ def collect_heads(experts: Sequence[Mapping[str, np.ndarray]], spec: ModelSpec) 
     return ParamSet(entries)
 
 
-def accuracy(heads: Mapping[str, np.ndarray], task: int, z_final: np.ndarray, labels) -> float:
-    """Argmax accuracy of task ``task``'s head on the final-layer
-    representations ``z_final`` (d_L, N) of samples labelled ``labels``.
-
-    Ties in the argmax go to the lowest class index.
+def accuracy(heads: Mapping[str, np.ndarray], task: int, final_blocks, labels) -> float:
+    """Argmax accuracy of task ``task``'s head on an iterable of (d_L, n_i)
+    column blocks, in sample order, of the final-layer representations of
+    samples labelled ``labels``: each block's count of correct argmaxes is
+    added as it arrives.  Ties in the argmax go to the lowest class index.
     """
-    logits = head_logits(
-        heads[head_name(task, "weight")], heads[head_name(task, "bias")], z_final
-    )
-    return float((np.argmax(logits, axis=0) == labels).mean())
+    weight, bias = heads[head_name(task, "weight")], heads[head_name(task, "bias")]
+    correct = start = 0
+    for block in final_blocks:
+        stop = start + block.shape[1]
+        predicted = np.argmax(head_logits(weight, bias, block), axis=0)
+        correct += int(np.count_nonzero(predicted == labels[start:stop]))
+        start = stop
+    return correct / start
 
 
 def evaluate(
@@ -98,7 +102,8 @@ def evaluate(
 
     ``spec.backbone`` checks and copies the backbone once to float32,
     under the name ``model_id``, and every task's trace reads that copy.
-    A trace holds one layer at a time, and an overflow in any layer
+    Each test set is traced in :func:`_walk_blocks`, one layer at a time,
+    so a trace holds one layer of one block, and an overflow in any layer
     raises the ``SurgeryError`` naming it."""
     if len(test_sets) < 1:
         raise EvalError("need at least one test set")
@@ -108,10 +113,14 @@ def evaluate(
     backbone32 = spec.backbone(backbone, model_id, np.float32)
 
     def score(task):
-        data = test_sets[task]
-        for z_final in trace_layers(backbone32, spec, stack, data.inputs(), task):
-            pass  # each layer is dropped as the next one arrives
-        return accuracy(heads, task, z_final, data.labels)
+        x = test_sets[task].inputs()
+
+        def final(columns):
+            for z_final in trace_layers(backbone32, spec, stack, x[:, columns], task):
+                pass  # each layer is dropped as the next one arrives
+            return z_final
+
+        return accuracy(heads, task, _walk_blocks(final, x.shape[1]), test_sets[task].labels)
 
     accuracies = map_over_tasks(score, len(test_sets))
     return EvalResult(model_id, accuracies, stack_id=stack_id)

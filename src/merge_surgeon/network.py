@@ -129,15 +129,24 @@ class ModelSpec:
     @np.errstate(over="ignore")
     def pools(self, inputs, what: str, dtype) -> list[np.ndarray]:
         """The one check of an input pool: one ``(samples >= 1, input_dim)``
-        matrix per task, each in ``dtype`` (``None`` keeps its own), a pool
-        object listed for several tasks converted once, to one array.  A
-        rejection is a ``NetworkError`` that reads ``"<what>: <reason>"``."""
+        matrix of real numbers per task, each in ``dtype`` (``None`` keeps its
+        own), a pool object listed for several tasks converted once, to one
+        array.  A rejection is a ``NetworkError`` that reads ``"<what>: <reason>"``."""
         inputs = list(inputs)  # alive throughout, so each id names one pool
         if len(inputs) != self.num_tasks:
             raise NetworkError(f"{what}: got {len(inputs)} pools for the spec's "
                                f"{self.num_tasks} tasks")
-        unique = {id(p): p for p in inputs}
-        converted = {key: np.asarray(p, dtype=dtype) for key, p in unique.items()}
+        converted: dict[int, np.ndarray] = {}
+        for t, p in enumerate(inputs):
+            if id(p) in converted:
+                continue
+            try:
+                pool = np.asarray(p, dtype=dtype)
+            except (TypeError, ValueError):  # ragged, or text that is no number
+                pool = None
+            if pool is None or pool.dtype.kind not in "iuf":
+                raise NetworkError(f"{what}: pool {t} is not an array of real numbers")
+            converted[id(p)] = pool
         pools = [converted[id(p)] for p in inputs]
         for t, pool in enumerate(pools):
             if pool.shape[1:] != (self.input_dim,) or pool.shape[0] < 1:
@@ -494,11 +503,11 @@ def _train_classifiers(
     The models are independent, so every iteration runs them all as one
     stacked (T, input_dim, batch) pass, with model t on row t of one
     :func:`flat_rows` buffer, and takes one :class:`Adam` step on that
-    buffer.  Every model ends bitwise where training it alone would leave
-    it.  Returns the trained parameters, under each model's own names, and
-    the loss curves.
+    buffer; each batch is gathered from the float32 features into float64.
+    Every model ends bitwise where training it alone would leave it.
+    Returns the trained parameters, under each model's own names, and the
+    loss curves.
     """
-    features = [data.features.astype(np.float64) for data in datasets]
     classes = models[0][head_name(head_tags[0], "weight")].shape[0]
     shapes = {
         **spec.backbone_shapes(),
@@ -522,7 +531,8 @@ def _train_classifiers(
             for rng, data in zip(batch_rngs, datasets)
         ]
         # (T, input_dim, batch), each batch column-major.
-        x = np.stack([f[idx] for f, idx in zip(features, picks)]).swapaxes(-1, -2)
+        x = np.stack([data.features[idx] for data, idx in zip(datasets, picks)],
+                     dtype=np.float64).swapaxes(-1, -2)
         labels = np.stack([data.labels[idx] for data, idx in zip(datasets, picks)])
         step_losses, grads = classifier_loss_and_grads(params, spec, _STACKED_HEAD, x, labels)
         for t, loss in enumerate(step_losses.tolist()):

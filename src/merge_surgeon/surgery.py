@@ -14,7 +14,10 @@ the spec whose every task it corrects; the checkpoint holds that
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import platform
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bias import LossKind, alignment_loss_and_grad
+from .datasets import _sample_blocks
 from .network import (
     _CHUNK_COLUMNS, Adam, ModelSpec, TrainConfig, flat_rows, forward_layers, random_batches,
 )
@@ -183,6 +187,18 @@ def trace_layers(
         yield z
 
 
+def _walk_blocks(walk, samples: int):
+    """Yield ``walk(columns)`` for each of the :func:`_sample_blocks` of
+    ``samples`` columns.  A block's error is raised by ``walk(slice(None))``,
+    so the overflow named is the whole width's lowest, the merged model's first."""
+    for columns in _sample_blocks(samples):
+        try:
+            yield walk(columns)
+        except MergeSurgeonError:
+            walk(slice(None))
+            raise
+
+
 def _overflow_error(task: int, layer: int) -> SurgeryError:
     return SurgeryError(f"task {task}: layer {layer} representations overflow float32")
 
@@ -254,6 +270,41 @@ def sequential_batches(inputs_per_task, spec: ModelSpec, batch_size: int, fracti
         .swapaxes(-1, -2)
         for start, stop, width in spans
     )
+
+
+# glibc's 32-byte x86-64 fenv_t (bits/fenv.h): 28 bytes of x87 state, then
+# MXCSR, whose flush-to-zero (bit 15) and denormals-are-zero (bit 6) bits
+# _flush_subnormals sets.
+class _FenvT(ctypes.Structure):
+    _fields_ = [("x87", ctypes.c_uint32 * 7), ("mxcsr", ctypes.c_uint32)]
+
+
+_FTZ_DAZ = 1 << 15 | 1 << 6
+
+
+@contextlib.contextmanager
+def _flush_subnormals():
+    """Set FTZ and DAZ in the calling thread's MXCSR and restore both on exit,
+    errors included; off x86-64, or without libm's ``fegetenv``, do nothing."""
+    try:
+        if platform.machine() != "x86_64":
+            raise OSError("MXCSR is an x86-64 register")
+        libm = ctypes.CDLL("libm.so.6")
+        get, put = libm.fegetenv, libm.fesetenv
+    except (OSError, AttributeError):
+        yield
+        return
+    env = _FenvT()
+    get(ctypes.byref(env))
+    prior = env.mxcsr & _FTZ_DAZ
+    env.mxcsr |= _FTZ_DAZ
+    put(ctypes.byref(env))
+    try:
+        yield
+    finally:
+        get(ctypes.byref(env))
+        env.mxcsr = env.mxcsr & ~_FTZ_DAZ | prior
+        put(ctypes.byref(env))
 
 
 @dataclass(frozen=True)
@@ -419,7 +470,9 @@ def train_surgery(
     and write each group's targets into one buffer.  Every task ends
     bitwise where training it alone on its own batches, layer by layer,
     would leave it, and each iteration's loss adds the task-major,
-    layer-ordered losses as Python floats.
+    layer-ordered losses as Python floats.  The chunk loop flushes
+    subnormals to zero (MXCSR FTZ and DAZ): Adam's moments of entries with
+    no gradient decay into them, where x86 is slow.
 
     A representation that overflows float32 ends training in the
     ``SurgeryError`` of :func:`trace_layers`, which names the task and
@@ -516,7 +569,7 @@ def train_surgery(
 
     # An overflow ends in the SurgeryError of its check; numpy's warnings
     # on the way would only add lines before it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), _flush_subnormals():
         for chunk in data:
             x = np.asarray(chunk, dtype=np.float32)
             if x.ndim != 4 or x.shape[1:3] != (num_tasks, spec.input_dim) or 0 in x.shape:

@@ -17,9 +17,12 @@ from merge_surgeon.bias import (
     pca_project,
     representation_bias,
 )
+from merge_surgeon import datasets
 from merge_surgeon.datasets import Dataset
 from merge_surgeon.evaluation import evaluate
-from merge_surgeon.network import ModelSpec, TrainConfig, forward_layers, init_backbone
+from merge_surgeon.network import (
+    ModelSpec, TrainConfig, forward_layers, init_backbone, init_head,
+)
 from merge_surgeon.surgery import (
     ALL_LAYERS, SurgeryError, SurgeryMode, SurgeryStack, corrected_forward, init_stack,
     train_surgery,
@@ -292,7 +295,8 @@ class TestLayerwiseReport:
             ), spec)
         finals = []
         report = layerwise_bias_report(
-            merged, experts, spec, inputs, psi, stack, final_traces=finals
+            merged, experts, spec, inputs, psi, stack,
+            final_traces=lambda task, *blocks: finals.append((task, *blocks)),
         )
 
         def all_layers(params, adapters, x):
@@ -306,8 +310,10 @@ class TestLayerwiseReport:
             expert_trace = all_layers(experts[task], {}, x)
             for layer in range(spec.num_layers):
                 expected[layer, task] = _former_bias(merged_trace[layer], expert_trace[layer], psi)
-            assert [z.tobytes() for z in finals[task]] == [
-                merged_trace[-1].tobytes(), expert_trace[-1].tobytes()
+            # 9 and 11 samples: one block per model.
+            assert finals[task][0] == task
+            assert [[z.tobytes() for z in blocks] for blocks in finals[task][1:]] == [
+                [merged_trace[-1].tobytes()], [expert_trace[-1].tobytes()]
             ]
         assert report.values.tobytes() == expected.tobytes()
         assert len(finals) == 2
@@ -417,6 +423,116 @@ class TestLayerwiseReport:
         assert (np.diff(report.layer_means()) > 0).all()
 
 
+class TestSampleBlocks:
+    """Traces walk a sample set in blocks of ``datasets._BLOCK_SAMPLES``
+    columns; with blocks of 2 a small set spans several of them."""
+
+    @pytest.fixture()
+    def blocks_of(self, monkeypatch):
+        return lambda samples: monkeypatch.setattr(datasets, "_BLOCK_SAMPLES", samples)
+
+    @staticmethod
+    def eval_set(values):
+        """One labelled sample per value, every feature equal to it."""
+        features = np.repeat(np.asarray(values, dtype=np.float64)[:, None], 4, axis=1)
+        return Dataset(features, np.zeros(len(values), dtype=np.int64), num_classes=2)
+
+    def test_an_overflow_is_named_at_its_lowest_layer_in_any_block(self, blocks_of):
+        # Samples of 1e5 overflow the 1e10 model at layer 4, samples of
+        # 1e15 at layer 3; in blocks of 2 the first block alone names 4.
+        spec, (big,) = positive_models(4, scales=(1e10,))
+        expert = ParamSet(init_backbone(spec, np.random.default_rng(0)))
+        heads = ParamSet([("head.0.weight", np.ones((2, 4))), ("head.0.bias", np.zeros(2))])
+        data = self.eval_set([1e5, 1e5, 1e15, 1e15])
+        blocks_of(2)
+        first_block = r"^task 0: layer 4 representations overflow float32$"
+        whole = r"^task 0: layer 3 representations overflow float32$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SurgeryError, match=first_block):
+                layerwise_bias_report(big, [expert], spec, [data.features[:2]], LossKind.L1)
+            with pytest.raises(SurgeryError, match=first_block):
+                evaluate(big, heads, spec, [self.eval_set([1e5, 1e5])])
+            with pytest.raises(SurgeryError, match=whole):
+                layerwise_bias_report(big, [expert], spec, [data.features], LossKind.L1)
+            with pytest.raises(SurgeryError, match=whole):
+                evaluate(big, heads, spec, [data])
+
+    def test_the_merged_models_overflow_in_a_later_block_is_named_first(self, blocks_of):
+        # Samples of 1 take the 1e19 expert past float32 at layer 2 and
+        # leave the 1e5 merged model finite; samples of 1e25 overflow the
+        # merged model at layer 3.  The whole-width trace names the merged
+        # model's layer 3, though the first block alone names layer 2.
+        spec, (merged, expert) = positive_models(3, scales=(1e5, 1e19))
+        features = np.repeat(np.array([[1.0], [1.0], [1e25], [1e25]]), 4, axis=1)
+        blocks_of(2)
+        with pytest.raises(
+            SurgeryError, match=r"^task 0: layer 2 representations overflow float32$"
+        ):
+            layerwise_bias_report(merged, [expert], spec, [features[:2]], LossKind.L1)
+        with pytest.raises(
+            SurgeryError, match=r"^task 0: layer 3 representations overflow float32$"
+        ):
+            layerwise_bias_report(merged, [expert], spec, [features], LossKind.L1)
+
+    @staticmethod
+    def models(spec, seed):
+        rng = np.random.default_rng(seed)
+        merged = ParamSet(init_backbone(spec, rng))
+        experts, heads = [], {}
+        for t in range(spec.num_tasks):
+            expert_rng = np.random.default_rng([seed, t + 1])
+            experts.append(ParamSet(init_backbone(spec, expert_rng)))
+            heads[f"head.{t}.weight"], heads[f"head.{t}.bias"] = init_head(
+                spec.num_classes, spec.feature_dim, expert_rng
+            )
+        return merged, experts, ParamSet(heads), rng
+
+    def test_blocked_evaluate_equals_one_block(self, blocks_of):
+        spec = ModelSpec(8, (16, 16, 8), 3, 2)
+        merged, _, heads, rng = self.models(spec, 20)
+        stack = SurgeryStack(ALL_LAYERS, ParamSet(
+            (name, rng.standard_normal(value.shape) * 0.3)
+            for name, value in init_stack(spec, ALL_LAYERS, rank=2, seed=4).params.items()
+        ), spec)
+        tests = [Dataset(rng.standard_normal((n, 8)), rng.integers(0, 3, n), 3)
+                 for n in (1000, 777)]
+        one_block = [evaluate(merged, heads, spec, tests, s) for s in (None, stack)]
+        blocks_of(96)
+        assert [evaluate(merged, heads, spec, tests, s) for s in (None, stack)] == one_block
+        assert len({a for r in one_block for a in r.task_accuracies}) > 1
+
+    @pytest.mark.parametrize("psi", list(LossKind))
+    def test_blocked_report_matches_one_block(self, blocks_of, psi):
+        spec = ModelSpec(4, (6, 5, 3), 2, 2)
+        merged, experts, _, rng = self.models(spec, 21)
+        # No block of one sample: numpy computes a one-column product
+        # through gemv, whose bits differ from gemm's in the last place.
+        inputs = [rng.standard_normal((23, 4)), rng.standard_normal((32, 4))]
+
+        def report():
+            finals = []
+            values = layerwise_bias_report(
+                merged, experts, spec, inputs, psi,
+                final_traces=lambda task, *blocks: finals.append((task, *blocks)),
+            ).values
+            return values, finals
+
+        one_values, one_finals = report()
+        blocks_of(5)
+        values, finals = report()
+        np.testing.assert_allclose(values, one_values, rtol=1e-12, atol=0)
+        assert [task for task, *_ in finals] == [0, 1]
+        for (_, merged_blocks, expert_blocks), (_, (merged_z,), (expert_z,)) in zip(
+            finals, one_finals
+        ):
+            assert [z.shape[1] for z in merged_blocks] == [5] * (merged_z.shape[1] // 5) + [
+                merged_z.shape[1] % 5
+            ]
+            np.testing.assert_array_equal(np.concatenate(merged_blocks, axis=1), merged_z)
+            np.testing.assert_array_equal(np.concatenate(expert_blocks, axis=1), expert_z)
+
+
 class TestPcaProject:
     def test_two_dim_input_preserves_pairwise_distances(self):
         rng = np.random.default_rng(10)
@@ -476,6 +592,27 @@ class TestPcaProject:
             row *= np.sign(row[np.argmax(np.abs(row))])
         np.testing.assert_allclose(pca_project(data), components @ centered, rtol=0, atol=1e-8)
 
+    def test_blocks_project_as_one_matrix(self):
+        data = np.random.default_rng(18).standard_normal((6, 1000)) * 3.0 + 1.0
+        blocks = [data[:, :300], data[:, 300:301], data[:, 301:]]
+        np.testing.assert_allclose(pca_project(blocks), pca_project(data), rtol=0, atol=1e-12)
+        assert pca_project([data]).tobytes() == pca_project(data).tobytes()
+
+    def test_the_input_blocks_are_not_written(self):
+        rng = np.random.default_rng(19)
+        blocks = [rng.standard_normal((4, 9)), rng.standard_normal((4, 7)).astype(np.float32)]
+        before = [b.copy() for b in blocks]
+        pca_project(blocks)
+        pca_project(blocks[0])
+        for block, kept in zip(blocks, before):
+            assert block.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("blocks", [[], [np.zeros((3, 4)), np.zeros((2, 4))],
+                                        [np.zeros((3, 1)), np.zeros(3)]])
+    def test_blocks_must_be_matrices_of_one_height(self, blocks):
+        with pytest.raises(BiasError, match=r"^need a \(dim >= 2, samples\) matrix$"):
+            pca_project(blocks)
+
     def test_float32_and_float64_inputs_project_alike(self):
         data = np.random.default_rng(17).standard_normal((16, 600)).astype(np.float32)
         expected = pca_project(data).tobytes()
@@ -532,3 +669,24 @@ class TestTraceMemory:
         labels = np.zeros(self.SAMPLES, dtype=np.int64)
         test_sets = [Dataset(f.astype(np.float32), labels, 5) for f in features]
         assert self.peak_layers(lambda: evaluate(merged, heads, spec, test_sets)) < 2.2
+
+    @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE])
+    def test_bias_step_peak(self, psi):
+        # The pipeline's bias step: each task's report, accuracy and
+        # projection from its final-layer blocks, which are then dropped.
+        # The workloads' 16-wide final layer; both models' finals of one
+        # task are half a layer.
+        spec = ModelSpec(self.WIDTH, (self.WIDTH,) * 5 + (16,), 5, self.TASKS)
+        rng = np.random.default_rng(20)
+        merged = ParamSet(init_backbone(spec, rng))
+        experts = [ParamSet(init_backbone(spec, np.random.default_rng(21 + t)))
+                   for t in range(self.TASKS)]
+        features = [rng.standard_normal((self.SAMPLES, self.WIDTH)) for _ in experts]
+
+        def project(task, merged_blocks, expert_blocks):
+            assert pca_project([*merged_blocks, *expert_blocks]).shape == (2, 2 * self.SAMPLES)
+
+        peak = self.peak_layers(lambda: layerwise_bias_report(
+            merged, experts, spec, features, psi, final_traces=project
+        ))
+        assert peak < 1

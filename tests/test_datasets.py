@@ -84,6 +84,58 @@ class TestGeneration:
             gen_task_suite(1, 2, 1, 3, 10, 10)
 
 
+def _whole_draw_suite(seed, num_tasks, dim, num_classes, n_train, n_test):
+    """The suite as one float64 draw per split and per mixture part,
+    rounded to float32 at the end: the reference for the blocked draws."""
+    means_all, tasks = [], []
+    for t in range(num_tasks):
+        raw = np.random.default_rng([seed, t, datasets._MEANS_STREAM]).standard_normal(
+            (num_classes, dim)
+        )
+        means = 3.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        means_all.append(means)
+        splits = []
+        for split, size in (("train", n_train), ("validation", n_test), ("test", n_test)):
+            rng = np.random.default_rng([seed, t, datasets._SPLIT_STREAMS[split]])
+            labels = rng.integers(0, num_classes, size=size)
+            features = (means[labels] + rng.standard_normal((size, dim))).astype(np.float32)
+            splits.append((features, labels))
+        tasks.append(splits)
+    parts = []
+    for t in range(num_tasks):
+        rng = np.random.default_rng([seed, t, datasets._MIXTURE_STREAM])
+        labels = rng.integers(0, num_classes, size=n_train)
+        parts.append(means_all[t][labels] + rng.standard_normal((n_train, dim)))
+    mixture = np.concatenate(parts)
+    thresholds = np.quantile(
+        mixture[:, 0], [(i + 1) / num_classes for i in range(num_classes - 1)]
+    )
+    return tasks, (mixture.astype(np.float32), np.digitize(mixture[:, 0], thresholds))
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("block, sizes", [(7, (30, 20)), (None, (4100, 9000))])
+    def test_the_suite_is_one_whole_draw(self, monkeypatch, block, sizes):
+        if block is not None:
+            monkeypatch.setattr(datasets, "_BLOCK_SAMPLES", block)
+        suite = gen_task_suite(11, 2, 3, 4, *sizes)
+        tasks, (mix_features, mix_labels) = _whole_draw_suite(11, 2, 3, 4, *sizes)
+        for task, splits in zip(suite.tasks, tasks):
+            for data, (features, labels) in zip((task.train, task.validation, task.test), splits):
+                assert data.features.tobytes() == features.tobytes()
+                assert data.labels.tobytes() == labels.tobytes()
+        assert suite.mixture.features.tobytes() == mix_features.tobytes()
+        assert suite.mixture.labels.tobytes() == mix_labels.tobytes()
+
+    @pytest.mark.parametrize("samples, widths", [
+        (1, [1]), (4096, [4096]), (4097, [4096, 1]), (9000, [4096, 4096, 808]),
+    ])
+    def test_sample_blocks_cover_the_samples_in_order(self, samples, widths):
+        blocks = datasets._sample_blocks(samples)
+        assert [b.stop - b.start for b in blocks] == widths
+        assert [b.start for b in blocks] == [0, *np.cumsum(widths)[:-1].tolist()]
+
+
 class TestDatasetValidation:
     def test_label_out_of_range(self):
         with pytest.raises(DataError):

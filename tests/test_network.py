@@ -1,6 +1,7 @@
 """Forward traces, entropy, reverse-mode gradients, Adam, and training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,21 @@ class TestTraining:
         params64 = {name: value.astype(np.float64) for name, value in expert.params.items()}
         loss, _ = classifier_loss_and_grads(params64, spec, 0, data.inputs(), data.labels)
         assert 0 < loss < expert.losses[0]
+
+
+def test_pretraining_makes_no_float64_copy_of_its_mixture():
+    # Batches are gathered from the float32 features: the traced peak of
+    # a short pretraining stays below one float64 copy of the mixture.
+    rng = np.random.default_rng(8)
+    mixture = Dataset(rng.standard_normal((20_000, 16)), rng.integers(0, 5, 20_000), 5)
+    spec = ModelSpec(16, (32, 32, 16), 5, 1)
+    tracemalloc.start()
+    try:
+        ms.pretrain(spec, mixture, TrainConfig(iterations=5, seed=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mixture.features.size * 8
 
 
 def _reference_training(params64, spec, head_tag, data, cfg, batch_rng):

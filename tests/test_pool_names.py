@@ -89,6 +89,18 @@ DAMAGES = {
         lambda pools: [pools[0], pools[1][:, 0], pools[2]],
         "pool 1 is (20,), expected (samples >= 1, 4)",
     ),
+    "ragged-pool": (
+        lambda pools: [pools[0], pools[1], [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]]],
+        "pool 2 is not an array of real numbers",
+    ),
+    "string-pool": (
+        lambda pools: [pools[0], [["1", "2", "3", "x"]] * 4, pools[2]],
+        "pool 1 is not an array of real numbers",
+    ),
+    "2-D-text-pool": (
+        lambda pools: [np.full((20, 4), "a"), pools[1], pools[2]],
+        "pool 0 is not an array of real numbers",
+    ),
 }
 
 

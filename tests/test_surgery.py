@@ -1,7 +1,10 @@
 """Adapters, corrected forward passes, and surgery training."""
 
+import ctypes
 import dataclasses
+import platform
 import re
+import types
 import warnings
 
 import numpy as np
@@ -1240,3 +1243,103 @@ class TestFloat32Overflow:
             ):
                 train_surgery(small, [small, big, big], spec, [np.full((4, 4), 1e10)] * 3,
                               ALL_LAYERS, LossKind.L1, cfg, rank=2)
+
+
+# Loaded once, so a test that replaces ctypes.CDLL still reads MXCSR.
+_LIBM = ctypes.CDLL("libm.so.6") if platform.machine() == "x86_64" else None
+
+
+def _mxcsr(value=None) -> int:
+    """The calling thread's MXCSR, read through glibc's fegetenv, after
+    setting it to ``value`` through fesetenv if one is given."""
+    libm = _LIBM
+    env = surgery._FenvT()
+    assert libm.fegetenv(ctypes.byref(env)) == 0
+    if value is not None:
+        env.mxcsr = value
+        assert libm.fesetenv(ctypes.byref(env)) == 0
+        assert libm.fegetenv(ctypes.byref(env)) == 0
+    return env.mxcsr
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="MXCSR is an x86-64 register")
+class TestFlushSubnormals:
+    """``train_surgery`` runs its chunk loop with MXCSR's FTZ (bit 15) and
+    DAZ (bit 6) set, and restores both bits as they were."""
+
+    FTZ, DAZ = 1 << 15, 1 << 6
+    BITS = FTZ | DAZ
+
+    @pytest.fixture(autouse=True)
+    def keep_mxcsr(self):
+        before = _mxcsr()
+        yield
+        _mxcsr(before)
+
+    @staticmethod
+    def train(data=None):
+        spec, merged, expert = tiny_models(3)
+        pools = [np.random.default_rng(4).standard_normal((40, 4)).astype(np.float32)]
+        cfg = ms.TrainConfig(iterations=40, batch_size=4, seed=5)
+        if data is not None:
+            data = data(random_batches(pools, cfg.batch_size, cfg.iterations, [cfg.seed, 6]))
+        return train_surgery(
+            merged, [expert], spec, pools if data is None else data, ALL_LAYERS, LossKind.L1,
+            cfg, rank=2,
+        )
+
+    def watched(self, seen):
+        def chunks(batches):
+            for chunk in batches:
+                seen.append(_mxcsr() & self.BITS)
+                yield chunk
+        return chunks
+
+    @pytest.mark.parametrize("prior", [0, FTZ, DAZ, FTZ | DAZ])
+    def test_training_flushes_and_restores_both_bits(self, prior):
+        _mxcsr(_mxcsr() & ~self.BITS | prior)
+        seen = []
+        result = self.train(self.watched(seen))
+        assert set(seen) == {self.BITS}
+        assert _mxcsr() & self.BITS == prior
+        assert result.stack.params.keys() and len(result.losses) == 40
+
+    def test_an_error_mid_training_restores_both_bits(self):
+        _mxcsr(_mxcsr() & ~self.BITS)
+        seen = []
+
+        def then_a_bad_chunk(batches):
+            yield from self.watched(seen)(batches)
+            yield np.zeros((1, 1, 5, 4), np.float32)
+
+        with pytest.raises(SurgeryError, match=r"^iteration 41: a chunk must be "):
+            self.train(then_a_bad_chunk)
+        assert set(seen) == {self.BITS}
+        assert _mxcsr() & self.BITS == 0
+
+    def test_a_subnormal_product_after_training_is_not_zero(self):
+        _mxcsr(_mxcsr() & ~self.BITS)
+        self.train()
+        tiny = np.array([1e-300]) * np.array([1e-10])
+        assert 0 < tiny[0] < np.finfo(np.float64).tiny
+        assert np.float32(1e-30) * np.float32(1e-10) > 0
+
+    @pytest.mark.parametrize("missing", ["libm", "fegetenv", "x86-64"])
+    def test_without_the_scope_training_is_bitwise_unchanged(self, monkeypatch, missing):
+        flushed = self.train()
+        if missing == "libm":
+            def cdll(name):
+                raise OSError(f"{name}: cannot open shared object file")
+            monkeypatch.setattr(surgery.ctypes, "CDLL", cdll)
+        elif missing == "fegetenv":
+            monkeypatch.setattr(surgery.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        else:
+            monkeypatch.setattr(surgery.platform, "machine", lambda: "aarch64")
+        _mxcsr(_mxcsr() & ~self.BITS)
+        seen = []
+        plain = self.train(self.watched(seen))
+        monkeypatch.undo()
+        assert set(seen) == {0}
+        assert bitwise_equal(plain.stack.params, flushed.stack.params)
+        assert plain.losses == flushed.losses
+
