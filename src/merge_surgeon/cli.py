@@ -4,7 +4,9 @@ eval, report, and the end-to-end pipeline.
 Every command works inside a run directory holding the standard artifact
 names (suite CSVs, checkpoints, reports).  Dataset CSVs are exports for
 external tooling; commands regenerate the suite deterministically from
-the configured seed so labels stay coherent across splits.  The manifest
+the configured seed so labels stay coherent across splits.  Setup makes
+only the suite's recipe: each step draws the split or mixture it reads
+when it reads it, and keeps none of it afterwards.  The manifest
 written by ``pipeline`` lists the resolved configuration and a digest of
 every artifact, which is enough to re-execute the run bit-identically.
 A flag that sets a config value is parsed by ``RunConfig``, as a config line is.
@@ -60,7 +62,7 @@ def _wrap_errors(fn):
 
 
 def _setup(config_path, run_dir, **overrides):
-    """Resolved config, run directory, regenerated suite and model spec."""
+    """Resolved config, run directory, the suite's recipe and model spec."""
     file_values = load_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, overrides)
     suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
@@ -133,18 +135,20 @@ def _suffix(stack: SurgeryStack | None) -> str:
 
 
 def _gen_step(cfg: RunConfig, run_dir: Path, suite: TaskSuite) -> None:
+    """Write ``config.cfg`` and the suite's CSVs, drawing and writing one
+    split of every task at a time, then the mixture."""
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.cfg").write_text(cfg.to_text(), encoding="utf-8")
-    for t, task in enumerate(suite.tasks):
-        for split in ("train", "validation", "test"):
-            save_csv(getattr(task, split), run_dir / "suite" / f"task{t}_{split}.csv")
-    save_csv(suite.mixture, run_dir / "suite" / "mixture.csv")
+    for split in ("train", "validation", "test"):
+        for t, data in enumerate(suite.split(split)):
+            save_csv(data, run_dir / "suite" / f"task{t}_{split}.csv")
+    save_csv(suite.mixture(), run_dir / "suite" / "mixture.csv")
 
 
 def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "model_spec.cfg").write_text(spec.to_text(), encoding="utf-8")
-    result = run_pretrain(spec, suite.mixture, _train_config(cfg, cfg.pretrain_iters))
+    result = run_pretrain(spec, suite.mixture(), _train_config(cfg, cfg.pretrain_iters))
     _save(result.params, run_dir, "pretrained")
     return result
 
@@ -152,9 +156,9 @@ def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
 def _finetune_step(cfg, run_dir, suite, spec, pretrained, tasks) -> list[TrainResult]:
     """Fine-tune the experts of ``tasks`` jointly, then save them in task
     order; a run that fails saves none."""
+    train = suite.split("train")
     results = train_experts(
-        pretrained, [suite.tasks[t].train for t in tasks], tasks, spec,
-        _train_config(cfg, cfg.finetune_iters),
+        pretrained, [train[t] for t in tasks], tasks, spec, _train_config(cfg, cfg.finetune_iters)
     )
     for task, result in zip(tasks, results):
         _save(result.params, run_dir, f"expert_{task}")
@@ -173,7 +177,7 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
                 experts,
                 spec,
                 cfg.scale_grid,
-                [task.validation for task in suite.tasks],
+                suite.split("validation"),
                 lambda pre, ex, sp, s: merge_with_recipe(
                     MergeRecipe(algorithm, s, keep), pre, ex, sp
                 )[0],
@@ -183,7 +187,10 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
         pretrained,
         experts,
         spec=spec,
-        inputs_per_task=suite.test_inputs(),
+        inputs_per_task=(
+            [data.features for data in suite.split("test")]
+            if algorithm == "ada_merging" else None
+        ),
         cfg=_train_config(cfg, iterations=cfg.ada_iters),
     )
     _save(merged, run_dir, "merged")
@@ -196,13 +203,15 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None)
     ``individual`` and ``model_id[+mode]`` scored on its final-layer traces,
     task by task.  Given a ``run_dir``, each task's shared-basis 2-D
     projections of the two final layers are written there before the next
-    task is traced.  ``model_id`` names the rule that made ``merged``."""
+    task is traced.  ``model_id`` names the rule that made ``merged``.  The
+    test split is drawn once, for both the traces and the labels."""
     heads = collect_heads(experts, spec)
+    tests = suite.split("test")
     scores = ([], [])  # the experts' accuracies, then the merged model's
 
     def finals(task, merged_blocks, expert_blocks):
         for side, blocks in zip(scores, (expert_blocks, merged_blocks)):
-            side.append(accuracy(heads, task, blocks, suite.tasks[task].test.labels))
+            side.append(accuracy(heads, task, blocks, tests[task].labels))
         if run_dir is not None:
             coords = pca_project([*merged_blocks, *expert_blocks])
             n = sum(block.shape[1] for block in merged_blocks)
@@ -215,7 +224,7 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None)
             )
 
     report = layerwise_bias_report(
-        merged, experts, spec, suite.test_inputs(), cfg.surgery_psi, stack=stack,
+        merged, experts, spec, [data.features for data in tests], cfg.surgery_psi, stack=stack,
         model_id="merged" + _suffix(stack), final_traces=finals,
     )
     stack_id = None if stack is None else stack.mode.label
@@ -223,13 +232,16 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None)
 
 
 def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
+    """Train the configured stack on the test inputs, or on the mixture of
+    the ``wild:<seed>`` suite, which is the only part of that suite drawn."""
     data = cfg.surgery_data
-    inputs = suite.test_inputs()
-    if data.wild_seed is not None:
+    if data.wild_seed is None:
+        inputs = [test.features for test in suite.split("test")]
+    else:
         wild = gen_task_suite(
             data.wild_seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test
         )
-        inputs = [wild.mixture.features] * cfg.tasks
+        inputs = [wild.mixture().features] * cfg.tasks
     settings = (cfg.surgery_mode, cfg.surgery_psi, _train_config(cfg, cfg.surgery_iters))
     if data.stream_fraction is None:
         result = train_surgery(
@@ -467,7 +479,7 @@ def eval_cmd(config, run_dir, stack_path):
     _, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id)
     if stack is not None:
         rows.append(evaluate(
-            merged, collect_heads(experts, spec), spec, [t.test for t in suite.tasks], stack,
+            merged, collect_heads(experts, spec), spec, suite.split("test"), stack,
             model_id, stack.mode.label,
         ))
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")

@@ -1,9 +1,10 @@
 """Synthetic multi-task classification suites and their CSV export.
 
-A suite holds T Gaussian-blob classification tasks and one pretraining
-mixture.  Class means sit on the radius-3 sphere so an MLP can separate
-them well without being linearly trivial; everything is a pure function
-of the generation arguments.
+A suite is the recipe of T Gaussian-blob classification tasks and one
+pretraining mixture; each split and the mixture are drawn when a caller
+asks for them.  Class means sit on the radius-3 sphere so an MLP can
+separate them well without being linearly trivial; everything is a pure
+function of the generation arguments.
 """
 
 from __future__ import annotations
@@ -70,29 +71,6 @@ class Dataset:
         return self.features.T
 
 
-@dataclass(frozen=True)
-class TaskData:
-    train: Dataset
-    validation: Dataset
-    test: Dataset
-
-
-@dataclass(frozen=True)
-class TaskSuite:
-    """T task datasets plus a task-agnostic pretraining mixture.
-
-    ``class_means[t]`` holds the (C, d) generating means of task t; they
-    are generation metadata, useful as an oracle for sanity checks.
-    """
-
-    tasks: tuple[TaskData, ...]
-    mixture: Dataset
-    class_means: tuple[np.ndarray, ...]
-
-    def test_inputs(self) -> list[np.ndarray]:
-        return [task.test.features for task in self.tasks]
-
-
 def _sample_blocks(samples: int) -> list[slice]:
     """The blocks of at most ``_BLOCK_SAMPLES`` of ``samples`` samples, in order."""
     return [slice(start, min(start + _BLOCK_SAMPLES, samples))
@@ -113,45 +91,78 @@ def _draw(rng, means: np.ndarray, n: int, first=None) -> tuple[np.ndarray, np.nd
     return features, labels
 
 
+@dataclass(frozen=True)
+class TaskSuite:
+    """The recipe of T Gaussian classification tasks and a task-agnostic
+    pretraining mixture: the generation arguments and the class means.
+
+    Nothing is drawn until a caller asks: :meth:`split` draws one split of
+    every task, :meth:`mixture` the mixture, each from its own seeded
+    stream, so every call gives the same bytes in any order and the caller
+    holds only what it asked for.  ``class_means[t]`` holds the (C, d)
+    generating means of task t, an oracle for sanity checks.
+    """
+
+    seed: int
+    num_tasks: int
+    dim: int
+    num_classes: int
+    n_train: int
+    n_test: int
+    class_means: tuple[np.ndarray, ...]
+
+    def split(self, name: str) -> list[Dataset]:
+        """Split ``name`` (train, validation or test) of every task, in task
+        order; validation and test hold ``n_test`` samples each."""
+        if name not in _SPLIT_STREAMS:
+            raise DataError(f"no split {name!r}; expected one of {', '.join(_SPLIT_STREAMS)}")
+        size = self.n_train if name == "train" else self.n_test
+        return [
+            Dataset(*_draw(np.random.default_rng([self.seed, t, _SPLIT_STREAMS[name]]),
+                           means, size), num_classes=self.num_classes)
+            for t, means in enumerate(self.class_means)
+        ]
+
+    def mixture(self) -> Dataset:
+        """The equal-count union of fresh training-distribution draws from
+        every task, relabeled by a shared ``num_classes``-quantile binning
+        of each sample's first coordinate, taken in float64 before the
+        features are rounded to float32."""
+        n = self.n_train
+        features = np.empty((self.num_tasks * n, self.dim), np.float32)
+        first = np.empty(self.num_tasks * n)
+        for t, means in enumerate(self.class_means):
+            rows = slice(t * n, (t + 1) * n)
+            rng = np.random.default_rng([self.seed, t, _MIXTURE_STREAM])
+            features[rows] = _draw(rng, means, n, first[rows])[0]
+        quantiles = [(i + 1) / self.num_classes for i in range(self.num_classes - 1)]
+        labels = np.digitize(first, np.quantile(first, quantiles))
+        return Dataset(features, labels, num_classes=self.num_classes)
+
+
 def gen_task_suite(
     seed: int, num_tasks: int, dim: int, num_classes: int, n_train: int, n_test: int
 ) -> TaskSuite:
-    """Generate a deterministic suite of Gaussian classification tasks.
+    """The recipe of a deterministic suite of Gaussian classification tasks.
 
     Per task, ``num_classes`` means are drawn uniformly on the radius-3
-    sphere in R^dim and samples are unit-variance Gaussians around them.
-    The validation split matches the test split in size.  The mixture is
-    the equal-count union of fresh training-distribution draws from every
-    task, relabeled by a shared ``num_classes``-quantile binning of the
-    first feature coordinate, so it carries generic structure but no task
-    labels.  Each split is drawn in blocks of rows, bitwise one whole draw,
-    into float32; the mixture's first column is kept in float64 for the bins.
+    sphere in R^dim; this draws only those.  Samples, drawn by
+    :meth:`TaskSuite.split` and :meth:`TaskSuite.mixture`, are
+    unit-variance Gaussians around them, drawn in blocks of rows, bitwise
+    one whole draw, into float32.  The mixture carries generic structure
+    but no task labels.
     """
     if num_tasks < 1 or dim < 2 or num_classes < 2:
         raise DataError("need num_tasks >= 1, dim >= 2, num_classes >= 2")
     if n_train < 1 or n_test < 1:
         raise DataError("split sizes must be positive")
-
-    mix_features = np.empty((num_tasks * n_train, dim), np.float32)
-    first = np.empty(num_tasks * n_train)
-    all_means, tasks = [], []
+    all_means = []
     for t in range(num_tasks):
         raw = np.random.default_rng([seed, t, _MEANS_STREAM]).standard_normal((num_classes, dim))
         means = 3.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
         means.setflags(write=False)
         all_means.append(means)
-        tasks.append(TaskData(*(
-            Dataset(*_draw(np.random.default_rng([seed, t, _SPLIT_STREAMS[split]]), means, size),
-                    num_classes=num_classes)
-            for split, size in (("train", n_train), ("validation", n_test), ("test", n_test))
-        )))
-        rows = slice(t * n_train, (t + 1) * n_train)
-        rng = np.random.default_rng([seed, t, _MIXTURE_STREAM])
-        mix_features[rows] = _draw(rng, means, n_train, first[rows])[0]
-    thresholds = np.quantile(first, [(i + 1) / num_classes for i in range(num_classes - 1)])
-    mix_labels = np.digitize(first, thresholds)
-    mixture = Dataset(mix_features, mix_labels, num_classes=num_classes)
-    return TaskSuite(tasks=tuple(tasks), mixture=mixture, class_means=tuple(all_means))
+    return TaskSuite(seed, num_tasks, dim, num_classes, n_train, n_test, tuple(all_means))
 
 
 def write_csv(path, header, blocks, line_end: str = "\r\n") -> None:

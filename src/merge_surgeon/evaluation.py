@@ -77,14 +77,19 @@ def accuracy(heads: Mapping[str, np.ndarray], task: int, final_blocks, labels) -
     column blocks, in sample order, of the final-layer representations of
     samples labelled ``labels``: each block's count of correct argmaxes is
     added as it arrives.  Ties in the argmax go to the lowest class index.
+    Blocks that do not hold exactly one sample per label, or no sample at
+    all, are an ``EvalError`` that names both counts.
     """
     weight, bias = heads[head_name(task, "weight")], heads[head_name(task, "bias")]
     correct = start = 0
     for block in final_blocks:
         stop = start + block.shape[1]
-        predicted = np.argmax(head_logits(weight, bias, block), axis=0)
-        correct += int(np.count_nonzero(predicted == labels[start:stop]))
+        if stop <= len(labels):  # past the labels, only the samples are counted
+            predicted = np.argmax(head_logits(weight, bias, block), axis=0)
+            correct += int(np.count_nonzero(predicted == labels[start:stop]))
         start = stop
+    if start != len(labels) or start == 0:
+        raise EvalError(f"task {task}: {start} samples scored against {len(labels)} labels")
     return correct / start
 
 

@@ -129,9 +129,10 @@ class ModelSpec:
     @np.errstate(over="ignore")
     def pools(self, inputs, what: str, dtype) -> list[np.ndarray]:
         """The one check of an input pool: one ``(samples >= 1, input_dim)``
-        matrix of real numbers per task, each in ``dtype`` (``None`` keeps its
-        own), a pool object listed for several tasks converted once, to one
-        array.  A rejection is a ``NetworkError`` that reads ``"<what>: <reason>"``."""
+        matrix of real numbers (integers or floats, checked before any cast)
+        per task, each in ``dtype`` (``None`` keeps its own), a pool object
+        listed for several tasks converted once, to one array.  A rejection
+        is a ``NetworkError`` that reads ``"<what>: <reason>"``."""
         inputs = list(inputs)  # alive throughout, so each id names one pool
         if len(inputs) != self.num_tasks:
             raise NetworkError(f"{what}: got {len(inputs)} pools for the spec's "
@@ -141,12 +142,12 @@ class ModelSpec:
             if id(p) in converted:
                 continue
             try:
-                pool = np.asarray(p, dtype=dtype)
-            except (TypeError, ValueError):  # ragged, or text that is no number
+                pool = np.asarray(p)
+            except (TypeError, ValueError):  # ragged
                 pool = None
-            if pool is None or pool.dtype.kind not in "iuf":
+            if pool is None or pool.dtype.kind not in "iuf":  # complex and text too
                 raise NetworkError(f"{what}: pool {t} is not an array of real numbers")
-            converted[id(p)] = pool
+            converted[id(p)] = pool if dtype is None else pool.astype(dtype, copy=False)
         pools = [converted[id(p)] for p in inputs]
         for t, pool in enumerate(pools):
             if pool.shape[1:] != (self.input_dim,) or pool.shape[0] < 1:

@@ -53,14 +53,14 @@ def ref_spec():
 @pytest.fixture(scope="session")
 def ref_pretrained(ref_suite, ref_spec):
     cfg = ms.TrainConfig(iterations=PRETRAIN_ITERS, seed=SEED)
-    return ms.pretrain(ref_spec, ref_suite.mixture, cfg)
+    return ms.pretrain(ref_spec, ref_suite.mixture(), cfg)
 
 
 @pytest.fixture(scope="session")
 def ref_experts(ref_suite, ref_spec, ref_pretrained):
     cfg = ms.TrainConfig(iterations=FINETUNE_ITERS, seed=SEED)
     results = ms.train_experts(
-        ref_pretrained.params, [task.train for task in ref_suite.tasks], range(TASKS), ref_spec, cfg
+        ref_pretrained.params, ref_suite.split("train"), range(TASKS), ref_spec, cfg
     )
     return [result.params for result in results]
 
@@ -72,7 +72,7 @@ def ref_heads(ref_experts, ref_spec):
 
 @pytest.fixture(scope="session")
 def ref_test_sets(ref_suite):
-    return [task.test for task in ref_suite.tasks]
+    return ref_suite.split("test")
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +82,7 @@ def ref_scale(ref_suite, ref_spec, ref_pretrained, ref_experts):
         ref_experts,
         ref_spec,
         SCALE_GRID,
-        [task.validation for task in ref_suite.tasks],
+        ref_suite.split("validation"),
     )
 
 

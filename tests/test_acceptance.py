@@ -79,7 +79,7 @@ def ref_experts_m(ref_experts):
 
 @pytest.fixture(scope="module")
 def ref_inputs_m(ref_suite):
-    return ref_suite.test_inputs()
+    return [test.features for test in ref_suite.split("test")]
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +389,7 @@ def test_criterion_11_wild_data(
 ):
     none, _, v2 = fixture_accuracies
     wild_suite = ms.gen_task_suite(WILD_SEED, TASKS, DIM, CLASSES, N_TRAIN, N_TEST)
-    pool = wild_suite.mixture.features
+    pool = wild_suite.mixture().features
     result = ms.train_surgery(
         ref_merged_m, ref_experts_m, ref_spec_m, [pool] * TASKS,
         ms.ALL_LAYERS, LossKind.L1, surgery_cfg, rank=RANK,

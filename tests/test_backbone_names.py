@@ -44,13 +44,13 @@ def _experts(models):
 
 
 SUITE = ms.gen_task_suite(0, 2, 4, 2, 12, 10)
-POOLS = SUITE.test_inputs()
+POOLS = [test.features for test in SUITE.split("test")]
 
 # Each entry point, called on a dict of models; then the model it reads
 # that is damaged in turn, and the name its rejection must carry.
 ENTRY_POINTS = {
     "train_experts": (
-        lambda m: ms.train_experts(m["pretrained"], [t.train for t in SUITE.tasks], [0, 1],
+        lambda m: ms.train_experts(m["pretrained"], SUITE.split("train"), [0, 1],
                                    SPEC, CFG),
         [("pretrained", "pretrained")],
     ),
@@ -90,11 +90,11 @@ ENTRY_POINTS = {
     ),
     "evaluate": (
         lambda m: ms.evaluate(m["merged"], ms.collect_heads(_experts(m), SPEC), SPEC,
-                              [t.test for t in SUITE.tasks], model_id="merged_ta"),
+                              SUITE.split("test"), model_id="merged_ta"),
         [("merged", "merged_ta")],
     ),
     "corrected_forward": (
-        lambda m: ms.corrected_forward(m["merged"], SPEC, None, SUITE.tasks[0].test.inputs(), 0),
+        lambda m: ms.corrected_forward(m["merged"], SPEC, None, POOLS[0].T, 0),
         [("merged", "merged")],
     ),
 }

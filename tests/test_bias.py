@@ -269,9 +269,11 @@ class TestLayerwiseReport:
         np.testing.assert_allclose(report.values[:, 0], 0.0, atol=1e-12)
         assert (report.values[:, 1] > 0).all()
 
-    def test_dimensions_always_layers_by_tasks(self, ref_spec, ref_merged, ref_experts, ref_suite):
+    def test_dimensions_always_layers_by_tasks(
+        self, ref_spec, ref_merged, ref_experts, ref_test_sets
+    ):
         report = layerwise_bias_report(
-            ref_merged, ref_experts, ref_spec, ref_suite.test_inputs(), LossKind.L1
+            ref_merged, ref_experts, ref_spec, [t.features for t in ref_test_sets], LossKind.L1
         )
         assert report.values.shape == (ref_spec.num_layers, len(ref_experts))
         csv_text = report.to_csv_text()
@@ -410,13 +412,13 @@ class TestLayerwiseReport:
             BiasReport(values=np.array([[-1.0]]), model_id="m")
 
     def test_reference_fixture_depth_profile_golden(
-        self, ref_spec, ref_merged, ref_experts, ref_suite
+        self, ref_spec, ref_merged, ref_experts, ref_test_sets
     ):
         # Across-task layer means pinned on the first verified run; the
         # profile grows with depth on this fixture, which the report
         # surfaces (reported, not asserted as a law).
         report = layerwise_bias_report(
-            ref_merged, ref_experts, ref_spec, ref_suite.test_inputs(), LossKind.L1
+            ref_merged, ref_experts, ref_spec, [t.features for t in ref_test_sets], LossKind.L1
         )
         golden = [0.2025, 0.4666, 0.9409, 1.8122, 2.4166, 5.3378]
         np.testing.assert_allclose(report.layer_means(), golden, rtol=2e-3)

@@ -771,7 +771,7 @@ class TestBiasStep:
         stack = stack if with_stack else None
         _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
         heads = collect_heads(experts, spec)
-        tests = [task.test for task in suite.tasks]
+        tests = suite.split("test")
         individual = [
             evaluate(expert, heads, spec, tests).task_accuracies[t]
             for t, expert in enumerate(experts)
@@ -790,7 +790,7 @@ class TestBiasStep:
         cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
         suffix = "_surgery" if with_stack else ""
         for task in range(cfg.tasks):
-            x = suite.tasks[task].test.inputs()
+            x = suite.split("test")[task].inputs()
             expected = loop_projection_text(
                 surgery.corrected_forward(merged, spec, stack, x, task)[-1],
                 surgery.corrected_forward(experts[task], spec, None, x, task)[-1],
@@ -959,7 +959,7 @@ class TestStepwiseFlow:
         pretrained = load_paramset(run_dir / "checkpoints" / "pretrained.msrg")
         experts = [load_paramset(run_dir / "checkpoints" / f"expert_{t}.msrg") for t in (0, 1)]
         heads = collect_heads(experts, spec)
-        val_sets = [task.validation for task in suite.tasks]
+        val_sets = suite.split("validation")
         accuracy = {
             scale: evaluate(
                 ties_merge(pretrained, experts, spec, scale, cfg.ties_keep), heads, spec, val_sets
@@ -994,13 +994,13 @@ class TestSurgeryData:
         shape = (cfg.tasks, cfg.dim, cfg.classes, cfg.n_train, cfg.n_test)
         kind, _, arg = data.partition(":")
         if kind == "wild":
-            inputs = [gen_task_suite(int(arg), *shape).mixture.features] * cfg.tasks
+            inputs = [gen_task_suite(int(arg), *shape).mixture().features] * cfg.tasks
             result = train_surgery(merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank)
         else:
             suite = gen_task_suite(cfg.seed, *shape)
             result = stream_train_surgery(
-                merged, experts, spec, suite.test_inputs(), float(arg), *settings,
-                rank=cfg.surgery_rank,
+                merged, experts, spec, [test.features for test in suite.split("test")],
+                float(arg), *settings, rank=cfg.surgery_rank,
             )
         return result.stack.params
 

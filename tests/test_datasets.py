@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,25 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from merge_surgeon import datasets
+from merge_surgeon import cli, datasets
+from merge_surgeon.config import RunConfig
 from merge_surgeon.datasets import DataError, Dataset, gen_task_suite, save_csv
 
 F32_MAX = float(np.finfo(np.float32).max)
 
 
+SPLITS = ("train", "validation", "test")
+
+
+def drawn(suite):
+    """Every split of every task, in task order per split, then the mixture."""
+    return [*(data for split in SPLITS for data in suite.split(split)), suite.mixture()]
+
+
+def datasets_bitwise_equal(a, b):
+    return len(a) == len(b) and all(
+        da.features.tobytes() == db.features.tobytes()
+        and da.labels.tobytes() == db.labels.tobytes()
+        for da, db in zip(a, b)
+    )
+
+
 def suites_bitwise_equal(a, b):
-    if a.mixture.features.tobytes() != b.mixture.features.tobytes():
-        return False
-    if a.mixture.labels.tobytes() != b.mixture.labels.tobytes():
-        return False
-    for ta, tb in zip(a.tasks, b.tasks):
-        for split in ("train", "validation", "test"):
-            da, db = getattr(ta, split), getattr(tb, split)
-            if da.features.tobytes() != db.features.tobytes():
-                return False
-            if da.labels.tobytes() != db.labels.tobytes():
-                return False
-    return True
+    return datasets_bitwise_equal(drawn(a), drawn(b))
 
 
 class TestGeneration:
@@ -43,12 +50,9 @@ class TestGeneration:
 
     def test_labels_in_range(self):
         suite = gen_task_suite(42, 3, 8, 4, 25, 15)
-        for task in suite.tasks:
-            for split in (task.train, task.validation, task.test):
-                assert split.labels.min() >= 0
-                assert split.labels.max() < 4
-        assert suite.mixture.labels.min() >= 0
-        assert suite.mixture.labels.max() < 4
+        for data in drawn(suite):
+            assert data.labels.min() >= 0
+            assert data.labels.max() < 4
 
     def test_means_on_radius_3_sphere(self):
         suite = gen_task_suite(7, 2, 10, 4, 10, 10)
@@ -60,20 +64,20 @@ class TestGeneration:
         # they generated; it must beat 1/C comfortably.
         suite = gen_task_suite(42, 4, 16, 5, 30, 200)
         means = suite.class_means[0]
-        test = suite.tasks[0].test
+        test = suite.split("test")[0]
         d2 = ((test.features[:, None, :].astype(np.float64) - means[None, :, :]) ** 2).sum(-1)
         accuracy = (d2.argmin(axis=1) == test.labels).mean()
         assert accuracy > 1.0 / 5
 
     def test_mixture_is_equal_count_union(self):
         suite = gen_task_suite(1, 3, 6, 3, 40, 10)
-        assert len(suite.mixture) == 3 * 40
+        assert len(suite.mixture()) == 3 * 40
 
     def test_splits_drawn_independently(self):
         suite = gen_task_suite(2, 2, 6, 3, 20, 20)
-        for task in suite.tasks:
-            assert task.train.features.tobytes() != task.test.features.tobytes()
-            assert task.validation.features.tobytes() != task.test.features.tobytes()
+        for train, validation, test in zip(*(suite.split(split) for split in SPLITS)):
+            assert train.features.tobytes() != test.features.tobytes()
+            assert validation.features.tobytes() != test.features.tobytes()
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(DataError):
@@ -120,12 +124,13 @@ class TestBlockedDraws:
             monkeypatch.setattr(datasets, "_BLOCK_SAMPLES", block)
         suite = gen_task_suite(11, 2, 3, 4, *sizes)
         tasks, (mix_features, mix_labels) = _whole_draw_suite(11, 2, 3, 4, *sizes)
-        for task, splits in zip(suite.tasks, tasks):
-            for data, (features, labels) in zip((task.train, task.validation, task.test), splits):
+        for split, task_splits in zip(SPLITS, zip(*tasks)):
+            for data, (features, labels) in zip(suite.split(split), task_splits, strict=True):
                 assert data.features.tobytes() == features.tobytes()
                 assert data.labels.tobytes() == labels.tobytes()
-        assert suite.mixture.features.tobytes() == mix_features.tobytes()
-        assert suite.mixture.labels.tobytes() == mix_labels.tobytes()
+        mixture = suite.mixture()
+        assert mixture.features.tobytes() == mix_features.tobytes()
+        assert mixture.labels.tobytes() == mix_labels.tobytes()
 
     @pytest.mark.parametrize("samples, widths", [
         (1, [1]), (4096, [4096]), (4097, [4096, 1]), (9000, [4096, 4096, 808]),
@@ -134,6 +139,57 @@ class TestBlockedDraws:
         blocks = datasets._sample_blocks(samples)
         assert [b.stop - b.start for b in blocks] == widths
         assert [b.start for b in blocks] == [0, *np.cumsum(widths)[:-1].tolist()]
+
+
+class TestLazySuite:
+    """A suite is a recipe: each call draws afresh, and nothing is kept."""
+
+    def test_any_draw_order_gives_the_same_bytes_as_new_arrays(self):
+        reference = drawn(gen_task_suite(3, 3, 5, 4, 50, 30))
+        suite = gen_task_suite(3, 3, 5, 4, 50, 30)
+        test = suite.split("test")
+        train = suite.split("train")
+        again = {split: suite.split(split) for split in ("test", "validation", "train")}
+        mixture, mixture_again = suite.mixture(), suite.mixture()
+        for first, second in ((test, again["test"]), (train, again["train"]),
+                              ([mixture], [mixture_again])):
+            assert datasets_bitwise_equal(first, second)
+            for a, b in zip(first, second):
+                assert not np.shares_memory(a.features, b.features)
+                assert not np.shares_memory(a.labels, b.labels)
+        assert datasets_bitwise_equal(
+            [*train, *again["validation"], *test, mixture_again], reference
+        )
+
+    def test_an_unknown_split_is_named(self):
+        with pytest.raises(DataError, match="^no split 'val'; expected one of train, validation"):
+            gen_task_suite(1, 2, 3, 2, 5, 5).split("val")
+
+    def test_the_suite_export_holds_one_split_at_a_time(self, tmp_path, monkeypatch):
+        # From the recipe through the export step, the traced peak stays
+        # under two test splits (about 1.6 of them); holding the whole suite
+        # (train, validation, test and mixture at once) takes about 3.3.
+        # The writer is stubbed to note each dataset's file and row count:
+        # formatting 200k rows under tracemalloc takes about 20 s.
+        written = []
+        monkeypatch.setattr(cli, "save_csv",
+                            lambda data, path: written.append((path.name, len(data))))
+        cfg = RunConfig(tasks=4, n_train=8000, n_test=20_000)
+        test_split_bytes = cfg.tasks * cfg.n_test * (cfg.dim * 4 + 8)
+        tracemalloc.start()
+        try:
+            suite = gen_task_suite(cfg.seed, cfg.tasks, cfg.dim, cfg.classes, cfg.n_train,
+                                   cfg.n_test)
+            cli._gen_step(cfg, tmp_path, suite)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * test_split_bytes
+        assert sorted(written) == sorted(
+            [(f"task{t}_{split}.csv", cfg.n_train if split == "train" else cfg.n_test)
+             for t in range(cfg.tasks) for split in SPLITS]
+            + [("mixture.csv", cfg.tasks * cfg.n_train)]
+        )
 
 
 class TestDatasetValidation:
@@ -162,7 +218,7 @@ def parse_csv(path):
 class TestCsv:
     def test_round_trip_generated_dataset(self, tmp_path):
         suite = gen_task_suite(5, 2, 6, 3, 40, 10)
-        original = suite.tasks[1].train
+        original = suite.split("train")[1]
         path = tmp_path / "task.csv"
         save_csv(original, path)
         header, features, labels = parse_csv(path)

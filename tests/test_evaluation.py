@@ -10,6 +10,7 @@ from merge_surgeon.datasets import Dataset
 from merge_surgeon.evaluation import (
     EvalError,
     EvalResult,
+    accuracy,
     collect_heads,
     emit_report,
     evaluate,
@@ -133,6 +134,32 @@ class TestEvaluate:
         monkeypatch.setenv("MERGE_SURGEON_THREADS", "2")
         pooled = evaluate(backbone, heads, spec, tests)
         assert sequential.task_accuracies == pooled.task_accuracies
+
+
+class TestAccuracy:
+    """``accuracy`` scores exactly one sample per label, in blocks."""
+
+    HEADS = ParamSet([("head.0.weight", np.eye(3)), ("head.0.bias", np.zeros(3))])
+    FINALS = np.eye(3, 5, dtype=np.float32)  # (d_L, n): samples 0, 1, 2 argmax to 0, 1, 2
+    LABELS = np.array([0, 1, 2, 0, 0])
+
+    def test_blocks_score_as_one_block(self):
+        blocks = [self.FINALS[:, :2], self.FINALS[:, 2:]]
+        assert accuracy(self.HEADS, 0, blocks, self.LABELS) == 1.0
+        assert accuracy(self.HEADS, 0, blocks, [1, 1, 2, 0, 0]) == 0.8
+
+    @pytest.mark.parametrize("blocks, counts", [
+        ([FINALS[:, :3]], "3 samples scored against 5 labels"),
+        ([], "0 samples scored against 5 labels"),
+        ([FINALS, FINALS[:, :1]], "6 samples scored against 5 labels"),
+    ])
+    def test_a_sample_count_other_than_the_label_count_is_named(self, blocks, counts):
+        with pytest.raises(EvalError, match=f"^task 0: {counts}$"):
+            accuracy(self.HEADS, 0, blocks, self.LABELS)
+
+    def test_no_samples_and_no_labels_is_an_error(self):
+        with pytest.raises(EvalError, match="^task 0: 0 samples scored against 0 labels$"):
+            accuracy(self.HEADS, 0, [], self.LABELS[:0])
 
 
 class TestEvalResult:

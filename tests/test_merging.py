@@ -294,11 +294,11 @@ def tiny_models():
     suite = ms.gen_task_suite(21, 2, 5, 3, 150, 80)
     spec = ModelSpec(5, (8, 8, 6), 3, 2)
     cfg = ms.TrainConfig(iterations=200, seed=21)
-    pre = ms.pretrain(spec, suite.mixture, cfg)
+    pre = ms.pretrain(spec, suite.mixture(), cfg)
     experts = [
         result.params
         for result in ms.train_experts(
-            pre.params, [task.train for task in suite.tasks], range(2), spec, cfg
+            pre.params, suite.split("train"), range(2), spec, cfg
         )
     ]
     return suite, spec, pre.params, experts
@@ -308,18 +308,18 @@ class TestGridSearch:
 
     def test_single_candidate_returned(self, tiny_models):
         suite, spec, pretrained, experts = tiny_models
-        vals = [task.validation for task in suite.tasks]
+        vals = suite.split("validation")
         assert ms.grid_search_scale(pretrained, experts, spec, [0.35], vals) == 0.35
 
     def test_duplicate_candidates(self, tiny_models):
         suite, spec, pretrained, experts = tiny_models
-        vals = [task.validation for task in suite.tasks]
+        vals = suite.split("validation")
         assert ms.grid_search_scale(pretrained, experts, spec, [0.2, 0.2], vals) == 0.2
 
     def test_empty_candidates(self, tiny_models):
         suite, spec, pretrained, experts = tiny_models
         with pytest.raises(MergeError):
-            ms.grid_search_scale(pretrained, experts, spec, [], [t.validation for t in suite.tasks])
+            ms.grid_search_scale(pretrained, experts, spec, [], suite.split("validation"))
 
 
 class TestScaleChecks:
@@ -375,7 +375,7 @@ class TestScaleChecks:
     @pytest.mark.parametrize("merge", MERGES)
     def test_grid_search_rejects_bad_candidates(self, tiny_models, merge):
         suite, spec, pretrained, experts = tiny_models
-        vals = [task.validation for task in suite.tasks]
+        vals = suite.split("validation")
         with pytest.raises(MergeError, match="scale nan is not finite"):
             ms.grid_search_scale(pretrained, experts, spec, [0.3, math.nan], vals, merge)
         with warnings.catch_warnings():
@@ -631,7 +631,9 @@ def test_grid_search_scale_pinned_on_reference_fixture(ref_scale):
     assert ref_scale == 0.4
 
 
-def test_every_merge_is_shape_compatible_with_pretrained(ref_pretrained, ref_experts, ref_suite, ref_spec):
+def test_every_merge_is_shape_compatible_with_pretrained(
+    ref_pretrained, ref_experts, ref_test_sets, ref_spec
+):
     backbone = backbone_of(ref_pretrained.params)
     cfg = ms.TrainConfig(iterations=5, seed=0)
     merges = [
@@ -639,7 +641,7 @@ def test_every_merge_is_shape_compatible_with_pretrained(ref_pretrained, ref_exp
         task_arithmetic(ref_pretrained.params, ref_experts, ref_spec, 0.4),
         ties_merge(ref_pretrained.params, ref_experts, ref_spec, 0.4, 0.5),
         ms.ada_merge(
-            ref_pretrained.params, ref_experts, ref_spec, ref_suite.test_inputs(), cfg
+            ref_pretrained.params, ref_experts, ref_spec, [t.features for t in ref_test_sets], cfg
         ).params,
     ]
     shapes = {name: value.shape for name, value in backbone.items()}

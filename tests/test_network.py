@@ -482,32 +482,32 @@ class TestTraining:
 
     def test_pretrain_deterministic(self, tiny_setup):
         suite, spec, cfg = tiny_setup
-        a = ms.pretrain(spec, suite.mixture, cfg)
-        b = ms.pretrain(spec, suite.mixture, cfg)
+        a = ms.pretrain(spec, suite.mixture(), cfg)
+        b = ms.pretrain(spec, suite.mixture(), cfg)
         assert bitwise_equal(a.params, b.params)
         assert a.losses == b.losses
 
     def test_expert_deterministic_and_carries_head(self, tiny_setup):
         suite, spec, cfg = tiny_setup
-        pre = ms.pretrain(spec, suite.mixture, cfg)
-        a = ms.train_expert(pre.params, suite.tasks[1].train, 1, spec, cfg)
-        b = ms.train_expert(pre.params, suite.tasks[1].train, 1, spec, cfg)
+        pre = ms.pretrain(spec, suite.mixture(), cfg)
+        a = ms.train_expert(pre.params, suite.split("train")[1], 1, spec, cfg)
+        b = ms.train_expert(pre.params, suite.split("train")[1], 1, spec, cfg)
         assert bitwise_equal(a.params, b.params)
         assert head_name(1, "weight") in a.params
         assert head_name(1, "bias") in a.params
 
     def test_loss_strictly_decreases(self, tiny_setup):
         suite, spec, cfg = tiny_setup
-        pre = ms.pretrain(spec, suite.mixture, cfg)
+        pre = ms.pretrain(spec, suite.mixture(), cfg)
         assert pre.losses[-1] < pre.losses[0]
-        expert = ms.train_expert(pre.params, suite.tasks[0].train, 0, spec, cfg)
+        expert = ms.train_expert(pre.params, suite.split("train")[0], 0, spec, cfg)
         assert expert.losses[-1] < expert.losses[0]
 
     def test_classifier_loss_of_trained_expert(self, tiny_setup):
         suite, spec, cfg = tiny_setup
-        pre = ms.pretrain(spec, suite.mixture, cfg)
-        expert = ms.train_expert(pre.params, suite.tasks[0].train, 0, spec, cfg)
-        data = suite.tasks[0].train
+        pre = ms.pretrain(spec, suite.mixture(), cfg)
+        expert = ms.train_expert(pre.params, suite.split("train")[0], 0, spec, cfg)
+        data = suite.split("train")[0]
         params64 = {name: value.astype(np.float64) for name, value in expert.params.items()}
         loss, _ = classifier_loss_and_grads(params64, spec, 0, data.inputs(), data.labels)
         assert 0 < loss < expert.losses[0]
@@ -626,13 +626,13 @@ class TestStackedTraining:
         suite, spec, cfg = tiny_setup
         init_rng = np.random.default_rng([cfg.seed, 0])
         params64 = init_backbone(spec, init_rng)
-        head_w, head_b = init_head(suite.mixture.num_classes, spec.feature_dim, init_rng)
+        head_w, head_b = init_head(suite.num_classes, spec.feature_dim, init_rng)
         params64[head_name("pretrain", "weight")] = head_w
         params64[head_name("pretrain", "bias")] = head_b
         losses = _reference_training(
-            params64, spec, "pretrain", suite.mixture, cfg, np.random.default_rng([cfg.seed, 1])
+            params64, spec, "pretrain", suite.mixture(), cfg, np.random.default_rng([cfg.seed, 1])
         )
-        result = ms.pretrain(spec, suite.mixture, cfg)
+        result = ms.pretrain(spec, suite.mixture(), cfg)
         want = ParamSet((n, params64[n]) for n in spec.backbone_shapes())
         assert bitwise_equal(result.params, want)
         assert result.losses == tuple(losses)
@@ -691,7 +691,7 @@ class TestStackedTraining:
         suite, spec, _ = tiny_setup
         cfg = TrainConfig(learning_rate=1e200, iterations=5, seed=3)
         with pytest.raises(NetworkError, match=r"at iteration \d+ \(pretraining\)"):
-            ms.pretrain(spec, suite.mixture, cfg)
+            ms.pretrain(spec, suite.mixture(), cfg)
 
 
 def test_reference_experts_hit_90_percent(ref_spec, ref_experts, ref_heads, ref_test_sets):

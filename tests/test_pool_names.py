@@ -101,6 +101,10 @@ DAMAGES = {
         lambda pools: [np.full((20, 4), "a"), pools[1], pools[2]],
         "pool 0 is not an array of real numbers",
     ),
+    "complex-pool": (
+        lambda pools: [pools[0], pools[1] + 1j, pools[2]],
+        "pool 1 is not an array of real numbers",
+    ),
 }
 
 
