@@ -154,11 +154,12 @@ def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
 
 
 def _finetune_step(cfg, run_dir, suite, spec, pretrained, tasks) -> list[TrainResult]:
-    """Fine-tune the experts of ``tasks`` jointly, then save them in task
-    order; a run that fails saves none."""
-    train = suite.split("train")
+    """Fine-tune the experts of ``tasks`` jointly, on the train splits of
+    those tasks alone, then save them in task order; a run that fails
+    saves none."""
     results = train_experts(
-        pretrained, [train[t] for t in tasks], tasks, spec, _train_config(cfg, cfg.finetune_iters)
+        pretrained, suite.split("train", tasks), tasks, spec,
+        _train_config(cfg, cfg.finetune_iters),
     )
     for task, result in zip(tasks, results):
         _save(result.params, run_dir, f"expert_{task}")
@@ -198,15 +199,16 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
     return merged, recipe
 
 
-def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None):
+def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None, tests=None):
     """Bias report of the merged (or corrected) model, and the accuracy rows
     ``individual`` and ``model_id[+mode]`` scored on its final-layer traces,
     task by task.  Given a ``run_dir``, each task's shared-basis 2-D
     projections of the two final layers are written there before the next
     task is traced.  ``model_id`` names the rule that made ``merged``.  The
-    test split is drawn once, for both the traces and the labels."""
+    test split ``tests``, drawn here unless given, serves both the traces
+    and the labels."""
     heads = collect_heads(experts, spec)
-    tests = suite.split("test")
+    tests = suite.split("test") if tests is None else tests
     scores = ([], [])  # the experts' accuracies, then the merged model's
 
     def finals(task, merged_blocks, expert_blocks):
@@ -476,11 +478,11 @@ def eval_cmd(config, run_dir, stack_path):
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    _, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id)
+    tests = suite.split("test")
+    _, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
     if stack is not None:
         rows.append(evaluate(
-            merged, collect_heads(experts, spec), spec, suite.split("test"), stack,
-            model_id, stack.mode.label,
+            merged, collect_heads(experts, spec), spec, tests, stack, model_id, stack.mode.label
         ))
     (run_dir / "eval_results.csv").write_text(results_table(rows), encoding="utf-8")
     for row in rows:
@@ -492,11 +494,14 @@ def report_cmd(config, run_dir):
     """Assemble the comparison table and bias CSVs into the run directory."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts, model_id = _load_merged(run_dir, cfg)
-    report, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id)
+    tests = suite.split("test")
+    report, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
     reports = [report]
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        corrected, (_, row) = _bias_step(cfg, None, suite, spec, merged, experts, model_id, stack)
+        corrected, (_, row) = _bias_step(
+            cfg, None, suite, spec, merged, experts, model_id, stack, tests
+        )
         reports.append(corrected)
         rows.append(row)
     emit_report(rows, reports, run_dir)

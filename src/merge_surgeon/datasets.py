@@ -97,9 +97,9 @@ class TaskSuite:
     pretraining mixture: the generation arguments and the class means.
 
     Nothing is drawn until a caller asks: :meth:`split` draws one split of
-    every task, :meth:`mixture` the mixture, each from its own seeded
-    stream, so every call gives the same bytes in any order and the caller
-    holds only what it asked for.  ``class_means[t]`` holds the (C, d)
+    every task or of the tasks asked for, :meth:`mixture` the mixture,
+    each from its own seeded stream, so every call gives the same bytes in
+    any order and the caller holds only what it asked for.  ``class_means[t]`` holds the (C, d)
     generating means of task t, an oracle for sanity checks.
     """
 
@@ -111,16 +111,17 @@ class TaskSuite:
     n_test: int
     class_means: tuple[np.ndarray, ...]
 
-    def split(self, name: str) -> list[Dataset]:
-        """Split ``name`` (train, validation or test) of every task, in task
-        order; validation and test hold ``n_test`` samples each."""
+    def split(self, name: str, tasks=None) -> list[Dataset]:
+        """Split ``name`` (train, validation or test) of each task of
+        ``tasks`` (every task by default), in that order; validation and
+        test hold ``n_test`` samples each."""
         if name not in _SPLIT_STREAMS:
             raise DataError(f"no split {name!r}; expected one of {', '.join(_SPLIT_STREAMS)}")
         size = self.n_train if name == "train" else self.n_test
         return [
             Dataset(*_draw(np.random.default_rng([self.seed, t, _SPLIT_STREAMS[name]]),
-                           means, size), num_classes=self.num_classes)
-            for t, means in enumerate(self.class_means)
+                           self.class_means[t], size), num_classes=self.num_classes)
+            for t in (range(self.num_tasks) if tasks is None else tasks)
         ]
 
     def mixture(self) -> Dataset:

@@ -109,9 +109,11 @@ def evaluate(
     under the name ``model_id``, and every task's trace reads that copy.
     Each test set is traced in :func:`_walk_blocks`, one layer at a time,
     so a trace holds one layer of one block, and an overflow in any layer
-    raises the ``SurgeryError`` naming it."""
-    if len(test_sets) < 1:
-        raise EvalError("need at least one test set")
+    raises the ``SurgeryError`` naming it.  ``test_sets`` holds one test
+    set per task of ``spec``; any other count is an ``EvalError`` raised
+    before any trace."""
+    if len(test_sets) != spec.num_tasks:
+        raise EvalError(f"got {len(test_sets)} test sets for the spec's {spec.num_tasks} tasks")
     for task in range(len(test_sets)):
         if head_name(task, "weight") not in heads or head_name(task, "bias") not in heads:
             raise EvalError(f"missing head for task {task}")

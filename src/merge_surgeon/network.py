@@ -240,7 +240,6 @@ def forward_layers(
     spec: ModelSpec,
     x: np.ndarray,
     adapters: Mapping[int, Mapping[str, np.ndarray]] | None = None,
-    records: list | None = None,
     first: int = 1,
     last: int | None = None,
     out: Mapping[int, Sequence[np.ndarray]] | None = None,
@@ -250,9 +249,7 @@ def forward_layers(
 
     ``adapters`` maps a 1-based layer to ``{"down", "up"}`` matrices;
     that layer's output Z is corrected in the path to
-    ``Z - up @ relu(down @ Z)``, which the next block consumes.  A
-    ``records`` list receives ``(Z, hidden)`` per layer: the uncorrected
-    output and ``relu(down @ Z)``, or None where no adapter sits.
+    ``Z - up @ relu(down @ Z)``, which the next block consumes.
     ``first`` and ``last`` run blocks ``first..last`` only: ``x`` is then
     the input of block ``first`` (``Z_{first-1}``) and the result is
     ``[Z_first .. Z_last]``.
@@ -271,7 +268,8 @@ def forward_layers(
     every bit is theirs; ``x``, the backbone and the adapters are never
     written.  ``out`` maps a layer to the ``(Z, hidden, corrected)``
     arrays it writes instead of allocating them (the last two where an
-    adapter sits), such as slices of a buffer that stacks several layers.
+    adapter sits), such as slices of a buffer that stacks several layers,
+    and is how a caller reads an adapted layer's ``Z`` and ``relu(down @ Z)``.
     """
     z = np.asarray(x, dtype=backbone[spec.block_names[first - 1][0]].dtype)
     if z.ndim < 2 or z.shape[-2] != spec.in_dim(first):
@@ -289,16 +287,13 @@ def forward_layers(
         pre += backbone[b_name][..., None]
         if layer < num:
             np.maximum(pre, 0.0, out=pre)
-        z = raw = pre
-        hidden = None
+        z = pre
         pair = adapters.get(layer)
         if pair is not None:
-            hidden = np.matmul(pair["down"], raw, out=hidden_out)
+            hidden = np.matmul(pair["down"], pre, out=hidden_out)
             np.maximum(hidden, 0.0, out=hidden)
             z = np.matmul(pair["up"], hidden, out=z_out)
-            np.subtract(raw, z, out=z)
-        if records is not None:
-            records.append((raw, hidden))
+            np.subtract(pre, z, out=z)
         layers.append(z)
     return layers
 

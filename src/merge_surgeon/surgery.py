@@ -316,7 +316,7 @@ class SurgeryResult:
 def surgery_gradients(
     merged: Mapping[str, np.ndarray],
     spec: ModelSpec,
-    task_adapters: Mapping[int | tuple[int, ...], dict[str, np.ndarray]],
+    task_adapters: Mapping[tuple[int, ...], dict[str, np.ndarray]],
     x: np.ndarray,
     targets: Sequence[np.ndarray],
     psi: LossKind,
@@ -333,65 +333,59 @@ def surgery_gradients(
     incoming representation held fixed; full backprop differentiates the
     summed loss through downstream blocks and corrections too.
 
-    ``task_adapters`` maps a 1-based layer to its ``{"down", "up"}``
-    matrices, or a group of layers of one width, a tuple ``(l, ...)``, to
-    their matrices stacked on a leading layer axis in that order.  A group
-    runs its alignment loss as one call on the ``(L', ..., d, batch)``
-    stack of its corrected layers, and its adapter gradients as one
-    stacked matmul apiece; a layer keyed alone is a group of one without
-    the layer axis.  Full backprop then carries its adjoint down from
-    block to block, one layer at a time.  Returns ``(losses, grads)``
-    keyed as ``task_adapters``, with grads mapping to ``{"down": ...,
-    "up": ...}`` of the adapters' shapes.  Given ``grads`` arrays, the
-    gradients are written into them in place.
+    ``task_adapters`` maps each group of adapted layers of one width, a
+    tuple ``(l, ...)`` in layer order, to their ``{"down", "up"}``
+    matrices stacked on a leading layer axis in that order; a single
+    layer l is the group ``(l,)``.  Any other key is a ``SurgeryError``
+    that names it.  A group runs its alignment loss as one call on the
+    ``(L', ..., d, batch)`` stack of its corrected layers, and its
+    adapter gradients as one stacked matmul apiece.  Full backprop then
+    carries its adjoint down from block to block, one layer at a time.
+    Returns ``(losses, grads)`` keyed as ``task_adapters``: each loss an
+    ``(L', ...)`` array, and grads mapping to ``{"down": ..., "up": ...}``
+    of the adapters' shapes.  Given ``grads`` arrays, the gradients are
+    written into them in place.
 
     ``x`` enters block ``first`` (the model input when ``first`` is 1), so
     a caller that holds the merged representation below the lowest adapter
-    starts there.  The target of a layer l is ``targets[l - 1]``, the
-    expert's ``Z_l``, and that of a group is ``targets[l - 1]`` for its
-    first layer l, the ``(L', ...)`` stack of its layers' ``Z``; no other
-    entry is read.
+    starts there.  The target of a group is ``targets[l - 1]`` for its
+    first layer l, the ``(L', ...)`` stack of its layers' expert ``Z``; no
+    other entry is read.
 
     A stacked ``x`` of shape (T, d, batch), with (T, ...) adapters and
-    targets after any layer axis, handles T tasks at once: each loss then
+    targets after the layer axis, handles T tasks at once: each loss then
     gains a T axis, and every task's losses and gradients are bitwise
     those of its own 2-D call, layer by layer.
     """
     x = np.asarray(x, dtype=merged[spec.block_names[first - 1][0]].dtype)
-    # Per key: its layers, its matrices stacked on a layer axis (a lone
-    # layer gains one of length 1), and one buffer apiece for its raw,
-    # hidden and corrected layers, which the forward pass writes; the
-    # buffers take x's leading axes, or the adapters' where x has fewer.
+    # Per group: its matrices, and one buffer apiece for its raw, hidden
+    # and corrected layers, which the forward pass writes; the buffers
+    # take x's leading axes, or the adapters' where x has fewer.
     groups = {}
     adapters, out, position = {}, {}, {}
     for key, pair in task_adapters.items():
-        lone = not isinstance(key, tuple)
-        members = (key,) if lone else key
-        if lone:
-            pair = {half: matrix[None] for half, matrix in pair.items()}
+        if not isinstance(key, tuple) or not key:
+            raise SurgeryError(f"adapter key {key!r} is not a group of layers (l, ...)")
         down, up = pair["down"], pair["up"]
-        lead = (len(members), *max(x.shape[:-2], down.shape[1:-2], key=len))
+        lead = (len(key), *max(x.shape[:-2], down.shape[1:-2], key=len))
         rank, width = down.shape[-2:]
         shape = (*lead, width, *x.shape[-1:])
         raw, corrected = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
         hidden = np.empty((*lead, rank, *x.shape[-1:]), x.dtype)
-        for j, layer in enumerate(members):
+        for j, layer in enumerate(key):
             adapters[layer] = {"down": down[j], "up": up[j]}
             out[layer] = raw[j], hidden[j], corrected[j]
             position[layer] = key, j
-        groups[key] = lone, members, pair, (raw, hidden, corrected)
+        groups[key] = pair, (raw, hidden, corrected)
     if min(position, default=first) < first:
         raise SurgeryError(f"adapters below block {first} need the pass to start lower")
-    records = []
-    forward_layers(merged, spec, x, adapters, records, first=first, out=out)
+    layers = forward_layers(merged, spec, x, adapters, first=first, out=out)
     losses: dict = {}
     adjoints = {}
-    for key, (lone, members, _, buffers) in groups.items():
-        target = np.asarray(targets[members[0] - 1])
-        loss, adjoints[key] = alignment_loss_and_grad(
-            buffers[2], target[None] if lone else target, psi
+    for key, (_, buffers) in groups.items():
+        losses[key], adjoints[key] = alignment_loss_and_grad(
+            buffers[2], np.asarray(targets[key[0] - 1]), psi
         )
-        losses[key] = (float(loss[0]) if loss.ndim == 1 else loss[0]) if lone else loss
     if full_backprop:
         carry = None  # dTotal/dZhat_l arriving from block l+1
         for layer in range(spec.num_layers, first - 1, -1):
@@ -402,7 +396,7 @@ def surgery_gradients(
                 carry = None
             if a_hat is None or layer == first:
                 continue
-            raw, hidden = records[layer - first]
+            raw, hidden, _ = out.get(layer, (layers[layer - first], None, None))
             d_raw = a_hat
             if key is not None:
                 pair = adapters[layer]
@@ -411,17 +405,12 @@ def surgery_gradients(
             d_pre = d_raw * (raw > 0) if layer < spec.num_layers else d_raw
             carry = merged[spec.block_names[layer - 1][0]].T @ d_pre
     grads = {} if grads is None else grads
-    for key, (lone, _, pair, (raw, hidden, _)) in groups.items():
+    for key, (pair, (raw, hidden, _)) in groups.items():
         d_omega = -adjoints[key]
         d_hidden = (pair["up"].swapaxes(-1, -2) @ d_omega) * (hidden > 0)
         given = grads.setdefault(key, {})
         for half, left, right in (("down", d_hidden, raw), ("up", d_omega, hidden)):
-            dest = given.get(half)
-            if dest is not None and lone:
-                dest = dest[None]
-            product = np.matmul(left, right.swapaxes(-1, -2), out=dest)
-            if half not in given:
-                given[half] = product[0] if lone else product
+            given[half] = np.matmul(left, right.swapaxes(-1, -2), out=given.get(half))
     return losses, grads
 
 
@@ -462,12 +451,12 @@ def train_surgery(
     one buffer holds every adapter of task t, and each iteration runs one
     pass stacked on a leading task axis and takes one Adam step on the
     buffer.  The adapted layers are grouped by width, and each group's
-    adapters are one region of the buffer, so every iteration's
-    :func:`surgery_gradients` call runs one loss call per group and,
-    under the layer-wise objective, one gradient matmul apiece.  The
-    expert targets, and the merged blocks below the lowest adapter, do
-    not depend on the adapters: they run once per chunk of ``data``,
-    and write each group's targets into one buffer.  Every task ends
+    adapters are one region of the buffer, keyed by the group's layer
+    tuple, so every iteration's :func:`surgery_gradients` call runs one
+    loss call per group and, under the layer-wise objective, one gradient
+    matmul apiece.  The expert targets, and the merged blocks below the
+    lowest adapter, do not depend on the adapters: they run once per
+    chunk of ``data``, and write each group's targets into one buffer.  Every task ends
     bitwise where training it alone on its own batches, layer by layer,
     would leave it, and each iteration's loss adds the task-major,
     layer-ordered losses as Python floats.  The chunk loop flushes

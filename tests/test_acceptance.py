@@ -226,8 +226,14 @@ def test_criterion_03_gradient_checks():
         }
     merged64 = spec2.backbone(merged, "merged", np.float64)
     targets = forward_layers(spec2.backbone(expert, "expert", np.float64), spec2, x)
+    # The kernel takes each layer l as the group (l,), with a layer axis.
+    targets = [z[None] for z in targets]
+
+    def groups(adapters):
+        return {(l,): {k: v[None] for k, v in p.items()} for l, p in adapters.items()}
+
     losses, analytic_adapter = surgery_gradients(
-        merged64, spec2, adapters, x, targets, LossKind.L1
+        merged64, spec2, groups(adapters), x, targets, LossKind.L1
     )
     worst_adapter = 0.0
     eps = 1e-6
@@ -243,12 +249,12 @@ def test_criterion_03_gradient_checks():
                         }
                         bumped[layer][field][i, j] += sign * eps
                         bumped_losses, _ = surgery_gradients(
-                            merged64, spec2, bumped, x, targets, LossKind.L1
+                            merged64, spec2, groups(bumped), x, targets, LossKind.L1
                         )
-                        samples.append(bumped_losses[layer])
+                        samples.append(bumped_losses[(layer,)][0])
                     numeric[i, j] = (samples[0] - samples[1]) / (2 * eps)
             worst_adapter = max(
-                worst_adapter, relative_error(analytic_adapter[layer][field], numeric)
+                worst_adapter, relative_error(analytic_adapter[(layer,)][field][0], numeric)
             )
 
     ok = worst_backbone < 1e-3 and worst_ada < 1e-3 and worst_adapter < 1e-3

@@ -836,6 +836,39 @@ class TestStepwiseFlow:
         assert (run_dir / "results.csv").exists()
         assert (run_dir / "bias_merged.csv").exists()
 
+    @pytest.mark.parametrize("args, drawn", [
+        (["finetune", "--task", "1"], [60]),
+        (["eval"], [50, 50]),
+        (["eval", "--surgery", "checkpoints/surgery.msrg"], [50, 50]),
+        (["report"], [50, 50]),
+    ], ids=["finetune", "eval", "eval-surgery", "report"])
+    def test_a_subcommand_draws_each_task_split_it_reads_once(
+        self, runner, pipeline_run, tmp_path, monkeypatch, args, drawn
+    ):
+        # One task's train split (60 rows) to fine-tune one expert, and the
+        # test split (50 rows per task) once to score a merged model with
+        # and without its stack; TINY_CFG's suite has two tasks.
+        from merge_surgeon import datasets
+
+        config, piped = pipeline_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(piped, run_dir)
+        rows = []
+        draw = datasets._draw
+
+        def counting_draw(rng, means, n, first=None):
+            rows.append(n)
+            return draw(rng, means, n, first)
+
+        monkeypatch.setattr(datasets, "_draw", counting_draw)
+        args = [str(run_dir / a) if a.endswith(".msrg") else a for a in args]
+        result = invoke(runner, [*args, "--config", str(config), "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        assert rows == drawn
+        if args[0] == "finetune":
+            expert = "checkpoints/expert_1.msrg"
+            assert (run_dir / expert).read_bytes() == (piped / expert).read_bytes()
+
     def test_subcommands_match_pipeline(self, runner, pipeline_run, tmp_path):
         config, piped = pipeline_run
         run_dir = tmp_path / "steps"

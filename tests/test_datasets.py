@@ -161,6 +161,13 @@ class TestLazySuite:
             [*train, *again["validation"], *test, mixture_again], reference
         )
 
+    def test_a_split_of_some_tasks_is_theirs_of_the_whole_split(self):
+        suite = gen_task_suite(3, 3, 5, 4, 50, 30)
+        for split in SPLITS:
+            whole = suite.split(split)
+            assert datasets_bitwise_equal(suite.split(split, [2, 0]), [whole[2], whole[0]])
+            assert datasets_bitwise_equal(suite.split(split, range(3)), whole)
+
     def test_an_unknown_split_is_named(self):
         with pytest.raises(DataError, match="^no split 'val'; expected one of train, validation"):
             gen_task_suite(1, 2, 3, 2, 5, 5).split("val")

@@ -114,6 +114,39 @@ class TestEvaluate:
             ):
                 evaluate(big, heads, spec, [test_set])
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_one_test_set_per_task_of_the_spec(self, count, monkeypatch):
+        # Fewer sets once scored a row of fewer tasks, and a scale grid
+        # picked its scale from them; more ended in a missing head.  Both
+        # are rejected before any trace, by evaluate and the grid alike.
+        from merge_surgeon import evaluation
+        from merge_surgeon.merging import grid_search_scale
+
+        rng = np.random.default_rng(2)
+        spec = ModelSpec(3, (4, 3), 2, 3)
+        pretrained = ParamSet(init_backbone(spec, rng))
+        experts = [
+            ParamSet({**init_backbone(spec, rng), f"head.{t}.weight": rng.standard_normal((2, 3)),
+                      f"head.{t}.bias": np.zeros(2)})
+            for t in range(3)
+        ]
+        heads = collect_heads(experts, spec)
+        sets = [
+            Dataset(rng.standard_normal((10, 3)).astype(np.float32),
+                    rng.integers(0, 2, 10), num_classes=2)
+            for _ in range(count)
+        ]
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("traced before the count was checked")
+
+        monkeypatch.setattr(evaluation, "trace_layers", no_trace)
+        message = rf"^got {count} test sets for the spec's 3 tasks$"
+        with pytest.raises(EvalError, match=message):
+            evaluate(pretrained, heads, spec, sets)
+        with pytest.raises(EvalError, match=message):
+            grid_search_scale(pretrained, experts, spec, [0.5, 1.0], sets)
+
     def test_worker_pool_matches_sequential(self, monkeypatch):
         rng = np.random.default_rng(1)
         spec = ModelSpec(3, (4, 3), 2, 2)

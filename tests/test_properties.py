@@ -520,11 +520,13 @@ def test_row_adam_matches_textbook_adam_per_row(rows, steps, betas, seed):
             assert params[key][row].tobytes() == want.tobytes(), (key, row)
 
 
-def _out_of_place_forward(backbone, spec, x, adapters, records, first, last):
+def _out_of_place_forward(backbone, spec, x, adapters, first, last):
     """``forward_layers`` as one expression per array: every layer, hidden
-    and corrected output a temporary of its own, in the backbone's dtype."""
+    and corrected output a temporary of its own, in the backbone's dtype.
+    Returns the layers and, per layer, its ``(raw, hidden, corrected)``
+    arrays, the last two None where no adapter sits."""
     z = np.asarray(x, dtype=backbone[spec.block_names[first - 1][0]].dtype)
-    layers = []
+    layers, arrays = [], {}
     for layer in range(first, last + 1):
         w_name, b_name = spec.block_names[layer - 1]
         pre = backbone[w_name] @ z + backbone[b_name][..., None]
@@ -534,9 +536,9 @@ def _out_of_place_forward(backbone, spec, x, adapters, records, first, last):
         if pair is not None:
             hidden = np.maximum(pair["down"] @ raw, 0.0)
             z = raw - pair["up"] @ hidden
-        records.append((raw, hidden))
+        arrays[layer] = raw, hidden, None if hidden is None else z
         layers.append(z)
-    return layers
+    return layers, arrays
 
 
 @st.composite
@@ -580,27 +582,30 @@ def _same(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(forward_problems(), st.booleans())
-def test_forward_is_bitwise_the_out_of_place_expression(problem, with_records):
-    """Every output and record of ``forward_layers`` is bitwise the
+def test_forward_is_bitwise_the_out_of_place_expression(problem, with_out):
+    """Every output of ``forward_layers``, and with ``out`` buffers every
+    raw, hidden and corrected array it writes into them, is bitwise the
     out-of-place expression's, and ``x``, the backbone and the adapters
     are left as they were."""
     spec, backbone, adapters, x, first, last = problem
     inputs = [x, *backbone.values(), *(a for pair in adapters.values() for a in pair.values())]
     before = [a.copy() for a in inputs]
-    records = [] if with_records else None
-    layers = forward_layers(backbone, spec, x, adapters, records, first, last)
+    want, want_arrays = _out_of_place_forward(
+        backbone, spec, x, adapters, first, last or spec.num_layers
+    )
+    # Buffers of the reference's shapes, filled with NaN, so an array the
+    # pass does not write shows.
+    out = {layer: tuple(None if a is None else np.full_like(a, np.nan) for a in arrays)
+           for layer, arrays in want_arrays.items()} if with_out else None
+    layers = forward_layers(backbone, spec, x, adapters, first, last, out)
     assert all(z.dtype == backbone["block1.weight"].dtype for z in layers)
-    last = last or spec.num_layers
-    want_records = []
-    want = _out_of_place_forward(backbone, spec, x, adapters, want_records, first, last)
-    assert len(layers) == len(want) == last - first + 1
+    assert len(layers) == len(want) == (last or spec.num_layers) - first + 1
     assert all(_same(z, w) for z, w in zip(layers, want))
-    if with_records:
-        assert len(records) == len(want_records)
-        for (raw, hidden), (want_raw, want_hidden) in zip(records, want_records):
-            assert _same(raw, want_raw)
-            assert (hidden is None) == (want_hidden is None)
-            assert hidden is None or _same(hidden, want_hidden)
+    if with_out:
+        for layer, arrays in out.items():
+            assert layers[layer - first] is arrays[0 if arrays[2] is None else 2]
+            for got, expected in zip(arrays, want_arrays[layer]):
+                assert got is None or _same(got, expected)
     assert all(_same(a, b) for a, b in zip(inputs, before))
 
 

@@ -96,10 +96,10 @@ class TestAdapterForward:
         backbone = init_backbone(spec, np.random.default_rng(1))
         pair = {"down": np.eye(5), "up": np.eye(5)}
         x = np.random.default_rng(1).standard_normal((4, 6))
-        records = []
-        z1 = forward_layers(backbone, spec, x, {1: pair}, records)[0]
+        raw, hidden, corrected = (np.empty((5, 6)) for _ in range(3))
+        z1 = forward_layers(backbone, spec, x, {1: pair}, out={1: (raw, hidden, corrected)})[0]
         assert np.all(z1 == 0)
-        assert records[0][1].tobytes() == records[0][0].tobytes()
+        assert hidden.tobytes() == raw.tobytes()
 
     def test_matches_hand_computation(self):
         spec = tiny_spec()
@@ -439,6 +439,20 @@ class TestStackPersistence:
             SurgeryStack(ALL_LAYERS, params, dataclasses.replace(spec, num_tasks=2))
 
 
+def _groups_of_one(task_adapters):
+    """Per-layer ``{"down", "up"}`` pairs in the form surgery_gradients
+    takes: each layer l the group ``(l,)``, its matrices gaining a layer
+    axis of length 1."""
+    return {(layer,): {half: m[None] for half, m in pair.items()}
+            for layer, pair in task_adapters.items()}
+
+
+def _layer_axis(targets):
+    """Every layer's target with a layer axis of length 1, the target of
+    its group of one."""
+    return [z[None] for z in targets]
+
+
 def _layer_losses_f64(merged64, spec, task_adapters, x, targets, psi):
     """Per-layer alignment losses of the corrected float64 forward pass,
     the finite-difference target for the gradient checks."""
@@ -524,7 +538,8 @@ class TestTrainSurgery:
         merged64 = spec.backbone(merged, "merged", np.float64)
         targets = forward_layers(spec.backbone(expert, "expert", np.float64), spec, x)
         _, analytic = surgery_gradients(
-            merged64, spec, task_adapters, x, targets, psi, full_backprop
+            merged64, spec, _groups_of_one(task_adapters), x, _layer_axis(targets), psi,
+            full_backprop,
         )
 
         def objective(adapters, layer):
@@ -547,7 +562,7 @@ class TestTrainSurgery:
                         bumped[layer][field][i, j] -= 2 * eps
                         f_minus = objective(bumped, layer)
                         numeric[i, j] = (f_plus - f_minus) / (2 * eps)
-                got = analytic[layer][field]
+                got = analytic[(layer,)][field][0]
                 scale = np.maximum(np.maximum(np.abs(got), np.abs(numeric)), 1e-6)
                 assert (np.abs(got - numeric) / scale).max() < 1e-3, (layer, field, psi)
 
@@ -574,17 +589,18 @@ class TestTrainSurgery:
             adapters = {layer: {half: matrix.astype(dtype) for half, matrix in pair.items()}
                         for layer, pair in task_adapters.items()}
             return surgery_gradients(
-                spec.backbone(merged, "merged", dtype), spec, adapters, x, targets, psi,
-                full_backprop,
+                spec.backbone(merged, "merged", dtype), spec, _groups_of_one(adapters), x,
+                _layer_axis(targets), psi, full_backprop,
             )
 
         losses32, grads32 = run(np.float32)
         losses64, grads64 = run(np.float64)
         for layer in task_adapters:
-            assert losses32[layer] == pytest.approx(losses64[layer], rel=1e-4)
+            key = (layer,)
+            assert losses32[key][0] == pytest.approx(losses64[key][0], rel=1e-4)
             for half in ("down", "up"):
-                assert grads32[layer][half].dtype == np.float32
-                np.testing.assert_allclose(grads32[layer][half], grads64[layer][half], rtol=1e-4)
+                assert grads32[key][half].dtype == np.float32
+                np.testing.assert_allclose(grads32[key][half], grads64[key][half], rtol=1e-4)
 
     def test_full_backprop_variant_also_descends(self, capsys):
         # Block-coordinate is the default update rule; the full-backprop
@@ -674,10 +690,6 @@ WIDTHS = [pytest.param(dims, id="widths-" + "-".join(map(str, dims)))
           for dims in ((6, 5, 4), GROUPED_DIMS)]
 
 
-def _members(key):
-    return key if isinstance(key, tuple) else (key,)
-
-
 def _three_task_models(seed=50, layer_dims=(6, 5, 4)):
     """A three-task spec with blocks ``layer_dims`` wide, a merged
     backbone, three experts and float64 adapters with non-zero up
@@ -716,18 +728,18 @@ def _stacked_inputs(xs):
 def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, full_backprop):
     """Surgery training one task at a time on the (C, T, d, batch) chunks
     ``batches``, in float32 as train_surgery trains: per task and
-    iteration, 2-D target and gradient calls on its slice and one Adam per
-    (task, layer, matrix)."""
+    iteration, 2-D target and gradient calls on its slice, each layer l
+    the group ``(l,)``, and one Adam per (task, layer, matrix)."""
     merged32 = spec.backbone(merged, "merged", np.float32)
     stack0 = init_stack(spec, mode, rank, cfg.seed)
     adapters = [
-        {layer: {half: a.astype(np.float32) for half, a in pair.items()}
-         for layer, pair in stack0.adapters(task).items()}
+        _groups_of_one({layer: {half: a.astype(np.float32) for half, a in pair.items()}
+                        for layer, pair in stack0.adapters(task).items()})
         for task in range(len(experts))
     ]
     optimizers = {
-        (t, layer, half): Adam(cfg.learning_rate)
-        for t, a in enumerate(adapters) for layer, pair in a.items() for half in pair
+        (t, key, half): Adam(cfg.learning_rate)
+        for t, a in enumerate(adapters) for key, pair in a.items() for half in pair
     }
     losses = []
     for row in (row for chunk in batches for row in chunk):
@@ -735,17 +747,18 @@ def _per_task_reference(merged, experts, spec, batches, mode, psi, cfg, rank, fu
         for task, x in enumerate(row):
             x = np.asarray(x, dtype=np.float32)
             expert32 = spec.backbone(experts[task], "expert", np.float32)
-            targets = forward_layers(expert32, spec, x)
+            targets = _layer_axis(forward_layers(expert32, spec, x))
             layer_losses, grads = surgery_gradients(
                 merged32, spec, adapters[task], x, targets, psi, full_backprop
             )
             for loss in layer_losses.values():
-                total += loss
-            for layer, pair in grads.items():
+                total += float(loss[0])
+            for key, pair in grads.items():
                 for half, grad in pair.items():
-                    optimizers[(task, layer, half)].step(adapters[task][layer][half], grad)
+                    optimizers[(task, key, half)].step(adapters[task][key][half], grad)
         losses.append(total)
-    return losses, adapters
+    return losses, [{layer: {half: m[0] for half, m in pair.items()}
+                     for (layer,), pair in a.items()} for a in adapters]
 
 
 class TestStackedEngine:
@@ -768,17 +781,24 @@ class TestStackedEngine:
         }
         # Stacked block parameters, no adapters: the expert targets.
         targets = forward_layers(experts64, spec, x)
-        # Shared block parameters with stacked adapters: the corrected merged model.
-        records = []
-        corrected = forward_layers(merged64, spec, x, stacked_adapters, records)
+        # Shared block parameters with stacked adapters: the corrected
+        # merged model, whose raw, hidden and corrected arrays the pass
+        # writes into ``out``.
+        def buffers(*lead):
+            return {layer: tuple(np.empty((*lead, rows, x.shape[-1]))
+                                 for rows in (spec.out_dim(layer), 2, spec.out_dim(layer)))
+                    for layer in adapters[0]}
+
+        out = buffers(3)
+        corrected = forward_layers(merged64, spec, x, stacked_adapters, out=out)
         for t in range(3):
             single = forward_layers(spec.backbone(experts[t], "expert", np.float64), spec, xs[t])
-            own_records = []
-            own = forward_layers(merged64, spec, xs[t], adapters[t], own_records)
+            own_out = buffers()
+            own = forward_layers(merged64, spec, xs[t], adapters[t], out=own_out)
             for layer in range(spec.num_layers):
                 assert targets[layer][t].tobytes() == single[layer].tobytes()
                 assert corrected[layer][t].tobytes() == own[layer].tobytes()
-                for got, want in zip(records[layer], own_records[layer]):
+                for got, want in zip(out[layer + 1], own_out[layer + 1]):
                     assert got[t].tobytes() == want.tobytes()
 
     def test_forward_layers_rejects_wrong_input_dim(self):
@@ -802,27 +822,27 @@ class TestStackedEngine:
             losses, grads = surgery_gradients(
                 merged64,
                 spec,
-                {
+                _groups_of_one({
                     l: {h: np.stack([a[l][h] for a in task_adapters]) for h in ("down", "up")}
                     for l in layers
-                },
+                }),
                 _stacked_inputs(xs),
-                [np.stack(layer_targets) for layer_targets in zip(*targets)],
+                _layer_axis([np.stack(layer_targets) for layer_targets in zip(*targets)]),
                 psi,
                 full_backprop,
             )
             for t in range(3):
                 own_losses, own_grads = surgery_gradients(
-                    merged64, spec, task_adapters[t], xs[t], targets[t], psi, full_backprop
+                    merged64, spec, _groups_of_one(task_adapters[t]), xs[t],
+                    _layer_axis(targets[t]), psi, full_backprop,
                 )
-                assert list(losses) == list(own_losses) == list(layers)
-                for layer in layers:
-                    assert isinstance(own_losses[layer], float)
-                    assert losses[layer].shape == (3,)
-                    assert losses[layer][t].tobytes() == np.float64(own_losses[layer]).tobytes()
+                assert list(losses) == list(own_losses) == [(l,) for l in layers]
+                for key in losses:
+                    assert losses[key].shape == (1, 3)
+                    assert losses[key][0, t].tobytes() == own_losses[key][0].tobytes()
                     for half in ("down", "up"):
-                        got = grads[layer][half][t]
-                        assert got.tobytes() == own_grads[layer][half].tobytes()
+                        got = grads[key][half][0, t]
+                        assert got.tobytes() == own_grads[key][half][0].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("psi", [LossKind.L1, LossKind.MSE, LossKind.NEG_COSINE])
@@ -836,38 +856,47 @@ class TestStackedEngine:
                    for e, x in zip(experts, xs)]
         adapters = [{layer: {half: m.astype(dtype) for half, m in pair.items()}
                      for layer, pair in a.items()} for a in adapters]
-        # The v2 groups; a group beside lone layers keyed alone; a group
-        # above an unadapted block, which full backprop crosses.
-        for keys in ([(1, 3, 4), (2,), (5,)], [(3, 4), 5, 1], [(1, 4)]):
+        # The v2 groups; a group beside groups of one, out of layer order;
+        # a group above an unadapted block, which full backprop crosses.
+        for keys in ([(1, 3, 4), (2,), (5,)], [(3, 4), (5,), (1,)], [(1, 4)]):
             stacked, stacked_targets = {}, [None] * spec.num_layers
             for key in keys:
-                members = _members(key)
-                pair = {half: np.stack([np.stack([a[layer][half] for a in adapters])
-                                        for layer in members]) for half in ("down", "up")}
-                target = np.stack([np.stack([z[layer - 1] for z in targets]) for layer in members])
-                if not isinstance(key, tuple):
-                    pair, target = {half: m[0] for half, m in pair.items()}, target[0]
-                stacked[key] = pair
-                stacked_targets[members[0] - 1] = target
+                stacked[key] = {half: np.stack([np.stack([a[layer][half] for a in adapters])
+                                                for layer in key]) for half in ("down", "up")}
+                stacked_targets[key[0] - 1] = np.stack(
+                    [np.stack([z[layer - 1] for z in targets]) for layer in key]
+                )
             losses, grads = surgery_gradients(
                 merged_d, spec, stacked, _stacked_inputs(xs), stacked_targets, psi, full_backprop
             )
             assert list(losses) == list(grads) == keys
-            layers = sorted(layer for key in keys for layer in _members(key))
+            layers = sorted(layer for key in keys for layer in key)
             for t in range(3):
                 own_losses, own_grads = surgery_gradients(
-                    merged_d, spec, {layer: adapters[t][layer] for layer in layers}, xs[t],
-                    targets[t], psi, full_backprop,
+                    merged_d, spec, _groups_of_one({layer: adapters[t][layer] for layer in layers}),
+                    xs[t], _layer_axis(targets[t]), psi, full_backprop,
                 )
                 for key in keys:
-                    for j, layer in enumerate(_members(key)):
-                        pick = (j, t) if isinstance(key, tuple) else (t,)
-                        want = np.array(own_losses[layer], dtype)
-                        assert losses[key][pick].tobytes() == want.tobytes(), (keys, layer)
+                    for j, layer in enumerate(key):
+                        want = own_losses[(layer,)][0]
+                        assert losses[key][j, t].tobytes() == want.tobytes(), (keys, layer)
                         for half in ("down", "up"):
-                            got = grads[key][half][pick]
+                            got = grads[key][half][j, t]
                             assert got.dtype == dtype
-                            assert got.tobytes() == own_grads[layer][half].tobytes(), (keys, layer)
+                            want = own_grads[(layer,)][half][0]
+                            assert got.tobytes() == want.tobytes(), (keys, layer)
+
+    @pytest.mark.parametrize("key", [3, (), "3"], ids=["layer", "empty", "text"])
+    def test_a_key_that_is_not_a_group_is_rejected(self, key):
+        spec, merged, experts, adapters = _three_task_models()
+        x = self._batches(spec)[0]
+        merged64 = spec.backbone(merged, "merged", np.float64)
+        targets = _layer_axis(forward_layers(spec.backbone(experts[0], "expert", np.float64),
+                                             spec, x))
+        pair = {half: m[None] for half, m in adapters[0][3].items()}
+        message = rf"^adapter key {re.escape(repr(key))} is not a group of layers \(l, \.\.\.\)$"
+        with pytest.raises(SurgeryError, match=message):
+            surgery_gradients(merged64, spec, {(3,): pair, key: pair}, x, targets, LossKind.L1)
 
     @pytest.mark.parametrize("mode", [ALL_LAYERS, SurgeryMode("v1")])
     def test_joint_training_equals_training_each_task_alone(self, mode):
