@@ -41,10 +41,12 @@ from .network import (
 from .surgery import (
     ALL_LAYERS,
     SurgeryMode,
+    SurgeryPart,
     SurgeryResult,
     SurgeryStack,
     corrected_forward,
     init_stack,
+    join_parts,
     sequential_batches,
     stream_train_surgery,
     trace_layers,

@@ -8,7 +8,8 @@ the configured seed so labels stay coherent across splits.  Setup makes
 only the suite's recipe: each step draws the split or mixture it reads
 when it reads it, and keeps none of it afterwards.  The manifest
 written by ``pipeline`` lists the resolved configuration and a digest of
-every artifact, which is enough to re-execute the run bit-identically.
+every artifact the run wrote, which is enough to re-execute the run
+bit-identically.
 A flag that sets a config value is parsed by ``RunConfig``, as a config line is.
 
 A model's bias report and accuracy rows come from one trace of each test
@@ -39,8 +40,10 @@ from .network import ModelSpec, TrainConfig, TrainResult, pretrain as run_pretra
 from .surgery import (
     SurgeryError,
     SurgeryMode,
+    SurgeryPart,
     SurgeryResult,
     SurgeryStack,
+    join_parts,
     stream_train_surgery,
     train_surgery,
 )
@@ -83,10 +86,16 @@ def _checkpoint(run_dir: Path, name: str) -> Path:
     return run_dir / "checkpoints" / f"{name}.msrg"
 
 
-def _save(params: ParamSet, run_dir: Path, name: str) -> None:
+def _save(params: ParamSet, run_dir: Path, name: str) -> Path:
     path = _checkpoint(run_dir, name)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_paramset(params, path)
+    return path
+
+
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def _load_experts(run_dir: Path, cfg: RunConfig) -> list[ParamSet]:
@@ -129,44 +138,57 @@ def _suffix(stack: SurgeryStack | None) -> str:
     return "_surgery" if stack is not None else ""
 
 
-# Steps: each takes its inputs in memory and writes its stage's artifacts.
-# A subcommand loads the inputs and runs one step; ``pipeline`` chains
-# them all without reloading anything.
+# Steps: each takes its inputs in memory, writes its stage's artifacts,
+# and returns, last, the paths it wrote, which ``pipeline``'s manifest
+# digests.  A subcommand loads the inputs and runs one step; ``pipeline``
+# chains them all without reloading anything.
 
 
-def _gen_step(cfg: RunConfig, run_dir: Path, suite: TaskSuite) -> None:
+def _gen_step(cfg: RunConfig, run_dir: Path, suite: TaskSuite) -> list[Path]:
     """Write ``config.cfg`` and the suite's CSVs, drawing and writing one
     split of every task at a time, then the mixture."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.cfg").write_text(cfg.to_text(), encoding="utf-8")
+    written = [_write_text(run_dir / "config.cfg", cfg.to_text())]
     for split in ("train", "validation", "test"):
         for t, data in enumerate(suite.split(split)):
-            save_csv(data, run_dir / "suite" / f"task{t}_{split}.csv")
-    save_csv(suite.mixture(), run_dir / "suite" / "mixture.csv")
+            written.append(run_dir / "suite" / f"task{t}_{split}.csv")
+            save_csv(data, written[-1])
+    written.append(run_dir / "suite" / "mixture.csv")
+    save_csv(suite.mixture(), written[-1])
+    return written
 
 
-def _pretrain_step(cfg, run_dir, suite, spec) -> TrainResult:
+def _pretrain_step(cfg, run_dir, suite, spec) -> tuple[TrainResult, list[Path]]:
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "model_spec.cfg").write_text(spec.to_text(), encoding="utf-8")
+    written = [_write_text(run_dir / "model_spec.cfg", spec.to_text())]
     result = run_pretrain(spec, suite.mixture(), _train_config(cfg, cfg.pretrain_iters))
-    _save(result.params, run_dir, "pretrained")
-    return result
+    return result, [*written, _save(result.params, run_dir, "pretrained")]
 
 
-def _finetune_step(cfg, run_dir, suite, spec, pretrained, tasks) -> list[TrainResult]:
-    """Fine-tune the experts of ``tasks`` jointly, on the train splits of
-    those tasks alone, then save them in task order; a run that fails
-    saves none."""
-    results = train_experts(
-        pretrained, suite.split("train", tasks), tasks, spec,
-        _train_config(cfg, cfg.finetune_iters),
-    )
-    for task, result in zip(tasks, results):
-        _save(result.params, run_dir, f"expert_{task}")
-    return results
+def _finetune_step(
+    cfg, run_dir, suite, spec, pretrained, tasks
+) -> tuple[list[TrainResult], list[Path]]:
+    """Fine-tune the experts of ``tasks`` on the train splits of those
+    tasks alone, drawn here once, each part of ``_by_parts`` jointly,
+    then save them in task order.  A run that fails saves none, and its
+    error is the one of all of ``tasks`` trained jointly."""
+    tasks = list(tasks)
+    train_sets = suite.split("train", tasks)
+    settings = _train_config(cfg, cfg.finetune_iters)
+
+    def finetune(part: range) -> list[TrainResult]:
+        return train_experts(pretrained, train_sets[part.start:part.stop],
+                             tasks[part.start:part.stop], spec, settings)
+
+    results = [result for part in _by_parts(finetune, len(tasks)) for result in part]
+    written = [_save(result.params, run_dir, f"expert_{task}")
+               for task, result in zip(tasks, results)]
+    return results, written
 
 
-def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSet, MergeRecipe]:
+def _merge_step(
+    cfg, run_dir, suite, spec, pretrained, experts
+) -> tuple[ParamSet, MergeRecipe, list[Path]]:
     algorithm = MERGE_ALGOS[cfg.merge_algo]
     keep = cfg.ties_keep if algorithm == "ties_merging" else None
     scale = None
@@ -194,9 +216,9 @@ def _merge_step(cfg, run_dir, suite, spec, pretrained, experts) -> tuple[ParamSe
         ),
         cfg=_train_config(cfg, iterations=cfg.ada_iters),
     )
-    _save(merged, run_dir, "merged")
-    (run_dir / "merge_recipe.txt").write_text(recipe.to_text(), encoding="utf-8")
-    return merged, recipe
+    written = [_save(merged, run_dir, "merged"),
+               _write_text(run_dir / "merge_recipe.txt", recipe.to_text())]
+    return merged, recipe, written
 
 
 def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None, tests=None):
@@ -206,10 +228,11 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None,
     projections of the two final layers are written there before the next
     task is traced.  ``model_id`` names the rule that made ``merged``.  The
     test split ``tests``, drawn here unless given, serves both the traces
-    and the labels."""
+    and the labels.  Returns the report, the rows and the paths written."""
     heads = collect_heads(experts, spec)
     tests = suite.split("test") if tests is None else tests
     scores = ([], [])  # the experts' accuracies, then the merged model's
+    written = []
 
     def finals(task, merged_blocks, expert_blocks):
         for side, blocks in zip(scores, (expert_blocks, merged_blocks)):
@@ -217,8 +240,9 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None,
         if run_dir is not None:
             coords = pca_project([*merged_blocks, *expert_blocks])
             n = sum(block.shape[1] for block in merged_blocks)
+            written.append(run_dir / f"projection{_suffix(stack)}_{task}.csv")
             write_csv(
-                run_dir / f"projection{_suffix(stack)}_{task}.csv",
+                written[-1],
                 ["source", "x", "y"],
                 [("merged,%.9g,%.9g", (coords[:, :n].T,)),
                  ("expert,%.9g,%.9g", (coords[:, n:].T,))],
@@ -230,12 +254,19 @@ def _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack=None,
         model_id="merged" + _suffix(stack), final_traces=finals,
     )
     stack_id = None if stack is None else stack.mode.label
-    return report, [EvalResult("individual", scores[0]), EvalResult(model_id, scores[1], stack_id)]
+    rows = [EvalResult("individual", scores[0]), EvalResult(model_id, scores[1], stack_id)]
+    return report, rows, written
 
 
-def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
+def _surgery_step(
+    cfg, run_dir, suite, spec, merged, experts
+) -> tuple[SurgeryResult, list[Path]]:
     """Train the configured stack on the test inputs, or on the mixture of
-    the ``wild:<seed>`` suite, which is the only part of that suite drawn."""
+    the ``wild:<seed>`` suite, which is the only part of that suite drawn.
+    The inputs are drawn here once; each part of ``_by_parts`` trains its
+    tasks' adapters, and ``join_parts`` makes the one stack and loss curve
+    that training every task at once makes, bitwise.  A run that fails
+    saves nothing, and its error is the unsplit run's."""
     data = cfg.surgery_data
     if data.wild_seed is None:
         inputs = [test.features for test in suite.split("test")]
@@ -245,31 +276,37 @@ def _surgery_step(cfg, run_dir, suite, spec, merged, experts) -> SurgeryResult:
         )
         inputs = [wild.mixture().features] * cfg.tasks
     settings = (cfg.surgery_mode, cfg.surgery_psi, _train_config(cfg, cfg.surgery_iters))
-    if data.stream_fraction is None:
-        result = train_surgery(
-            merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank
-        )
-    else:
-        result = stream_train_surgery(
+
+    def train(tasks: range) -> SurgeryPart:
+        if data.stream_fraction is None:
+            return train_surgery(
+                merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank, tasks=tasks
+            )
+        return stream_train_surgery(
             merged, experts, spec, inputs, data.stream_fraction, *settings,
-            rank=cfg.surgery_rank,
+            rank=cfg.surgery_rank, tasks=tasks,
         )
-    _save(result.stack.params, run_dir, "surgery")
+
+    result = join_parts(_by_parts(train, cfg.tasks))
     info = (
         f"mode = {result.stack.mode.label}\n"
         f"psi = {cfg.surgery_psi.value}\n"
         f"rank = {cfg.surgery_rank}\n"
         f"data = {data}\n"
     )
-    (run_dir / "surgery_info.txt").write_text(info, encoding="utf-8")
-    return result
+    written = [_save(result.stack.params, run_dir, "surgery"),
+               _write_text(run_dir / "surgery_info.txt", info)]
+    return result, written
 
 
 def _beside(stage, *args):
     """Start ``stage(*args)`` in a forked child that dies with the caller;
     the returned ``wait()`` gives the stage's result or raises its error.
     With a worker cap of 1 or no ``fork``, ``wait()`` runs the stage inline
-    instead, so both modes fail at the same point."""
+    instead, so both modes fail at the same point.  ``pipeline`` forks the
+    suite export, the pre-surgery bias step, and every part of fine-tuning
+    and surgery but the first (``_by_parts``); each child's result, the
+    paths it wrote included, comes back pickled over a pipe."""
     if worker_count() == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return functools.partial(stage, *args)
 
@@ -307,13 +344,43 @@ def _beside(stage, *args):
     return wait
 
 
-def _write_manifest(run_dir: Path, cfg: RunConfig) -> Path:
+def _by_parts(train, count: int) -> list:
+    """``train(part)`` for the parts of ``range(count)``, as many
+    consecutive ranges as the worker cap allows: this process trains the
+    first part while each other part trains beside it (see ``_beside``),
+    and the parts' results come back in task order.  If a part fails with
+    a domain error, every part is waited for and then
+    ``train(range(count))`` runs here, so the error raised is the
+    unsplit run's."""
+    n = min(worker_count(), count)
+    if n == 1:
+        return [train(range(count))]
+    cuts = [count * i // n for i in range(n + 1)]
+    parts = [range(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    waits = [_beside(train, part) for part in parts[1:]]
+    results, failed = [], False
+    try:
+        try:
+            results.append(train(parts[0]))
+        except MergeSurgeonError:
+            failed = True
+    finally:
+        for wait in waits:
+            try:
+                results.append(wait())
+            except MergeSurgeonError:
+                failed = True
+    return [train(range(count))] if failed else results
+
+
+def _write_manifest(run_dir: Path, cfg: RunConfig, written) -> Path:
+    """``manifest.txt``: the resolved config, then a digest of each path
+    of ``written``, the files this run wrote, in sorted order; files that
+    an earlier run left in ``run_dir`` are not listed."""
     lines = ["# merge-surgeon run manifest"]
     for line in cfg.to_text().splitlines():
         lines.append(f"config.{line}")
-    for path in sorted(run_dir.rglob("*")):
-        if not path.is_file() or path.name == "manifest.txt":
-            continue
+    for path in sorted(set(written)):
         with path.open("rb") as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
         lines.append(f"file.{path.relative_to(run_dir).as_posix()} = {digest}")
@@ -327,10 +394,14 @@ _M_ARENA_MAX = -8
 
 
 def _one_malloc_arena():
-    """Cap glibc's malloc arenas at one, so the eval pool's threads
-    allocate from the main heap instead of each keeping an arena of its
-    own, which held tens of MB after the scale grid.  Where ``libc.so.6``
-    or its ``mallopt`` is missing, nothing changes."""
+    """Cap glibc's malloc arenas at one, so that every thread allocates
+    from the main heap: the eval pool's threads, and the thread in each
+    ``_beside`` child that watches the caller.  Without the cap each
+    thread that allocates gets an arena of its own, which keeps what it
+    freed: the pool's arenas held tens of MB after the scale grid, and
+    with serial evaluation the cap still saved about 0.45 MB of
+    ``stream_large``'s peak.  Where ``libc.so.6`` or its ``mallopt`` is
+    missing, nothing changes."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
@@ -388,7 +459,7 @@ def gen(config, run_dir, seed, tasks, dim, classes, n_train, n_test):
 def pretrain_cmd(config, run_dir):
     """Train the shared backbone on the task-agnostic mixture."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
-    result = _pretrain_step(cfg, run_dir, suite, spec)
+    result, _ = _pretrain_step(cfg, run_dir, suite, spec)
     click.echo(
         f"pretrained backbone saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
@@ -402,7 +473,7 @@ def finetune(config, run_dir, task):
     if not 0 <= task < cfg.tasks:
         raise ConfigError(f"--task {task} is out of range for {cfg.tasks} tasks")
     pretrained = load_paramset(_checkpoint(run_dir, "pretrained"))
-    (result,) = _finetune_step(cfg, run_dir, suite, spec, pretrained, [task])
+    (result,), _ = _finetune_step(cfg, run_dir, suite, spec, pretrained, [task])
     click.echo(
         f"expert {task} saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
@@ -420,7 +491,7 @@ def merge(config, run_dir, algo, scale, keep, seed):
     )
     pretrained = load_paramset(_checkpoint(run_dir, "pretrained"))
     experts = _load_experts(run_dir, cfg)
-    _, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
+    _, recipe, _ = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
     click.echo(f"merged with {recipe.algorithm}" + (
         f" (scale {recipe.scale:g})" if recipe.scale is not None else ""
     ))
@@ -438,7 +509,7 @@ def bias_cmd(config, run_dir, psi, stack_path, tag):
     cfg, run_dir, suite, spec = _setup(config, run_dir, surgery_psi=psi)
     merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
-    report, _ = _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack)
+    report, _, _ = _bias_step(cfg, run_dir, suite, spec, merged, experts, model_id, stack)
     name = "bias_report.csv" if tag is None else f"bias_report_{tag}.csv"
     (run_dir / name).write_text(report.to_csv_text(), encoding="utf-8")
     click.echo(
@@ -462,7 +533,7 @@ def surgery_cmd(config, run_dir, mode, psi, rank, iters, data):
     if cfg.surgery_mode == "none":
         raise SurgeryError("surgery mode 'none' trains nothing")
     merged, experts = load_paramset(_checkpoint(run_dir, "merged")), _load_experts(run_dir, cfg)
-    result = _surgery_step(cfg, run_dir, suite, spec, merged, experts)
+    result, _ = _surgery_step(cfg, run_dir, suite, spec, merged, experts)
     click.echo(
         f"surgery stack saved (loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f})"
     )
@@ -479,7 +550,7 @@ def eval_cmd(config, run_dir, stack_path):
     merged, experts, model_id = _load_merged(run_dir, cfg)
     stack = None if stack_path is None else _load_stack(Path(stack_path), run_dir, cfg, spec)
     tests = suite.split("test")
-    _, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
+    _, rows, _ = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
     if stack is not None:
         rows.append(evaluate(
             merged, collect_heads(experts, spec), spec, tests, stack, model_id, stack.mode.label
@@ -495,11 +566,11 @@ def report_cmd(config, run_dir):
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     merged, experts, model_id = _load_merged(run_dir, cfg)
     tests = suite.split("test")
-    report, rows = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
+    report, rows, _ = _bias_step(cfg, None, suite, spec, merged, experts, model_id, tests=tests)
     reports = [report]
     if _checkpoint(run_dir, "surgery").exists():
         stack = _load_stack(_checkpoint(run_dir, "surgery"), run_dir, cfg, spec)
-        corrected, (_, row) = _bias_step(
+        corrected, (_, row), _ = _bias_step(
             cfg, None, suite, spec, merged, experts, model_id, stack, tests
         )
         reports.append(corrected)
@@ -512,43 +583,54 @@ def report_cmd(config, run_dir):
 @_command("pipeline")
 def pipeline_cmd(config, run_dir):
     """Full run: gen, pretrain, finetune x T, merge, bias, surgery, eval,
-    report, and a manifest of every artifact.  The suite export runs beside
-    the training stages, and the merged model's bias step and rows beside
-    surgery (see ``_beside``); both are waited for even if a stage fails."""
+    report, and a manifest of every artifact the run wrote.  The suite
+    export runs beside the training stages, the merged model's bias step
+    and rows beside surgery, and fine-tuning and surgery train their
+    tasks in parts beside each other (see ``_beside`` and ``_by_parts``);
+    each is waited for even if a stage fails."""
     cfg, run_dir, suite, spec = _setup(config, run_dir)
     exported = _beside(_gen_step, cfg, run_dir, suite)
     click.echo("suite generated")
+    written = []
     try:
-        pretrained = _pretrain_step(cfg, run_dir, suite, spec).params
+        result, paths = _pretrain_step(cfg, run_dir, suite, spec)
+        pretrained = result.params
+        written += paths
         click.echo("backbone pretrained")
-        results = _finetune_step(cfg, run_dir, suite, spec, pretrained, range(cfg.tasks))
+        results, paths = _finetune_step(cfg, run_dir, suite, spec, pretrained, range(cfg.tasks))
+        written += paths
         experts = [result.params for result in results]
         click.echo(f"{cfg.tasks} experts fine-tuned")
 
-        merged, recipe = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
+        merged, recipe, paths = _merge_step(cfg, run_dir, suite, spec, pretrained, experts)
+        written += paths
         click.echo(f"merged with {recipe.algorithm}")
     finally:
-        exported()
+        written += exported()
 
     inputs = (cfg, run_dir, suite, spec, merged, experts, _MERGED_IDS[recipe.algorithm])
     assessed = _beside(_bias_step, *inputs)
     stack = None
     try:
         if cfg.surgery_mode != "none":
-            stack = _surgery_step(cfg, run_dir, suite, spec, merged, experts).stack
+            result, paths = _surgery_step(cfg, run_dir, suite, spec, merged, experts)
+            written += paths
+            stack = result.stack
     finally:
-        report, rows = assessed()
+        report, rows, paths = assessed()
+        written += paths
     reports = [report]
     if stack is not None:
-        corrected, (_, row) = _bias_step(*inputs, stack)
+        corrected, (_, row), paths = _bias_step(*inputs, stack)
+        written += paths
         reports.append(corrected)
         rows.append(row)
         click.echo("surgery trained")
 
-    emit_report(rows, reports, run_dir)
+    written += emit_report(rows, reports, run_dir)
     for row in rows:
         click.echo(f"{row.label}: avg {row.average:.4f}")
-    manifest = _write_manifest(run_dir, cfg)
+    manifest = _write_manifest(run_dir, cfg, written)
     click.echo(f"manifest written to {manifest}")
 
 

@@ -203,14 +203,17 @@ def _overflow_error(task: int, layer: int) -> SurgeryError:
     return SurgeryError(f"task {task}: layer {layer} representations overflow float32")
 
 
-def _check_overflow(x: np.ndarray, layers: Sequence[np.ndarray], first: int = 1) -> None:
+def _check_overflow(
+    x: np.ndarray, layers: Sequence[np.ndarray], first: int = 1, task0: int = 0
+) -> None:
     """Raise the overflow error of the lowest task, at its lowest layer,
     in which a sample enters a block finite and leaves it not.
 
-    ``x`` is a stacked ``(..., T, d, batch)`` input of block ``first`` and
-    ``layers`` the blocks' outputs from there on.  A forward pass keeps
-    its samples (columns) apart, so a sample that is not finite where it
-    enters, such as a NaN in the data, overflows nowhere."""
+    ``x`` is a stacked ``(..., T, d, batch)`` input of block ``first``,
+    whose row t is task ``task0 + t``, and ``layers`` the blocks' outputs
+    from there on.  A forward pass keeps its samples (columns) apart, so a
+    sample that is not finite where it enters, such as a NaN in the data,
+    overflows nowhere."""
     if all(np.isfinite(z).all() for z in layers):
         return
     finite = np.isfinite(x).all(axis=-2)  # (..., T, batch): each sample
@@ -219,7 +222,7 @@ def _check_overflow(x: np.ndarray, layers: Sequence[np.ndarray], first: int = 1)
         now = np.isfinite(z).all(axis=-2)
         lost = finite & ~now
         tasks = lost.any(axis=-1).reshape(-1, lost.shape[-2]).any(axis=0)
-        hits += [(int(task), layer) for task in np.flatnonzero(tasks)]
+        hits += [(task0 + int(task), layer) for task in np.flatnonzero(tasks)]
         finite = now
     if hits:
         raise _overflow_error(*min(hits))
@@ -311,6 +314,46 @@ def _flush_subnormals():
 class SurgeryResult:
     stack: SurgeryStack
     losses: tuple[float, ...] = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SurgeryPart:
+    """What :func:`train_surgery` trains of the consecutive ``tasks`` of a
+    stack: their entries, as the stack lists them, and the float32
+    ``(iterations, len(tasks), layers)`` array of their per-layer losses,
+    layers in order.  :func:`join_parts` makes the whole result."""
+
+    mode: SurgeryMode
+    spec: ModelSpec
+    tasks: range
+    params: ParamSet
+    losses: np.ndarray = field(repr=False)
+
+
+def join_parts(parts: Sequence[SurgeryPart]) -> SurgeryResult:
+    """The result of one whole run from parts that train each task of one
+    spec once, in any order: the stack of every part's entries, and each
+    iteration's loss as the whole run adds it, a float64 sum from 0.0 of
+    the per-layer losses, task-major and in layer order."""
+    parts = sorted(parts, key=lambda part: part.tasks.start)
+    mode, spec = parts[0].mode, parts[0].spec
+    covered = [task for part in parts for task in part.tasks]
+    if any((part.mode, part.spec) != (mode, spec) for part in parts) or len(
+        {part.losses.shape[0] for part in parts}
+    ) != 1 or covered != list(range(spec.num_tasks)):
+        raise SurgeryError(
+            f"parts of tasks {[list(part.tasks) for part in parts]} are not one run's "
+            f"{spec.num_tasks} tasks"
+        )
+    stack = SurgeryStack(mode, ParamSet(
+        (name, value) for part in parts for name, value in part.params.items()
+    ), spec)
+    totals = np.zeros(len(parts[0].losses))
+    for part in parts:
+        for task_losses in part.losses.swapaxes(0, 1):
+            for column in task_losses.T:
+                totals += column  # each float32 loss widened exactly
+    return SurgeryResult(stack, tuple(totals.tolist()))
 
 
 def surgery_gradients(
@@ -424,7 +467,8 @@ def train_surgery(
     cfg: TrainConfig,
     rank: int = 16,
     full_backprop: bool = False,
-) -> SurgeryResult:
+    tasks: Sequence[int] | None = None,
+) -> SurgeryResult | SurgeryPart:
     """Fit one adapter stack against the experts' representations.
 
     ``data`` is an iterator of (C, T, input_dim, batch) chunks of C
@@ -458,17 +502,26 @@ def train_surgery(
     lowest adapter, do not depend on the adapters: they run once per
     chunk of ``data``, and write each group's targets into one buffer.  Every task ends
     bitwise where training it alone on its own batches, layer by layer,
-    would leave it, and each iteration's loss adds the task-major,
-    layer-ordered losses as Python floats.  The chunk loop flushes
-    subnormals to zero (MXCSR FTZ and DAZ): Adam's moments of entries with
-    no gradient decay into them, where x86 is slow.
+    would leave it, and each iteration's loss is the float64 sum, from
+    0.0, of the task-major, layer-ordered float32 losses.  The chunk loop
+    flushes subnormals to zero (MXCSR FTZ and DAZ): Adam's moments of
+    entries with no gradient decay into them, where x86 is slow.
+
+    Given ``tasks``, consecutive ascending tasks of ``spec``, only their
+    adapters train, and the result is their :class:`SurgeryPart`.  Every
+    chunk is still drawn or read, and checked, for all tasks, then cut to
+    the part's rows, and ``init_stack`` seeds each task apart; so a part's
+    entries and losses are bitwise the whole run's, and
+    :func:`join_parts` of parts that cover the spec's tasks is the
+    whole run's result, which is what ``tasks=None`` returns.
 
     A representation that overflows float32 ends training in the
     ``SurgeryError`` of :func:`trace_layers`, which names the task and
     layer, with no numpy warning: the targets and the merged blocks
     below the lowest adapter are checked once per chunk, and the
     corrected layers when a loss is not finite.  Any other non-finite
-    loss names its iteration, task and layer.
+    loss names its iteration, task and layer.  A part checks and names
+    only its own tasks (and only their experts are read).
     """
     if not isinstance(data, Iterator):
         pools = spec.pools(data, "input pools", np.float32)
@@ -476,8 +529,10 @@ def train_surgery(
     num_tasks = spec.num_tasks
     if len(experts) != num_tasks:
         raise SurgeryError(f"got {len(experts)} experts for the spec's {num_tasks} tasks")
+    part = range(num_tasks) if tasks is None else _task_run(tasks, num_tasks)
+    rows = slice(part.start, part.stop)
     merged32 = spec.backbone(merged, "merged", np.float32)
-    experts32 = [spec.backbone(e, f"expert {t}", np.float32) for t, e in enumerate(experts)]
+    experts32 = [spec.backbone(experts[t], f"expert {t}", np.float32) for t in part]
     experts32 = {name: np.stack([e[name] for e in experts32]) for name in merged32}
     layers = mode.layer_indices(spec.num_layers)
     first = layers[0]
@@ -487,17 +542,17 @@ def train_surgery(
     for layer in layers:
         by_width.setdefault(spec.out_dim(layer), []).append(layer)
     groups = [tuple(members) for members in by_width.values()]
-    # Row t of params holds every adapter of task t, and row t of
-    # grad_rows its gradients.  Each group's downs are one (T, L', rank,
-    # d) view and its ups one (T, L', d, rank) view; surgery_gradients
-    # takes them layer-major, and each layer's (T, ...) matrices are
-    # views of them.
+    # Row t of params holds every adapter of the part's task t, and row t
+    # of grad_rows its gradients.  Each group's downs are one (T, L',
+    # rank, d) view and its ups one (T, L', d, rank) view;
+    # surgery_gradients takes them layer-major, and each layer's (T, ...)
+    # matrices are views of them.
     shapes = []
     for members in groups:
         width = spec.out_dim(members[0])
         shapes += [(len(members), rank, width), (len(members), width, rank)]
-    params, views = flat_rows(shapes, num_tasks, np.float32)
-    grad_rows, grad_views = flat_rows(shapes, num_tasks, np.float32)
+    params, views = flat_rows(shapes, len(part), np.float32)
+    grad_rows, grad_views = flat_rows(shapes, len(part), np.float32)
     grouped: dict[tuple[int, ...], dict[str, np.ndarray]] = {}
     grads: dict[tuple[int, ...], dict[str, np.ndarray]] = {}
     adapters: dict[int, dict[str, np.ndarray]] = {}
@@ -509,13 +564,13 @@ def train_surgery(
         for j, layer in enumerate(members):
             adapters[layer] = {"down": down[:, j], "up": up[:, j]}
             for half, view in adapters[layer].items():
-                view[...] = [stack0.params[_entry(t, layer, half)] for t in range(num_tasks)]
-    # Where each layer's losses sit: its group's row and its place in it.
-    places = [(g, members.index(layer)) for layer in layers
-              for g, members in enumerate(groups) if layer in members]
+                view[...] = [stack0.params[_entry(t, layer, half)] for t in part]
+    # The columns of each group's layers among the adapted layers.
+    columns = {members: [layers.index(layer) for layer in members] for members in groups}
     optimizer = Adam(cfg.learning_rate)
 
-    losses: list[float] = []
+    # Per chunk, the (C, tasks, layers) losses of its iterations.
+    losses = [np.empty((0, len(part), len(layers)), np.float32)]
 
     def train_chunk(x: np.ndarray) -> None:
         # A function, so the (C, T, d, batch) chunk's arrays are freed
@@ -530,31 +585,29 @@ def train_surgery(
                                x.shape[-1]), np.float32)
             targets[members[0] - 1] = buffer
             out.update((layer, (buffer[j], None, None)) for j, layer in enumerate(members))
-        _check_overflow(x, forward_layers(experts32, spec, x, out=out))
+        _check_overflow(x, forward_layers(experts32, spec, x, out=out), task0=part.start)
         if first > 1:
             below = forward_layers(merged32, spec, x, last=first - 1)
-            _check_overflow(x, below)
+            _check_overflow(x, below, task0=part.start)
             x = below[-1]
-        for i in range(len(x)):
+        done = sum(map(len, losses))
+        losses.append(np.empty((len(x), len(part), len(layers)), np.float32))
+        for i, row in enumerate(losses[-1]):
             group_losses, _ = surgery_gradients(
                 merged32, spec, grouped, x[i], [None if z is None else z[:, i] for z in targets],
                 psi, full_backprop, first, grads,
             )
-            rows = [group_losses[members].tolist() for members in groups]
-            total = 0.0
-            for task in range(num_tasks):
-                for layer, (g, j) in zip(layers, places):
-                    loss = rows[g][j][task]
-                    if not math.isfinite(loss):
-                        corrected = forward_layers(merged32, spec, x[i], adapters, first=first)
-                        _check_overflow(x[i], corrected, first)
-                        raise SurgeryError(
-                            f"non-finite loss at iteration {len(losses) + 1}, "
-                            f"task {task}, layer {layer}"
-                        )
-                    total += loss
+            for members, loss in group_losses.items():
+                row[:, columns[members]] = loss.T
+            if not np.isfinite(row).all():
+                corrected = forward_layers(merged32, spec, x[i], adapters, first=first)
+                _check_overflow(x[i], corrected, first, part.start)
+                task, column = np.argwhere(~np.isfinite(row))[0]
+                raise SurgeryError(
+                    f"non-finite loss at iteration {done + i + 1}, "
+                    f"task {part.start + task}, layer {layers[column]}"
+                )
             optimizer.step(params, grad_rows)
-            losses.append(total)
 
     # An overflow ends in the SurgeryError of its check; numpy's warnings
     # on the way would only add lines before it.
@@ -563,16 +616,26 @@ def train_surgery(
             x = np.asarray(chunk, dtype=np.float32)
             if x.ndim != 4 or x.shape[1:3] != (num_tasks, spec.input_dim) or 0 in x.shape:
                 raise SurgeryError(
-                    f"iteration {len(losses) + 1}: a chunk must be (iterations, {num_tasks}, "
-                    f"{spec.input_dim}, batch) with no empty axis, got {x.shape}"
+                    f"iteration {sum(map(len, losses)) + 1}: a chunk must be (iterations, "
+                    f"{num_tasks}, {spec.input_dim}, batch) with no empty axis, got {x.shape}"
                 )
-            train_chunk(x)
+            train_chunk(x[:, rows])
 
-    stack = SurgeryStack(mode, ParamSet(
-        (_entry(task, layer, half), adapters[layer][half][task])
-        for task in range(num_tasks) for layer in layers for half in ("down", "up")
-    ), spec)
-    return SurgeryResult(stack=stack, losses=tuple(losses))
+    trained = SurgeryPart(mode, spec, part, ParamSet(
+        (_entry(task, layer, half), adapters[layer][half][t])
+        for t, task in enumerate(part) for layer in layers for half in ("down", "up")
+    ), np.concatenate(losses))
+    return join_parts([trained]) if tasks is None else trained
+
+
+def _task_run(tasks: Sequence[int], num_tasks: int) -> range:
+    """``tasks`` as the range of consecutive tasks of the spec it lists."""
+    part = range(tasks[0], tasks[0] + len(tasks)) if len(tasks) else range(0)
+    if not part or list(tasks) != list(part) or part.start < 0 or part.stop > num_tasks:
+        raise SurgeryError(
+            f"tasks {list(tasks)} are not consecutive ascending tasks of the spec's {num_tasks}"
+        )
+    return part
 
 
 def stream_train_surgery(
@@ -586,10 +649,13 @@ def stream_train_surgery(
     cfg: TrainConfig,
     rank: int = 16,
     full_backprop: bool = False,
-) -> SurgeryResult:
+    tasks: Sequence[int] | None = None,
+) -> SurgeryResult | SurgeryPart:
     """Online variant: the one ordered pass of :func:`sequential_batches`,
-    which checks the pools, each sample visible exactly once."""
+    which checks the pools, each sample visible exactly once; ``tasks`` as
+    in :func:`train_surgery`."""
     batches = sequential_batches(inputs_per_task, spec, cfg.batch_size, fraction)
     return train_surgery(
-        merged, experts, spec, batches, mode, psi, cfg, rank=rank, full_backprop=full_backprop
+        merged, experts, spec, batches, mode, psi, cfg, rank=rank, full_backprop=full_backprop,
+        tasks=tasks,
     )

@@ -1,5 +1,6 @@
 """Command-line surface: subcommand contracts on a small configuration."""
 
+import copy
 import functools
 import hashlib
 import json
@@ -74,6 +75,23 @@ def pipeline_run(tmp_path_factory):
     result = invoke(CliRunner(), ["pipeline", "--config", str(config), "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     return config, run_dir
+
+
+def record_parts(monkeypatch, *names):
+    """The ``tasks`` of each call, in this process, of the CLI's trainers
+    ``names``; a part that trains in a forked child is not listed."""
+    parts = []
+
+    def recorded(train):
+        def call(*args, **kwargs):
+            parts.append(kwargs["tasks"] if "tasks" in kwargs else args[2])
+            return train(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    return parts
 
 
 def invoke(runner, args):
@@ -769,7 +787,7 @@ class TestBiasStep:
     def test_rows_equal_the_library_evaluation(self, bias_inputs, tmp_path, with_stack):
         cfg, suite, spec, merged, experts, model_id, stack = bias_inputs
         stack = stack if with_stack else None
-        _, rows = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
+        _, rows, _ = cli._bias_step(cfg, tmp_path, suite, spec, merged, experts, model_id, stack)
         heads = collect_heads(experts, spec)
         tests = suite.split("test")
         individual = [
@@ -1014,7 +1032,8 @@ class TestSurgeryData:
     does, and a stack is read only in a mode that has one."""
 
     @staticmethod
-    def library_stack(run_dir, data):
+    def library_result(run_dir, data):
+        """The whole-run result of the library on the pools ``data`` names."""
         cfg = RunConfig.from_sources(parse_config_text(TINY_CFG))
         spec = ModelSpec(cfg.dim, cfg.hidden_dims, cfg.classes, cfg.tasks)
         train_cfg = TrainConfig(
@@ -1028,14 +1047,13 @@ class TestSurgeryData:
         kind, _, arg = data.partition(":")
         if kind == "wild":
             inputs = [gen_task_suite(int(arg), *shape).mixture().features] * cfg.tasks
-            result = train_surgery(merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank)
         else:
-            suite = gen_task_suite(cfg.seed, *shape)
-            result = stream_train_surgery(
-                merged, experts, spec, [test.features for test in suite.split("test")],
-                float(arg), *settings, rank=cfg.surgery_rank,
+            inputs = [test.features for test in gen_task_suite(cfg.seed, *shape).split("test")]
+        if kind == "stream":
+            return stream_train_surgery(
+                merged, experts, spec, inputs, float(arg), *settings, rank=cfg.surgery_rank,
             )
-        return result.stack.params
+        return train_surgery(merged, experts, spec, inputs, *settings, rank=cfg.surgery_rank)
 
     @pytest.mark.parametrize("data", ["wild:3", "stream:0.5"])
     def test_stack_is_the_library_stack(self, runner, pipeline_run, tmp_path, data):
@@ -1048,8 +1066,36 @@ class TestSurgeryData:
         assert result.exit_code == 0, result.output
         assert f"data = {data}\n" in (run_dir / "surgery_info.txt").read_text()
         stack = load_paramset(cli._checkpoint(run_dir, "surgery"))
-        assert bitwise_equal(stack, self.library_stack(run_dir, data))
+        assert bitwise_equal(stack, self.library_result(run_dir, data).stack.params)
         assert not bitwise_equal(stack, load_paramset(cli._checkpoint(piped, "surgery")))
+
+    @pytest.mark.parametrize("data", ["test", "wild:3", "stream:0.5"])
+    def test_parts_train_the_library_stack_and_loss_line(
+        self, runner, pipeline_run, tmp_path, monkeypatch, data
+    ):
+        # With two workers, task 0 trains here and task 1 in a child; with
+        # one, both train here.  The stack and the loss line are the
+        # library's whole run in both modes.
+        config, piped = pipeline_run
+        parts = record_parts(monkeypatch, "train_surgery", "stream_train_surgery")
+        outputs = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("MERGE_SURGEON_THREADS", threads)
+            run_dir = tmp_path / threads
+            shutil.copytree(piped, run_dir)
+            result = invoke(runner, ["surgery", "--config", str(config), "--run-dir",
+                                     str(run_dir), "--data", data])
+            assert result.exit_code == 0, result.output
+            assert multiprocessing.active_children() == []
+            outputs[threads] = (result.output, cli._checkpoint(run_dir, "surgery").read_bytes())
+        assert parts == [range(0, 1), range(0, 2)]
+        assert outputs["2"] == outputs["1"]
+        whole = self.library_result(piped, data)
+        assert outputs["2"][0] == (
+            f"surgery stack saved (loss {whole.losses[0]:.4f} -> {whole.losses[-1]:.4f})\n"
+        )
+        assert bitwise_equal(load_paramset(cli._checkpoint(tmp_path / "2", "surgery")),
+                             whole.stack.params)
 
     def test_a_stream_reads_no_iteration_count(self, runner, pipeline_run, tmp_path):
         # ceil(0.5 * n_test) = 25 samples per task in batches of 16: two
@@ -1146,14 +1192,121 @@ class TestPipeline:
         forked, inline = self.run_both_modes(runner, tiny_config, tmp_path, monkeypatch)
         assert forked[0] == inline[0] == 0
         assert forked[1] == inline[1]
-        files = {}
-        for _, _, run_dir in (forked, inline):
-            files[run_dir] = {
-                path.relative_to(run_dir): path.read_bytes()
-                for path in sorted(run_dir.rglob("*")) if path.is_file()
-            }
-        assert files[forked[2]] == files[inline[2]]
-        assert len(files[forked[2]]) > 20
+        assert self.files(forked[2]) == self.files(inline[2])
+        assert len(self.files(forked[2])) > 20
+
+    @staticmethod
+    def files(run_dir):
+        return {path.relative_to(run_dir): path.read_bytes()
+                for path in sorted(run_dir.rglob("*")) if path.is_file()}
+
+    @staticmethod
+    def config_of(tmp_path, tasks, extra=""):
+        config = tmp_path / f"tasks{tasks}.cfg"
+        config.write_text(TINY_CFG.replace("tasks = 2", f"tasks = {tasks}") + extra)
+        return config
+
+    @pytest.mark.parametrize("tasks", [1, 3])
+    def test_task_parts_match_the_inline_run(self, runner, tmp_path, monkeypatch, tasks):
+        # Two workers split 3 tasks as [0] here and [1, 2] in a child, and
+        # leave 1 task whole; one worker trains every task here.
+        parts = record_parts(monkeypatch, "train_experts", "train_surgery")
+        forked, inline = self.run_both_modes(
+            runner, self.config_of(tmp_path, tasks), tmp_path, monkeypatch
+        )
+        assert forked[0] == inline[0] == 0
+        assert forked[1] == inline[1]
+        assert self.files(forked[2]) == self.files(inline[2])
+        assert f"{tasks} experts fine-tuned" in forked[1]
+        whole = range(tasks)
+        first = range(1) if tasks == 3 else whole
+        assert parts == [list(first), first, list(whole), whole]
+
+    def test_manifest_lists_only_what_the_run_wrote(self, runner, tmp_path):
+        # Three tasks, then two into the same directory: the files of task
+        # 2 stay on disk, unlisted, and the manifest is a clean run's.
+        run_dir, clean = tmp_path / "run", tmp_path / "clean"
+        for tasks, target in ((3, run_dir), (2, run_dir), (2, clean)):
+            config = self.config_of(tmp_path, tasks)
+            args = ["pipeline", "--config", str(config), "--run-dir", str(target)]
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+        manifest = (run_dir / "manifest.txt").read_text()
+        for leftover in ("checkpoints/expert_2.msrg", "projection_2.csv",
+                         "projection_surgery_2.csv", "suite/task2_train.csv"):
+            assert (run_dir / leftover).is_file()
+        assert "config.tasks = 2\n" in manifest
+        for name in ("expert_2", "projection_2", "projection_surgery_2", "suite/task2_"):
+            assert name not in manifest
+        assert manifest == (clean / "manifest.txt").read_text()
+        listed = [line.split(" = ")[0].removeprefix("file.")
+                  for line in manifest.splitlines() if line.startswith("file.")]
+        assert listed == sorted(path.relative_to(clean).as_posix() for path in clean.rglob("*")
+                                if path.is_file() and path.name != "manifest.txt")
+
+    @pytest.mark.parametrize("bad", [[2], [0, 2]], ids=["child-part", "each-part"])
+    def test_a_diverging_finetune_part_fails_as_the_inline_run(
+        self, runner, tmp_path, monkeypatch, bad
+    ):
+        # NaN features make a task's first loss non-finite; tasks 1 and 2
+        # train in the child.
+        train = cli.train_experts
+
+        def diverging(pretrained, train_sets, tasks, spec, cfg):
+            sets = []
+            for task, data in zip(tasks, train_sets):
+                if task in bad:
+                    data = copy.copy(data)
+                    object.__setattr__(data, "features", np.full_like(data.features, np.nan))
+                sets.append(data)
+            return train(pretrained, sets, tasks, spec, cfg)
+
+        monkeypatch.setattr(cli, "train_experts", diverging)
+        forked, inline = self.run_both_modes(
+            runner, self.config_of(tmp_path, 3), tmp_path, monkeypatch
+        )
+        assert forked[0] == inline[0] == 1
+        assert forked[1] == inline[1]
+        assert forked[1].splitlines()[-1] == (
+            f"Error: non-finite training loss at iteration 1 (task {bad[0]})"
+        )
+        for run_dir in (forked[2], inline[2]):
+            assert (run_dir / "checkpoints" / "pretrained.msrg").is_file()
+            assert not list(run_dir.glob("checkpoints/expert_*"))
+            assert not (run_dir / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("nan_rows", [{2: 40}, {0: 40, 2: 0}], ids=["child-part", "each-part"])
+    def test_a_diverging_surgery_part_fails_as_the_inline_run(
+        self, runner, tmp_path, monkeypatch, nan_rows
+    ):
+        # A stream reads rows 16(i - 1) to 16i - 1 at iteration i, so a NaN
+        # in row r fails iteration r // 16 + 1.  With a NaN in each part,
+        # this process's part alone would fail at iteration 3 with task 0;
+        # the whole run fails at iteration 1 with task 2, and so must the
+        # split run.
+        train = cli.stream_train_surgery
+
+        def diverging(merged, experts, spec, pools, *args, **kwargs):
+            pools = [np.array(pool) for pool in pools]
+            for task, row in nan_rows.items():
+                pools[task][row] = np.nan
+            return train(merged, experts, spec, pools, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "stream_train_surgery", diverging)
+        config = self.config_of(tmp_path, 3, "surgery_data = stream:1.0\n")
+        forked, inline = self.run_both_modes(runner, config, tmp_path, monkeypatch)
+        assert forked[0] == inline[0] == 1
+        assert forked[1] == inline[1]
+        first = min(nan_rows.values()) // 16 + 1
+        assert forked[1].splitlines()[-1] == (
+            f"Error: non-finite loss at iteration {first}, task 2, layer 1"
+        )
+        for run_dir in (forked[2], inline[2]):
+            assert (run_dir / "checkpoints" / "expert_2.msrg").is_file()
+            assert (run_dir / "projection_2.csv").is_file()
+            assert not (run_dir / "checkpoints" / "surgery.msrg").exists()
+            assert not (run_dir / "surgery_info.txt").exists()
+        assert self.files(forked[2]) == self.files(inline[2])
 
     def test_side_stage_failure_matches_inline(
         self, runner, tiny_config, tmp_path, monkeypatch

@@ -29,6 +29,7 @@ from merge_surgeon.surgery import (
     SurgeryStack,
     corrected_forward,
     init_stack,
+    join_parts,
     sequential_batches,
     stream_train_surgery,
     surgery_gradients,
@@ -1372,3 +1373,109 @@ class TestFlushSubnormals:
         assert bitwise_equal(plain.stack.params, flushed.stack.params)
         assert plain.losses == flushed.losses
 
+
+
+class TestTaskParts:
+    """``train_surgery(tasks=...)`` trains a run of consecutive tasks, and
+    parts that cover the spec's tasks join into the whole run's result,
+    bit for bit: the form in which ``pipeline`` splits surgery across
+    processes."""
+
+    SPLITS = [[[0], [1, 2]], [[0, 1], [2]], [[0], [1], [2]]]
+
+    @pytest.mark.parametrize("full_backprop", [False, True])
+    @pytest.mark.parametrize("psi", PSIS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("stream", [False, True], ids=["random", "stream"])
+    def test_joined_parts_are_the_whole_run(self, stream, mode, psi, full_backprop):
+        # Two chunks and, streamed, a short last batch; grouped widths.
+        spec, merged, experts, _ = _three_task_models(seed=90, layer_dims=GROUPED_DIMS)
+        cfg = ms.TrainConfig(batch_size=8, iterations=40, seed=90)
+        pools = [np.random.default_rng([91, t]).standard_normal((300, 4)) + 0.3
+                 for t in range(3)]
+
+        def run(tasks):
+            if stream:
+                return stream_train_surgery(merged, experts, spec, pools, 1.0, mode, psi, cfg,
+                                            rank=2, full_backprop=full_backprop, tasks=tasks)
+            return train_surgery(merged, experts, spec, pools, mode, psi, cfg, rank=2,
+                                 full_backprop=full_backprop, tasks=tasks)
+
+        whole = run(None)
+        assert len(whole.losses) == (38 if stream else 40)
+        layers = len(mode.layer_indices(spec.num_layers))
+        for split in [*self.SPLITS, [[0, 1, 2]]]:
+            parts = [run(tasks) for tasks in split]
+            for part, tasks in zip(parts, split):
+                assert part.tasks == range(tasks[0], tasks[-1] + 1)
+                assert part.losses.dtype == np.float32
+                assert part.losses.shape == (len(whole.losses), len(tasks), layers)
+                assert {int(name.split(".")[1]) for name in part.params} == set(tasks)
+            joined = join_parts(parts[::-1])
+            assert joined.losses == whole.losses
+            assert joined.stack.mode == whole.stack.mode
+            assert bitwise_equal(joined.stack.params, whole.stack.params)
+
+    @pytest.mark.parametrize("tasks", [[0, 2], [], [1, 0], [2, 3], [-1, 0]])
+    def test_tasks_are_a_run_of_the_specs_tasks(self, tasks):
+        spec, merged, experts, _ = _three_task_models(seed=92)
+        cfg = ms.TrainConfig(batch_size=4, iterations=2, seed=92)
+        pools = [np.ones((8, 4))] * 3
+        message = re.escape(
+            f"tasks {tasks} are not consecutive ascending tasks of the spec's 3"
+        ) + "$"
+        with pytest.raises(SurgeryError, match=message):
+            train_surgery(merged, experts, spec, pools, ALL_LAYERS, LossKind.L1, cfg, rank=2,
+                          tasks=tasks)
+
+    def test_a_part_names_its_own_tasks(self):
+        # A NaN of task 2 at iteration 3, and inputs of 1e30 that take
+        # expert 2, its first block scaled by 1e10, past float32, name
+        # task 2 in a part as in the whole run; the part of task 0 trains on.
+        spec, merged, experts, _ = _three_task_models(seed=93)
+        cfg = ms.TrainConfig(batch_size=4, seed=93)
+        pools = [np.random.default_rng([94, t]).standard_normal((40, 4)) for t in range(3)]
+        nan = [p.copy() for p in pools]
+        nan[2][9] = np.nan
+        huge = [p.copy() for p in pools]
+        huge[2] *= 1e30
+        scaled = [*experts[:2], ParamSet({**experts[2],
+                                          "block1.weight": experts[2]["block1.weight"] * 1e10})]
+
+        def train(data, models, tasks):
+            return stream_train_surgery(merged, models, spec, data, 1.0, ALL_LAYERS,
+                                        LossKind.MSE, cfg, rank=2, tasks=tasks)
+
+        def failure(data, models, tasks):
+            with pytest.raises(SurgeryError) as caught:
+                train(data, models, tasks)
+            return str(caught.value)
+
+        assert failure(nan, experts, [1, 2]) == failure(nan, experts, None) == (
+            "non-finite loss at iteration 3, task 2, layer 1"
+        )
+        assert failure(huge, scaled, [2]) == failure(huge, scaled, None) == (
+            "task 2: layer 1 representations overflow float32"
+        )
+        for data, models in ((nan, experts), (huge, scaled)):
+            assert np.isfinite(train(data, models, [0]).losses).all()
+
+    def test_joining_needs_each_task_of_one_run_once(self):
+        spec, merged, experts, _ = _three_task_models(seed=95)
+        cfg = ms.TrainConfig(batch_size=4, iterations=3, seed=95)
+        pools = [np.random.default_rng([96, t]).standard_normal((8, 4)) for t in range(3)]
+
+        def part(tasks, mode=ALL_LAYERS, iterations=3):
+            return train_surgery(merged, experts, spec, pools, mode, LossKind.L1,
+                                 dataclasses.replace(cfg, iterations=iterations), rank=2,
+                                 tasks=tasks)
+
+        for parts, named in [
+            ([part([0]), part([1])], "[[0], [1]]"),
+            ([part([0, 1]), part([1, 2])], "[[0, 1], [1, 2]]"),
+            ([part([0]), part([1, 2], SurgeryMode("v1"))], "[[0], [1, 2]]"),
+            ([part([0]), part([1, 2], iterations=4)], "[[0], [1, 2]]"),
+        ]:
+            message = re.escape(f"parts of tasks {named} are not one run's 3 tasks") + "$"
+            with pytest.raises(SurgeryError, match=message):
+                join_parts(parts)
